@@ -22,7 +22,6 @@
 #include "circuit/opamp.h"
 #include "common/rng.h"
 #include "gp/gp.h"
-#include "gp/rff.h"
 #include "linalg/cholesky.h"
 #include "obs/recording.h"
 #include "obs/stream.h"
@@ -113,66 +112,24 @@ void BM_Hallucinate(benchmark::State& state) {
 }
 BENCHMARK(BM_Hallucinate)->Arg(150)->Arg(450);
 
-// --- GP hot-path n-sweep: backend x fit / hallucination path ---------------
+// --- GP hot-path n-sweep: full fit / hallucination path --------------------
 //
-// The matrix behind docs/boconfig-reference.md's backend guidance and the
-// CI trend check (scripts/bench_gp_trend.py). Within-run ratios are the
-// contract — they hold on any machine:
-//   * BM_HallucinateOverlay must beat BM_HallucinateDeepCopy >= 5x at
-//     n = 2048, k = 8 (the penalized-proposal hot path), and
-//   * BM_RffFitFull at n = 4096 must beat BM_GpFitFull at n = 1024.
-
-easybo::gp::RffRegressor fitted_rff(std::size_t n, std::size_t d,
-                                    std::size_t m, Rng& rng) {
-  std::vector<Vec> xs(n, Vec(d));
-  Vec ys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (auto& v : xs[i]) v = rng.uniform();
-    ys[i] = rng.normal();
-  }
-  easybo::gp::RffRegressor rff(
-      std::make_unique<SquaredExponentialArd>(d), 1e-4, m, 0x9E3779B97F4A7C15ULL);
-  rff.set_data(std::move(xs), std::move(ys));
-  rff.fit();
-  return rff;
-}
-
-/// Alternates between two hyperparameter vectors one ulp-scale apart so
-/// every iteration pays the FULL from-scratch fit on either backend (a
-/// same-valued set would let the approximate backend keep its feature
-/// Gram).
-template <typename Model>
-void full_fit_loop(benchmark::State& state, Model& model) {
-  const Vec lp0 = model.log_hyperparams();
-  Vec lp1 = lp0;
-  lp1[1] += 1e-9;
-  bool flip = false;
-  for (auto _ : state) {
-    model.set_log_hyperparams(flip ? lp1 : lp0);
-    flip = !flip;
-    model.fit();
-    benchmark::DoNotOptimize(model.log_marginal_likelihood());
-  }
-}
+// The matrix behind the CI trend check (scripts/bench_gp_trend.py). The
+// within-run ratio is the contract — it holds on any machine:
+// BM_HallucinateOverlay must beat BM_HallucinateDeepCopy >= 5x at
+// n = 2048, k = 8 (the penalized-proposal hot path).
 
 void BM_GpFitFull(benchmark::State& state) {
   Rng rng(11);
   auto gp = fitted_gp(static_cast<std::size_t>(state.range(0)), 10, rng);
-  full_fit_loop(state, gp);
+  const Vec lp = gp.log_hyperparams();
+  for (auto _ : state) {
+    gp.set_log_hyperparams(lp);  // drops the factor: every fit is a full one
+    gp.fit();
+    benchmark::DoNotOptimize(gp.log_marginal_likelihood());
+  }
 }
 BENCHMARK(BM_GpFitFull)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
-
-void BM_RffFitFull(benchmark::State& state) {
-  Rng rng(12);
-  auto rff = fitted_rff(static_cast<std::size_t>(state.range(0)), 10, 128,
-                        rng);
-  full_fit_loop(state, rff);
-}
-BENCHMARK(BM_RffFitFull)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
 
 std::vector<Vec> pending_batch(std::size_t k, Rng& rng) {
   std::vector<Vec> pending(k);
@@ -218,34 +175,6 @@ BENCHMARK(BM_HallucinateOverlay)
     ->Arg(2048)
     ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
-
-void BM_RffHallucinate(benchmark::State& state) {
-  Rng rng(14);
-  const auto rff = fitted_rff(static_cast<std::size_t>(state.range(0)), 10,
-                              128, rng);
-  const auto pending = pending_batch(8, rng);
-  const Vec probe = rng.uniform_vector(10);
-  for (auto _ : state) {
-    const auto aug = rff.hallucinate(pending, /*pin_mean=*/false);
-    benchmark::DoNotOptimize(aug->predict(probe).var);
-  }
-}
-BENCHMARK(BM_RffHallucinate)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RffPredict(benchmark::State& state) {
-  Rng rng(15);
-  const auto rff = fitted_rff(static_cast<std::size_t>(state.range(0)), 10,
-                              128, rng);
-  const Vec x = rng.uniform_vector(10);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rff.predict(x).mean);
-  }
-}
-BENCHMARK(BM_RffPredict)->Arg(256)->Arg(4096);
 
 void BM_AcquisitionMaximize(benchmark::State& state) {
   Rng rng(6);

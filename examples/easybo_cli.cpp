@@ -8,8 +8,7 @@
 ///                      bucb|lp|ei|lcb|de|pso|sa|random]
 ///              [--batch N] [--sims N] [--init N] [--seed N]
 ///              [--lambda X] [--kernel se|matern52] [--csv]
-///              [--gp-backend exact|rff] [--rff-features M]
-///              [--rff-train-subset N] [--pin-hallucinated-mean]
+///              [--pin-hallucinated-mean]
 ///              [--metrics-json FILE] [--metrics-csv FILE]
 ///              [--on-failure abort|discard|penalize] [--eval-timeout S]
 ///              [--eval-retries N] [--fail-quantile Q]
@@ -75,9 +74,6 @@ struct CliOptions {
   std::uint64_t seed = 1;
   double lambda = 6.0;
   std::string kernel = "se";
-  std::string gp_backend = "exact";
-  std::size_t rff_features = 128;
-  std::size_t rff_train_subset = 512;
   bool pin_hallucinated_mean = false;
   bool csv = false;
   std::string metrics_json;  // empty: off; "-": stdout
@@ -131,8 +127,7 @@ bool write_text(const std::string& path, const std::string& text) {
       "                          phcbo|bucb|lp|ei|lcb|de|pso|sa|random]\n"
       "                  [--batch N] [--sims N] [--init N] [--seed N]\n"
       "                  [--lambda X] [--kernel se|matern52] [--csv]\n"
-      "                  [--gp-backend exact|rff] [--rff-features M]\n"
-      "                  [--rff-train-subset N] [--pin-hallucinated-mean]\n"
+      "                  [--pin-hallucinated-mean]\n"
       "                  [--metrics-json FILE] [--metrics-csv FILE]\n"
       "                  [--on-failure abort|discard|penalize]\n"
       "                  [--eval-timeout S] [--eval-retries N]\n"
@@ -193,10 +188,6 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--seed") opt.seed = next_u64();
     else if (arg == "--lambda") opt.lambda = next_double();
     else if (arg == "--kernel") opt.kernel = next();
-    else if (arg == "--gp-backend") opt.gp_backend = next();
-    else if (arg == "--rff-features") opt.rff_features = next_size();
-    else if (arg == "--rff-train-subset")
-      opt.rff_train_subset = next_size();
     else if (arg == "--pin-hallucinated-mean")
       opt.pin_hallucinated_mean = true;
     else if (arg == "--csv") opt.csv = true;
@@ -317,9 +308,6 @@ int main(int argc, char** argv) {
   config.seed = cli.seed;
   config.lambda = cli.lambda;
   config.kernel = cli.kernel;
-  config.gp_backend = cli.gp_backend;
-  config.rff_features = cli.rff_features;
-  config.rff_train_subset = cli.rff_train_subset;
   config.pin_hallucinated_mean = cli.pin_hallucinated_mean;
 
   if (cli.algo == "easybo") {

@@ -1,18 +1,24 @@
 #!/usr/bin/env sh
 # Docs-coverage gate: every field of bo::BoConfig must be mentioned, by
 # name, somewhere a user would look — README.md, DESIGN.md,
-# EXPERIMENTS.md, or docs/*.md. Adding a knob without documenting it
-# fails CI. Run from anywhere; resolves paths relative to the repo root.
+# EXPERIMENTS.md, or docs/*.md — and every field row of
+# docs/boconfig-reference.md must name a field BoConfig still has.
+# Adding a knob without documenting it, or removing one without dropping
+# its row, fails CI. Run from anywhere; resolves paths relative to the
+# repo root.
 set -eu
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 config="$root/src/bo/config.h"
+reference="$root/docs/boconfig-reference.md"
 docs="$root/README.md $root/DESIGN.md $root/EXPERIMENTS.md"
 for f in "$root"/docs/*.md; do docs="$docs $f"; done
 
 # Field names: member declarations between "struct BoConfig {" and the
-# closing "};", excluding methods (lines containing "(").
+# closing "};", excluding methods (lines containing "(" once trailing
+# comments are stripped — a "(" in a comment is not a method).
 fields=$(sed -n '/^struct BoConfig {/,/^};/p' "$config" \
+  | sed 's://.*$::' \
   | grep -v '(' \
   | grep -E '^\s+[A-Za-z_][A-Za-z0-9_:<>, ]*\s+[a-z_][a-z0-9_]*\s*(=|;)' \
   | sed -E 's/^\s+[A-Za-z_][A-Za-z0-9_:<>, ]*\s+([a-z_][a-z0-9_]*)\s*(=|;).*/\1/')
@@ -28,9 +34,22 @@ for field in $fields; do
   fi
 done
 
+# Reference rows look like "| `field` | default | meaning |".
+stale=0
+for row in $(sed -n -E 's/^\| `([a-z_][a-z0-9_]*)` \|.*/\1/p' "$reference"); do
+  # shellcheck disable=SC2086
+  if ! printf '%s\n' $fields | grep -qx -- "$row"; then
+    echo "STALE: docs/boconfig-reference.md documents BoConfig::$row, which BoConfig does not have" >&2
+    stale=$((stale + 1))
+  fi
+done
+
 count=$(printf '%s\n' $fields | wc -l | tr -d ' ')
 if [ "$missing" -gt 0 ]; then
   echo "check_docs: $missing of $count BoConfig fields undocumented" >&2
-  exit 1
 fi
+if [ "$stale" -gt 0 ]; then
+  echo "check_docs: $stale docs/boconfig-reference.md rows name no BoConfig field" >&2
+fi
+[ "$missing" -eq 0 ] && [ "$stale" -eq 0 ] || exit 1
 echo "check_docs: all $count BoConfig fields are documented"

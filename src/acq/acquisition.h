@@ -73,7 +73,7 @@ class Pi final : public AcquisitionFn {
 /// where mu comes from \p mean_model (always fitted on observed data only)
 /// and sigma_hat from \p var_model. Passing the same model twice gives the
 /// unpenalized Eq. 4/8; passing the hallucinated posterior
-/// (TrainableRegressor::hallucinate) as var_model gives Eq. 9.
+/// (GpRegressor::hallucinate) as var_model gives Eq. 9.
 class WeightedUcb final : public AcquisitionFn {
  public:
   WeightedUcb(const gp::Regressor* mean_model, const gp::Regressor* var_model,

@@ -13,9 +13,8 @@ std::size_t thompson_sample_argmax(const gp::Regressor& model,
                                    easybo::Rng& rng) {
   EASYBO_REQUIRE(!candidates.empty(), "thompson: no candidates");
   EASYBO_REQUIRE(model.fitted(), "thompson: model not fitted");
-  // The joint draw lives in the backend (exact GPs build the m x m
-  // posterior covariance, RFF samples weight space); this wrapper only
-  // picks the maximizer.
+  // The joint draw lives in the model (the base GP or its hallucinated
+  // overlay); this wrapper only picks the maximizer.
   const Vec f = model.sample_posterior(candidates, rng);
   std::size_t best = 0;
   double best_value = -1e300;

@@ -17,10 +17,8 @@ namespace easybo::acq {
 /// construction — an alternative diversity mechanism to EasyBO's
 /// randomized w.
 ///
-/// Cost: backend-dependent — O(m^2 n + m^3) for the exact GP (posterior
-/// cross-covariances + a Cholesky of the m x m posterior covariance; keep
-/// m at a few hundred), O(m M + M^2) for the RFF backend's weight-space
-/// draw.
+/// Cost: O(m^2 n + m^3) — posterior cross-covariances plus a Cholesky of
+/// the m x m posterior covariance; keep m at a few hundred.
 std::size_t thompson_sample_argmax(const gp::Regressor& model,
                                    const std::vector<Vec>& candidates,
                                    easybo::Rng& rng);

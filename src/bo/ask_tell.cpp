@@ -39,7 +39,8 @@ AskTellCore::AskTellCore(BoConfig config, opt::Bounds bounds,
       sim_time_(std::move(sim_time)),
       rng_(cfg_.seed),
       box_(bounds_.lower, bounds_.upper),
-      model_(make_regressor(cfg_, bounds_.lower.size())) {
+      model_(make_kernel(cfg_, bounds_.lower.size()),
+             /*noise_variance=*/1e-6) {
   cfg_.validate();
   bounds_.validate();
   if (!sim_time_) {
@@ -56,7 +57,7 @@ AskTellCore::AskTellCore(BoConfig config, opt::Bounds bounds,
 
 void AskTellCore::set_trace(obs::TraceSink* sink) {
   trace_ = sink;
-  model_->set_trace(sink);
+  model_.set_trace(sink);
 }
 
 // ---------------------------------------------------------------------------
@@ -285,11 +286,11 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
 
   switch (cfg_.acq) {
     case AcqKind::Lcb:
-      fn = std::make_unique<acq::Ucb>(model_.get(), cfg_.lcb_kappa);
+      fn = std::make_unique<acq::Ucb>(&model_, cfg_.lcb_kappa);
       break;
     case AcqKind::Ei: {
       const double best_z = zscore_.transform(obs_y_[incumbent_index()]);
-      fn = std::make_unique<acq::Ei>(model_.get(), best_z, cfg_.ei_xi);
+      fn = std::make_unique<acq::Ei>(&model_, best_z, cfg_.ei_xi);
       break;
     }
     case AcqKind::EasyBo: {
@@ -298,44 +299,42 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
                            : acq::sample_easybo_weight(rng_, cfg_.lambda);
       if (cfg_.penalize && !pending.empty()) {
         hallucinated = hallucinate_pending(pending);
-        fn = std::make_unique<acq::WeightedUcb>(model_.get(),
-                                                hallucinated.get(), w);
-      } else {
-        fn = std::make_unique<acq::WeightedUcb>(model_.get(), model_.get(),
+        fn = std::make_unique<acq::WeightedUcb>(&model_, hallucinated.get(),
                                                 w);
+      } else {
+        fn = std::make_unique<acq::WeightedUcb>(&model_, &model_, w);
       }
       break;
     }
     case AcqKind::Pbo: {
       const Vec grid = acq::pbo_weight_grid(cfg_.batch);
-      fn = std::make_unique<acq::WeightedUcb>(model_.get(), model_.get(),
+      fn = std::make_unique<acq::WeightedUcb>(&model_, &model_,
                                               grid[slot % grid.size()]);
       break;
     }
     case AcqKind::Phcbo: {
       const Vec grid = acq::pbo_weight_grid(cfg_.batch);
       fn = std::make_unique<acq::PhcboAcquisition>(
-          model_.get(), grid[slot % grid.size()],
+          &model_, grid[slot % grid.size()],
           &hc_penalties_[slot % hc_penalties_.size()]);
       break;
     }
     case AcqKind::Bucb: {
       if (!pending.empty()) {
         hallucinated = hallucinate_pending(pending);
-        fn = std::make_unique<acq::Bucb>(model_.get(), hallucinated.get(),
+        fn = std::make_unique<acq::Bucb>(&model_, hallucinated.get(),
                                          cfg_.bucb_kappa);
       } else {
-        fn = std::make_unique<acq::Bucb>(model_.get(), model_.get(),
-                                         cfg_.bucb_kappa);
+        fn = std::make_unique<acq::Bucb>(&model_, &model_, cfg_.bucb_kappa);
       }
       break;
     }
     case AcqKind::Lp: {
       const double best_z = zscore_.transform(obs_y_[incumbent_index()]);
-      base_acq = std::make_unique<acq::Ei>(model_.get(), best_z, cfg_.ei_xi);
-      const double lipschitz = acq::estimate_lipschitz(*model_, rng_);
+      base_acq = std::make_unique<acq::Ei>(&model_, best_z, cfg_.ei_xi);
+      const double lipschitz = acq::estimate_lipschitz(model_, rng_);
       fn = std::make_unique<acq::LocalPenalization>(
-          base_acq.get(), model_.get(), pending, lipschitz, best_z);
+          base_acq.get(), &model_, pending, lipschitz, best_z);
       break;
     }
     case AcqKind::Ts:
@@ -392,24 +391,14 @@ Vec AskTellCore::propose_thompson(const std::vector<Vec>& pending) {
     const auto augmented = hallucinate_pending(pending);
     pick = acq::thompson_sample_argmax(*augmented, candidates, rng_);
   } else {
-    pick = acq::thompson_sample_argmax(*model_, candidates, rng_);
+    pick = acq::thompson_sample_argmax(model_, candidates, rng_);
   }
   return dedup(std::move(candidates[pick]), pending);
 }
 
 std::unique_ptr<gp::Regressor> AskTellCore::hallucinate_pending(
     const std::vector<Vec>& pending) const {
-  if (!cfg_.hallucinate_overlay) {
-    // The materialized deep copy the overlay is proven bit-identical
-    // against; kept reachable so tests and benchmarks can pit the two
-    // paths against each other. Only the exact backend has one.
-    if (const auto* exact =
-            dynamic_cast<const gp::GpRegressor*>(model_.get())) {
-      return std::make_unique<gp::GpRegressor>(
-          exact->with_hallucinated(pending, cfg_.pin_hallucinated_mean));
-    }
-  }
-  return model_->hallucinate(pending, cfg_.pin_hallucinated_mean);
+  return model_.hallucinate(pending, cfg_.pin_hallucinated_mean);
 }
 
 Vec AskTellCore::propose_hedge(const std::vector<Vec>& pending) {
@@ -420,16 +409,16 @@ Vec AskTellCore::propose_hedge(const std::vector<Vec>& pending) {
   if (!hedge_nominees_.empty()) {
     Vec means(acq::HedgePortfolio::kMembers);
     for (std::size_t i = 0; i < hedge_nominees_.size(); ++i) {
-      means[i] = model_->predict(hedge_nominees_[i]).mean;
+      means[i] = model_.predict(hedge_nominees_[i]).mean;
     }
     hedge_.reward(means);
   }
 
   // Each member nominates its own maximizer.
   const double best_z = zscore_.transform(obs_y_[incumbent_index()]);
-  const acq::Ei ei(model_.get(), best_z, cfg_.ei_xi);
-  const acq::Pi pi(model_.get(), best_z, cfg_.ei_xi);
-  const acq::Ucb ucb(model_.get(), cfg_.lcb_kappa);
+  const acq::Ei ei(&model_, best_z, cfg_.ei_xi);
+  const acq::Pi pi(&model_, best_z, cfg_.ei_xi);
+  const acq::Ucb ucb(&model_, cfg_.lcb_kappa);
   const acq::AcquisitionFn* members[] = {&ei, &pi, &ucb};
 
   hedge_nominees_.clear();
@@ -498,7 +487,7 @@ void AskTellCore::update_model(bool force_train) {
   {
     obs::ScopedTimer span(trace_, obs::Phase::ModelFit);
     zscore_.refit(obs_y_);
-    model_->set_data(obs_x_, zscore_.transform(obs_y_));
+    model_.set_data(obs_x_, zscore_.transform(obs_y_));
   }
 
   const bool train = force_train || obs_x_.size() >= next_hyper_refit_;
@@ -508,11 +497,7 @@ void AskTellCore::update_model(bool force_train) {
                                  : std::chrono::steady_clock::time_point();
     {
       obs::ScopedTimer span(trace_, obs::Phase::HyperRefit);
-      if (model_->supports_lml_gradient()) {
-        gp::train_mle(*model_, rng_, cfg_.trainer, stop_);
-      } else {
-        train_model_via_proxy();
-      }
+      gp::train_mle(model_, rng_, cfg_.trainer, stop_);
     }
     obs::count(trace_, "bo.hyper_refit");
     ++hyper_refits_;
@@ -544,31 +529,8 @@ void AskTellCore::update_model(bool force_train) {
     }
   } else {
     obs::ScopedTimer span(trace_, obs::Phase::ModelFit);
-    model_->fit();
+    model_.fit();
   }
-}
-
-void AskTellCore::train_model_via_proxy() {
-  // Evenly strided subset (always includes index 0) of at most
-  // rff_train_subset observations — cheap O(s^3) exact training whose
-  // hyperparameters transfer to the approximate backend.
-  const std::size_t n = obs_x_.size();
-  const std::size_t cap = std::max<std::size_t>(cfg_.rff_train_subset, 2);
-  const std::size_t stride = (n + cap - 1) / cap;
-  const Vec ys_z = zscore_.transform(obs_y_);
-  std::vector<Vec> xs;
-  Vec ys;
-  for (std::size_t i = 0; i < n; i += stride) {
-    xs.push_back(obs_x_[i]);
-    ys.push_back(ys_z[i]);
-  }
-  gp::GpRegressor proxy(make_kernel(cfg_, bounds_.dim()), 1e-6);
-  proxy.set_log_hyperparams(model_->log_hyperparams());  // warm start
-  proxy.set_data(std::move(xs), std::move(ys));
-  gp::train_mle(proxy, rng_, cfg_.trainer, stop_);
-  model_->set_log_hyperparams(proxy.log_hyperparams());
-  model_->fit();
-  obs::count(trace_, "bo.proxy_train");
 }
 
 std::size_t AskTellCore::incumbent_index() const {
@@ -668,7 +630,7 @@ BoCheckpoint AskTellCore::make_snapshot(double now, double busy,
   snap.hedge_nominees = hedge_nominees_;
   snap.next_hyper_refit = next_hyper_refit_;
   snap.hyper_refits = hyper_refits_;
-  if (init_done_) snap.gp_log_hyperparams = model_->log_hyperparams();
+  if (init_done_) snap.gp_log_hyperparams = model_.log_hyperparams();
   return snap;
 }
 
@@ -716,11 +678,11 @@ void AskTellCore::restore_snapshot(const BoCheckpoint& snap,
   hedge_nominees_ = snap.hedge_nominees;
   if (init_done_ && !obs_x_.empty()) {
     zscore_.refit(obs_y_);
-    model_->set_data(obs_x_, zscore_.transform(obs_y_));
+    model_.set_data(obs_x_, zscore_.transform(obs_y_));
     if (!snap.gp_log_hyperparams.empty()) {
-      model_->set_log_hyperparams(snap.gp_log_hyperparams);
+      model_.set_log_hyperparams(snap.gp_log_hyperparams);
     }
-    model_->fit();
+    model_.fit();
   }
   pending_tags_.clear();
   for (const std::size_t tag : snap.pending) {

@@ -280,19 +280,12 @@ class AskTellCore {
   Vec propose_hedge(const std::vector<Vec>& pending);
   Vec dedup(Vec x, const std::vector<Vec>& pending);
 
-  /// The penalization posterior over \p pending: a zero-copy overlay by
-  /// default, or the materialized deep copy when
-  /// BoConfig::hallucinate_overlay is off (bit-identical either way).
+  /// The penalization posterior over \p pending: a zero-copy overlay over
+  /// model_ honouring BoConfig::pin_hallucinated_mean.
   std::unique_ptr<gp::Regressor> hallucinate_pending(
       const std::vector<Vec>& pending) const;
 
   void update_model(bool force_train);
-
-  /// Hyperparameter training for backends without an analytic LML
-  /// gradient: optimize an exact GP on an evenly strided subset of at
-  /// most BoConfig::rff_train_subset observations (warm-started from the
-  /// model's current hyperparameters) and transplant the result.
-  void train_model_via_proxy();
   std::size_t incumbent_index() const;
 
   /// Appends one eval record to the journal (fsync'd). No-op when
@@ -306,10 +299,10 @@ class AskTellCore {
   Rng rng_;
   gp::BoxNormalizer box_;
   gp::ZScore zscore_;
-  /// The surrogate, built by make_regressor() from BoConfig::gp_backend.
-  /// Never null; always a TrainableRegressor (hallucinated posteriors are
-  /// separate short-lived Regressor views, see hallucinate_pending()).
-  std::unique_ptr<gp::TrainableRegressor> model_;
+  /// The surrogate, with the make_kernel() prior. Hallucinated posteriors
+  /// are separate short-lived Regressor views over it (see
+  /// hallucinate_pending()).
+  gp::GpRegressor model_;
 
   // Observations (unit space + raw y). Penalized failures appear here as
   // pseudo-observations; discarded failures do not.

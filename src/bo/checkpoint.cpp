@@ -347,16 +347,17 @@ std::uint64_t config_fingerprint(const BoConfig& config,
   put_u(s, "refit_every", config.refit_every);
   put(s, "async_slot_rotation", config.async_slot_rotation ? "1" : "0");
   put(s, "kernel", config.kernel);
-  // The surrogate backend and its knobs shape every post-init proposal, so
-  // a checkpoint taken under one backend refuses to resume under another.
-  // (hallucinate_overlay is deliberately absent: both hallucination paths
-  // produce bit-identical streams. adapt_refit_cadence/adapt_refit_budget
-  // are absent too: the adaptive schedule is wall-clock driven — never
-  // reproducible across machines anyway — and the schedule state itself
-  // rides in snapshots via next_hyper_refit, so resume stays coherent.)
-  put(s, "gp_backend", config.gp_backend);
-  put_u(s, "rff_features", config.rff_features);
-  put_u(s, "rff_train_subset", config.rff_train_subset);
+  // The removed random-Fourier-feature backend's three knobs, frozen at
+  // the values every exact-GP run hashed: checkpoints and sessions written
+  // while the knobs existed keep their fingerprint and resume, and an
+  // RFF-era checkpoint refuses with "checkpoint config mismatch".
+  // (adapt_refit_cadence/adapt_refit_budget are absent: the adaptive
+  // schedule is wall-clock driven — never reproducible across machines
+  // anyway — and the schedule state itself rides in snapshots via
+  // next_hyper_refit, so resume stays coherent.)
+  put(s, "gp_backend", "exact");
+  put_u(s, "rff_features", 128);
+  put_u(s, "rff_train_subset", 512);
   put(s, "pin_hallucinated_mean", config.pin_hallucinated_mean ? "1" : "0");
   put_u(s, "seed", config.seed);
   put(s, "on_eval_failure", to_string(config.on_eval_failure));

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "gp/gp.h"
-#include "gp/rff.h"
 
 namespace easybo::bo {
 
@@ -15,19 +13,6 @@ std::unique_ptr<gp::Kernel> make_kernel(const BoConfig& config,
   for (std::size_t i = 1; i < lp.size(); ++i) lp[i] = std::log(0.3);
   kernel->set_log_params(lp);
   return kernel;
-}
-
-std::unique_ptr<gp::TrainableRegressor> make_regressor(const BoConfig& config,
-                                                       std::size_t dim) {
-  if (config.gp_backend == "rff") {
-    // Spectral draw seed: derived from the run seed but offset so it never
-    // collides with the engine's own Rng stream.
-    return std::make_unique<gp::RffRegressor>(
-        make_kernel(config, dim), /*noise_variance=*/1e-6,
-        config.rff_features, config.seed ^ 0x52FFB0C4D5E6F7A8ULL);
-  }
-  return std::make_unique<gp::GpRegressor>(make_kernel(config, dim),
-                                           /*noise_variance=*/1e-6);
 }
 
 const char* to_string(Mode mode) {
@@ -125,14 +110,6 @@ void BoConfig::validate() const {
   EASYBO_REQUIRE(adapt_refit_budget > 0.0,
                  "adapt_refit_budget must be > 0");
   EASYBO_REQUIRE(checkpoint_every >= 1, "checkpoint_every must be >= 1");
-  EASYBO_REQUIRE(gp_backend == "exact" || gp_backend == "rff",
-                 "gp_backend must be \"exact\" or \"rff\"");
-  if (gp_backend == "rff") {
-    EASYBO_REQUIRE(kernel == "se",
-                   "the rff backend approximates the SE kernel only");
-    EASYBO_REQUIRE(rff_features >= 4, "rff_features must be >= 4");
-    EASYBO_REQUIRE(rff_train_subset >= 2, "rff_train_subset must be >= 2");
-  }
 }
 
 }  // namespace easybo::bo

@@ -107,21 +107,6 @@ struct BoConfig {
   /// and golden sequences keep reproducing. Fingerprinted.
   bool async_slot_rotation = false;
   std::string kernel = "se";    ///< "se" (paper) or "matern52" (extension)
-  /// Surrogate backend: "exact" (GpRegressor, the paper's jittered-
-  /// Cholesky GP — O(n^3) fit) or "rff" (RffRegressor, random Fourier
-  /// features — O(n M^2) fit, O(M^2) predict, for budgets the exact GP
-  /// cannot afford). "rff" requires kernel == "se". Fingerprinted: a
-  /// checkpoint taken under one backend refuses to resume under another.
-  std::string gp_backend = "exact";
-  /// RFF backend only: number of spectral frequencies M (feature
-  /// dimension 2M). More features = tighter kernel approximation,
-  /// O(1/sqrt(M)) error. Fingerprinted.
-  std::size_t rff_features = 128;
-  /// RFF backend only: hyperparameter training proxy size. Backends
-  /// without an analytic LML gradient are trained by fitting an exact GP
-  /// on an evenly strided subset of at most this many observations and
-  /// copying the optimized hyperparameters over. Fingerprinted.
-  std::size_t rff_train_subset = 512;
   /// Hallucinated posteriors (Eq. 9) keep the BASE model's empirical
   /// constant mean instead of recomputing it over data + pseudo
   /// observations. The historical stream recomputes (pseudo points drag
@@ -131,13 +116,6 @@ struct BoConfig {
   /// existing journals and golden sequences keep reproducing.
   /// Fingerprinted.
   bool pin_hallucinated_mean = false;
-  /// Serve hallucinated posteriors as zero-copy overlays over the base
-  /// model's factor instead of deep-copied augmented models. Bit-identical
-  /// proposal streams either way (the overlay replays the materialized
-  /// arithmetic element for element) — this switch only exists so tests
-  /// and benchmarks can pit the two paths against each other. Not
-  /// fingerprinted: flipping it never changes a proposal.
-  bool hallucinate_overlay = true;
   std::uint64_t seed = 1;
   /// Collect the observability report (src/obs) into BoResult::metrics:
   /// per-phase timers, Cholesky refactor/extend + dedup + refit counters,
@@ -208,12 +186,5 @@ struct BoConfig {
 /// yields the same prior whether it runs on virtual time or real threads.
 std::unique_ptr<gp::Kernel> make_kernel(const BoConfig& config,
                                         std::size_t dim);
-
-/// Builds the surrogate regressor for a run according to
-/// BoConfig::gp_backend, with the make_kernel() prior. The RFF backend's
-/// spectral draw is seeded from BoConfig::seed so the whole run stays a
-/// deterministic function of the config.
-std::unique_ptr<gp::TrainableRegressor> make_regressor(const BoConfig& config,
-                                                       std::size_t dim);
 
 }  // namespace easybo::bo

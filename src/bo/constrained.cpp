@@ -4,9 +4,11 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <set>
 
 #include "acq/acq_optimizer.h"
 #include "acq/acquisition.h"
+#include "bo/ask_tell.h"
 #include "common/error.h"
 #include "gp/gp.h"
 #include "gp/kernel.h"
@@ -215,27 +217,29 @@ ConstrainedResult run_constrained_bo(
   }
   update_models(/*force=*/true);
 
-  // Asynchronous (or sequential, workers == 1) main loop.
-  std::vector<Vec> pending;
-  while (pool.has_idle_worker() && issued < config.max_sims) {
-    Vec x = propose(pending);
-    pending.push_back(x);
+  // Asynchronous (or sequential, workers == 1) main loop. In-flight
+  // proposals are keyed by tag (ascending = suggestion order), never by
+  // value, and every proposal is deduplicated against observed and
+  // in-flight points exactly as AskTellCore does: an incumbent anchor can
+  // survive refinement unchanged, and maxima clamped to the same corner
+  // coincide.
+  std::set<std::size_t> pending;
+  auto issue = [&] {
+    std::vector<Vec> busy;
+    busy.reserve(pending.size());
+    for (const std::size_t tag : pending) busy.push_back(prop_x[tag]);
+    Vec x = dedup_proposal(propose(busy), obs_x, busy, rng);
+    pending.insert(prop_x.size());
     submit(std::move(x), /*is_init=*/false);
     ++issued;
-  }
+  };
+  while (pool.has_idle_worker() && issued < config.max_sims) issue();
   while (pool.num_running() > 0) {
     const auto job = pool.wait_next();
-    const Vec finished = prop_x[job.tag];
     absorb(job);
-    const auto it = std::find(pending.begin(), pending.end(), finished);
-    if (it != pending.end()) pending.erase(it);
+    pending.erase(job.tag);
     update_models(false);
-    if (issued < config.max_sims) {
-      Vec x = propose(pending);
-      pending.push_back(x);
-      submit(std::move(x), /*is_init=*/false);
-      ++issued;
-    }
+    if (issued < config.max_sims) issue();
   }
 
   result.makespan = pool.now();

@@ -26,14 +26,17 @@
 
 namespace easybo::gp {
 
-/// Exact GP regressor with owned kernel and Gaussian observation noise.
+/// Exact GP regressor with owned kernel and Gaussian observation noise —
+/// the one surrogate the BO core owns, feeds, fits, trains and
+/// checkpoints. Acquisitions see it through the read-only Regressor
+/// surface.
 ///
 /// Usage: construct with a kernel, set_data(), fit(), then predict().
 /// Hyperparameters (kernel log-params + log noise variance) can be read and
 /// written as one flat vector for maximum-likelihood training (see
 /// gp/trainer.h). The model uses an empirical constant mean (the sample mean
 /// of y) so callers need not pre-center observations.
-class GpRegressor final : public TrainableRegressor {
+class GpRegressor final : public Regressor {
  public:
   /// \param kernel          covariance function (ownership transferred)
   /// \param noise_variance  sn^2, must be positive
@@ -46,10 +49,10 @@ class GpRegressor final : public TrainableRegressor {
   GpRegressor& operator=(GpRegressor&&) noexcept = default;
 
   /// Replaces the training set. Invalidates any previous fit.
-  void set_data(std::vector<Vec> xs, Vec ys) override;
+  void set_data(std::vector<Vec> xs, Vec ys);
 
   /// Appends one observation. Invalidates any previous fit.
-  void add_point(Vec x, double y) override;
+  void add_point(Vec x, double y);
 
   /// Factorizes the covariance matrix with the current hyperparameters.
   /// Must be called after data or hyperparameter changes, before predict().
@@ -63,7 +66,7 @@ class GpRegressor final : public TrainableRegressor {
   /// incremental and full fits factor the same matrix. Falls back to the
   /// full factorization automatically when the extension would lose
   /// positive definiteness.
-  void fit() override;
+  void fit();
 
   bool fitted() const override {
     return chol_.has_value() && chol_->size() == xs_.size() &&
@@ -87,19 +90,18 @@ class GpRegressor final : public TrainableRegressor {
 
   /// Log marginal likelihood of the training data under the current
   /// hyperparameters. Requires fitted().
-  double log_marginal_likelihood() const override;
+  double log_marginal_likelihood() const;
 
   /// Gradient of the log marginal likelihood w.r.t. the flat log
   /// hyperparameter vector [kernel params..., log sn^2]. Requires fitted().
   /// O(n^3) — used only during hyperparameter training.
-  Vec lml_gradient() const override;
-  bool supports_lml_gradient() const override { return true; }
+  Vec lml_gradient() const;
 
   /// Flat hyperparameters: kernel log-params followed by log noise variance.
-  Vec log_hyperparams() const override;
+  Vec log_hyperparams() const;
 
   /// Sets the flat hyperparameters. Invalidates any previous fit.
-  void set_log_hyperparams(const Vec& lp) override;
+  void set_log_hyperparams(const Vec& lp);
 
   double noise_variance() const override { return noise_var_; }
 
@@ -115,9 +117,13 @@ class GpRegressor final : public TrainableRegressor {
   /// no training data or O(n^2) triangle is copied. Predictions and
   /// posterior samples are bit-identical to with_hallucinated(). This
   /// model must stay alive, unmodified and fitted while the overlay is in
-  /// use.
+  /// use (one proposal's acquisition maximization).
+  ///
+  /// \param pin_mean  keep this model's empirical constant mean instead of
+  ///                  recomputing it over data + pseudo observations
+  ///                  (BoConfig::pin_hallucinated_mean).
   std::unique_ptr<Regressor> hallucinate(const std::vector<Vec>& pending,
-                                         bool pin_mean) const override;
+                                         bool pin_mean) const;
 
   /// Materialized hallucinated model: a full copy whose training set is
   /// D ∪ {pending, mu(pending)} (pseudo observations at the current
@@ -138,10 +144,8 @@ class GpRegressor final : public TrainableRegressor {
   /// (jitter retries inside a refactorization). Copies — including the
   /// hallucinated posteriors — inherit the sink, so their Cholesky work
   /// is counted too.
-  void set_trace(obs::TraceSink* sink) override { trace_ = sink; }
+  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
   obs::TraceSink* trace() const { return trace_; }
-
-  const char* backend_name() const override { return "exact"; }
 
   /// The current factor (requires fitted()); read by the hallucination
   /// overlay and by tests asserting jitter behaviour.

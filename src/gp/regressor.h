@@ -1,30 +1,22 @@
 #pragma once
 /// \file regressor.h
-/// \brief The regressor seam: every surrogate model the BO loop can run on.
+/// \brief The read-only posterior surface the acquisition layer consumes.
 ///
-/// Two interfaces, split by who consumes them:
-///
-///  - Regressor: the read-only posterior surface the acquisition layer
-///    needs — predict(), joint posterior sampling, and the few scalars
-///    acquisitions read. Hallucinated overlays implement exactly this
-///    (they are immutable views, never refit).
-///  - TrainableRegressor: what the BO core owns — data mutation, fitting,
-///    flat log-hyperparameter access for MLE training and checkpointing,
-///    and hallucinate(), which produces the penalization posterior
-///    (paper §III-C) as a cheap Regressor without copying the model.
-///
-/// Backends: gp/gp.h (GpRegressor, the exact jittered-Cholesky GP) and
-/// gp/rff.h (RffRegressor, the random-Fourier-feature approximation for
-/// n >> 1000). Select per run via BoConfig::gp_backend.
+/// Regressor is what an acquisition function needs from a model —
+/// predict(), joint posterior sampling, and the few scalars acquisitions
+/// read — and nothing the BO core uses to feed, fit or train it. Two
+/// implementations exist, both in gp/gp.cpp: GpRegressor (the exact
+/// jittered-Cholesky GP the core owns and trains) and the hallucinated
+/// penalization overlay GpRegressor::hallucinate() returns (an immutable
+/// view, never refit). One virtual call per acquisition evaluation is
+/// negligible next to the O(n) kernel cross and O(n^2) solve it fronts.
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "linalg/vec.h"
-#include "obs/trace.h"
 
 namespace easybo::gp {
 
@@ -58,59 +50,10 @@ class Regressor {
   virtual double noise_variance() const = 0;
 
   /// One joint sample of the posterior over \p candidates (Thompson
-  /// sampling). Returns the sampled latent values, one per candidate.
-  /// Consumes \p rng; the draw count is backend-specific but deterministic
-  /// for a given backend + candidate count.
+  /// sampling). Returns the sampled latent values, one per candidate, and
+  /// draws exactly one normal from \p rng per candidate.
   virtual Vec sample_posterior(const std::vector<Vec>& candidates,
                                Rng& rng) const = 0;
-};
-
-/// A regressor the BO core can feed, fit, train and checkpoint.
-class TrainableRegressor : public Regressor {
- public:
-  /// Replaces the training set. Invalidates any previous fit.
-  virtual void set_data(std::vector<Vec> xs, Vec ys) = 0;
-
-  /// Appends one observation. Invalidates any previous fit.
-  virtual void add_point(Vec x, double y) = 0;
-
-  /// (Re)builds the fit state for the current data + hyperparameters.
-  /// Backends keep this incremental when only appends happened.
-  virtual void fit() = 0;
-
-  /// Log marginal likelihood of the training data. Requires fitted().
-  virtual double log_marginal_likelihood() const = 0;
-
-  /// Analytic LML gradient w.r.t. the flat log hyperparameters. Only
-  /// valid when supports_lml_gradient(); gp::train_mle requires it —
-  /// backends without it are trained through an exact-GP proxy on a
-  /// data subset (see AskTellCore::update_model).
-  virtual Vec lml_gradient() const = 0;
-  virtual bool supports_lml_gradient() const = 0;
-
-  /// Flat hyperparameters: kernel log-params followed by log noise
-  /// variance. The layout is shared across backends so checkpoints can
-  /// restore either one.
-  virtual Vec log_hyperparams() const = 0;
-  virtual void set_log_hyperparams(const Vec& lp) = 0;
-
-  /// The hallucinated posterior for batch penalization (paper §III-C):
-  /// pending points conditioned at their current predictive mean, so the
-  /// returned model's stddev is Eq. 9's sigma-hat. The view borrows this
-  /// model — it must stay alive, unmodified and fitted while the overlay
-  /// is in use (one proposal's acquisition maximization).
-  ///
-  /// \param pin_mean  keep the base model's empirical constant mean
-  ///                  instead of recomputing it over data + pseudo
-  ///                  observations (BoConfig::pin_hallucinated_mean).
-  virtual std::unique_ptr<Regressor> hallucinate(
-      const std::vector<Vec>& pending, bool pin_mean) const = 0;
-
-  /// Installs a non-owning trace sink (nullptr = off, the default).
-  virtual void set_trace(obs::TraceSink* sink) = 0;
-
-  /// Stable backend identifier ("exact" | "rff") for logs and errors.
-  virtual const char* backend_name() const = 0;
 };
 
 }  // namespace easybo::gp

@@ -36,7 +36,7 @@ Vec random_start(std::size_t num_params, Rng& rng,
 
 /// Fits the model at lp and returns the LML, or -inf when the covariance is
 /// numerically hopeless at these hyperparameters.
-double evaluate(TrainableRegressor& model, const Vec& lp) {
+double evaluate(GpRegressor& model, const Vec& lp) {
   model.set_log_hyperparams(lp);
   try {
     model.fit();
@@ -50,15 +50,12 @@ double evaluate(TrainableRegressor& model, const Vec& lp) {
 
 }  // namespace
 
-TrainResult train_mle(TrainableRegressor& model, Rng& rng,
+TrainResult train_mle(GpRegressor& model, Rng& rng,
                       const TrainerOptions& opt,
                       const common::StopToken* stop) {
   EASYBO_REQUIRE(model.num_points() > 0, "train_mle: model has no data");
   EASYBO_REQUIRE(opt.max_iters >= 1 && opt.restarts >= 0,
                  "train_mle: invalid options");
-  EASYBO_REQUIRE(model.supports_lml_gradient(),
-                 "train_mle needs an analytic LML gradient; train this "
-                 "backend through an exact-GP proxy instead");
 
   const std::size_t p = model.log_hyperparams().size();
   TrainResult result;

@@ -3,20 +3,16 @@
 /// \brief Maximum-likelihood hyperparameter training for GP regressors.
 ///
 /// Maximizes the log marginal likelihood over the flat log-hyperparameter
-/// vector with Adam (analytic gradients from lml_gradient()), multi-started
-/// from the current parameters plus random restarts. Box constraints in log
-/// space keep lengthscales/noise in sane ranges for inputs normalized to
-/// [0,1]^d and standardized targets.
-///
-/// Works on any TrainableRegressor with supports_lml_gradient(); backends
-/// without an analytic gradient (gp/rff.h) are trained through an exact-GP
-/// proxy on a data subset instead (see AskTellCore::update_model).
+/// vector with Adam (analytic gradients from GpRegressor::lml_gradient()),
+/// multi-started from the current parameters plus random restarts. Box
+/// constraints in log space keep lengthscales/noise in sane ranges for
+/// inputs normalized to [0,1]^d and standardized targets.
 
 #include <cmath>
 
 #include "common/rng.h"
 #include "common/stop_token.h"
-#include "gp/regressor.h"
+#include "gp/gp.h"
 
 namespace easybo::gp {
 
@@ -47,15 +43,14 @@ struct TrainResult {
 /// Trains \p model in place: on return the model holds the best
 /// hyperparameters found and is fitted. The warm start (current parameters)
 /// is always one of the candidates — and is fitted and scored exactly once
-/// — so training can never make the stored likelihood worse. Requires
-/// model.supports_lml_gradient().
+/// — so training can never make the stored likelihood worse.
 ///
 /// \p stop is polled between Adam iterations and between restarts;
 /// common::Cancelled unwinds mid-training with the model left at
 /// whatever hyperparameters the last evaluate() set — callers must
 /// treat the model as dirty and discard or refit it (the serve layer
 /// drops the whole session object). Polls consume no RNG.
-TrainResult train_mle(TrainableRegressor& model, Rng& rng,
+TrainResult train_mle(GpRegressor& model, Rng& rng,
                       const TrainerOptions& options = {},
                       const common::StopToken* stop = nullptr);
 

@@ -257,12 +257,12 @@ class Parser {
   JsonValue parse_number() {
     const char* begin = text_.data() + pos_;
     char* end = nullptr;
-    errno = 0;
     const double v = std::strtod(begin, &end);
     if (end == begin) fail("expected a value");
-    // strtod accepts "nan"/"inf"; real JSON does not, and the write side
-    // emits null for non-finite values, so reject them on read too.
-    if (!std::isfinite(v) && errno != ERANGE) fail("non-finite number");
+    // strtod accepts "nan"/"inf" and turns an overflowing literal such as
+    // 1e999 into +-inf; real JSON has no non-finite numbers, and the write
+    // side emits null for them, so reject every non-finite result on read.
+    if (!std::isfinite(v)) fail("non-finite number");
     pos_ += static_cast<std::size_t>(end - begin);
     return JsonValue::make_number(v);
   }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "io/json.h"
@@ -20,9 +21,11 @@ using io::JsonValue;
 
 std::size_t size_from(const JsonValue& v, const std::string& key) {
   const double d = v.as_double();
-  if (!(d >= 0.0) || d != std::floor(d)) {
+  // Above 2^53 doubles no longer hold every integer, and the cast to
+  // size_t is undefined past its range: refuse before converting.
+  if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0) {
     throw Error("session config: \"" + key +
-                "\" must be a non-negative integer");
+                "\" must be a non-negative integer no larger than 2^53");
   }
   return static_cast<std::size_t>(d);
 }
@@ -76,6 +79,30 @@ std::string vec_json(const Vec& v) {
     s += io::json_number(v[i]);
   }
   return s + "]";
+}
+
+/// Keys of the removed random-Fourier-feature surrogate. Configs persisted
+/// while it existed carry them at the exact GP's values; accept exactly
+/// those so such sessions keep resuming, and refuse anything else by name
+/// rather than silently serving a different model.
+void check_removed_backend_keys(const JsonValue& j) {
+  if (const JsonValue* v = j.find("gp_backend")) {
+    if (v->as_string() != "exact") {
+      throw Error("session config: gp_backend \"" + v->as_string() +
+                  "\" was removed (the exact GP is the only surrogate)");
+    }
+  }
+  const std::pair<const char*, std::size_t> frozen[] = {
+      {"rff_features", 128}, {"rff_train_subset", 512}};
+  for (const auto& [key, value] : frozen) {
+    const JsonValue* v = j.find(key);
+    if (v != nullptr && size_from(*v, key) != value) {
+      throw Error("session config: " + std::string(key) + " " +
+                  io::json_number(v->as_double()) +
+                  " was removed with the RFF backend (only " +
+                  std::to_string(value) + " is accepted)");
+    }
+  }
 }
 
 // Every key parse_session_config understands; anything else is a typo
@@ -186,15 +213,7 @@ SessionSpec parse_session_config(const std::string& json_text) {
   if (const JsonValue* v = j.find("kernel")) {
     spec.config.kernel = v->as_string();
   }
-  if (const JsonValue* v = j.find("gp_backend")) {
-    spec.config.gp_backend = v->as_string();
-  }
-  if (const JsonValue* v = j.find("rff_features")) {
-    spec.config.rff_features = size_from(*v, "rff_features");
-  }
-  if (const JsonValue* v = j.find("rff_train_subset")) {
-    spec.config.rff_train_subset = size_from(*v, "rff_train_subset");
-  }
+  check_removed_backend_keys(j);
   if (const JsonValue* v = j.find("pin_hallucinated_mean")) {
     spec.config.pin_hallucinated_mean = v->as_bool();
   }
@@ -278,11 +297,6 @@ std::string session_config_json(const bo::BoConfig& config,
   put("hc_d", io::json_number(config.hc_d));
   put("hc_n", io::json_number(config.hc_n));
   put("kernel", io::json_quote(config.kernel));
-  put("gp_backend", io::json_quote(config.gp_backend));
-  put("rff_features",
-      io::json_number(static_cast<double>(config.rff_features)));
-  put("rff_train_subset",
-      io::json_number(static_cast<double>(config.rff_train_subset)));
   put("pin_hallucinated_mean",
       config.pin_hallucinated_mean ? "true" : "false");
   put("refit_every",

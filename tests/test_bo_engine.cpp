@@ -66,6 +66,11 @@ struct AlgoCase {
   bool penalize;
 };
 
+// Print a case by its name. Without this gtest prints the struct's raw
+// bytes, which include the address of `name`, so the test names that
+// gtest_discover_tests registers would change from one build to the next.
+void PrintTo(const AlgoCase& c, std::ostream* os) { *os << c.name; }
+
 class BatchAlgos : public ::testing::TestWithParam<AlgoCase> {};
 
 TEST_P(BatchAlgos, RunsAndSatisfiesInvariants) {

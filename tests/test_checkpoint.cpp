@@ -337,6 +337,24 @@ TEST(ConfigFingerprint, SeparatesStreamsIgnoresDurabilityKnobs) {
   EXPECT_EQ(config_fingerprint(other, tf.bounds), fp);
 }
 
+// Every checkpoint and served session on disk is bound to its config by
+// this hash, so the canonical string must never drift. Pinned to the
+// values the fingerprint had while BoConfig still carried the RFF knobs
+// (gp_backend / rff_features / rff_train_subset, now hashed as frozen
+// literals): dropping those lines fails here instead of orphaning every
+// existing checkpoint.
+TEST(ConfigFingerprint, MatchesValuesFromBeforeTheBackendRemoval) {
+  const auto tf = easybo::circuit::branin();
+  const std::uint64_t plain = config_fingerprint(BoConfig{}, tf.bounds);
+  EXPECT_EQ(plain, 6662251224650069979ull);
+
+  // pin_hallucinated_mean shapes the stream, so it is fingerprinted.
+  BoConfig pinned;
+  pinned.pin_hallucinated_mean = true;
+  EXPECT_EQ(config_fingerprint(pinned, tf.bounds), 5280235188366560086ull);
+  EXPECT_NE(config_fingerprint(pinned, tf.bounds), plain);
+}
+
 // ---------------------------------------------------------------------------
 // Run-level guarantees
 // ---------------------------------------------------------------------------
@@ -582,6 +600,26 @@ TEST(ResumeRefusal, ConfigMismatch) {
   other.seed = 102;  // a different proposal stream
   expect_resume_error(other, tf, cfg.checkpoint_path,
                       "checkpoint config mismatch");
+}
+
+// A checkpoint written under the removed random-Fourier-feature backend
+// carries a fingerprint no current config produces: resume refuses it by
+// name instead of continuing an RFF stream on the exact GP.
+TEST(ResumeRefusal, RffEraCheckpoint) {
+  const auto tf = easybo::circuit::branin();
+  const BoConfig cfg = quick(Mode::AsyncBatch, 4, 7);
+  const std::string base = fresh_base("rff_era");
+  {
+    // The journal header such a run began with: this config's
+    // fingerprint with gp_backend = "rff".
+    JournalHeader header;
+    header.config_hash = 2928852024203121947ull;
+    header.seed = cfg.seed;
+    io::JournalWriter journal;
+    journal.open(journal_file(base), /*truncate_to=*/0);
+    journal.append(header.to_payload());
+  }
+  expect_resume_error(cfg, tf, base, "checkpoint config mismatch");
 }
 
 TEST(ResumeRefusal, InteriorJournalCorruption) {

@@ -122,6 +122,32 @@ TEST(ConstrainedBo, RejectsBadSetups) {
       InvalidArgument);
 }
 
+// The loop routes every proposal through bo::dedup_proposal, as the
+// ask/tell core does: with the optimum on the constraint boundary the
+// incumbent anchor survives refinement and concurrent maxima coincide, so
+// without it this run evaluates dozens of exact repeats.
+TEST(ConstrainedBo, NeverEvaluatesAPointTwice) {
+  opt::Bounds bounds{{-3.0, -3.0}, {3.0, 3.0}};
+  auto objective = [](const linalg::Vec& x) {
+    return -(x[0] * x[0] + x[1] * x[1]);
+  };
+  std::vector<Constraint> cons = {
+      {"x0>=1", [](const linalg::Vec& x) { return x[0] - 1.0; }}};
+
+  const auto r = run_constrained_bo(quick_config(2), bounds, objective, cons);
+  ASSERT_EQ(r.num_evals(), 60u);
+  for (std::size_t i = 0; i < r.num_evals(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      double d2 = 0.0;  // squared distance in the unit cube dedup works in
+      for (std::size_t k = 0; k < 2; ++k) {
+        const double s = (r.evals[i].x[k] - r.evals[j].x[k]) / 6.0;
+        d2 += s * s;
+      }
+      EXPECT_GE(d2, 1e-12) << "evaluations " << j << " and " << i;
+    }
+  }
+}
+
 TEST(ConstrainedBo, DeterministicForFixedSeed) {
   opt::Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
   auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };

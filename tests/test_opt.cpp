@@ -139,6 +139,11 @@ struct NamedRunner {
   Runner run;
 };
 
+// Print a runner by its name. Without this gtest prints the struct's raw
+// bytes, which include addresses, so the test names that
+// gtest_discover_tests registers would change from one build to the next.
+void PrintTo(const NamedRunner& r, std::ostream* os) { *os << r.name; }
+
 class OptimizerInvariants : public ::testing::TestWithParam<NamedRunner> {};
 
 TEST_P(OptimizerInvariants, BoundsRespectedAndHistoryMonotone) {

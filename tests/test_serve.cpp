@@ -159,10 +159,74 @@ TEST(SessionConfig, RejectsUnknownKeysAbortPolicyAndContradictions) {
       parse_session_config("{\"dim\":3,\"lower\":[0,0],\"upper\":[1,1]}"),
       Error);
   EXPECT_THROW(parse_session_config("{\"dim\":0}"), Error);
+  EXPECT_THROW(parse_session_config("{\"dim\":2,\"gp_backend\":\"rff\"}"),
+               Error);
 
   // Sessions have no abort channel, so the default policy is discard.
   const SessionSpec spec = parse_session_config("{\"dim\":2}");
   EXPECT_EQ(spec.config.on_eval_failure, bo::EvalFailurePolicy::Discard);
+}
+
+// A config file exactly as written while sessions still carried the RFF
+// backend keys: it must parse to the fingerprint it was persisted under,
+// or every such session would refuse to resume.
+TEST(SessionConfig, ConfigWithRemovedBackendKeysKeepsItsFingerprint) {
+  const std::string persisted =
+      R"({"dim":2,"lower":[0,0],"upper":[1,1],"seed":"5",)"
+      R"("mode":"sequential","acq":"EasyBO","penalize":true,"batch":1,)"
+      R"("init_points":4,"max_sims":1e+01,"lambda":6,"uniform_w":false,)"
+      R"("lcb_kappa":2,"ei_xi":0,"hc_d":0.1,"hc_n":1,"kernel":"se",)"
+      R"("gp_backend":"exact","rff_features":128,"rff_train_subset":512,)"
+      R"("pin_hallucinated_mean":false,"refit_every":5,)"
+      R"("checkpoint_every":1,"async_slot_rotation":false,)"
+      R"("on_eval_failure":"discard","eval_failure_quantile":0,)"
+      R"("sobol_candidates":64,"random_candidates":32,)"
+      R"("refine_evals":3e+01,"trainer_max_iters":1e+01,)"
+      R"("trainer_restarts":1,"adapt_refit_cadence":false,)"
+      R"("adapt_refit_budget":0.1})";
+  const SessionSpec spec = parse_session_config(persisted);
+  EXPECT_EQ(bo::config_fingerprint(spec.config, spec.bounds),
+            11200848181943753265ull);
+  // Today's writer drops the keys without moving the fingerprint.
+  const SessionSpec rewritten =
+      parse_session_config(session_config_json(spec.config, spec.bounds));
+  EXPECT_EQ(bo::config_fingerprint(rewritten.config, rewritten.bounds),
+            11200848181943753265ull);
+}
+
+// The removed keys are accepted only at the values every exact-GP session
+// carried; anything else is refused with an error naming the key.
+TEST(SessionConfig, RemovedBackendKeysAcceptOnlyTheirFrozenValues) {
+  const auto error_for = [](const std::string& json) -> std::string {
+    try {
+      parse_session_config(json);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(error_for(R"({"dim":2,"gp_backend":"rff"})")
+                .find("gp_backend \"rff\" was removed"),
+            std::string::npos);
+  EXPECT_NE(error_for(R"({"dim":2,"rff_features":256})").find("rff_features"),
+            std::string::npos);
+  EXPECT_NE(
+      error_for(R"({"dim":2,"rff_train_subset":64})").find("rff_train_subset"),
+      std::string::npos);
+  EXPECT_EQ(error_for(R"({"dim":2,"gp_backend":"exact","rff_features":128,)"
+                      R"("rff_train_subset":512})"),
+            "");
+}
+
+// JSON has no non-finite numbers: an overflowing literal is an error, not
+// an infinity that would poison EasyBO's weight map, and sizes past 2^53
+// are refused before the conversion to size_t.
+TEST(SessionConfig, RejectsNonFiniteAndOversizedNumbers) {
+  EXPECT_THROW(io::parse_json("1e999"), Error);
+  EXPECT_THROW(io::parse_json("[-1e999]"), Error);
+  EXPECT_THROW(parse_session_config(R"({"dim":2,"lambda":1e999})"), Error);
+  EXPECT_THROW(parse_session_config(R"({"dim":1e300})"), Error);
+  EXPECT_THROW(parse_session_config(R"({"dim":2,"max_sims":1e19})"), Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ std::vector<FuzzCase> fuzz_corpus(std::size_t max_line_bytes) {
       {"NEW with truncated json", "NEW fresh {\"mode\":"},
       {"NEW with non-object config", "NEW fresh 42"},
       {"NEW with unknown config key", "NEW fresh {\"bogus\":1}"},
+      {"NEW with overflowing lambda", "NEW fresh {\"dim\":2,\"lambda\":1e999}"},
+      {"NEW with astronomical dim", "NEW fresh {\"dim\":1e300}"},
       {"NEW with path-traversal name", "NEW ../../etc/passwd {}"},
       {"NEW with absolute-path name", "NEW /tmp/x {}"},
       {"NEW with dot name", "NEW . {}"},
