@@ -176,6 +176,51 @@ BENCHMARK(BM_HallucinateOverlay)
     ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
+// --- Paired posterior queries: EasyBO's penalized screening pair ----------
+//
+// Eq. 9 reads mu from the observed-data model and sigma-hat from its
+// hallucinated overlay (k = 14 pending, the paper's B = 15). The split
+// path is what every screening evaluation used to cost: a full predict()
+// on each model. The batched path serves the same 32 points through one
+// paired query (one kernel cross block, one multi-right-hand-side forward
+// solve). CI gates BM_PosteriorBatched >= 1.8x BM_PosteriorSplit at
+// n = 256 (scripts/bench_gp_trend.py); the outputs are bit-identical.
+
+constexpr std::size_t kPosteriorChunk = 32;
+
+void BM_PosteriorSplit(benchmark::State& state) {
+  Rng rng(17);
+  const auto gp = fitted_gp(static_cast<std::size_t>(state.range(0)), 10,
+                            rng);
+  const auto overlay = gp.hallucinate(pending_batch(14, rng), false);
+  const auto xs = pending_batch(kPosteriorChunk, rng);
+  for (auto _ : state) {
+    for (const Vec& x : xs) {
+      benchmark::DoNotOptimize(gp.predict(x).mean);
+      benchmark::DoNotOptimize(overlay->predict(x).var);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(xs.size()));
+}
+BENCHMARK(BM_PosteriorSplit)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_PosteriorBatched(benchmark::State& state) {
+  Rng rng(17);  // identical setup to the split path for a fair ratio
+  const auto gp = fitted_gp(static_cast<std::size_t>(state.range(0)), 10,
+                            rng);
+  const auto overlay = gp.hallucinate(pending_batch(14, rng), false);
+  const auto xs = pending_batch(kPosteriorChunk, rng);
+  std::vector<easybo::gp::Prediction> out(xs.size());
+  for (auto _ : state) {
+    overlay->predict_paired_batch(gp, xs, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(xs.size()));
+}
+BENCHMARK(BM_PosteriorBatched)->Arg(64)->Arg(256)->Arg(1024);
+
 void BM_AcquisitionMaximize(benchmark::State& state) {
   Rng rng(6);
   const auto gp = fitted_gp(150, 10, rng);

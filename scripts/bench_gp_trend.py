@@ -3,10 +3,17 @@
 
 Reads a google-benchmark JSON file produced by bench/micro_gp (a fresh
 run, and optionally the committed BENCH_micro_gp.json baseline) and
-asserts the scaling contract of the zero-copy hallucination overlay:
-BM_HallucinateOverlay/2048 must be at least MIN_OVERLAY_SPEEDUP x faster
-than BM_HallucinateDeepCopy/2048 (k = 8 pending points — the
-penalized-proposal hot path).
+asserts two scaling contracts of the GP hot path:
+
+- the zero-copy hallucination overlay: BM_HallucinateOverlay/2048 must be
+  at least MIN_OVERLAY_SPEEDUP x faster than BM_HallucinateDeepCopy/2048
+  (k = 8 pending points — the penalized-proposal hot path);
+- the batched paired posterior query: BM_PosteriorBatched/256 (32 points
+  per call through one kernel cross block and one multi-right-hand-side
+  forward solve) must be at least MIN_BATCHED_SPEEDUP x faster than
+  BM_PosteriorSplit/256 (a full predict() on the base model plus one on
+  its k = 14 overlay, per point — what acquisition screening used to
+  cost).
 
 The check is a WITHIN-RUN ratio, so it holds on any machine and any
 sane compiler — absolute times are never compared against the committed
@@ -25,6 +32,7 @@ import json
 import sys
 
 MIN_OVERLAY_SPEEDUP = 5.0
+MIN_BATCHED_SPEEDUP = 1.8
 
 # (label, numerator benchmark, denominator benchmark, min ratio)
 INVARIANTS = [
@@ -33,6 +41,13 @@ INVARIANTS = [
         "BM_HallucinateDeepCopy/2048",
         "BM_HallucinateOverlay/2048",
         MIN_OVERLAY_SPEEDUP,
+    ),
+    (
+        "batched paired query >= {:.1f}x split at n=256, k=14".format(
+            MIN_BATCHED_SPEEDUP),
+        "BM_PosteriorSplit/256",
+        "BM_PosteriorBatched/256",
+        MIN_BATCHED_SPEEDUP,
     ),
 ]
 

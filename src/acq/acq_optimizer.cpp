@@ -11,6 +11,14 @@ namespace easybo::acq {
 
 using linalg::Vec;
 
+namespace {
+
+/// Screening candidates per evaluate_batch call — also the cancellation
+/// poll stride.
+constexpr std::size_t kScreenChunk = 32;
+
+}  // namespace
+
 AcqOptResult maximize_acquisition(const AcquisitionFn& fn, std::size_t dim,
                                   easybo::Rng& rng,
                                   const std::vector<Vec>& anchors,
@@ -63,16 +71,19 @@ AcqOptResult maximize_acquisition(const AcquisitionFn& fn, std::size_t dim,
     }
   }
 
-  // Screen. The cancellation poll sits between evaluations (every 32nd,
-  // plus once up front so an expired token never starts the sweep); it
-  // reads no RNG, so surviving the token leaves the stream untouched.
+  // Screen in chunks of kScreenChunk through evaluate_batch (one batched
+  // posterior query per chunk for acquisitions that support it). The
+  // cancellation poll sits before every chunk — before candidates 0, 32,
+  // 64, ... — so an expired token never starts the sweep; it reads no
+  // RNG, so surviving the token leaves the stream untouched.
+  const std::span<const Vec> screen(candidates);
   Vec values(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (stop != nullptr && (i & 31u) == 0) {
-      stop->check("acquisition screening");
-    }
-    values[i] = fn(candidates[i]);
-    ++result.num_evals;
+  for (std::size_t i = 0; i < candidates.size(); i += kScreenChunk) {
+    if (stop != nullptr) stop->check("acquisition screening");
+    const std::size_t m = std::min(kScreenChunk, candidates.size() - i);
+    fn.evaluate_batch(screen.subspan(i, m),
+                      std::span<double>(values).subspan(i, m));
+    result.num_evals += m;
   }
 
   // Indices of the top-k screened candidates.

@@ -6,7 +6,8 @@
 /// variants) maximizes its acquisition with the same machinery, so the
 /// comparison measures acquisition *design*, not inner-optimizer luck:
 ///   1. screen a low-discrepancy Sobol batch + random points + caller-
-///      provided anchors (e.g. the incumbent and jittered copies of it);
+///      provided anchors (e.g. the incumbent and jittered copies of it),
+///      32 candidates per AcquisitionFn::evaluate_batch call;
 ///   2. locally refine the top-k screened points with Nelder–Mead;
 ///   3. return the overall argmax.
 /// Operates on the normalized unit cube.

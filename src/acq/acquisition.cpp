@@ -14,6 +14,13 @@ double norm_pdf(double z) {
 
 double norm_cdf(double z) { return 0.5 * std::erfc(-z / std::numbers::sqrt2); }
 
+void AcquisitionFn::evaluate_batch(std::span<const Vec> xs,
+                                   std::span<double> out) const {
+  EASYBO_REQUIRE(xs.size() == out.size(),
+                 "evaluate_batch: |xs| must equal |out|");
+  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = (*this)(xs[i]);
+}
+
 // ---------------------------------------------------------------------------
 // Ucb
 // ---------------------------------------------------------------------------
@@ -73,9 +80,19 @@ WeightedUcb::WeightedUcb(const gp::Regressor* mean_model,
 }
 
 double WeightedUcb::operator()(const Vec& x) const {
-  const double mu = mean_model_->predict(x).mean;
-  const double sd = var_model_->predict(x).stddev();
-  return (1.0 - w_) * mu + w_ * sd;
+  const gp::Prediction p = var_model_->predict_paired(*mean_model_, x);
+  return (1.0 - w_) * p.mean + w_ * p.stddev();
+}
+
+void WeightedUcb::evaluate_batch(std::span<const Vec> xs,
+                                 std::span<double> out) const {
+  EASYBO_REQUIRE(xs.size() == out.size(),
+                 "evaluate_batch: |xs| must equal |out|");
+  std::vector<gp::Prediction> p(xs.size());
+  var_model_->predict_paired_batch(*mean_model_, xs, p);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    out[i] = (1.0 - w_) * p[i].mean + w_ * p[i].stddev();
+  }
 }
 
 Bucb::Bucb(const gp::Regressor* mean_model, const gp::Regressor* var_model,
@@ -87,8 +104,8 @@ Bucb::Bucb(const gp::Regressor* mean_model, const gp::Regressor* var_model,
 }
 
 double Bucb::operator()(const Vec& x) const {
-  return mean_model_->predict(x).mean +
-         kappa_ * var_model_->predict(x).stddev();
+  const gp::Prediction p = var_model_->predict_paired(*mean_model_, x);
+  return p.mean + kappa_ * p.stddev();
 }
 
 double sample_easybo_weight(easybo::Rng& rng, double lambda) {

@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 
 #include "common/rng.h"
 #include "gp/regressor.h"
@@ -25,6 +26,13 @@ class AcquisitionFn {
  public:
   virtual ~AcquisitionFn() = default;
   virtual double operator()(const Vec& x) const = 0;
+
+  /// out[i] = (*this)(xs[i]) for every i, bit for bit (xs.size() ==
+  /// out.size()). maximize_acquisition screens through this in chunks;
+  /// the default loops operator(), and acquisitions over a batched
+  /// posterior query (WeightedUcb) override it.
+  virtual void evaluate_batch(std::span<const Vec> xs,
+                              std::span<double> out) const;
 };
 
 /// Upper confidence bound, Eq. 3: mu(x) + kappa * sigma(x).
@@ -73,12 +81,16 @@ class Pi final : public AcquisitionFn {
 /// where mu comes from \p mean_model (always fitted on observed data only)
 /// and sigma_hat from \p var_model. Passing the same model twice gives the
 /// unpenalized Eq. 4/8; passing the hallucinated posterior
-/// (GpRegressor::hallucinate) as var_model gives Eq. 9.
+/// (GpRegressor::hallucinate) as var_model gives Eq. 9. Both halves come
+/// from var_model's paired posterior query (Regressor::predict_paired),
+/// which computes the shared kernel cross once.
 class WeightedUcb final : public AcquisitionFn {
  public:
   WeightedUcb(const gp::Regressor* mean_model, const gp::Regressor* var_model,
               double w);
   double operator()(const Vec& x) const override;
+  void evaluate_batch(std::span<const Vec> xs,
+                      std::span<double> out) const override;
 
   double weight() const { return w_; }
 

@@ -60,6 +60,52 @@ Vec exact_joint_sample(const Kernel& kernel, const std::vector<Vec>& xs,
   return f;
 }
 
+/// The batched paired posterior both Regressor implementations serve for
+/// m query points. The training inputs are \p first then \p second in
+/// factor order. K*^T is built once, row-major n x m (entry (i, c) =
+/// k(xs[c], input_i), the kernel calls predict()'s cross vector makes);
+/// the means read its first alpha.size() rows against \p alpha, then
+/// \p solve_lower_inplace turns it into Z = L^{-1} K*^T for the variances.
+/// Every accumulation runs per column in the scalar paths' ascending
+/// order, so out[c] is bit-identical to {y_mean + dot(k*[0:n_mean),
+/// alpha), max(k(x, x) - dot(z, z), 0)} for point c.
+template <class SolveLower>
+void paired_batch(const Kernel& kernel, const std::vector<Vec>& first,
+                  const std::vector<Vec>& second, const Vec& alpha,
+                  double y_mean, const SolveLower& solve_lower_inplace,
+                  std::span<const Vec> xs, std::span<Prediction> out) {
+  EASYBO_REQUIRE(xs.size() == out.size(),
+                 "predict_paired_batch: |xs| must equal |out|");
+  const std::size_t m = xs.size();
+  const std::size_t n = first.size() + second.size();
+  std::vector<double> kt(n * m);
+  double* row = kt.data();
+  for (const auto* inputs : {&first, &second}) {
+    for (const Vec& xi : *inputs) {
+      for (std::size_t c = 0; c < m; ++c) row[c] = kernel(xs[c], xi);
+      row += m;
+    }
+  }
+
+  std::vector<double> acc(m, 0.0);
+  for (std::size_t i = 0; i < alpha.size(); ++i) {
+    const double a = alpha[i];
+    const double* ki = kt.data() + i * m;
+    for (std::size_t c = 0; c < m; ++c) acc[c] += ki[c] * a;
+  }
+  for (std::size_t c = 0; c < m; ++c) out[c].mean = y_mean + acc[c];
+
+  solve_lower_inplace(std::span<double>(kt), m);
+  std::fill(acc.begin(), acc.end(), 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* zi = kt.data() + i * m;
+    for (std::size_t c = 0; c < m; ++c) acc[c] += zi[c] * zi[c];
+  }
+  for (std::size_t c = 0; c < m; ++c) {
+    out[c].var = std::max(kernel(xs[c], xs[c]) - acc[c], 0.0);
+  }
+}
+
 }  // namespace
 
 GpRegressor::GpRegressor(std::unique_ptr<Kernel> kernel, double noise_variance)
@@ -196,6 +242,27 @@ double GpRegressor::predict_mean(const Vec& x) const {
   EASYBO_REQUIRE(x.size() == dim(), "GpRegressor::predict_mean dim mismatch");
   const Vec kstar = kernel_->cross(x, xs_);
   return y_mean_ + linalg::dot(kstar, alpha_);
+}
+
+Prediction GpRegressor::predict_paired(const Regressor& mean_model,
+                                       const Vec& x) const {
+  if (&mean_model != this) return Regressor::predict_paired(mean_model, x);
+  return predict(x);
+}
+
+void GpRegressor::predict_paired_batch(const Regressor& mean_model,
+                                       std::span<const Vec> xs,
+                                       std::span<Prediction> out) const {
+  if (&mean_model != this) {
+    Regressor::predict_paired_batch(mean_model, xs, out);
+    return;
+  }
+  EASYBO_REQUIRE(fitted(), "GpRegressor::predict_paired_batch before fit()");
+  paired_batch(*kernel_, xs_, {}, alpha_, y_mean_,
+               [this](std::span<double> b, std::size_t m) {
+                 chol_->solve_lower_inplace(b, m);
+               },
+               xs, out);
 }
 
 double GpRegressor::predict_observation_var(const Vec& x) const {
@@ -379,21 +446,42 @@ class HallucinatedGp final : public Regressor {
   double noise_variance() const override { return base_->noise_var_; }
 
   Prediction predict(const Vec& x) const override {
-    EASYBO_REQUIRE(x.size() == dim(),
-                   "HallucinatedGp::predict dim mismatch");
-    const Kernel& kernel = *base_->kernel_;
-    const std::size_t n0 = base_->xs_.size();
-    Vec kstar(num_points());
-    for (std::size_t i = 0; i < n0; ++i) {
-      kstar[i] = kernel(x, base_->xs_[i]);
+    const Vec kstar = cross(x);
+    return {y_mean_ + linalg::dot(kstar, alpha_), variance(x, kstar)};
+  }
+
+  /// With \p mean_model == the base: the base mean is the first n0
+  /// entries of this overlay's kernel cross against the base alpha, in
+  /// predict_mean's summation order — one cross serves both halves.
+  Prediction predict_paired(const Regressor& mean_model,
+                            const Vec& x) const override {
+    if (&mean_model != base_) return Regressor::predict_paired(mean_model, x);
+    const Vec kstar = cross(x);
+    const Vec& base_alpha = base_->alpha_;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < base_alpha.size(); ++i) {
+      acc += kstar[i] * base_alpha[i];
     }
-    for (std::size_t j = 0; j < pend_x_.size(); ++j) {
-      kstar[n0 + j] = kernel(x, pend_x_[j]);
+    return {base_->y_mean_ + acc, variance(x, kstar)};
+  }
+
+  void predict_paired_batch(const Regressor& mean_model,
+                            std::span<const Vec> xs,
+                            std::span<Prediction> out) const override {
+    if (&mean_model != base_) {
+      Regressor::predict_paired_batch(mean_model, xs, out);
+      return;
     }
-    const double mean = y_mean_ + linalg::dot(kstar, alpha_);
-    const Vec z = full_ ? full_->solve_lower(kstar) : ext_.solve_lower(kstar);
-    const double var = kernel(x, x) - linalg::dot(z, z);
-    return {mean, std::max(var, 0.0)};
+    paired_batch(*base_->kernel_, base_->xs_, pend_x_, base_->alpha_,
+                 base_->y_mean_,
+                 [this](std::span<double> b, std::size_t m) {
+                   if (full_) {
+                     full_->solve_lower_inplace(b, m);
+                   } else {
+                     ext_.solve_lower_inplace(b, m);
+                   }
+                 },
+                 xs, out);
   }
 
   double predict_observation_var(const Vec& x) const override {
@@ -408,6 +496,28 @@ class HallucinatedGp final : public Regressor {
   }
 
  private:
+  /// k(x, X) over the base inputs then the pending points.
+  Vec cross(const Vec& x) const {
+    EASYBO_REQUIRE(x.size() == dim(), "HallucinatedGp::predict dim mismatch");
+    const Kernel& kernel = *base_->kernel_;
+    const std::size_t n0 = base_->xs_.size();
+    Vec kstar(num_points());
+    for (std::size_t i = 0; i < n0; ++i) {
+      kstar[i] = kernel(x, base_->xs_[i]);
+    }
+    for (std::size_t j = 0; j < pend_x_.size(); ++j) {
+      kstar[n0 + j] = kernel(x, pend_x_[j]);
+    }
+    return kstar;
+  }
+
+  /// Latent variance k(x, x) - ||L^{-1} k*||^2 over the combined factor,
+  /// clamped at 0 as GpRegressor::predict does.
+  double variance(const Vec& x, const Vec& kstar) const {
+    const Vec z = full_ ? full_->solve_lower(kstar) : ext_.solve_lower(kstar);
+    return std::max((*base_->kernel_)(x, x) - linalg::dot(z, z), 0.0);
+  }
+
   std::vector<Vec> combined_inputs() const {
     std::vector<Vec> all = base_->xs_;
     all.insert(all.end(), pend_x_.begin(), pend_x_.end());

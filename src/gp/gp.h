@@ -83,7 +83,19 @@ class GpRegressor final : public Regressor {
 
   /// Posterior mean only — O(n) against the cached alpha, skipping the
   /// O(n^2) variance solve. Bit-identical to predict(x).mean.
-  double predict_mean(const Vec& x) const;
+  double predict_mean(const Vec& x) const override;
+
+  /// With \p mean_model == this, one predict() serves both halves of the
+  /// pair; any other mean model takes the Regressor default.
+  Prediction predict_paired(const Regressor& mean_model,
+                            const Vec& x) const override;
+
+  /// With \p mean_model == this: one n x m kernel cross block, the m
+  /// means against alpha and one multi-right-hand-side forward solve for
+  /// the m variances, each bit-identical to predict(xs[c]).
+  void predict_paired_batch(const Regressor& mean_model,
+                            std::span<const Vec> xs,
+                            std::span<Prediction> out) const override;
 
   /// Variance including observation noise (for posterior sampling of y).
   double predict_observation_var(const Vec& x) const override;

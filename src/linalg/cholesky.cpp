@@ -7,6 +7,66 @@
 
 namespace easybo::linalg {
 
+namespace {
+
+/// Columns per register tile of the multi-right-hand-side solve: enough
+/// independent accumulators to hide the subtraction latency.
+constexpr std::size_t kTile = 16;
+
+/// Factor rows per step of a tile's sweep over k.
+constexpr std::size_t kStep = 4;
+
+/// acc[t] -= l_k * z_k[t] for one factor entry l_k and the tile's slice
+/// z_k of row k of the right-hand-side block.
+inline void subtract_row(double* acc, double lk, const double* zk) {
+#pragma GCC unroll kTile
+  for (std::size_t t = 0; t < kTile; ++t) acc[t] -= lk * zk[t];
+}
+
+/// Rows [begin, end) of the multi-right-hand-side forward substitution on
+/// row-major n x m \p b. \p row(i) points at factor row i (entries 0..i).
+/// Every column c runs solve_lower's scalar recurrence on its own
+/// accumulator — acc = b_ic; acc -= l_ik z_kc for k ascending; z_ic =
+/// acc / l_ii — so the result is bit-identical column for column. Columns
+/// go kTile at a time so the accumulators stay in registers across the
+/// sweep over row i of L; leftover columns go one by one. The sweep takes
+/// kStep rows of k per iteration, still in ascending order: a loop whose
+/// body is a single update per accumulator is one an optimizing compiler
+/// may vectorize along k as an in-order reduction, spilling the tile.
+template <class RowOf>
+void forward_rows(const RowOf& row, std::size_t begin, std::size_t end,
+                  double* b, std::size_t m) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const double* li = row(i);
+    double* zi = b + i * m;
+    const double lii = li[i];
+    std::size_t c = 0;
+    for (; c + kTile <= m; c += kTile) {
+      // Fully unrolled tile loops keep acc[] in registers.
+      double acc[kTile];
+#pragma GCC unroll kTile
+      for (std::size_t t = 0; t < kTile; ++t) acc[t] = zi[c + t];
+      std::size_t k = 0;
+      for (; k + kStep <= i; k += kStep) {
+#pragma GCC unroll kStep
+        for (std::size_t r = k; r < k + kStep; ++r) {
+          subtract_row(acc, li[r], b + r * m + c);
+        }
+      }
+      for (; k < i; ++k) subtract_row(acc, li[k], b + k * m + c);
+#pragma GCC unroll kTile
+      for (std::size_t t = 0; t < kTile; ++t) zi[c + t] = acc[t] / lii;
+    }
+    for (; c < m; ++c) {
+      double acc = zi[c];
+      for (std::size_t k = 0; k < i; ++k) acc -= li[k] * b[k * m + c];
+      zi[c] = acc / lii;
+    }
+  }
+}
+
+}  // namespace
+
 Cholesky::Cholesky(const Matrix& a, double initial_jitter, int max_tries) {
   EASYBO_REQUIRE(a.rows() == a.cols(), "Cholesky requires a square matrix");
   EASYBO_REQUIRE(max_tries >= 1, "Cholesky needs at least one attempt");
@@ -95,6 +155,15 @@ Vec Cholesky::solve_lower(const Vec& b) const {
     z[i] = acc / l_(i, i);
   }
   return z;
+}
+
+void Cholesky::solve_lower_inplace(std::span<double> b, std::size_t m) const {
+  const std::size_t n = size();
+  EASYBO_REQUIRE(b.size() == n * m,
+                 "Cholesky::solve_lower_inplace size mismatch");
+  const double* l = l_.data().data();
+  forward_rows([l, n](std::size_t i) { return l + i * n; }, 0, n, b.data(),
+               m);
 }
 
 bool Cholesky::extend(const Vec& new_column) {
@@ -208,6 +277,20 @@ Vec CholeskyExt::solve_lower(const Vec& b) const {
     z[i] = acc / row[i];
   }
   return z;
+}
+
+void CholeskyExt::solve_lower_inplace(std::span<double> b,
+                                      std::size_t m) const {
+  const std::size_t n0 = base_->size();
+  const std::size_t n = size();
+  EASYBO_REQUIRE(b.size() == n * m,
+                 "CholeskyExt::solve_lower_inplace size mismatch");
+  // Base triangle rows, then the appended rows — solve_lower's order.
+  const double* l = base_->factor().data().data();
+  forward_rows([l, n0](std::size_t i) { return l + i * n0; }, 0, n0,
+               b.data(), m);
+  forward_rows([this, n0](std::size_t i) { return rows_[i - n0].data(); },
+               n0, n, b.data(), m);
 }
 
 Vec CholeskyExt::solve(const Vec& b) const {

@@ -9,6 +9,8 @@
 /// added), so the factorization retries with exponentially growing diagonal
 /// jitter before giving up.
 
+#include <span>
+
 #include "linalg/matrix.h"
 
 namespace easybo::linalg {
@@ -46,6 +48,14 @@ class Cholesky {
   /// Solves L z = b (forward substitution only). Used for the GP variance
   /// term k** - ||L^{-1} k*||^2.
   Vec solve_lower(const Vec& b) const;
+
+  /// Solves L Z = B in place for m right-hand sides at once: \p b holds B
+  /// row-major (n x m, row i = entry i of every right-hand side) and is
+  /// overwritten with Z. Each column replays solve_lower's operations
+  /// exactly (acc = b_i; acc -= l_ik z_k for k ascending; z_i = acc / l_ii),
+  /// so column c equals solve_lower(column c) bit for bit; one sweep over
+  /// L serves all m columns. The batched GP posterior's variance solve.
+  void solve_lower_inplace(std::span<double> b, std::size_t m) const;
 
   /// Solves L^T x = b (back substitution only). Used for weight-space
   /// posterior sampling, w = w_mean + sigma * L^{-T} z.
@@ -122,6 +132,11 @@ class CholeskyExt {
 
   /// Solves (combined L) z = b, forward substitution only.
   Vec solve_lower(const Vec& b) const;
+
+  /// Multi-right-hand-side solve_lower over the combined factor, in place
+  /// on row-major n x m \p b — Cholesky::solve_lower_inplace's contract:
+  /// column c equals solve_lower(column c) bit for bit.
+  void solve_lower_inplace(std::span<double> b, std::size_t m) const;
 
   /// log(det of the combined A) = 2 * sum_i log L_ii.
   double log_det() const;

@@ -13,6 +13,7 @@
 #include "common/error.h"
 #include "common/stats.h"
 #include "gp/gp.h"
+#include "obs/recording.h"
 
 namespace easybo::acq {
 namespace {
@@ -129,6 +130,111 @@ TEST(WeightedUcb, Eq9UsesHallucinatedSigmaButObservedMean) {
   // point (that is the whole point of the scheme).
   WeightedUcb eq8(&gp, &gp, 0.5);
   EXPECT_LT(eq9(pending), eq8(pending));
+}
+
+// ---------------------------------------------------------------------------
+// evaluate_batch: the screening path, bit for bit the scalar path
+// ---------------------------------------------------------------------------
+
+GpRegressor fitted_2d(std::size_t n, double noise, std::uint64_t seed) {
+  Rng rng(seed);
+  GpRegressor gp(std::make_unique<SquaredExponentialArd>(1.0, Vec{0.3, 0.4}),
+                 noise);
+  std::vector<Vec> xs(n);
+  Vec ys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xs[i] = {rng.uniform(), rng.uniform()};
+    ys[i] = std::sin(4.0 * xs[i][0]) + xs[i][1] * xs[i][1];
+  }
+  gp.set_data(std::move(xs), std::move(ys));
+  gp.fit();
+  return gp;
+}
+
+std::vector<Vec> probe_points(std::size_t m, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec> xs(m);
+  for (Vec& x : xs) x = {rng.uniform(), rng.uniform()};
+  return xs;
+}
+
+/// evaluate_batch over 70 points (one call, then in chunks of 32) must
+/// reproduce operator() bit for bit; for WeightedUcb, operator() must in
+/// turn reproduce the split two-predict formula it replaced.
+void expect_batch_matches_scalar(const AcquisitionFn& fn,
+                                 const gp::Regressor* mean_model,
+                                 const gp::Regressor* var_model, double w) {
+  const auto xs = probe_points(70, 5);
+  Vec whole(xs.size());
+  fn.evaluate_batch(xs, whole);
+  Vec chunked(xs.size());
+  const std::span<const Vec> all(xs);
+  for (std::size_t i = 0; i < xs.size(); i += 32) {
+    const std::size_t m = std::min<std::size_t>(32, xs.size() - i);
+    fn.evaluate_batch(all.subspan(i, m),
+                      std::span<double>(chunked).subspan(i, m));
+  }
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double scalar = fn(xs[i]);
+    EXPECT_EQ(whole[i], scalar) << "point " << i;
+    EXPECT_EQ(chunked[i], scalar) << "point " << i;
+    if (mean_model != nullptr) {
+      const double split = (1.0 - w) * mean_model->predict(xs[i]).mean +
+                           w * var_model->predict(xs[i]).stddev();
+      EXPECT_EQ(scalar, split) << "point " << i;
+    }
+  }
+}
+
+TEST(EvaluateBatch, WeightedUcbSameModel) {
+  const GpRegressor gp = fitted_2d(30, 1e-6, 61);
+  const WeightedUcb fn(&gp, &gp, 0.7);
+  expect_batch_matches_scalar(fn, &gp, &gp, 0.7);
+}
+
+TEST(EvaluateBatch, WeightedUcbOverOverlay) {
+  const GpRegressor gp = fitted_2d(30, 1e-6, 62);
+  const auto overlay = gp.hallucinate(probe_points(6, 63), false);
+  const WeightedUcb fn(&gp, overlay.get(), 0.6);
+  expect_batch_matches_scalar(fn, &gp, overlay.get(), 0.6);
+}
+
+TEST(EvaluateBatch, WeightedUcbOverOverlayFallbackFactor) {
+  // Duplicated pending points with no noise slack: the overlay cannot
+  // extend and serves from its full refactorization instead.
+  GpRegressor gp = fitted_2d(10, 1e-16, 64);
+  const Vec dup = {0.5, 0.5};
+  obs::RecordingSink sink;
+  gp.set_trace(&sink);
+  const auto overlay = gp.hallucinate({dup, dup, dup}, false);
+  gp.set_trace(nullptr);
+  ASSERT_EQ(sink.counter("gp.hallucinate_fallback"), 1u);
+  const WeightedUcb fn(&gp, overlay.get(), 0.8);
+  expect_batch_matches_scalar(fn, &gp, overlay.get(), 0.8);
+}
+
+TEST(EvaluateBatch, WeightedUcbWithUnrelatedMeanModel) {
+  // Neither fused path applies: the Regressor default pairs the two
+  // models' plain queries.
+  const GpRegressor mean_model = fitted_2d(25, 1e-6, 65);
+  const GpRegressor var_model = fitted_2d(18, 1e-6, 66);
+  const WeightedUcb fn(&mean_model, &var_model, 0.4);
+  expect_batch_matches_scalar(fn, &mean_model, &var_model, 0.4);
+}
+
+TEST(EvaluateBatch, DefaultLoopForEi) {
+  const GpRegressor gp = fitted_2d(30, 1e-6, 67);
+  const Ei fn(&gp, 0.5);
+  expect_batch_matches_scalar(fn, nullptr, nullptr, 0.0);
+}
+
+TEST(EvaluateBatch, RejectsMismatchedSpans) {
+  const GpRegressor gp = fitted_2d(10, 1e-6, 68);
+  const auto xs = probe_points(4, 69);
+  Vec out(3);
+  EXPECT_THROW(WeightedUcb(&gp, &gp, 0.5).evaluate_batch(xs, out),
+               InvalidArgument);
+  EXPECT_THROW(Ei(&gp, 0.0).evaluate_batch(xs, out), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -589,7 +589,9 @@ TEST(FaultPolicy, NonFiniteValuesAreFailuresNotObservations) {
   EXPECT_EQ(r.metrics.counter("eval.nonfinite"),
             r.metrics.counter("eval.failures"));
   for (const auto& e : r.evals) {
-    if (e.failed) EXPECT_EQ(e.failure, "non_finite");
+    if (e.failed) {
+      EXPECT_EQ(e.failure, "non_finite");
+    }
   }
   EXPECT_TRUE(std::isfinite(r.best_y));
 }

@@ -1,0 +1,87 @@
+/// \file test_golden_streams.cpp
+/// \brief Golden proposal streams pinned across versions.
+///
+/// Short seeded default-config runs on Branin, one per acquisition path
+/// the penalized and batched machinery serves, hashed with FNV-1a 64 over
+/// the IEEE-754 bytes of every proposed coordinate in proposal order —
+/// perfbench's `stream_hash`. A change that moves any proposal by one ulp
+/// changes its hash. Speed work must keep these constants; a change that
+/// shifts a stream on purpose updates them and says so.
+///
+/// The constants assume IEEE double arithmetic without contraction (the
+/// default x86-64 build) and a libm whose exp/sin/cos/erfc round as
+/// glibc's do.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+
+#include "bo/engine.h"
+#include "circuit/testfunc.h"
+
+namespace easybo::bo {
+namespace {
+
+/// FNV-1a 64 over the little-endian bytes of each coordinate.
+class StreamHash {
+ public:
+  void add(const Vec& x) {
+    for (const double v : x) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int byte = 0; byte < 8; ++byte) {
+        h_ ^= (bits >> (8 * byte)) & 0xFFu;
+        h_ *= 0x100000001B3ull;
+      }
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+/// Runs \p cfg on Branin (virtual time, so the objective is called once
+/// per proposal, in proposal order) and hashes the proposals.
+std::uint64_t branin_stream_hash(const BoConfig& cfg) {
+  const auto tf = circuit::branin();
+  StreamHash hash;
+  std::size_t calls = 0;
+  const opt::Objective fn = [&](const Vec& x) {
+    hash.add(x);
+    ++calls;
+    return tf.fn(x);
+  };
+  const BoResult r = run_bo(cfg, tf.bounds, fn);
+  EXPECT_EQ(calls, cfg.max_sims);
+  EXPECT_EQ(r.num_evals(), cfg.max_sims);
+  return hash.value();
+}
+
+BoConfig golden_config(Mode mode, AcqKind acq) {
+  BoConfig c;  // defaults everywhere else: B = 5, 20 init points, seed 1
+  c.mode = mode;
+  c.acq = acq;
+  c.max_sims = 40;
+  return c;
+}
+
+TEST(GoldenStreams, EasyBoAsyncPenalized) {
+  const BoConfig cfg = golden_config(Mode::AsyncBatch, AcqKind::EasyBo);
+  ASSERT_TRUE(cfg.penalize);
+  EXPECT_EQ(branin_stream_hash(cfg), 0xfa0470d445f78aa7ull);
+}
+
+TEST(GoldenStreams, BucbAsync) {
+  const BoConfig cfg = golden_config(Mode::AsyncBatch, AcqKind::Bucb);
+  EXPECT_EQ(branin_stream_hash(cfg), 0xd2051a4810f363b9ull);
+}
+
+TEST(GoldenStreams, PboSync) {
+  const BoConfig cfg = golden_config(Mode::SyncBatch, AcqKind::Pbo);
+  EXPECT_EQ(branin_stream_hash(cfg), 0x2fc82cac2c80c8aaull);
+}
+
+}  // namespace
+}  // namespace easybo::bo

@@ -2,8 +2,9 @@
 /// \brief The zero-copy hallucination overlay (gp::GpRegressor::
 /// hallucinate): bit-parity with the deep-copy reference
 /// (with_hallucinated) on healthy, jittered and degenerate bases, mean
-/// pinning, honest counters, and the same parity on the model states and
-/// pending sets real batch runs hallucinate over.
+/// pinning, honest counters, and the same parity — plus the paired
+/// posterior queries' — on the model states and pending sets real batch
+/// runs hallucinate over.
 
 #include <gtest/gtest.h>
 
@@ -226,8 +227,9 @@ bo::BoConfig engine_cfg(bo::Mode mode, std::uint64_t seed) {
 /// oldest-first (all at once in SyncBatch mode). Before every proposal
 /// that hallucinates, rebuilds the core's model from its snapshot exactly
 /// as a resume does and checks that the overlay over the live pending set
-/// serves the deep copy's posterior bit for bit. Returns the number of
-/// pending sets checked.
+/// serves the deep copy's posterior bit for bit, and that its scalar and
+/// batched paired queries serve {model mean, deep-copy variance} bit for
+/// bit. Returns the number of pending sets checked.
 std::size_t overlay_checks_along_run(const bo::BoConfig& cfg) {
   const auto tf = circuit::branin();
   bo::AskTellCore core(cfg, tf.bounds);
@@ -250,12 +252,27 @@ std::size_t overlay_checks_along_run(const bo::BoConfig& cfg) {
     const GpRegressor deep =
         model.with_hallucinated(pending, cfg.pin_hallucinated_mean);
     const auto overlay = model.hallucinate(pending, cfg.pin_hallucinated_mean);
-    for (int i = 0; i < 8; ++i) {
-      const Vec x = {probe.uniform(), probe.uniform()};
+    // 40 probes: the batched solve's full 16-column tiles and its
+    // leftover columns both run.
+    std::vector<Vec> xs(40);
+    for (Vec& x : xs) x = {probe.uniform(), probe.uniform()};
+    // The paired queries Eq. 9 reads: mu from the observed-data model,
+    // sigma-hat from the hallucinated one — scalar and batched.
+    std::vector<gp::Prediction> batch(xs.size());
+    overlay->predict_paired_batch(model, xs, batch);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const Vec& x = xs[i];
       EXPECT_EQ(overlay->predict(x).mean, deep.predict(x).mean)
           << "proposal " << core.issued();
       EXPECT_EQ(overlay->predict(x).var, deep.predict(x).var)
           << "proposal " << core.issued();
+      const double mu = model.predict(x).mean;
+      const double var = deep.predict(x).var;
+      const gp::Prediction paired = overlay->predict_paired(model, x);
+      EXPECT_EQ(paired.mean, mu) << "proposal " << core.issued();
+      EXPECT_EQ(paired.var, var) << "proposal " << core.issued();
+      EXPECT_EQ(batch[i].mean, mu) << "proposal " << core.issued();
+      EXPECT_EQ(batch[i].var, var) << "proposal " << core.issued();
     }
     ++checks;
   };

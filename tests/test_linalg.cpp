@@ -189,19 +189,24 @@ TEST(Cholesky, RejectsNonSquare) {
   EXPECT_THROW(Cholesky{a}, InvalidArgument);
 }
 
+/// Random SPD matrix B^T B + n I with standard-normal B.
+Matrix random_spd(std::size_t n, Rng& rng) {
+  Matrix b(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.normal();
+  }
+  Matrix a = gram(b);
+  a.add_diagonal(static_cast<double>(n));
+  return a;
+}
+
 // Property test: random SPD matrices factor and solve accurately.
 class CholeskySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CholeskySweep, RandomSpdRoundTrip) {
   const int n = GetParam();
   Rng rng(static_cast<std::uint64_t>(n));
-  // SPD via B^T B + n*I.
-  Matrix b(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < b.rows(); ++i) {
-    for (std::size_t j = 0; j < b.cols(); ++j) b(i, j) = rng.normal();
-  }
-  Matrix a = gram(b);
-  a.add_diagonal(static_cast<double>(n));
+  const Matrix a = random_spd(static_cast<std::size_t>(n), rng);
 
   Cholesky chol(a);
   Vec rhs(static_cast<std::size_t>(n));
@@ -218,6 +223,93 @@ TEST_P(CholeskySweep, RandomSpdRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskySweep,
                          ::testing::Values(1, 2, 5, 16, 64, 128));
+
+// ---------------------------------------------------------------------------
+// Multi-right-hand-side forward solve: column-for-column bit parity
+// ---------------------------------------------------------------------------
+
+/// Solves m random right-hand sides with solve_lower_inplace (row-major
+/// n x m) and with one solve_lower call per column; every entry must
+/// carry the same bits.
+template <class Factor>
+void expect_inplace_matches_columns(const Factor& f, Rng& rng) {
+  const std::size_t n = f.size();
+  for (const std::size_t m : {std::size_t{1}, std::size_t{7}, std::size_t{32},
+                              std::size_t{33}}) {
+    std::vector<Vec> cols(m, Vec(n));
+    std::vector<double> block(n * m);
+    for (std::size_t c = 0; c < m; ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        cols[c][i] = rng.normal();
+        block[i * m + c] = cols[c][i];
+      }
+    }
+    f.solve_lower_inplace(block, m);
+    for (std::size_t c = 0; c < m; ++c) {
+      const Vec z = f.solve_lower(cols[c]);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(block[i * m + c], z[i])
+            << "n=" << n << " m=" << m << " column " << c << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(CholeskyMultiRhs, InplaceSolveMatchesSolveLowerBitwise) {
+  Rng rng(71);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{40}}) {
+    const Cholesky chol(random_spd(n, rng));
+    expect_inplace_matches_columns(chol, rng);
+  }
+}
+
+TEST(CholeskyMultiRhs, InplaceSolveMatchesOnJitteredFactor) {
+  // Rank one, A = s s^T with s_i = +-2^e: every product and quotient is
+  // exact, so the second pivot is exactly 0 and the factor only exists
+  // after jitter escalation.
+  Rng rng(72);
+  const std::size_t n = 12;
+  Vec s(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s[i] = std::ldexp(rng.uniform() < 0.5 ? -1.0 : 1.0,
+                      static_cast<int>(i % 5) - 2);
+  }
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) a(i, j) = s[i] * s[j];
+  }
+  const Cholesky chol(a);
+  ASSERT_GT(chol.jitter_used(), 0.0) << "setup failed to force jitter";
+  expect_inplace_matches_columns(chol, rng);
+}
+
+TEST(CholeskyMultiRhs, ExtViewInplaceSolveMatchesSolveLowerBitwise) {
+  Rng rng(73);
+  const std::size_t n0 = 20;
+  const std::size_t k = 5;
+  const Matrix full = random_spd(n0 + k, rng);
+  Matrix top(n0, n0);
+  for (std::size_t i = 0; i < n0; ++i) {
+    for (std::size_t j = 0; j < n0; ++j) top(i, j) = full(i, j);
+  }
+  const Cholesky base(top);
+  CholeskyExt view(&base);
+  for (std::size_t r = n0; r < n0 + k; ++r) {
+    Vec column(r + 1);
+    for (std::size_t j = 0; j <= r; ++j) column[j] = full(r, j);
+    ASSERT_TRUE(view.extend(column));
+  }
+  ASSERT_EQ(view.size(), n0 + k);
+  expect_inplace_matches_columns(view, rng);
+}
+
+TEST(CholeskyMultiRhs, RejectsMisshapenBlock) {
+  const Cholesky chol(Matrix{{4, 2}, {2, 10}});
+  std::vector<double> block(5);
+  EXPECT_THROW(chol.solve_lower_inplace(block, 2), InvalidArgument);
+  CholeskyExt view(&chol);
+  EXPECT_THROW(view.solve_lower_inplace(block, 2), InvalidArgument);
+}
 
 }  // namespace
 }  // namespace easybo::linalg
