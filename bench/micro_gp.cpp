@@ -89,6 +89,16 @@ void BM_GpPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_GpPredict)->Arg(50)->Arg(150)->Arg(450);
 
+// --- LML gradient: the fused single pass vs the dense reference -----------
+//
+// lml_gradient makes one pass over the lower triangle with a per-pair
+// value-and-gradient call. The dense path below is how it used to work,
+// kept here as the reference: an explicit inverse with one serial
+// accumulator per entry, W = alpha alpha^T - K^{-1} as an n x n matrix,
+// and d + 1 dense n x n Gram-gradient matrices folded against it, walked
+// by column. Both return the same bits; CI gates BM_GpLmlGradient/256
+// >= 2.5x BM_LmlGradientDense/256 (scripts/bench_gp_trend.py).
+
 void BM_GpLmlGradient(benchmark::State& state) {
   Rng rng(4);
   const auto gp = fitted_gp(static_cast<std::size_t>(state.range(0)), 10,
@@ -97,7 +107,85 @@ void BM_GpLmlGradient(benchmark::State& state) {
     benchmark::DoNotOptimize(gp.lml_gradient());
   }
 }
-BENCHMARK(BM_GpLmlGradient)->Arg(50)->Arg(150);
+BENCHMARK(BM_GpLmlGradient)->Arg(50)->Arg(150)->Arg(256);
+
+/// The dense reference gradient of an SE-ARD model (see above).
+Vec dense_lml_gradient(const GpRegressor& gp, const Vec& alpha) {
+  const auto& kernel =
+      static_cast<const SquaredExponentialArd&>(gp.kernel());
+  const auto& xs = gp.inputs();
+  const Matrix& l = gp.factor().factor();
+  const std::size_t n = xs.size();
+  const std::size_t d = kernel.dim();
+  Matrix linv(n, n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    linv(j, j) = 1.0 / l(j, j);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double acc = 0.0;
+      for (std::size_t k = j; k < i; ++k) acc -= l(i, k) * linv(k, j);
+      linv(i, j) = acc / l(i, i);
+    }
+  }
+  Matrix kinv(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = i; k < n; ++k) acc += linv(k, i) * linv(k, j);
+      kinv(i, j) = acc;
+      kinv(j, i) = acc;
+    }
+  }
+  Matrix w(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      w(i, j) = alpha[i] * alpha[j] - kinv(i, j);
+    }
+  }
+  std::vector<Matrix> dks(d + 1, Matrix(n, n));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      const double kij = kernel(xs[i], xs[j]);
+      dks[0](i, j) = kij;
+      dks[0](j, i) = kij;
+      for (std::size_t p = 0; p < d; ++p) {
+        const double z = (xs[i][p] - xs[j][p]) / kernel.lengthscales()[p];
+        const double g = kij * z * z;
+        dks[p + 1](i, j) = g;
+        dks[p + 1](j, i) = g;
+      }
+    }
+  }
+  Vec grad(d + 2, 0.0);
+  for (std::size_t p = 0; p <= d; ++p) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc += 0.5 * w(i, i) * dks[p](i, i);
+      for (std::size_t j = 0; j < i; ++j) acc += w(i, j) * dks[p](i, j);
+    }
+    grad[p] = acc;
+  }
+  double tr_w = 0.0;
+  for (std::size_t i = 0; i < n; ++i) tr_w += w(i, i);
+  grad.back() = 0.5 * gp.noise_variance() * tr_w;
+  return grad;
+}
+
+void BM_LmlGradientDense(benchmark::State& state) {
+  Rng rng(4);  // identical setup to BM_GpLmlGradient for a fair ratio
+  const auto gp = fitted_gp(static_cast<std::size_t>(state.range(0)), 10,
+                            rng);
+  Vec centered = gp.targets();
+  for (double& y : centered) y -= gp.empirical_mean();
+  const Vec alpha = gp.factor().solve(centered);
+  if (dense_lml_gradient(gp, alpha) != gp.lml_gradient()) {
+    state.SkipWithError("dense reference and lml_gradient disagree");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dense_lml_gradient(gp, alpha));
+  }
+}
+BENCHMARK(BM_LmlGradientDense)->Arg(150)->Arg(256);
 
 void BM_Hallucinate(benchmark::State& state) {
   Rng rng(5);

@@ -2,19 +2,22 @@
 """End-to-end benchmark record gate.
 
 Reads BENCH_e2e.json: parent/change pairs of paper-budget perfbench runs,
-one row per workload and seed, each side holding the numbers
+one row per workload, seed and speed-up, each side holding the numbers
 `python3 perfbench/run.py --workload <w> --seed <s> --seconds 0 --trace 1`
 printed (run_wall_s and turn_cpu_ms from its untraced run, the acq.* and
-gp.* layer numbers from its traced run, and the stream_hash). For every
-row it asserts the contract of an acquisition speed-up that must not
+gp.* layer numbers from its traced run, and the stream_hash). Every row
+declares the gain it claims in a `gate` object: `metric` (a lower-is-
+better number both sides hold) and `min_gain` (the least parent / change
+ratio). For every row it asserts the contract of a speed-up that must not
 change what the optimizer does:
 
 - equal stream_hash (the proposal streams are bit-identical);
 - equal acq.inner_evals (the same number of acquisition evaluations);
-- change acq.us_per_eval <= parent acq.us_per_eval / MIN_US_PER_EVAL_GAIN.
+- parent[metric] / change[metric] >= min_gain.
 
-It reads committed numbers only, so it needs no build and no benchmark
-run. Stdlib only, so the CI job needs no pip installs.
+A row without a well-formed gate fails. It reads committed numbers only,
+so it needs no build and no benchmark run. Stdlib only, so the CI job
+needs no pip installs.
 
 Usage:
     bench_e2e_check.py BENCH_e2e.json
@@ -23,14 +26,35 @@ Usage:
 import json
 import sys
 
-MIN_US_PER_EVAL_GAIN = 1.5
 FIELDS = ("run_wall_s", "turn_cpu_ms", "acq.maximize_s", "acq.inner_evals",
           "acq.us_per_eval", "gp.hyper_refit_s", "stream_hash")
+INFORMATION = ("run_wall_s", "turn_cpu_ms", "acq.maximize_s",
+               "acq.us_per_eval", "gp.hyper_refit_s")
+
+
+def read_gate(label, row):
+    """Returns (metric, min_gain), or a failure message."""
+    gate = row.get("gate")
+    if not isinstance(gate, dict):
+        return f"{label}: no gate (need {{\"metric\", \"min_gain\"}})"
+    metric, min_gain = gate.get("metric"), gate.get("min_gain")
+    if metric not in FIELDS or metric == "stream_hash":
+        return f"{label}: gate metric {metric!r} is not a recorded number"
+    if isinstance(min_gain, bool) or not isinstance(min_gain, (int, float)) \
+            or not min_gain > 1.0:
+        return f"{label}: gate min_gain {min_gain!r} must be a number > 1"
+    return metric, float(min_gain)
 
 
 def check_row(row):
     """Returns the failures of one parent/change row."""
     label = f"{row.get('workload', '?')} seed {row.get('seed', '?')}"
+    if "parent_commit" in row:
+        label += f" vs {row['parent_commit']}"
+    gate = read_gate(label, row)
+    if isinstance(gate, str):
+        return [gate]
+    metric, min_gain = gate
     failures = []
     sides = {}
     for side in ("parent", "change"):
@@ -47,26 +71,25 @@ def check_row(row):
 
     same_stream = parent["stream_hash"] == change["stream_hash"]
     same_evals = parent["acq.inner_evals"] == change["acq.inner_evals"]
-    gain = parent["acq.us_per_eval"] / change["acq.us_per_eval"]
+    gain = parent[metric] / change[metric]
     print(f"{label}: stream_hash {parent['stream_hash']} -> "
           f"{change['stream_hash']} [{'ok' if same_stream else 'FAIL'}]")
     print(f"{label}: acq.inner_evals {parent['acq.inner_evals']} -> "
           f"{change['acq.inner_evals']} [{'ok' if same_evals else 'FAIL'}]")
-    print(f"{label}: acq.us_per_eval {parent['acq.us_per_eval']:.3f} -> "
-          f"{change['acq.us_per_eval']:.3f} us = {gain:.2f}x "
-          f"(need >= {MIN_US_PER_EVAL_GAIN:.2f}x) "
-          f"[{'ok' if gain >= MIN_US_PER_EVAL_GAIN else 'FAIL'}]")
-    for field in ("run_wall_s", "turn_cpu_ms", "acq.maximize_s",
-                  "gp.hyper_refit_s"):
-        print(f"{label}: {field} {parent[field]:.4g} -> {change[field]:.4g}"
-              " (information)")
+    print(f"{label}: {metric} {parent[metric]:.4g} -> {change[metric]:.4g}"
+          f" = {gain:.2f}x (need >= {min_gain:.2f}x) "
+          f"[{'ok' if gain >= min_gain else 'FAIL'}]")
+    for field in INFORMATION:
+        if field != metric:
+            print(f"{label}: {field} {parent[field]:.4g} -> "
+                  f"{change[field]:.4g} (information)")
     if not same_stream:
         failures.append(f"{label}: the change proposed a different stream")
     if not same_evals:
         failures.append(f"{label}: acq.inner_evals changed")
-    if gain < MIN_US_PER_EVAL_GAIN:
-        failures.append(f"{label}: acq.us_per_eval gain {gain:.2f}x < "
-                        f"{MIN_US_PER_EVAL_GAIN:.2f}x")
+    if gain < min_gain:
+        failures.append(f"{label}: {metric} gain {gain:.2f}x < "
+                        f"{min_gain:.2f}x")
     return failures
 
 

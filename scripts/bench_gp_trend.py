@@ -3,7 +3,7 @@
 
 Reads a google-benchmark JSON file produced by bench/micro_gp (a fresh
 run, and optionally the committed BENCH_micro_gp.json baseline) and
-asserts two scaling contracts of the GP hot path:
+asserts three scaling contracts of the GP hot path:
 
 - the zero-copy hallucination overlay: BM_HallucinateOverlay/2048 must be
   at least MIN_OVERLAY_SPEEDUP x faster than BM_HallucinateDeepCopy/2048
@@ -13,7 +13,12 @@ asserts two scaling contracts of the GP hot path:
   forward solve) must be at least MIN_BATCHED_SPEEDUP x faster than
   BM_PosteriorSplit/256 (a full predict() on the base model plus one on
   its k = 14 overlay, per point — what acquisition screening used to
-  cost).
+  cost);
+- the fused LML gradient: BM_GpLmlGradient/256 (one pass over the lower
+  triangle with a per-pair value-and-gradient call, and the tiled
+  inverse) must be at least MIN_GRADIENT_SPEEDUP x faster than
+  BM_LmlGradientDense/256 (the dense reference the bench keeps: serial
+  inverse, n x n W and d + 1 Gram-gradient matrices).
 
 The check is a WITHIN-RUN ratio, so it holds on any machine and any
 sane compiler — absolute times are never compared against the committed
@@ -33,6 +38,7 @@ import sys
 
 MIN_OVERLAY_SPEEDUP = 5.0
 MIN_BATCHED_SPEEDUP = 1.8
+MIN_GRADIENT_SPEEDUP = 2.5
 
 # (label, numerator benchmark, denominator benchmark, min ratio)
 INVARIANTS = [
@@ -48,6 +54,13 @@ INVARIANTS = [
         "BM_PosteriorSplit/256",
         "BM_PosteriorBatched/256",
         MIN_BATCHED_SPEEDUP,
+    ),
+    (
+        "fused LML gradient >= {:.1f}x dense at n=256".format(
+            MIN_GRADIENT_SPEEDUP),
+        "BM_LmlGradientDense/256",
+        "BM_GpLmlGradient/256",
+        MIN_GRADIENT_SPEEDUP,
     ),
 ]
 

@@ -178,12 +178,13 @@ LocalPenalization::LocalPenalization(const AcquisitionFn* base,
                                      std::vector<Vec> busy, double lipschitz,
                                      double best_y)
     : base_(base),
-      model_(model),
       busy_(std::move(busy)),
       lipschitz_(std::max(lipschitz, 1e-8)),
       best_y_(best_y) {
   EASYBO_REQUIRE(base != nullptr && model != nullptr,
                  "LocalPenalization: null dependency");
+  busy_pred_.reserve(busy_.size());
+  for (const auto& xj : busy_) busy_pred_.push_back(model->predict(xj));
 }
 
 double LocalPenalization::operator()(const Vec& x) const {
@@ -191,12 +192,12 @@ double LocalPenalization::operator()(const Vec& x) const {
   // hammers behave (González et al. §3.2).
   const double raw = (*base_)(x);
   double value = std::log1p(std::exp(std::clamp(raw, -30.0, 30.0)));
-  for (const auto& xj : busy_) {
-    const auto p = model_->predict(xj);
+  for (std::size_t j = 0; j < busy_.size(); ++j) {
+    const gp::Prediction& p = busy_pred_[j];
     const double sd = std::max(p.stddev(), 1e-9);
     // Hammer: probability that x lies outside the exclusion ball around xj.
     const double z =
-        (lipschitz_ * linalg::dist(x, xj) - (best_y_ - p.mean)) /
+        (lipschitz_ * linalg::dist(x, busy_[j]) - (best_y_ - p.mean)) /
         (std::numbers::sqrt2 * sd);
     value *= norm_cdf(z);
   }
@@ -218,7 +219,7 @@ double estimate_lipschitz(const gp::Regressor& model, easybo::Rng& rng,
     const double dist = linalg::dist(a, b);
     if (dist < 1e-9) continue;
     const double slope =
-        std::abs(model.predict(a).mean - model.predict(b).mean) / dist;
+        std::abs(model.predict_mean(a) - model.predict_mean(b)) / dist;
     best = std::max(best, slope);
   }
   return best;

@@ -177,14 +177,18 @@ class LocalPenalization final : public AcquisitionFn {
   /// \param busy       points under evaluation (copied)
   /// \param lipschitz  estimated Lipschitz constant of the objective
   /// \param best_y     current incumbent (the estimated max M)
+  ///
+  /// The hammers' posterior moments at the busy points are predicted here,
+  /// once: \p model must stay fitted and unchanged while this function is
+  /// evaluated (one maximization).
   LocalPenalization(const AcquisitionFn* base, const gp::Regressor* model,
                     std::vector<Vec> busy, double lipschitz, double best_y);
   double operator()(const Vec& x) const override;
 
  private:
   const AcquisitionFn* base_;
-  const gp::Regressor* model_;
   std::vector<Vec> busy_;
+  std::vector<gp::Prediction> busy_pred_;  // model->predict(busy_[j])
   double lipschitz_;
   double best_y_;
 };

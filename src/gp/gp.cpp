@@ -62,13 +62,15 @@ Vec exact_joint_sample(const Kernel& kernel, const std::vector<Vec>& xs,
 
 /// The batched paired posterior both Regressor implementations serve for
 /// m query points. The training inputs are \p first then \p second in
-/// factor order. K*^T is built once, row-major n x m (entry (i, c) =
-/// k(xs[c], input_i), the kernel calls predict()'s cross vector makes);
-/// the means read its first alpha.size() rows against \p alpha, then
-/// \p solve_lower_inplace turns it into Z = L^{-1} K*^T for the variances.
-/// Every accumulation runs per column in the scalar paths' ascending
-/// order, so out[c] is bit-identical to {y_mean + dot(k*[0:n_mean),
-/// alpha), max(k(x, x) - dot(z, z), 0)} for point c.
+/// factor order. K*^T is built once, row-major n x m: row i is the kernel
+/// row of input i against the m queries, entry (i, c) = k(input_i, xs[c]),
+/// which is predict()'s k(xs[c], input_i) bit for bit — a - b = -(b - a)
+/// exactly and the square drops the sign. The means read its first
+/// alpha.size() rows against \p alpha, then \p solve_lower_inplace turns it
+/// into Z = L^{-1} K*^T for the variances. Every accumulation runs per
+/// column in the scalar paths' ascending order, so out[c] is bit-identical
+/// to {y_mean + dot(k*[0:n_mean), alpha), max(k(x, x) - dot(z, z), 0)} for
+/// point c.
 template <class SolveLower>
 void paired_batch(const Kernel& kernel, const std::vector<Vec>& first,
                   const std::vector<Vec>& second, const Vec& alpha,
@@ -78,11 +80,12 @@ void paired_batch(const Kernel& kernel, const std::vector<Vec>& first,
                  "predict_paired_batch: |xs| must equal |out|");
   const std::size_t m = xs.size();
   const std::size_t n = first.size() + second.size();
+  const PointBlock queries(xs, kernel.dim());
   std::vector<double> kt(n * m);
   double* row = kt.data();
   for (const auto* inputs : {&first, &second}) {
     for (const Vec& xi : *inputs) {
-      for (std::size_t c = 0; c < m; ++c) row[c] = kernel(xs[c], xi);
+      kernel.row(xi, queries, 0, m, row);
       row += m;
     }
   }
@@ -118,6 +121,7 @@ GpRegressor::GpRegressor(const GpRegressor& other)
     : kernel_(other.kernel_->clone()),
       noise_var_(other.noise_var_),
       xs_(other.xs_),
+      xt_(other.xt_),
       ys_(other.ys_),
       chol_(other.chol_),
       alpha_(other.alpha_),
@@ -130,6 +134,7 @@ GpRegressor& GpRegressor::operator=(const GpRegressor& other) {
   kernel_ = other.kernel_->clone();
   noise_var_ = other.noise_var_;
   xs_ = other.xs_;
+  xt_ = other.xt_;
   ys_ = other.ys_;
   chol_ = other.chol_;
   alpha_ = other.alpha_;
@@ -151,6 +156,7 @@ void GpRegressor::set_data(std::vector<Vec> xs, Vec ys) {
       chol_.has_value() && xs.size() >= xs_.size() &&
       std::equal(xs_.begin(), xs_.end(), xs.begin());
   xs_ = std::move(xs);
+  xt_ = PointBlock(xs_, dim());
   ys_ = std::move(ys);
   if (!appended) chol_.reset();
 }
@@ -158,6 +164,7 @@ void GpRegressor::set_data(std::vector<Vec> xs, Vec ys) {
 void GpRegressor::add_point(Vec x, double y) {
   EASYBO_REQUIRE(x.size() == dim(), "GpRegressor: input dim mismatch");
   xs_.push_back(std::move(x));
+  xt_ = PointBlock(xs_, dim());
   ys_.push_back(y);
   // The factor (if any) still covers the first n-1 points; fit() extends.
 }
@@ -188,9 +195,7 @@ void GpRegressor::fit_impl(const double* pinned_mean) {
       const std::size_t n = chol_->size();
       const Vec& x_new = xs_[n];
       Vec column(n + 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        column[i] = (*kernel_)(x_new, xs_[i]);
-      }
+      kernel_->row(x_new, xt_, 0, n, column.data());
       column[n] = (*kernel_)(x_new, x_new) + diag_shift;
       if (!chol_->extend(column)) {
         extended = false;  // lost positive definiteness: full refactor
@@ -228,7 +233,8 @@ void GpRegressor::fit_impl(const double* pinned_mean) {
 Prediction GpRegressor::predict(const Vec& x) const {
   EASYBO_REQUIRE(fitted(), "GpRegressor::predict before fit()");
   EASYBO_REQUIRE(x.size() == dim(), "GpRegressor::predict dim mismatch");
-  const Vec kstar = kernel_->cross(x, xs_);
+  Vec kstar(xs_.size());
+  kernel_->row(x, xt_, 0, xs_.size(), kstar.data());
   const double mean = y_mean_ + linalg::dot(kstar, alpha_);
   // var = k(x,x) - ||L^{-1} k*||^2, clamped: round-off can push it below 0
   // when x coincides with a training point.
@@ -240,7 +246,8 @@ Prediction GpRegressor::predict(const Vec& x) const {
 double GpRegressor::predict_mean(const Vec& x) const {
   EASYBO_REQUIRE(fitted(), "GpRegressor::predict_mean before fit()");
   EASYBO_REQUIRE(x.size() == dim(), "GpRegressor::predict_mean dim mismatch");
-  const Vec kstar = kernel_->cross(x, xs_);
+  Vec kstar(xs_.size());
+  kernel_->row(x, xt_, 0, xs_.size(), kstar.data());
   return y_mean_ + linalg::dot(kstar, alpha_);
 }
 
@@ -283,30 +290,30 @@ double GpRegressor::log_marginal_likelihood() const {
 Vec GpRegressor::lml_gradient() const {
   EASYBO_REQUIRE(fitted(), "lml_gradient before fit()");
   const std::size_t n = xs_.size();
-  // W = alpha alpha^T - K^{-1}; dLML/dtheta = 0.5 tr(W dK/dtheta). The
-  // inverse reuses the Cholesky factor (triangular inverse + symmetric
-  // product) — this is the dominant cost of every trainer gradient step.
+  const std::size_t np = kernel_->num_params();
+  // dLML/dtheta = 0.5 tr(W dK/dtheta) with W = alpha alpha^T - K^{-1},
+  // folded over the symmetry of W and dK: one pass over the lower
+  // triangle, pair by pair, feeding d + 2 accumulators (one per kernel
+  // parameter and tr W for the noise term). Each accumulator takes its
+  // terms i ascending, the diagonal's halved term first, then j
+  // ascending: the order the dense W .* dK sum used.
   const Matrix kinv = chol_->inverse();
-  Matrix w(n, n);
+  Vec grad(np + 1, 0.0);
+  Vec dk(np);
+  double tr_w = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      w(i, j) = alpha_[i] * alpha_[j] - kinv(i, j);
+    const double wii = alpha_[i] * alpha_[i] - kinv(i, i);
+    kernel_->value_and_gradient(xs_[i], xs_[i], dk.data());
+    const double half = 0.5 * wii;
+    for (std::size_t p = 0; p < np; ++p) grad[p] += half * dk[p];
+    tr_w += wii;
+    for (std::size_t j = 0; j < i; ++j) {
+      const double wij = alpha_[i] * alpha_[j] - kinv(i, j);
+      kernel_->value_and_gradient(xs_[j], xs_[i], dk.data());
+      for (std::size_t p = 0; p < np; ++p) grad[p] += wij * dk[p];
     }
-  }
-  const auto dks = kernel_->gram_gradients(xs_);
-  Vec grad(kernel_->num_params() + 1, 0.0);
-  for (std::size_t p = 0; p < dks.size(); ++p) {
-    // Both W and dK/dtheta are symmetric: fold the off-diagonal half.
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += 0.5 * w(i, i) * dks[p](i, i);
-      for (std::size_t j = 0; j < i; ++j) acc += w(i, j) * dks[p](i, j);
-    }
-    grad[p] = acc;
   }
   // Noise term: dK/dlog sn^2 = sn^2 I.
-  double tr_w = 0.0;
-  for (std::size_t i = 0; i < n; ++i) tr_w += w(i, i);
   grad.back() = 0.5 * noise_var_ * tr_w;
   return grad;
 }
@@ -360,7 +367,10 @@ class HallucinatedGp final : public Regressor {
  public:
   HallucinatedGp(const GpRegressor* base, const std::vector<Vec>& pending,
                  bool pin_mean)
-      : base_(base), pend_x_(pending), ext_(&base->factor()) {
+      : base_(base),
+        pend_x_(pending),
+        pend_xt_(pend_x_, base->dim()),
+        ext_(&base->factor()) {
     obs::TraceSink* trace = base_->trace_;
     obs::count(trace, "gp.hallucinate");
     const Kernel& kernel = *base_->kernel_;
@@ -391,12 +401,8 @@ class HallucinatedGp final : public Regressor {
     for (std::size_t p = 0; p < pend_x_.size(); ++p) {
       const Vec& x_new = pend_x_[p];
       Vec column(n0 + p + 1);
-      for (std::size_t i = 0; i < n0; ++i) {
-        column[i] = kernel(x_new, base_->xs_[i]);
-      }
-      for (std::size_t i = 0; i < p; ++i) {
-        column[n0 + i] = kernel(x_new, pend_x_[i]);
-      }
+      kernel.row(x_new, base_->xt_, 0, n0, column.data());
+      kernel.row(x_new, pend_xt_, 0, p, column.data() + n0);
       column[n0 + p] = kernel(x_new, x_new) + diag_shift;
       if (!ext_.extend(column)) {
         extended = false;
@@ -502,12 +508,8 @@ class HallucinatedGp final : public Regressor {
     const Kernel& kernel = *base_->kernel_;
     const std::size_t n0 = base_->xs_.size();
     Vec kstar(num_points());
-    for (std::size_t i = 0; i < n0; ++i) {
-      kstar[i] = kernel(x, base_->xs_[i]);
-    }
-    for (std::size_t j = 0; j < pend_x_.size(); ++j) {
-      kstar[n0 + j] = kernel(x, pend_x_[j]);
-    }
+    kernel.row(x, base_->xt_, 0, n0, kstar.data());
+    kernel.row(x, pend_xt_, 0, pend_x_.size(), kstar.data() + n0);
     return kstar;
   }
 
@@ -526,6 +528,7 @@ class HallucinatedGp final : public Regressor {
 
   const GpRegressor* base_;  // borrowed; must stay alive and fitted
   std::vector<Vec> pend_x_;
+  PointBlock pend_xt_;  // pend_x_ laid out for kernel rows
   Vec pend_y_;  // pseudo targets: base predictive means
   double y_mean_ = 0.0;
   linalg::CholeskyExt ext_;

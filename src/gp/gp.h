@@ -106,7 +106,11 @@ class GpRegressor final : public Regressor {
 
   /// Gradient of the log marginal likelihood w.r.t. the flat log
   /// hyperparameter vector [kernel params..., log sn^2]. Requires fitted().
-  /// O(n^3) — used only during hyperparameter training.
+  /// One explicit K^{-1} (Cholesky::inverse, O(n^3)) and one pass over the
+  /// lower triangle with a Kernel::value_and_gradient call per pair; no
+  /// n x n gradient matrix is formed. Bit-identical to the dense
+  /// 0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta) fold. Used only during
+  /// hyperparameter training.
   Vec lml_gradient() const;
 
   /// Flat hyperparameters: kernel log-params followed by log noise variance.
@@ -176,6 +180,7 @@ class GpRegressor final : public Regressor {
   std::unique_ptr<Kernel> kernel_;
   double noise_var_;
   std::vector<Vec> xs_;
+  PointBlock xt_;  // xs_ laid out for kernel rows, kept in sync with it
   Vec ys_;
 
   // Fit state.

@@ -13,6 +13,7 @@
 /// log sn^2 lives in the regressor, not the kernel.
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,28 @@ namespace easybo::gp {
 
 using linalg::Matrix;
 using linalg::Vec;
+
+/// A point set laid out for kernel rows: coordinate p of every point is
+/// one contiguous run, coord(p)[i] = X_i[p] (the d x n block stored row
+/// by row). A row then vectorizes across points.
+class PointBlock {
+ public:
+  PointBlock() = default;
+
+  /// Copies \p xs (each of size \p dim) into the block.
+  PointBlock(std::span<const Vec> xs, std::size_t dim);
+
+  std::size_t size() const { return n_; }
+  std::size_t dim() const { return d_; }
+
+  /// Coordinate p of points 0..size()-1.
+  const double* coord(std::size_t p) const { return data_.data() + p * n_; }
+
+ private:
+  std::size_t n_ = 0;
+  std::size_t d_ = 0;
+  Vec data_;
+};
 
 /// Abstract stationary ARD kernel.
 class Kernel {
@@ -41,19 +64,30 @@ class Kernel {
   /// Replaces hyperparameters (log space); size must equal num_params().
   virtual void set_log_params(const Vec& lp) = 0;
 
-  /// k(a, b) for two points of dimension dim().
+  /// k(a, b) for two points of dimension dim(): the scalar definition
+  /// every row and pair primitive below is pinned against bit for bit.
   virtual double operator()(const Vec& a, const Vec& b) const = 0;
 
-  /// Gram matrix K(X, X) for rows of X (n x d).
-  virtual Matrix gram(const std::vector<Vec>& xs) const;
+  /// One kernel row: out[i - begin] = k(x, X_i) for the points i in
+  /// [begin, end) of \p pts. Each point has its own accumulator taking
+  /// the dimensions in operator()'s order, two points per vector, so
+  /// every entry equals operator()(x, X_i) bit for bit. The one primitive
+  /// behind the Gram matrix, the cross vectors and the batched cross
+  /// blocks.
+  virtual void row(const Vec& x, const PointBlock& pts, std::size_t begin,
+                   std::size_t end, double* out) const = 0;
+
+  /// Returns k(a, b) and writes grad[p] = d k(a, b) / d log_params[p] for
+  /// p < num_params(). The LML gradient's per-pair primitive; the value
+  /// equals operator()(a, b) bit for bit.
+  virtual double value_and_gradient(const Vec& a, const Vec& b,
+                                    double* grad) const = 0;
+
+  /// Gram matrix K(X, X) for the points \p xs, one row per point.
+  Matrix gram(const std::vector<Vec>& xs) const;
 
   /// Cross-covariance vector k(x*, X).
-  virtual Vec cross(const Vec& x, const std::vector<Vec>& xs) const;
-
-  /// Partial derivatives of the Gram matrix w.r.t. each log-hyperparameter:
-  /// out[p](i, j) = d K_ij / d log_params[p]. Used by the LML gradient.
-  virtual std::vector<Matrix> gram_gradients(
-      const std::vector<Vec>& xs) const = 0;
+  Vec cross(const Vec& x, const std::vector<Vec>& xs) const;
 
   /// Deep copy (regressors own their kernel).
   virtual std::unique_ptr<Kernel> clone() const = 0;
@@ -76,8 +110,10 @@ class SquaredExponentialArd final : public Kernel {
   Vec log_params() const override;
   void set_log_params(const Vec& lp) override;
   double operator()(const Vec& a, const Vec& b) const override;
-  std::vector<Matrix> gram_gradients(
-      const std::vector<Vec>& xs) const override;
+  void row(const Vec& x, const PointBlock& pts, std::size_t begin,
+           std::size_t end, double* out) const override;
+  double value_and_gradient(const Vec& a, const Vec& b,
+                            double* grad) const override;
   std::unique_ptr<Kernel> clone() const override;
   std::string name() const override { return "SE-ARD"; }
 
@@ -100,8 +136,10 @@ class Matern52Ard final : public Kernel {
   Vec log_params() const override;
   void set_log_params(const Vec& lp) override;
   double operator()(const Vec& a, const Vec& b) const override;
-  std::vector<Matrix> gram_gradients(
-      const std::vector<Vec>& xs) const override;
+  void row(const Vec& x, const PointBlock& pts, std::size_t begin,
+           std::size_t end, double* out) const override;
+  double value_and_gradient(const Vec& a, const Vec& b,
+                            double* grad) const override;
   std::unique_ptr<Kernel> clone() const override;
   std::string name() const override { return "Matern52-ARD"; }
 

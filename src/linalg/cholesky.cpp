@@ -1,9 +1,11 @@
 #include "linalg/cholesky.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "common/error.h"
+#include "linalg/lanes.h"
 
 namespace easybo::linalg {
 
@@ -65,6 +67,53 @@ void forward_rows(const RowOf& row, std::size_t begin, std::size_t end,
   }
 }
 
+/// Rows per step of the single-right-hand-side triangular kernels.
+constexpr std::size_t kRows = 4;
+
+/// Rows [begin, end) of the single-right-hand-side forward substitution
+/// z_i = (b_i - sum_{k<i} l_ik z_k) / l_ii, in place on \p z, which holds
+/// b from row begin on and the solved z before it. \p row(i) points at
+/// factor row i. kRows rows go at a time: their sums over the solved
+/// prefix z[0, i) run as independent chains, then the rows' small
+/// triangle resolves in order. Each row's accumulator still takes its
+/// terms k ascending, so z is the one-row-at-a-time recurrence's bit for
+/// bit.
+template <class RowOf>
+void forward_one(const RowOf& row, std::size_t begin, std::size_t end,
+                 double* z) {
+  std::size_t i = begin;
+  for (; i + kRows <= end; i += kRows) {
+    const double* r[kRows];
+    double acc[kRows];
+#pragma GCC unroll kRows
+    for (std::size_t t = 0; t < kRows; ++t) {
+      r[t] = row(i + t);
+      acc[t] = z[i + t];
+    }
+    for (std::size_t k = 0; k < i; ++k) {
+      const double zk = z[k];
+#pragma GCC unroll kRows
+      for (std::size_t t = 0; t < kRows; ++t) acc[t] -= r[t][k] * zk;
+    }
+#pragma GCC unroll kRows
+    for (std::size_t t = 0; t < kRows; ++t) {
+      for (std::size_t u = 0; u < t; ++u) acc[t] -= r[t][i + u] * z[i + u];
+      z[i + t] = acc[t] / r[t][i + t];
+    }
+  }
+  for (; i < end; ++i) {
+    const double* ri = row(i);
+    double acc = z[i];
+    for (std::size_t k = 0; k < i; ++k) acc -= ri[k] * z[k];
+    z[i] = acc / ri[i];
+  }
+}
+
+/// Columns per register tile of the inverse's two triangular products:
+/// kInvTile / 2 two-lane accumulators.
+constexpr std::size_t kInvTile = 8;
+constexpr std::size_t kInvLanes = kInvTile / 2;
+
 }  // namespace
 
 Cholesky::Cholesky(const Matrix& a, double initial_jitter, int max_tries) {
@@ -99,16 +148,39 @@ Cholesky::Cholesky(const Matrix& a, double initial_jitter, int max_tries) {
 bool Cholesky::try_factor(const Matrix& a) {
   const std::size_t n = a.rows();
   l_ = Matrix(n, n, 0.0);
+  if (n == 0) return true;
+  double* l = &l_(0, 0);
   for (std::size_t j = 0; j < n; ++j) {
+    const double* lj = l + j * n;
     double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
+    for (std::size_t k = 0; k < j; ++k) diag -= lj[k] * lj[k];
     if (!(diag > 0.0) || !std::isfinite(diag)) return false;
     const double ljj = std::sqrt(diag);
-    l_(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
+    l[j * n + j] = ljj;
+    // Column j below the diagonal, kRows rows at a time: each row's
+    // k-ascending sum stays its own chain; the chains share l_jk.
+    std::size_t i = j + 1;
+    for (; i + kRows <= n; i += kRows) {
+      double* r[kRows];
+      double v[kRows];
+#pragma GCC unroll kRows
+      for (std::size_t t = 0; t < kRows; ++t) {
+        r[t] = l + (i + t) * n;
+        v[t] = a(i + t, j);
+      }
+      for (std::size_t k = 0; k < j; ++k) {
+        const double ljk = lj[k];
+#pragma GCC unroll kRows
+        for (std::size_t t = 0; t < kRows; ++t) v[t] -= r[t][k] * ljk;
+      }
+#pragma GCC unroll kRows
+      for (std::size_t t = 0; t < kRows; ++t) r[t][j] = v[t] / ljj;
+    }
+    for (; i < n; ++i) {
+      double* li = l + i * n;
       double v = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= l_(i, k) * l_(j, k);
-      l_(i, j) = v / ljj;
+      for (std::size_t k = 0; k < j; ++k) v -= li[k] * lj[k];
+      li[j] = v / ljj;
     }
   }
   return true;
@@ -117,13 +189,7 @@ bool Cholesky::try_factor(const Matrix& a) {
 Vec Cholesky::solve(const Vec& b) const {
   const std::size_t n = size();
   EASYBO_REQUIRE(b.size() == n, "Cholesky::solve size mismatch");
-  // Forward substitution: L z = b.
-  Vec z(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= l_(i, k) * z[k];
-    z[i] = acc / l_(i, i);
-  }
+  const Vec z = solve_lower(b);
   // Back substitution: L^T x = z.
   Vec x(n);
   for (std::size_t ii = n; ii > 0; --ii) {
@@ -148,12 +214,9 @@ Matrix Cholesky::solve(const Matrix& b) const {
 Vec Cholesky::solve_lower(const Vec& b) const {
   const std::size_t n = size();
   EASYBO_REQUIRE(b.size() == n, "Cholesky::solve_lower size mismatch");
-  Vec z(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= l_(i, k) * z[k];
-    z[i] = acc / l_(i, i);
-  }
+  Vec z = b;
+  const double* l = l_.data().data();
+  forward_one([l, n](std::size_t i) { return l + i * n; }, 0, n, z.data());
   return z;
 }
 
@@ -206,27 +269,62 @@ double Cholesky::log_det() const {
 
 Matrix Cholesky::inverse() const {
   const std::size_t n = size();
-  // Column j of L^{-1} is zero above row j, so forward substitution on
-  // the unit column starts at row j: ~n^3/6 flops for the whole factor
-  // inverse instead of n^3 for dense identity-column solves.
-  Matrix linv(n, n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    linv(j, j) = 1.0 / l_(j, j);
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t k = j; k < i; ++k) acc -= l_(i, k) * linv(k, j);
-      linv(i, j) = acc / l_(i, i);
+  const double* l = l_.data().data();
+  // L^{-1}, row-major in a buffer padded to whole tiles: row i is the
+  // forward substitution of the identity, every column at once. Column j
+  // runs the triangular-inverse recurrence (acc = 0; acc -= l_ik linv_kj
+  // for k = j..i-1; linv_ij = acc / l_ii, and linv_jj = 1 / l_jj), tile
+  // by tile: a tile's sweep over k starts at its first column, so the
+  // columns behind it see leading terms against entries above the
+  // diagonal — exact zeros, which leave a +0 accumulator (or the
+  // diagonal's 1) as it was. Only the ~n^3/6 lower-triangle work is done.
+  const std::size_t stride = (n + kInvTile - 1) / kInvTile * kInvTile;
+  std::vector<double> linv(n * stride, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = l + i * n;
+    const F64x2 lii = splat2(li[i]);
+    for (std::size_t c0 = 0; c0 <= i; c0 += kInvTile) {
+      F64x2 acc[kInvLanes] = {};
+      if (i < c0 + kInvTile) acc[(i - c0) / 2][(i - c0) % 2] = 1.0;
+      for (std::size_t k = c0; k < i; ++k) {
+        const F64x2 lik = splat2(li[k]);
+        const double* zk = linv.data() + k * stride + c0;
+#pragma GCC unroll kInvLanes
+        for (std::size_t t = 0; t < kInvLanes; ++t) {
+          acc[t] -= lik * load2(zk + 2 * t);
+        }
+      }
+      double* out = linv.data() + i * stride + c0;
+#pragma GCC unroll kInvLanes
+      for (std::size_t t = 0; t < kInvLanes; ++t) {
+        store2(out + 2 * t, acc[t] / lii);
+      }
     }
   }
-  // A^{-1} = L^{-T} L^{-1}; entry (i,j) only sums over k >= max(i,j), and
-  // the result is symmetric, so compute the lower triangle and mirror.
+  // A^{-1} = L^{-T} L^{-1}: entry (i, j), j <= i, is acc = 0; acc +=
+  // linv_ki linv_kj for k = i..n-1, one accumulator per column against
+  // the broadcast linv_ki. The lower triangle is computed and mirrored;
+  // tile columns past i are dropped.
   Matrix inv(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = i; k < n; ++k) acc += linv(k, i) * linv(k, j);
-      inv(i, j) = acc;
-      inv(j, i) = acc;
+    for (std::size_t j0 = 0; j0 <= i; j0 += kInvTile) {
+      F64x2 acc[kInvLanes] = {};
+      for (std::size_t k = i; k < n; ++k) {
+        const double* zk = linv.data() + k * stride;
+        const F64x2 lki = splat2(zk[i]);
+#pragma GCC unroll kInvLanes
+        for (std::size_t t = 0; t < kInvLanes; ++t) {
+          acc[t] += lki * load2(zk + j0 + 2 * t);
+        }
+      }
+      double vals[kInvTile];
+#pragma GCC unroll kInvLanes
+      for (std::size_t t = 0; t < kInvLanes; ++t) store2(vals + 2 * t, acc[t]);
+      const std::size_t j_end = std::min(j0 + kInvTile, i + 1);
+      for (std::size_t j = j0; j < j_end; ++j) {
+        inv(i, j) = vals[j - j0];
+        inv(j, i) = vals[j - j0];
+      }
     }
   }
   return inv;
@@ -260,22 +358,14 @@ Vec CholeskyExt::solve_lower(const Vec& b) const {
   const std::size_t n0 = base_->size();
   const std::size_t n = size();
   EASYBO_REQUIRE(b.size() == n, "CholeskyExt::solve_lower size mismatch");
-  const Matrix& l = base_->factor();
-  Vec z(n);
   // Rows of the base triangle, then the appended rows: together this is
   // the monolithic forward substitution, element for element.
-  for (std::size_t i = 0; i < n0; ++i) {
-    double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * z[k];
-    z[i] = acc / l(i, i);
-  }
-  for (std::size_t j = 0; j < rows_.size(); ++j) {
-    const Vec& row = rows_[j];
-    const std::size_t i = n0 + j;
-    double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= row[k] * z[k];
-    z[i] = acc / row[i];
-  }
+  Vec z = b;
+  const double* l = base_->factor().data().data();
+  forward_one([l, n0](std::size_t i) { return l + i * n0; }, 0, n0,
+              z.data());
+  forward_one([this, n0](std::size_t i) { return rows_[i - n0].data(); },
+              n0, n, z.data());
   return z;
 }
 

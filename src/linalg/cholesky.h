@@ -8,6 +8,13 @@
 /// optimization run, and deliberately when hallucinated pseudo-points are
 /// added), so the factorization retries with exponentially growing diagonal
 /// jitter before giving up.
+///
+/// Same-order contract: the factor, the solves and the inverse run several
+/// independent accumulators side by side (rows or columns at a time, two
+/// lanes per vector) so they are bound by throughput rather than by one
+/// serial chain, but every accumulator takes exactly the terms, in exactly
+/// the order, of the one-entry-at-a-time loop. Results are bit-identical to
+/// those loops (tests/test_linalg.cpp pins them against the scalar code).
 
 #include <span>
 
@@ -45,8 +52,12 @@ class Cholesky {
   /// Solves A X = B column-by-column.
   Matrix solve(const Matrix& b) const;
 
-  /// Solves L z = b (forward substitution only). Used for the GP variance
-  /// term k** - ||L^{-1} k*||^2.
+  /// Solves L z = b (forward substitution only): z_i = (b_i - sum_{k<i}
+  /// l_ik z_k) / l_ii, each row's sum k ascending. Rows go a few at a
+  /// time: their sums over the solved prefix run as independent chains,
+  /// then the small triangle among them resolves in order. Serves the GP
+  /// variance term k** - ||L^{-1} k*||^2, extend() and solve()'s forward
+  /// half.
   Vec solve_lower(const Vec& b) const;
 
   /// Solves L Z = B in place for m right-hand sides at once: \p b holds B
@@ -75,11 +86,11 @@ class Cholesky {
   /// log(det A) = 2 * sum_i log L_ii.
   double log_det() const;
 
-  /// Explicit inverse (used only by tests and the LML gradient, where the
-  /// full K^{-1} is genuinely required). Computed as L^{-T} L^{-1} with
-  /// both steps exploiting the triangular structure — about 3x cheaper
-  /// than back-solving dense identity columns, and the dominant cost of
-  /// every train_mle gradient step.
+  /// Explicit inverse (used by the LML gradient, where the full K^{-1} is
+  /// genuinely required, and by tests). Computed as L^{-T} L^{-1} over the
+  /// lower triangles only, ~n^3/3 multiply-adds: L^{-1} is kept row-major,
+  /// so both steps broadcast one entry against a contiguous register tile
+  /// of columns, one two-lane accumulator per column pair.
   Matrix inverse() const;
 
  private:
@@ -130,7 +141,9 @@ class CholeskyExt {
   /// Solves (combined A) x = b through forward/back substitution.
   Vec solve(const Vec& b) const;
 
-  /// Solves (combined L) z = b, forward substitution only.
+  /// Solves (combined L) z = b, forward substitution only — the base
+  /// triangle's rows, then the appended rows, under Cholesky::solve_lower's
+  /// contract.
   Vec solve_lower(const Vec& b) const;
 
   /// Multi-right-hand-side solve_lower over the combined factor, in place

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <numbers>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -356,6 +359,30 @@ TEST(LocalPenalization, SuppressesBusyNeighborhoodOnly) {
   EXPECT_GT(lp_empty({0.45}), lp_empty({0.9}));
   // Busy point suppressed relative to the unpenalized version.
   EXPECT_LT(lp(busy) / std::max(lp_empty(busy), 1e-12), 0.9);
+}
+
+TEST(LocalPenalization, CachedBusyPredictionsMatchPerEvaluationFormula) {
+  // The busy points' moments are predicted once, at construction; every
+  // value must equal the formula that re-predicts them per evaluation.
+  const auto gp = make_model();
+  Ei base(&gp, 0.2);
+  const std::vector<Vec> busy = {{0.3}, {0.62}, {0.95}};
+  const double lipschitz = 4.0;
+  const double best_y = 0.8;
+  const LocalPenalization lp(&base, &gp, busy, lipschitz, best_y);
+  for (double x = 0.0; x <= 1.0; x += 0.0625) {
+    const Vec xv = {x};
+    double expected = std::log1p(std::exp(std::clamp(base(xv), -30.0, 30.0)));
+    for (const Vec& xj : busy) {
+      const auto p = gp.predict(xj);
+      const double sd = std::max(p.stddev(), 1e-9);
+      const double z = (lipschitz * linalg::dist(xv, xj) - (best_y - p.mean)) /
+                       (std::numbers::sqrt2 * sd);
+      expected *= norm_cdf(z);
+    }
+    const double got = lp(xv);
+    EXPECT_EQ(std::memcmp(&got, &expected, sizeof got), 0) << "x=" << x;
+  }
 }
 
 TEST(EstimateLipschitz, PositiveAndScalesWithFunction) {

@@ -2,7 +2,9 @@
 /// \brief Golden proposal streams pinned across versions.
 ///
 /// Short seeded default-config runs on Branin, one per acquisition path
-/// the penalized and batched machinery serves, hashed with FNV-1a 64 over
+/// the penalized and batched machinery serves, plus a Matérn-5/2 Branin
+/// run and a 10-D op-amp run whose hyperparameter refits fall at
+/// n = 20, 30 and 45, hashed with FNV-1a 64 over
 /// the IEEE-754 bytes of every proposed coordinate in proposal order —
 /// perfbench's `stream_hash`. A change that moves any proposal by one ulp
 /// changes its hash. Speed work must keep these constants; a change that
@@ -16,8 +18,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 
 #include "bo/engine.h"
+#include "circuit/benchmark.h"
 #include "circuit/testfunc.h"
 
 namespace easybo::bo {
@@ -42,21 +46,28 @@ class StreamHash {
   std::uint64_t h_ = 0xCBF29CE484222325ull;
 };
 
-/// Runs \p cfg on Branin (virtual time, so the objective is called once
-/// per proposal, in proposal order) and hashes the proposals.
-std::uint64_t branin_stream_hash(const BoConfig& cfg) {
-  const auto tf = circuit::branin();
+/// Runs \p cfg on \p objective (virtual time, so the objective is called
+/// once per proposal, in proposal order) and hashes the proposals.
+std::uint64_t stream_hash(
+    const BoConfig& cfg, const opt::Bounds& bounds,
+    const opt::Objective& objective,
+    const std::function<double(const Vec&)>& sim_time = nullptr) {
   StreamHash hash;
   std::size_t calls = 0;
   const opt::Objective fn = [&](const Vec& x) {
     hash.add(x);
     ++calls;
-    return tf.fn(x);
+    return objective(x);
   };
-  const BoResult r = run_bo(cfg, tf.bounds, fn);
+  const BoResult r = run_bo(cfg, bounds, fn, sim_time);
   EXPECT_EQ(calls, cfg.max_sims);
   EXPECT_EQ(r.num_evals(), cfg.max_sims);
   return hash.value();
+}
+
+std::uint64_t branin_stream_hash(const BoConfig& cfg) {
+  const auto tf = circuit::branin();
+  return stream_hash(cfg, tf.bounds, tf.fn);
 }
 
 BoConfig golden_config(Mode mode, AcqKind acq) {
@@ -81,6 +92,23 @@ TEST(GoldenStreams, BucbAsync) {
 TEST(GoldenStreams, PboSync) {
   const BoConfig cfg = golden_config(Mode::SyncBatch, AcqKind::Pbo);
   EXPECT_EQ(branin_stream_hash(cfg), 0x2fc82cac2c80c8aaull);
+}
+
+TEST(GoldenStreams, EasyBoAsyncMatern52) {
+  BoConfig cfg = golden_config(Mode::AsyncBatch, AcqKind::EasyBo);
+  cfg.kernel = "matern52";
+  EXPECT_EQ(branin_stream_hash(cfg), 0x5454176098359f22ull);
+}
+
+TEST(GoldenStreams, EasyBoAsyncOpamp) {
+  // The paper's op-amp setup (d = 10, B = 15, 20 initial points) cut to 60
+  // sims, on its simulation-time model so the batch runs asynchronously.
+  const auto b = circuit::make_opamp_benchmark();
+  BoConfig cfg = golden_config(Mode::AsyncBatch, AcqKind::EasyBo);
+  cfg.batch = 15;
+  cfg.max_sims = 60;
+  EXPECT_EQ(stream_hash(cfg, b.bounds, b.fom, b.sim_time),
+            0x96ef56a4d3d9b7e8ull);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -75,7 +77,8 @@ TEST(Matern52, DecaysSlowerThanSeFar) {
   EXPECT_GT(m({0.0}, {3.0}), se({0.0}, {3.0}));
 }
 
-// Gradient check: analytic gram_gradients vs central finite differences.
+// Gradient check: the analytic per-pair gradient (value_and_gradient) vs
+// central finite differences of the Gram matrix.
 class KernelGradientCheck
     : public ::testing::TestWithParam<const char*> {};
 
@@ -90,8 +93,17 @@ TEST_P(KernelGradientCheck, MatchesFiniteDifferences) {
   kernel->set_log_params(lp);
 
   const auto xs = random_points(6, 3, rng);
-  const auto grads = kernel->gram_gradients(xs);
-  ASSERT_EQ(grads.size(), kernel->num_params());
+  const std::size_t n = xs.size();
+  std::vector<linalg::Matrix> grads(kernel->num_params(),
+                                    linalg::Matrix(n, n));
+  Vec g(kernel->num_params());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const double k = kernel->value_and_gradient(xs[i], xs[j], g.data());
+      EXPECT_EQ(k, (*kernel)(xs[i], xs[j]));
+      for (std::size_t p = 0; p < g.size(); ++p) grads[p](i, j) = g[p];
+    }
+  }
 
   const double h = 1e-6;
   for (std::size_t p = 0; p < kernel->num_params(); ++p) {
@@ -114,6 +126,65 @@ TEST_P(KernelGradientCheck, MatchesFiniteDifferences) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, KernelGradientCheck,
+                         ::testing::Values("se", "matern52"));
+
+/// True when \p a and \p b hold the same doubles, bit for bit.
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// A kernel of \p name ("se" | "matern52") with the given parameters.
+std::unique_ptr<Kernel> kernel_with(const std::string& name, double sf2,
+                                    const Vec& ls) {
+  if (name == "se") return std::make_unique<SquaredExponentialArd>(sf2, ls);
+  return std::make_unique<Matern52Ard>(sf2, ls);
+}
+
+Vec random_lengthscales(std::size_t d, Rng& rng) {
+  Vec ls(d);
+  for (auto& l : ls) l = rng.uniform(0.3, 1.5);
+  return ls;
+}
+
+class KernelRowOracle : public ::testing::TestWithParam<const char*> {};
+
+const std::size_t kOracleDims[] = {1, 3, 10};
+
+TEST_P(KernelRowOracle, RowsMatchOperatorBitwise) {
+  Rng rng(31);
+  for (const std::size_t d : kOracleDims) {
+    const auto kernel =
+        kernel_with(GetParam(), 1.7, random_lengthscales(d, rng));
+    const auto xs = random_points(23, d, rng);
+    const PointBlock pts(xs, d);
+    const Vec x = rng.uniform_vector(d);
+    Vec ref(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) ref[i] = (*kernel)(x, xs[i]);
+    // Ranges off 0 with odd, even and unit lengths: the blocked, paired
+    // and single-point paths of the row.
+    using Range = std::pair<std::size_t, std::size_t>;
+    for (const auto& [begin, end] :
+         {Range{3, 20}, Range{1, 23}, Range{5, 6}, Range{0, 16}, Range{7, 7}}) {
+      Vec out(end - begin);
+      kernel->row(x, pts, begin, end, out.data());
+      EXPECT_TRUE(same_bits(out, Vec(ref.begin() + begin, ref.begin() + end)))
+          << "d=" << d << " range [" << begin << ", " << end << ")";
+    }
+    EXPECT_TRUE(same_bits(kernel->cross(x, xs), ref));
+    const auto gram = kernel->gram(xs);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      for (std::size_t j = i; j < xs.size(); ++j) {
+        const Vec v = {(*kernel)(xs[i], xs[j])};
+        EXPECT_TRUE(same_bits({gram(i, j)}, v));
+        EXPECT_TRUE(same_bits({gram(j, i)}, v));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, KernelRowOracle,
                          ::testing::Values("se", "matern52"));
 
 TEST(KernelFactory, KnownNamesAndErrors) {
@@ -254,6 +325,126 @@ TEST(GpRegressor, LmlGradientMatchesFiniteDifferences) {
         << "hyperparameter " << p;
   }
 }
+
+/// The dense LML gradient: an explicit K^{-1}, W = alpha alpha^T - K^{-1}
+/// as an n x n matrix and d + 1 dense Gram-gradient matrices folded
+/// against it, parameter by parameter. \p l is the model's factor; alpha
+/// and K^{-1} come from it by the scalar triangular loops.
+Vec dense_lml_gradient(const std::string& name, double sf2, const Vec& ls,
+                       const GpRegressor& gp) {
+  const auto& xs = gp.inputs();
+  const std::size_t n = xs.size();
+  const std::size_t d = ls.size();
+  const linalg::Matrix& l = gp.factor().factor();
+
+  Vec z(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = gp.targets()[i] - gp.empirical_mean();
+    for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * z[k];
+    z[i] = acc / l(i, i);
+  }
+  Vec alpha(n);
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double acc = z[i];
+    for (std::size_t k = i + 1; k < n; ++k) acc -= l(k, i) * alpha[k];
+    alpha[i] = acc / l(i, i);
+  }
+  linalg::Matrix linv(n, n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    linv(j, j) = 1.0 / l(j, j);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double acc = 0.0;
+      for (std::size_t k = j; k < i; ++k) acc -= l(i, k) * linv(k, j);
+      linv(i, j) = acc / l(i, i);
+    }
+  }
+  linalg::Matrix kinv(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = i; k < n; ++k) acc += linv(k, i) * linv(k, j);
+      kinv(i, j) = acc;
+      kinv(j, i) = acc;
+    }
+  }
+  linalg::Matrix w(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      w(i, j) = alpha[i] * alpha[j] - kinv(i, j);
+    }
+  }
+
+  constexpr double kSqrt5 = 2.23606797749978969;
+  std::vector<linalg::Matrix> dks(d + 1, linalg::Matrix(n, n));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      double r2 = 0.0;
+      for (std::size_t p = 0; p < d; ++p) {
+        const double zp = (xs[i][p] - xs[j][p]) / ls[p];
+        r2 += zp * zp;
+      }
+      double kij = 0.0;
+      double common = 0.0;
+      if (name == "se") {
+        kij = sf2 * std::exp(-0.5 * r2);
+        common = kij;
+      } else {
+        const double r = std::sqrt(r2);
+        const double e = std::exp(-kSqrt5 * r);
+        kij = sf2 * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) * e;
+        common = sf2 * e * (5.0 / 3.0) * (1.0 + kSqrt5 * r);
+      }
+      dks[0](i, j) = kij;
+      dks[0](j, i) = kij;
+      for (std::size_t p = 0; p < d; ++p) {
+        const double zp = (xs[i][p] - xs[j][p]) / ls[p];
+        const double g = common * zp * zp;
+        dks[p + 1](i, j) = g;
+        dks[p + 1](j, i) = g;
+      }
+    }
+  }
+
+  Vec grad(d + 2, 0.0);
+  for (std::size_t p = 0; p <= d; ++p) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc += 0.5 * w(i, i) * dks[p](i, i);
+      for (std::size_t j = 0; j < i; ++j) acc += w(i, j) * dks[p](i, j);
+    }
+    grad[p] = acc;
+  }
+  double tr_w = 0.0;
+  for (std::size_t i = 0; i < n; ++i) tr_w += w(i, i);
+  grad.back() = 0.5 * gp.noise_variance() * tr_w;
+  return grad;
+}
+
+class LmlGradientOracle : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LmlGradientOracle, FusedPassMatchesDenseFormulaBitwise) {
+  const std::string name = GetParam();
+  Rng rng(47);
+  for (const std::size_t d : kOracleDims) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{9},
+                                std::size_t{64}}) {
+      const double sf2 = rng.uniform(0.5, 2.0);
+      const Vec ls = random_lengthscales(d, rng);
+      GpRegressor gp(kernel_with(name, sf2, ls), rng.uniform(1e-4, 1e-2));
+      Vec ys(n);
+      for (auto& y : ys) y = rng.normal();
+      gp.set_data(random_points(n, d, rng), ys);
+      gp.fit();
+      EXPECT_TRUE(same_bits(gp.lml_gradient(),
+                            dense_lml_gradient(name, sf2, ls, gp)))
+          << name << " d=" << d << " n=" << n;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, LmlGradientOracle,
+                         ::testing::Values("se", "matern52"));
 
 TEST(GpRegressor, AddPointInvalidatesFit) {
   auto gp = make_fitted_1d();

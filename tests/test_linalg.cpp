@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -301,6 +302,190 @@ TEST(CholeskyMultiRhs, ExtViewInplaceSolveMatchesSolveLowerBitwise) {
   }
   ASSERT_EQ(view.size(), n0 + k);
   expect_inplace_matches_columns(view, rng);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise differential oracles: the tiled kernels against the scalar loops
+// ---------------------------------------------------------------------------
+
+/// The scalar triangular loops the tiled Cholesky kernels must reproduce
+/// bit for bit: one entry at a time, each a single accumulator taking its
+/// terms in a fixed order.
+namespace scalar {
+
+/// Column by column; entry (i, j) is a(i, j) - sum_{k<j} l_ik l_jk with k
+/// ascending, over l_jj. Requires a positive definite \p a.
+Matrix factor(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    double diag = a(j, j);
+    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
+    const double ljj = std::sqrt(diag);
+    l(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double v = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) v -= l(i, k) * l(j, k);
+      l(i, j) = v / ljj;
+    }
+  }
+  return l;
+}
+
+Vec solve_lower(const Matrix& l, const Vec& b) {
+  const std::size_t n = l.rows();
+  Vec z(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = b[i];
+    for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * z[k];
+    z[i] = acc / l(i, i);
+  }
+  return z;
+}
+
+Vec solve(const Matrix& l, const Vec& b) {
+  const std::size_t n = l.rows();
+  const Vec z = solve_lower(l, b);
+  Vec x(n);
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double acc = z[i];
+    for (std::size_t k = i + 1; k < n; ++k) acc -= l(k, i) * x[k];
+    x[i] = acc / l(i, i);
+  }
+  return x;
+}
+
+/// L^{-1} column by column, then the lower triangle of L^{-T} L^{-1}.
+Matrix inverse(const Matrix& l) {
+  const std::size_t n = l.rows();
+  Matrix linv(n, n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    linv(j, j) = 1.0 / l(j, j);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double acc = 0.0;
+      for (std::size_t k = j; k < i; ++k) acc -= l(i, k) * linv(k, j);
+      linv(i, j) = acc / l(i, i);
+    }
+  }
+  Matrix inv(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = i; k < n; ++k) acc += linv(k, i) * linv(k, j);
+      inv(i, j) = acc;
+      inv(j, i) = acc;
+    }
+  }
+  return inv;
+}
+
+}  // namespace scalar
+
+/// True when \p a and \p b hold the same doubles, bit for bit (so +0 and
+/// -0 differ).
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+Vec random_vec(std::size_t n, Rng& rng) {
+  Vec v(n);
+  for (auto& x : v) x = rng.normal();
+  return v;
+}
+
+/// The factor, inverse(), solve_lower() and solve() of \p chol, which
+/// factored \p a (plus chol.jitter_used() on the diagonal), against the
+/// scalar loops.
+void expect_matches_scalar(const Matrix& a, const Cholesky& chol, Rng& rng) {
+  const std::size_t n = a.rows();
+  Matrix jittered = a;
+  if (chol.attempts() > 1) jittered.add_diagonal(chol.jitter_used());
+  const Matrix l = scalar::factor(jittered);
+  ASSERT_TRUE(same_bits(chol.factor().data(), l.data())) << "factor, n=" << n;
+  EXPECT_TRUE(same_bits(chol.inverse().data(), scalar::inverse(l).data()))
+      << "inverse, n=" << n;
+  for (int rep = 0; rep < 3; ++rep) {
+    const Vec b = random_vec(n, rng);
+    EXPECT_TRUE(same_bits(chol.solve_lower(b), scalar::solve_lower(l, b)))
+        << "solve_lower, n=" << n;
+    EXPECT_TRUE(same_bits(chol.solve(b), scalar::solve(l, b)))
+        << "solve, n=" << n;
+  }
+}
+
+const std::size_t kOracleSizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 150};
+
+TEST(CholeskyOracle, TiledKernelsMatchScalarLoopsBitwise) {
+  Rng rng(81);
+  for (const std::size_t n : kOracleSizes) {
+    const Matrix a = random_spd(n, rng);
+    const Cholesky chol(a);
+    ASSERT_EQ(chol.attempts(), 1);
+    expect_matches_scalar(a, chol, rng);
+  }
+}
+
+TEST(CholeskyOracle, JitterEscalatedFactorMatchesScalarLoopsBitwise) {
+  // Rank one, A = s s^T with s_i = +-2^e: the second pivot is exactly 0,
+  // so the factor only exists after jitter escalation.
+  Rng rng(82);
+  const std::size_t n = 13;
+  Vec s(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s[i] = std::ldexp(rng.uniform() < 0.5 ? -1.0 : 1.0,
+                      static_cast<int>(i % 5) - 2);
+  }
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) a(i, j) = s[i] * s[j];
+  }
+  const Cholesky chol(a);
+  ASSERT_GT(chol.attempts(), 1) << "setup failed to force jitter";
+  expect_matches_scalar(a, chol, rng);
+}
+
+TEST(CholeskyOracle, ExtViewSolveMatchesScalarLoopsBitwise) {
+  // A base factor of every oracle size with 0..5 appended rows; the
+  // reference grows its own combined factor with the scalar loops (new row
+  // = [L^{-1} b; sqrt(c - |L^{-1} b|^2)]) and solves over it.
+  Rng rng(83);
+  constexpr std::size_t kMaxRows = 5;
+  for (const std::size_t n0 : kOracleSizes) {
+    const Matrix full = random_spd(n0 + kMaxRows, rng);
+    Matrix top(n0, n0);
+    for (std::size_t i = 0; i < n0; ++i) {
+      for (std::size_t j = 0; j < n0; ++j) top(i, j) = full(i, j);
+    }
+    const Cholesky base(top);
+    CholeskyExt view(&base);
+    Matrix ref = scalar::factor(top);
+    for (std::size_t k = 0; k <= kMaxRows; ++k) {
+      const std::size_t n = n0 + k;
+      for (int rep = 0; rep < 2; ++rep) {
+        const Vec b = random_vec(n, rng);
+        EXPECT_TRUE(same_bits(view.solve_lower(b), scalar::solve_lower(ref, b)))
+            << "n0=" << n0 << " rows=" << k;
+        EXPECT_TRUE(same_bits(view.solve(b), scalar::solve(ref, b)))
+            << "n0=" << n0 << " rows=" << k;
+      }
+      if (k == kMaxRows) break;
+      Vec column(n + 1);
+      for (std::size_t j = 0; j <= n; ++j) column[j] = full(n, j);
+      ASSERT_TRUE(view.extend(column));
+      const Vec head =
+          scalar::solve_lower(ref, Vec(column.begin(), column.end() - 1));
+      Matrix grown(n + 1, n + 1, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) grown(i, j) = ref(i, j);
+      }
+      for (std::size_t j = 0; j < n; ++j) grown(n, j) = head[j];
+      grown(n, n) = std::sqrt(column.back() - dot(head, head));
+      ref = std::move(grown);
+    }
+  }
 }
 
 TEST(CholeskyMultiRhs, RejectsMisshapenBlock) {
