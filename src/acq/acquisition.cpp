@@ -108,6 +108,46 @@ double Bucb::operator()(const Vec& x) const {
   return p.mean + kappa_ * p.stddev();
 }
 
+// ---------------------------------------------------------------------------
+// FeasibilityWeighted (constrained BO)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Phi(mu / sigma): the posterior probability that a constraint holds.
+double feasibility(const gp::Prediction& p) {
+  return norm_cdf(p.mean / std::max(p.stddev(), 1e-9));
+}
+
+}  // namespace
+
+FeasibilityWeighted::FeasibilityWeighted(
+    const AcquisitionFn* base, double floor,
+    std::vector<const gp::Regressor*> constraint_models)
+    : base_(base), floor_(floor), models_(std::move(constraint_models)) {
+  EASYBO_REQUIRE(base != nullptr, "FeasibilityWeighted: null base");
+  for (const gp::Regressor* m : models_) {
+    EASYBO_REQUIRE(m != nullptr, "FeasibilityWeighted: null model");
+  }
+}
+
+double FeasibilityWeighted::operator()(const Vec& x) const {
+  double value = std::max((*base_)(x) - floor_, 0.0) + 1e-12;
+  for (const gp::Regressor* m : models_) value *= feasibility(m->predict(x));
+  return value;
+}
+
+void FeasibilityWeighted::evaluate_batch(std::span<const Vec> xs,
+                                         std::span<double> out) const {
+  base_->evaluate_batch(xs, out);
+  for (double& v : out) v = std::max(v - floor_, 0.0) + 1e-12;
+  std::vector<gp::Prediction> p(xs.size());
+  for (const gp::Regressor* m : models_) {
+    m->predict_paired_batch(*m, xs, p);
+    for (std::size_t i = 0; i < xs.size(); ++i) out[i] *= feasibility(p[i]);
+  }
+}
+
 double sample_easybo_weight(easybo::Rng& rng, double lambda) {
   EASYBO_REQUIRE(lambda > 0.0, "sample_easybo_weight: lambda must be > 0");
   const double kappa = rng.uniform(0.0, lambda);

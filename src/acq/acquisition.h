@@ -118,6 +118,28 @@ class Bucb final : public AcquisitionFn {
   double kappa_;
 };
 
+/// Feasibility weighting for constrained BO (Gardner et al., ICML'14), a
+/// decorator over \p base (not owned) and one model per constraint g_i,
+/// feasible iff g_i >= 0 (not owned):
+///     alpha_c(x) = ([base(x) - floor]_+ + 1e-12) * prod_i Phi(mu_i / sigma_i)
+/// The floor keeps the base term non-negative, so the product is a pure
+/// down-weight: a negative base times a small probability would otherwise
+/// *reward* infeasibility.
+class FeasibilityWeighted final : public AcquisitionFn {
+ public:
+  FeasibilityWeighted(const AcquisitionFn* base, double floor,
+                      std::vector<const gp::Regressor*> constraint_models);
+  double operator()(const Vec& x) const override;
+  /// The base's batched path plus one batched query per constraint model.
+  void evaluate_batch(std::span<const Vec> xs,
+                      std::span<double> out) const override;
+
+ private:
+  const AcquisitionFn* base_;
+  double floor_;
+  std::vector<const gp::Regressor*> models_;
+};
+
 /// EasyBO's weight sampling (§III-B): kappa ~ U[0, lambda], w = kappa/(kappa+1).
 /// The induced density of w rises toward 1, maintaining batch diversity once
 /// sigma has shrunk below mu. The paper fixes lambda = 6.

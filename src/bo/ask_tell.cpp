@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "acq/acquisition.h"
+#include "bo/constrained.h"
 #include "common/error.h"
 #include "common/sampling.h"
 #include "common/stats.h"
@@ -33,7 +34,8 @@ std::size_t adaptive_refit_gap(double refit_seconds, double eval_seconds,
 }
 
 AskTellCore::AskTellCore(BoConfig config, opt::Bounds bounds,
-                         std::function<double(const Vec&)> sim_time)
+                         std::function<double(const Vec&)> sim_time,
+                         std::size_t num_constraints)
     : cfg_(std::move(config)),
       bounds_(std::move(bounds)),
       sim_time_(std::move(sim_time)),
@@ -43,6 +45,17 @@ AskTellCore::AskTellCore(BoConfig config, opt::Bounds bounds,
              /*noise_variance=*/1e-6) {
   cfg_.validate();
   bounds_.validate();
+  if (num_constraints > 0) {
+    EASYBO_REQUIRE(cfg_.acq == AcqKind::EasyBo,
+                   "constrained mode supports the EasyBO acquisition");
+    EASYBO_REQUIRE(cfg_.mode != Mode::SyncBatch,
+                   "constrained mode supports Sequential and AsyncBatch");
+    con_models_.reserve(num_constraints);
+    for (std::size_t i = 0; i < num_constraints; ++i) {
+      con_models_.emplace_back(make_kernel(cfg_, bounds_.dim()),
+                               /*noise_variance=*/1e-6);
+    }
+  }
   if (!sim_time_) {
     sim_time_ = [](const Vec&) { return 1.0; };
   }
@@ -52,12 +65,13 @@ AskTellCore::AskTellCore(BoConfig config, opt::Bounds bounds,
   }
   next_hyper_refit_ = cfg_.init_points;
   proposal_counter_ = std::string("bo.proposals.") + to_string(cfg_.acq);
-  config_hash_ = config_fingerprint(cfg_, bounds_);
+  config_hash_ = config_fingerprint(cfg_, bounds_, num_constraints);
 }
 
 void AskTellCore::set_trace(obs::TraceSink* sink) {
   trace_ = sink;
   model_.set_trace(sink);
+  for (auto& m : con_models_) m.set_trace(sink);
 }
 
 // ---------------------------------------------------------------------------
@@ -65,6 +79,13 @@ void AskTellCore::set_trace(obs::TraceSink* sink) {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Column \p i of \p rows: one constraint's values across observations.
+Vec column(const std::vector<Vec>& rows, std::size_t i) {
+  Vec out(rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) out[k] = rows[k][i];
+  return out;
+}
 
 /// Clears AskTellCore::stop_ on every exit path of suggest(), thrown
 /// Cancelled included — a dangling request-scoped token must never leak
@@ -157,6 +178,10 @@ Observed AskTellCore::observe(std::size_t tag, const Outcome& o,
     throw Error("observe: evaluation " + std::to_string(tag) +
                 " is not pending (already observed, or never suggested)");
   }
+  if (o.status == sched::EvalStatus::Ok && o.g.size() != con_models_.size()) {
+    throw Error("observe: evaluation " + std::to_string(tag) +
+                " reports the wrong number of constraint values");
+  }
   pending_tags_.erase(it);
   const bool was_init_done = init_done_;
   const Vec& unit_x = prop_x_[tag];
@@ -178,11 +203,16 @@ Observed AskTellCore::observe(std::size_t tag, const Outcome& o,
 
   Observed ob;
   if (o.status == sched::EvalStatus::Ok) {
-    journal_eval(tag, o, "observed", o.value);  // durable before applied
+    journal_eval(tag, o, "observed", o.value, o.g);  // durable, then applied
     obs_x_.push_back(unit_x);
     obs_y_.push_back(o.value);
     obs_is_init_.push_back(prop_init_[tag]);
+    if (!con_models_.empty()) {
+      obs_g_.push_back(o.g);
+      obs_penalized_.push_back(false);
+    }
     rec.y = o.value;
+    rec.g = o.g;
     evals_.push_back(std::move(rec));
     ob.changed = true;
     ob.action = "observed";
@@ -211,11 +241,21 @@ Observed AskTellCore::observe(std::size_t tag, const Outcome& o,
         !obs_y_.empty()) {
       if (!o.replayed) obs::count(trace_, "eval.penalized");
       const double y_pen = quantile_of(obs_y_, cfg_.eval_failure_quantile);
-      journal_eval(tag, o, "penalized", y_pen);
+      // Each constraint model gets the same quantile of its own values.
+      Vec g_pen(con_models_.size());
+      for (std::size_t i = 0; i < g_pen.size(); ++i) {
+        g_pen[i] = quantile_of(column(obs_g_, i), cfg_.eval_failure_quantile);
+      }
+      journal_eval(tag, o, "penalized", y_pen, g_pen);
       obs_x_.push_back(unit_x);
       obs_y_.push_back(y_pen);
       obs_is_init_.push_back(prop_init_[tag]);
+      if (!con_models_.empty()) {
+        obs_g_.push_back(g_pen);
+        obs_penalized_.push_back(true);
+      }
       rec.y = y_pen;
+      rec.g = std::move(g_pen);
       evals_.push_back(std::move(rec));
       ob.changed = true;
       ob.action = "penalized";
@@ -303,6 +343,10 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
                                                 w);
       } else {
         fn = std::make_unique<acq::WeightedUcb>(&model_, &model_, w);
+      }
+      if (!con_models_.empty()) {
+        base_acq = std::move(fn);
+        fn = feasibility_weighted(base_acq.get(), w);
       }
       break;
     }
@@ -432,6 +476,21 @@ Vec AskTellCore::propose_hedge(const std::vector<Vec>& pending) {
   return dedup(hedge_nominees_[choice], pending);
 }
 
+std::unique_ptr<acq::AcquisitionFn> AskTellCore::feasibility_weighted(
+    const acq::AcquisitionFn* base, double w) const {
+  // The floor keeps the weighted term non-negative over the data without
+  // distorting its ordering.
+  const acq::WeightedUcb plain(&model_, &model_, w);
+  Vec at_obs(obs_x_.size());
+  plain.evaluate_batch(obs_x_, at_obs);
+  const double floor = *std::min_element(at_obs.begin(), at_obs.end());
+  std::vector<const gp::Regressor*> models;
+  models.reserve(con_models_.size());
+  for (const auto& m : con_models_) models.push_back(&m);
+  return std::make_unique<acq::FeasibilityWeighted>(base, floor,
+                                                    std::move(models));
+}
+
 Vec AskTellCore::dedup(Vec x, const std::vector<Vec>& pending) {
   if (failed_x_.empty()) {
     return dedup_proposal(std::move(x), obs_x_, pending, rng_, trace_);
@@ -488,8 +547,13 @@ void AskTellCore::update_model(bool force_train) {
     obs::ScopedTimer span(trace_, obs::Phase::ModelFit);
     zscore_.refit(obs_y_);
     model_.set_data(obs_x_, zscore_.transform(obs_y_));
+    for (std::size_t i = 0; i < con_models_.size(); ++i) {
+      con_models_[i].set_data(obs_x_, column(obs_g_, i));
+    }
   }
 
+  // Constraint models share the objective model's schedule and are
+  // trained right after it, from the same RNG stream.
   const bool train = force_train || obs_x_.size() >= next_hyper_refit_;
   if (train) {
     const auto refit_begin = cfg_.adapt_refit_cadence
@@ -498,6 +562,7 @@ void AskTellCore::update_model(bool force_train) {
     {
       obs::ScopedTimer span(trace_, obs::Phase::HyperRefit);
       gp::train_mle(model_, rng_, cfg_.trainer, stop_);
+      for (auto& m : con_models_) gp::train_mle(m, rng_, cfg_.trainer, stop_);
     }
     obs::count(trace_, "bo.hyper_refit");
     ++hyper_refits_;
@@ -530,12 +595,27 @@ void AskTellCore::update_model(bool force_train) {
   } else {
     obs::ScopedTimer span(trace_, obs::Phase::ModelFit);
     model_.fit();
+    for (auto& m : con_models_) m.fit();
   }
 }
 
 std::size_t AskTellCore::incumbent_index() const {
   EASYBO_REQUIRE(!obs_y_.empty(), "incumbent of empty dataset");
-  return linalg::argmax(obs_y_);
+  if (con_models_.empty()) return linalg::argmax(obs_y_);
+  // The best feasible point, else the least violating; first wins ties.
+  // Observation 0 is always real (penalizing needs one to anchor on).
+  std::size_t best = 0;
+  double best_violation = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < obs_y_.size(); ++k) {
+    if (obs_penalized_[k]) continue;
+    const double v = total_violation(obs_g_[k]);
+    if (v < best_violation ||
+        (v == 0.0 && best_violation == 0.0 && obs_y_[k] > obs_y_[best])) {
+      best = k;
+      best_violation = v;
+    }
+  }
+  return best;
 }
 
 Vec AskTellCore::to_design(const Vec& unit_x) const {
@@ -546,6 +626,10 @@ double AskTellCore::best_y() const { return obs_y_[incumbent_index()]; }
 
 Vec AskTellCore::best_x() const {
   return box_.from_unit(obs_x_[incumbent_index()]);
+}
+
+Vec AskTellCore::best_g() const {
+  return con_models_.empty() ? Vec{} : obs_g_[incumbent_index()];
 }
 
 // ---------------------------------------------------------------------------
@@ -580,7 +664,7 @@ void AskTellCore::reopen_journal(std::size_t valid_bytes, std::size_t lines,
 }
 
 void AskTellCore::journal_eval(std::size_t tag, const Outcome& o,
-                               const char* action, double y) {
+                               const char* action, double y, const Vec& g) {
   if (!journal_.is_open() || o.replayed) return;
   JournalRecord rec;
   rec.index = journal_lines_;
@@ -594,6 +678,7 @@ void AskTellCore::journal_eval(std::size_t tag, const Outcome& o,
   rec.is_init = prop_init_[tag];
   rec.x = prop_x_[tag];
   rec.y = y;
+  rec.g = g;
   rec.error = o.error;
   obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
   journal_.append(rec.to_payload());
@@ -631,6 +716,15 @@ BoCheckpoint AskTellCore::make_snapshot(double now, double busy,
   snap.next_hyper_refit = next_hyper_refit_;
   snap.hyper_refits = hyper_refits_;
   if (init_done_) snap.gp_log_hyperparams = model_.log_hyperparams();
+  if (!con_models_.empty()) {
+    snap.obs_g = obs_g_;
+    snap.obs_penalized = obs_penalized_;
+    if (init_done_) {
+      for (const auto& m : con_models_) {
+        snap.g_log_hyperparams.push_back(m.log_hyperparams());
+      }
+    }
+  }
   return snap;
 }
 
@@ -676,6 +770,19 @@ void AskTellCore::restore_snapshot(const BoCheckpoint& snap,
     hedge_.set_gains(snap.hedge_gains);
   }
   hedge_nominees_ = snap.hedge_nominees;
+  if (!con_models_.empty()) {
+    const std::size_t c = con_models_.size();
+    if (snap.obs_g.size() != obs_x_.size() ||
+        snap.obs_penalized.size() != obs_x_.size() ||
+        std::any_of(snap.obs_g.begin(), snap.obs_g.end(),
+                    [c](const Vec& g) { return g.size() != c; }) ||
+        (init_done_ && snap.g_log_hyperparams.size() != c)) {
+      throw io::CheckpointError("snapshot " + origin +
+                                " lacks the constraint state of its run");
+    }
+    obs_g_ = snap.obs_g;
+    obs_penalized_ = snap.obs_penalized;
+  }
   if (init_done_ && !obs_x_.empty()) {
     zscore_.refit(obs_y_);
     model_.set_data(obs_x_, zscore_.transform(obs_y_));
@@ -683,6 +790,11 @@ void AskTellCore::restore_snapshot(const BoCheckpoint& snap,
       model_.set_log_hyperparams(snap.gp_log_hyperparams);
     }
     model_.fit();
+    for (std::size_t i = 0; i < con_models_.size(); ++i) {
+      con_models_[i].set_data(obs_x_, column(obs_g_, i));
+      con_models_[i].set_log_hyperparams(snap.g_log_hyperparams[i]);
+      con_models_[i].fit();
+    }
   }
   pending_tags_.clear();
   for (const std::size_t tag : snap.pending) {

@@ -28,6 +28,11 @@
 /// dedup resample, a replayed checkpoint) stay distinct, and observing a
 /// tag twice is a loud error instead of silently erasing a neighbour.
 ///
+/// Constraints g_i(x) >= 0 (bo/constrained.h) are problem data: with
+/// num_constraints > 0 every ok Outcome carries their values, each g_i
+/// gets a GP on the objective model's schedule, EasyBO is weighted by the
+/// probability of feasibility and the incumbent is the best feasible point.
+///
 /// Determinism contract: given the same BoConfig/Bounds and the same
 /// interleaving of suggest/observe calls (same tags, same outcomes), the
 /// core produces a bit-identical proposal sequence — including across a
@@ -79,6 +84,9 @@ struct Outcome {
   std::size_t worker = 0;        ///< worker slot attribution (bookkeeping)
   double start = 0.0;            ///< logical start time of the evaluation
   double finish = 0.0;           ///< logical finish time
+  /// Constraint values of an ok outcome, in constraint order; exactly
+  /// num_constraints() of them (empty in unconstrained runs).
+  Vec g;
   std::string error;             ///< what() of the failure, when any
   std::exception_ptr exception;  ///< original exception (Abort rethrow)
   /// A journaled outcome re-enacted during resume replay: already durable,
@@ -129,8 +137,11 @@ class AskTellCore {
   /// \param bounds    design box (the core normalizes internally)
   /// \param sim_time  nominal duration model for Suggestion::duration;
   ///                  defaults to a constant 1s when null
+  /// \param num_constraints  values every ok outcome reports (Outcome::g);
+  ///                  > 0 requires EasyBO in Sequential or AsyncBatch mode
   AskTellCore(BoConfig config, opt::Bounds bounds,
-              std::function<double(const Vec&)> sim_time = nullptr);
+              std::function<double(const Vec&)> sim_time = nullptr,
+              std::size_t num_constraints = 0);
 
   /// Installs a non-owning trace sink (nullptr restores the zero-cost
   /// null default). Unlike BoEngine, the core never owns a recorder —
@@ -203,13 +214,13 @@ class AskTellCore {
   std::size_t num_observations() const { return obs_x_.size(); }
   std::size_t num_proposals() const { return prop_x_.size(); }
   std::size_t hyper_refits() const { return hyper_refits_; }
+  std::size_t num_constraints() const { return con_models_.size(); }
 
   /// Suggested-but-unobserved tags, ascending (= suggestion order).
   const std::set<std::size_t>& pending_tags() const { return pending_tags_; }
 
   /// Proposal table by tag.
   const Vec& proposal(std::size_t tag) const { return prop_x_[tag]; }
-  bool proposal_is_init(std::size_t tag) const { return prop_init_[tag]; }
   double proposal_submit_time(std::size_t tag) const {
     return prop_submit_[tag];
   }
@@ -220,9 +231,13 @@ class AskTellCore {
   /// Unit -> design space mapping for this core's bounds.
   Vec to_design(const Vec& unit_x) const;
 
+  /// The incumbent is the best observation — with constraints, the best
+  /// feasible one (first wins on ties), else the one of least total
+  /// violation; penalty pseudo-observations never qualify.
   bool has_observations() const { return !obs_x_.empty(); }
   double best_y() const;  ///< incumbent FOM; requires has_observations()
   Vec best_x() const;     ///< incumbent point, design space
+  Vec best_g() const;     ///< incumbent constraint values (empty if none)
 
   /// Completed/failed evaluation records in observation order. Mutable so
   /// the engine's resume path can prepend the snapshot-absorbed prefix
@@ -280,6 +295,11 @@ class AskTellCore {
   Vec propose_hedge(const std::vector<Vec>& pending);
   Vec dedup(Vec x, const std::vector<Vec>& pending);
 
+  /// \p base weighted by feasibility, floored at the minimum of the plain
+  /// (1-w) mu + w sigma over the observed points.
+  std::unique_ptr<acq::AcquisitionFn> feasibility_weighted(
+      const acq::AcquisitionFn* base, double w) const;
+
   /// The penalization posterior over \p pending: a zero-copy overlay over
   /// model_ honouring BoConfig::pin_hallucinated_mean.
   std::unique_ptr<gp::Regressor> hallucinate_pending(
@@ -291,7 +311,7 @@ class AskTellCore {
   /// Appends one eval record to the journal (fsync'd). No-op when
   /// journaling is off or the outcome is itself a replay.
   void journal_eval(std::size_t tag, const Outcome& outcome,
-                    const char* action, double y);
+                    const char* action, double y, const Vec& g = {});
 
   BoConfig cfg_;
   opt::Bounds bounds_;
@@ -309,6 +329,12 @@ class AskTellCore {
   std::vector<Vec> obs_x_;
   Vec obs_y_;
   std::vector<bool> obs_is_init_;
+
+  // Constrained runs only: one GP per constraint on raw values, each
+  // observation's constraint values, and which are penalty pseudo points.
+  std::vector<gp::GpRegressor> con_models_;
+  std::vector<Vec> obs_g_;
+  std::vector<bool> obs_penalized_;
 
   // Discarded failure locations (unit space), kept so dedup never
   // re-proposes a crashing point verbatim.

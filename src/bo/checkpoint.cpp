@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "bo/ask_tell.h"
 #include "bo/config.h"
 #include "common/error.h"
 #include "io/journal.h"
@@ -107,23 +108,6 @@ std::vector<std::size_t> sizes_from(const JsonValue& j) {
   return xs;
 }
 
-std::vector<double> doubles_from(const JsonValue& j) {
-  const auto& arr = j.as_array();
-  std::vector<double> xs(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i) xs[i] = arr[i].as_double();
-  return xs;
-}
-
-std::string doubles_json(const std::vector<double>& xs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += io::json_number(xs[i]);
-  }
-  out.push_back(']');
-  return out;
-}
-
 RngState rng_from(const JsonValue& j) {
   RngState s;
   const auto& words = j.at("s").as_array();
@@ -174,6 +158,19 @@ void put_u(std::string& s, std::string_view key, std::uint64_t v) {
   s.push_back(';');
 }
 
+/// The status a journal record names; refuses an unknown name.
+sched::EvalStatus status_of(const JournalRecord& rec) {
+  using sched::EvalStatus;
+  for (const EvalStatus st : {EvalStatus::Ok, EvalStatus::Exception,
+                              EvalStatus::Timeout, EvalStatus::NonFinite}) {
+    if (rec.status == sched::to_string(st)) return st;
+  }
+  throw io::CheckpointError("journal corrupted: record " +
+                            std::to_string(rec.index) +
+                            " carries unknown eval status \"" + rec.status +
+                            "\"");
+}
+
 }  // namespace
 
 // --- journal record ------------------------------------------------------
@@ -191,6 +188,7 @@ std::string JournalRecord::to_payload() const {
   out += is_init ? "true" : "false";
   out += ",\"x\":" + vec_json(x);
   out += ",\"y\":" + io::json_number(y);  // null when NaN
+  if (!g.empty()) out += ",\"g\":" + vec_json(g);
   if (!error.empty()) out += ",\"error\":" + io::json_quote(error);
   out.push_back('}');
   return out;
@@ -212,6 +210,7 @@ JournalRecord JournalRecord::parse(const std::string& payload) {
   const JsonValue& y = j.at("y");
   r.y = y.is_null() ? std::numeric_limits<double>::quiet_NaN()
                     : y.as_double();
+  if (const JsonValue* g = j.find("g")) r.g = vec_from(*g);
   if (const JsonValue* err = j.find("error")) r.error = err->as_string();
   return r;
 }
@@ -263,8 +262,8 @@ std::string BoCheckpoint::to_payload() const {
   out += ",\"failed_x\":" + vecs_json(failed_x);
   out += ",\"prop_x\":" + vecs_json(prop_x);
   out += ",\"prop_init\":" + bools_json(prop_init);
-  out += ",\"prop_submit\":" + doubles_json(prop_submit);
-  out += ",\"prop_duration\":" + doubles_json(prop_duration);
+  out += ",\"prop_submit\":" + vec_json(prop_submit);
+  out += ",\"prop_duration\":" + vec_json(prop_duration);
   out += ",\"pending\":" + sizes_json(pending);
   out += ",\"hc\":[";
   for (std::size_t i = 0; i < hc_histories.size(); ++i) {
@@ -276,6 +275,11 @@ std::string BoCheckpoint::to_payload() const {
   out += ",\"next_hyper_refit\":" + std::to_string(next_hyper_refit);
   out += ",\"hyper_refits\":" + std::to_string(hyper_refits);
   out += ",\"gp_log_hyperparams\":" + vec_json(gp_log_hyperparams);
+  if (!obs_g.empty() || !g_log_hyperparams.empty()) {
+    out += ",\"obs_g\":" + vecs_json(obs_g);
+    out += ",\"obs_penalized\":" + bools_json(obs_penalized);
+    out += ",\"g_log_hyperparams\":" + vecs_json(g_log_hyperparams);
+  }
   out.push_back('}');
   return out;
 }
@@ -308,8 +312,8 @@ BoCheckpoint BoCheckpoint::parse(const std::string& payload) {
   c.failed_x = vecs_from(j.at("failed_x"));
   c.prop_x = vecs_from(j.at("prop_x"));
   c.prop_init = bools_from(j.at("prop_init"));
-  c.prop_submit = doubles_from(j.at("prop_submit"));
-  c.prop_duration = doubles_from(j.at("prop_duration"));
+  c.prop_submit = vec_from(j.at("prop_submit"));
+  c.prop_duration = vec_from(j.at("prop_duration"));
   c.pending = sizes_from(j.at("pending"));
   for (const auto& h : j.at("hc").as_array()) {
     c.hc_histories.push_back(vecs_from(h));
@@ -319,13 +323,21 @@ BoCheckpoint BoCheckpoint::parse(const std::string& payload) {
   c.next_hyper_refit = size_from(j.at("next_hyper_refit"));
   c.hyper_refits = size_from(j.at("hyper_refits"));
   c.gp_log_hyperparams = vec_from(j.at("gp_log_hyperparams"));
+  if (const JsonValue* g = j.find("obs_g")) c.obs_g = vecs_from(*g);
+  if (const JsonValue* p = j.find("obs_penalized")) {
+    c.obs_penalized = bools_from(*p);
+  }
+  if (const JsonValue* h = j.find("g_log_hyperparams")) {
+    c.g_log_hyperparams = vecs_from(*h);
+  }
   return c;
 }
 
 // --- config fingerprint --------------------------------------------------
 
 std::uint64_t config_fingerprint(const BoConfig& config,
-                                 const opt::Bounds& bounds) {
+                                 const opt::Bounds& bounds,
+                                 std::size_t num_constraints) {
   std::string s;
   s.reserve(768);
   put(s, "v", kSnapshotSchema);
@@ -387,6 +399,7 @@ std::uint64_t config_fingerprint(const BoConfig& config,
   put_u(s, "acq_opt.refine_evals", config.acq_opt.refine_evals);
   put(s, "bounds.lower", vec_json(bounds.lower));
   put(s, "bounds.upper", vec_json(bounds.upper));
+  if (num_constraints > 0) put_u(s, "constraints", num_constraints);
   return fnv1a(s);
 }
 
@@ -396,6 +409,97 @@ std::string journal_file(const std::string& base) {
 
 std::string snapshot_file(const std::string& base) {
   return base + ".snapshot";
+}
+
+// --- resume checks -------------------------------------------------------
+
+std::vector<JournalRecord> checked_journal_records(
+    const io::JournalReadResult& jr, const std::string& jpath,
+    std::uint64_t config_hash, const char* owner) {
+  if (jr.payloads.empty()) {
+    throw io::CheckpointError("cannot resume: journal at " + jpath +
+                              " holds no intact header line");
+  }
+  const JournalHeader header = JournalHeader::parse(jr.payloads.front());
+  if (header.config_hash != config_hash) {
+    throw io::CheckpointError(
+        "checkpoint config mismatch: journal " + jpath +
+        " was written with config fingerprint " +
+        io::json_u64(header.config_hash) + " but this " + owner +
+        " is configured with fingerprint " + io::json_u64(config_hash) +
+        "; resuming would splice two different proposal streams");
+  }
+  std::vector<JournalRecord> records;
+  records.reserve(jr.payloads.size() - 1);
+  for (std::size_t i = 1; i < jr.payloads.size(); ++i) {
+    JournalRecord rec = JournalRecord::parse(jr.payloads[i]);
+    if (rec.index != records.size()) {
+      throw io::CheckpointError(
+          "journal corrupted: line " + std::to_string(i + 1) + " of " +
+          jpath + " carries record index " + std::to_string(rec.index) +
+          " where " + std::to_string(records.size()) + " was expected");
+    }
+    records.push_back(std::move(rec));
+  }
+  return records;
+}
+
+void check_snapshot(const BoCheckpoint& snap, const std::string& spath,
+                    const std::string& jpath, std::size_t journal_records,
+                    std::uint64_t config_hash, const char* owner) {
+  if (snap.config_hash != config_hash) {
+    throw io::CheckpointError(
+        "checkpoint config mismatch: snapshot " + spath +
+        " was written with config fingerprint " +
+        io::json_u64(snap.config_hash) + " but this " + owner +
+        " is configured with fingerprint " + io::json_u64(config_hash));
+  }
+  if (snap.journal_count > journal_records) {
+    throw io::CheckpointError(
+        "snapshot " + spath + " absorbs " +
+        std::to_string(snap.journal_count) + " evaluations but journal " +
+        jpath + " holds only " + std::to_string(journal_records) +
+        " — the files do not belong to the same run");
+  }
+}
+
+Outcome replayed_outcome(const JournalRecord& rec, const AskTellCore& core) {
+  const std::string record = "record " + std::to_string(rec.index);
+  if (rec.tag >= core.num_proposals() ||
+      core.pending_tags().count(rec.tag) == 0) {
+    throw io::CheckpointError(
+        "journal corrupted: " + record + " completes evaluation " +
+        std::to_string(rec.tag) + " which the replay never had in flight");
+  }
+  if (rec.x != core.proposal(rec.tag)) {
+    throw io::CheckpointError(
+        "journal " + record +
+        " does not match this configuration's proposal stream "
+        "(evaluation " + std::to_string(rec.tag) +
+        " replays to a different point) — was the journal written by a "
+        "different configuration or code version?");
+  }
+  Outcome o;
+  o.status = status_of(rec);
+  if (o.status == sched::EvalStatus::Ok) {
+    if (rec.g.size() != core.num_constraints()) {
+      throw io::CheckpointError(
+          "journal corrupted: " + record + " carries " +
+          std::to_string(rec.g.size()) + " constraint values for a run with " +
+          std::to_string(core.num_constraints()) + " constraints");
+    }
+    o.value = rec.y;
+    o.g = rec.g;
+  } else {
+    o.value = std::numeric_limits<double>::quiet_NaN();
+  }
+  o.attempts = rec.attempts;
+  o.worker = rec.worker;
+  o.start = rec.start;
+  o.finish = rec.finish;
+  o.error = rec.error;
+  o.replayed = true;
+  return o;
 }
 
 }  // namespace easybo::bo

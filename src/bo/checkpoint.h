@@ -30,12 +30,15 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "io/journal.h"
 #include "linalg/vec.h"
 #include "opt/objective.h"
 
 namespace easybo::bo {
 
-struct BoConfig;  // bo/config.h
+struct BoConfig;     // bo/config.h
+struct Outcome;      // bo/ask_tell.h
+class AskTellCore;   // bo/ask_tell.h
 using linalg::Vec;
 
 /// One journal line: the terminal outcome of one evaluation, everything
@@ -53,6 +56,9 @@ struct JournalRecord {
   Vec x;                    ///< unit-space proposal (replay cross-check)
   /// Observed value for ok evals; NaN otherwise (emitted as JSON null).
   double y = 0.0;
+  /// Constraint values absorbed with y (observed or penalty values);
+  /// empty, and not written, without constraints or y.
+  Vec g;
   std::string error;        ///< what() of the failure, when any
 
   std::string to_payload() const;
@@ -111,6 +117,11 @@ struct BoCheckpoint {
   std::size_t hyper_refits = 0;
   Vec gp_log_hyperparams;
 
+  // Constrained runs only; empty (and not written) without constraints.
+  std::vector<Vec> obs_g;          ///< constraint values per observation
+  std::vector<bool> obs_penalized; ///< observation is a penalty pseudo point
+  std::vector<Vec> g_log_hyperparams;  ///< one per constraint model
+
   std::string to_payload() const;
   static BoCheckpoint parse(const std::string& payload);
 };
@@ -118,13 +129,35 @@ struct BoCheckpoint {
 /// Canonical fingerprint of everything that shapes the proposal stream:
 /// all behavioural BoConfig knobs (checkpoint_path/checkpoint_every and
 /// collect_metrics excluded — they never change proposals), the trainer
-/// and acquisition-optimizer options, and the design bounds. A resume
-/// whose fingerprint differs from the files' refuses to run.
+/// and acquisition-optimizer options, the design bounds, and the number
+/// of constraints (only when non-zero). A resume whose fingerprint
+/// differs from the files' refuses to run.
 std::uint64_t config_fingerprint(const BoConfig& config,
-                                 const opt::Bounds& bounds);
+                                 const opt::Bounds& bounds,
+                                 std::size_t num_constraints = 0);
 
 /// File layout under a BoConfig::checkpoint_path base.
 std::string journal_file(const std::string& base);
 std::string snapshot_file(const std::string& base);
+
+// --- resume checks shared by BoEngine and serve::Session: each refuses
+// with io::CheckpointError; \p owner ("engine" | "session") words it.
+
+/// The eval records of journal \p jpath (read into \p jr), checked for an
+/// intact header, the config fingerprint and consecutive indices.
+std::vector<JournalRecord> checked_journal_records(
+    const io::JournalReadResult& jr, const std::string& jpath,
+    std::uint64_t config_hash, const char* owner);
+
+/// Checks snapshot \p snap (read from \p spath) for the config fingerprint
+/// and for absorbing at most the \p journal_records records of \p jpath.
+void check_snapshot(const BoCheckpoint& snap, const std::string& spath,
+                    const std::string& jpath, std::size_t journal_records,
+                    std::uint64_t config_hash, const char* owner);
+
+/// The replayed outcome record \p rec re-enacts on \p core, checked for
+/// completing a pending tag at the same point, with a known status and
+/// the core's number of constraint values.
+Outcome replayed_outcome(const JournalRecord& rec, const AskTellCore& core);
 
 }  // namespace easybo::bo

@@ -1,44 +1,26 @@
 #include "bo/engine.h"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <memory>
 #include <utility>
 
 #include "common/error.h"
-#include "io/json.h"
 
 namespace easybo::bo {
 
-namespace {
-
-sched::EvalStatus eval_status_from(const std::string& name,
-                                   std::size_t record_index) {
-  if (name == "ok") return sched::EvalStatus::Ok;
-  if (name == "exception") return sched::EvalStatus::Exception;
-  if (name == "timeout") return sched::EvalStatus::Timeout;
-  if (name == "non_finite") return sched::EvalStatus::NonFinite;
-  throw io::CheckpointError("journal corrupted: record " +
-                            std::to_string(record_index) +
-                            " carries unknown eval status \"" + name + "\"");
-}
-
-bool same_point(const Vec& a, const Vec& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 BoEngine::BoEngine(BoConfig config, opt::Bounds bounds,
                    opt::Objective objective,
-                   std::function<double(const Vec&)> sim_time)
-    : core_(std::move(config), std::move(bounds), std::move(sim_time)),
-      objective_(std::move(objective)) {
+                   std::function<double(const Vec&)> sim_time,
+                   std::vector<Constraint> constraints)
+    : core_(std::move(config), std::move(bounds), std::move(sim_time),
+            constraints.size()),
+      objective_(std::move(objective)),
+      constraints_(std::move(constraints)) {
   EASYBO_REQUIRE(static_cast<bool>(objective_), "BoEngine: null objective");
+  for (const Constraint& c : constraints_) {
+    EASYBO_REQUIRE(static_cast<bool>(c.fn), "null constraint function");
+  }
   if (cfg().collect_metrics) {
     owned_recorder_ = std::make_unique<obs::RecordingSink>();
     set_trace(owned_recorder_.get());
@@ -51,9 +33,7 @@ void BoEngine::set_trace(obs::TraceSink* sink) {
 }
 
 BoResult BoEngine::run() {
-  const std::size_t workers =
-      (cfg().mode == Mode::Sequential) ? 1 : cfg().batch;
-  sched::VirtualExecutor exec(workers);
+  sched::VirtualExecutor exec(cfg().mode == Mode::Sequential ? 1 : cfg().batch);
   return run(exec);
 }
 
@@ -75,18 +55,17 @@ BoResult BoEngine::run(sched::Executor& exec) {
   // perturbs it; deterministic per seed so retried runs reproduce.
   scfg.seed = cfg().seed ^ 0x5AFEB0FFu;
   sched::EvalSupervisor sup(exec, scfg, trace_);
-  BoResult result;
 
   if (core_.journaling()) {
     if (resumed_) {
-      restore(sup, result);
+      restore(sup);
     } else {
       core_.start_fresh_journal();
     }
   }
 
   if (!core_.init_done()) {
-    run_init_phase(sup, result);
+    run_init_phase(sup);
     if (!stop_requested()) {
       // Throws the all-initial-evaluations-failed error when there is
       // nothing to build a model from.
@@ -96,16 +75,17 @@ BoResult BoEngine::run(sched::Executor& exec) {
 
   if (!stop_requested()) {
     switch (cfg().mode) {
-      case Mode::Sequential: run_sequential(sup, result); break;
-      case Mode::SyncBatch: run_sync_batch(sup, result); break;
-      case Mode::AsyncBatch: run_async_batch(sup, result); break;
+      case Mode::Sequential: run_sequential(sup); break;
+      case Mode::SyncBatch: run_sync_batch(sup); break;
+      case Mode::AsyncBatch: run_async_batch(sup); break;
     }
   }
   // A stop at a phase boundary can leave init evaluations in flight:
   // drain them so the journal is complete and the final snapshot carries
   // no pending work it does not have to.
-  if (stop_requested()) drain_all(sup, result);
+  if (stop_requested()) drain_all(sup);
 
+  BoResult result;
   result.evals = std::move(core_.evals());
   result.makespan = std::max(exec.now(), last_replay_finish_);
   result.total_sim_time = busy_base_ + exec.total_busy_time();
@@ -126,9 +106,7 @@ BoResult BoEngine::run(sched::Executor& exec) {
 }
 
 BoResult BoEngine::resume(const std::string& path) {
-  const std::size_t workers =
-      (cfg().mode == Mode::Sequential) ? 1 : cfg().batch;
-  sched::VirtualExecutor exec(workers);
+  sched::VirtualExecutor exec(cfg().mode == Mode::Sequential ? 1 : cfg().batch);
   return resume(path, exec);
 }
 
@@ -145,7 +123,7 @@ BoResult BoEngine::resume(const std::string& path, sched::Executor& exec) {
 // Phases: each is one pump schedule over the core's suggest/observe.
 // ---------------------------------------------------------------------------
 
-void BoEngine::run_init_phase(sched::EvalSupervisor& sup, BoResult& result) {
+void BoEngine::run_init_phase(sched::EvalSupervisor& sup) {
   // All modes push the init points through the executor greedily —
   // identical schedules keep the wall-clock comparison between algorithms
   // fair. The InitDesign span covers the whole phase, waits included.
@@ -161,20 +139,20 @@ void BoEngine::run_init_phase(sched::EvalSupervisor& sup, BoResult& result) {
       submit(sup);
     }
     if (num_outstanding(sup) == 0) break;  // budget exhausted by failures
-    observe_arrival(await_one(sup), result);
+    observe_arrival(await_one(sup));
   }
 }
 
-void BoEngine::run_sequential(sched::EvalSupervisor& sup, BoResult& result) {
+void BoEngine::run_sequential(sched::EvalSupervisor& sup) {
   while (core_.issued() < cfg().max_sims && !stop_requested()) {
     maybe_checkpoint(sup);
     if (!can_submit(sup)) break;  // the only worker is hung
     submit(sup);
-    observe_arrival(await_one(sup), result);
+    observe_arrival(await_one(sup));
   }
 }
 
-void BoEngine::run_sync_batch(sched::EvalSupervisor& sup, BoResult& result) {
+void BoEngine::run_sync_batch(sched::EvalSupervisor& sup) {
   while (core_.issued() < cfg().max_sims && !stop_requested()) {
     maybe_checkpoint(sup);
     const std::size_t remaining = cfg().max_sims - core_.issued();
@@ -191,12 +169,12 @@ void BoEngine::run_sync_batch(sched::EvalSupervisor& sup, BoResult& result) {
     // every suggestion), and defers the model refresh to the barrier.
     for (std::size_t slot = 0; slot < k; ++slot) submit(sup);
     while (num_outstanding(sup) > 0) {
-      observe_arrival(await_one(sup), result);
+      observe_arrival(await_one(sup));
     }
   }
 }
 
-void BoEngine::run_async_batch(sched::EvalSupervisor& sup, BoResult& result) {
+void BoEngine::run_async_batch(sched::EvalSupervisor& sup) {
   // Fill the pool (Algorithm 1 bootstraps with B in-flight points). On
   // resume the in-flight set restored from the snapshot already occupies
   // its logical worker slots.
@@ -210,7 +188,7 @@ void BoEngine::run_async_batch(sched::EvalSupervisor& sup, BoResult& result) {
   // worker with the still-running points as pseudo-observations.
   while (num_outstanding(sup) > 0) {
     maybe_checkpoint(sup);
-    observe_arrival(await_one(sup), result);
+    observe_arrival(await_one(sup));
     // can_submit: a wall-clock timeout frees no slot (the hung objective
     // still occupies it), so its replacement waits for the next genuinely
     // idle worker. Always true when nothing timed out.
@@ -247,36 +225,42 @@ void BoEngine::submit(sched::EvalSupervisor& sup) {
   // The executor decides where and when the objective runs (eagerly for
   // virtual time, on a worker thread for real threads); the engine only
   // sees the outcome at observe time.
-  sup.submit(
-      s.tag, [obj = &objective_, x = std::move(s.x)] { return (*obj)(x); },
-      s.duration);
+  sup.submit(s.tag, evaluation(s.tag, std::move(s.x)), s.duration);
 }
 
-void BoEngine::observe_arrival(const Arrived& a, BoResult& result,
-                               bool draining) {
-  (void)result;  // records accumulate in the core; moved out at run() end
-  const sched::SupervisedCompletion& sc = a.sc;
-  const sched::Completion& c = sc.completion;
-  if (trace_ != nullptr && !a.replayed) {
+std::function<double()> BoEngine::evaluation(std::size_t tag, Vec x) {
+  if (constraints_.empty()) {
+    return [obj = &objective_, x = std::move(x)] { return (*obj)(x); };
+  }
+  auto slot = std::make_shared<ConstraintSlot>();
+  constraint_slots_[tag] = slot;
+  return [obj = &objective_, cons = &constraints_, slot,
+          x = std::move(x)] {
+    const double y = (*obj)(x);
+    Vec g(cons->size());
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      g[i] = (*cons)[i].fn(x);
+      if (!std::isfinite(g[i])) return g[i];  // fails as non_finite
+    }
+    const std::lock_guard<std::mutex> lock(slot->mu);
+    slot->g = std::move(g);
+    return y;
+  };
+}
+
+void BoEngine::observe_arrival(const Arrived& a, bool draining) {
+  const bool replayed = a.outcome.replayed;
+  if (trace_ != nullptr && !replayed) {
     // Executor-clock duration: virtual seconds on a VirtualExecutor, wall
     // seconds on real threads; spans retries and backoff. Not a
     // ScopedTimer — the evaluation already happened inside the executor;
     // this books its reported span. Replayed completions book nothing:
     // this process never ran them (metrics cover the current process).
+    const sched::Completion& c = a.sc.completion;
     trace_->add_time(obs::Phase::ObjectiveEval, c.finish - c.start);
   }
-  Outcome o;
-  o.status = sc.status;
-  o.value = c.value;
-  o.attempts = sc.attempts;
-  o.worker = c.worker;
-  o.start = a.start_abs;
-  o.finish = a.finish_abs;
-  o.error = sc.error;
-  o.exception = sc.exception;
-  o.replayed = a.replayed;
-  const Observed ob = core_.observe(c.tag, o, draining);
-  if (!a.replayed) log_eval(sc, ob.action);
+  const Observed ob = core_.observe(a.tag, a.outcome, draining);
+  if (!replayed) log_eval(a.sc, ob.action);
 }
 
 void BoEngine::log_eval(const sched::SupervisedCompletion& sc,
@@ -298,12 +282,6 @@ sched::SupervisedCompletion BoEngine::timed_wait(sched::EvalSupervisor& sup) {
   return sup.wait_next();
 }
 
-std::vector<sched::SupervisedCompletion> BoEngine::timed_wait_all(
-    sched::EvalSupervisor& sup) {
-  obs::ScopedTimer span(trace_, obs::Phase::ExecutorWait);
-  return sup.wait_all();
-}
-
 // ---------------------------------------------------------------------------
 // Durability: journal, snapshot, resume replay (docs/checkpoint-format.md)
 // ---------------------------------------------------------------------------
@@ -315,40 +293,15 @@ double BoEngine::effective_duration(double duration) const {
   return duration;
 }
 
-void BoEngine::restore(sched::EvalSupervisor& sup, BoResult& result) {
-  (void)result;  // the eval prefix is rebuilt into the core's records
+void BoEngine::restore(sched::EvalSupervisor& sup) {
   const std::string jpath = journal_file(cfg().checkpoint_path);
   const std::string spath = snapshot_file(cfg().checkpoint_path);
   if (!io::file_exists(jpath)) {
     throw io::CheckpointError("cannot resume: no journal at " + jpath);
   }
   const io::JournalReadResult jr = io::read_journal(jpath);
-  if (jr.payloads.empty()) {
-    throw io::CheckpointError("cannot resume: journal at " + jpath +
-                              " holds no intact header line");
-  }
-  const JournalHeader header = JournalHeader::parse(jr.payloads.front());
-  if (header.config_hash != core_.config_hash()) {
-    throw io::CheckpointError(
-        "checkpoint config mismatch: journal " + jpath +
-        " was written with config fingerprint " +
-        io::json_u64(header.config_hash) +
-        " but this engine is configured with fingerprint " +
-        io::json_u64(core_.config_hash()) +
-        "; resuming would splice two different proposal streams");
-  }
-  std::vector<JournalRecord> records;
-  records.reserve(jr.payloads.size() - 1);
-  for (std::size_t i = 1; i < jr.payloads.size(); ++i) {
-    JournalRecord rec = JournalRecord::parse(jr.payloads[i]);
-    if (rec.index != records.size()) {
-      throw io::CheckpointError(
-          "journal corrupted: line " + std::to_string(i + 1) + " of " +
-          jpath + " carries record index " + std::to_string(rec.index) +
-          " where " + std::to_string(records.size()) + " was expected");
-    }
-    records.push_back(std::move(rec));
-  }
+  std::vector<JournalRecord> records =
+      checked_journal_records(jr, jpath, core_.config_hash(), "engine");
 
   BoCheckpoint snap;
   const bool have_snap = io::file_exists(spath);
@@ -360,21 +313,8 @@ void BoEngine::restore(sched::EvalSupervisor& sup, BoResult& result) {
           " is damaged (expected exactly one intact framed line)");
     }
     snap = BoCheckpoint::parse(sr.payloads.front());
-    if (snap.config_hash != core_.config_hash()) {
-      throw io::CheckpointError(
-          "checkpoint config mismatch: snapshot " + spath +
-          " was written with config fingerprint " +
-          io::json_u64(snap.config_hash) +
-          " but this engine is configured with fingerprint " +
-          io::json_u64(core_.config_hash()));
-    }
-    if (snap.journal_count > records.size()) {
-      throw io::CheckpointError(
-          "snapshot " + spath + " absorbs " +
-          std::to_string(snap.journal_count) + " evaluations but journal " +
-          jpath + " holds only " + std::to_string(records.size()) +
-          " — the files do not belong to the same run");
-    }
+    check_snapshot(snap, spath, jpath, records.size(), core_.config_hash(),
+                   "engine");
   }
 
   // Re-open for appending, truncating any torn tail first: those bytes
@@ -398,6 +338,7 @@ void BoEngine::restore(sched::EvalSupervisor& sup, BoResult& result) {
     EvalRecord rec;
     rec.x = core_.to_design(jrec.x);
     rec.y = jrec.y;
+    rec.g = jrec.g;
     rec.start = jrec.start;
     rec.finish = jrec.finish;
     rec.worker = jrec.worker;
@@ -434,11 +375,8 @@ void BoEngine::restore(sched::EvalSupervisor& sup, BoResult& result) {
         duration = remaining;
       }
       restored_real_.insert(tag);
-      Vec x_design = core_.to_design(core_.proposal(tag));
-      sup.submit(
-          tag,
-          [obj = &objective_, x = std::move(x_design)] { return (*obj)(x); },
-          duration);
+      sup.submit(tag, evaluation(tag, core_.to_design(core_.proposal(tag))),
+                 duration);
       ++resubmitted;
     }
   }
@@ -455,61 +393,49 @@ void BoEngine::restore(sched::EvalSupervisor& sup, BoResult& result) {
 BoEngine::Arrived BoEngine::await_one(sched::EvalSupervisor& sup) {
   Arrived a;
   if (!replay_.empty()) {
-    JournalRecord rec = std::move(replay_.front());
+    const JournalRecord rec = std::move(replay_.front());
     replay_.pop_front();
     replay_tags_.erase(rec.tag);
-    if (rec.tag >= core_.num_proposals() ||
-        core_.pending_tags().count(rec.tag) == 0) {
-      throw io::CheckpointError(
-          "journal corrupted: record " + std::to_string(rec.index) +
-          " completes evaluation " + std::to_string(rec.tag) +
-          " which the deterministic replay never issued");
-    }
-    if (!same_point(rec.x, core_.proposal(rec.tag))) {
-      throw io::CheckpointError(
-          "journal record " + std::to_string(rec.index) +
-          " does not match this configuration's proposal stream "
-          "(evaluation " + std::to_string(rec.tag) +
-          " replays to a different point) — was the journal written by a "
-          "different configuration or code version?");
-    }
+    a.tag = rec.tag;
+    a.outcome = replayed_outcome(rec, core_);
     replay_awaiting_.erase(rec.tag);
-    a.replayed = true;
-    a.start_abs = rec.start;
-    a.finish_abs = rec.finish;
     last_replay_finish_ = rec.finish;
-    a.sc.completion.tag = rec.tag;
-    a.sc.completion.worker = rec.worker;
-    a.sc.completion.start = rec.start;
-    a.sc.completion.finish = rec.finish;
-    a.sc.status = eval_status_from(rec.status, rec.index);
-    a.sc.completion.value =
-        a.sc.ok() ? rec.y : std::numeric_limits<double>::quiet_NaN();
-    a.sc.attempts = rec.attempts;
-    a.sc.error = std::move(rec.error);
     // The original run drew one backoff jitter per relaunch from the
     // supervisor's stream; consume the same draws so the stream position
     // stays aligned.
-    sup.replay_retries(a.sc.attempts);
+    sup.replay_retries(rec.attempts);
     obs::count(trace_, "ckpt.replayed");
     return a;
   }
   a.sc = timed_wait(sup);
-  a.start_abs = a.sc.completion.start;
-  a.finish_abs = a.sc.completion.finish;
-  const auto it = restored_real_.find(a.sc.completion.tag);
+  const sched::SupervisedCompletion& sc = a.sc;
+  a.tag = sc.completion.tag;
+  Outcome& o = a.outcome;
+  o.status = sc.status;
+  o.value = sc.completion.value;
+  o.attempts = sc.attempts;
+  o.worker = sc.completion.worker;
+  o.start = sc.completion.start;
+  o.finish = sc.completion.finish;
+  o.error = sc.error;
+  o.exception = sc.exception;
+  const auto it = restored_real_.find(a.tag);
   if (it != restored_real_.end()) {
     // Re-submitted in-flight work: the executor saw only its remainder;
     // its true start is the original submission time.
-    a.start_abs = core_.proposal_submit_time(a.sc.completion.tag);
+    o.start = core_.proposal_submit_time(a.tag);
     restored_real_.erase(it);
+  }
+  if (auto slot = constraint_slots_.extract(a.tag); slot && sc.ok()) {
+    const std::lock_guard<std::mutex> lock(slot.mapped()->mu);
+    o.g = std::move(slot.mapped()->g);
   }
   return a;
 }
 
-void BoEngine::drain_all(sched::EvalSupervisor& sup, BoResult& result) {
+void BoEngine::drain_all(sched::EvalSupervisor& sup) {
   while (num_outstanding(sup) > 0) {
-    observe_arrival(await_one(sup), result, /*draining=*/true);
+    observe_arrival(await_one(sup), /*draining=*/true);
   }
 }
 

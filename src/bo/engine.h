@@ -26,13 +26,15 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <set>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "bo/ask_tell.h"
 #include "bo/checkpoint.h"
 #include "bo/config.h"
+#include "bo/constrained.h"
 #include "bo/result.h"
 #include "common/rng.h"
 #include "obs/recording.h"
@@ -56,8 +58,12 @@ class BoEngine {
   /// \param objective  the FOM to maximize (paper Eq. 1)
   /// \param sim_time   virtual duration of one evaluation; defaults to a
   ///                   constant 1s when null (pure sample-efficiency runs)
+  /// \param constraints  g_i(x) >= 0, evaluated right after the objective
+  ///                   (bo/constrained.h); non-empty requires EasyBO in
+  ///                   Sequential or AsyncBatch mode
   BoEngine(BoConfig config, opt::Bounds bounds, opt::Objective objective,
-           std::function<double(const Vec&)> sim_time = nullptr);
+           std::function<double(const Vec&)> sim_time = nullptr,
+           std::vector<Constraint> constraints = {});
 
   /// Executes the full run on a VirtualExecutor with `batch` workers
   /// (one in Sequential mode). Call once per engine instance.
@@ -117,26 +123,35 @@ class BoEngine {
   ///   engine.set_trace(&stream);
   obs::TraceSink* trace() const { return trace_; }
 
+  /// The ask/tell core the engine drives, e.g. for the final incumbent.
+  const AskTellCore& core() const { return core_; }
+
  private:
   /// One terminal evaluation outcome as delivered to observe_arrival():
   /// either a real supervised completion or a journaled one re-enacted
-  /// during resume replay. start_abs/finish_abs are on the run's logical
+  /// during resume replay. outcome.start/finish are on the run's logical
   /// clock — for replayed records the exact original times from the
   /// journal, so no floating-point round trip can perturb them.
   struct Arrived {
-    sched::SupervisedCompletion sc;
-    bool replayed = false;
-    double start_abs = 0.0;
-    double finish_abs = 0.0;
+    std::size_t tag = 0;
+    Outcome outcome;
+    sched::SupervisedCompletion sc;  ///< live arrivals: trace and eval log
+  };
+
+  /// Constraint values of one in-flight evaluation, written by its worker;
+  /// locked because a retry can overlap an abandoned (timed-out) attempt.
+  struct ConstraintSlot {
+    std::mutex mu;
+    Vec g;
   };
 
   const BoConfig& cfg() const { return core_.config(); }
 
   // --- run phases ---------------------------------------------------------
-  void run_init_phase(sched::EvalSupervisor& sup, BoResult& result);
-  void run_sequential(sched::EvalSupervisor& sup, BoResult& result);
-  void run_sync_batch(sched::EvalSupervisor& sup, BoResult& result);
-  void run_async_batch(sched::EvalSupervisor& sup, BoResult& result);
+  void run_init_phase(sched::EvalSupervisor& sup);
+  void run_sequential(sched::EvalSupervisor& sup);
+  void run_sync_batch(sched::EvalSupervisor& sup);
+  void run_async_batch(sched::EvalSupervisor& sup);
 
   /// Pulls the next suggestion out of the core and hands it to the
   /// supervisor — unless its tag is covered by resume replay, in which
@@ -144,18 +159,20 @@ class BoEngine {
   /// and only the logical worker-slot accounting happens here.
   void submit(sched::EvalSupervisor& sup);
 
+  /// The supervised work of evaluation \p tag at design point \p x: the
+  /// objective, then each constraint into the tag's ConstraintSlot (a
+  /// non-finite value makes the evaluation non-finite).
+  std::function<double()> evaluation(std::size_t tag, Vec x);
+
   /// Feeds one arrival into the core (books the ObjectiveEval span and
   /// the per-eval log around it). Abort policy rethrows out of here.
-  void observe_arrival(const Arrived& a, BoResult& result,
-                       bool draining = false);
+  void observe_arrival(const Arrived& a, bool draining = false);
 
   /// Appends one entry to the per-eval outcome log (metrics "evals").
   void log_eval(const sched::SupervisedCompletion& sc, const char* action);
 
-  /// wait_next()/wait_all() wrapped in a Phase::ExecutorWait span.
+  /// wait_next() wrapped in a Phase::ExecutorWait span.
   sched::SupervisedCompletion timed_wait(sched::EvalSupervisor& sup);
-  std::vector<sched::SupervisedCompletion> timed_wait_all(
-      sched::EvalSupervisor& sup);
 
   // --- durability (checkpoint/resume; docs/checkpoint-format.md) --------
   bool stop_requested() const { return stop_token_.stop_requested(); }
@@ -198,7 +215,7 @@ class BoEngine {
 
   /// Loads snapshot + journal, restores core state, stages the journal
   /// tail for replay and re-submits genuinely in-flight work.
-  void restore(sched::EvalSupervisor& sup, BoResult& result);
+  void restore(sched::EvalSupervisor& sup);
 
   /// Next terminal outcome: the front of the replay queue while resume
   /// replay is in progress, a real supervised wait otherwise.
@@ -206,7 +223,7 @@ class BoEngine {
 
   /// Drains every outstanding evaluation without model updates (the init
   /// phase / graceful-stop semantics).
-  void drain_all(sched::EvalSupervisor& sup, BoResult& result);
+  void drain_all(sched::EvalSupervisor& sup);
 
   /// Writes a snapshot when the cadence says so (checkpoint_every new
   /// journal lines since the last one; never during replay).
@@ -221,6 +238,9 @@ class BoEngine {
 
   AskTellCore core_;
   opt::Objective objective_;
+  std::vector<Constraint> constraints_;
+  std::unordered_map<std::size_t, std::shared_ptr<ConstraintSlot>>
+      constraint_slots_;
 
   // --- resume replay (engine-side: it shadows the EXECUTION timeline) ---
   // Journal tail to re-enact on resume, in original completion order,

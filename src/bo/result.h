@@ -19,6 +19,10 @@ using linalg::Vec;
 struct EvalRecord {
   Vec x;                 ///< design-space point
   double y = 0.0;        ///< observed FOM; NaN for discarded failures
+  /// Constraint values (constrained runs), in constraint order; penalty
+  /// pseudo values for penalized failures, empty for discarded ones and
+  /// in unconstrained runs.
+  Vec g;
   double start = 0.0;    ///< virtual time the simulation started
   double finish = 0.0;   ///< virtual time it finished
   std::size_t worker = 0;

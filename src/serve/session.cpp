@@ -1,6 +1,5 @@
 #include "serve/session.h"
 
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -19,25 +18,6 @@ sched::EvalStatus failure_status_from(const std::string& name) {
   if (name == "non_finite") return sched::EvalStatus::NonFinite;
   throw Error("observe: unknown failure status \"" + name +
               "\" (expected exception|timeout|non_finite)");
-}
-
-sched::EvalStatus replay_status_from(const std::string& name,
-                                     std::size_t record_index) {
-  if (name == "ok") return sched::EvalStatus::Ok;
-  if (name == "exception") return sched::EvalStatus::Exception;
-  if (name == "timeout") return sched::EvalStatus::Timeout;
-  if (name == "non_finite") return sched::EvalStatus::NonFinite;
-  throw io::CheckpointError("journal corrupted: record " +
-                            std::to_string(record_index) +
-                            " carries unknown eval status \"" + name + "\"");
-}
-
-bool same_point(const Vec& a, const Vec& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
 }
 
 enum class SnapLoad { Missing, Damaged, Ok };
@@ -116,28 +96,8 @@ std::unique_ptr<Session> Session::resume(std::string name, SessionSpec spec,
     throw io::CheckpointError("cannot resume: journal at " + jpath +
                               " holds no intact header line");
   }
-  const bo::JournalHeader header = bo::JournalHeader::parse(jr.payloads.front());
-  if (header.config_hash != core.config_hash()) {
-    throw io::CheckpointError(
-        "checkpoint config mismatch: journal " + jpath +
-        " was written with config fingerprint " +
-        io::json_u64(header.config_hash) +
-        " but this session is configured with fingerprint " +
-        io::json_u64(core.config_hash()) +
-        "; resuming would splice two different proposal streams");
-  }
-  std::vector<bo::JournalRecord> records;
-  records.reserve(jr.payloads.size() - 1);
-  for (std::size_t i = 1; i < jr.payloads.size(); ++i) {
-    bo::JournalRecord rec = bo::JournalRecord::parse(jr.payloads[i]);
-    if (rec.index != records.size()) {
-      throw io::CheckpointError(
-          "journal corrupted: line " + std::to_string(i + 1) + " of " +
-          jpath + " carries record index " + std::to_string(rec.index) +
-          " where " + std::to_string(records.size()) + " was expected");
-    }
-    records.push_back(std::move(rec));
-  }
+  const std::vector<bo::JournalRecord> records = bo::checked_journal_records(
+      jr, jpath, core.config_hash(), "session");
 
   // Sessions write a snapshot inside create(), so a resumable session
   // normally has one. A missing or torn "<base>.snapshot" is the
@@ -170,21 +130,8 @@ std::unique_ptr<Session> Session::resume(std::string name, SessionSpec spec,
     }
   }
   const std::string used = from_fallback ? old_path : spath;
-  if (snap.config_hash != core.config_hash()) {
-    throw io::CheckpointError(
-        "checkpoint config mismatch: snapshot " + used +
-        " was written with config fingerprint " +
-        io::json_u64(snap.config_hash) +
-        " but this session is configured with fingerprint " +
-        io::json_u64(core.config_hash()));
-  }
-  if (snap.journal_count > records.size()) {
-    throw io::CheckpointError(
-        "snapshot " + used + " absorbs " +
-        std::to_string(snap.journal_count) + " evaluations but journal " +
-        jpath + " holds only " + std::to_string(records.size()) +
-        " — the files do not belong to the same run");
-  }
+  bo::check_snapshot(snap, used, jpath, records.size(), core.config_hash(),
+                     "session");
 
   core.reopen_journal(jr.valid_bytes, records.size(), snap.journal_count);
   core.restore_snapshot(snap, used);
@@ -200,33 +147,8 @@ std::unique_ptr<Session> Session::resume(std::string name, SessionSpec spec,
   // must not journal them again.
   for (std::size_t i = snap.journal_count; i < records.size(); ++i) {
     const bo::JournalRecord& rec = records[i];
-    if (rec.tag >= core.num_proposals() ||
-        core.pending_tags().count(rec.tag) == 0) {
-      throw io::CheckpointError(
-          "journal corrupted: record " + std::to_string(rec.index) +
-          " completes evaluation " + std::to_string(rec.tag) +
-          " which the restored session never had in flight");
-    }
-    if (!same_point(rec.x, core.proposal(rec.tag))) {
-      throw io::CheckpointError(
-          "journal record " + std::to_string(rec.index) +
-          " does not match this configuration's proposal stream "
-          "(evaluation " + std::to_string(rec.tag) +
-          " replays to a different point) — was the journal written by a "
-          "different configuration or code version?");
-    }
-    bo::Outcome o;
-    o.status = replay_status_from(rec.status, rec.index);
-    o.value = o.status == sched::EvalStatus::Ok
-                  ? rec.y
-                  : std::numeric_limits<double>::quiet_NaN();
-    o.attempts = rec.attempts;
-    o.worker = rec.worker;
-    o.start = rec.start;
-    o.finish = rec.finish;
-    o.error = rec.error;
-    o.replayed = true;
-    const bo::Observed ob = core.observe(rec.tag, o);
+    const bo::Observed ob =
+        core.observe(rec.tag, bo::replayed_outcome(rec, core));
     if (rec.action != ob.action) {
       throw io::CheckpointError(
           "journal record " + std::to_string(rec.index) +
@@ -277,8 +199,21 @@ void Session::record_turnaround(std::size_t tag) {
 
 SessionObserved Session::observe_ok(std::size_t tag, double y) {
   bo::Outcome o;
-  o.status = sched::EvalStatus::Ok;
   o.value = y;
+  return observe(tag, std::move(o));
+}
+
+SessionObserved Session::observe_failure(std::size_t tag,
+                                         const std::string& status,
+                                         const std::string& error) {
+  bo::Outcome o;
+  o.status = failure_status_from(status);
+  o.value = std::numeric_limits<double>::quiet_NaN();
+  o.error = error;
+  return observe(tag, std::move(o));
+}
+
+SessionObserved Session::observe(std::size_t tag, bo::Outcome o) {
   o.start = tag < core_.num_proposals() ? core_.proposal_submit_time(tag)
                                         : 0.0;
   o.finish = now_ + 1.0;
@@ -292,30 +227,6 @@ SessionObserved Session::observe_ok(std::size_t tag, double y) {
   // only widens the journal tail the next resume replays. The request is
   // committed, so the reply stays OK — but the fault is surfaced for the
   // host's health plane.
-  try {
-    snapshot();
-  } catch (const io::CheckpointError& e) {
-    out.snapshot_failed = true;
-    out.storage_error = e.what();
-  }
-  return out;
-}
-
-SessionObserved Session::observe_failure(std::size_t tag,
-                                         const std::string& status,
-                                         const std::string& error) {
-  bo::Outcome o;
-  o.status = failure_status_from(status);
-  o.value = std::numeric_limits<double>::quiet_NaN();
-  o.start = tag < core_.num_proposals() ? core_.proposal_submit_time(tag)
-                                        : 0.0;
-  o.finish = now_ + 1.0;
-  o.error = error;
-  const bo::Observed ob = core_.observe(tag, o);
-  now_ += 1.0;
-  record_turnaround(tag);
-  SessionObserved out;
-  out.action = ob.action;
   try {
     snapshot();
   } catch (const io::CheckpointError& e) {

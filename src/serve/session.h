@@ -134,6 +134,10 @@ class Session {
   /// fallback); rotation failures are themselves non-fatal.
   void snapshot();
 
+  /// Stamps \p o on the session clock, applies it to the core, then
+  /// snapshots (observe_ok / observe_failure).
+  SessionObserved observe(std::size_t tag, bo::Outcome o);
+
   /// Closes the turnaround span for \p tag, when one is open.
   void record_turnaround(std::size_t tag);
 

@@ -225,6 +225,43 @@ TEST(EvaluateBatch, WeightedUcbWithUnrelatedMeanModel) {
   expect_batch_matches_scalar(fn, &mean_model, &var_model, 0.4);
 }
 
+TEST(EvaluateBatch, FeasibilityWeightedOverPlainModel) {
+  const GpRegressor gp = fitted_2d(30, 1e-6, 70);
+  const GpRegressor g1 = fitted_2d(20, 1e-6, 71);
+  const GpRegressor g2 = fitted_2d(25, 1e-6, 72);
+  const WeightedUcb base(&gp, &gp, 0.7);
+  // A floor inside the base's range clamps part of the probes to zero.
+  const FeasibilityWeighted fn(&base, base(probe_points(70, 5)[10]),
+                               {&g1, &g2});
+  expect_batch_matches_scalar(fn, nullptr, nullptr, 0.0);
+}
+
+TEST(EvaluateBatch, FeasibilityWeightedOverOverlay) {
+  const GpRegressor gp = fitted_2d(30, 1e-6, 73);
+  const auto overlay = gp.hallucinate(probe_points(6, 74), false);
+  const GpRegressor g1 = fitted_2d(22, 1e-6, 75);
+  const WeightedUcb base(&gp, overlay.get(), 0.6);
+  const FeasibilityWeighted fn(&base, -0.25, {&g1});
+  expect_batch_matches_scalar(fn, nullptr, nullptr, 0.0);
+}
+
+TEST(FeasibilityWeighted, DownWeightsByTheProbabilityOfFeasibility) {
+  const GpRegressor gp = fitted_2d(30, 1e-6, 76);
+  const GpRegressor g = fitted_2d(20, 1e-6, 77);
+  const WeightedUcb base(&gp, &gp, 0.5);
+  const double floor = -3.0;
+  const FeasibilityWeighted fn(&base, floor, {&g});
+  for (const Vec& x : probe_points(20, 78)) {
+    const gp::Prediction p = g.predict(x);
+    const double expected =
+        (std::max(base(x) - floor, 0.0) + 1e-12) *
+        norm_cdf(p.mean / std::max(p.stddev(), 1e-9));
+    EXPECT_EQ(fn(x), expected);
+  }
+  EXPECT_THROW(FeasibilityWeighted(nullptr, 0.0, {&g}), InvalidArgument);
+  EXPECT_THROW(FeasibilityWeighted(&base, 0.0, {nullptr}), InvalidArgument);
+}
+
 TEST(EvaluateBatch, DefaultLoopForEi) {
   const GpRegressor gp = fitted_2d(30, 1e-6, 67);
   const Ei fn(&gp, 0.5);

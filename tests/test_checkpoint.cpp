@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bo/constrained.h"
 #include "bo/engine.h"
 #include "circuit/testfunc.h"
 #include "common/rng.h"
@@ -75,11 +76,16 @@ void expect_same_run(const BoResult& a, const BoResult& b) {
   ASSERT_EQ(a.num_evals(), b.num_evals());
   for (std::size_t i = 0; i < a.num_evals(); ++i) {
     EXPECT_EQ(a.evals[i].x, b.evals[i].x) << "eval " << i;
-    EXPECT_DOUBLE_EQ(a.evals[i].y, b.evals[i].y) << "eval " << i;
+    if (std::isnan(a.evals[i].y)) {  // a discarded failure
+      EXPECT_TRUE(std::isnan(b.evals[i].y)) << "eval " << i;
+    } else {
+      EXPECT_DOUBLE_EQ(a.evals[i].y, b.evals[i].y) << "eval " << i;
+    }
     EXPECT_DOUBLE_EQ(a.evals[i].start, b.evals[i].start) << "eval " << i;
     EXPECT_DOUBLE_EQ(a.evals[i].finish, b.evals[i].finish) << "eval " << i;
     EXPECT_EQ(a.evals[i].is_init, b.evals[i].is_init) << "eval " << i;
     EXPECT_EQ(a.evals[i].failed, b.evals[i].failed) << "eval " << i;
+    EXPECT_EQ(a.evals[i].g, b.evals[i].g) << "eval " << i;
   }
   EXPECT_EQ(a.best_x, b.best_x);
   EXPECT_DOUBLE_EQ(a.best_y, b.best_y);
@@ -92,7 +98,8 @@ void expect_same_run(const BoResult& a, const BoResult& b) {
 /// stand-in landing at an arbitrary point mid-run, with whatever journal
 /// and snapshot exist at that instant left behind for the parent.
 void run_and_kill(const BoConfig& cfg, const circuit::TestFunction& tf,
-                  const std::string& base, int kill_at_call) {
+                  const std::string& base, int kill_at_call,
+                  const std::vector<Constraint>& constraints = {}) {
   const pid_t pid = fork();
   ASSERT_NE(pid, -1) << "fork failed";
   if (pid == 0) {
@@ -104,7 +111,8 @@ void run_and_kill(const BoConfig& cfg, const circuit::TestFunction& tf,
     BoConfig child_cfg = cfg;
     child_cfg.checkpoint_path = base;
     try {
-      BoEngine engine(child_cfg, tf.bounds, lethal, varied_sim_time);
+      BoEngine engine(child_cfg, tf.bounds, lethal, varied_sim_time,
+                      constraints);
       engine.run();
     } catch (...) {
       std::_Exit(9);
@@ -204,10 +212,16 @@ TEST(JournalRecordJson, RoundTripsEveryField) {
   EXPECT_TRUE(std::isnan(back.y));     // NaN travels as JSON null
   EXPECT_EQ(back.error, rec.error);
 
+  EXPECT_TRUE(back.g.empty());
+  // Constraint values are written only when the record carries some.
+  EXPECT_EQ(rec.to_payload().find("\"g\""), std::string::npos);
+
   rec.y = -123.456789012345678;
+  rec.g = {-0.5, 1.0000000000000002e-17, 3.25};
   rec.error.clear();
   const JournalRecord ok = JournalRecord::parse(rec.to_payload());
   EXPECT_EQ(ok.y, rec.y);
+  EXPECT_EQ(ok.g, rec.g);
   EXPECT_TRUE(ok.error.empty());
 }
 
@@ -274,8 +288,18 @@ TEST(BoCheckpointJson, RoundTripsBitIdenticalAcross50Seeds) {
     snap.next_hyper_refit = seed + 10;
     snap.hyper_refits = seed / 3;
     snap.gp_log_hyperparams = seed % 2 == 0 ? rvec(4) : Vec{};
+    const bool constrained = seed % 3 == 1;
+    if (constrained) {
+      for (std::size_t i = 0; i < n_obs; ++i) {
+        snap.obs_g.push_back(rvec(2));
+        snap.obs_penalized.push_back(i % 2 == 1);
+      }
+      snap.g_log_hyperparams = {rvec(4), rvec(4)};
+    }
 
-    const BoCheckpoint back = BoCheckpoint::parse(snap.to_payload());
+    const std::string payload = snap.to_payload();
+    EXPECT_EQ(payload.find("obs_g") != std::string::npos, constrained);
+    const BoCheckpoint back = BoCheckpoint::parse(payload);
     EXPECT_EQ(back.config_hash, snap.config_hash);
     EXPECT_EQ(back.journal_count, snap.journal_count);
     EXPECT_EQ(back.now, snap.now);
@@ -299,6 +323,9 @@ TEST(BoCheckpointJson, RoundTripsBitIdenticalAcross50Seeds) {
     EXPECT_EQ(back.next_hyper_refit, snap.next_hyper_refit);
     EXPECT_EQ(back.hyper_refits, snap.hyper_refits);
     EXPECT_EQ(back.gp_log_hyperparams, snap.gp_log_hyperparams);
+    EXPECT_EQ(back.obs_g, snap.obs_g);
+    EXPECT_EQ(back.obs_penalized, snap.obs_penalized);
+    EXPECT_EQ(back.g_log_hyperparams, snap.g_log_hyperparams);
 
     // The restored RNG continues the stream bit for bit.
     Rng restored(1);
@@ -353,6 +380,17 @@ TEST(ConfigFingerprint, MatchesValuesFromBeforeTheBackendRemoval) {
   pinned.pin_hallucinated_mean = true;
   EXPECT_EQ(config_fingerprint(pinned, tf.bounds), 5280235188366560086ull);
   EXPECT_NE(config_fingerprint(pinned, tf.bounds), plain);
+}
+
+// The constraint count is hashed only when there is at least one
+// constraint: every unconstrained fingerprint keeps its value.
+TEST(ConfigFingerprint, HashesTheConstraintCountOnlyWhenConstrained) {
+  const auto tf = easybo::circuit::branin();
+  const BoConfig cfg;
+  EXPECT_EQ(config_fingerprint(cfg, tf.bounds, 0), 6662251224650069979ull);
+  const std::uint64_t one = config_fingerprint(cfg, tf.bounds, 1);
+  EXPECT_NE(one, config_fingerprint(cfg, tf.bounds, 0));
+  EXPECT_NE(one, config_fingerprint(cfg, tf.bounds, 2));
 }
 
 // ---------------------------------------------------------------------------
@@ -428,6 +466,50 @@ TEST(Checkpointing, KillAndResumeWithSparseSnapshots) {
   run_and_kill(cfg, tf, base, 14);
   BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
   expect_same_run(ref, engine.resume(base));
+}
+
+TEST(Checkpointing, KillAndResumeConstrainedMatchesUninterrupted) {
+  // A constrained run is an ordinary engine run, so it resumes exactly
+  // too: constraint values, constraint models and (under penalize) the
+  // penalty pseudo points all come back from the journal and snapshot.
+  // The constraint is non-finite where x1 > 12, so evaluations there
+  // fail and take the configured policy.
+  const auto tf = easybo::circuit::branin();
+  const std::vector<Constraint> cons = {
+      {"x0+x1<=8", [](const Vec& x) {
+         return x[1] > 12.0 ? std::numeric_limits<double>::quiet_NaN()
+                            : 8.0 - x[0] - x[1];
+       }}};
+  struct Case {
+    Mode mode;
+    std::size_t batch;
+    EvalFailurePolicy policy;
+    std::size_t checkpoint_every;
+    std::vector<int> kills;
+  };
+  const Case cases[] = {
+      {Mode::AsyncBatch, 4, EvalFailurePolicy::Penalize, 1, {3, 9, 17}},
+      {Mode::AsyncBatch, 4, EvalFailurePolicy::Discard, 5, {14}},
+      {Mode::Sequential, 1, EvalFailurePolicy::Penalize, 1, {12}},
+  };
+  for (const Case& c : cases) {
+    BoConfig cfg = quick(c.mode, c.batch, 61);
+    cfg.on_eval_failure = c.policy;
+    cfg.checkpoint_every = c.checkpoint_every;
+    const BoResult ref =
+        BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time, cons).run();
+    ASSERT_TRUE(std::any_of(ref.evals.begin(), ref.evals.end(),
+                            [](const EvalRecord& e) { return e.failed; }))
+        << "the failing region must be visited";
+    for (const int kill_at : c.kills) {
+      const std::string base =
+          fresh_base("kill_constrained_" + std::to_string(int(c.mode)) +
+                     "_" + std::to_string(kill_at));
+      run_and_kill(cfg, tf, base, kill_at, cons);
+      BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time, cons);
+      expect_same_run(ref, engine.resume(base));
+    }
+  }
 }
 
 TEST(Checkpointing, KillAndResumeOnThreadExecutorSequential) {
@@ -572,8 +654,9 @@ TEST(Checkpointing, ResumeToleratesATornJournalTail) {
 void expect_resume_error(const BoConfig& cfg,
                          const circuit::TestFunction& tf,
                          const std::string& base,
-                         const std::string& needle) {
-  BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
+                         const std::string& needle,
+                         const std::vector<Constraint>& constraints = {}) {
+  BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time, constraints);
   try {
     engine.resume(base);
     FAIL() << "resume was expected to refuse";
@@ -641,6 +724,28 @@ TEST(ResumeRefusal, InteriorJournalCorruption) {
     out << content;
   }
   expect_resume_error(cfg, tf, cfg.checkpoint_path, "journal corrupted");
+}
+
+TEST(ResumeRefusal, ConstrainedFilesNeedTheirConstraints) {
+  const auto tf = easybo::circuit::branin();
+  const std::vector<Constraint> cons = {
+      {"x0<=5", [](const Vec& x) { return 5.0 - x[0]; }}};
+  BoConfig cfg = quick(Mode::AsyncBatch, 4, 131);
+  cfg.checkpoint_path = fresh_base("constrained_state");
+  (void)BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time, cons).run();
+
+  // The constraint count is part of the fingerprint.
+  expect_resume_error(cfg, tf, cfg.checkpoint_path,
+                      "checkpoint config mismatch");
+
+  // A snapshot whose constraint rows do not match its observations.
+  const std::string spath = snapshot_file(cfg.checkpoint_path);
+  BoCheckpoint snap =
+      BoCheckpoint::parse(io::read_journal(spath).payloads.front());
+  snap.obs_g.back().push_back(1.0);
+  io::atomic_write_file(spath, io::frame_line(snap.to_payload()) + "\n");
+  expect_resume_error(cfg, tf, cfg.checkpoint_path,
+                      "lacks the constraint state", cons);
 }
 
 TEST(ResumeRefusal, SnapshotFromADifferentRun) {

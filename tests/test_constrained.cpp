@@ -1,15 +1,22 @@
-// Tests for constrained asynchronous EasyBO (bo/constrained.h) and the
-// BUCB / LP extension acquisitions in the engine.
+// Tests for constrained EasyBO (bo/constrained.h) — the feasibility
+// results, and constrained runs on the shared engine machinery (thread
+// executor, failure policies, checkpoint files) — and the BUCB / LP
+// extension acquisitions in the engine.
 
 #include "bo/constrained.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
 
 #include "bo/engine.h"
 #include "circuit/testfunc.h"
 #include "common/error.h"
+#include "common/stats.h"
+#include "io/journal.h"
 
 namespace easybo::bo {
 namespace {
@@ -157,6 +164,151 @@ TEST(ConstrainedBo, DeterministicForFixedSeed) {
   const auto b = run_constrained_bo(quick_config(9), bounds, objective, cons);
   EXPECT_DOUBLE_EQ(a.best_y, b.best_y);
   EXPECT_EQ(a.num_feasible, b.num_feasible);
+}
+
+// ---------------------------------------------------------------------------
+// Constrained runs on the shared engine machinery
+// ---------------------------------------------------------------------------
+
+// Maximize x+y subject to x + y <= 1, where the constraint's simulator
+// returns NaN for x > 0.8.
+std::vector<Constraint> sum_le_1_nan_above(double x_max) {
+  return {{"sum<=1", [x_max](const linalg::Vec& x) {
+             return x[0] > x_max ? std::numeric_limits<double>::quiet_NaN()
+                                 : 1.0 - x[0] - x[1];
+           }}};
+}
+
+/// The snapshot a journaled run left at \p base.
+BoCheckpoint read_snapshot(const std::string& base) {
+  const io::JournalReadResult r = io::read_journal(snapshot_file(base));
+  EXPECT_EQ(r.payloads.size(), 1u);
+  return BoCheckpoint::parse(r.payloads.front());
+}
+
+std::string fresh_base(const std::string& name) {
+  const std::string base = ::testing::TempDir() + "easybo_constrained_" + name;
+  std::remove(journal_file(base).c_str());
+  std::remove(snapshot_file(base).c_str());
+  return base;
+}
+
+TEST(ConstrainedEngine, SequentialOnThreadsProposesTheVirtualStream) {
+  opt::Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
+  auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };
+  const std::vector<Constraint> cons = {
+      {"sum<=1", [](const linalg::Vec& x) { return 1.0 - x[0] - x[1]; }}};
+  auto cfg = quick_config(13);
+  cfg.mode = Mode::Sequential;
+  cfg.max_sims = 30;
+
+  const BoResult virt = BoEngine(cfg, bounds, objective, nullptr, cons).run();
+  sched::ThreadExecutor exec(1);
+  BoEngine threaded(cfg, bounds, objective, nullptr, cons);
+  const BoResult real = threaded.run(exec);
+  ASSERT_EQ(real.num_evals(), virt.num_evals());
+  for (std::size_t i = 0; i < virt.num_evals(); ++i) {
+    EXPECT_EQ(real.evals[i].x, virt.evals[i].x) << "eval " << i;
+    EXPECT_EQ(real.evals[i].y, virt.evals[i].y) << "eval " << i;
+    EXPECT_EQ(real.evals[i].g, virt.evals[i].g) << "eval " << i;
+  }
+  EXPECT_EQ(real.best_x, virt.best_x);
+}
+
+// Concurrent evaluations on four threads: each record's constraint
+// value belongs to its own point, never to a neighbour's evaluation.
+TEST(ConstrainedEngine, AsyncOnThreadsKeepsEachPointsConstraintValues) {
+  opt::Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
+  auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };
+  const std::vector<Constraint> cons = {
+      {"sum<=1", [](const linalg::Vec& x) { return 1.0 - x[0] - x[1]; }}};
+  auto cfg = quick_config(14);
+  cfg.max_sims = 30;
+  sched::ThreadExecutor exec(4);
+  BoEngine engine(cfg, bounds, objective, nullptr, cons);
+  const BoResult r = engine.run(exec);
+  ASSERT_EQ(r.num_evals(), cfg.max_sims);
+  for (const EvalRecord& e : r.evals) {
+    ASSERT_EQ(e.g.size(), 1u);
+    EXPECT_EQ(e.g[0], 1.0 - e.x[0] - e.x[1]);
+  }
+}
+
+// A non-finite constraint value fails its evaluation exactly as a
+// non-finite objective would: under discard the point is recorded failed
+// and no model sees it, so every model target stays finite.
+TEST(ConstrainedEngine, NonFiniteConstraintIsAFailedEvaluation) {
+  opt::Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
+  auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };
+  auto cfg = quick_config(1);
+  cfg.on_eval_failure = EvalFailurePolicy::Discard;
+  cfg.checkpoint_path = fresh_base("nan_discard");
+
+  const auto r =
+      run_constrained_bo(cfg, bounds, objective, sum_le_1_nan_above(0.8));
+  std::size_t failed = 0;
+  for (const EvalRecord& e : r.evals) {
+    EXPECT_EQ(e.failed, e.x[0] > 0.8) << "x0 = " << e.x[0];
+    if (e.failed) {
+      ++failed;
+      EXPECT_EQ(e.failure, "non_finite");
+      EXPECT_TRUE(e.g.empty());
+    } else {
+      ASSERT_EQ(e.g.size(), 1u);
+      EXPECT_TRUE(std::isfinite(e.g[0]));
+    }
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_TRUE(r.found_feasible);
+  EXPECT_LE(r.best_x[0], 0.8);
+
+  const BoCheckpoint snap = read_snapshot(cfg.checkpoint_path);
+  ASSERT_EQ(snap.obs_g.size(), snap.obs_x.size());
+  EXPECT_EQ(snap.obs_x.size() + failed, r.num_evals());
+  for (std::size_t k = 0; k < snap.obs_x.size(); ++k) {
+    EXPECT_TRUE(std::isfinite(snap.obs_y[k])) << "observation " << k;
+    EXPECT_TRUE(std::isfinite(snap.obs_g[k][0])) << "observation " << k;
+  }
+}
+
+TEST(ConstrainedEngine, NonFiniteConstraintAbortsUnderTheDefaultPolicy) {
+  opt::Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
+  auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };
+  EXPECT_THROW(run_constrained_bo(quick_config(1), bounds, objective,
+                                  sum_le_1_nan_above(0.8)),
+               Error);
+}
+
+// Under penalize each constraint model receives its own
+// eval_failure_quantile, and a penalty pseudo point never becomes the
+// incumbent.
+TEST(ConstrainedEngine, PenalizeGivesEachConstraintModelItsQuantile) {
+  opt::Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
+  auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };
+  auto cfg = quick_config(3);
+  cfg.on_eval_failure = EvalFailurePolicy::Penalize;
+  cfg.eval_failure_quantile = 0.75;
+  cfg.checkpoint_path = fresh_base("nan_penalize");
+
+  const auto r =
+      run_constrained_bo(cfg, bounds, objective, sum_le_1_nan_above(0.6));
+  const BoCheckpoint snap = read_snapshot(cfg.checkpoint_path);
+  ASSERT_EQ(snap.obs_g.size(), snap.obs_x.size());
+  ASSERT_EQ(snap.obs_penalized.size(), snap.obs_x.size());
+  std::size_t penalized = 0;
+  for (std::size_t k = 0; k < snap.obs_x.size(); ++k) {
+    if (!snap.obs_penalized[k]) continue;
+    ++penalized;
+    Vec ys(snap.obs_y.begin(), snap.obs_y.begin() + k);
+    Vec gs;
+    for (std::size_t j = 0; j < k; ++j) gs.push_back(snap.obs_g[j][0]);
+    EXPECT_EQ(snap.obs_y[k], quantile_of(ys, 0.75)) << "observation " << k;
+    EXPECT_EQ(snap.obs_g[k][0], quantile_of(gs, 0.75)) << "observation " << k;
+  }
+  EXPECT_GT(penalized, 0u);
+  ASSERT_TRUE(r.found_feasible);
+  EXPECT_LE(r.best_x[0], 0.6);
+  EXPECT_LE(r.best_y, 1.0 + 1e-9);
 }
 
 // ---------------------------------------------------------------------------

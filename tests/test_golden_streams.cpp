@@ -3,8 +3,8 @@
 ///
 /// Short seeded default-config runs on Branin, one per acquisition path
 /// the penalized and batched machinery serves, plus a Matérn-5/2 Branin
-/// run and a 10-D op-amp run whose hyperparameter refits fall at
-/// n = 20, 30 and 45, hashed with FNV-1a 64 over
+/// run, a 10-D op-amp run whose hyperparameter refits fall at
+/// n = 20, 30 and 45, and a constrained run, hashed with FNV-1a 64 over
 /// the IEEE-754 bytes of every proposed coordinate in proposal order —
 /// perfbench's `stream_hash`. A change that moves any proposal by one ulp
 /// changes its hash. Speed work must keep these constants; a change that
@@ -20,6 +20,7 @@
 #include <cstring>
 #include <functional>
 
+#include "bo/constrained.h"
 #include "bo/engine.h"
 #include "circuit/benchmark.h"
 #include "circuit/testfunc.h"
@@ -109,6 +110,37 @@ TEST(GoldenStreams, EasyBoAsyncOpamp) {
   cfg.max_sims = 60;
   EXPECT_EQ(stream_hash(cfg, b.bounds, b.fom, b.sim_time),
             0x96ef56a4d3d9b7e8ull);
+}
+
+TEST(GoldenStreams, ConstrainedEasyBoAsync) {
+  // run_constrained_bo on the sphere subject to x0 >= 1 (the optimum sits
+  // on the constraint boundary): B = 4, 60 sims, a cut-down acquisition
+  // and trainer budget. The objective and constraint models all start
+  // from bo::make_kernel's prior.
+  BoConfig cfg = golden_config(Mode::AsyncBatch, AcqKind::EasyBo);
+  cfg.batch = 4;
+  cfg.init_points = 12;
+  cfg.max_sims = 60;
+  cfg.seed = 2;
+  cfg.acq_opt.sobol_candidates = 128;
+  cfg.acq_opt.random_candidates = 64;
+  cfg.acq_opt.refine_evals = 60;
+  cfg.trainer.max_iters = 20;
+  cfg.trainer.restarts = 1;
+  const opt::Bounds bounds{{-3.0, -3.0}, {3.0, 3.0}};
+  StreamHash hash;
+  std::size_t calls = 0;
+  const opt::Objective sphere = [&](const Vec& x) {
+    hash.add(x);
+    ++calls;
+    return -(x[0] * x[0] + x[1] * x[1]);
+  };
+  const std::vector<Constraint> cons = {
+      {"x0>=1", [](const Vec& x) { return x[0] - 1.0; }}};
+  const ConstrainedResult r = run_constrained_bo(cfg, bounds, sphere, cons);
+  EXPECT_EQ(calls, cfg.max_sims);
+  EXPECT_EQ(r.num_evals(), cfg.max_sims);
+  EXPECT_EQ(hash.value(), 0xa467a2d2cf8616dcull);
 }
 
 }  // namespace
