@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <queue>
 
 #include "common/error.h"
 #include "common/sampling.h"
@@ -71,25 +73,50 @@ AcqOptResult maximize_acquisition(const AcquisitionFn& fn, std::size_t dim,
     }
   }
 
-  // Screen in chunks of kScreenChunk through evaluate_batch (one batched
-  // posterior query per chunk for acquisitions that support it). The
-  // cancellation poll sits before every chunk — before candidates 0, 32,
-  // 64, ... — so an expired token never starts the sweep; it reads no
-  // RNG, so surviving the token leaves the stream untouched.
+  // The screened argmax is order.front() after a partial sort, so at least
+  // one element is sorted even when no refinement starts are configured.
+  const std::size_t k =
+      std::min(std::max<std::size_t>(opt.refine_top_k, 1), candidates.size());
+
+  // Screen in chunks of kScreenChunk through evaluate_batch, in index
+  // order (one batched posterior query per chunk for acquisitions that
+  // support it). Each chunk gets a floor: the k-th largest value of the
+  // earlier chunks, kept in the min-heap `top`. A candidate below it is
+  // below the least of the k values partial_sort's scan holds when it
+  // reaches that candidate, so the scan would never admit it: it may read
+  // -inf without changing the chosen indices or their order, ties
+  // included. A NaN breaks that ordering argument, so the first one seen
+  // turns the floor off for the rest of the sweep. The cancellation poll
+  // sits before every chunk — before candidates 0, 32, 64, ... — so an
+  // expired token never starts the sweep; it reads no RNG, so surviving
+  // the token leaves the stream untouched.
   const std::span<const Vec> screen(candidates);
   Vec values(candidates.size());
+  std::priority_queue<double, std::vector<double>, std::greater<>> top;
+  bool use_floor = true;
+  std::size_t var_solves = 0;
   for (std::size_t i = 0; i < candidates.size(); i += kScreenChunk) {
     if (stop != nullptr) stop->check("acquisition screening");
     const std::size_t m = std::min(kScreenChunk, candidates.size() - i);
-    fn.evaluate_batch(screen.subspan(i, m),
-                      std::span<double>(values).subspan(i, m));
+    const double floor = use_floor && top.size() == k ? top.top() : kNoFloor;
+    const std::span<double> chunk = std::span<double>(values).subspan(i, m);
+    var_solves += fn.evaluate_batch(screen.subspan(i, m), chunk, floor);
     result.num_evals += m;
+    for (const double v : chunk) {
+      if (std::isnan(v)) {
+        use_floor = false;
+      } else if (top.size() < k) {
+        top.push(v);
+      } else if (v > top.top()) {
+        top.pop();
+        top.push(v);
+      }
+    }
   }
 
   // Indices of the top-k screened candidates.
   std::vector<std::size_t> order(candidates.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const std::size_t k = std::min(opt.refine_top_k, order.size());
   std::partial_sort(order.begin(),
                     order.begin() + static_cast<std::ptrdiff_t>(k),
                     order.end(), [&](std::size_t a, std::size_t b) {
@@ -106,7 +133,8 @@ AcqOptResult maximize_acquisition(const AcquisitionFn& fn, std::size_t dim,
     opt::NelderMeadOptions nm;
     nm.max_evals = opt.refine_evals;
     nm.initial_step = 0.05;
-    for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t starts = std::min(opt.refine_top_k, order.size());
+    for (std::size_t i = 0; i < starts; ++i) {
       if (stop != nullptr) stop->check("acquisition refinement");
       const auto local = opt::nelder_mead_maximize(
           [&fn](const Vec& x) { return fn(x); }, unit, candidates[order[i]],
@@ -119,6 +147,7 @@ AcqOptResult maximize_acquisition(const AcquisitionFn& fn, std::size_t dim,
     }
   }
   obs::count(sink, "acq.inner_evals", result.num_evals);
+  obs::count(sink, "acq.var_solves", var_solves);
   return result;
 }
 

@@ -7,10 +7,20 @@
 /// comparison measures acquisition *design*, not inner-optimizer luck:
 ///   1. screen a low-discrepancy Sobol batch + random points + caller-
 ///      provided anchors (e.g. the incumbent and jittered copies of it),
-///      32 candidates per AcquisitionFn::evaluate_batch call;
+///      32 candidates per AcquisitionFn::evaluate_batch call, in index
+///      order;
 ///   2. locally refine the top-k screened points with Nelder–Mead;
 ///   3. return the overall argmax.
 /// Operates on the normalized unit cube.
+///
+/// Exact bound pruning: each screening chunk is passed a floor, the k-th
+/// largest value of the earlier chunks, and a candidate below it may read
+/// -inf (the confidence-bound family stops its variance solve there). The
+/// partial sort that picks the top k only admits a candidate strictly
+/// above the least value it holds, which is never below the floor, so
+/// the picks, their order, and every result are those of screening
+/// everything in full, ties included. A NaN turns the floor off for the
+/// rest of the maximization.
 
 #include <vector>
 
@@ -27,7 +37,7 @@ struct AcqOptOptions {
   std::size_t random_candidates = 256;  ///< iid screening points
   std::size_t anchor_jitter = 8;        ///< jittered copies per anchor
   double jitter_scale = 0.05;           ///< stddev of anchor jitter
-  std::size_t refine_top_k = 3;         ///< NM starts
+  std::size_t refine_top_k = 3;         ///< NM starts (0: screening only)
   std::size_t refine_evals = 120;       ///< NM budget per start
 };
 
@@ -42,7 +52,9 @@ struct AcqOptResult {
 ///                 with `anchor_jitter` Gaussian-jittered copies.
 /// \param sink     optional trace sink: times the whole maximization as
 ///                 Phase::AcqMaximize and counts "acq.inner_evals"
-///                 (acquisition evaluations spent). Null = no overhead.
+///                 (acquisition evaluations spent) and "acq.var_solves"
+///                 (screened candidates scored in full, not cut short by
+///                 the floor). Null = no overhead.
 /// \param stop     optional cancellation token, polled between batches of
 ///                 screening evaluations and between Nelder–Mead starts
 ///                 (common::Cancelled unwinds from the poll, never

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "common/error.h"
@@ -14,26 +15,66 @@ double norm_pdf(double z) {
 
 double norm_cdf(double z) { return 0.5 * std::erfc(-z / std::numbers::sqrt2); }
 
-void AcquisitionFn::evaluate_batch(std::span<const Vec> xs,
-                                   std::span<double> out) const {
+std::size_t AcquisitionFn::evaluate_batch(std::span<const Vec> xs,
+                                          std::span<double> out,
+                                          double /*floor*/) const {
   EASYBO_REQUIRE(xs.size() == out.size(),
                  "evaluate_batch: |xs| must equal |out|");
   for (std::size_t i = 0; i < xs.size(); ++i) out[i] = (*this)(xs[i]);
+  return xs.size();
 }
 
 // ---------------------------------------------------------------------------
-// Ucb
+// ConfidenceBound: Ucb (Eq. 3), WeightedUcb (Eq. 4 / 8 / 9), Bucb
 // ---------------------------------------------------------------------------
 
+ConfidenceBound::ConfidenceBound(const gp::Regressor* mean_model,
+                                 const gp::Regressor* var_model, double a,
+                                 double b)
+    : mean_model_(mean_model), var_model_(var_model), a_(a), b_(b) {
+  EASYBO_REQUIRE(mean_model != nullptr && var_model != nullptr,
+                 "confidence bound: null model");
+}
+
+double ConfidenceBound::operator()(const Vec& x) const {
+  return value(var_model_->predict_paired(*mean_model_, x));
+}
+
+std::size_t ConfidenceBound::evaluate_batch(std::span<const Vec> xs,
+                                            std::span<double> out,
+                                            double floor) const {
+  EASYBO_REQUIRE(xs.size() == out.size(),
+                 "evaluate_batch: |xs| must equal |out|");
+  std::vector<gp::Prediction> p(xs.size());
+  // A NaN bound compares false, so it never retires its point.
+  const std::size_t solved = var_model_->predict_paired_batch(
+      *mean_model_, xs, p, [this, floor](double mean, double var_bound) {
+        return value({mean, var_bound}) < floor;
+      });
+  // A retired point holds its bound, which the test just put below the
+  // floor; an exact value below the floor reads -inf alike.
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double v = value(p[i]);
+    out[i] = v < floor ? -std::numeric_limits<double>::infinity() : v;
+  }
+  return solved;
+}
+
 Ucb::Ucb(const gp::Regressor* model, double kappa)
-    : model_(model), kappa_(kappa) {
-  EASYBO_REQUIRE(model != nullptr, "Ucb: null model");
+    : ConfidenceBound(model, model, 1.0, kappa) {
   EASYBO_REQUIRE(kappa >= 0.0, "Ucb: kappa must be non-negative");
 }
 
-double Ucb::operator()(const Vec& x) const {
-  const auto p = model_->predict(x);
-  return p.mean + kappa_ * p.stddev();
+WeightedUcb::WeightedUcb(const gp::Regressor* mean_model,
+                         const gp::Regressor* var_model, double w)
+    : ConfidenceBound(mean_model, var_model, 1.0 - w, w) {
+  EASYBO_REQUIRE(w >= 0.0 && w <= 1.0, "WeightedUcb: w must be in [0,1]");
+}
+
+Bucb::Bucb(const gp::Regressor* mean_model, const gp::Regressor* var_model,
+           double kappa)
+    : ConfidenceBound(mean_model, var_model, 1.0, kappa) {
+  EASYBO_REQUIRE(kappa >= 0.0, "Bucb: kappa must be non-negative");
 }
 
 // ---------------------------------------------------------------------------
@@ -68,47 +109,6 @@ double Pi::operator()(const Vec& x) const {
 }
 
 // ---------------------------------------------------------------------------
-// WeightedUcb (Eq. 4 / 8 / 9)
-// ---------------------------------------------------------------------------
-
-WeightedUcb::WeightedUcb(const gp::Regressor* mean_model,
-                         const gp::Regressor* var_model, double w)
-    : mean_model_(mean_model), var_model_(var_model), w_(w) {
-  EASYBO_REQUIRE(mean_model != nullptr && var_model != nullptr,
-                 "WeightedUcb: null model");
-  EASYBO_REQUIRE(w >= 0.0 && w <= 1.0, "WeightedUcb: w must be in [0,1]");
-}
-
-double WeightedUcb::operator()(const Vec& x) const {
-  const gp::Prediction p = var_model_->predict_paired(*mean_model_, x);
-  return (1.0 - w_) * p.mean + w_ * p.stddev();
-}
-
-void WeightedUcb::evaluate_batch(std::span<const Vec> xs,
-                                 std::span<double> out) const {
-  EASYBO_REQUIRE(xs.size() == out.size(),
-                 "evaluate_batch: |xs| must equal |out|");
-  std::vector<gp::Prediction> p(xs.size());
-  var_model_->predict_paired_batch(*mean_model_, xs, p);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    out[i] = (1.0 - w_) * p[i].mean + w_ * p[i].stddev();
-  }
-}
-
-Bucb::Bucb(const gp::Regressor* mean_model, const gp::Regressor* var_model,
-           double kappa)
-    : mean_model_(mean_model), var_model_(var_model), kappa_(kappa) {
-  EASYBO_REQUIRE(mean_model != nullptr && var_model != nullptr,
-                 "Bucb: null model");
-  EASYBO_REQUIRE(kappa >= 0.0, "Bucb: kappa must be non-negative");
-}
-
-double Bucb::operator()(const Vec& x) const {
-  const gp::Prediction p = var_model_->predict_paired(*mean_model_, x);
-  return p.mean + kappa_ * p.stddev();
-}
-
-// ---------------------------------------------------------------------------
 // FeasibilityWeighted (constrained BO)
 // ---------------------------------------------------------------------------
 
@@ -137,8 +137,9 @@ double FeasibilityWeighted::operator()(const Vec& x) const {
   return value;
 }
 
-void FeasibilityWeighted::evaluate_batch(std::span<const Vec> xs,
-                                         std::span<double> out) const {
+std::size_t FeasibilityWeighted::evaluate_batch(std::span<const Vec> xs,
+                                                std::span<double> out,
+                                                double /*floor*/) const {
   base_->evaluate_batch(xs, out);
   for (double& v : out) v = std::max(v - floor_, 0.0) + 1e-12;
   std::vector<gp::Prediction> p(xs.size());
@@ -146,6 +147,7 @@ void FeasibilityWeighted::evaluate_batch(std::span<const Vec> xs,
     m->predict_paired_batch(*m, xs, p);
     for (std::size_t i = 0; i < xs.size(); ++i) out[i] *= feasibility(p[i]);
   }
+  return xs.size();
 }
 
 double sample_easybo_weight(easybo::Rng& rng, double lambda) {

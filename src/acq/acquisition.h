@@ -8,8 +8,14 @@
 /// model space (inputs in [0,1]^d, z-scored targets). They hold non-owning
 /// pointers to GP models owned by the BO driver; a driver must keep the
 /// models alive and fitted while an acquisition referencing them is in use.
+///
+/// UCB, the weighted UCB of pBO/EasyBO/Eq. 9 and BUCB are one class,
+/// ConfidenceBound (a * mu + b * sigma_hat, a, b >= 0), whose screening
+/// path takes a floor and stops the variance solve of every point whose
+/// value provably cannot reach it.
 
 #include <deque>
+#include <limits>
 #include <memory>
 #include <span>
 
@@ -21,33 +27,68 @@ namespace easybo::acq {
 using gp::Regressor;
 using linalg::Vec;
 
+/// evaluate_batch's default floor: below it, nothing.
+inline constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
+
 /// Interface: a scalar utility over the normalized design space.
 class AcquisitionFn {
  public:
   virtual ~AcquisitionFn() = default;
   virtual double operator()(const Vec& x) const = 0;
 
-  /// out[i] = (*this)(xs[i]) for every i, bit for bit (xs.size() ==
-  /// out.size()). maximize_acquisition screens through this in chunks;
-  /// the default loops operator(), and acquisitions over a batched
-  /// posterior query (WeightedUcb) override it.
-  virtual void evaluate_batch(std::span<const Vec> xs,
-                              std::span<double> out) const;
+  /// Screening's batched evaluation (xs.size() == out.size()): out[i] =
+  /// (*this)(xs[i]) bit for bit whenever that value is >= \p floor; below
+  /// the floor, out[i] may read -inf instead. NaN is never below a floor.
+  /// maximize_acquisition screens through this in chunks, passing the
+  /// k-th best value of the earlier chunks. Returns how many points were
+  /// scored in full rather than cut short by the floor. The default loops
+  /// operator() and ignores the floor; ConfidenceBound overrides it with
+  /// a batched posterior query that stops the variance solve of every
+  /// point whose value cannot reach the floor.
+  virtual std::size_t evaluate_batch(std::span<const Vec> xs,
+                                     std::span<double> out,
+                                     double floor = kNoFloor) const;
+};
+
+/// The confidence-bound family alpha(x) = a * mu(x) + b * sigma_hat(x),
+/// a, b >= 0: mu from \p mean_model and sigma_hat from \p var_model,
+/// both halves from var_model's paired posterior query
+/// (Regressor::predict_paired), which computes the shared kernel cross
+/// once. Ucb, WeightedUcb and Bucb are its members.
+///
+/// Exact bound pruning: alpha only grows with the variance, and
+/// sigma_hat^2 = k(x, x) - ||L^{-1} k*||^2 only shrinks as the forward
+/// solve adds rows, so alpha evaluated on a point's running variance
+/// bound (this very expression, never inverted into a variance
+/// threshold) bounds its exact value from above. evaluate_batch retires a
+/// point as soon as that bound falls strictly below the floor.
+class ConfidenceBound : public AcquisitionFn {
+ public:
+  double operator()(const Vec& x) const final;
+  std::size_t evaluate_batch(std::span<const Vec> xs, std::span<double> out,
+                             double floor = kNoFloor) const final;
+
+ protected:
+  ConfidenceBound(const gp::Regressor* mean_model,
+                  const gp::Regressor* var_model, double a, double b);
+
+ private:
+  double value(const gp::Prediction& p) const {
+    return a_ * p.mean + b_ * p.stddev();
+  }
+
+  const gp::Regressor* mean_model_;
+  const gp::Regressor* var_model_;
+  double a_;
+  double b_;
 };
 
 /// Upper confidence bound, Eq. 3: mu(x) + kappa * sigma(x).
 /// With kappa > 0 this is also what the paper's experiments call "LCB" (an
 /// optimistic bound used for maximization).
-class Ucb final : public AcquisitionFn {
+class Ucb final : public ConfidenceBound {
  public:
   Ucb(const gp::Regressor* model, double kappa);
-  double operator()(const Vec& x) const override;
-
-  double kappa() const { return kappa_; }
-
- private:
-  const gp::Regressor* model_;
-  double kappa_;
 };
 
 /// Expected improvement over the incumbent best (maximization form):
@@ -75,29 +116,17 @@ class Pi final : public AcquisitionFn {
   double xi_;
 };
 
-/// Weighted UCB family shared by pBO (Eq. 4), EasyBO (Eq. 8) and penalized
+/// Weighted UCB shared by pBO (Eq. 4), EasyBO (Eq. 8) and penalized
 /// EasyBO (Eq. 9):
 ///     alpha(x, w) = (1 - w) * mu(x) + w * sigma_hat(x)
 /// where mu comes from \p mean_model (always fitted on observed data only)
 /// and sigma_hat from \p var_model. Passing the same model twice gives the
 /// unpenalized Eq. 4/8; passing the hallucinated posterior
-/// (GpRegressor::hallucinate) as var_model gives Eq. 9. Both halves come
-/// from var_model's paired posterior query (Regressor::predict_paired),
-/// which computes the shared kernel cross once.
-class WeightedUcb final : public AcquisitionFn {
+/// (GpRegressor::hallucinate) as var_model gives Eq. 9.
+class WeightedUcb final : public ConfidenceBound {
  public:
   WeightedUcb(const gp::Regressor* mean_model, const gp::Regressor* var_model,
               double w);
-  double operator()(const Vec& x) const override;
-  void evaluate_batch(std::span<const Vec> xs,
-                      std::span<double> out) const override;
-
-  double weight() const { return w_; }
-
- private:
-  const gp::Regressor* mean_model_;
-  const gp::Regressor* var_model_;
-  double w_;
 };
 
 /// BUCB (Desautels et al., JMLR'14) batch acquisition: a plain UCB whose
@@ -106,16 +135,10 @@ class WeightedUcb final : public AcquisitionFn {
 ///     alpha(x) = mu(x) + kappa * sigma_hat(x).
 /// This is the penalization strategy EasyBO's Eq. 9 cites; exposed as a
 /// batch baseline beyond the paper's roster.
-class Bucb final : public AcquisitionFn {
+class Bucb final : public ConfidenceBound {
  public:
   Bucb(const gp::Regressor* mean_model, const gp::Regressor* var_model,
        double kappa);
-  double operator()(const Vec& x) const override;
-
- private:
-  const gp::Regressor* mean_model_;
-  const gp::Regressor* var_model_;
-  double kappa_;
 };
 
 /// Feasibility weighting for constrained BO (Gardner et al., ICML'14), a
@@ -130,9 +153,10 @@ class FeasibilityWeighted final : public AcquisitionFn {
   FeasibilityWeighted(const AcquisitionFn* base, double floor,
                       std::vector<const gp::Regressor*> constraint_models);
   double operator()(const Vec& x) const override;
-  /// The base's batched path plus one batched query per constraint model.
-  void evaluate_batch(std::span<const Vec> xs,
-                      std::span<double> out) const override;
+  /// The base's batched path plus one batched query per constraint model;
+  /// takes no floor (every point is scored in full).
+  std::size_t evaluate_batch(std::span<const Vec> xs, std::span<double> out,
+                             double floor = kNoFloor) const override;
 
  private:
   const AcquisitionFn* base_;

@@ -60,22 +60,37 @@ Vec exact_joint_sample(const Kernel& kernel, const std::vector<Vec>& xs,
   return f;
 }
 
+/// Rows of the batched variance solve between two retirement checks.
+constexpr std::size_t kRetireStride = 16;
+
 /// The batched paired posterior both Regressor implementations serve for
 /// m query points. The training inputs are \p first then \p second in
 /// factor order. K*^T is built once, row-major n x m: row i is the kernel
 /// row of input i against the m queries, entry (i, c) = k(input_i, xs[c]),
 /// which is predict()'s k(xs[c], input_i) bit for bit — a - b = -(b - a)
 /// exactly and the square drops the sign. The means read its first
-/// alpha.size() rows against \p alpha, then \p solve_lower_inplace turns it
-/// into Z = L^{-1} K*^T for the variances. Every accumulation runs per
-/// column in the scalar paths' ascending order, so out[c] is bit-identical
-/// to {y_mean + dot(k*[0:n_mean), alpha), max(k(x, x) - dot(z, z), 0)} for
+/// alpha.size() rows against \p alpha, then \p solve_rows (a row range of
+/// solve_lower_inplace) turns it into Z = L^{-1} K*^T for the variances,
+/// kRetireStride rows at a time, each column's sum of squares taking its
+/// rows' z_i^2 as they are solved. Every accumulation runs per column in
+/// the scalar paths' ascending order, so out[c] is bit-identical to
+/// {y_mean + dot(k*[0:n_mean), alpha), max(k(x, x) - dot(z, z), 0)} for
 /// point c.
-template <class SolveLower>
-void paired_batch(const Kernel& kernel, const std::vector<Vec>& first,
-                  const std::vector<Vec>& second, const Vec& alpha,
-                  double y_mean, const SolveLower& solve_lower_inplace,
-                  std::span<const Vec> xs, std::span<Prediction> out) {
+///
+/// Before the first step and after each one but the last, \p retire (if
+/// set) sees every live column's mean and max(k(x, x) - sum so far, 0) —
+/// k(x, x) itself before any row. The sum only grows, so the bound only
+/// shrinks toward the exact variance. Retired columns keep that bound and
+/// leave the block: the survivors are packed to the front of every row,
+/// solved and unsolved, so the block stays row-major with one column per
+/// survivor and the next step's solve sees only them. No column reads
+/// another, so the survivors' bits do not move. Returns the survivors.
+template <class SolveRows>
+std::size_t paired_batch(const Kernel& kernel, const std::vector<Vec>& first,
+                         const std::vector<Vec>& second, const Vec& alpha,
+                         double y_mean, const SolveRows& solve_rows,
+                         std::span<const Vec> xs, std::span<Prediction> out,
+                         const RetireTest& retire) {
   EASYBO_REQUIRE(xs.size() == out.size(),
                  "predict_paired_batch: |xs| must equal |out|");
   const std::size_t m = xs.size();
@@ -98,15 +113,54 @@ void paired_batch(const Kernel& kernel, const std::vector<Vec>& first,
   }
   for (std::size_t c = 0; c < m; ++c) out[c].mean = y_mean + acc[c];
 
-  solve_lower_inplace(std::span<double>(kt), m);
-  std::fill(acc.begin(), acc.end(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* zi = kt.data() + i * m;
-    for (std::size_t c = 0; c < m; ++c) acc[c] += zi[c] * zi[c];
-  }
+  // Live column j is query col[j], with prior variance prior[j] and
+  // running sum of squares ss[j].
+  std::vector<std::size_t> col(m), from(m);
+  std::vector<double> prior(m), ss(m, 0.0);
   for (std::size_t c = 0; c < m; ++c) {
-    out[c].var = std::max(kernel(xs[c], xs[c]) - acc[c], 0.0);
+    col[c] = c;
+    prior[c] = kernel(xs[c], xs[c]);
   }
+  std::size_t live = m;
+  for (std::size_t r = 0; r < n && live > 0;) {
+    if (retire) {
+      std::size_t keep = 0;
+      for (std::size_t j = 0; j < live; ++j) {
+        Prediction& p = out[col[j]];
+        const double bound = std::max(prior[j] - ss[j], 0.0);
+        if (retire(p.mean, bound)) {
+          p.var = bound;
+          continue;
+        }
+        from[keep] = j;
+        col[keep] = col[j];
+        prior[keep] = prior[j];
+        ss[keep] = ss[j];
+        ++keep;
+      }
+      if (keep < live) {
+        // Entry (i, from[j]) at stride live moves to (i, j) at stride
+        // keep, never past where it was: one forward pass packs in place.
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < keep; ++j) {
+            kt[i * keep + j] = kt[i * live + from[j]];
+          }
+        }
+        live = keep;
+      }
+    }
+    const std::size_t end = std::min(r + kRetireStride, n);
+    solve_rows(std::span<double>(kt.data(), n * live), live, r, end);
+    for (std::size_t i = r; i < end; ++i) {
+      const double* zi = kt.data() + i * live;
+      for (std::size_t j = 0; j < live; ++j) ss[j] += zi[j] * zi[j];
+    }
+    r = end;
+  }
+  for (std::size_t j = 0; j < live; ++j) {
+    out[col[j]].var = std::max(prior[j] - ss[j], 0.0);
+  }
+  return live;
 }
 
 }  // namespace
@@ -257,19 +311,19 @@ Prediction GpRegressor::predict_paired(const Regressor& mean_model,
   return predict(x);
 }
 
-void GpRegressor::predict_paired_batch(const Regressor& mean_model,
-                                       std::span<const Vec> xs,
-                                       std::span<Prediction> out) const {
+std::size_t GpRegressor::predict_paired_batch(const Regressor& mean_model,
+                                              std::span<const Vec> xs,
+                                              std::span<Prediction> out,
+                                              const RetireTest& retire) const {
   if (&mean_model != this) {
-    Regressor::predict_paired_batch(mean_model, xs, out);
-    return;
+    return Regressor::predict_paired_batch(mean_model, xs, out, retire);
   }
   EASYBO_REQUIRE(fitted(), "GpRegressor::predict_paired_batch before fit()");
-  paired_batch(*kernel_, xs_, {}, alpha_, y_mean_,
-               [this](std::span<double> b, std::size_t m) {
-                 chol_->solve_lower_inplace(b, m);
-               },
-               xs, out);
+  return paired_batch(
+      *kernel_, xs_, {}, alpha_, y_mean_,
+      [this](std::span<double> b, std::size_t m, std::size_t begin,
+             std::size_t end) { chol_->solve_lower_inplace(b, m, begin, end); },
+      xs, out, retire);
 }
 
 double GpRegressor::predict_observation_var(const Vec& x) const {
@@ -471,23 +525,25 @@ class HallucinatedGp final : public Regressor {
     return {base_->y_mean_ + acc, variance(x, kstar)};
   }
 
-  void predict_paired_batch(const Regressor& mean_model,
-                            std::span<const Vec> xs,
-                            std::span<Prediction> out) const override {
+  std::size_t predict_paired_batch(const Regressor& mean_model,
+                                   std::span<const Vec> xs,
+                                   std::span<Prediction> out,
+                                   const RetireTest& retire = {})
+      const override {
     if (&mean_model != base_) {
-      Regressor::predict_paired_batch(mean_model, xs, out);
-      return;
+      return Regressor::predict_paired_batch(mean_model, xs, out, retire);
     }
-    paired_batch(*base_->kernel_, base_->xs_, pend_x_, base_->alpha_,
-                 base_->y_mean_,
-                 [this](std::span<double> b, std::size_t m) {
-                   if (full_) {
-                     full_->solve_lower_inplace(b, m);
-                   } else {
-                     ext_.solve_lower_inplace(b, m);
-                   }
-                 },
-                 xs, out);
+    return paired_batch(
+        *base_->kernel_, base_->xs_, pend_x_, base_->alpha_, base_->y_mean_,
+        [this](std::span<double> b, std::size_t m, std::size_t begin,
+               std::size_t end) {
+          if (full_) {
+            full_->solve_lower_inplace(b, m, begin, end);
+          } else {
+            ext_.solve_lower_inplace(b, m, begin, end);
+          }
+        },
+        xs, out, retire);
   }
 
   double predict_observation_var(const Vec& x) const override {

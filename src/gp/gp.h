@@ -92,10 +92,13 @@ class GpRegressor final : public Regressor {
 
   /// With \p mean_model == this: one n x m kernel cross block, the m
   /// means against alpha and one multi-right-hand-side forward solve for
-  /// the m variances, each bit-identical to predict(xs[c]).
-  void predict_paired_batch(const Regressor& mean_model,
-                            std::span<const Vec> xs,
-                            std::span<Prediction> out) const override;
+  /// the m variances, each bit-identical to predict(xs[c]). The solve
+  /// steps 16 rows at a time and drops the points \p retire retires.
+  std::size_t predict_paired_batch(const Regressor& mean_model,
+                                   std::span<const Vec> xs,
+                                   std::span<Prediction> out,
+                                   const RetireTest& retire = {})
+      const override;
 
   /// Variance including observation noise (for posterior sampling of y).
   double predict_observation_var(const Vec& x) const override;

@@ -16,10 +16,13 @@
 /// points per virtual call, so acquisition screening pays one dispatch
 /// and one sweep over the factor per chunk instead of two full predict()
 /// calls per point. Every fast path is bit-identical to the plain calls
-/// it replaces.
+/// it replaces. The batched form also takes an optional RetireTest, which
+/// lets screening stop the variance solve of a point it no longer needs;
+/// the points it keeps are still bit-identical.
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -38,6 +41,12 @@ struct Prediction {
 
   double stddev() const { return std::sqrt(std::max(var, 0.0)); }
 };
+
+/// Early retirement for Regressor::predict_paired_batch: asked about a
+/// point's (mean, var_bound) as its variance solve proceeds, where
+/// var_bound >= the point's exact variance and only shrinks from one ask
+/// to the next; returning true stops that point's solve.
+using RetireTest = std::function<bool(double mean, double var_bound)>;
 
 /// Read-only posterior surface consumed by the acquisition layer. The
 /// owner must keep the model alive and fitted while acquisitions
@@ -70,14 +79,24 @@ class Regressor {
   /// for bit, for xs.size() == out.size() points. Overrides build the m
   /// kernel crosses as one block and run one multi-right-hand-side forward
   /// solve (linalg::Cholesky::solve_lower_inplace).
-  virtual void predict_paired_batch(const Regressor& mean_model,
-                                    std::span<const Vec> xs,
-                                    std::span<Prediction> out) const {
+  ///
+  /// With \p retire, an implementation may stop a point's variance solve
+  /// early: it asks the test before the solve and every few rows after,
+  /// and a point the test retires keeps its exact mean and, as var, the
+  /// bound it was retired on. Every other point is exact. Returns how many
+  /// points were solved to the last row (all of them without a test, and
+  /// always here: the default never retires).
+  virtual std::size_t predict_paired_batch(const Regressor& mean_model,
+                                           std::span<const Vec> xs,
+                                           std::span<Prediction> out,
+                                           const RetireTest& /*retire*/ = {})
+      const {
     EASYBO_REQUIRE(xs.size() == out.size(),
                    "predict_paired_batch: |xs| must equal |out|");
     for (std::size_t c = 0; c < xs.size(); ++c) {
       out[c] = predict_paired(mean_model, xs[c]);
     }
+    return xs.size();
   }
 
   /// Variance including observation noise (for posterior sampling of y).

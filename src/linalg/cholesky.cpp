@@ -220,13 +220,16 @@ Vec Cholesky::solve_lower(const Vec& b) const {
   return z;
 }
 
-void Cholesky::solve_lower_inplace(std::span<double> b, std::size_t m) const {
+void Cholesky::solve_lower_inplace(std::span<double> b, std::size_t m,
+                                   std::size_t begin, std::size_t end) const {
   const std::size_t n = size();
   EASYBO_REQUIRE(b.size() == n * m,
                  "Cholesky::solve_lower_inplace size mismatch");
+  EASYBO_REQUIRE(begin <= end && end <= n,
+                 "Cholesky::solve_lower_inplace row range out of bounds");
   const double* l = l_.data().data();
-  forward_rows([l, n](std::size_t i) { return l + i * n; }, 0, n, b.data(),
-               m);
+  forward_rows([l, n](std::size_t i) { return l + i * n; }, begin, end,
+               b.data(), m);
 }
 
 bool Cholesky::extend(const Vec& new_column) {
@@ -369,18 +372,22 @@ Vec CholeskyExt::solve_lower(const Vec& b) const {
   return z;
 }
 
-void CholeskyExt::solve_lower_inplace(std::span<double> b,
-                                      std::size_t m) const {
+void CholeskyExt::solve_lower_inplace(std::span<double> b, std::size_t m,
+                                      std::size_t begin,
+                                      std::size_t end) const {
   const std::size_t n0 = base_->size();
   const std::size_t n = size();
   EASYBO_REQUIRE(b.size() == n * m,
                  "CholeskyExt::solve_lower_inplace size mismatch");
-  // Base triangle rows, then the appended rows — solve_lower's order.
+  EASYBO_REQUIRE(begin <= end && end <= n,
+                 "CholeskyExt::solve_lower_inplace row range out of bounds");
+  // The range's base triangle rows, then its appended rows — solve_lower's
+  // order.
   const double* l = base_->factor().data().data();
-  forward_rows([l, n0](std::size_t i) { return l + i * n0; }, 0, n0,
-               b.data(), m);
+  forward_rows([l, n0](std::size_t i) { return l + i * n0; }, begin,
+               std::min(end, n0), b.data(), m);
   forward_rows([this, n0](std::size_t i) { return rows_[i - n0].data(); },
-               n0, n, b.data(), m);
+               std::max(begin, n0), end, b.data(), m);
 }
 
 Vec CholeskyExt::solve(const Vec& b) const {

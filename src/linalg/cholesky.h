@@ -15,6 +15,9 @@
 /// serial chain, but every accumulator takes exactly the terms, in exactly
 /// the order, of the one-entry-at-a-time loop. Results are bit-identical to
 /// those loops (tests/test_linalg.cpp pins them against the scalar code).
+/// The multi-right-hand-side forward solve also runs on a row range, so a
+/// caller can step through it and drop right-hand sides between steps
+/// without moving the bits of the ones it keeps.
 
 #include <span>
 
@@ -66,7 +69,18 @@ class Cholesky {
   /// exactly (acc = b_i; acc -= l_ik z_k for k ascending; z_i = acc / l_ii),
   /// so column c equals solve_lower(column c) bit for bit; one sweep over
   /// L serves all m columns. The batched GP posterior's variance solve.
-  void solve_lower_inplace(std::span<double> b, std::size_t m) const;
+  void solve_lower_inplace(std::span<double> b, std::size_t m) const {
+    solve_lower_inplace(b, m, 0, size());
+  }
+
+  /// Rows [begin, end) of solve_lower_inplace: rows before \p begin must
+  /// already hold Z (an earlier call's output) and rows from \p end on
+  /// are left as they are. Row i depends only on rows k < i, so solving
+  /// [0, r) and then [r, n) is the whole solve bit for bit — and a caller
+  /// may drop columns between the two calls, since no column reads
+  /// another. The batched GP posterior steps through its solve this way.
+  void solve_lower_inplace(std::span<double> b, std::size_t m,
+                           std::size_t begin, std::size_t end) const;
 
   /// Solves L^T x = b (back substitution only). Used for weight-space
   /// posterior sampling, w = w_mean + sigma * L^{-T} z.
@@ -149,7 +163,14 @@ class CholeskyExt {
   /// Multi-right-hand-side solve_lower over the combined factor, in place
   /// on row-major n x m \p b — Cholesky::solve_lower_inplace's contract:
   /// column c equals solve_lower(column c) bit for bit.
-  void solve_lower_inplace(std::span<double> b, std::size_t m) const;
+  void solve_lower_inplace(std::span<double> b, std::size_t m) const {
+    solve_lower_inplace(b, m, 0, size());
+  }
+
+  /// Rows [begin, end) of the combined solve, under Cholesky's row-range
+  /// contract; a range may straddle the base/appended boundary.
+  void solve_lower_inplace(std::span<double> b, std::size_t m,
+                           std::size_t begin, std::size_t end) const;
 
   /// log(det of the combined A) = 2 * sum_i log L_ii.
   double log_det() const;

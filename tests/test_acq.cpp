@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numbers>
 
@@ -266,6 +269,162 @@ TEST(EvaluateBatch, DefaultLoopForEi) {
   const GpRegressor gp = fitted_2d(30, 1e-6, 67);
   const Ei fn(&gp, 0.5);
   expect_batch_matches_scalar(fn, nullptr, nullptr, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Exact bound pruning: the retirement test and the floor
+// ---------------------------------------------------------------------------
+
+/// A 3-D GP over 60 points, so the batched solve takes four retirement
+/// steps (16 rows each), and 14 pending points for its overlay.
+GpRegressor fitted_3d(std::uint64_t seed) {
+  Rng rng(seed);
+  GpRegressor gp(
+      std::make_unique<SquaredExponentialArd>(1.0, Vec{0.2, 0.3, 0.25}),
+      1e-6);
+  std::vector<Vec> xs(60);
+  Vec ys(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = rng.uniform_vector(3);
+    ys[i] = std::sin(5.0 * xs[i][0]) * xs[i][1] - xs[i][2];
+  }
+  gp.set_data(std::move(xs), std::move(ys));
+  gp.fit();
+  return gp;
+}
+
+std::vector<Vec> probe_points_3d(std::size_t m, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec> xs(m);
+  for (Vec& x : xs) x = rng.uniform_vector(3);
+  return xs;
+}
+
+/// predict_paired_batch with a retirement test at several floors: every
+/// point the test never retired equals the plain batched call bit for bit;
+/// every retired point keeps its exact mean and a variance bound at or
+/// above its exact variance, and its exact value is below the floor; the
+/// return value counts the survivors.
+void expect_retirement_is_exact(const GpRegressor& mean_model,
+                                const gp::Regressor& var_model) {
+  const auto xs = probe_points_3d(40, 81);
+  std::vector<gp::Prediction> plain(xs.size());
+  ASSERT_EQ(var_model.predict_paired_batch(mean_model, xs, plain), xs.size());
+  const double w = 0.6;
+  const auto value = [w](const gp::Prediction& p) {
+    return (1.0 - w) * p.mean + w * p.stddev();
+  };
+  Vec exact(xs.size());
+  for (std::size_t c = 0; c < xs.size(); ++c) exact[c] = value(plain[c]);
+  Vec sorted = exact;
+  std::sort(sorted.begin(), sorted.end());
+  std::size_t retired_mid_solve = 0;
+  for (const double q : {0.1, 0.5, 0.9}) {
+    const double floor = sorted[static_cast<std::size_t>(q * 39.0)];
+    std::vector<double> retired_means;
+    std::vector<gp::Prediction> out(xs.size());
+    const std::size_t survivors = var_model.predict_paired_batch(
+        mean_model, xs, out, [&](double mean, double var_bound) {
+          if (!(value({mean, var_bound}) < floor)) return false;
+          retired_means.push_back(mean);
+          return true;
+        });
+    EXPECT_EQ(survivors + retired_means.size(), xs.size());
+    EXPECT_GT(retired_means.size(), 0u) << "floor quantile " << q;
+    for (std::size_t c = 0; c < xs.size(); ++c) {
+      const bool retired =
+          std::count(retired_means.begin(), retired_means.end(),
+                     plain[c].mean) > 0;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[c].mean),
+                std::bit_cast<std::uint64_t>(plain[c].mean));
+      if (!retired) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[c].var),
+                  std::bit_cast<std::uint64_t>(plain[c].var))
+            << "survivor " << c << " at floor quantile " << q;
+        continue;
+      }
+      EXPECT_LT(exact[c], floor) << "point " << c;
+      EXPECT_GE(out[c].var, plain[c].var) << "point " << c;
+      EXPECT_LT(value(out[c]), floor) << "point " << c;
+      // Retired before any row, a point holds k(x, x) itself.
+      if (out[c].var < mean_model.kernel()(xs[c], xs[c])) ++retired_mid_solve;
+    }
+  }
+  EXPECT_GT(retired_mid_solve, 0u) << "no point left the solve mid-way";
+}
+
+TEST(PairedBatchRetirement, PlainGpKeepsSurvivorsBitwise) {
+  const GpRegressor gp = fitted_3d(82);
+  expect_retirement_is_exact(gp, gp);
+}
+
+TEST(PairedBatchRetirement, OverlayKeepsSurvivorsBitwise) {
+  const GpRegressor gp = fitted_3d(83);
+  const auto overlay = gp.hallucinate(probe_points_3d(14, 84), false);
+  expect_retirement_is_exact(gp, *overlay);
+}
+
+/// evaluate_batch's floor contract for the confidence-bound family: at and
+/// above the floor a point reads its operator() value bit for bit, below
+/// it -inf; the return value counts the points solved in full, and with
+/// no floor that is every point.
+void expect_floor_contract(const AcquisitionFn& fn) {
+  const auto xs = probe_points_3d(70, 85);
+  Vec exact(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) exact[i] = fn(xs[i]);
+  Vec out(xs.size());
+  EXPECT_EQ(fn.evaluate_batch(xs, out), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(exact[i]));
+  }
+  Vec sorted = exact;
+  std::sort(sorted.begin(), sorted.end());
+  for (const double floor : {sorted[7], sorted[35], sorted[62]}) {
+    const std::size_t solved = fn.evaluate_batch(xs, out, floor);
+    std::size_t below = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (exact[i] >= floor) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                  std::bit_cast<std::uint64_t>(exact[i]))
+            << "point " << i;
+      } else {
+        ++below;
+        EXPECT_EQ(out[i], -std::numeric_limits<double>::infinity())
+            << "point " << i;
+      }
+    }
+    // Every point at or above the floor is solved in full; some below it
+    // are not.
+    EXPECT_GE(solved, xs.size() - below);
+    EXPECT_LT(solved, xs.size());
+  }
+}
+
+TEST(EvaluateBatch, FloorContractForTheConfidenceBoundFamily) {
+  const GpRegressor gp = fitted_3d(86);
+  const auto overlay = gp.hallucinate(probe_points_3d(14, 87), false);
+  for (const double w : {0.0, 0.3, 6.0 / 7.0, 1.0}) {
+    SCOPED_TRACE(w);
+    expect_floor_contract(WeightedUcb(&gp, &gp, w));
+    expect_floor_contract(WeightedUcb(&gp, overlay.get(), w));
+  }
+  expect_floor_contract(Ucb(&gp, 2.0));
+  expect_floor_contract(Bucb(&gp, overlay.get(), 1.5));
+}
+
+TEST(EvaluateBatch, UcbAndBucbMatchTheirFormulas) {
+  // Ucb and Bucb now share WeightedUcb's path with a = 1: 1.0 * mu == mu,
+  // so their values are the historical formulas bit for bit.
+  const GpRegressor gp = fitted_3d(88);
+  const auto overlay = gp.hallucinate(probe_points_3d(14, 89), false);
+  const Ucb ucb(&gp, 2.0);
+  const Bucb bucb(&gp, overlay.get(), 1.5);
+  for (const Vec& x : probe_points_3d(30, 90)) {
+    const gp::Prediction p = gp.predict(x);
+    EXPECT_EQ(ucb(x), p.mean + 2.0 * p.stddev());
+    EXPECT_EQ(bucb(x), p.mean + 1.5 * overlay->predict(x).stddev());
+  }
 }
 
 TEST(EvaluateBatch, RejectsMismatchedSpans) {

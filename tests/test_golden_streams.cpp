@@ -2,9 +2,11 @@
 /// \brief Golden proposal streams pinned across versions.
 ///
 /// Short seeded default-config runs on Branin, one per acquisition path
-/// the penalized and batched machinery serves, plus a Matérn-5/2 Branin
-/// run, a 10-D op-amp run whose hyperparameter refits fall at
-/// n = 20, 30 and 45, and a constrained run, hashed with FNV-1a 64 over
+/// the penalized and batched machinery serves (the confidence-bound
+/// family's pruned screening among them: EasyBO, BUCB, pBO, LCB and
+/// Hedge's UCB member), plus a Matérn-5/2 Branin run, a 10-D op-amp run
+/// whose hyperparameter refits fall at n = 20, 30 and 45, and a
+/// constrained run, hashed with FNV-1a 64 over
 /// the IEEE-754 bytes of every proposed coordinate in proposal order —
 /// perfbench's `stream_hash`. A change that moves any proposal by one ulp
 /// changes its hash. Speed work must keep these constants; a change that
@@ -93,6 +95,16 @@ TEST(GoldenStreams, BucbAsync) {
 TEST(GoldenStreams, PboSync) {
   const BoConfig cfg = golden_config(Mode::SyncBatch, AcqKind::Pbo);
   EXPECT_EQ(branin_stream_hash(cfg), 0x2fc82cac2c80c8aaull);
+}
+
+TEST(GoldenStreams, LcbSequential) {
+  const BoConfig cfg = golden_config(Mode::Sequential, AcqKind::Lcb);
+  EXPECT_EQ(branin_stream_hash(cfg), 0xfce2671a73df5e13ull);
+}
+
+TEST(GoldenStreams, HedgeSequential) {
+  const BoConfig cfg = golden_config(Mode::Sequential, AcqKind::Hedge);
+  EXPECT_EQ(branin_stream_hash(cfg), 0x23e10d079a3f935full);
 }
 
 TEST(GoldenStreams, EasyBoAsyncMatern52) {

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -302,6 +305,88 @@ TEST(CholeskyMultiRhs, ExtViewInplaceSolveMatchesSolveLowerBitwise) {
   }
   ASSERT_EQ(view.size(), n0 + k);
   expect_inplace_matches_columns(view, rng);
+}
+
+/// Row-range solves: [0, r) then [r, n) equals the whole solve bit for
+/// bit at every split in \p splits, for m = 1..33 right-hand sides (full
+/// 16-column tiles, leftover columns, both). So does dropping every third
+/// column between the two calls and solving [r, n) on the packed
+/// survivors — what the batched GP posterior does when it retires columns.
+template <class Factor>
+void expect_row_ranges_match_whole(const Factor& f,
+                                   const std::vector<std::size_t>& splits,
+                                   Rng& rng) {
+  const std::size_t n = f.size();
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t m = 1; m <= 33; ++m) {
+    std::vector<double> b(n * m);
+    for (double& v : b) v = rng.normal();
+    std::vector<double> whole = b;
+    f.solve_lower_inplace(whole, m);
+    std::vector<std::size_t> keep;
+    for (std::size_t c = 0; c < m; ++c) {
+      if (c % 3 != 1) keep.push_back(c);
+    }
+    const std::size_t w = keep.size();
+    for (const std::size_t r : splits) {
+      std::vector<double> part = b;
+      f.solve_lower_inplace(part, m, 0, r);
+      std::vector<double> packed(n * w);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < w; ++j) {
+          packed[i * w + j] = part[i * m + keep[j]];
+        }
+      }
+      f.solve_lower_inplace(part, m, r, n);
+      f.solve_lower_inplace(packed, w, r, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < m; ++c) {
+          ASSERT_EQ(bits(part[i * m + c]), bits(whole[i * m + c]))
+              << "n=" << n << " m=" << m << " split " << r << " row " << i
+              << " column " << c;
+        }
+        for (std::size_t j = 0; j < w; ++j) {
+          ASSERT_EQ(bits(packed[i * w + j]), bits(whole[i * m + keep[j]]))
+              << "n=" << n << " m=" << m << " split " << r << " row " << i
+              << " survivor " << keep[j];
+        }
+      }
+    }
+  }
+}
+
+TEST(CholeskyMultiRhs, RowRangeSolvesMatchTheWholeSolveBitwise) {
+  Rng rng(74);
+  const std::size_t n0 = 20;
+  const std::size_t n = n0 + 6;
+  const std::vector<std::size_t> splits = {0, 1, 16, 17, n0, n0 + 1, n};
+  const Matrix full = random_spd(n, rng);
+  expect_row_ranges_match_whole(Cholesky(full), splits, rng);
+
+  // The same matrix as a base factor over its leading n0 x n0 block plus
+  // six appended rows: splits fall in the base triangle, on its last row,
+  // just past it, and at the end.
+  Matrix top(n0, n0);
+  for (std::size_t i = 0; i < n0; ++i) {
+    for (std::size_t j = 0; j < n0; ++j) top(i, j) = full(i, j);
+  }
+  const Cholesky base(top);
+  CholeskyExt view(&base);
+  for (std::size_t r = n0; r < n; ++r) {
+    Vec column(r + 1);
+    for (std::size_t j = 0; j <= r; ++j) column[j] = full(r, j);
+    ASSERT_TRUE(view.extend(column));
+  }
+  expect_row_ranges_match_whole(view, splits, rng);
+}
+
+TEST(CholeskyMultiRhs, RejectsRowRangeOutOfBounds) {
+  const Cholesky chol(Matrix{{4, 2}, {2, 10}});
+  std::vector<double> block(4);
+  EXPECT_THROW(chol.solve_lower_inplace(block, 2, 1, 3), InvalidArgument);
+  EXPECT_THROW(chol.solve_lower_inplace(block, 2, 2, 1), InvalidArgument);
+  CholeskyExt view(&chol);
+  EXPECT_THROW(view.solve_lower_inplace(block, 2, 0, 3), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
