@@ -253,7 +253,7 @@ void BM_HallucinateOverlay(benchmark::State& state) {
   const auto pending = pending_batch(8, rng);
   const Vec probe = rng.uniform_vector(10);
   for (auto _ : state) {
-    const auto aug = gp.hallucinate(pending, /*pin_mean=*/false);
+    const auto aug = gp.hallucinate(pending);
     benchmark::DoNotOptimize(aug->predict(probe).var);
   }
 }
@@ -280,7 +280,7 @@ void BM_PosteriorSplit(benchmark::State& state) {
   Rng rng(17);
   const auto gp = fitted_gp(static_cast<std::size_t>(state.range(0)), 10,
                             rng);
-  const auto overlay = gp.hallucinate(pending_batch(14, rng), false);
+  const auto overlay = gp.hallucinate(pending_batch(14, rng));
   const auto xs = pending_batch(kPosteriorChunk, rng);
   for (auto _ : state) {
     for (const Vec& x : xs) {
@@ -297,7 +297,7 @@ void BM_PosteriorBatched(benchmark::State& state) {
   Rng rng(17);  // identical setup to the split path for a fair ratio
   const auto gp = fitted_gp(static_cast<std::size_t>(state.range(0)), 10,
                             rng);
-  const auto overlay = gp.hallucinate(pending_batch(14, rng), false);
+  const auto overlay = gp.hallucinate(pending_batch(14, rng));
   const auto xs = pending_batch(kPosteriorChunk, rng);
   std::vector<easybo::gp::Prediction> out(xs.size());
   for (auto _ : state) {

@@ -8,7 +8,6 @@
 ///                      bucb|lp|ei|lcb|de|pso|sa|random]
 ///              [--batch N] [--sims N] [--init N] [--seed N]
 ///              [--lambda X] [--kernel se|matern52] [--csv]
-///              [--pin-hallucinated-mean]
 ///              [--metrics-json FILE] [--metrics-csv FILE]
 ///              [--on-failure abort|discard|penalize] [--eval-timeout S]
 ///              [--eval-retries N] [--fail-quantile Q]
@@ -74,7 +73,6 @@ struct CliOptions {
   std::uint64_t seed = 1;
   double lambda = 6.0;
   std::string kernel = "se";
-  bool pin_hallucinated_mean = false;
   bool csv = false;
   std::string metrics_json;  // empty: off; "-": stdout
   std::string metrics_csv;   // empty: off; "-": stdout
@@ -127,7 +125,6 @@ bool write_text(const std::string& path, const std::string& text) {
       "                          phcbo|bucb|lp|ei|lcb|de|pso|sa|random]\n"
       "                  [--batch N] [--sims N] [--init N] [--seed N]\n"
       "                  [--lambda X] [--kernel se|matern52] [--csv]\n"
-      "                  [--pin-hallucinated-mean]\n"
       "                  [--metrics-json FILE] [--metrics-csv FILE]\n"
       "                  [--on-failure abort|discard|penalize]\n"
       "                  [--eval-timeout S] [--eval-retries N]\n"
@@ -188,8 +185,6 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--seed") opt.seed = next_u64();
     else if (arg == "--lambda") opt.lambda = next_double();
     else if (arg == "--kernel") opt.kernel = next();
-    else if (arg == "--pin-hallucinated-mean")
-      opt.pin_hallucinated_mean = true;
     else if (arg == "--csv") opt.csv = true;
     else if (arg == "--metrics-json") opt.metrics_json = next();
     else if (arg == "--metrics-csv") opt.metrics_csv = next();
@@ -308,7 +303,6 @@ int main(int argc, char** argv) {
   config.seed = cli.seed;
   config.lambda = cli.lambda;
   config.kernel = cli.kernel;
-  config.pin_hallucinated_mean = cli.pin_hallucinated_mean;
 
   if (cli.algo == "easybo") {
     config.mode = bo::Mode::AsyncBatch;

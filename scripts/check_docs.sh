@@ -2,15 +2,19 @@
 # Docs-coverage gate: every field of bo::BoConfig must be mentioned, by
 # name, somewhere a user would look — README.md, DESIGN.md,
 # EXPERIMENTS.md, or docs/*.md — and every field row of
-# docs/boconfig-reference.md must name a field BoConfig still has.
-# Adding a knob without documenting it, or removing one without dropping
-# its row, fails CI. Run from anywhere; resolves paths relative to the
-# repo root.
+# docs/boconfig-reference.md must name a field BoConfig still has. Every
+# session-config key parse_session_config accepts (the quoted keys of
+# known_keys() in src/serve/session_config.cpp) must be named, in
+# backquotes, in docs/service-protocol.md. Adding a knob or a wire key
+# without documenting it, or removing a knob without dropping its row,
+# fails CI. Run from anywhere; resolves paths relative to the repo root.
 set -eu
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 config="$root/src/bo/config.h"
 reference="$root/docs/boconfig-reference.md"
+session_config="$root/src/serve/session_config.cpp"
+protocol="$root/docs/service-protocol.md"
 docs="$root/README.md $root/DESIGN.md $root/EXPERIMENTS.md"
 for f in "$root"/docs/*.md; do docs="$docs $f"; done
 
@@ -44,12 +48,31 @@ for row in $(sed -n -E 's/^\| `([a-z_][a-z0-9_]*)` \|.*/\1/p' "$reference"); do
   fi
 done
 
+# Session-config keys: the quoted strings between "known_keys() {" and
+# the "return keys;" that closes the set.
+keys=$(sed -n '/known_keys() {/,/return keys;/p' "$session_config" \
+  | grep -o '"[a-z_][a-z0-9_]*"' | tr -d '"')
+
+[ -n "$keys" ] || { echo "check_docs: failed to extract session-config keys from $session_config" >&2; exit 1; }
+
+unnamed=0
+for key in $keys; do
+  if ! grep -qF -- "\`$key\`" "$protocol"; then
+    echo "UNDOCUMENTED: session-config key \"$key\" is not named in docs/service-protocol.md" >&2
+    unnamed=$((unnamed + 1))
+  fi
+done
+
 count=$(printf '%s\n' $fields | wc -l | tr -d ' ')
+key_count=$(printf '%s\n' $keys | wc -l | tr -d ' ')
 if [ "$missing" -gt 0 ]; then
   echo "check_docs: $missing of $count BoConfig fields undocumented" >&2
 fi
 if [ "$stale" -gt 0 ]; then
   echo "check_docs: $stale docs/boconfig-reference.md rows name no BoConfig field" >&2
 fi
-[ "$missing" -eq 0 ] && [ "$stale" -eq 0 ] || exit 1
-echo "check_docs: all $count BoConfig fields are documented"
+if [ "$unnamed" -gt 0 ]; then
+  echo "check_docs: $unnamed of $key_count session-config keys missing from docs/service-protocol.md" >&2
+fi
+[ "$missing" -eq 0 ] && [ "$stale" -eq 0 ] && [ "$unnamed" -eq 0 ] || exit 1
+echo "check_docs: all $count BoConfig fields and all $key_count session-config keys are documented"

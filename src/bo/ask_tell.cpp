@@ -16,11 +16,6 @@
 
 namespace easybo::bo {
 
-std::size_t async_proposal_slot(const BoConfig& config, std::size_t tag) {
-  if (!config.async_slot_rotation) return 0;  // historical behaviour
-  return tag % config.batch;
-}
-
 std::size_t adaptive_refit_gap(double refit_seconds, double eval_seconds,
                                double budget, std::size_t refit_every) {
   const std::size_t lo = std::max<std::size_t>(refit_every, 1);
@@ -139,20 +134,11 @@ Suggestion AskTellCore::suggest(double now, const common::StopToken* stop) {
     for (const std::size_t tag : pending_tags_) {
       pending.push_back(prop_x_[tag]);
     }
-    std::size_t slot = 0;
-    switch (cfg_.mode) {
-      case Mode::Sequential:
-        slot = 0;
-        break;
-      case Mode::SyncBatch:
-        // Batches start against a drained pool, so the in-flight count IS
-        // the position within the current batch: slots 0..k-1.
-        slot = pending.size();
-        break;
-      case Mode::AsyncBatch:
-        slot = async_proposal_slot(cfg_, s.tag);
-        break;
-    }
+    // Batches start against a drained pool, so in SyncBatch mode the
+    // in-flight count IS the position within the current batch: slots
+    // 0..k-1. Sequential and asynchronous proposals all use slot 0.
+    const std::size_t slot =
+        cfg_.mode == Mode::SyncBatch ? pending.size() : 0;
     s.unit_x = propose(pending, slot);
   }
   s.x = box_.from_unit(s.unit_x);
@@ -338,7 +324,7 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
                            ? rng_.uniform()
                            : acq::sample_easybo_weight(rng_, cfg_.lambda);
       if (cfg_.penalize && !pending.empty()) {
-        hallucinated = hallucinate_pending(pending);
+        hallucinated = model_.hallucinate(pending);
         fn = std::make_unique<acq::WeightedUcb>(&model_, hallucinated.get(),
                                                 w);
       } else {
@@ -365,7 +351,7 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
     }
     case AcqKind::Bucb: {
       if (!pending.empty()) {
-        hallucinated = hallucinate_pending(pending);
+        hallucinated = model_.hallucinate(pending);
         fn = std::make_unique<acq::Bucb>(&model_, hallucinated.get(),
                                          cfg_.bucb_kappa);
       } else {
@@ -432,17 +418,12 @@ Vec AskTellCore::propose_thompson(const std::vector<Vec>& pending) {
 
   std::size_t pick;
   if (cfg_.penalize && !pending.empty()) {
-    const auto augmented = hallucinate_pending(pending);
+    const auto augmented = model_.hallucinate(pending);
     pick = acq::thompson_sample_argmax(*augmented, candidates, rng_);
   } else {
     pick = acq::thompson_sample_argmax(model_, candidates, rng_);
   }
   return dedup(std::move(candidates[pick]), pending);
-}
-
-std::unique_ptr<gp::Regressor> AskTellCore::hallucinate_pending(
-    const std::vector<Vec>& pending) const {
-  return model_.hallucinate(pending, cfg_.pin_hallucinated_mean);
 }
 
 Vec AskTellCore::propose_hedge(const std::vector<Vec>& pending) {

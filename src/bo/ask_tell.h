@@ -101,15 +101,6 @@ struct Observed {
   const char* action = "";
 };
 
-/// Selects the pHCBO/pBO weight slot for an asynchronous proposal: slot 0
-/// always (the historical behaviour, the default), or — with
-/// BoConfig::async_slot_rotation — the proposal tag modulo the batch size,
-/// which spreads async proposals across the per-slot weight grid and
-/// penalty histories exactly as synchronous batch mode does (the paper's
-/// per-slot scheme). Exposed as a free function so the rotation semantics
-/// are directly testable.
-std::size_t async_proposal_slot(const BoConfig& config, std::size_t tag);
-
 /// The adaptive hyper-refit schedule (BoConfig::adapt_refit_cadence): how
 /// many further observations to wait before the next hyperparameter MLE,
 /// given corrected-EMA cost estimates. The policy amortizes one refit
@@ -155,10 +146,10 @@ class AskTellCore {
   /// Proposes the next evaluation. While the initial design is incomplete
   /// (observed + pending < init_points) this returns a uniform random
   /// init point; afterwards it proposes through the configured
-  /// acquisition, hallucinating every pending point, with the weight slot
-  /// chosen by the mode (sync: position within the in-flight batch;
-  /// async: async_proposal_slot()). The first post-init call trains the
-  /// model (finish_init()) if the caller has not already.
+  /// acquisition, hallucinating every pending point. The pBO/pHCBO weight
+  /// slot is the position within the in-flight batch in SyncBatch mode
+  /// and slot 0 otherwise. The first post-init call trains the model
+  /// (finish_init()) if the caller has not already.
   ///
   /// \param now  the caller's logical clock, recorded as the proposal's
   ///             submit time (snapshot re-anchoring); pass 0 when there
@@ -300,11 +291,6 @@ class AskTellCore {
   std::unique_ptr<acq::AcquisitionFn> feasibility_weighted(
       const acq::AcquisitionFn* base, double w) const;
 
-  /// The penalization posterior over \p pending: a zero-copy overlay over
-  /// model_ honouring BoConfig::pin_hallucinated_mean.
-  std::unique_ptr<gp::Regressor> hallucinate_pending(
-      const std::vector<Vec>& pending) const;
-
   void update_model(bool force_train);
   std::size_t incumbent_index() const;
 
@@ -320,8 +306,8 @@ class AskTellCore {
   gp::BoxNormalizer box_;
   gp::ZScore zscore_;
   /// The surrogate, with the make_kernel() prior. Hallucinated posteriors
-  /// are separate short-lived Regressor views over it (see
-  /// hallucinate_pending()).
+  /// are separate short-lived Regressor views over it
+  /// (gp::GpRegressor::hallucinate()).
   gp::GpRegressor model_;
 
   // Observations (unit space + raw y). Penalized failures appear here as

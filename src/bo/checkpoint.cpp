@@ -21,21 +21,11 @@ constexpr const char* kSnapshotSchema = "easybo.checkpoint.v1";
 
 // --- JSON building blocks ------------------------------------------------
 
-std::string vec_json(const Vec& v) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += io::json_number(v[i]);
-  }
-  out.push_back(']');
-  return out;
-}
-
 std::string vecs_json(const std::vector<Vec>& vs) {
   std::string out = "[";
   for (std::size_t i = 0; i < vs.size(); ++i) {
     if (i > 0) out.push_back(',');
-    out += vec_json(vs[i]);
+    out += io::json_vec(vs[i]);
   }
   out.push_back(']');
   return out;
@@ -75,18 +65,11 @@ std::string rng_json(const RngState& s) {
   return out;
 }
 
-Vec vec_from(const JsonValue& j) {
-  const auto& arr = j.as_array();
-  Vec v(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i) v[i] = arr[i].as_double();
-  return v;
-}
-
 std::vector<Vec> vecs_from(const JsonValue& j) {
   const auto& arr = j.as_array();
   std::vector<Vec> vs;
   vs.reserve(arr.size());
-  for (const auto& item : arr) vs.push_back(vec_from(item));
+  for (const auto& item : arr) vs.push_back(io::vec_from(item));
   return vs;
 }
 
@@ -99,11 +82,19 @@ std::vector<bool> bools_from(const JsonValue& j) {
   return bs;
 }
 
-std::vector<std::size_t> sizes_from(const JsonValue& j) {
-  const auto& arr = j.as_array();
+/// Integer field \p key of \p j, refused unless it is an integer in
+/// [0, 2^53]; \p context ("snapshot" | "journal record") words the error.
+std::size_t size_at(const JsonValue& j, const char* context,
+                    const char* key) {
+  return io::uint_from(j.at(key), context, key);
+}
+
+std::vector<std::size_t> sizes_at(const JsonValue& j, const char* context,
+                                  const char* key) {
+  const auto& arr = j.at(key).as_array();
   std::vector<std::size_t> xs(arr.size());
   for (std::size_t i = 0; i < arr.size(); ++i) {
-    xs[i] = static_cast<std::size_t>(arr[i].as_double());
+    xs[i] = io::uint_from(arr[i], context, key);
   }
   return xs;
 }
@@ -121,10 +112,6 @@ RngState rng_from(const JsonValue& j) {
                         : cached.as_double();
   s.has_cached_normal = j.at("has_cached").as_bool();
   return s;
-}
-
-std::size_t size_from(const JsonValue& j) {
-  return static_cast<std::size_t>(j.as_double());
 }
 
 /// FNV-1a 64-bit over the canonical config string.
@@ -186,9 +173,9 @@ std::string JournalRecord::to_payload() const {
   out += ",\"finish\":" + io::json_number(finish);
   out += ",\"is_init\":";
   out += is_init ? "true" : "false";
-  out += ",\"x\":" + vec_json(x);
+  out += ",\"x\":" + io::json_vec(x);
   out += ",\"y\":" + io::json_number(y);  // null when NaN
-  if (!g.empty()) out += ",\"g\":" + vec_json(g);
+  if (!g.empty()) out += ",\"g\":" + io::json_vec(g);
   if (!error.empty()) out += ",\"error\":" + io::json_quote(error);
   out.push_back('}');
   return out;
@@ -196,21 +183,24 @@ std::string JournalRecord::to_payload() const {
 
 JournalRecord JournalRecord::parse(const std::string& payload) {
   const JsonValue j = io::parse_json(payload);
+  constexpr const char* kRecord = "journal record";
   JournalRecord r;
-  r.index = size_from(j.at("index"));
-  r.tag = size_from(j.at("tag"));
+  r.index = size_at(j, kRecord, "index");
+  r.tag = size_at(j, kRecord, "tag");
   r.status = j.at("status").as_string();
   r.action = j.at("action").as_string();
-  r.attempts = static_cast<std::uint32_t>(j.at("attempts").as_double());
-  r.worker = size_from(j.at("worker"));
+  r.attempts = static_cast<std::uint32_t>(
+      io::uint_from(j.at("attempts"), kRecord, "attempts",
+                    std::numeric_limits<std::uint32_t>::max()));
+  r.worker = size_at(j, kRecord, "worker");
   r.start = j.at("start").as_double();
   r.finish = j.at("finish").as_double();
   r.is_init = j.at("is_init").as_bool();
-  r.x = vec_from(j.at("x"));
+  r.x = io::vec_from(j.at("x"));
   const JsonValue& y = j.at("y");
   r.y = y.is_null() ? std::numeric_limits<double>::quiet_NaN()
                     : y.as_double();
-  if (const JsonValue* g = j.find("g")) r.g = vec_from(*g);
+  if (const JsonValue* g = j.find("g")) r.g = io::vec_from(*g);
   if (const JsonValue* err = j.find("error")) r.error = err->as_string();
   return r;
 }
@@ -257,24 +247,24 @@ std::string BoCheckpoint::to_payload() const {
   out += ",\"rng\":" + rng_json(rng);
   out += ",\"sup_rng\":" + rng_json(sup_rng);
   out += ",\"obs_x\":" + vecs_json(obs_x);
-  out += ",\"obs_y\":" + vec_json(obs_y);
+  out += ",\"obs_y\":" + io::json_vec(obs_y);
   out += ",\"obs_is_init\":" + bools_json(obs_is_init);
   out += ",\"failed_x\":" + vecs_json(failed_x);
   out += ",\"prop_x\":" + vecs_json(prop_x);
   out += ",\"prop_init\":" + bools_json(prop_init);
-  out += ",\"prop_submit\":" + vec_json(prop_submit);
-  out += ",\"prop_duration\":" + vec_json(prop_duration);
+  out += ",\"prop_submit\":" + io::json_vec(prop_submit);
+  out += ",\"prop_duration\":" + io::json_vec(prop_duration);
   out += ",\"pending\":" + sizes_json(pending);
   out += ",\"hc\":[";
   for (std::size_t i = 0; i < hc_histories.size(); ++i) {
     if (i > 0) out.push_back(',');
     out += vecs_json(hc_histories[i]);
   }
-  out += "],\"hedge_gains\":" + vec_json(hedge_gains);
+  out += "],\"hedge_gains\":" + io::json_vec(hedge_gains);
   out += ",\"hedge_nominees\":" + vecs_json(hedge_nominees);
   out += ",\"next_hyper_refit\":" + std::to_string(next_hyper_refit);
   out += ",\"hyper_refits\":" + std::to_string(hyper_refits);
-  out += ",\"gp_log_hyperparams\":" + vec_json(gp_log_hyperparams);
+  out += ",\"gp_log_hyperparams\":" + io::json_vec(gp_log_hyperparams);
   if (!obs_g.empty() || !g_log_hyperparams.empty()) {
     out += ",\"obs_g\":" + vecs_json(obs_g);
     out += ",\"obs_penalized\":" + bools_json(obs_penalized);
@@ -292,9 +282,10 @@ BoCheckpoint BoCheckpoint::parse(const std::string& payload) {
                               "\" is not the supported \"" + kSnapshotSchema +
                               "\"");
   }
+  constexpr const char* kSnapshot = "snapshot";
   BoCheckpoint c;
   c.config_hash = io::parse_u64(j.at("config_hash").as_string());
-  c.journal_count = size_from(j.at("journal_count"));
+  c.journal_count = size_at(j, kSnapshot, "journal_count");
   c.now = j.at("now").as_double();
   c.busy = j.at("busy").as_double();
   c.init_done = j.at("init_done").as_bool();
@@ -303,26 +294,26 @@ BoCheckpoint BoCheckpoint::parse(const std::string& payload) {
   if (const JsonValue* sd = j.find("sync_dirty")) {
     c.sync_dirty = sd->as_bool();
   }
-  c.issued = size_from(j.at("issued"));
+  c.issued = size_at(j, kSnapshot, "issued");
   c.rng = rng_from(j.at("rng"));
   c.sup_rng = rng_from(j.at("sup_rng"));
   c.obs_x = vecs_from(j.at("obs_x"));
-  c.obs_y = vec_from(j.at("obs_y"));
+  c.obs_y = io::vec_from(j.at("obs_y"));
   c.obs_is_init = bools_from(j.at("obs_is_init"));
   c.failed_x = vecs_from(j.at("failed_x"));
   c.prop_x = vecs_from(j.at("prop_x"));
   c.prop_init = bools_from(j.at("prop_init"));
-  c.prop_submit = vec_from(j.at("prop_submit"));
-  c.prop_duration = vec_from(j.at("prop_duration"));
-  c.pending = sizes_from(j.at("pending"));
+  c.prop_submit = io::vec_from(j.at("prop_submit"));
+  c.prop_duration = io::vec_from(j.at("prop_duration"));
+  c.pending = sizes_at(j, kSnapshot, "pending");
   for (const auto& h : j.at("hc").as_array()) {
     c.hc_histories.push_back(vecs_from(h));
   }
-  c.hedge_gains = vec_from(j.at("hedge_gains"));
+  c.hedge_gains = io::vec_from(j.at("hedge_gains"));
   c.hedge_nominees = vecs_from(j.at("hedge_nominees"));
-  c.next_hyper_refit = size_from(j.at("next_hyper_refit"));
-  c.hyper_refits = size_from(j.at("hyper_refits"));
-  c.gp_log_hyperparams = vec_from(j.at("gp_log_hyperparams"));
+  c.next_hyper_refit = size_at(j, kSnapshot, "next_hyper_refit");
+  c.hyper_refits = size_at(j, kSnapshot, "hyper_refits");
+  c.gp_log_hyperparams = io::vec_from(j.at("gp_log_hyperparams"));
   if (const JsonValue* g = j.find("obs_g")) c.obs_g = vecs_from(*g);
   if (const JsonValue* p = j.find("obs_penalized")) {
     c.obs_penalized = bools_from(*p);
@@ -338,6 +329,16 @@ BoCheckpoint BoCheckpoint::parse(const std::string& payload) {
 std::uint64_t config_fingerprint(const BoConfig& config,
                                  const opt::Bounds& bounds,
                                  std::size_t num_constraints) {
+  // Removed knobs stay in the string as literals frozen at the values
+  // every run hashed while they existed (hedge_eta, async_slot_rotation,
+  // pin_hallucinated_mean, and the RFF backend's three): checkpoints and
+  // sessions written with those values keep their fingerprint and resume,
+  // and one written with any other value refuses with "checkpoint config
+  // mismatch" instead of splicing two proposal streams.
+  // adapt_refit_cadence/adapt_refit_budget are absent: the adaptive
+  // schedule is wall-clock driven — never reproducible across machines
+  // anyway — and the schedule state itself rides in snapshots via
+  // next_hyper_refit, so resume stays coherent.
   std::string s;
   s.reserve(768);
   put(s, "v", kSnapshotSchema);
@@ -352,25 +353,17 @@ std::uint64_t config_fingerprint(const BoConfig& config,
   put(s, "lcb_kappa", config.lcb_kappa);
   put(s, "bucb_kappa", config.bucb_kappa);
   put_u(s, "ts_candidates", config.ts_candidates);
-  put(s, "hedge_eta", config.hedge_eta);
+  put(s, "hedge_eta", 1.0);
   put(s, "ei_xi", config.ei_xi);
   put(s, "hc_d", config.hc_d);
   put(s, "hc_n", config.hc_n);
   put_u(s, "refit_every", config.refit_every);
-  put(s, "async_slot_rotation", config.async_slot_rotation ? "1" : "0");
+  put(s, "async_slot_rotation", "0");
   put(s, "kernel", config.kernel);
-  // The removed random-Fourier-feature backend's three knobs, frozen at
-  // the values every exact-GP run hashed: checkpoints and sessions written
-  // while the knobs existed keep their fingerprint and resume, and an
-  // RFF-era checkpoint refuses with "checkpoint config mismatch".
-  // (adapt_refit_cadence/adapt_refit_budget are absent: the adaptive
-  // schedule is wall-clock driven — never reproducible across machines
-  // anyway — and the schedule state itself rides in snapshots via
-  // next_hyper_refit, so resume stays coherent.)
   put(s, "gp_backend", "exact");
   put_u(s, "rff_features", 128);
   put_u(s, "rff_train_subset", 512);
-  put(s, "pin_hallucinated_mean", config.pin_hallucinated_mean ? "1" : "0");
+  put(s, "pin_hallucinated_mean", "0");
   put_u(s, "seed", config.seed);
   put(s, "on_eval_failure", to_string(config.on_eval_failure));
   put(s, "eval_timeout", config.eval_timeout);
@@ -397,8 +390,8 @@ std::uint64_t config_fingerprint(const BoConfig& config,
   put(s, "acq_opt.jitter_scale", config.acq_opt.jitter_scale);
   put_u(s, "acq_opt.refine_top_k", config.acq_opt.refine_top_k);
   put_u(s, "acq_opt.refine_evals", config.acq_opt.refine_evals);
-  put(s, "bounds.lower", vec_json(bounds.lower));
-  put(s, "bounds.upper", vec_json(bounds.upper));
+  put(s, "bounds.lower", io::json_vec(bounds.lower));
+  put(s, "bounds.upper", io::json_vec(bounds.upper));
   if (num_constraints > 0) put_u(s, "constraints", num_constraints);
   return fnv1a(s);
 }

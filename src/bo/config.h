@@ -78,9 +78,16 @@ const char* to_string(EvalFailurePolicy policy);
 /// Full engine configuration. Defaults follow the paper (§III-B/§IV).
 struct BoConfig {
   Mode mode = Mode::AsyncBatch;
+  /// The per-slot schemes (Pbo's weight grid, Phcbo's penalty histories)
+  /// are a synchronous-batch construct: the k-th point of a batch uses
+  /// slot k. Every asynchronous proposal uses slot 0 (w = 0 for Pbo, one
+  /// shared Phcbo history).
   AcqKind acq = AcqKind::EasyBo;
   /// EasyBO hallucination penalization (§III-C). Only meaningful for
-  /// AcqKind::EasyBo in batch modes; ignored elsewhere.
+  /// AcqKind::EasyBo in batch modes (and Ts, which then samples the
+  /// hallucinated posterior); ignored elsewhere. The hallucinated
+  /// posterior re-averages its constant mean over the data plus the
+  /// pseudo targets; Eq. 9 reads only its variance.
   bool penalize = true;
   std::size_t batch = 5;        ///< B; forced to 1 in Sequential mode
   std::size_t init_points = 20; ///< random initial design size
@@ -92,30 +99,11 @@ struct BoConfig {
   double lcb_kappa = 2.0;       ///< kappa for the LCB baseline
   double bucb_kappa = 2.0;      ///< kappa for the BUCB extension baseline
   std::size_t ts_candidates = 192;  ///< Thompson-sampling candidate count
-  double hedge_eta = 1.0;       ///< GP-Hedge softmax temperature
   double ei_xi = 0.0;           ///< EI exploration offset
   double hc_d = 0.1;            ///< pHCBO penalization radius (normalized)
   double hc_n = 1.0;            ///< pHCBO penalty magnitude N_HC
   std::size_t refit_every = 5;  ///< retrain hyperparameters every k obs
-  /// AsyncBatch slot rotation for the per-slot weight schemes (pBO grid,
-  /// pHCBO penalty histories): when true, an asynchronous proposal with
-  /// tag t uses slot t % batch — the same spread synchronous batch mode
-  /// gets from its position within the batch — instead of the historical
-  /// behavior of always using slot 0 (every async pHCBO penalty landing
-  /// in one shared history). Off by default: turning it on shifts the
-  /// proposal stream of AsyncBatch + Pbo/Phcbo runs, so existing journals
-  /// and golden sequences keep reproducing. Fingerprinted.
-  bool async_slot_rotation = false;
   std::string kernel = "se";    ///< "se" (paper) or "matern52" (extension)
-  /// Hallucinated posteriors (Eq. 9) keep the BASE model's empirical
-  /// constant mean instead of recomputing it over data + pseudo
-  /// observations. The historical stream recomputes (pseudo points drag
-  /// the mean toward the model's own predictions — harmless but
-  /// conceptually wrong, the pseudo targets carry no information);
-  /// pinning is the principled choice for new runs. Off by default so
-  /// existing journals and golden sequences keep reproducing.
-  /// Fingerprinted.
-  bool pin_hallucinated_mean = false;
   std::uint64_t seed = 1;
   /// Collect the observability report (src/obs) into BoResult::metrics:
   /// per-phase timers, Cholesky refactor/extend + dedup + refit counters,

@@ -223,17 +223,11 @@ void GpRegressor::add_point(Vec x, double y) {
   // The factor (if any) still covers the first n-1 points; fit() extends.
 }
 
-void GpRegressor::fit() { fit_impl(nullptr); }
-
-void GpRegressor::fit_impl(const double* pinned_mean) {
+void GpRegressor::fit() {
   EASYBO_REQUIRE(!xs_.empty(), "GpRegressor::fit: no training data");
-  if (pinned_mean != nullptr) {
-    y_mean_ = *pinned_mean;
-  } else {
-    y_mean_ = 0.0;
-    for (double y : ys_) y_mean_ += y;
-    y_mean_ /= static_cast<double>(ys_.size());
-  }
+  y_mean_ = 0.0;
+  for (double y : ys_) y_mean_ += y;
+  y_mean_ /= static_cast<double>(ys_.size());
 
   // Incremental fast path: extend the existing factor row by row while the
   // hyperparameters are unchanged and only appended points are missing.
@@ -326,10 +320,6 @@ std::size_t GpRegressor::predict_paired_batch(const Regressor& mean_model,
       xs, out, retire);
 }
 
-double GpRegressor::predict_observation_var(const Vec& x) const {
-  return predict(x).var + noise_var_;
-}
-
 double GpRegressor::log_marginal_likelihood() const {
   EASYBO_REQUIRE(fitted(), "log_marginal_likelihood before fit()");
   const auto n = static_cast<double>(xs_.size());
@@ -395,15 +385,14 @@ Vec GpRegressor::sample_posterior(const std::vector<Vec>& candidates,
                             rng);
 }
 
-GpRegressor GpRegressor::with_hallucinated(const std::vector<Vec>& pending,
-                                           bool pin_mean) const {
+GpRegressor GpRegressor::with_hallucinated(
+    const std::vector<Vec>& pending) const {
   EASYBO_REQUIRE(fitted(), "with_hallucinated requires a fitted model");
   GpRegressor augmented(*this);
   for (const auto& x : pending) {
     augmented.add_point(x, predict_mean(x));
   }
-  const double base_mean = y_mean_;
-  augmented.fit_impl(pin_mean ? &base_mean : nullptr);
+  augmented.fit();
   return augmented;
 }
 
@@ -419,8 +408,7 @@ GpRegressor GpRegressor::with_hallucinated(const std::vector<Vec>& pending,
 /// — the property the proposal-stream compatibility tests pin down.
 class HallucinatedGp final : public Regressor {
  public:
-  HallucinatedGp(const GpRegressor* base, const std::vector<Vec>& pending,
-                 bool pin_mean)
+  HallucinatedGp(const GpRegressor* base, const std::vector<Vec>& pending)
       : base_(base),
         pend_x_(pending),
         pend_xt_(pend_x_, base->dim()),
@@ -436,16 +424,12 @@ class HallucinatedGp final : public Regressor {
     pend_y_.reserve(pend_x_.size());
     for (const Vec& x : pend_x_) pend_y_.push_back(base_->predict_mean(x));
 
-    if (pin_mean) {
-      y_mean_ = base_->y_mean_;
-    } else {
-      // The historical stream: empirical mean over data + pseudo targets,
-      // in the materialized model's summation order.
-      double acc = 0.0;
-      for (double y : base_->ys_) acc += y;
-      for (double y : pend_y_) acc += y;
-      y_mean_ = acc / static_cast<double>(n0 + pend_y_.size());
-    }
+    // The empirical mean over data + pseudo targets, in the materialized
+    // model's summation order.
+    double acc = 0.0;
+    for (double y : base_->ys_) acc += y;
+    for (double y : pend_y_) acc += y;
+    y_mean_ = acc / static_cast<double>(n0 + pend_y_.size());
 
     // Append one factor row per pending point — the same columns fit()'s
     // incremental path builds, including the base factor's jitter.
@@ -503,7 +487,6 @@ class HallucinatedGp final : public Regressor {
     return base_->xs_.size() + pend_x_.size();
   }
   bool fitted() const override { return true; }
-  double noise_variance() const override { return base_->noise_var_; }
 
   Prediction predict(const Vec& x) const override {
     const Vec kstar = cross(x);
@@ -544,10 +527,6 @@ class HallucinatedGp final : public Regressor {
           }
         },
         xs, out, retire);
-  }
-
-  double predict_observation_var(const Vec& x) const override {
-    return predict(x).var + base_->noise_var_;
   }
 
   Vec sample_posterior(const std::vector<Vec>& candidates,
@@ -593,9 +572,9 @@ class HallucinatedGp final : public Regressor {
 };
 
 std::unique_ptr<Regressor> GpRegressor::hallucinate(
-    const std::vector<Vec>& pending, bool pin_mean) const {
+    const std::vector<Vec>& pending) const {
   EASYBO_REQUIRE(fitted(), "hallucinate requires a fitted model");
-  return std::make_unique<HallucinatedGp>(this, pending, pin_mean);
+  return std::make_unique<HallucinatedGp>(this, pending);
 }
 
 }  // namespace easybo::gp

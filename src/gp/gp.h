@@ -100,9 +100,6 @@ class GpRegressor final : public Regressor {
                                    const RetireTest& retire = {})
       const override;
 
-  /// Variance including observation noise (for posterior sampling of y).
-  double predict_observation_var(const Vec& x) const override;
-
   /// Log marginal likelihood of the training data under the current
   /// hyperparameters. Requires fitted().
   double log_marginal_likelihood() const;
@@ -122,7 +119,8 @@ class GpRegressor final : public Regressor {
   /// Sets the flat hyperparameters. Invalidates any previous fit.
   void set_log_hyperparams(const Vec& lp);
 
-  double noise_variance() const override { return noise_var_; }
+  /// The observation noise variance sn^2.
+  double noise_variance() const { return noise_var_; }
 
   /// One joint posterior sample over \p candidates: O(m^2 n + m^3) for m
   /// candidates (cross covariances + a Cholesky of the m x m posterior
@@ -137,23 +135,18 @@ class GpRegressor final : public Regressor {
   /// posterior samples are bit-identical to with_hallucinated(). This
   /// model must stay alive, unmodified and fitted while the overlay is in
   /// use (one proposal's acquisition maximization).
-  ///
-  /// \param pin_mean  keep this model's empirical constant mean instead of
-  ///                  recomputing it over data + pseudo observations
-  ///                  (BoConfig::pin_hallucinated_mean).
-  std::unique_ptr<Regressor> hallucinate(const std::vector<Vec>& pending,
-                                         bool pin_mean) const;
+  std::unique_ptr<Regressor> hallucinate(
+      const std::vector<Vec>& pending) const;
 
   /// Materialized hallucinated model: a full copy whose training set is
   /// D ∪ {pending, mu(pending)} (pseudo observations at the current
   /// predictive mean), already fitted. Hyperparameters are copied, NOT
-  /// re-optimized. Kept as the reference implementation hallucinate() is
+  /// re-optimized; like every fit(), the constant mean is re-averaged, here
+  /// over the data plus the pseudo targets (Eq. 9 reads only the
+  /// variance, so the mean matters only to Thompson sampling's posterior
+  /// draws). Kept as the reference implementation hallucinate() is
   /// tested bit-identical against — production paths use the overlay.
-  ///
-  /// \param pin_mean  keep this model's empirical mean instead of
-  ///                  recomputing it over data + pseudo observations.
-  GpRegressor with_hallucinated(const std::vector<Vec>& pending,
-                                bool pin_mean = false) const;
+  GpRegressor with_hallucinated(const std::vector<Vec>& pending) const;
 
   /// Installs a non-owning trace sink (nullptr = off, the default).
   /// fit() then counts "gp.chol_refactor" (full O(n^3) factorizations),
@@ -175,10 +168,6 @@ class GpRegressor final : public Regressor {
 
  private:
   friend class HallucinatedGp;
-
-  /// fit() with an optionally pinned constant mean (hallucination's
-  /// pin_mean semantics); nullptr recomputes the empirical mean.
-  void fit_impl(const double* pinned_mean);
 
   std::unique_ptr<Kernel> kernel_;
   double noise_var_;

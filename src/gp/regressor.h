@@ -4,7 +4,7 @@
 ///
 /// Regressor is what an acquisition function needs from a model —
 /// predict(), the mean-only and paired posterior queries, joint posterior
-/// sampling, and the few scalars acquisitions read — and nothing the BO
+/// sampling, and its dimension and size — and nothing the BO
 /// core uses to feed, fit or train it. Two implementations exist, both in
 /// gp/gp.cpp: GpRegressor (the exact jittered-Cholesky GP the core owns
 /// and trains) and the hallucinated penalization overlay
@@ -98,11 +98,6 @@ class Regressor {
     }
     return xs.size();
   }
-
-  /// Variance including observation noise (for posterior sampling of y).
-  virtual double predict_observation_var(const Vec& x) const = 0;
-
-  virtual double noise_variance() const = 0;
 
   /// One joint sample of the posterior over \p candidates (Thompson
   /// sampling). Returns the sampled latent values, one per candidate, and

@@ -333,4 +333,33 @@ std::uint64_t parse_u64(const std::string& text) {
   return static_cast<std::uint64_t>(v);
 }
 
+std::string json_vec(const std::vector<double>& v) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out += json_number(v[i]);
+  }
+  out.push_back(']');
+  return out;
+}
+
+std::vector<double> vec_from(const JsonValue& v) {
+  const auto& arr = v.as_array();
+  std::vector<double> out(arr.size());
+  for (std::size_t i = 0; i < arr.size(); ++i) out[i] = arr[i].as_double();
+  return out;
+}
+
+std::uint64_t uint_from(const JsonValue& v, std::string_view context,
+                        std::string_view key, std::uint64_t max) {
+  const double d = v.as_double();
+  if (!(d >= 0.0) || d != std::floor(d) || d > static_cast<double>(max)) {
+    throw Error(std::string(context) + ": \"" + std::string(key) +
+                "\" must be a non-negative integer no larger than " +
+                (max == kJsonMaxInteger ? std::string("2^53")
+                                        : std::to_string(max)));
+  }
+  return static_cast<std::uint64_t>(d);
+}
+
 }  // namespace easybo::io

@@ -86,4 +86,24 @@ std::string json_quote(std::string_view s);
 std::string json_u64(std::uint64_t value);
 std::uint64_t parse_u64(const std::string& text);
 
+/// A JSON array of round-trip numbers (json_number per element).
+std::string json_vec(const std::vector<double>& v);
+
+// --- checked readers ------------------------------------------------------
+
+/// The elements of a JSON array of numbers.
+std::vector<double> vec_from(const JsonValue& v);
+
+/// 2^53: a JSON number (a double) holds every integer up to it exactly.
+inline constexpr std::uint64_t kJsonMaxInteger = 9007199254740992ull;
+
+/// The number \p v as an integer in [0, \p max], for \p max <= 2^53.
+/// Converting a negative, fractional or out-of-range double to an integer
+/// type is undefined, so each is refused before the conversion: throws
+/// easybo::Error "<context>: \"<key>\" must be a non-negative integer no
+/// larger than <max>".
+std::uint64_t uint_from(const JsonValue& v, std::string_view context,
+                        std::string_view key,
+                        std::uint64_t max = kJsonMaxInteger);
+
 }  // namespace easybo::io

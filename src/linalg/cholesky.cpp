@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 #include "linalg/lanes.h"
@@ -109,6 +110,25 @@ void forward_one(const RowOf& row, std::size_t begin, std::size_t end,
   }
 }
 
+/// The factor row that appending column \p new_column — the n cross terms
+/// b followed by the diagonal c — adds below an n x n factor whose forward
+/// substitution is \p solve_lower: h = L^{-1} b, then sqrt(c - dot(h, h))
+/// as its diagonal entry. Returns false, leaving \p row as it was, when
+/// c - dot(h, h) is not positive and finite (the extended matrix is not
+/// positive definite). Cholesky::extend and CholeskyExt::extend both
+/// build their new row here.
+template <class SolveLower>
+bool extension_row(const SolveLower& solve_lower, const Vec& new_column,
+                   Vec& row) {
+  const Vec b(new_column.begin(), new_column.end() - 1);
+  Vec head = solve_lower(b);
+  const double d = new_column.back() - dot(head, head);
+  if (!(d > 0.0) || !std::isfinite(d)) return false;
+  head.push_back(std::sqrt(d));
+  row = std::move(head);
+  return true;
+}
+
 /// Columns per register tile of the inverse's two triangular products:
 /// kInvTile / 2 two-lane accumulators.
 constexpr std::size_t kInvTile = 8;
@@ -201,16 +221,6 @@ Vec Cholesky::solve(const Vec& b) const {
   return x;
 }
 
-Matrix Cholesky::solve(const Matrix& b) const {
-  EASYBO_REQUIRE(b.rows() == size(), "Cholesky::solve shape mismatch");
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    const Vec xc = solve(b.col(c));
-    for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = xc[r];
-  }
-  return x;
-}
-
 Vec Cholesky::solve_lower(const Vec& b) const {
   const std::size_t n = size();
   EASYBO_REQUIRE(b.size() == n, "Cholesky::solve_lower size mismatch");
@@ -236,32 +246,18 @@ bool Cholesky::extend(const Vec& new_column) {
   const std::size_t n = size();
   EASYBO_REQUIRE(new_column.size() == n + 1,
                  "Cholesky::extend: need n cross terms plus the diagonal");
-  const Vec b(new_column.begin(), new_column.end() - 1);
-  const Vec head = solve_lower(b);
-  const double d = new_column.back() - dot(head, head);
-  if (!(d > 0.0) || !std::isfinite(d)) return false;
-
+  Vec row;
+  if (!extension_row([this](const Vec& b) { return solve_lower(b); },
+                     new_column, row)) {
+    return false;
+  }
   Matrix grown(n + 1, n + 1, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) grown(i, j) = l_(i, j);
   }
-  for (std::size_t j = 0; j < n; ++j) grown(n, j) = head[j];
-  grown(n, n) = std::sqrt(d);
+  for (std::size_t j = 0; j <= n; ++j) grown(n, j) = row[j];
   l_ = std::move(grown);
   return true;
-}
-
-Vec Cholesky::solve_upper(const Vec& b) const {
-  const std::size_t n = size();
-  EASYBO_REQUIRE(b.size() == n, "Cholesky::solve_upper size mismatch");
-  Vec x(n);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double acc = b[i];
-    for (std::size_t k = i + 1; k < n; ++k) acc -= l_(k, i) * x[k];
-    x[i] = acc / l_(i, i);
-  }
-  return x;
 }
 
 double Cholesky::log_det() const {
@@ -346,14 +342,13 @@ bool CholeskyExt::extend(const Vec& new_column) {
   const std::size_t n = size();
   EASYBO_REQUIRE(new_column.size() == n + 1,
                  "CholeskyExt::extend: need n cross terms plus the diagonal");
-  // Same algebra (and the same operation order) as Cholesky::extend, run
-  // against the combined factor.
-  const Vec b(new_column.begin(), new_column.end() - 1);
-  Vec head = solve_lower(b);
-  const double d = new_column.back() - dot(head, head);
-  if (!(d > 0.0) || !std::isfinite(d)) return false;
-  head.push_back(std::sqrt(d));
-  rows_.push_back(std::move(head));
+  // Cholesky::extend's row step, run against the combined factor.
+  Vec row;
+  if (!extension_row([this](const Vec& b) { return solve_lower(b); },
+                     new_column, row)) {
+    return false;
+  }
+  rows_.push_back(std::move(row));
   return true;
 }
 
@@ -417,14 +412,6 @@ Vec CholeskyExt::solve(const Vec& b) const {
     }
   }
   return x;
-}
-
-double CholeskyExt::log_det() const {
-  const Matrix& l = base_->factor();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < base_->size(); ++i) acc += std::log(l(i, i));
-  for (const Vec& row : rows_) acc += std::log(row.back());
-  return 2.0 * acc;
 }
 
 }  // namespace easybo::linalg

@@ -52,9 +52,6 @@ class Cholesky {
   /// Solves A x = b through forward/back substitution.
   Vec solve(const Vec& b) const;
 
-  /// Solves A X = B column-by-column.
-  Matrix solve(const Matrix& b) const;
-
   /// Solves L z = b (forward substitution only): z_i = (b_i - sum_{k<i}
   /// l_ik z_k) / l_ii, each row's sum k ascending. Rows go a few at a
   /// time: their sums over the solved prefix run as independent chains,
@@ -81,10 +78,6 @@ class Cholesky {
   /// another. The batched GP posterior steps through its solve this way.
   void solve_lower_inplace(std::span<double> b, std::size_t m,
                            std::size_t begin, std::size_t end) const;
-
-  /// Solves L^T x = b (back substitution only). Used for weight-space
-  /// posterior sampling, w = w_mean + sigma * L^{-T} z.
-  Vec solve_upper(const Vec& b) const;
 
   /// Extends the factorization of A (n x n) to that of the (n+1) x (n+1)
   /// matrix [[A, b], [b^T, c]] in O(n^2): the new bottom row of L is
@@ -122,8 +115,8 @@ class Cholesky {
 /// Cholesky::extend still copies the whole O(n^2) factor per appended row,
 /// which is exactly the cost that made hallucinated posteriors a deep copy
 /// of the model. This view instead borrows the base factor and stores only
-/// the appended rows (row i of the extension holds base_size + i + 1
-/// entries), so k pseudo-observations cost O(k n^2) arithmetic and O(k n)
+/// the appended rows (row i of the extension holds n + i + 1 entries over
+/// an n x n base), so k pseudo-observations cost O(k n^2) arithmetic and O(k n)
 /// memory with no copy of the base triangle.
 ///
 /// Arithmetic parity: every solve walks the combined factor in exactly the
@@ -137,9 +130,7 @@ class CholeskyExt {
  public:
   explicit CholeskyExt(const Cholesky* base);
 
-  std::size_t base_size() const { return base_->size(); }
   std::size_t size() const { return base_->size() + rows_.size(); }
-  std::size_t appended() const { return rows_.size(); }
 
   /// Jitter baked into the borrowed base factor's diagonal; callers
   /// extending a jittered factor must include it in new diagonals so the
@@ -171,9 +162,6 @@ class CholeskyExt {
   /// contract; a range may straddle the base/appended boundary.
   void solve_lower_inplace(std::span<double> b, std::size_t m,
                            std::size_t begin, std::size_t end) const;
-
-  /// log(det of the combined A) = 2 * sum_i log L_ii.
-  double log_det() const;
 
  private:
   const Cholesky* base_;    // borrowed, immutable while this view lives

@@ -1,6 +1,5 @@
 #include "serve/session_config.h"
 
-#include <cmath>
 #include <set>
 #include <string>
 #include <utility>
@@ -10,8 +9,6 @@
 
 namespace easybo::serve {
 
-using linalg::Vec;
-
 namespace {
 
 using bo::AcqKind;
@@ -20,14 +17,7 @@ using bo::Mode;
 using io::JsonValue;
 
 std::size_t size_from(const JsonValue& v, const std::string& key) {
-  const double d = v.as_double();
-  // Above 2^53 doubles no longer hold every integer, and the cast to
-  // size_t is undefined past its range: refuse before converting.
-  if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0) {
-    throw Error("session config: \"" + key +
-                "\" must be a non-negative integer no larger than 2^53");
-  }
-  return static_cast<std::size_t>(d);
+  return io::uint_from(v, "session config", key);
 }
 
 Mode mode_from(const std::string& name) {
@@ -65,26 +55,12 @@ EvalFailurePolicy failure_from(const std::string& name) {
               "\" (expected discard|penalize)");
 }
 
-Vec vec_from(const JsonValue& v) {
-  Vec out;
-  out.reserve(v.as_array().size());
-  for (const auto& item : v.as_array()) out.push_back(item.as_double());
-  return out;
-}
-
-std::string vec_json(const Vec& v) {
-  std::string s = "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) s += ",";
-    s += io::json_number(v[i]);
-  }
-  return s + "]";
-}
-
-/// Keys of the removed random-Fourier-feature surrogate. Configs persisted
-/// while it existed carry them at the exact GP's values; accept exactly
-/// those so such sessions keep resuming, and refuse anything else by name
-/// rather than silently serving a different model.
+/// Keys of removed knobs: the random-Fourier-feature surrogate's three and
+/// the pin_hallucinated_mean / async_slot_rotation switches. Configs
+/// persisted while they existed carry them at the values of today's one
+/// behaviour; accept exactly those so such sessions keep resuming, and
+/// refuse anything else by name rather than silently serving a different
+/// stream.
 void check_removed_backend_keys(const JsonValue& j) {
   if (const JsonValue* v = j.find("gp_backend")) {
     if (v->as_string() != "exact") {
@@ -101,6 +77,13 @@ void check_removed_backend_keys(const JsonValue& j) {
                   io::json_number(v->as_double()) +
                   " was removed with the RFF backend (only " +
                   std::to_string(value) + " is accepted)");
+    }
+  }
+  for (const char* key : {"pin_hallucinated_mean", "async_slot_rotation"}) {
+    const JsonValue* v = j.find(key);
+    if (v != nullptr && v->as_bool()) {
+      throw Error("session config: " + std::string(key) +
+                  " was removed (only false is accepted)");
     }
   }
 }
@@ -150,8 +133,8 @@ SessionSpec parse_session_config(const std::string& json_text) {
   spec.config.on_eval_failure = EvalFailurePolicy::Discard;
 
   if (const JsonValue* lower = j.find("lower")) {
-    spec.bounds.lower = vec_from(*lower);
-    spec.bounds.upper = vec_from(j.at("upper"));
+    spec.bounds.lower = io::vec_from(*lower);
+    spec.bounds.upper = io::vec_from(j.at("upper"));
     if (const JsonValue* dim = j.find("dim")) {
       if (size_from(*dim, "dim") != spec.bounds.lower.size()) {
         throw Error(
@@ -214,17 +197,11 @@ SessionSpec parse_session_config(const std::string& json_text) {
     spec.config.kernel = v->as_string();
   }
   check_removed_backend_keys(j);
-  if (const JsonValue* v = j.find("pin_hallucinated_mean")) {
-    spec.config.pin_hallucinated_mean = v->as_bool();
-  }
   if (const JsonValue* v = j.find("refit_every")) {
     spec.config.refit_every = size_from(*v, "refit_every");
   }
   if (const JsonValue* v = j.find("checkpoint_every")) {
     spec.config.checkpoint_every = size_from(*v, "checkpoint_every");
-  }
-  if (const JsonValue* v = j.find("async_slot_rotation")) {
-    spec.config.async_slot_rotation = v->as_bool();
   }
   if (const JsonValue* v = j.find("on_eval_failure")) {
     spec.config.on_eval_failure = failure_from(v->as_string());
@@ -280,8 +257,8 @@ std::string session_config_json(const bo::BoConfig& config,
     s += io::json_quote(key) + ":" + value;
   };
   put("dim", io::json_number(static_cast<double>(bounds.dim())));
-  put("lower", vec_json(bounds.lower));
-  put("upper", vec_json(bounds.upper));
+  put("lower", io::json_vec(bounds.lower));
+  put("upper", io::json_vec(bounds.upper));
   put("seed", io::json_quote(io::json_u64(config.seed)));
   put("mode", io::json_quote(to_string(config.mode)));
   put("acq", io::json_quote(to_string(config.acq)));
@@ -297,13 +274,10 @@ std::string session_config_json(const bo::BoConfig& config,
   put("hc_d", io::json_number(config.hc_d));
   put("hc_n", io::json_number(config.hc_n));
   put("kernel", io::json_quote(config.kernel));
-  put("pin_hallucinated_mean",
-      config.pin_hallucinated_mean ? "true" : "false");
   put("refit_every",
       io::json_number(static_cast<double>(config.refit_every)));
   put("checkpoint_every",
       io::json_number(static_cast<double>(config.checkpoint_every)));
-  put("async_slot_rotation", config.async_slot_rotation ? "true" : "false");
   put("on_eval_failure", io::json_quote(to_string(config.on_eval_failure)));
   put("eval_failure_quantile",
       io::json_number(config.eval_failure_quantile));

@@ -200,7 +200,7 @@ TEST(EvaluateBatch, WeightedUcbSameModel) {
 
 TEST(EvaluateBatch, WeightedUcbOverOverlay) {
   const GpRegressor gp = fitted_2d(30, 1e-6, 62);
-  const auto overlay = gp.hallucinate(probe_points(6, 63), false);
+  const auto overlay = gp.hallucinate(probe_points(6, 63));
   const WeightedUcb fn(&gp, overlay.get(), 0.6);
   expect_batch_matches_scalar(fn, &gp, overlay.get(), 0.6);
 }
@@ -212,7 +212,7 @@ TEST(EvaluateBatch, WeightedUcbOverOverlayFallbackFactor) {
   const Vec dup = {0.5, 0.5};
   obs::RecordingSink sink;
   gp.set_trace(&sink);
-  const auto overlay = gp.hallucinate({dup, dup, dup}, false);
+  const auto overlay = gp.hallucinate({dup, dup, dup});
   gp.set_trace(nullptr);
   ASSERT_EQ(sink.counter("gp.hallucinate_fallback"), 1u);
   const WeightedUcb fn(&gp, overlay.get(), 0.8);
@@ -241,7 +241,7 @@ TEST(EvaluateBatch, FeasibilityWeightedOverPlainModel) {
 
 TEST(EvaluateBatch, FeasibilityWeightedOverOverlay) {
   const GpRegressor gp = fitted_2d(30, 1e-6, 73);
-  const auto overlay = gp.hallucinate(probe_points(6, 74), false);
+  const auto overlay = gp.hallucinate(probe_points(6, 74));
   const GpRegressor g1 = fitted_2d(22, 1e-6, 75);
   const WeightedUcb base(&gp, overlay.get(), 0.6);
   const FeasibilityWeighted fn(&base, -0.25, {&g1});
@@ -360,7 +360,7 @@ TEST(PairedBatchRetirement, PlainGpKeepsSurvivorsBitwise) {
 
 TEST(PairedBatchRetirement, OverlayKeepsSurvivorsBitwise) {
   const GpRegressor gp = fitted_3d(83);
-  const auto overlay = gp.hallucinate(probe_points_3d(14, 84), false);
+  const auto overlay = gp.hallucinate(probe_points_3d(14, 84));
   expect_retirement_is_exact(gp, *overlay);
 }
 
@@ -403,7 +403,7 @@ void expect_floor_contract(const AcquisitionFn& fn) {
 
 TEST(EvaluateBatch, FloorContractForTheConfidenceBoundFamily) {
   const GpRegressor gp = fitted_3d(86);
-  const auto overlay = gp.hallucinate(probe_points_3d(14, 87), false);
+  const auto overlay = gp.hallucinate(probe_points_3d(14, 87));
   for (const double w : {0.0, 0.3, 6.0 / 7.0, 1.0}) {
     SCOPED_TRACE(w);
     expect_floor_contract(WeightedUcb(&gp, &gp, w));
@@ -417,7 +417,7 @@ TEST(EvaluateBatch, UcbAndBucbMatchTheirFormulas) {
   // Ucb and Bucb now share WeightedUcb's path with a = 1: 1.0 * mu == mu,
   // so their values are the historical formulas bit for bit.
   const GpRegressor gp = fitted_3d(88);
-  const auto overlay = gp.hallucinate(probe_points_3d(14, 89), false);
+  const auto overlay = gp.hallucinate(probe_points_3d(14, 89));
   const Ucb ucb(&gp, 2.0);
   const Bucb bucb(&gp, overlay.get(), 1.5);
   for (const Vec& x : probe_points_3d(30, 90)) {

@@ -291,7 +291,7 @@ TEST(AcqOptimizerOracle, WeightedUcbOnAPendingOverlay) {
   Tally tally;
   for (std::uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
     const GpRegressor gp = oracle_gp(seed);
-    const auto overlay = gp.hallucinate(pending_points(seed), false);
+    const auto overlay = gp.hallucinate(pending_points(seed));
     for (const double w : kWeights) {
       for (const std::size_t k : kTopK) {
         SCOPED_TRACE(testing::Message() << "w " << w << " k " << k);
@@ -307,7 +307,7 @@ TEST(AcqOptimizerOracle, UcbAndBucb) {
   Tally tally;
   for (std::uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
     const GpRegressor gp = oracle_gp(seed);
-    const auto overlay = gp.hallucinate(pending_points(seed), false);
+    const auto overlay = gp.hallucinate(pending_points(seed));
     for (const std::size_t k : kTopK) {
       SCOPED_TRACE(testing::Message() << "k " << k);
       expect_matches_reference(Ucb(&gp, 2.0), seed, {incumbent(gp)},
@@ -338,7 +338,7 @@ TEST(AcqOptimizerOracle, DuplicateAnchorCopiesTie) {
   Tally tally;
   for (std::uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
     const GpRegressor gp = oracle_gp(seed);
-    const auto overlay = gp.hallucinate(pending_points(seed), false);
+    const auto overlay = gp.hallucinate(pending_points(seed));
     for (const std::size_t k : kTopK) {
       AcqOptOptions opt = oracle_options(k);
       opt.random_candidates = 60;
@@ -367,7 +367,7 @@ TEST(AcqOptimizerOracle, UnderflowedKernelRowsTieAcrossDistinctCandidates) {
   for (std::uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
     for (const double ell : {5e-3, 0.03}) {
       const GpRegressor gp = oracle_gp(seed, ell);
-      const auto overlay = gp.hallucinate(pending_points(seed), false);
+      const auto overlay = gp.hallucinate(pending_points(seed));
       for (const std::size_t k : kTopK) {
         SCOPED_TRACE(testing::Message() << "ell " << ell << " k " << k);
         const Vec screened = expect_matches_reference(
@@ -389,7 +389,7 @@ TEST(AcqOptimizerOracle, NaNChunkTurnsTheFloorOff) {
   Tally tally;
   for (std::uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
     const GpRegressor gp = oracle_gp(seed);
-    const auto overlay = gp.hallucinate(pending_points(seed), false);
+    const auto overlay = gp.hallucinate(pending_points(seed));
     const WeightedUcb fn(&gp, overlay.get(), 0.5);
     Rng rng(seed + 2000);
     std::vector<linalg::Vec> others;

@@ -403,64 +403,25 @@ TEST(BoCheckpointJson, SyncDirtyRoundTripsAndDefaultsFalse) {
 }
 
 // ---------------------------------------------------------------------------
-// Async weight-slot rotation (the always-slot-0 bug, behind its flag)
+// Async weight slots: the per-slot grid is a synchronous-batch construct
 // ---------------------------------------------------------------------------
 
-TEST(AsyncSlotRotation, OffByDefaultAndFingerprinted) {
-  BoConfig cfg;
-  EXPECT_FALSE(cfg.async_slot_rotation);
-  cfg.batch = 4;
-  EXPECT_EQ(async_proposal_slot(cfg, 0), 0u);
-  EXPECT_EQ(async_proposal_slot(cfg, 7), 0u);  // historical: always slot 0
-  cfg.async_slot_rotation = true;
-  EXPECT_EQ(async_proposal_slot(cfg, 7), 3u);
-  EXPECT_EQ(async_proposal_slot(cfg, 8), 0u);
-
-  // The flag shapes the proposal stream, so it must split the
-  // checkpoint-compatibility fingerprint.
-  opt::Bounds bounds;
-  bounds.lower = {0.0, 0.0};
-  bounds.upper = {1.0, 1.0};
-  BoConfig off = cfg;
-  off.async_slot_rotation = false;
-  EXPECT_NE(config_fingerprint(cfg, bounds),
-            config_fingerprint(off, bounds));
-}
-
-TEST(AsyncSlotRotation, SpreadsPhcboPenaltyHistoriesAcrossSlots) {
+// Every asynchronous pHCBO proposal uses slot 0, so all of its penalties
+// land in one shared history and the other slots stay empty.
+TEST(AsyncSlots, PhcboFillsSlotZeroOnly) {
   const auto tf = circuit::sphere(2);
-  auto base = quick(Mode::AsyncBatch, 3, 23);
-  base.acq = AcqKind::Phcbo;
-  base.init_points = 6;
-  base.max_sims = 15;
-
-  auto slot_loads = [&](bool rotate) {
-    auto cfg = base;
-    cfg.async_slot_rotation = rotate;
-    HandDriver hand(cfg, tf.bounds, tf.fn, cfg.batch);
-    hand.run();
-    const BoCheckpoint snap =
-        hand.core().make_snapshot(0.0, 0.0, Rng(0).save());
-    std::vector<std::size_t> loads;
-    for (const auto& history : snap.hc_histories) {
-      loads.push_back(history.size());
-    }
-    return loads;
-  };
-
-  // Historical behaviour: every async proposal lands in slot 0.
-  const auto off = slot_loads(false);
-  ASSERT_EQ(off.size(), 3u);
-  EXPECT_GT(off[0], 0u);
-  EXPECT_EQ(off[1], 0u);
-  EXPECT_EQ(off[2], 0u);
-
-  // Rotation: tags spread over the whole per-slot grid.
-  const auto on = slot_loads(true);
-  ASSERT_EQ(on.size(), 3u);
-  EXPECT_GT(on[0], 0u);
-  EXPECT_GT(on[1], 0u);
-  EXPECT_GT(on[2], 0u);
+  auto cfg = quick(Mode::AsyncBatch, 3, 23);
+  cfg.acq = AcqKind::Phcbo;
+  cfg.init_points = 6;
+  cfg.max_sims = 15;
+  HandDriver hand(cfg, tf.bounds, tf.fn, cfg.batch);
+  hand.run();
+  const BoCheckpoint snap =
+      hand.core().make_snapshot(0.0, 0.0, Rng(0).save());
+  ASSERT_EQ(snap.hc_histories.size(), 3u);
+  EXPECT_GT(snap.hc_histories[0].size(), 0u);
+  EXPECT_EQ(snap.hc_histories[1].size(), 0u);
+  EXPECT_EQ(snap.hc_histories[2].size(), 0u);
 }
 
 }  // namespace

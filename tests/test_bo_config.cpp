@@ -79,8 +79,8 @@ TEST(BoConfig, PboIsBatchOnly) {
   c.acq = AcqKind::Pbo;
   c.mode = Mode::Sequential;
   EXPECT_THROW(c.validate(), InvalidArgument);
-  // Sync or async: the weight grid spans the batch slots either way
-  // (async uses slot 0 unless async_slot_rotation spreads it by tag).
+  // Sync or async: the weight grid spans the batch slots (a synchronous
+  // batch's k-th point uses slot k; every async proposal uses slot 0).
   c.mode = Mode::SyncBatch;
   EXPECT_NO_THROW(c.validate());
   c.mode = Mode::AsyncBatch;

@@ -27,6 +27,7 @@
 #include "circuit/testfunc.h"
 #include "common/rng.h"
 #include "io/journal.h"
+#include "serve/session.h"
 
 namespace easybo::bo {
 namespace {
@@ -225,6 +226,89 @@ TEST(JournalRecordJson, RoundTripsEveryField) {
   EXPECT_TRUE(ok.error.empty());
 }
 
+/// The easybo::Error message \p parse throws on \p payload; empty when it
+/// parses.
+template <class Parse>
+std::string parse_error(const Parse& parse, const std::string& payload) {
+  try {
+    (void)parse(payload);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// \p payload with its one occurrence of \p from replaced by \p to.
+std::string with_field(std::string payload, const std::string& from,
+                       const std::string& to) {
+  const std::size_t pos = payload.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos != std::string::npos) payload.replace(pos, from.size(), to);
+  return payload;
+}
+
+// Every integer of the journal and snapshot schemas is read through one
+// checked reader: a negative, fractional or out-of-range value in a file
+// whose checksum holds is refused naming its field, never cast (undefined
+// behaviour) into a count.
+TEST(CheckpointJson, RefusesMalformedIntegersNamingTheField) {
+  BoCheckpoint snap;
+  snap.rng = Rng(1).save();
+  snap.sup_rng = Rng(2).save();
+  snap.journal_count = 2;
+  snap.issued = 4;
+  snap.pending = {3};
+  const std::string good = snap.to_payload();
+  const auto parse_snap = [](const std::string& p) {
+    return BoCheckpoint::parse(p);
+  };
+  EXPECT_EQ(parse_error(parse_snap, good), "");
+  const struct {
+    const char* from;
+    const char* to;
+    const char* field;
+  } snap_cases[] = {
+      {"\"issued\":4", "\"issued\":-1", "\"issued\""},
+      {"\"issued\":4", "\"issued\":1.5", "\"issued\""},
+      {"\"pending\":[3]", "\"pending\":[-3]", "\"pending\""},
+      {"\"journal_count\":2", "\"journal_count\":1e300",
+       "\"journal_count\""},
+  };
+  for (const auto& c : snap_cases) {
+    const std::string error =
+        parse_error(parse_snap, with_field(good, c.from, c.to));
+    EXPECT_NE(error.find(c.field), std::string::npos)
+        << c.to << " -> \"" << error << "\"";
+  }
+
+  JournalRecord rec;
+  rec.status = "ok";
+  rec.action = "observed";
+  rec.x = {0.5};
+  rec.y = 1.0;
+  const std::string line = rec.to_payload();
+  const auto parse_rec = [](const std::string& p) {
+    return JournalRecord::parse(p);
+  };
+  EXPECT_NE(parse_error(parse_rec, with_field(line, "\"attempts\":1",
+                                              "\"attempts\":-2"))
+                .find("\"attempts\""),
+            std::string::npos);
+  // attempts is a uint32_t: 2^32 - 1 is the largest it holds.
+  EXPECT_NE(parse_error(parse_rec, with_field(line, "\"attempts\":1",
+                                              "\"attempts\":4294967296"))
+                .find("\"attempts\""),
+            std::string::npos);
+  EXPECT_EQ(JournalRecord::parse(with_field(line, "\"attempts\":1",
+                                            "\"attempts\":4294967295"))
+                .attempts,
+            4294967295u);
+  EXPECT_NE(
+      parse_error(parse_rec, with_field(line, "\"tag\":0", "\"tag\":0.5"))
+          .find("\"tag\""),
+      std::string::npos);
+}
+
 TEST(JournalHeaderJson, RoundTripsAndRejectsForeignSchemas) {
   JournalHeader h;
   h.schema = "easybo.journal.v1";
@@ -366,20 +450,15 @@ TEST(ConfigFingerprint, SeparatesStreamsIgnoresDurabilityKnobs) {
 
 // Every checkpoint and served session on disk is bound to its config by
 // this hash, so the canonical string must never drift. Pinned to the
-// values the fingerprint had while BoConfig still carried the RFF knobs
-// (gp_backend / rff_features / rff_train_subset, now hashed as frozen
-// literals): dropping those lines fails here instead of orphaning every
-// existing checkpoint.
+// value the fingerprint had while BoConfig still carried the RFF knobs
+// (gp_backend / rff_features / rff_train_subset) and the hedge_eta /
+// async_slot_rotation / pin_hallucinated_mean knobs, all now hashed as
+// frozen literals: dropping those lines fails here instead of orphaning
+// every existing checkpoint.
 TEST(ConfigFingerprint, MatchesValuesFromBeforeTheBackendRemoval) {
   const auto tf = easybo::circuit::branin();
   const std::uint64_t plain = config_fingerprint(BoConfig{}, tf.bounds);
   EXPECT_EQ(plain, 6662251224650069979ull);
-
-  // pin_hallucinated_mean shapes the stream, so it is fingerprinted.
-  BoConfig pinned;
-  pinned.pin_hallucinated_mean = true;
-  EXPECT_EQ(config_fingerprint(pinned, tf.bounds), 5280235188366560086ull);
-  EXPECT_NE(config_fingerprint(pinned, tf.bounds), plain);
 }
 
 // The constraint count is hashed only when there is at least one
@@ -703,6 +782,40 @@ TEST(ResumeRefusal, RffEraCheckpoint) {
     journal.append(header.to_payload());
   }
   expect_resume_error(cfg, tf, base, "checkpoint config mismatch");
+}
+
+// Files written while a removed switch was on carry a fingerprint no
+// current config produces: the engine and a session both refuse them by
+// name instead of continuing the stream under the one behaviour. The
+// constants are BoConfig{} on Branin's bounds with pin_hallucinated_mean,
+// then async_slot_rotation, switched on, as the fingerprint read while the
+// switches existed.
+TEST(ResumeRefusal, RemovedSwitchOnCheckpoint) {
+  const auto tf = easybo::circuit::branin();
+  const BoConfig cfg;
+  for (const std::uint64_t hash :
+       {5280235188366560086ull, 8241358697215460316ull}) {
+    SCOPED_TRACE(hash);
+    const std::string base = fresh_base("switch_on");
+    {
+      JournalHeader header;
+      header.config_hash = hash;
+      header.seed = cfg.seed;
+      io::JournalWriter journal;
+      journal.open(journal_file(base), /*truncate_to=*/0);
+      journal.append(header.to_payload());
+    }
+    expect_resume_error(cfg, tf, base, "checkpoint config mismatch");
+    try {
+      (void)serve::Session::resume("s", serve::SessionSpec{cfg, tf.bounds},
+                                   base);
+      FAIL() << "session resume was expected to refuse";
+    } catch (const io::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("checkpoint config mismatch"),
+                std::string::npos)
+          << "message: " << e.what();
+    }
+  }
 }
 
 TEST(ResumeRefusal, InteriorJournalCorruption) {

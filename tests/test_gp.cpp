@@ -248,15 +248,6 @@ TEST(GpRegressor, VarianceIsNonNegativeEverywhere) {
   }
 }
 
-TEST(GpRegressor, ObservationVarAddsNoise) {
-  auto kernel = std::make_unique<SquaredExponentialArd>(1.0, Vec{0.3});
-  GpRegressor gp(std::move(kernel), 0.01);
-  gp.set_data({{0.5}}, {1.0});
-  gp.fit();
-  const auto p = gp.predict({0.5});
-  EXPECT_NEAR(gp.predict_observation_var({0.5}), p.var + 0.01, 1e-12);
-}
-
 TEST(GpRegressor, PosteriorMatchesDirectEq2) {
   // Independent computation of Eq. 2 with explicit matrix algebra.
   Rng rng(3);

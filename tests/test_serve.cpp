@@ -134,7 +134,6 @@ TEST(SessionConfig, RoundTripPreservesTheCheckpointFingerprint) {
   cfg.hc_n = 7.0;
   cfg.kernel = "matern52";
   cfg.refit_every = 3;
-  cfg.async_slot_rotation = true;
   cfg.on_eval_failure = bo::EvalFailurePolicy::Penalize;
   cfg.eval_failure_quantile = 0.25;
   opt::Bounds bounds;
@@ -216,6 +215,16 @@ TEST(SessionConfig, RemovedBackendKeysAcceptOnlyTheirFrozenValues) {
   EXPECT_EQ(error_for(R"({"dim":2,"gp_backend":"exact","rff_features":128,)"
                       R"("rff_train_subset":512})"),
             "");
+  // The removed switches: false is how every persisted config carries
+  // them; true would ask for a stream no code produces any more.
+  for (const std::string key :
+       {"pin_hallucinated_mean", "async_slot_rotation"}) {
+    EXPECT_NE(error_for(R"({"dim":2,")" + key + R"(":true})")
+                  .find(key + " was removed"),
+              std::string::npos)
+        << key;
+    EXPECT_EQ(error_for(R"({"dim":2,")" + key + R"(":false})"), "") << key;
+  }
 }
 
 // JSON has no non-finite numbers: an overflowing literal is an error, not
@@ -275,6 +284,14 @@ TEST(SessionHostTest, ProtocolHappyPathAndErrorReplies) {
   EXPECT_EQ(host.handle_line("NEW s2 {\"dim\":2,\"bogus\":1}").rfind(
                 "ERR session config: unknown key", 0),
             0u);
+  for (const std::string key :
+       {"pin_hallucinated_mean", "async_slot_rotation"}) {
+    const std::string reply =
+        host.handle_line("NEW s2 {\"dim\":2,\"" + key + "\":true}");
+    EXPECT_EQ(reply.rfind("ERR session config: " + key + " was removed", 0),
+              0u)
+        << reply;
+  }
 
   EXPECT_EQ(host.handle_line("CLOSE s1"), "OK closed s1");
   EXPECT_FALSE(host.is_live("s1"));
