@@ -2,10 +2,14 @@
 # Docs-coverage gate: every field of bo::BoConfig must be mentioned, by
 # name, somewhere a user would look — README.md, DESIGN.md,
 # EXPERIMENTS.md, or docs/*.md — and every field row of
-# docs/boconfig-reference.md must name a field BoConfig still has. Every
-# session-config key parse_session_config accepts (the quoted keys of
-# known_keys() in src/serve/session_config.cpp) must be named, in
-# backquotes, in docs/service-protocol.md. Adding a knob or a wire key
+# docs/boconfig-reference.md must name a field BoConfig still has. The
+# same holds one level down: every field of the nested option structs
+# gp::TrainerOptions and acq::AcqOptOptions needs a `trainer.<field>` /
+# `acq_opt.<field>` row there, and every such row must name a field its
+# struct still has. Every session-config key parse_session_config
+# accepts (the quoted keys of known_keys() in
+# src/serve/session_config.cpp) must be named, in backquotes, in
+# docs/service-protocol.md. Adding a knob or a wire key
 # without documenting it, or removing a knob without dropping its row,
 # fails CI. Run from anywhere; resolves paths relative to the repo root.
 set -eu
@@ -18,14 +22,19 @@ protocol="$root/docs/service-protocol.md"
 docs="$root/README.md $root/DESIGN.md $root/EXPERIMENTS.md"
 for f in "$root"/docs/*.md; do docs="$docs $f"; done
 
-# Field names: member declarations between "struct BoConfig {" and the
-# closing "};", excluding methods (lines containing "(" once trailing
-# comments are stripped — a "(" in a comment is not a method).
-fields=$(sed -n '/^struct BoConfig {/,/^};/p' "$config" \
-  | sed 's://.*$::' \
-  | grep -v '(' \
-  | grep -E '^\s+[A-Za-z_][A-Za-z0-9_:<>, ]*\s+[a-z_][a-z0-9_]*\s*(=|;)' \
-  | sed -E 's/^\s+[A-Za-z_][A-Za-z0-9_:<>, ]*\s+([a-z_][a-z0-9_]*)\s*(=|;).*/\1/')
+# Field names of struct $1 in header $2: member declarations between
+# "struct $1 {" and the closing "};", excluding methods (lines containing
+# "(" once trailing comments and initializers are stripped — a "(" in a
+# comment or in "= std::log(1e-4)" is not a method).
+struct_fields() {
+  sed -n "/^struct $1 {/,/^};/p" "$2" \
+    | sed -e 's://.*$::' -e 's:=.*$:=:' \
+    | grep -v '(' \
+    | grep -E '^\s+[A-Za-z_][A-Za-z0-9_:<>, ]*\s+[a-z_][a-z0-9_]*\s*(=|;)' \
+    | sed -E 's/^\s+[A-Za-z_][A-Za-z0-9_:<>, ]*\s+([a-z_][a-z0-9_]*)\s*(=|;).*/\1/'
+}
+
+fields=$(struct_fields BoConfig "$config")
 
 [ -n "$fields" ] || { echo "check_docs: failed to extract BoConfig fields from $config" >&2; exit 1; }
 
@@ -48,6 +57,31 @@ for row in $(sed -n -E 's/^\| `([a-z_][a-z0-9_]*)` \|.*/\1/p' "$reference"); do
   fi
 done
 
+# Nested option structs: BoConfig member $1 of type $2 declared in $3.
+# Rows look like "| `trainer.max_iters` | default | meaning |".
+nested_count=0
+nested_missing=0
+check_nested() {
+  sub=$(struct_fields "$2" "$3")
+  [ -n "$sub" ] || { echo "check_docs: failed to extract $2 fields from $3" >&2; exit 1; }
+  for field in $sub; do
+    nested_count=$((nested_count + 1))
+    if ! grep -qF -- "| \`$1.$field\` |" "$reference"; then
+      echo "UNDOCUMENTED: $2::$field has no \`$1.$field\` row in docs/boconfig-reference.md" >&2
+      nested_missing=$((nested_missing + 1))
+    fi
+  done
+  for row in $(sed -n -E "s/^\\| \`$1\\.([a-z_][a-z0-9_]*)\` \\|.*/\\1/p" "$reference"); do
+    # shellcheck disable=SC2086
+    if ! printf '%s\n' $sub | grep -qx -- "$row"; then
+      echo "STALE: docs/boconfig-reference.md documents $1.$row, which $2 does not have" >&2
+      stale=$((stale + 1))
+    fi
+  done
+}
+check_nested trainer TrainerOptions "$root/src/gp/trainer.h"
+check_nested acq_opt AcqOptOptions "$root/src/acq/acq_optimizer.h"
+
 # Session-config keys: the quoted strings between "known_keys() {" and
 # the "return keys;" that closes the set.
 keys=$(sed -n '/known_keys() {/,/return keys;/p' "$session_config" \
@@ -68,11 +102,15 @@ key_count=$(printf '%s\n' $keys | wc -l | tr -d ' ')
 if [ "$missing" -gt 0 ]; then
   echo "check_docs: $missing of $count BoConfig fields undocumented" >&2
 fi
+if [ "$nested_missing" -gt 0 ]; then
+  echo "check_docs: $nested_missing of $nested_count nested fields have no docs/boconfig-reference.md row" >&2
+fi
 if [ "$stale" -gt 0 ]; then
-  echo "check_docs: $stale docs/boconfig-reference.md rows name no BoConfig field" >&2
+  echo "check_docs: $stale docs/boconfig-reference.md rows name no existing field" >&2
 fi
 if [ "$unnamed" -gt 0 ]; then
   echo "check_docs: $unnamed of $key_count session-config keys missing from docs/service-protocol.md" >&2
 fi
-[ "$missing" -eq 0 ] && [ "$stale" -eq 0 ] && [ "$unnamed" -eq 0 ] || exit 1
-echo "check_docs: all $count BoConfig fields and all $key_count session-config keys are documented"
+[ "$missing" -eq 0 ] && [ "$nested_missing" -eq 0 ] && [ "$stale" -eq 0 ] \
+  && [ "$unnamed" -eq 0 ] || exit 1
+echo "check_docs: all $count BoConfig fields, $nested_count nested, and all $key_count session-config keys are documented"

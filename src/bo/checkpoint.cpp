@@ -331,10 +331,12 @@ std::uint64_t config_fingerprint(const BoConfig& config,
                                  std::size_t num_constraints) {
   // Removed knobs stay in the string as literals frozen at the values
   // every run hashed while they existed (hedge_eta, async_slot_rotation,
-  // pin_hallucinated_mean, and the RFF backend's three): checkpoints and
-  // sessions written with those values keep their fingerprint and resume,
-  // and one written with any other value refuses with "checkpoint config
-  // mismatch" instead of splicing two proposal streams.
+  // pin_hallucinated_mean, the RFF backend's three, the five eval_backoff_*
+  // / eval_retry_timeouts values and the eight trainer optimizer
+  // constants): checkpoints and sessions written with those values keep
+  // their fingerprint and resume, and one written with any other value
+  // refuses with "checkpoint config mismatch" instead of splicing two
+  // proposal streams.
   // adapt_refit_cadence/adapt_refit_budget are absent: the adaptive
   // schedule is wall-clock driven — never reproducible across machines
   // anyway — and the schedule state itself rides in snapshots via
@@ -368,22 +370,22 @@ std::uint64_t config_fingerprint(const BoConfig& config,
   put(s, "on_eval_failure", to_string(config.on_eval_failure));
   put(s, "eval_timeout", config.eval_timeout);
   put_u(s, "eval_max_retries", config.eval_max_retries);
-  put(s, "eval_backoff_init", config.eval_backoff_init);
-  put(s, "eval_backoff_factor", config.eval_backoff_factor);
-  put(s, "eval_backoff_max", config.eval_backoff_max);
-  put(s, "eval_backoff_jitter", config.eval_backoff_jitter);
-  put(s, "eval_retry_timeouts", config.eval_retry_timeouts ? "1" : "0");
+  put(s, "eval_backoff_init", 0.5);
+  put(s, "eval_backoff_factor", 2.0);
+  put(s, "eval_backoff_max", 30.0);
+  put(s, "eval_backoff_jitter", 0.1);
+  put(s, "eval_retry_timeouts", "0");
   put(s, "eval_failure_quantile", config.eval_failure_quantile);
   put(s, "trainer.max_iters", static_cast<double>(config.trainer.max_iters));
   put(s, "trainer.restarts", static_cast<double>(config.trainer.restarts));
-  put(s, "trainer.learning_rate", config.trainer.learning_rate);
-  put(s, "trainer.tol", config.trainer.tol);
-  put(s, "trainer.log_sf2_min", config.trainer.log_sf2_min);
-  put(s, "trainer.log_sf2_max", config.trainer.log_sf2_max);
-  put(s, "trainer.log_len_min", config.trainer.log_len_min);
-  put(s, "trainer.log_len_max", config.trainer.log_len_max);
-  put(s, "trainer.log_noise_min", config.trainer.log_noise_min);
-  put(s, "trainer.log_noise_max", config.trainer.log_noise_max);
+  put(s, "trainer.learning_rate", 0.1);
+  put(s, "trainer.tol", 1e-5);
+  put(s, "trainer.log_sf2_min", std::log(1e-4));
+  put(s, "trainer.log_sf2_max", std::log(1e4));
+  put(s, "trainer.log_len_min", std::log(5e-3));
+  put(s, "trainer.log_len_max", std::log(1e2));
+  put(s, "trainer.log_noise_min", std::log(1e-8));
+  put(s, "trainer.log_noise_max", std::log(1e-1));
   put_u(s, "acq_opt.sobol_candidates", config.acq_opt.sobol_candidates);
   put_u(s, "acq_opt.random_candidates", config.acq_opt.random_candidates);
   put_u(s, "acq_opt.anchor_jitter", config.acq_opt.anchor_jitter);

@@ -78,6 +78,8 @@ void BoConfig::validate() const {
   EASYBO_REQUIRE(max_sims > init_points,
                  "simulation budget must exceed the initial design");
   EASYBO_REQUIRE(lambda > 0.0, "lambda must be positive");
+  EASYBO_REQUIRE(lcb_kappa >= 0.0, "lcb_kappa must be >= 0");
+  EASYBO_REQUIRE(bucb_kappa >= 0.0, "bucb_kappa must be >= 0");
   EASYBO_REQUIRE(refit_every >= 1, "refit_every must be >= 1");
   if (mode != Mode::Sequential) {
     EASYBO_REQUIRE(batch >= 2, "batch modes need batch >= 2");
@@ -97,19 +99,17 @@ void BoConfig::validate() const {
                    "pending points)");
   }
   EASYBO_REQUIRE(eval_timeout >= 0.0, "eval_timeout must be >= 0");
-  EASYBO_REQUIRE(eval_backoff_init >= 0.0,
-                 "eval_backoff_init must be >= 0");
-  EASYBO_REQUIRE(eval_backoff_factor >= 1.0,
-                 "eval_backoff_factor must be >= 1");
-  EASYBO_REQUIRE(eval_backoff_max >= 0.0, "eval_backoff_max must be >= 0");
-  EASYBO_REQUIRE(eval_backoff_jitter >= 0.0 && eval_backoff_jitter <= 1.0,
-                 "eval_backoff_jitter must be in [0, 1]");
   EASYBO_REQUIRE(
       eval_failure_quantile >= 0.0 && eval_failure_quantile <= 1.0,
       "eval_failure_quantile must be in [0, 1]");
   EASYBO_REQUIRE(adapt_refit_budget > 0.0,
                  "adapt_refit_budget must be > 0");
   EASYBO_REQUIRE(checkpoint_every >= 1, "checkpoint_every must be >= 1");
+  EASYBO_REQUIRE(trainer.max_iters >= 1, "trainer.max_iters must be >= 1");
+  EASYBO_REQUIRE(trainer.restarts >= 0, "trainer.restarts must be >= 0");
+  EASYBO_REQUIRE(acq_opt.sobol_candidates + acq_opt.random_candidates > 0,
+                 "acq_opt.sobol_candidates + acq_opt.random_candidates "
+                 "must be >= 1 (screening needs a candidate)");
 }
 
 }  // namespace easybo::bo

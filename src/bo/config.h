@@ -114,8 +114,11 @@ struct BoConfig {
   /// Adapt the hyper-refit cadence to measured cost mid-run: corrected
   /// EMAs of refit time and objective-eval time pick the next refit point
   /// so refitting stays near adapt_refit_budget of eval spend (see
-  /// bo::adaptive_refit_gap and docs/telemetry.md). Wall-clock driven, so
-  /// the proposal stream is NOT reproducible across machines with it on.
+  /// bo::adaptive_refit_gap and docs/telemetry.md). Refits are timed on
+  /// the wall clock, evaluations on the executor's clock (virtual seconds
+  /// on VirtualExecutor, one tick per OBSERVE on a session), where the
+  /// gap then clamps to refit_every. Wall-clock driven, so the proposal
+  /// stream is NOT reproducible across machines with it on.
   /// Off by default — all seed streams stay bit-identical. Not
   /// fingerprinted: the chosen schedule rides in snapshots either way.
   bool adapt_refit_cadence = false;
@@ -131,14 +134,10 @@ struct BoConfig {
   /// optimize(), wall clock on optimize_parallel()); 0 disables it.
   double eval_timeout = 0.0;
   /// Retries per evaluation for transient failures (exceptions and
-  /// non-finite values), with capped exponential backoff.
+  /// non-finite values) on a fixed backoff schedule: 0.5 s before the
+  /// first retry, x2 per further retry, capped at 30 s, +-10% jitter
+  /// (sched::SupervisorConfig's defaults). Timeouts are not retried.
   std::size_t eval_max_retries = 0;
-  double eval_backoff_init = 0.5;    ///< backoff before the 1st retry (s)
-  double eval_backoff_factor = 2.0;  ///< growth per further retry
-  double eval_backoff_max = 30.0;    ///< backoff cap (s)
-  double eval_backoff_jitter = 0.1;  ///< uniform +- fraction per delay
-  /// Retry timed-out attempts too (each retry burns another deadline).
-  bool eval_retry_timeouts = false;
   /// Penalize policy: the pseudo-observation is this quantile of the
   /// observed FOMs (0 = worst observed, 0.5 = median).
   double eval_failure_quantile = 0.0;

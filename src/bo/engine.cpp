@@ -42,15 +42,11 @@ BoResult BoEngine::run(sched::Executor& exec) {
                  "BoEngine::run() may be called only once");
   // Every evaluation goes through the supervisor. With the default config
   // (no timeout, no retries) it is a transparent pass-through, so the
-  // Abort policy reproduces the pre-supervision runs bit for bit.
+  // Abort policy reproduces the pre-supervision runs bit for bit. Retries
+  // follow SupervisorConfig's default backoff schedule.
   sched::SupervisorConfig scfg;
   scfg.timeout = cfg().eval_timeout;
   scfg.max_retries = cfg().eval_max_retries;
-  scfg.backoff_init = cfg().eval_backoff_init;
-  scfg.backoff_factor = cfg().eval_backoff_factor;
-  scfg.backoff_max = cfg().eval_backoff_max;
-  scfg.backoff_jitter = cfg().eval_backoff_jitter;
-  scfg.retry_timeouts = cfg().eval_retry_timeouts;
   // Decorrelated from the proposal stream's RNG so supervision never
   // perturbs it; deterministic per seed so retried runs reproduce.
   scfg.seed = cfg().seed ^ 0x5AFEB0FFu;

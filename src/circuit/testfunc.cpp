@@ -56,26 +56,6 @@ TestFunction ackley(std::size_t dim) {
   return f;
 }
 
-TestFunction rosenbrock(std::size_t dim) {
-  EASYBO_REQUIRE(dim >= 2, "rosenbrock: dim >= 2");
-  TestFunction f;
-  f.name = "rosenbrock" + std::to_string(dim);
-  f.bounds.lower = Vec(dim, -5.0);
-  f.bounds.upper = Vec(dim, 10.0);
-  f.fn = [](const Vec& x) {
-    double value = 0.0;
-    for (std::size_t i = 0; i + 1 < x.size(); ++i) {
-      const double a = x[i + 1] - x[i] * x[i];
-      const double b = x[i] - 1.0;
-      value += 100.0 * a * a + b * b;
-    }
-    return -value;
-  };
-  f.max_value = 0.0;
-  f.max_location = Vec(dim, 1.0);
-  return f;
-}
-
 TestFunction hartmann6() {
   TestFunction f;
   f.name = "hartmann6";
@@ -106,32 +86,6 @@ TestFunction hartmann6() {
   };
   f.max_value = 3.32237;
   f.max_location = {0.20169, 0.150011, 0.476874, 0.275332, 0.311652, 0.6573};
-  return f;
-}
-
-TestFunction levy(std::size_t dim) {
-  EASYBO_REQUIRE(dim >= 1, "levy: dim >= 1");
-  TestFunction f;
-  f.name = "levy" + std::to_string(dim);
-  f.bounds.lower = Vec(dim, -10.0);
-  f.bounds.upper = Vec(dim, 10.0);
-  f.fn = [](const Vec& x) {
-    auto wi = [](double v) { return 1.0 + (v - 1.0) / 4.0; };
-    const double w1 = wi(x.front());
-    double value = std::sin(std::numbers::pi * w1) *
-                   std::sin(std::numbers::pi * w1);
-    for (std::size_t i = 0; i + 1 < x.size(); ++i) {
-      const double w = wi(x[i]);
-      const double s = std::sin(std::numbers::pi * w + 1.0);
-      value += (w - 1.0) * (w - 1.0) * (1.0 + 10.0 * s * s);
-    }
-    const double wd = wi(x.back());
-    const double sd = std::sin(2.0 * std::numbers::pi * wd);
-    value += (wd - 1.0) * (wd - 1.0) * (1.0 + sd * sd);
-    return -value;
-  };
-  f.max_value = 0.0;
-  f.max_location = Vec(dim, 1.0);
   return f;
 }
 

@@ -27,14 +27,8 @@ TestFunction branin();
 /// Ackley (d-D): single global minimum 0 at the origin -> max = 0.
 TestFunction ackley(std::size_t dim);
 
-/// Rosenbrock (d-D): banana valley, min 0 at (1,...,1) -> max = 0.
-TestFunction rosenbrock(std::size_t dim);
-
 /// Hartmann-6 (6-D): max = 3.32237 (already a maximization classic).
 TestFunction hartmann6();
-
-/// Levy (d-D): min 0 at (1,...,1) -> max = 0.
-TestFunction levy(std::size_t dim);
 
 /// Sphere (d-D): min 0 at the origin -> max = 0. The easiest sanity check.
 TestFunction sphere(std::size_t dim);

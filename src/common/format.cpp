@@ -1,7 +1,6 @@
 #include "common/format.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -26,37 +25,6 @@ std::string format_duration(double seconds) {
     oss << s << 's';
   }
   return oss.str();
-}
-
-double parse_duration(const std::string& text) {
-  EASYBO_REQUIRE(!text.empty(), "parse_duration: empty string");
-  double seconds = 0.0;
-  std::size_t pos = 0;
-  bool any_field = false;
-  while (pos < text.size()) {
-    std::size_t end = pos;
-    while (end < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[end])) ||
-            text[end] == '.')) {
-      ++end;
-    }
-    EASYBO_REQUIRE(end > pos && end < text.size(),
-                   "parse_duration: expected <number><h|m|s> fields");
-    const double value = std::stod(text.substr(pos, end - pos));
-    const char unit = text[end];
-    switch (unit) {
-      case 'h': seconds += value * 3600.0; break;
-      case 'm': seconds += value * 60.0; break;
-      case 's': seconds += value; break;
-      default:
-        throw InvalidArgument("parse_duration: unknown unit '" +
-                              std::string(1, unit) + "' in \"" + text + "\"");
-    }
-    any_field = true;
-    pos = end + 1;
-  }
-  EASYBO_REQUIRE(any_field, "parse_duration: no fields found");
-  return seconds;
 }
 
 std::string format_double(double value, int precision) {

@@ -19,11 +19,6 @@ namespace easybo {
 /// Negative durations are clamped to "0s".
 std::string format_duration(double seconds);
 
-/// Parses "HhMmSs"-style strings back to seconds (inverse of
-/// format_duration); accepts any subset of the h/m/s fields.
-/// Throws InvalidArgument on malformed input.
-double parse_duration(const std::string& text);
-
 /// Fixed-precision float formatting (std::to_string has fixed 6 digits and
 /// no rounding control; this wraps snprintf).
 std::string format_double(double value, int precision = 2);

@@ -98,31 +98,6 @@ std::vector<double> Rng::uniform_vector(std::size_t n) {
   return v;
 }
 
-std::vector<std::size_t> Rng::permutation(std::size_t n) {
-  std::vector<std::size_t> p(n);
-  for (std::size_t i = 0; i < n; ++i) p[i] = i;
-  for (std::size_t i = n; i > 1; --i) {
-    std::swap(p[i - 1], p[index(i)]);
-  }
-  return p;
-}
-
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
-                                                         std::size_t k) {
-  EASYBO_REQUIRE(k <= n, "cannot sample more indices than the population");
-  // Partial Fisher–Yates over an index vector: O(n) memory, O(n + k) time.
-  std::vector<std::size_t> pool(n);
-  for (std::size_t i = 0; i < n; ++i) pool[i] = i;
-  std::vector<std::size_t> out;
-  out.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t j = i + index(n - i);
-    std::swap(pool[i], pool[j]);
-    out.push_back(pool[i]);
-  }
-  return out;
-}
-
 RngState Rng::save() const {
   RngState state;
   state.s = s_;
@@ -138,14 +113,6 @@ void Rng::load(const RngState& state) {
   s_ = state.s;
   cached_normal_ = state.cached_normal;
   has_cached_normal_ = state.has_cached_normal;
-}
-
-Rng Rng::spawn() {
-  // Child seeded from two fresh draws folded together; the parent state
-  // advances, so successive spawns are independent streams.
-  const std::uint64_t a = (*this)();
-  const std::uint64_t b = (*this)();
-  return Rng(a ^ rotl(b, 32));
 }
 
 }  // namespace easybo

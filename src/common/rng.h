@@ -16,9 +16,8 @@
 
 namespace easybo {
 
-/// SplitMix64 step, used to expand a 64-bit seed into engine state and to
-/// derive independent child seeds. Public because the deterministic
-/// simulation-time model reuses it as a hash.
+/// SplitMix64 step, used to expand a 64-bit seed into engine state. Public
+/// because the deterministic simulation-time model reuses it as a hash.
 std::uint64_t splitmix64(std::uint64_t& state);
 
 /// Complete serializable state of an Rng. The cached Box–Muller deviate is
@@ -76,18 +75,6 @@ class Rng {
 
   /// Vector of n iid uniform [0,1) values.
   std::vector<double> uniform_vector(std::size_t n);
-
-  /// Fisher–Yates shuffle of indices 0..n-1.
-  std::vector<std::size_t> permutation(std::size_t n);
-
-  /// k distinct indices drawn from 0..n-1 (k <= n), order random.
-  std::vector<std::size_t> sample_without_replacement(std::size_t n,
-                                                      std::size_t k);
-
-  /// Derives an independent child generator; the i-th child of a given
-  /// parent state is deterministic. Used to give each repeated experiment
-  /// run its own stream.
-  Rng spawn();
 
   /// Snapshot of the full generator state (engine words + normal cache).
   RngState save() const;

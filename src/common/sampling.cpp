@@ -1,77 +1,8 @@
 #include "common/sampling.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "common/error.h"
 
 namespace easybo {
-
-std::vector<double> UnitSample::row(std::size_t i) const {
-  EASYBO_REQUIRE(i < n, "UnitSample::row index out of range");
-  return {points.begin() + static_cast<std::ptrdiff_t>(i * dim),
-          points.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim)};
-}
-
-UnitSample random_design(std::size_t n, std::size_t dim, Rng& rng) {
-  UnitSample s;
-  s.n = n;
-  s.dim = dim;
-  s.points = rng.uniform_vector(n * dim);
-  return s;
-}
-
-UnitSample latin_hypercube(std::size_t n, std::size_t dim, Rng& rng) {
-  EASYBO_REQUIRE(n > 0 && dim > 0, "latin_hypercube requires n, dim > 0");
-  UnitSample s;
-  s.n = n;
-  s.dim = dim;
-  s.points.resize(n * dim);
-  for (std::size_t j = 0; j < dim; ++j) {
-    const auto perm = rng.permutation(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double u = rng.uniform();
-      s.points[i * dim + j] =
-          (static_cast<double>(perm[i]) + u) / static_cast<double>(n);
-    }
-  }
-  return s;
-}
-
-namespace {
-double min_pairwise_distance_sq(const UnitSample& s) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t a = 0; a < s.n; ++a) {
-    for (std::size_t b = a + 1; b < s.n; ++b) {
-      double d2 = 0.0;
-      for (std::size_t j = 0; j < s.dim; ++j) {
-        const double diff = s.at(a, j) - s.at(b, j);
-        d2 += diff * diff;
-      }
-      best = std::min(best, d2);
-    }
-  }
-  return best;
-}
-}  // namespace
-
-UnitSample maximin_latin_hypercube(std::size_t n, std::size_t dim, Rng& rng,
-                                   std::size_t restarts) {
-  EASYBO_REQUIRE(restarts > 0, "maximin LHS needs at least one restart");
-  UnitSample best = latin_hypercube(n, dim, rng);
-  if (n < 2) return best;
-  double best_d2 = min_pairwise_distance_sq(best);
-  for (std::size_t r = 1; r < restarts; ++r) {
-    UnitSample cand = latin_hypercube(n, dim, rng);
-    const double d2 = min_pairwise_distance_sq(cand);
-    if (d2 > best_d2) {
-      best_d2 = d2;
-      best = std::move(cand);
-    }
-  }
-  return best;
-}
 
 namespace {
 
@@ -153,30 +84,6 @@ std::vector<double> SobolSequence::next() {
   for (std::size_t j = 0; j < dim_; ++j) x_[j] ^= v_[j][c];
   ++index_;
   return point;
-}
-
-UnitSample SobolSequence::take(std::size_t n) {
-  UnitSample s;
-  s.n = n;
-  s.dim = dim_;
-  s.points.reserve(n * dim_);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = next();
-    s.points.insert(s.points.end(), p.begin(), p.end());
-  }
-  return s;
-}
-
-std::vector<double> scale_to_box(const std::vector<double>& unit,
-                                 const std::vector<double>& lower,
-                                 const std::vector<double>& upper) {
-  EASYBO_REQUIRE(unit.size() == lower.size() && unit.size() == upper.size(),
-                 "scale_to_box: dimension mismatch");
-  std::vector<double> out(unit.size());
-  for (std::size_t j = 0; j < unit.size(); ++j) {
-    out[j] = lower[j] + unit[j] * (upper[j] - lower[j]);
-  }
-  return out;
 }
 
 }  // namespace easybo

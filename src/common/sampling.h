@@ -1,45 +1,15 @@
 #pragma once
 /// \file sampling.h
-/// \brief Space-filling designs: Latin hypercube and Sobol sequences.
+/// \brief Sobol low-discrepancy sequence.
 ///
-/// Bayesian optimization needs an initial design that covers the search box
-/// (the paper samples 20 random initial points); acquisition maximization
-/// needs dense low-discrepancy screening candidates. Both live here and
-/// produce points in the unit hypercube [0,1)^d; callers scale to bounds.
+/// Acquisition maximization screens dense low-discrepancy candidates in
+/// the unit hypercube [0,1)^d; callers scale to bounds. (The initial
+/// design is iid uniform: the paper samples 20 random initial points.)
 
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
-
 namespace easybo {
-
-/// A set of n points in [0,1)^d, row-major: points[i*dim + j].
-struct UnitSample {
-  std::size_t n = 0;
-  std::size_t dim = 0;
-  std::vector<double> points;
-
-  /// Value of coordinate j of point i.
-  double at(std::size_t i, std::size_t j) const { return points[i * dim + j]; }
-
-  /// Copy of point i as a vector of length dim.
-  std::vector<double> row(std::size_t i) const;
-};
-
-/// Pure iid uniform sampling (the paper's "randomly sample 20 initial data
-/// points").
-UnitSample random_design(std::size_t n, std::size_t dim, Rng& rng);
-
-/// Latin hypercube design: each of the d one-dimensional projections is
-/// stratified into n equal bins with exactly one point per bin, at a uniform
-/// random location inside its bin.
-UnitSample latin_hypercube(std::size_t n, std::size_t dim, Rng& rng);
-
-/// Maximin-improved Latin hypercube: builds `restarts` independent LHS
-/// designs and returns the one with the largest minimum pairwise distance.
-UnitSample maximin_latin_hypercube(std::size_t n, std::size_t dim, Rng& rng,
-                                   std::size_t restarts = 8);
 
 /// Gray-code Sobol sequence generator supporting up to kMaxDim dimensions
 /// (direction numbers from the Joe–Kuo D6 table). Skips the all-zeros first
@@ -57,9 +27,6 @@ class SobolSequence {
   /// Next point of the sequence, length dim, each coordinate in [0,1).
   std::vector<double> next();
 
-  /// Convenience: the next n points as a UnitSample.
-  UnitSample take(std::size_t n);
-
  private:
   std::size_t dim_;
   std::uint32_t index_ = 0;  // zero-based index of the NEXT point
@@ -67,10 +34,5 @@ class SobolSequence {
   std::vector<std::vector<std::uint32_t>> v_;
   std::vector<std::uint32_t> x_;  // current Gray-code state per dimension
 };
-
-/// Scales a unit-cube point into a box: out[j] = lo[j] + u[j]*(hi[j]-lo[j]).
-std::vector<double> scale_to_box(const std::vector<double>& unit,
-                                 const std::vector<double>& lower,
-                                 const std::vector<double>& upper);
 
 }  // namespace easybo

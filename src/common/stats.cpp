@@ -55,14 +55,6 @@ Summary summarize(const std::vector<double>& values) {
   return s;
 }
 
-double mean_of(const std::vector<double>& values) {
-  return summarize(values).mean;
-}
-
-double stddev_of(const std::vector<double>& values) {
-  return summarize(values).stddev;
-}
-
 double median_of(std::vector<double> values) {
   return quantile_of(std::move(values), 0.5);
 }

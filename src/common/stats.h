@@ -40,12 +40,6 @@ struct Summary {
 /// Summary of a non-empty vector of values. Throws InvalidArgument if empty.
 Summary summarize(const std::vector<double>& values);
 
-/// Arithmetic mean; throws if empty.
-double mean_of(const std::vector<double>& values);
-
-/// Sample standard deviation (n-1); 0 for fewer than two values.
-double stddev_of(const std::vector<double>& values);
-
 /// Median (averages the middle pair for even sizes); throws if empty.
 double median_of(std::vector<double> values);
 

@@ -12,25 +12,24 @@ namespace {
 
 /// Clamps the flat log-hyperparameter vector into the trainer's box.
 /// Layout: [log sf2, log l_1..log l_d, log sn2].
-void clamp_params(Vec& lp, const TrainerOptions& opt) {
-  lp.front() = std::clamp(lp.front(), opt.log_sf2_min, opt.log_sf2_max);
+void clamp_params(Vec& lp) {
+  lp.front() = std::clamp(lp.front(), kLogSf2Min, kLogSf2Max);
   for (std::size_t i = 1; i + 1 < lp.size(); ++i) {
-    lp[i] = std::clamp(lp[i], opt.log_len_min, opt.log_len_max);
+    lp[i] = std::clamp(lp[i], kLogLenMin, kLogLenMax);
   }
-  lp.back() = std::clamp(lp.back(), opt.log_noise_min, opt.log_noise_max);
+  lp.back() = std::clamp(lp.back(), kLogNoiseMin, kLogNoiseMax);
 }
 
 /// Random start: unit signal variance, lengthscales log-uniform in a
 /// moderate band, small noise.
-Vec random_start(std::size_t num_params, Rng& rng,
-                 const TrainerOptions& opt) {
+Vec random_start(std::size_t num_params, Rng& rng) {
   Vec lp(num_params);
   lp.front() = rng.uniform(std::log(0.5), std::log(4.0));
   for (std::size_t i = 1; i + 1 < num_params; ++i) {
     lp[i] = rng.uniform(std::log(0.05), std::log(2.0));
   }
-  lp.back() = rng.uniform(opt.log_noise_min, std::log(1e-3));
-  clamp_params(lp, opt);
+  lp.back() = rng.uniform(kLogNoiseMin, std::log(1e-3));
+  clamp_params(lp);
   return lp;
 }
 
@@ -61,7 +60,7 @@ TrainResult train_mle(GpRegressor& model, Rng& rng,
   TrainResult result;
 
   Vec best_lp = model.log_hyperparams();
-  clamp_params(best_lp, opt);
+  clamp_params(best_lp);
   double best_lml = evaluate(model, best_lp);
 
   constexpr double kBeta1 = 0.9;
@@ -85,7 +84,7 @@ TrainResult train_mle(GpRegressor& model, Rng& rng,
       const Vec grad = model.lml_gradient();
       double gmax = 0.0;
       for (double g : grad) gmax = std::max(gmax, std::abs(g));
-      if (gmax < opt.tol) break;
+      if (gmax < kTrainerGradTol) break;
 
       // Adam ascent step in log space.
       Vec next = lp;
@@ -94,9 +93,9 @@ TrainResult train_mle(GpRegressor& model, Rng& rng,
         v[i] = kBeta2 * v[i] + (1.0 - kBeta2) * grad[i] * grad[i];
         const double mhat = m[i] / (1.0 - std::pow(kBeta1, it));
         const double vhat = v[i] / (1.0 - std::pow(kBeta2, it));
-        next[i] += opt.learning_rate * mhat / (std::sqrt(vhat) + kEps);
+        next[i] += kTrainerLearningRate * mhat / (std::sqrt(vhat) + kEps);
       }
-      clamp_params(next, opt);
+      clamp_params(next);
 
       const double next_lml = evaluate(model, next);
       if (!std::isfinite(next_lml)) break;  // stepped into a bad region
@@ -113,7 +112,7 @@ TrainResult train_mle(GpRegressor& model, Rng& rng,
   descend(best_lp, best_lml);  // warm start, already evaluated above
   for (int r = 0; r < opt.restarts; ++r) {
     if (stop != nullptr) stop->check("hyperparameter training restart");
-    const Vec start = random_start(p, rng, opt);
+    const Vec start = random_start(p, rng);
     descend(start, evaluate(model, start));
   }
 

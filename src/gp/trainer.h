@@ -16,21 +16,25 @@
 
 namespace easybo::gp {
 
+/// Adam step size in log space.
+inline constexpr double kTrainerLearningRate = 0.1;
+/// A start stops descending once |grad|_inf < kTrainerGradTol.
+inline constexpr double kTrainerGradTol = 1e-5;
+
+/// Box constraints in log space, assuming x in [0,1]^d and z-scored y.
+inline const double kLogSf2Min = std::log(1e-4);
+inline const double kLogSf2Max = std::log(1e4);
+inline const double kLogLenMin = std::log(5e-3);
+inline const double kLogLenMax = std::log(1e2);
+inline const double kLogNoiseMin = std::log(1e-8);
+inline const double kLogNoiseMax = std::log(1e-1);
+
 /// Options for the MLE trainer; defaults are tuned for the experiment
-/// regime of the paper (n <= ~500, d <= ~16, normalized inputs).
+/// regime of the paper (n <= ~500, d <= ~16, normalized inputs). The step
+/// size, tolerance and box above are fixed: no program varies them.
 struct TrainerOptions {
   int max_iters = 40;          ///< Adam steps per start
   int restarts = 2;            ///< random restarts in addition to warm start
-  double learning_rate = 0.1;  ///< Adam step size in log space
-  double tol = 1e-5;           ///< stop when |grad|_inf < tol
-
-  // Box constraints (log space). Defaults assume x in [0,1]^d, y z-scored.
-  double log_sf2_min = std::log(1e-4);
-  double log_sf2_max = std::log(1e4);
-  double log_len_min = std::log(5e-3);
-  double log_len_max = std::log(1e2);
-  double log_noise_min = std::log(1e-8);
-  double log_noise_max = std::log(1e-1);
 };
 
 /// Result of one training call.

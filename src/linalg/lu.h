@@ -3,8 +3,9 @@
 /// \brief LU factorization with partial pivoting, templated on the scalar.
 ///
 /// The MNA circuit simulator (src/spice) solves complex linear systems
-/// G(jw) v = i at every frequency point; the GP/opt stack occasionally needs
-/// a real general solve. Both share this header-only implementation.
+/// G(jw) v = i at every frequency point; the class-E transient integrator
+/// (src/circuit) needs a real general solve. Both share this header-only
+/// implementation.
 
 #include <cmath>
 #include <complex>
@@ -38,9 +39,6 @@ class Lu {
 
   std::size_t size() const { return n_; }
 
-  /// Number of row swaps performed (determinant sign bookkeeping).
-  int swap_count() const { return swaps_; }
-
   /// Solves A x = b.
   std::vector<Scalar> solve(const std::vector<Scalar>& b) const {
     EASYBO_REQUIRE(b.size() == n_, "Lu::solve size mismatch");
@@ -59,13 +57,6 @@ class Lu {
       x[i] = acc / lu_[i * n_ + i];
     }
     return x;
-  }
-
-  /// Determinant (product of U diagonal, sign-adjusted for swaps).
-  Scalar determinant() const {
-    Scalar det = (swaps_ % 2 == 0) ? Scalar(1) : Scalar(-1);
-    for (std::size_t i = 0; i < n_; ++i) det *= lu_[i * n_ + i];
-    return det;
   }
 
  private:
@@ -90,7 +81,6 @@ class Lu {
           std::swap(lu_[pivot * n_ + c], lu_[col * n_ + c]);
         }
         std::swap(perm_[pivot], perm_[col]);
-        ++swaps_;
       }
       const Scalar inv_pivot = Scalar(1) / lu_[col * n_ + col];
       for (std::size_t r = col + 1; r < n_; ++r) {
@@ -106,7 +96,6 @@ class Lu {
   std::size_t n_ = 0;
   std::vector<Scalar> lu_;
   std::vector<std::size_t> perm_;
-  int swaps_ = 0;
 };
 
 using LuReal = Lu<double>;

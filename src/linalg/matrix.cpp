@@ -26,17 +26,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::from_rows(const std::vector<Vec>& rows) {
-  if (rows.empty()) return {};
-  const std::size_t cols = rows.front().size();
-  Matrix m(rows.size(), cols);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    EASYBO_REQUIRE(rows[r].size() == cols, "from_rows: ragged input");
-    for (std::size_t c = 0; c < cols; ++c) m(r, c) = rows[r][c];
-  }
-  return m;
-}
-
 double& Matrix::at(std::size_t r, std::size_t c) {
   EASYBO_REQUIRE(r < rows_ && c < cols_, "Matrix::at out of range");
   return (*this)(r, c);
@@ -142,40 +131,12 @@ double Matrix::max_abs() const {
   return best;
 }
 
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
 bool Matrix::approx_equal(const Matrix& other, double tol) const {
   if (rows_ != other.rows_ || cols_ != other.cols_) return false;
   for (std::size_t i = 0; i < data_.size(); ++i) {
     if (std::abs(data_[i] - other.data_[i]) > tol) return false;
   }
   return true;
-}
-
-void Matrix::symmetrize() {
-  EASYBO_REQUIRE(rows_ == cols_, "symmetrize requires a square matrix");
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = r + 1; c < cols_; ++c) {
-      const double avg = 0.5 * ((*this)(r, c) + (*this)(c, r));
-      (*this)(r, c) = avg;
-      (*this)(c, r) = avg;
-    }
-  }
-}
-
-Vec transpose_times(const Matrix& a, const Vec& x) {
-  EASYBO_REQUIRE(x.size() == a.rows(), "transpose_times: dimension mismatch");
-  Vec out(a.cols(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t c = 0; c < a.cols(); ++c) out[c] += a(r, c) * xr;
-  }
-  return out;
 }
 
 Matrix gram(const Matrix& a) {

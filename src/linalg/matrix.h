@@ -28,9 +28,6 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
 
-  /// Builds a matrix whose rows are the given equally sized vectors.
-  static Matrix from_rows(const std::vector<Vec>& rows);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
@@ -72,23 +69,14 @@ class Matrix {
   /// Maximum absolute element (infinity "norm" of entries), 0 if empty.
   double max_abs() const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
   /// True when |(*this) - other| <= tol element-wise (same shape required).
   bool approx_equal(const Matrix& other, double tol) const;
-
-  /// Symmetrizes in place: A <- (A + A^T)/2. Requires square.
-  void symmetrize();
 
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// y = A^T * x convenience (avoids materializing the transpose).
-Vec transpose_times(const Matrix& a, const Vec& x);
 
 /// C = A^T * A (Gram matrix) without materializing A^T.
 Matrix gram(const Matrix& a);

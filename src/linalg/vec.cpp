@@ -14,8 +14,6 @@ double dot(const Vec& a, const Vec& b) {
   return acc;
 }
 
-double norm2(const Vec& a) { return std::sqrt(dot(a, a)); }
-
 double dist_sq(const Vec& a, const Vec& b) {
   EASYBO_REQUIRE(a.size() == b.size(), "dist_sq: size mismatch");
   double acc = 0.0;
@@ -53,22 +51,10 @@ Vec scale(double alpha, const Vec& a) {
   return out;
 }
 
-double sum(const Vec& a) {
-  double acc = 0.0;
-  for (double v : a) acc += v;
-  return acc;
-}
-
 std::size_t argmax(const Vec& a) {
   EASYBO_REQUIRE(!a.empty(), "argmax of empty vector");
   return static_cast<std::size_t>(
       std::max_element(a.begin(), a.end()) - a.begin());
-}
-
-std::size_t argmin(const Vec& a) {
-  EASYBO_REQUIRE(!a.empty(), "argmin of empty vector");
-  return static_cast<std::size_t>(
-      std::min_element(a.begin(), a.end()) - a.begin());
 }
 
 Vec clamp_to_box(Vec x, const Vec& lo, const Vec& hi) {

@@ -16,9 +16,6 @@ using Vec = std::vector<double>;
 /// Inner product; requires equal sizes.
 double dot(const Vec& a, const Vec& b);
 
-/// Euclidean norm.
-double norm2(const Vec& a);
-
 /// Squared Euclidean distance between two equally sized vectors.
 double dist_sq(const Vec& a, const Vec& b);
 
@@ -33,14 +30,8 @@ Vec add(const Vec& a, const Vec& b);
 Vec sub(const Vec& a, const Vec& b);
 Vec scale(double alpha, const Vec& a);
 
-/// Sum of elements.
-double sum(const Vec& a);
-
 /// Index of the maximum element; requires non-empty input.
 std::size_t argmax(const Vec& a);
-
-/// Index of the minimum element; requires non-empty input.
-std::size_t argmin(const Vec& a);
 
 /// Clamps each element into [lo[i], hi[i]] (box projection).
 Vec clamp_to_box(Vec x, const Vec& lo, const Vec& hi);

@@ -583,11 +583,7 @@ std::string SessionHost::run_deadline(const std::string& line,
     case WorkQueue::Abandon::Queued:
       // Never reached a worker within deadline + grace; the worker will
       // discard it unrun, so nothing was attempted, let alone committed.
-      note_deadline_cut();
-      return one_line("ERR deadline " + name +
-                      ": request expired in the admission queue (nothing "
-                      "was attempted; retry in " +
-                      std::to_string(retry_hint_ms()) + "ms)");
+      return deadline_refusal(name, "request expired in the admission queue");
     case WorkQueue::Abandon::Running:
       // The computation ignored its token past the grace period. Poison
       // the slot now (so other commands refuse instead of queueing on
@@ -630,6 +626,52 @@ std::string SessionHost::run_pooled(const std::string& line,
                   std::chrono::steady_clock::now() - begin)
                   .count());
   return reply;
+}
+
+std::string SessionHost::deadline_refusal(const std::string& name,
+                                          const std::string& what) {
+  note_deadline_cut();
+  return one_line("ERR deadline " + name + ": " + what +
+                  " (nothing was attempted; retry in " +
+                  std::to_string(retry_hint_ms()) + "ms)");
+}
+
+SessionHost::Entered SessionHost::enter_session(
+    const std::string& name, const common::StopToken* stop) {
+  Entered entered;
+  std::shared_ptr<Slot> slot = obtain_slot(name, /*create_missing=*/false);
+  if (slot->poisoned.load(std::memory_order_acquire)) {
+    entered.refusal = err_runaway(name, retry_hint_ms());
+    return entered;
+  }
+  std::unique_lock<std::timed_mutex> lk(slot->mutex, std::defer_lock);
+  if (stop != nullptr && stop->has_deadline()) {
+    // Bound the lock wait by the request's own deadline: queueing behind
+    // a slow holder is time spent exactly like queue wait.
+    if (!lock_until(lk, stop->deadline())) {
+      entered.refusal = deadline_refusal(
+          name, "session lock not acquired within the deadline");
+      return entered;
+    }
+  } else {
+    lk.lock();
+  }
+  if (slot->quarantined) {
+    entered.refusal = err_quarantined(name, slot->quarantine_reason);
+    return entered;
+  }
+  if (stop != nullptr && stop->stop_requested()) {
+    // Expired while waiting for the lock/queue: refuse before the
+    // resume-on-demand I/O, not after.
+    entered.refusal =
+        deadline_refusal(name, "deadline expired before execution began");
+    return entered;
+  }
+  if (slot->session == nullptr) load_locked(name, *slot);
+  mark_used(name, *slot);
+  entered.slot = std::move(slot);
+  entered.lock = std::move(lk);
+  return entered;
 }
 
 std::string SessionHost::dispatch(const std::string& line,
@@ -707,38 +749,9 @@ std::string SessionHost::dispatch(const std::string& line,
     if (!valid_session_name(name)) {
       throw Error("invalid session name \"" + name + "\"");
     }
-    std::shared_ptr<Slot> slot = obtain_slot(name, /*create_missing=*/false);
-    if (slot->poisoned.load(std::memory_order_acquire)) {
-      return err_runaway(name, retry_hint_ms());
-    }
-    std::unique_lock<std::timed_mutex> lk(slot->mutex, std::defer_lock);
-    if (stop != nullptr && stop->has_deadline()) {
-      // Bound the lock wait by the request's own deadline: queueing
-      // behind a slow holder is time spent exactly like queue wait.
-      if (!lock_until(lk, stop->deadline())) {
-        note_deadline_cut();
-        return one_line("ERR deadline " + name +
-                        ": session lock not acquired within the deadline "
-                        "(nothing was attempted; retry in " +
-                        std::to_string(retry_hint_ms()) + "ms)");
-      }
-    } else {
-      lk.lock();
-    }
-    if (slot->quarantined) {
-      return err_quarantined(name, slot->quarantine_reason);
-    }
-    if (stop != nullptr && stop->stop_requested()) {
-      // Expired while waiting for the lock/queue: refuse before the
-      // resume-on-demand I/O, not after.
-      note_deadline_cut();
-      return one_line("ERR deadline " + name +
-                      ": deadline expired before execution began (nothing "
-                      "was attempted; retry in " +
-                      std::to_string(retry_hint_ms()) + "ms)");
-    }
-    if (slot->session == nullptr) load_locked(name, *slot);
-    mark_used(name, *slot);
+    Entered entered = enter_session(name, stop);
+    if (!entered.refusal.empty()) return entered.refusal;
+    const std::shared_ptr<Slot>& slot = entered.slot;
     try {
       {
         DebugSlowdown d;
@@ -798,37 +811,13 @@ std::string SessionHost::dispatch(const std::string& line,
     if (!valid_session_name(name)) {
       throw Error("invalid session name \"" + name + "\"");
     }
-    std::shared_ptr<Slot> slot = obtain_slot(name, /*create_missing=*/false);
-    if (slot->poisoned.load(std::memory_order_acquire)) {
-      return err_runaway(name, retry_hint_ms());
-    }
-    std::unique_lock<std::timed_mutex> lk(slot->mutex, std::defer_lock);
-    if (stop != nullptr && stop->has_deadline()) {
-      if (!lock_until(lk, stop->deadline())) {
-        note_deadline_cut();
-        return one_line("ERR deadline " + name +
-                        ": session lock not acquired within the deadline "
-                        "(nothing was attempted; retry in " +
-                        std::to_string(retry_hint_ms()) + "ms)");
-      }
-    } else {
-      lk.lock();
-    }
-    if (slot->quarantined) {
-      return err_quarantined(name, slot->quarantine_reason);
-    }
-    if (stop != nullptr && stop->stop_requested()) {
-      // An observe is only ever cut BEFORE it starts: once the record is
-      // journaled the mutation is committed and must run to completion
-      // (model refresh included), deadline or not.
-      note_deadline_cut();
-      return one_line("ERR deadline " + name +
-                      ": deadline expired before execution began (nothing "
-                      "was attempted; retry in " +
-                      std::to_string(retry_hint_ms()) + "ms)");
-    }
-    if (slot->session == nullptr) load_locked(name, *slot);
-    mark_used(name, *slot);
+    // An observe is only ever cut BEFORE it starts (enter_session's
+    // deadline checks): once the record is journaled the mutation is
+    // committed and must run to completion (model refresh included),
+    // deadline or not.
+    Entered entered = enter_session(name, stop);
+    if (!entered.refusal.empty()) return entered.refusal;
+    const std::shared_ptr<Slot>& slot = entered.slot;
     SessionObserved ob;
     try {
       ob = is_failure

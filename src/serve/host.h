@@ -307,6 +307,28 @@ class SessionHost {
   /// crashed NEW. Caller holds the slot mutex. Throws on failure.
   void load_locked(const std::string& name, Slot& slot);
 
+  /// A live session held for one SUGGEST or OBSERVE, or the reply that
+  /// refuses the command before anything was attempted. The lock is
+  /// declared after the slot so it unlocks before the slot can go.
+  struct Entered {
+    std::shared_ptr<Slot> slot;  ///< null when refused
+    std::unique_lock<std::timed_mutex> lock;
+    std::string refusal;  ///< non-empty: reply with it
+  };
+
+  /// The entry step SUGGEST and OBSERVE share: obtain the slot, refuse a
+  /// poisoned one, take its lock (bounded by \p stop's deadline when it
+  /// has one), refuse a quarantined slot or an already expired request,
+  /// resume the session on demand and mark it used. Throws what
+  /// obtain_slot() and load_locked() throw.
+  Entered enter_session(const std::string& name,
+                        const common::StopToken* stop);
+
+  /// "ERR deadline <name>: <what> (nothing was attempted; retry in Nms)",
+  /// counted as a deadline cut.
+  std::string deadline_refusal(const std::string& name,
+                               const std::string& what);
+
   /// Drops the in-memory session and marks the name quarantined. Caller
   /// holds the slot mutex.
   void quarantine_locked(const std::string& name, Slot& slot,

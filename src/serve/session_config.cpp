@@ -1,5 +1,6 @@
 #include "serve/session_config.h"
 
+#include <climits>
 #include <set>
 #include <string>
 #include <utility>
@@ -16,8 +17,9 @@ using bo::EvalFailurePolicy;
 using bo::Mode;
 using io::JsonValue;
 
-std::size_t size_from(const JsonValue& v, const std::string& key) {
-  return io::uint_from(v, "session config", key);
+std::size_t size_from(const JsonValue& v, const std::string& key,
+                      std::uint64_t max = io::kJsonMaxInteger) {
+  return io::uint_from(v, "session config", key, max);
 }
 
 Mode mode_from(const std::string& name) {
@@ -221,11 +223,11 @@ SessionSpec parse_session_config(const std::string& json_text) {
   }
   if (const JsonValue* v = j.find("trainer_max_iters")) {
     spec.config.trainer.max_iters =
-        static_cast<int>(size_from(*v, "trainer_max_iters"));
+        static_cast<int>(size_from(*v, "trainer_max_iters", INT_MAX));
   }
   if (const JsonValue* v = j.find("trainer_restarts")) {
     spec.config.trainer.restarts =
-        static_cast<int>(size_from(*v, "trainer_restarts"));
+        static_cast<int>(size_from(*v, "trainer_restarts", INT_MAX));
   }
   if (const JsonValue* v = j.find("adapt_refit_cadence")) {
     spec.config.adapt_refit_cadence = v->as_bool();

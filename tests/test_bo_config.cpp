@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 
 namespace easybo::bo {
@@ -115,14 +121,6 @@ TEST(BoConfig, ValidatesFaultToleranceKnobs) {
   EXPECT_THROW(c.validate(), InvalidArgument);
 
   c = base();
-  c.eval_backoff_factor = 0.5;
-  EXPECT_THROW(c.validate(), InvalidArgument);
-
-  c = base();
-  c.eval_backoff_jitter = 2.0;
-  EXPECT_THROW(c.validate(), InvalidArgument);
-
-  c = base();
   c.eval_failure_quantile = 1.5;
   EXPECT_THROW(c.validate(), InvalidArgument);
 
@@ -130,6 +128,50 @@ TEST(BoConfig, ValidatesFaultToleranceKnobs) {
   c.on_eval_failure = EvalFailurePolicy::Penalize;
   c.eval_timeout = 3.0;
   c.eval_max_retries = 2;
+  EXPECT_NO_THROW(c.validate());
+}
+
+// Values the components reject only when the first model proposal builds
+// them: validate() refuses them up front (NaN too), naming the field.
+TEST(BoConfig, RefusesValuesThatCanNeverPropose) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, std::function<void(BoConfig&)>>>
+      cases = {
+          {"lcb_kappa", [](BoConfig& c) { c.lcb_kappa = -1.0; }},
+          {"lcb_kappa", [nan](BoConfig& c) { c.lcb_kappa = nan; }},
+          {"bucb_kappa", [](BoConfig& c) { c.bucb_kappa = -0.5; }},
+          {"bucb_kappa", [nan](BoConfig& c) { c.bucb_kappa = nan; }},
+          {"trainer.max_iters", [](BoConfig& c) { c.trainer.max_iters = 0; }},
+          {"trainer.restarts", [](BoConfig& c) { c.trainer.restarts = -1; }},
+          {"acq_opt.sobol_candidates",
+           [](BoConfig& c) {
+             c.acq_opt.sobol_candidates = 0;
+             c.acq_opt.random_candidates = 0;
+           }},
+      };
+  for (const auto& [field, set_bad] : cases) {
+    SCOPED_TRACE(field);
+    BoConfig c = base();
+    set_bad(c);
+    try {
+      c.validate();
+      ADD_FAILURE() << "validate() accepted a bad " << field;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << "message: " << e.what();
+    }
+  }
+
+  // The boundary values stay valid: one screening source alone, kappa 0,
+  // no restarts.
+  BoConfig c = base();
+  c.acq_opt.sobol_candidates = 0;
+  EXPECT_NO_THROW(c.validate());
+  c = base();
+  c.acq_opt.random_candidates = 0;
+  c.lcb_kappa = 0.0;
+  c.bucb_kappa = 0.0;
+  c.trainer.restarts = 0;
   EXPECT_NO_THROW(c.validate());
 }
 

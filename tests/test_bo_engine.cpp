@@ -236,6 +236,28 @@ TEST(BoEngine, RejectsNullObjective) {
                InvalidArgument);
 }
 
+// A config whose first model proposal could only fail is refused when the
+// engine is built, before a single simulation of the initial design runs.
+TEST(BoEngine, RefusesConfigsThatCanNeverPropose) {
+  const auto tf = easybo::circuit::sphere(2);
+  BoConfig lcb = quick(Mode::Sequential, AcqKind::Lcb, false, 1, 1);
+  lcb.lcb_kappa = -1.0;
+  BoConfig bucb = quick(Mode::AsyncBatch, AcqKind::Bucb, false, 4, 1);
+  bucb.bucb_kappa = -1.0;
+  BoConfig iters = quick(Mode::AsyncBatch, AcqKind::EasyBo, true, 4, 1);
+  iters.trainer.max_iters = 0;
+  BoConfig restarts = iters;
+  restarts.trainer.max_iters = 20;
+  restarts.trainer.restarts = -1;
+  BoConfig screening = restarts;
+  screening.trainer.restarts = 1;
+  screening.acq_opt.sobol_candidates = 0;
+  screening.acq_opt.random_candidates = 0;
+  for (const BoConfig& cfg : {lcb, bucb, iters, restarts, screening}) {
+    EXPECT_THROW(BoEngine(cfg, tf.bounds, tf.fn), InvalidArgument);
+  }
+}
+
 TEST(BoEngine, MaternKernelOptionWorks) {
   const auto tf = easybo::circuit::sphere(2);
   auto cfg = quick(Mode::Sequential, AcqKind::EasyBo, false, 1, 10);

@@ -784,17 +784,21 @@ TEST(ResumeRefusal, RffEraCheckpoint) {
   expect_resume_error(cfg, tf, base, "checkpoint config mismatch");
 }
 
-// Files written while a removed switch was on carry a fingerprint no
-// current config produces: the engine and a session both refuse them by
-// name instead of continuing the stream under the one behaviour. The
-// constants are BoConfig{} on Branin's bounds with pin_hallucinated_mean,
-// then async_slot_rotation, switched on, as the fingerprint read while the
-// switches existed.
+// Files written while a removed switch was on, or a retired option was
+// off its one value, carry a fingerprint no current config produces: the
+// engine and a session both refuse them by name instead of continuing the
+// stream under the one behaviour. The constants are BoConfig{} on Branin's
+// bounds, as the fingerprint read while the knobs existed, with
+// pin_hallucinated_mean on, async_slot_rotation on, eval_backoff_init =
+// 1.0, eval_retry_timeouts = true, trainer.learning_rate = 0.05 and
+// trainer.log_noise_min = log(1e-6).
 TEST(ResumeRefusal, RemovedSwitchOnCheckpoint) {
   const auto tf = easybo::circuit::branin();
   const BoConfig cfg;
   for (const std::uint64_t hash :
-       {5280235188366560086ull, 8241358697215460316ull}) {
+       {5280235188366560086ull, 8241358697215460316ull,
+        6977448529800071321ull, 16829380203513314566ull,
+        8528938695701972273ull, 5007298504152950309ull}) {
     SCOPED_TRACE(hash);
     const std::string base = fresh_base("switch_on");
     {

@@ -27,24 +27,6 @@ TEST(FormatDuration, NegativeClampsToZero) {
   EXPECT_EQ(format_duration(-5.0), "0s");
 }
 
-TEST(ParseDuration, RoundTripsFormat) {
-  for (double secs : {0.0, 42.0, 1279.0, 780051.0, 3600.0, 61.0}) {
-    EXPECT_DOUBLE_EQ(parse_duration(format_duration(secs)), secs);
-  }
-}
-
-TEST(ParseDuration, PartialFields) {
-  EXPECT_DOUBLE_EQ(parse_duration("2h"), 7200.0);
-  EXPECT_DOUBLE_EQ(parse_duration("90m"), 5400.0);
-  EXPECT_DOUBLE_EQ(parse_duration("1.5h"), 5400.0);
-}
-
-TEST(ParseDuration, RejectsGarbage) {
-  EXPECT_THROW(parse_duration(""), InvalidArgument);
-  EXPECT_THROW(parse_duration("12"), InvalidArgument);
-  EXPECT_THROW(parse_duration("5x"), InvalidArgument);
-}
-
 TEST(FormatDouble, Precision) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(3.14159, 0), "3");

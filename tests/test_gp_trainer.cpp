@@ -7,6 +7,7 @@
 
 #include "gp/gp.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -65,10 +66,9 @@ TEST(Trainer, RespectsNoiseBounds) {
   for (std::size_t i = 0; i < 10; ++i) ys[i] = xs[i][0];
   GpRegressor gp(std::make_unique<SquaredExponentialArd>(1), 1e-4);
   gp.set_data(xs, ys);
-  TrainerOptions opt;
-  train_mle(gp, rng, opt);
-  EXPECT_GE(gp.noise_variance(), std::exp(opt.log_noise_min) * 0.99);
-  EXPECT_LE(gp.noise_variance(), std::exp(opt.log_noise_max) * 1.01);
+  train_mle(gp, rng);
+  EXPECT_GE(gp.noise_variance(), std::exp(kLogNoiseMin) * 0.99);
+  EXPECT_LE(gp.noise_variance(), std::exp(kLogNoiseMax) * 1.01);
 }
 
 TEST(Trainer, LearnsShortLengthscaleForWigglyData) {
@@ -133,11 +133,11 @@ TEST(Trainer, RejectsEmptyModelAndBadOptions) {
 }
 
 // Regression: the warm start's baseline fit is evaluated ONCE and handed
-// to the descent, not recomputed. Observable as exactly two covariance
-// factorizations when a huge gradient tolerance stops the descent before
-// its first step: the baseline evaluation plus the final refit at the
-// winner. The pre-fix code refitted the identical warm-start covariance a
-// third time.
+// to the descent, not recomputed. Observable as exactly three covariance
+// factorizations for one Adam step and no restarts: the baseline
+// evaluation, the step's evaluation, and the final refit at the winner.
+// The pre-fix code refitted the identical warm-start covariance a fourth
+// time.
 TEST(Trainer, WarmStartEvaluatesTheBaselineOnce) {
   Rng rng(8);
   const auto xs = grid_1d(12);
@@ -146,15 +146,18 @@ TEST(Trainer, WarmStartEvaluatesTheBaselineOnce) {
   GpRegressor gp(std::make_unique<SquaredExponentialArd>(1), 1e-3);
   gp.set_data(xs, ys);
   gp.fit();
+  // The gradient is above the trainer's tolerance, so the step is taken.
+  double gmax = 0.0;
+  for (double g : gp.lml_gradient()) gmax = std::max(gmax, std::abs(g));
+  ASSERT_GT(gmax, kTrainerGradTol);
 
   easybo::obs::RecordingSink sink;
   gp.set_trace(&sink);
   TrainerOptions opt;
   opt.max_iters = 1;
   opt.restarts = 0;
-  opt.tol = 1e18;  // the gradient check trips immediately
   train_mle(gp, rng, opt);
-  EXPECT_EQ(sink.counter("gp.chol_refactor"), 2u);
+  EXPECT_EQ(sink.counter("gp.chol_refactor"), 3u);
 }
 
 TEST(Trainer, WorksWithMatern) {

@@ -18,9 +18,8 @@
 namespace easybo::linalg {
 namespace {
 
-TEST(Vec, DotAndNorm) {
+TEST(Vec, Dot) {
   EXPECT_DOUBLE_EQ(dot({1, 2, 3}, {4, 5, 6}), 32.0);
-  EXPECT_DOUBLE_EQ(norm2({3, 4}), 5.0);
   EXPECT_THROW(dot({1}, {1, 2}), InvalidArgument);
 }
 
@@ -40,12 +39,10 @@ TEST(Vec, AxpyAndArithmetic) {
   EXPECT_DOUBLE_EQ(d[0], -2.0);
   const Vec sc = scale(0.5, {2, 4});
   EXPECT_DOUBLE_EQ(sc[1], 2.0);
-  EXPECT_DOUBLE_EQ(sum({1, 2, 3}), 6.0);
 }
 
 TEST(Vec, ArgExtrema) {
   EXPECT_EQ(argmax({1.0, 5.0, 3.0}), 1u);
-  EXPECT_EQ(argmin({1.0, 5.0, 3.0}), 0u);
   EXPECT_THROW(argmax({}), InvalidArgument);
 }
 
@@ -68,12 +65,10 @@ TEST(Matrix, ConstructionAndAccess) {
   EXPECT_THROW(Matrix({{1, 2}, {3}}), InvalidArgument);
 }
 
-TEST(Matrix, IdentityAndFromRows) {
+TEST(Matrix, Identity) {
   const auto i3 = Matrix::identity(3);
   EXPECT_DOUBLE_EQ(i3(1, 1), 1.0);
   EXPECT_DOUBLE_EQ(i3(0, 2), 0.0);
-  const auto m = Matrix::from_rows({{1, 2}, {3, 4}});
-  EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
 }
 
 TEST(Matrix, MultiplyKnown) {
@@ -103,15 +98,6 @@ TEST(Matrix, TransposeRoundTrip) {
   EXPECT_TRUE(t.transposed().approx_equal(a, 0.0));
 }
 
-TEST(Matrix, TransposeTimesMatchesExplicit) {
-  Matrix a = {{1, 2}, {3, 4}, {5, 6}};
-  const Vec x = {1, -1, 2};
-  const Vec via_helper = transpose_times(a, x);
-  const Vec via_explicit = a.transposed() * x;
-  EXPECT_DOUBLE_EQ(via_helper[0], via_explicit[0]);
-  EXPECT_DOUBLE_EQ(via_helper[1], via_explicit[1]);
-}
-
 TEST(Matrix, GramMatchesExplicit) {
   Matrix a = {{1, 2}, {3, 4}, {5, 6}};
   const Matrix g = gram(a);
@@ -124,15 +110,6 @@ TEST(Matrix, DiagonalAndNorms) {
   EXPECT_DOUBLE_EQ(a(0, 0), 11.0);
   EXPECT_DOUBLE_EQ(a(1, 1), 14.0);
   EXPECT_DOUBLE_EQ(a.max_abs(), 14.0);
-  EXPECT_NEAR(a.frobenius_norm(),
-              std::sqrt(11. * 11 + 2 * 2 + 3 * 3 + 14 * 14), 1e-12);
-}
-
-TEST(Matrix, Symmetrize) {
-  Matrix a = {{1, 2}, {4, 3}};
-  a.symmetrize();
-  EXPECT_DOUBLE_EQ(a(0, 1), 3.0);
-  EXPECT_DOUBLE_EQ(a(1, 0), 3.0);
 }
 
 TEST(Cholesky, FactorsKnownMatrix) {

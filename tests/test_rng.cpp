@@ -109,59 +109,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
 }
 
-TEST(Rng, PermutationIsValid) {
-  Rng rng(37);
-  const auto p = rng.permutation(50);
-  std::set<std::size_t> seen(p.begin(), p.end());
-  EXPECT_EQ(seen.size(), 50u);
-  EXPECT_EQ(*seen.begin(), 0u);
-  EXPECT_EQ(*seen.rbegin(), 49u);
-}
-
-TEST(Rng, PermutationIsShuffled) {
-  Rng rng(41);
-  const auto p = rng.permutation(100);
-  std::size_t fixed = 0;
-  for (std::size_t i = 0; i < p.size(); ++i) fixed += (p[i] == i);
-  EXPECT_LT(fixed, 15u);  // expected ~1 fixed point
-}
-
-TEST(Rng, SampleWithoutReplacementDistinct) {
-  Rng rng(43);
-  const auto s = rng.sample_without_replacement(20, 10);
-  std::set<std::size_t> seen(s.begin(), s.end());
-  EXPECT_EQ(seen.size(), 10u);
-  for (auto v : s) EXPECT_LT(v, 20u);
-}
-
-TEST(Rng, SampleWithoutReplacementFullPopulation) {
-  Rng rng(47);
-  const auto s = rng.sample_without_replacement(5, 5);
-  std::set<std::size_t> seen(s.begin(), s.end());
-  EXPECT_EQ(seen.size(), 5u);
-}
-
-TEST(Rng, SampleWithoutReplacementRejectsOversample) {
-  Rng rng(1);
-  EXPECT_THROW(rng.sample_without_replacement(3, 4), InvalidArgument);
-}
-
-TEST(Rng, SpawnGivesIndependentStream) {
-  Rng parent(53);
-  Rng child = parent.spawn();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent() == child()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
-TEST(Rng, SpawnIsDeterministic) {
-  Rng a(59), b(59);
-  Rng ca = a.spawn(), cb = b.spawn();
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(ca(), cb());
-}
-
 TEST(Rng, UniformVectorLength) {
   Rng rng(61);
   EXPECT_EQ(rng.uniform_vector(17).size(), 17u);

@@ -1,80 +1,17 @@
-// Unit and property tests for common/sampling.h: Latin hypercube
-// stratification, Sobol sequence structure, box scaling.
+// Unit and property tests for common/sampling.h: Sobol sequence
+// structure.
 
 #include "common/sampling.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/error.h"
 
 namespace easybo {
 namespace {
-
-TEST(LatinHypercube, PointsInUnitCube) {
-  Rng rng(1);
-  const auto s = latin_hypercube(40, 5, rng);
-  EXPECT_EQ(s.n, 40u);
-  EXPECT_EQ(s.dim, 5u);
-  for (double v : s.points) {
-    EXPECT_GE(v, 0.0);
-    EXPECT_LT(v, 1.0);
-  }
-}
-
-TEST(LatinHypercube, EveryProjectionIsStratified) {
-  Rng rng(2);
-  const std::size_t n = 25;
-  const auto s = latin_hypercube(n, 4, rng);
-  // In every dimension, each of the n bins [k/n, (k+1)/n) holds exactly one
-  // point — the defining LHS property.
-  for (std::size_t j = 0; j < s.dim; ++j) {
-    std::vector<int> bin_count(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto bin = static_cast<std::size_t>(s.at(i, j) *
-                                                static_cast<double>(n));
-      ASSERT_LT(bin, n);
-      ++bin_count[bin];
-    }
-    for (int c : bin_count) EXPECT_EQ(c, 1);
-  }
-}
-
-TEST(LatinHypercube, RejectsZeroSize) {
-  Rng rng(1);
-  EXPECT_THROW(latin_hypercube(0, 3, rng), InvalidArgument);
-  EXPECT_THROW(latin_hypercube(3, 0, rng), InvalidArgument);
-}
-
-TEST(MaximinLatinHypercube, NotWorseThanSingleDraw) {
-  // The maximin variant restarts and keeps the best min-distance design;
-  // statistically its min pairwise distance should beat a single LHS draw.
-  auto min_dist = [](const UnitSample& s) {
-    double best = 1e300;
-    for (std::size_t a = 0; a < s.n; ++a) {
-      for (std::size_t b = a + 1; b < s.n; ++b) {
-        double d2 = 0;
-        for (std::size_t j = 0; j < s.dim; ++j) {
-          const double d = s.at(a, j) - s.at(b, j);
-          d2 += d * d;
-        }
-        best = std::min(best, d2);
-      }
-    }
-    return best;
-  };
-  double wins = 0;
-  for (unsigned seed = 0; seed < 10; ++seed) {
-    Rng r1(seed), r2(seed + 1000);
-    const auto plain = latin_hypercube(20, 3, r1);
-    const auto maximin = maximin_latin_hypercube(20, 3, r2, 16);
-    if (min_dist(maximin) >= min_dist(plain)) ++wins;
-  }
-  EXPECT_GE(wins, 8);
-}
 
 TEST(Sobol, FirstVanDerCorputValues) {
   // Dimension 1 with skip=0 is the van der Corput sequence in Gray-code
@@ -111,11 +48,13 @@ TEST(Sobol, BalancedInPowersOfTwo) {
   // each half [0, 0.5) / [0.5, 1) of every dimension.
   for (std::size_t dim : {2u, 5u, 12u, 21u}) {
     SobolSequence sobol(dim, /*skip=*/0);
-    const auto s = sobol.take(64);
+    std::vector<int> low(dim, 0);
+    for (int i = 0; i < 64; ++i) {
+      const auto p = sobol.next();
+      for (std::size_t j = 0; j < dim; ++j) low[j] += (p[j] < 0.5);
+    }
     for (std::size_t j = 0; j < dim; ++j) {
-      int low = 0;
-      for (std::size_t i = 0; i < s.n; ++i) low += (s.at(i, j) < 0.5);
-      EXPECT_EQ(low, 32) << "dim=" << dim << " coord=" << j;
+      EXPECT_EQ(low[j], 32) << "dim=" << dim << " coord=" << j;
     }
   }
 }
@@ -131,70 +70,6 @@ TEST(Sobol, RejectsUnsupportedDimension) {
   EXPECT_THROW(SobolSequence(0), InvalidArgument);
   EXPECT_THROW(SobolSequence(22), InvalidArgument);
 }
-
-TEST(Sobol, TakeShape) {
-  SobolSequence sobol(6);
-  const auto s = sobol.take(33);
-  EXPECT_EQ(s.n, 33u);
-  EXPECT_EQ(s.dim, 6u);
-  EXPECT_EQ(s.points.size(), 33u * 6u);
-}
-
-TEST(ScaleToBox, MapsEndpoints) {
-  const std::vector<double> lo = {-1.0, 10.0};
-  const std::vector<double> hi = {1.0, 20.0};
-  const auto a = scale_to_box({0.0, 0.0}, lo, hi);
-  EXPECT_DOUBLE_EQ(a[0], -1.0);
-  EXPECT_DOUBLE_EQ(a[1], 10.0);
-  const auto b = scale_to_box({1.0, 0.5}, lo, hi);
-  EXPECT_DOUBLE_EQ(b[0], 1.0);
-  EXPECT_DOUBLE_EQ(b[1], 15.0);
-}
-
-TEST(ScaleToBox, RejectsMismatchedSizes) {
-  EXPECT_THROW(scale_to_box({0.5}, {0.0, 0.0}, {1.0, 1.0}), InvalidArgument);
-}
-
-TEST(RandomDesign, ShapeAndRange) {
-  Rng rng(5);
-  const auto s = random_design(30, 7, rng);
-  EXPECT_EQ(s.points.size(), 210u);
-  for (double v : s.points) {
-    EXPECT_GE(v, 0.0);
-    EXPECT_LT(v, 1.0);
-  }
-}
-
-TEST(UnitSample, RowExtraction) {
-  Rng rng(6);
-  const auto s = random_design(4, 3, rng);
-  const auto r = s.row(2);
-  EXPECT_EQ(r.size(), 3u);
-  EXPECT_DOUBLE_EQ(r[0], s.at(2, 0));
-  EXPECT_THROW(s.row(4), InvalidArgument);
-}
-
-// Parameterized: the LHS property holds across sizes and dimensions.
-class LhsSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(LhsSweep, OnePointPerBin) {
-  const auto [n, dim] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(n * 100 + dim));
-  const auto s = latin_hypercube(static_cast<std::size_t>(n),
-                                 static_cast<std::size_t>(dim), rng);
-  for (std::size_t j = 0; j < s.dim; ++j) {
-    std::set<std::size_t> bins;
-    for (std::size_t i = 0; i < s.n; ++i) {
-      bins.insert(static_cast<std::size_t>(s.at(i, j) *
-                                           static_cast<double>(n)));
-    }
-    EXPECT_EQ(bins.size(), static_cast<std::size_t>(n));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, LhsSweep,
-                         ::testing::Combine(::testing::Values(2, 10, 33, 100),
-                                            ::testing::Values(1, 3, 10)));
 
 }  // namespace
 }  // namespace easybo

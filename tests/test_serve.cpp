@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bo/engine.h"
@@ -297,6 +298,31 @@ TEST(SessionHostTest, ProtocolHappyPathAndErrorReplies) {
   EXPECT_FALSE(host.is_live("s1"));
   // Closed is not gone: the files resume on demand.
   EXPECT_EQ(host.handle_line("STATUS s1").rfind("OK ", 0), 0u);
+}
+
+// A config whose first model proposal could only fail is refused at NEW,
+// naming the key, and nothing is persisted for it.
+TEST(SessionHostTest, NewRefusesConfigsThatCanNeverPropose) {
+  const std::string dir = fresh_dir("never_propose");
+  SessionHost host(dir, 4);
+  const std::string base = R"("dim":2,"init_points":2,"max_sims":10)";
+  const std::pair<std::string, std::string> cases[] = {
+      {R"("acq":"LCB","mode":"sequential","lcb_kappa":-1)", "lcb_kappa"},
+      {R"("trainer_max_iters":0)", "max_iters"},
+      {R"("trainer_max_iters":4294967296)", "trainer_max_iters"},
+      {R"("trainer_restarts":2147483648)", "trainer_restarts"},
+      {R"("sobol_candidates":0,"random_candidates":0)", "sobol_candidates"},
+  };
+  int i = 0;
+  for (const auto& [payload, key] : cases) {
+    SCOPED_TRACE(payload);
+    const std::string name = "bad" + std::to_string(i++);
+    const std::string reply =
+        host.handle_line("NEW " + name + " {" + base + "," + payload + "}");
+    EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
+    EXPECT_NE(reply.find(key), std::string::npos) << reply;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + name + ".config"));
+  }
 }
 
 // ---------------------------------------------------------------------------
