@@ -17,16 +17,15 @@
 
 #include "common/format.h"
 #include "common/rng.h"
-#include "sched/event_sim.h"
+#include "sched/executor.h"
 
 namespace {
 
-using easybo::sched::JobRecord;
-using easybo::sched::PolicyComparison;
+using easybo::sched::Completion;
 
 /// Renders one schedule as per-worker ASCII timelines; each job is drawn
 /// as its tag repeated over its duration (1 column per time unit).
-void draw_gantt(const std::vector<JobRecord>& trace, std::size_t workers,
+void draw_gantt(const std::vector<Completion>& trace, std::size_t workers,
                 double makespan, double unit) {
   const auto width = static_cast<std::size_t>(std::ceil(makespan / unit));
   std::vector<std::string> lanes(workers, std::string(width, '.'));

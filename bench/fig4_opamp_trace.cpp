@@ -15,42 +15,6 @@
 
 #include "harness.h"
 
-namespace {
-
-using easybo::bench::AlgoStats;
-
-/// Mean best-so-far value across runs at virtual time t (step function
-/// per run, averaged).
-double mean_best_at(const AlgoStats& stats, double t) {
-  double sum = 0.0;
-  for (const auto& run : stats.runs) {
-    double best = 0.0;
-    bool seen = false;
-    for (const auto& [time, value] : run.best_vs_time()) {
-      if (time > t) break;
-      best = value;
-      seen = true;
-    }
-    // Before the first completion, report the eventual first observation
-    // (plotting convention; avoids an undefined segment).
-    sum += seen ? best : run.best_vs_time().front().second;
-  }
-  return sum / static_cast<double>(stats.runs.size());
-}
-
-/// Mean time to reach a target FOM (runs that never reach it contribute
-/// their makespan as a lower bound).
-double mean_time_to(const AlgoStats& stats, double target) {
-  double sum = 0.0;
-  for (const auto& run : stats.runs) {
-    const double t = run.time_to_target(target);
-    sum += t >= 0.0 ? t : run.makespan;
-  }
-  return sum / static_cast<double>(stats.runs.size());
-}
-
-}  // namespace
-
 int main() {
   using namespace easybo;
   using namespace easybo::bench;

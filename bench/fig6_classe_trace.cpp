@@ -13,36 +13,6 @@
 
 #include "harness.h"
 
-namespace {
-
-using easybo::bench::AlgoStats;
-
-double mean_best_at(const AlgoStats& stats, double t) {
-  double sum = 0.0;
-  for (const auto& run : stats.runs) {
-    double best = 0.0;
-    bool seen = false;
-    for (const auto& [time, value] : run.best_vs_time()) {
-      if (time > t) break;
-      best = value;
-      seen = true;
-    }
-    sum += seen ? best : run.best_vs_time().front().second;
-  }
-  return sum / static_cast<double>(stats.runs.size());
-}
-
-double mean_time_to(const AlgoStats& stats, double target) {
-  double sum = 0.0;
-  for (const auto& run : stats.runs) {
-    const double t = run.time_to_target(target);
-    sum += t >= 0.0 ? t : run.makespan;
-  }
-  return sum / static_cast<double>(stats.runs.size());
-}
-
-}  // namespace
-
 int main() {
   using namespace easybo;
   using namespace easybo::bench;

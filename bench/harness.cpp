@@ -59,6 +59,30 @@ AlgoStats run_bo_repeated(const circuit::SizingBenchmark& bench,
   return stats;
 }
 
+double mean_best_at(const AlgoStats& stats, double t) {
+  double sum = 0.0;
+  for (const auto& run : stats.runs) {
+    double best = 0.0;
+    bool seen = false;
+    for (const auto& [time, value] : run.best_vs_time()) {
+      if (time > t) break;
+      best = value;
+      seen = true;
+    }
+    sum += seen ? best : run.best_vs_time().front().second;
+  }
+  return sum / static_cast<double>(stats.runs.size());
+}
+
+double mean_time_to(const AlgoStats& stats, double target) {
+  double sum = 0.0;
+  for (const auto& run : stats.runs) {
+    const double t = run.time_to_target(target);
+    sum += t >= 0.0 ? t : run.makespan;
+  }
+  return sum / static_cast<double>(stats.runs.size());
+}
+
 AlgoStats run_de_repeated(const circuit::SizingBenchmark& bench,
                           std::size_t de_evals, std::size_t runs,
                           std::uint64_t base_seed) {

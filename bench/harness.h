@@ -42,6 +42,15 @@ AlgoStats run_bo_repeated(const circuit::SizingBenchmark& bench,
                           bo::BoConfig config, std::size_t runs,
                           std::uint64_t base_seed = 1000);
 
+/// Mean best-so-far value across runs at virtual time t (step function
+/// per run, averaged). Before a run's first completion its eventual first
+/// observation is used (plotting convention; avoids an undefined segment).
+double mean_best_at(const AlgoStats& stats, double t);
+
+/// Mean time to reach a target FOM (runs that never reach it contribute
+/// their makespan as a lower bound).
+double mean_time_to(const AlgoStats& stats, double target);
+
 /// Runs DE with virtual-time accounting (sequential evaluation: the DE
 /// makespan is the sum of simulation durations, as in the paper's Table
 /// I/II time column for DE).

@@ -15,15 +15,12 @@ int main() {
   using namespace easybo;
 
   const auto bench = circuit::make_classe_benchmark();
-  Problem problem{
-      bench.name,
-      bench.bounds,
-      bench.fom,
-      [&bench](const linalg::Vec& x) { return bench.sim_time(x); },
+  const auto sim_time = [&bench](const linalg::Vec& x) {
+    return bench.sim_time(x);
   };
 
   auto run = [&](bo::Mode mode, std::size_t batch, const char* label) {
-    BoConfig config;
+    bo::BoConfig config;
     config.mode = mode;
     config.acq = bo::AcqKind::EasyBo;
     config.penalize = mode != bo::Mode::Sequential;
@@ -31,8 +28,7 @@ int main() {
     config.init_points = 20;
     config.max_sims = 200;
     config.seed = 11;
-    Optimizer optimizer(problem, config);
-    const auto result = optimizer.optimize();
+    const auto result = bo::run_bo(config, bench.bounds, bench.fom, sim_time);
     const auto perf = circuit::evaluate_classe(result.best_x);
     std::printf("%-18s FOM %.2f (PAE %.0f%%, Pout %.2f W)  wall-clock %s"
                 "  utilization %.0f%%\n",

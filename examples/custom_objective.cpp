@@ -1,13 +1,14 @@
 /// \file custom_objective.cpp
 /// \brief Using EasyBO on your own objective, two ways:
 ///   1. composing a weighted FOM from separate metrics (paper Eq. 1);
-///   2. running with REAL threads (optimize_parallel) when the objective
-///      is genuinely expensive — here a deliberately slow callable.
+///   2. running with REAL threads (BoEngine::run on a
+///      sched::ThreadExecutor) when the objective is genuinely expensive —
+///      here a deliberately slow callable.
 ///
-/// optimize_parallel runs the same BoEngine as optimize(), just through
-/// sched::ThreadExecutor instead of the virtual-time executor: any batch
-/// mode/acquisition works, times are wall-clock, and an objective that
-/// throws aborts the run with that exception (no hang).
+/// The threaded run is the same BoEngine that bo::run_bo drives on virtual
+/// time, just through sched::ThreadExecutor: any mode/acquisition works,
+/// times are wall-clock, and an objective that throws aborts the run with
+/// that exception (no hang).
 ///
 /// The toy "circuit" is an RC low-pass filter evaluated on the built-in
 /// MNA simulator: we trade bandwidth against component cost.
@@ -53,32 +54,31 @@ int main() {
 
   // --- 1. Weighted FOM composition (Eq. 1). ---
   opt::Bounds bounds{{0.1, 0.1}, {100.0, 100.0}};  // R in kohm, C in nF
-  auto fom = make_weighted_fom({bandwidth_mhz, neg_cost}, {1.0, 0.05});
+  auto fom = opt::make_weighted_fom({bandwidth_mhz, neg_cost}, {1.0, 0.05});
 
-  Problem problem{"rc-filter", bounds, fom, nullptr};
-  BoConfig config;
+  bo::BoConfig config;
   config.batch = 4;
   config.init_points = 10;
   config.max_sims = 40;
   config.seed = 3;
 
-  Optimizer optimizer(problem, config);
-  const auto result = optimizer.optimize();
+  const auto result = bo::run_bo(config, bounds, fom);
   std::printf("weighted-FOM optimum: R = %.2f kohm, C = %.2f nF, FOM = "
               "%.2f (bandwidth %.1f MHz)\n",
               result.best_x[0], result.best_x[1], result.best_y,
               bandwidth_mhz(result.best_x));
 
   // --- 2. Real-threads execution for expensive objectives. ---
-  Problem slow = problem;
-  slow.objective = [fom](const linalg::Vec& x) {
+  const opt::Objective slow = [fom](const linalg::Vec& x) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     return fom(x);
   };
-  Optimizer parallel(slow, config);
+  // The executor's worker count is the degree of parallelism.
+  sched::ThreadExecutor threads(4);
+  bo::BoEngine parallel(config, bounds, slow);
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto preal = parallel.optimize_parallel(4);
+  const auto preal = parallel.run(threads);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

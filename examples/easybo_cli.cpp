@@ -58,6 +58,7 @@
 #include "common/format.h"
 #include "core/easybo.h"
 #include "io/journal.h"
+#include "io/json.h"
 #include "obs/stream.h"
 
 namespace {
@@ -145,37 +146,33 @@ CliOptions parse(int argc, char** argv) {
       if (i + 1 >= argc) usage_and_exit();
       return argv[++i];
     };
-    // A flag fed "banana" where a number belongs is a usage error (exit
-    // 2), not an uncaught std::invalid_argument.
-    auto next_size = [&]() -> std::size_t {
+    // A flag fed "banana", "-5" or "12x" where a number belongs is a
+    // usage error (exit 2) naming the flag — never a wrapped budget or a
+    // silently truncated value. Ranges are BoConfig::validate()'s.
+    auto next_u64 = [&]() -> std::uint64_t {
       const std::string s = next();
       try {
-        return std::stoul(s);
+        return io::parse_u64(s);
       } catch (const std::exception&) {
-        std::fprintf(stderr, "%s: expected a number, got '%s'\n",
+        std::fprintf(stderr, "%s: expected a non-negative integer, got '%s'\n",
                      arg.c_str(), s.c_str());
         usage_and_exit();
       }
     };
-    auto next_u64 = [&]() -> std::uint64_t {
-      const std::string s = next();
-      try {
-        return std::stoull(s);
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "%s: expected a number, got '%s'\n",
-                     arg.c_str(), s.c_str());
-        usage_and_exit();
-      }
+    auto next_size = [&]() -> std::size_t {
+      return static_cast<std::size_t>(next_u64());
     };
     auto next_double = [&]() -> double {
       const std::string s = next();
       try {
-        return std::stod(s);
+        std::size_t used = 0;
+        const double v = std::stod(s, &used);
+        if (used == s.size()) return v;
       } catch (const std::exception&) {
-        std::fprintf(stderr, "%s: expected a number, got '%s'\n",
-                     arg.c_str(), s.c_str());
-        usage_and_exit();
       }
+      std::fprintf(stderr, "%s: expected a number, got '%s'\n", arg.c_str(),
+                   s.c_str());
+      usage_and_exit();
     };
     if (arg == "--problem") opt.problem = next();
     else if (arg == "--algo") opt.algo = next();

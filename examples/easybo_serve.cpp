@@ -81,6 +81,7 @@
 #include <string>
 
 #include "io/fs_fault.h"
+#include "io/json.h"
 #include "obs/stream.h"
 #include "serve/host.h"
 #include "serve/tcp_server.h"
@@ -165,20 +166,22 @@ int usage() {
   std::exit(2);
 }
 
-/// Strict unsigned parse: the whole token must be digits (no trailing
-/// garbage, no sign, no empty string). Exits 2 naming \p flag otherwise.
+/// Strict unsigned parse (io::parse_u64: digits only, no sign, space or
+/// trailing garbage). Exits 2 naming \p flag and \p expected otherwise.
+std::uint64_t parse_uint(const std::string& flag, const char* value,
+                         const char* expected) {
+  try {
+    return easybo::io::parse_u64(value == nullptr ? "" : value);
+  } catch (const easybo::Error&) {
+    bad_flag(flag, value, expected);
+  }
+}
+
+/// A count flag: an unsigned integer no smaller than \p min_value.
 std::size_t parse_count(const std::string& flag, const char* value,
                         std::size_t min_value) {
-  if (value == nullptr || *value == '\0') {
-    bad_flag(flag, value, "a positive integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (*end != '\0' || errno == ERANGE || value[0] == '-' ||
-      v < min_value) {
-    bad_flag(flag, value, "a positive integer");
-  }
+  const std::uint64_t v = parse_uint(flag, value, "a positive integer");
+  if (v < min_value) bad_flag(flag, value, "a positive integer");
   return static_cast<std::size_t>(v);
 }
 
@@ -211,16 +214,9 @@ double parse_seconds(const std::string& flag, const char* value) {
 /// Millisecond flags: a non-negative integer (0 disables the knob),
 /// returned as seconds for HostLimits.
 double parse_millis(const std::string& flag, const char* value) {
-  if (value == nullptr || *value == '\0') {
-    bad_flag(flag, value, "a non-negative integer of milliseconds");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (*end != '\0' || errno == ERANGE || value[0] == '-') {
-    bad_flag(flag, value, "a non-negative integer of milliseconds");
-  }
-  return static_cast<double>(v) / 1000.0;
+  return static_cast<double>(parse_uint(
+             flag, value, "a non-negative integer of milliseconds")) /
+         1000.0;
 }
 
 bool parse_args(int argc, char** argv, ServeOptions& opt) {

@@ -13,14 +13,8 @@ int main() {
   using namespace easybo;
 
   const auto bench = circuit::make_opamp_benchmark();
-  Problem problem{
-      bench.name,
-      bench.bounds,
-      bench.fom,
-      [&bench](const linalg::Vec& x) { return bench.sim_time(x); },
-  };
 
-  BoConfig config;
+  bo::BoConfig config;
   config.mode = bo::Mode::AsyncBatch;
   config.acq = bo::AcqKind::EasyBo;
   config.penalize = true;
@@ -32,8 +26,9 @@ int main() {
   std::printf("sizing the two-stage Miller op-amp (10 variables, %zu "
               "simulations, %zu workers)...\n",
               config.max_sims, config.batch);
-  Optimizer optimizer(problem, config);
-  const auto result = optimizer.optimize();
+  const auto result = bo::run_bo(
+      config, bench.bounds, bench.fom,
+      [&bench](const linalg::Vec& x) { return bench.sim_time(x); });
 
   const auto perf = circuit::evaluate_opamp(result.best_x);
   static const char* kNames[] = {"W1,2 [um]", "L1,2 [um]", "W3,4 [um]",

@@ -13,25 +13,20 @@ int main() {
   // 1. Describe the problem: a box-bounded maximization. Any callable
   //    double(const std::vector<double>&) works — plug in your simulator.
   const auto hartmann = easybo::circuit::hartmann6();
-  easybo::Problem problem{
-      /*name=*/"hartmann6",
-      /*bounds=*/hartmann.bounds,
-      /*objective=*/hartmann.fn,
-      /*sim_time=*/nullptr,  // default: 1 virtual second per evaluation
-  };
 
   // 2. Configure the optimizer. Defaults are the paper's EasyBO:
   //    asynchronous batch, randomized-weight UCB (Eq. 8), hallucination
   //    penalization (Eq. 9).
-  easybo::BoConfig config;
+  easybo::bo::BoConfig config;
   config.batch = 5;        // number of parallel workers
   config.init_points = 20; // random initial design
   config.max_sims = 120;   // total evaluation budget
   config.seed = 42;
 
-  // 3. Run.
-  easybo::Optimizer optimizer(problem, config);
-  const easybo::BoResult result = optimizer.optimize();
+  // 3. Run on virtual time. A null sim_time (the default) costs each
+  //    evaluation 1 virtual second.
+  const easybo::bo::BoResult result =
+      easybo::bo::run_bo(config, hartmann.bounds, hartmann.fn);
 
   // 4. Inspect.
   std::printf("best value : %.5f (global optimum %.5f)\n", result.best_y,

@@ -189,8 +189,6 @@ class HighCoveragePenalty {
   /// Penalty value at x; 0 when no history yet.
   double operator()(const Vec& x) const;
 
-  std::size_t history_size() const { return history_.size(); }
-
   /// The recorded history, oldest first — checkpoint serialization reads
   /// it here and rebuilds via record() calls in order.
   const std::deque<Vec>& history() const { return history_; }

@@ -54,9 +54,9 @@ enum class AcqKind {
 /// (sched::EvalSupervisor). See docs/failure-model.md for the taxonomy
 /// and guidance on choosing between the policies.
 enum class EvalFailurePolicy {
-  /// Rethrow out of run()/optimize_parallel() — the pre-supervision
-  /// behavior and the default. Timeouts/non-finite values (which carry no
-  /// exception) abort with an easybo::Error.
+  /// Rethrow out of BoEngine::run() on either executor — the
+  /// pre-supervision behavior and the default. Timeouts/non-finite values
+  /// (which carry no exception) abort with an easybo::Error.
   Abort,
   /// Drop the point: no observation is added, but the point is remembered
   /// for proposal dedup so the crashing location is never re-proposed
@@ -131,7 +131,7 @@ struct BoConfig {
   /// Failure policy once supervision gives up on an evaluation.
   EvalFailurePolicy on_eval_failure = EvalFailurePolicy::Abort;
   /// Per-attempt evaluation deadline in executor seconds (virtual time on
-  /// optimize(), wall clock on optimize_parallel()); 0 disables it.
+  /// a VirtualExecutor, wall clock on a ThreadExecutor); 0 disables it.
   double eval_timeout = 0.0;
   /// Retries per evaluation for transient failures (exceptions and
   /// non-finite values) on a fixed backoff schedule: 0.5 s before the

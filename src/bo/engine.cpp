@@ -15,10 +15,12 @@ BoEngine::BoEngine(BoConfig config, opt::Bounds bounds,
                    std::vector<Constraint> constraints)
     : core_(std::move(config), std::move(bounds), std::move(sim_time),
             constraints.size()),
-      objective_(std::move(objective)),
-      constraints_(std::move(constraints)) {
-  EASYBO_REQUIRE(static_cast<bool>(objective_), "BoEngine: null objective");
-  for (const Constraint& c : constraints_) {
+      objective_(
+          std::make_shared<const opt::Objective>(std::move(objective))),
+      constraints_(std::make_shared<const std::vector<Constraint>>(
+          std::move(constraints))) {
+  EASYBO_REQUIRE(static_cast<bool>(*objective_), "BoEngine: null objective");
+  for (const Constraint& c : *constraints_) {
     EASYBO_REQUIRE(static_cast<bool>(c.fn), "null constraint function");
   }
   if (cfg().collect_metrics) {
@@ -225,13 +227,12 @@ void BoEngine::submit(sched::EvalSupervisor& sup) {
 }
 
 std::function<double()> BoEngine::evaluation(std::size_t tag, Vec x) {
-  if (constraints_.empty()) {
-    return [obj = &objective_, x = std::move(x)] { return (*obj)(x); };
+  if (constraints_->empty()) {
+    return [obj = objective_, x = std::move(x)] { return (*obj)(x); };
   }
   auto slot = std::make_shared<ConstraintSlot>();
   constraint_slots_[tag] = slot;
-  return [obj = &objective_, cons = &constraints_, slot,
-          x = std::move(x)] {
+  return [obj = objective_, cons = constraints_, slot, x = std::move(x)] {
     const double y = (*obj)(x);
     Vec g(cons->size());
     for (std::size_t i = 0; i < g.size(); ++i) {

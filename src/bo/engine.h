@@ -8,11 +8,18 @@
 /// bookkeeping, proposal RNG, dedup, failure policies, checkpoint hooks —
 /// lives in AskTellCore (bo/ask_tell.h) behind its suggest()/observe()
 /// interface; BoEngine is the loop driver that pumps the core against an
-/// executor. Each issue policy (sequential / sync batch / async batch) is
-/// one pump schedule, and the same schedules drive the virtual-time
-/// scheduler (experiments) and a real std::thread pool (production use) —
-/// see sched/executor.h — so measured differences come from the algorithm
-/// design, not from implementation asymmetries.
+/// executor through sched::EvalSupervisor. Each issue policy (sequential /
+/// sync batch / async batch) is one pump schedule, and the same schedules
+/// drive sched::VirtualExecutor (experiments) and sched::ThreadExecutor
+/// (real objectives) — see sched/executor.h — so measured differences come
+/// from the algorithm design, not from implementation asymmetries.
+///
+///   // Virtual time (deterministic; every paper experiment):
+///   BoResult r = run_bo(config, bounds, fom, sim_time);
+///   // Real threads; executor and engine may be declared in either order:
+///   sched::ThreadExecutor threads(4);
+///   BoEngine engine(config, bounds, fom);
+///   BoResult r2 = engine.run(threads);
 ///
 /// The core models in normalized space: inputs are mapped to [0,1]^d and
 /// observations are z-scored before GP fitting, so mu and sigma in the
@@ -50,7 +57,10 @@ namespace easybo::bo {
 /// VirtualExecutor each evaluation costs sim_time(x) virtual seconds on
 /// one of `batch` workers; on a ThreadExecutor it runs for real on a
 /// worker thread. The issue policy is the configured Mode. Construct,
-/// call run(), read the BoResult.
+/// call run(), read the BoResult. Every submitted evaluation shares
+/// ownership of the objective and constraints, so an executor may outlive
+/// the engine (work still in flight after an aborted run completes safely
+/// when the executor drains).
 class BoEngine {
  public:
   /// \param config     algorithm configuration (validated here)
@@ -161,7 +171,8 @@ class BoEngine {
 
   /// The supervised work of evaluation \p tag at design point \p x: the
   /// objective, then each constraint into the tag's ConstraintSlot (a
-  /// non-finite value makes the evaluation non-finite).
+  /// non-finite value makes the evaluation non-finite). The closure owns
+  /// everything it calls; it never points back into the engine.
   std::function<double()> evaluation(std::size_t tag, Vec x);
 
   /// Feeds one arrival into the core (books the ObjectiveEval span and
@@ -237,8 +248,10 @@ class BoEngine {
   void finalize_metrics(sched::Executor& exec, BoResult& result);
 
   AskTellCore core_;
-  opt::Objective objective_;
-  std::vector<Constraint> constraints_;
+  // Shared with every in-flight evaluation closure, so work still queued
+  // or running on an executor that outlives this engine keeps them alive.
+  std::shared_ptr<const opt::Objective> objective_;
+  std::shared_ptr<const std::vector<Constraint>> constraints_;
   std::unordered_map<std::size_t, std::shared_ptr<ConstraintSlot>>
       constraint_slots_;
 

@@ -34,20 +34,6 @@ std::vector<std::pair<double, double>> BoResult::best_vs_time() const {
   return series;
 }
 
-Vec BoResult::best_vs_evals() const {
-  Vec series;
-  series.reserve(evals.size());
-  double best = 0.0;
-  bool first = true;
-  for (const auto& e : evals) {
-    if (e.failed) continue;  // pseudo/NaN values are not real observations
-    best = first ? e.y : std::max(best, e.y);
-    first = false;
-    series.push_back(best);
-  }
-  return series;
-}
-
 double BoResult::time_to_target(double target) const {
   for (const auto& [time, best] : best_vs_time()) {
     if (best >= target) return time;

@@ -74,10 +74,6 @@ struct BoResult {
   /// Fig. 4 / Fig. 6.
   std::vector<std::pair<double, double>> best_vs_time() const;
 
-  /// Best-so-far FOM after each successful simulation (failed evaluations
-  /// skipped; index = #successful sims).
-  Vec best_vs_evals() const;
-
   /// Earliest virtual time at which best-so-far reached \p target;
   /// negative when the run never reached it.
   double time_to_target(double target) const;

@@ -3,8 +3,11 @@
 /// \brief Umbrella public header for the EasyBO library.
 ///
 /// Pulls in the full public API:
-///   - easybo::Problem / easybo::Optimizer / easybo::make_weighted_fom
-///   - easybo::bo::BoConfig (algorithm selection) and bo::BoResult
+///   - bo::BoEngine / bo::run_bo (the one engine) with bo::BoConfig and
+///     bo::BoResult
+///   - the execution backends sched::VirtualExecutor and
+///     sched::ThreadExecutor
+///   - opt::Objective, opt::Bounds and opt::make_weighted_fom (Eq. 1)
 ///   - the circuit benchmarks of the paper (easybo::circuit::*)
 ///   - the classical baselines (easybo::opt::*)
 ///
@@ -17,9 +20,9 @@
 #include "circuit/classe.h"     // IWYU pragma: export
 #include "circuit/opamp.h"      // IWYU pragma: export
 #include "circuit/testfunc.h"   // IWYU pragma: export
-#include "core/optimizer.h"     // IWYU pragma: export
-#include "core/problem.h"       // IWYU pragma: export
 #include "opt/de.h"             // IWYU pragma: export
+#include "opt/objective.h"      // IWYU pragma: export
 #include "opt/pso.h"            // IWYU pragma: export
 #include "opt/random_search.h"  // IWYU pragma: export
 #include "opt/sa.h"             // IWYU pragma: export
+#include "sched/executor.h"     // IWYU pragma: export

@@ -1,6 +1,6 @@
 #include "io/json.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -324,13 +324,16 @@ std::string json_u64(std::uint64_t value) {
 }
 
 std::uint64_t parse_u64(const std::string& text) {
-  EASYBO_REQUIRE(!text.empty(), "parse_u64: empty string");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  EASYBO_REQUIRE(end == text.c_str() + text.size() && errno == 0,
-                 "parse_u64: not a decimal 64-bit integer");
-  return static_cast<std::uint64_t>(v);
+  // For an unsigned type from_chars takes digits only: no whitespace, no
+  // sign. Out-of-range values report result_out_of_range.
+  std::uint64_t v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end) {
+    throw Error("expected a decimal integer in [0, 2^64), got \"" + text +
+                "\"");
+  }
+  return v;
 }
 
 std::string json_vec(const std::vector<double>& v) {

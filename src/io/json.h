@@ -84,6 +84,11 @@ std::string json_quote(std::string_view s);
 /// 64-bit values cross the wire as decimal strings: JSON numbers are
 /// doubles and lose integer precision above 2^53.
 std::string json_u64(std::uint64_t value);
+
+/// Strict inverse of json_u64, also the integer parser of the command-line
+/// front ends: accepts only a non-empty run of ASCII digits whose value
+/// fits in 64 bits (no sign, no whitespace, no trailing characters).
+/// Throws easybo::Error naming the offending text otherwise.
 std::uint64_t parse_u64(const std::string& text);
 
 /// A JSON array of round-trip numbers (json_number per element).

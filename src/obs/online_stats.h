@@ -54,12 +54,6 @@ class Cema {
   double alpha() const { return alpha_; }
   std::uint64_t count() const { return count_; }
 
-  void reset() {
-    biased_ = 0.0;
-    decay_ = 1.0;
-    count_ = 0;
-  }
-
  private:
   double alpha_;
   double biased_ = 0.0;

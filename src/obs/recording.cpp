@@ -55,11 +55,4 @@ MetricsReport RecordingSink::report() const {
   return r;
 }
 
-void RecordingSink::reset() {
-  std::lock_guard lock(mutex_);
-  seconds_.fill(0.0);
-  spans_.fill(0);
-  counters_.clear();
-}
-
 }  // namespace easybo::obs

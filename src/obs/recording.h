@@ -35,9 +35,6 @@ class RecordingSink final : public TraceSink {
   /// executor's to report; the engine grafts them on (see BoEngine).
   MetricsReport report() const;
 
-  /// Forgets everything recorded so far.
-  void reset();
-
  private:
   mutable std::mutex mutex_;
   std::array<double, kNumPhases> seconds_{};

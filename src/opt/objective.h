@@ -6,6 +6,7 @@
 /// (Eq. 1: maximize FOM). Minimize by negating the objective.
 
 #include <functional>
+#include <vector>
 
 #include "linalg/vec.h"
 
@@ -15,6 +16,11 @@ using linalg::Vec;
 
 /// Black-box objective: higher is better.
 using Objective = std::function<double(const Vec&)>;
+
+/// Builds a weighted-sum FOM (paper Eq. 1): sum_i alpha_i * f_i(x).
+/// Metrics and weights must have equal, non-zero size.
+Objective make_weighted_fom(std::vector<Objective> metrics,
+                            std::vector<double> weights);
 
 /// Rectangular search domain.
 struct Bounds {

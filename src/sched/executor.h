@@ -4,15 +4,20 @@
 /// that actually evaluates the objective.
 ///
 /// The paper's Algorithm 1 ("propose on an idle worker, hallucinate the
-/// pending points") is one algorithm; where an evaluation runs — a
-/// virtual-time discrete-event scheduler for deterministic experiments, or
-/// a real std::thread pool for genuinely expensive objectives — is an
-/// execution concern. BoEngine speaks only this interface, so every issue
-/// policy (sequential / sync batch / async batch) and every acquisition
-/// runs identically on both backends; behaviour cannot drift between them.
+/// pending points") is one algorithm; where an evaluation runs is an
+/// execution concern. There is exactly one class per backend:
+/// VirtualExecutor, a virtual-time discrete-event pool for deterministic
+/// experiments, and ThreadExecutor, a pool of std::threads for genuinely
+/// expensive objectives. BoEngine drives either one through
+/// EvalSupervisor, so every issue policy (sequential / sync batch / async
+/// batch) and every acquisition runs identically on both backends;
+/// behaviour cannot drift between them.
 ///
 ///   while (exec.has_idle_worker()) exec.submit(tag, work, duration);
 ///   auto done = exec.wait_next();   // blocks; rethrows worker exceptions
+///
+/// Submitted work owns whatever it calls: an executor may outlive the
+/// engine that fed it, in either declaration order.
 
 #include <chrono>
 #include <condition_variable>
@@ -22,10 +27,8 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
-
-#include "common/thread_pool.h"
-#include "sched/event_sim.h"
 
 namespace easybo::sched {
 
@@ -96,20 +99,33 @@ class Executor {
   virtual std::vector<double> per_worker_busy() const = 0;
 };
 
-/// Virtual-time executor: wraps VirtualScheduler. Work is evaluated
-/// eagerly at submit time (the objectives in the experiment regime are
-/// deterministic); the scheduler controls WHEN the value becomes visible
-/// to the caller (wait_next), which is all that matters for the
-/// information flow of the algorithm. A throwing work item is captured at
-/// submit time and rethrown when ITS completion is waited for — the same
-/// call site where ThreadExecutor surfaces worker exceptions, preserving
-/// the backend-parity guarantee (DESIGN.md §5.0).
+/// Virtual-time executor: a fixed pool of virtual workers with exact
+/// event-driven time advance. This reproduces the paper's wall-clock
+/// results deterministically and for free, as its footnote 1 prescribes
+/// (model and acquisition time are excluded from the reported times).
+///
+/// A job starts at submit on the idle worker at the back of the idle list,
+/// at start = now() and finish = now() + duration; its full duration is
+/// booked as busy time right then. wait_next() completes jobs in (finish,
+/// submission) order — equal finish times, the norm under a constant
+/// sim_time, complete first-in first-out — moves now() to the finish and
+/// puts the worker back on the back of the idle list.
+///
+/// Work is evaluated eagerly at submit (the objectives in the experiment
+/// regime are deterministic); the schedule controls WHEN the value becomes
+/// visible to the caller, which is all that matters for the information
+/// flow of the algorithm. A throwing work item is captured at submit and
+/// rethrown when ITS completion is waited for, after the clock has moved —
+/// the same call site where ThreadExecutor surfaces worker exceptions.
 class VirtualExecutor final : public Executor {
  public:
-  explicit VirtualExecutor(std::size_t num_workers) : sched_(num_workers) {}
+  /// Throws InvalidArgument when \p num_workers is zero.
+  explicit VirtualExecutor(std::size_t num_workers);
 
-  std::size_t num_workers() const override { return sched_.num_workers(); }
-  std::size_t num_running() const override { return sched_.num_running(); }
+  std::size_t num_workers() const override { return busy_.size(); }
+  std::size_t num_running() const override { return running_.size(); }
+  /// Throws InvalidArgument when no worker is idle or \p duration is not
+  /// positive.
   void submit(std::size_t tag, std::function<double()> work,
               double duration) override;
   Completion wait_next() override;
@@ -117,38 +133,53 @@ class VirtualExecutor final : public Executor {
     return wait_next();  // virtual time never blocks for real
   }
   bool wall_clock() const override { return false; }
-  double now() const override { return sched_.now(); }
-  void advance_to(double t) override { sched_.advance_to(t); }
-  double total_busy_time() const override {
-    return sched_.total_busy_time();
-  }
-  std::vector<double> per_worker_busy() const override {
-    return sched_.per_worker_busy();
-  }
-
-  /// The underlying scheduler, for schedule-trace inspection.
-  const VirtualScheduler& scheduler() const { return sched_; }
+  double now() const override { return now_; }
+  /// Advances now() to \p t without completing anything: never backward,
+  /// and never past the earliest running finish (the request is capped
+  /// there, keeping completion order intact).
+  void advance_to(double t) override;
+  double total_busy_time() const override { return total_busy_; }
+  std::vector<double> per_worker_busy() const override { return busy_; }
 
  private:
-  struct Outcome {
-    double value = 0.0;
+  /// One running job: its completion (finish fixed at submit) and the
+  /// outcome of its eagerly evaluated work.
+  struct Running {
+    Completion completion;
     std::exception_ptr error;
+    std::size_t seq = 0;  ///< submission order, breaks finish-time ties
   };
 
-  VirtualScheduler sched_;
-  std::vector<Outcome> outcomes_;  // indexed by job id
+  /// Heap order of running_: the top finishes earliest, and equal finish
+  /// times complete in submission order.
+  static bool finishes_later(const Running& a, const Running& b);
+
+  double now_ = 0.0;
+  double total_busy_ = 0.0;
+  std::vector<double> busy_;  ///< per-worker share of total_busy_
+  std::vector<std::size_t> idle_;
+  std::vector<Running> running_;  ///< min-heap on (finish, seq)
+  std::size_t next_seq_ = 0;
 };
 
-/// Real-threads executor on the common ThreadPool. The objective runs on
-/// the worker thread (deferred, unlike VirtualExecutor), start/finish are
-/// wall-clock seconds since construction, and a throwing objective is
-/// delivered to wait_next() instead of being dropped with its future —
-/// dropping it would leave the proposer blocked forever.
+/// Real-threads executor: owns a fixed set of std::threads fed from one
+/// FIFO job queue. The objective runs on a worker thread (deferred, unlike
+/// VirtualExecutor), start/finish are wall-clock seconds since
+/// construction, and a throwing objective is delivered to wait_next() /
+/// try_wait_next() — a dropped exception would leave the proposer blocked
+/// forever. Jobs start in submission order. The destructor runs every
+/// submitted job, then joins: a hung objective blocks destruction
+/// (docs/failure-model.md).
 class ThreadExecutor final : public Executor {
  public:
+  /// Spawns \p num_threads workers; throws InvalidArgument when zero.
   explicit ThreadExecutor(std::size_t num_threads);
+  ~ThreadExecutor() override;
 
-  std::size_t num_workers() const override { return free_slot_count_; }
+  ThreadExecutor(const ThreadExecutor&) = delete;
+  ThreadExecutor& operator=(const ThreadExecutor&) = delete;
+
+  std::size_t num_workers() const override { return num_threads_; }
   std::size_t num_running() const override;
   void submit(std::size_t tag, std::function<double()> work,
               double duration) override;
@@ -160,25 +191,51 @@ class ThreadExecutor final : public Executor {
   std::vector<double> per_worker_busy() const override;
 
  private:
+  struct Job {
+    std::size_t tag = 0;
+    std::function<double()> work;
+  };
   struct Outcome {
     Completion completion;
     std::exception_ptr error;
   };
 
-  double elapsed() const;
+  void worker_loop();
+  /// Lets the workers finish every queued job, then joins them.
+  void stop_and_join();
+  /// Pops the front of done_ (the caller holds mutex_); rethrows its error.
+  Completion take_done();
 
-  std::chrono::steady_clock::time_point t0_;
-  std::size_t free_slot_count_ = 0;
+  const std::chrono::steady_clock::time_point t0_;
+  const std::size_t num_threads_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable work_cv_;  ///< workers: a job or stop arrived
+  std::condition_variable done_cv_;  ///< waiters: a completion arrived
+  std::deque<Job> queue_;
   std::deque<Outcome> done_;
   std::vector<std::size_t> free_slots_;
-  std::size_t in_flight_ = 0;
+  std::size_t in_flight_ = 0;  ///< submitted and not yet waited for
   double total_busy_ = 0.0;
   std::vector<double> busy_per_slot_;
-  // Last member: its destructor joins the workers while the state above
-  // (mutex, queues) is still alive — in-flight tasks touch both.
-  ThreadPool pool_;
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
 };
+
+/// Makespan comparison of the two issue policies on a fixed duration list,
+/// used by the Fig. 1 bench: runs the same durations through a synchronous
+/// (batched) and an asynchronous (greedy) schedule on a VirtualExecutor
+/// with `workers` workers. Each trace holds that schedule's completions in
+/// completion order; a job's tag is its index in the duration list.
+struct PolicyComparison {
+  double sync_makespan = 0.0;
+  double async_makespan = 0.0;
+  double sync_utilization = 0.0;
+  double async_utilization = 0.0;
+  std::vector<Completion> sync_trace;
+  std::vector<Completion> async_trace;
+};
+
+PolicyComparison compare_policies(const std::vector<double>& durations,
+                                  std::size_t workers);
 
 }  // namespace easybo::sched

@@ -237,10 +237,4 @@ void EvalSupervisor::replay_retries(std::uint32_t attempts) {
   }
 }
 
-std::vector<SupervisedCompletion> EvalSupervisor::wait_all() {
-  std::vector<SupervisedCompletion> done;
-  while (num_running() > 0) done.push_back(wait_next());
-  return done;
-}
-
 }  // namespace easybo::sched

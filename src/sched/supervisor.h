@@ -43,7 +43,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/rng.h"
 #include "obs/trace.h"
@@ -145,9 +144,6 @@ class EvalSupervisor {
   /// outcome (retries happen internally) and returns it. Never rethrows
   /// objective exceptions. Throws InvalidArgument when nothing is running.
   SupervisedCompletion wait_next();
-
-  /// Barrier: drains every outstanding supervised evaluation.
-  std::vector<SupervisedCompletion> wait_all();
 
   const Executor& executor() const { return exec_; }
 

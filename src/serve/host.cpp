@@ -63,12 +63,12 @@ double parse_double_token(const std::string& token, const char* what) {
 }
 
 std::size_t parse_tag_token(const std::string& token) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string::npos) {
+  try {
+    return static_cast<std::size_t>(io::parse_u64(token));
+  } catch (const Error&) {
     throw Error("expected a non-negative integer tag, got \"" + token +
                 "\"");
   }
-  return static_cast<std::size_t>(io::parse_u64(token));
 }
 
 std::string suggestion_json(const bo::Suggestion& s) {

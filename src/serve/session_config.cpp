@@ -154,10 +154,15 @@ SessionSpec parse_session_config(const std::string& json_text) {
   if (const JsonValue* v = j.find("seed")) {
     // u64 seeds cross the wire as decimal strings (JSON numbers are
     // doubles); small seeds may come as plain numbers.
-    spec.config.seed = v->kind() == JsonValue::Kind::String
-                           ? io::parse_u64(v->as_string())
-                           : static_cast<std::uint64_t>(
-                                 size_from(*v, "seed"));
+    if (v->kind() != JsonValue::Kind::String) {
+      spec.config.seed = static_cast<std::uint64_t>(size_from(*v, "seed"));
+    } else {
+      try {
+        spec.config.seed = io::parse_u64(v->as_string());
+      } catch (const Error& e) {
+        throw Error(std::string("session config: \"seed\": ") + e.what());
+      }
+    }
   }
   if (const JsonValue* v = j.find("mode")) {
     spec.config.mode = mode_from(v->as_string());

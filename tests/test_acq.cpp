@@ -514,7 +514,7 @@ TEST(HcPenalty, KeepsOnlyLastFivePoints) {
   for (int i = 0; i < 8; ++i) {
     pen.record({0.1 * i, 0.0});
   }
-  EXPECT_EQ(pen.history_size(), 5u);
+  EXPECT_EQ(pen.history().size(), 5u);
   // The first recorded point (0,0) fell out of the window: the penalty
   // right on it is only driven by the remaining (distant) points.
   EXPECT_LT(pen({0.0, 0.0}), 2.0);

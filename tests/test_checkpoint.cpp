@@ -27,6 +27,7 @@
 #include "circuit/testfunc.h"
 #include "common/rng.h"
 #include "io/journal.h"
+#include "io/json.h"
 #include "serve/session.h"
 
 namespace easybo::bo {
@@ -307,6 +308,25 @@ TEST(CheckpointJson, RefusesMalformedIntegersNamingTheField) {
       parse_error(parse_rec, with_field(line, "\"tag\":0", "\"tag\":0.5"))
           .find("\"tag\""),
       std::string::npos);
+}
+
+// Every 64-bit decimal — journal and snapshot words, the session config's
+// seed, the command-line integer flags — goes through one strict reader.
+TEST(ParseU64, AcceptsOnlyPlainDecimalDigits) {
+  EXPECT_EQ(io::parse_u64("0"), 0u);
+  EXPECT_EQ(io::parse_u64("18446744073709551615"), 18446744073709551615ull);
+  for (const char* bad : {"-1", " 7", "+7", "7 ", "", "18446744073709551616"}) {
+    SCOPED_TRACE(std::string("\"") + bad + "\"");
+    try {
+      (void)io::parse_u64(bad);
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      // A plain message quoting the input, not a precondition report.
+      EXPECT_NE(std::string(e.what()).find(std::string("\"") + bad + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(JournalHeaderJson, RoundTripsAndRejectsForeignSchemas) {

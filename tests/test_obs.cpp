@@ -74,16 +74,6 @@ TEST(RecordingSink, StopEndsTheSpanEarlyAndOnce) {
   EXPECT_EQ(sink.spans(Phase::HyperRefit), 1u);
 }
 
-TEST(RecordingSink, ResetForgetsEverything) {
-  RecordingSink sink;
-  count(&sink, "x", 3);
-  sink.add_time(Phase::ModelFit, 1.0);
-  sink.reset();
-  EXPECT_EQ(sink.counter("x"), 0u);
-  EXPECT_DOUBLE_EQ(sink.seconds(Phase::ModelFit), 0.0);
-  EXPECT_TRUE(sink.report().counters.empty());
-}
-
 TEST(RecordingSink, ConcurrentRecordingIsSafe) {
   // Executor workers and the proposer may record at once; run a burst of
   // writers so the TSan CI job can prove the locking (and the plain job

@@ -1,6 +1,7 @@
-// Tests for the classical optimizers: Nelder-Mead, DE, PSO, SA, random
-// search. Shared invariants (bounds respected, monotone history, observer
-// calls) are checked per algorithm via a parameterized suite.
+// Tests for the weighted FOM composition (paper Eq. 1) and the classical
+// optimizers: Nelder-Mead, DE, PSO, SA, random search. Shared invariants
+// (bounds respected, monotone history, observer calls) are checked per
+// algorithm via a parameterized suite.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +13,28 @@
 #include "common/rng.h"
 #include "opt/de.h"
 #include "opt/nelder_mead.h"
+#include "opt/objective.h"
 #include "opt/pso.h"
 #include "opt/random_search.h"
 #include "opt/sa.h"
 
 namespace easybo::opt {
 namespace {
+
+TEST(WeightedFom, MatchesPaperEq1) {
+  // FOM = 1.2 f1 + 10 f2 (Eq. 1 style composition).
+  auto f1 = [](const Vec& x) { return x[0]; };
+  auto f2 = [](const Vec& x) { return x[1]; };
+  const auto fom = make_weighted_fom({f1, f2}, {1.2, 10.0});
+  EXPECT_NEAR(fom({2.0, 3.0}), 1.2 * 2.0 + 10.0 * 3.0, 1e-12);
+}
+
+TEST(WeightedFom, RejectsBadComposition) {
+  auto f = [](const Vec&) { return 0.0; };
+  EXPECT_THROW(make_weighted_fom({}, {}), InvalidArgument);
+  EXPECT_THROW(make_weighted_fom({f}, {1.0, 2.0}), InvalidArgument);
+  EXPECT_THROW(make_weighted_fom({nullptr}, {1.0}), InvalidArgument);
+}
 
 TEST(NelderMead, SolvesQuadraticBowl) {
   const Bounds b{{-5, -5}, {5, 5}};

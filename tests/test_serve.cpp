@@ -325,6 +325,26 @@ TEST(SessionHostTest, NewRefusesConfigsThatCanNeverPropose) {
   }
 }
 
+TEST(SessionHostTest, NewRefusesMalformedSeedsNamingTheKey) {
+  const std::string dir = fresh_dir("bad_seed");
+  SessionHost host(dir, 4);
+  const std::string base = R"("dim":2,"init_points":2,"max_sims":10)";
+  int i = 0;
+  for (const char* seed : {"-1", " 7", "+7", "18446744073709551616"}) {
+    SCOPED_TRACE(seed);
+    const std::string name = "bad" + std::to_string(i++);
+    const std::string reply = host.handle_line(
+        "NEW " + name + " {" + base + R"(,"seed":")" + seed + "\"}");
+    EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
+    EXPECT_NE(reply.find("\"seed\""), std::string::npos) << reply;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + name + ".config"));
+  }
+  // The whole 64-bit range still crosses the wire.
+  EXPECT_EQ(host.handle_line("NEW max {" + base +
+                             R"(,"seed":"18446744073709551615"})"),
+            "OK created max");
+}
+
 // ---------------------------------------------------------------------------
 // Parity with standalone BoEngine runs
 // ---------------------------------------------------------------------------
