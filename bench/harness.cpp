@@ -1,17 +1,25 @@
 #include "harness.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
 #include "common/rng.h"
+#include "io/json.h"
 
 namespace easybo::bench {
 
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  const long long parsed = std::atoll(value);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
+  try {
+    const std::uint64_t parsed = io::parse_u64(value);
+    if (parsed > 0) return static_cast<std::size_t>(parsed);
+  } catch (const std::exception&) {
+  }
+  std::fprintf(stderr, "%s: expected a positive integer, got '%s'\n", name,
+               value);
+  std::exit(2);
 }
 
 void apply_bench_budgets(bo::BoConfig& config) {

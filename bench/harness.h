@@ -21,7 +21,10 @@
 
 namespace easybo::bench {
 
-/// Reads a positive integer environment override, or returns fallback.
+/// Reads a positive integer environment override, or returns fallback
+/// when the variable is unset or empty. Any other value that is not a
+/// positive decimal integer ("5x", "1e3", "-3", "0") exits 2 naming the
+/// variable, so a typo never silently shrinks a sample.
 std::size_t env_size(const char* name, std::size_t fallback);
 
 /// Aggregated statistics of repeated runs of one algorithm.

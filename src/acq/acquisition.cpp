@@ -78,7 +78,7 @@ Bucb::Bucb(const gp::Regressor* mean_model, const gp::Regressor* var_model,
 }
 
 // ---------------------------------------------------------------------------
-// Ei / Pi
+// Ei
 // ---------------------------------------------------------------------------
 
 Ei::Ei(const gp::Regressor* model, double best_y, double xi)
@@ -93,19 +93,6 @@ double Ei::operator()(const Vec& x) const {
   if (sd < 1e-12) return std::max(improve, 0.0);
   const double z = improve / sd;
   return improve * norm_cdf(z) + sd * norm_pdf(z);
-}
-
-Pi::Pi(const gp::Regressor* model, double best_y, double xi)
-    : model_(model), best_y_(best_y), xi_(xi) {
-  EASYBO_REQUIRE(model != nullptr, "Pi: null model");
-}
-
-double Pi::operator()(const Vec& x) const {
-  const auto p = model_->predict(x);
-  const double sd = p.stddev();
-  const double improve = p.mean - best_y_ - xi_;
-  if (sd < 1e-12) return improve > 0.0 ? 1.0 : 0.0;
-  return norm_cdf(improve / sd);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 #pragma once
 /// \file acquisition.h
-/// \brief Acquisition functions: UCB/EI/PI, pBO (Eq. 4), pHCBO (Eq. 5-6),
+/// \brief Acquisition functions: UCB/EI, pBO (Eq. 4), pHCBO (Eq. 5-6),
 /// and the EasyBO randomized-weight acquisition (Eq. 8) with the
-/// hallucination penalization (Eq. 9).
+/// hallucination penalization (Eq. 9), plus the BUCB and local-
+/// penalization batch baselines.
 ///
 /// All acquisitions are MAXIMIZED and operate in the BO loop's normalized
 /// model space (inputs in [0,1]^d, z-scored targets). They hold non-owning
@@ -96,18 +97,6 @@ class Ucb final : public ConfidenceBound {
 class Ei final : public AcquisitionFn {
  public:
   Ei(const gp::Regressor* model, double best_y, double xi = 0.0);
-  double operator()(const Vec& x) const override;
-
- private:
-  const gp::Regressor* model_;
-  double best_y_;
-  double xi_;
-};
-
-/// Probability of improvement: PI(x) = Phi((mu - y* - xi)/sigma).
-class Pi final : public AcquisitionFn {
- public:
-  Pi(const gp::Regressor* model, double best_y, double xi = 0.0);
   double operator()(const Vec& x) const override;
 
  private:
@@ -242,7 +231,7 @@ class LocalPenalization final : public AcquisitionFn {
 double estimate_lipschitz(const gp::Regressor& model, easybo::Rng& rng,
                           std::size_t probes = 64);
 
-/// Standard normal pdf / cdf (shared by EI/PI/LP).
+/// Standard normal pdf / cdf (shared by EI, LP and feasibility weighting).
 double norm_pdf(double z);
 double norm_cdf(double z);
 

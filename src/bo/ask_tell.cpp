@@ -9,7 +9,6 @@
 #include "acq/acquisition.h"
 #include "bo/constrained.h"
 #include "common/error.h"
-#include "common/sampling.h"
 #include "common/stats.h"
 #include "gp/trainer.h"
 #include "io/json.h"
@@ -295,15 +294,6 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
   const std::vector<Vec> anchors = {obs_x_[incumbent_index()]};
   obs::count(trace_, proposal_counter_);
 
-  // Thompson sampling picks from a sampled posterior path directly; it
-  // never goes through the generic acquisition maximizer.
-  if (cfg_.acq == AcqKind::Ts) {
-    return propose_thompson(pending);
-  }
-  if (cfg_.acq == AcqKind::Hedge) {
-    return propose_hedge(pending);
-  }
-
   // The hallucinated posterior / base acquisition (when used) must
   // outlive the maximization.
   std::unique_ptr<gp::Regressor> hallucinated;
@@ -367,9 +357,6 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
           base_acq.get(), &model_, pending, lipschitz, best_z);
       break;
     }
-    case AcqKind::Ts:
-    case AcqKind::Hedge:
-      break;  // handled above
   }
 
   auto best = acq::maximize_acquisition(*fn, dim, rng_, anchors,
@@ -379,82 +366,6 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
     hc_penalties_[slot % hc_penalties_.size()].record(x);
   }
   return x;
-}
-
-Vec AskTellCore::propose_thompson(const std::vector<Vec>& pending) {
-  // Candidate set: shifted Sobol + jittered incumbent copies. With
-  // penalization, sample from the hallucinated posterior so pending
-  // regions carry no leftover uncertainty to exploit. Candidate
-  // generation through the posterior argmax is this algorithm's
-  // acquisition maximization, hence the span over the whole body.
-  obs::ScopedTimer span(trace_, obs::Phase::AcqMaximize);
-  if (stop_ != nullptr) stop_->check("Thompson candidate generation");
-  const std::size_t dim = bounds_.dim();
-  std::vector<Vec> candidates;
-  const std::size_t sobol_count =
-      std::max<std::size_t>(cfg_.ts_candidates, 16);
-  if (dim <= SobolSequence::kMaxDim) {
-    SobolSequence sobol(dim);
-    Vec shift = rng_.uniform_vector(dim);
-    for (std::size_t i = 0; i < sobol_count; ++i) {
-      Vec p = sobol.next();
-      for (std::size_t j = 0; j < dim; ++j) {
-        p[j] += shift[j];
-        if (p[j] >= 1.0) p[j] -= 1.0;
-      }
-      candidates.push_back(std::move(p));
-    }
-  } else {
-    for (std::size_t i = 0; i < sobol_count; ++i) {
-      candidates.push_back(rng_.uniform_vector(dim));
-    }
-  }
-  const Vec& incumbent = obs_x_[incumbent_index()];
-  for (int k = 0; k < 8; ++k) {
-    Vec p = incumbent;
-    for (auto& v : p) v = std::clamp(v + rng_.normal(0.0, 0.05), 0.0, 1.0);
-    candidates.push_back(std::move(p));
-  }
-
-  std::size_t pick;
-  if (cfg_.penalize && !pending.empty()) {
-    const auto augmented = model_.hallucinate(pending);
-    pick = acq::thompson_sample_argmax(*augmented, candidates, rng_);
-  } else {
-    pick = acq::thompson_sample_argmax(model_, candidates, rng_);
-  }
-  return dedup(std::move(candidates[pick]), pending);
-}
-
-Vec AskTellCore::propose_hedge(const std::vector<Vec>& pending) {
-  const std::size_t dim = bounds_.dim();
-  const std::vector<Vec> anchors = {obs_x_[incumbent_index()]};
-
-  // Reward the previous nominees under the refreshed model first.
-  if (!hedge_nominees_.empty()) {
-    Vec means(acq::HedgePortfolio::kMembers);
-    for (std::size_t i = 0; i < hedge_nominees_.size(); ++i) {
-      means[i] = model_.predict(hedge_nominees_[i]).mean;
-    }
-    hedge_.reward(means);
-  }
-
-  // Each member nominates its own maximizer.
-  const double best_z = zscore_.transform(obs_y_[incumbent_index()]);
-  const acq::Ei ei(&model_, best_z, cfg_.ei_xi);
-  const acq::Pi pi(&model_, best_z, cfg_.ei_xi);
-  const acq::Ucb ucb(&model_, cfg_.lcb_kappa);
-  const acq::AcquisitionFn* members[] = {&ei, &pi, &ucb};
-
-  hedge_nominees_.clear();
-  for (const auto* member : members) {
-    hedge_nominees_.push_back(acq::maximize_acquisition(
-                                  *member, dim, rng_, anchors, cfg_.acq_opt,
-                                  trace_, stop_)
-                                  .best_x);
-  }
-  const std::size_t choice = hedge_.choose(rng_);
-  return dedup(hedge_nominees_[choice], pending);
 }
 
 std::unique_ptr<acq::AcquisitionFn> AskTellCore::feasibility_weighted(
@@ -692,8 +603,6 @@ BoCheckpoint AskTellCore::make_snapshot(double now, double busy,
   for (const auto& hc : hc_penalties_) {
     snap.hc_histories.emplace_back(hc.history().begin(), hc.history().end());
   }
-  snap.hedge_gains = hedge_.gains();
-  snap.hedge_nominees = hedge_nominees_;
   snap.next_hyper_refit = next_hyper_refit_;
   snap.hyper_refits = hyper_refits_;
   if (init_done_) snap.gp_log_hyperparams = model_.log_hyperparams();
@@ -747,10 +656,6 @@ void AskTellCore::restore_snapshot(const BoCheckpoint& snap,
       for (const Vec& x : snap.hc_histories[i]) hc_penalties_[i].record(x);
     }
   }
-  if (snap.hedge_gains.size() == acq::HedgePortfolio::kMembers) {
-    hedge_.set_gains(snap.hedge_gains);
-  }
-  hedge_nominees_ = snap.hedge_nominees;
   if (!con_models_.empty()) {
     const std::size_t c = con_models_.size();
     if (snap.obs_g.size() != obs_x_.size() ||

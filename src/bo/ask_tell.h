@@ -5,8 +5,8 @@
 /// AskTellCore is the proposal/observation state machine extracted from
 /// BoEngine: it owns everything that shapes the proposal stream — the GP
 /// model, normalizers, the proposal RNG stream, the dedup blocklists, the
-/// pHCBO penalty slots, the GP-Hedge portfolio, the hyper-refit schedule,
-/// the failure policies and the durability hooks (journal + snapshot) —
+/// pHCBO penalty slots, the hyper-refit schedule, the failure policies
+/// and the durability hooks (journal + snapshot) —
 /// and exposes exactly two mutation points:
 ///
 ///   suggest()            -> {tag, x}   the next point to evaluate
@@ -49,7 +49,7 @@
 #include <string>
 #include <vector>
 
-#include "acq/thompson.h"
+#include "acq/acquisition.h"
 #include "bo/checkpoint.h"
 #include "bo/config.h"
 #include "bo/result.h"
@@ -273,17 +273,15 @@ class AskTellCore {
 
   /// Restores every core-owned field from \p snap (the complement of
   /// make_snapshot): RNG, observations, proposal table, pending tags,
-  /// penalty histories, hedge state, refit schedule, and the fitted model
-  /// when the snapshot is post-init. \p origin names the snapshot in
-  /// error messages. Throws io::CheckpointError on internal
-  /// inconsistencies (e.g. a pending tag beyond the proposal table).
+  /// penalty histories, refit schedule, and the fitted model when the
+  /// snapshot is post-init. \p origin names the snapshot in error
+  /// messages. Throws io::CheckpointError on internal inconsistencies
+  /// (e.g. a pending tag beyond the proposal table).
   void restore_snapshot(const BoCheckpoint& snap, const std::string& origin);
 
  private:
   // --- proposal (the pre-refactor BoEngine internals, verbatim) ---------
   Vec propose(const std::vector<Vec>& pending, std::size_t slot);
-  Vec propose_thompson(const std::vector<Vec>& pending);
-  Vec propose_hedge(const std::vector<Vec>& pending);
   Vec dedup(Vec x, const std::vector<Vec>& pending);
 
   /// \p base weighted by feasibility, floored at the minimum of the plain
@@ -349,10 +347,6 @@ class AskTellCore {
 
   // pHCBO per-weight-slot penalty history.
   std::vector<acq::HighCoveragePenalty> hc_penalties_;
-
-  // GP-Hedge state (AcqKind::Hedge).
-  acq::HedgePortfolio hedge_;
-  std::vector<Vec> hedge_nominees_;
 
   std::size_t next_hyper_refit_ = 0;
   std::size_t hyper_refits_ = 0;

@@ -260,8 +260,10 @@ std::string BoCheckpoint::to_payload() const {
     if (i > 0) out.push_back(',');
     out += vecs_json(hc_histories[i]);
   }
-  out += "],\"hedge_gains\":" + io::json_vec(hedge_gains);
-  out += ",\"hedge_nominees\":" + vecs_json(hedge_nominees);
+  // The retired GP-Hedge state, frozen at the values every remaining
+  // acquisition wrote: files stay byte-identical and older readers, which
+  // require both keys, still read them. parse() ignores both.
+  out += "],\"hedge_gains\":[0,0,0],\"hedge_nominees\":[]";
   out += ",\"next_hyper_refit\":" + std::to_string(next_hyper_refit);
   out += ",\"hyper_refits\":" + std::to_string(hyper_refits);
   out += ",\"gp_log_hyperparams\":" + io::json_vec(gp_log_hyperparams);
@@ -309,8 +311,6 @@ BoCheckpoint BoCheckpoint::parse(const std::string& payload) {
   for (const auto& h : j.at("hc").as_array()) {
     c.hc_histories.push_back(vecs_from(h));
   }
-  c.hedge_gains = io::vec_from(j.at("hedge_gains"));
-  c.hedge_nominees = vecs_from(j.at("hedge_nominees"));
   c.next_hyper_refit = size_at(j, kSnapshot, "next_hyper_refit");
   c.hyper_refits = size_at(j, kSnapshot, "hyper_refits");
   c.gp_log_hyperparams = io::vec_from(j.at("gp_log_hyperparams"));
@@ -330,13 +330,13 @@ std::uint64_t config_fingerprint(const BoConfig& config,
                                  const opt::Bounds& bounds,
                                  std::size_t num_constraints) {
   // Removed knobs stay in the string as literals frozen at the values
-  // every run hashed while they existed (hedge_eta, async_slot_rotation,
-  // pin_hallucinated_mean, the RFF backend's three, the five eval_backoff_*
-  // / eval_retry_timeouts values and the eight trainer optimizer
-  // constants): checkpoints and sessions written with those values keep
-  // their fingerprint and resume, and one written with any other value
-  // refuses with "checkpoint config mismatch" instead of splicing two
-  // proposal streams.
+  // every run hashed while they existed (ts_candidates, hedge_eta,
+  // async_slot_rotation, pin_hallucinated_mean, the RFF backend's three,
+  // the five eval_backoff_* / eval_retry_timeouts values and the eight
+  // trainer optimizer constants): checkpoints and sessions written with
+  // those values keep their fingerprint and resume, and one written with
+  // any other value refuses with "checkpoint config mismatch" instead of
+  // splicing two proposal streams.
   // adapt_refit_cadence/adapt_refit_budget are absent: the adaptive
   // schedule is wall-clock driven — never reproducible across machines
   // anyway — and the schedule state itself rides in snapshots via
@@ -354,7 +354,7 @@ std::uint64_t config_fingerprint(const BoConfig& config,
   put(s, "uniform_w", config.uniform_w ? "1" : "0");
   put(s, "lcb_kappa", config.lcb_kappa);
   put(s, "bucb_kappa", config.bucb_kappa);
-  put_u(s, "ts_candidates", config.ts_candidates);
+  put_u(s, "ts_candidates", 192);
   put(s, "hedge_eta", 1.0);
   put(s, "ei_xi", config.ei_xi);
   put(s, "hc_d", config.hc_d);

@@ -110,8 +110,6 @@ struct BoCheckpoint {
   std::vector<std::size_t> pending;  ///< tags submitted but unhandled
 
   std::vector<std::vector<Vec>> hc_histories;  ///< pHCBO, oldest first
-  Vec hedge_gains;
-  std::vector<Vec> hedge_nominees;
 
   std::size_t next_hyper_refit = 0;
   std::size_t hyper_refits = 0;

@@ -42,8 +42,6 @@ const char* to_string(AcqKind kind) {
     case AcqKind::Phcbo: return "pHCBO";
     case AcqKind::Bucb: return "BUCB";
     case AcqKind::Lp: return "LP";
-    case AcqKind::Ts: return "TS";
-    case AcqKind::Hedge: return "Hedge";
   }
   return "?";
 }
@@ -67,8 +65,6 @@ std::string BoConfig::label() const {
     case AcqKind::Lcb: name = "LCB"; break;
     case AcqKind::Bucb: name = "BUCB"; break;
     case AcqKind::Lp: name = "LP"; break;
-    case AcqKind::Ts: name = "TS"; break;
-    case AcqKind::Hedge: name = "Hedge"; break;
   }
   return name + "-" + std::to_string(batch);
 }

@@ -16,8 +16,6 @@
 /// Extension baselines beyond the paper's roster:
 ///   BUCB-B       Sync/AsyncBatch + AcqKind::Bucb (hallucinated UCB [32])
 ///   LP-B         Sync/AsyncBatch + AcqKind::Lp (local penalization [33])
-///   TS(-B)       any mode + AcqKind::Ts (Thompson sampling [30])
-///   Hedge(-B)    any mode + AcqKind::Hedge (GP-Hedge portfolio [31])
 
 #include <cstdint>
 #include <memory>
@@ -45,8 +43,6 @@ enum class AcqKind {
   Phcbo,   ///< pBO + high-coverage penalty, Eq. 5-6 [23]
   Bucb,    ///< batch UCB with hallucinated variance [32] (extension)
   Lp,      ///< EI with local penalization around busy points [33] (ext.)
-  Ts,      ///< Thompson sampling over a candidate set [30] (extension)
-  Hedge,   ///< GP-Hedge portfolio of EI/PI/UCB [31] (extension)
 };
 
 /// What the engine does when a supervised evaluation ultimately fails —
@@ -84,10 +80,8 @@ struct BoConfig {
   /// shared Phcbo history).
   AcqKind acq = AcqKind::EasyBo;
   /// EasyBO hallucination penalization (§III-C). Only meaningful for
-  /// AcqKind::EasyBo in batch modes (and Ts, which then samples the
-  /// hallucinated posterior); ignored elsewhere. The hallucinated
-  /// posterior re-averages its constant mean over the data plus the
-  /// pseudo targets; Eq. 9 reads only its variance.
+  /// AcqKind::EasyBo in batch modes; ignored elsewhere. Eq. 9 reads the
+  /// hallucinated posterior's variance, its mean from the observed data.
   bool penalize = true;
   std::size_t batch = 5;        ///< B; forced to 1 in Sequential mode
   std::size_t init_points = 20; ///< random initial design size
@@ -98,7 +92,6 @@ struct BoConfig {
   bool uniform_w = false;
   double lcb_kappa = 2.0;       ///< kappa for the LCB baseline
   double bucb_kappa = 2.0;      ///< kappa for the BUCB extension baseline
-  std::size_t ts_candidates = 192;  ///< Thompson-sampling candidate count
   double ei_xi = 0.0;           ///< EI exploration offset
   double hc_d = 0.1;            ///< pHCBO penalization radius (normalized)
   double hc_n = 1.0;            ///< pHCBO penalty magnitude N_HC

@@ -11,55 +11,6 @@ namespace easybo::gp {
 
 namespace {
 
-/// One joint posterior sample over \p candidates for an exact GP with
-/// training inputs \p xs and observation noise \p noise_var:
-///   mu_i     = model.predict(c_i).mean
-///   Sigma_ij = k(c_i, c_j) - q_i^T q_j,   q_i = L^{-1} k(X, c_i)
-///   f        = mu + L_Sigma z,            z ~ N(0, I_m).
-/// Shared by GpRegressor and its hallucination overlay: passing the
-/// overlay's combined inputs and its predict() reproduces the sample a
-/// materialized augmented model would draw, bit for bit. Rebuilds a local
-/// Cholesky of the training covariance (O(n^3) once per call) so the
-/// routine only needs the public surface.
-Vec exact_joint_sample(const Kernel& kernel, const std::vector<Vec>& xs,
-                       double noise_var, const Regressor& model,
-                       const std::vector<Vec>& candidates, Rng& rng) {
-  const std::size_t m = candidates.size();
-  std::vector<Vec> q(m);
-  Vec mu(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    mu[i] = model.predict(candidates[i]).mean;
-  }
-  linalg::Matrix ktrain = kernel.gram(xs);
-  ktrain.add_diagonal(noise_var);
-  const linalg::Cholesky chol(ktrain);
-  for (std::size_t i = 0; i < m; ++i) {
-    q[i] = chol.solve_lower(kernel.cross(candidates[i], xs));
-  }
-
-  linalg::Matrix sigma(m, m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = i; j < m; ++j) {
-      const double v =
-          kernel(candidates[i], candidates[j]) - linalg::dot(q[i], q[j]);
-      sigma(i, j) = v;
-      sigma(j, i) = v;
-    }
-  }
-
-  const linalg::Cholesky sig_chol(sigma, /*initial_jitter=*/1e-8);
-  Vec z(m);
-  for (auto& v : z) v = rng.normal();
-  const auto& l = sig_chol.factor();
-  Vec f(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    double v = mu[i];
-    for (std::size_t jj = 0; jj <= i; ++jj) v += l(i, jj) * z[jj];
-    f[i] = v;
-  }
-  return f;
-}
-
 /// Rows of the batched variance solve between two retirement checks.
 constexpr std::size_t kRetireStride = 16;
 
@@ -377,14 +328,6 @@ void GpRegressor::set_log_hyperparams(const Vec& lp) {
   chol_.reset();
 }
 
-Vec GpRegressor::sample_posterior(const std::vector<Vec>& candidates,
-                                  Rng& rng) const {
-  EASYBO_REQUIRE(fitted(), "sample_posterior before fit()");
-  EASYBO_REQUIRE(!candidates.empty(), "sample_posterior: no candidates");
-  return exact_joint_sample(*kernel_, xs_, noise_var_, *this, candidates,
-                            rng);
-}
-
 GpRegressor GpRegressor::with_hallucinated(
     const std::vector<Vec>& pending) const {
   EASYBO_REQUIRE(fitted(), "with_hallucinated requires a fitted model");
@@ -400,12 +343,14 @@ GpRegressor GpRegressor::with_hallucinated(
 // HallucinatedGp: the zero-copy penalization overlay
 // ---------------------------------------------------------------------------
 
-/// The posterior a materialized with_hallucinated() model serves, computed
-/// without copying the base model: pseudo targets from the base posterior,
-/// factor rows appended over the borrowed base factor (CholeskyExt), and a
-/// combined alpha. Every arithmetic step replays the materialized path's
-/// operation order, so predictions and posterior samples are bit-identical
-/// — the property the proposal-stream compatibility tests pin down.
+/// The sigma-hat a materialized with_hallucinated() model serves, computed
+/// without copying the base model: factor rows appended over the borrowed
+/// base factor (CholeskyExt), every arithmetic step in the materialized
+/// path's operation order, so the variance is bit-identical — the property
+/// the proposal-stream compatibility tests pin down. The variance does not
+/// depend on the targets, so no pseudo target is computed: the mean is the
+/// base model's, the mean of a GP conditioned on pseudo targets at its own
+/// predictive mean, and what Eq. 9 and BUCB read through predict_paired.
 class HallucinatedGp final : public Regressor {
  public:
   HallucinatedGp(const GpRegressor* base, const std::vector<Vec>& pending)
@@ -417,19 +362,6 @@ class HallucinatedGp final : public Regressor {
     obs::count(trace, "gp.hallucinate");
     const Kernel& kernel = *base_->kernel_;
     const std::size_t n0 = base_->xs_.size();
-
-    // Pseudo targets: the BASE model's predictive means (§III-C), exactly
-    // as with_hallucinated computes them before any pseudo point is added.
-    // Mean-only: the variance solve would be dead work here.
-    pend_y_.reserve(pend_x_.size());
-    for (const Vec& x : pend_x_) pend_y_.push_back(base_->predict_mean(x));
-
-    // The empirical mean over data + pseudo targets, in the materialized
-    // model's summation order.
-    double acc = 0.0;
-    for (double y : base_->ys_) acc += y;
-    for (double y : pend_y_) acc += y;
-    y_mean_ = acc / static_cast<double>(n0 + pend_y_.size());
 
     // Append one factor row per pending point — the same columns fit()'s
     // incremental path builds, including the base factor's jitter.
@@ -462,7 +394,9 @@ class HallucinatedGp final : public Regressor {
                    static_cast<std::uint64_t>(rows));
       }
       obs::count(trace, "gp.hallucinate_fallback");
-      Matrix k = kernel.gram(combined_inputs());
+      std::vector<Vec> all = base_->xs_;
+      all.insert(all.end(), pend_x_.begin(), pend_x_.end());
+      Matrix k = kernel.gram(all);
       k.add_diagonal(base_->noise_var_);
       full_.emplace(k);
       obs::count(trace, "gp.chol_refactor");
@@ -471,15 +405,6 @@ class HallucinatedGp final : public Regressor {
                    static_cast<std::uint64_t>(full_->attempts() - 1));
       }
     }
-
-    Vec centered(n0 + pend_y_.size());
-    for (std::size_t i = 0; i < n0; ++i) {
-      centered[i] = base_->ys_[i] - y_mean_;
-    }
-    for (std::size_t i = 0; i < pend_y_.size(); ++i) {
-      centered[n0 + i] = pend_y_[i] - y_mean_;
-    }
-    alpha_ = full_ ? full_->solve(centered) : ext_.solve(centered);
   }
 
   std::size_t dim() const override { return base_->dim(); }
@@ -488,9 +413,9 @@ class HallucinatedGp final : public Regressor {
   }
   bool fitted() const override { return true; }
 
+  /// {base mean, sigma-hat^2}.
   Prediction predict(const Vec& x) const override {
-    const Vec kstar = cross(x);
-    return {y_mean_ + linalg::dot(kstar, alpha_), variance(x, kstar)};
+    return predict_paired(*base_, x);
   }
 
   /// With \p mean_model == the base: the base mean is the first n0
@@ -529,13 +454,6 @@ class HallucinatedGp final : public Regressor {
         xs, out, retire);
   }
 
-  Vec sample_posterior(const std::vector<Vec>& candidates,
-                       Rng& rng) const override {
-    EASYBO_REQUIRE(!candidates.empty(), "sample_posterior: no candidates");
-    return exact_joint_sample(*base_->kernel_, combined_inputs(),
-                              base_->noise_var_, *this, candidates, rng);
-  }
-
  private:
   /// k(x, X) over the base inputs then the pending points.
   Vec cross(const Vec& x) const {
@@ -555,20 +473,11 @@ class HallucinatedGp final : public Regressor {
     return std::max((*base_->kernel_)(x, x) - linalg::dot(z, z), 0.0);
   }
 
-  std::vector<Vec> combined_inputs() const {
-    std::vector<Vec> all = base_->xs_;
-    all.insert(all.end(), pend_x_.begin(), pend_x_.end());
-    return all;
-  }
-
   const GpRegressor* base_;  // borrowed; must stay alive and fitted
   std::vector<Vec> pend_x_;
   PointBlock pend_xt_;  // pend_x_ laid out for kernel rows
-  Vec pend_y_;  // pseudo targets: base predictive means
-  double y_mean_ = 0.0;
   linalg::CholeskyExt ext_;
   std::optional<linalg::Cholesky> full_;  // fallback factor (rare)
-  Vec alpha_;  // combined K^{-1} (y - mean)
 };
 
 std::unique_ptr<Regressor> GpRegressor::hallucinate(

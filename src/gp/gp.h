@@ -11,9 +11,10 @@
 /// penalization scheme (paper §III-C): pending query points are appended to
 /// the training set with their current predictive mean as pseudo
 /// observations; the shrunken predictive deviation of the augmented model is
-/// what Eq. 9 calls sigma-hat. hallucinate() serves it as a zero-copy
-/// overlay over the base factor; with_hallucinated() is the materialized
-/// deep-copy reference the overlay is proven bit-identical against.
+/// what Eq. 9 calls sigma-hat. hallucinate() serves sigma-hat as a
+/// zero-copy overlay over the base factor (its mean is the base's);
+/// with_hallucinated() is the materialized deep-copy reference the
+/// overlay's variance is proven bit-identical against.
 
 #include <memory>
 #include <optional>
@@ -122,30 +123,24 @@ class GpRegressor final : public Regressor {
   /// The observation noise variance sn^2.
   double noise_variance() const { return noise_var_; }
 
-  /// One joint posterior sample over \p candidates: O(m^2 n + m^3) for m
-  /// candidates (cross covariances + a Cholesky of the m x m posterior
-  /// covariance). Draws exactly m normals from \p rng.
-  Vec sample_posterior(const std::vector<Vec>& candidates,
-                       Rng& rng) const override;
-
   /// Hallucinated posterior for batch penalization (paper §III-C /
   /// Algorithm 1 line 6) as a zero-copy overlay: the pending points'
   /// factor rows are appended over the base factor (linalg::CholeskyExt),
-  /// no training data or O(n^2) triangle is copied. Predictions and
-  /// posterior samples are bit-identical to with_hallucinated(). This
-  /// model must stay alive, unmodified and fitted while the overlay is in
-  /// use (one proposal's acquisition maximization).
+  /// no training data or O(n^2) triangle is copied. The overlay serves
+  /// sigma-hat, bit-identical to with_hallucinated()'s variance; its mean
+  /// is this model's, which is the mean of a GP conditioned on pseudo
+  /// targets at its own predictive mean. This model must stay alive,
+  /// unmodified and fitted while the overlay is in use (one proposal's
+  /// acquisition maximization).
   std::unique_ptr<Regressor> hallucinate(
       const std::vector<Vec>& pending) const;
 
   /// Materialized hallucinated model: a full copy whose training set is
   /// D ∪ {pending, mu(pending)} (pseudo observations at the current
   /// predictive mean), already fitted. Hyperparameters are copied, NOT
-  /// re-optimized; like every fit(), the constant mean is re-averaged, here
-  /// over the data plus the pseudo targets (Eq. 9 reads only the
-  /// variance, so the mean matters only to Thompson sampling's posterior
-  /// draws). Kept as the reference implementation hallucinate() is
-  /// tested bit-identical against — production paths use the overlay.
+  /// re-optimized. Kept as the reference implementation hallucinate()'s
+  /// variance is tested bit-identical against — production paths use the
+  /// overlay.
   GpRegressor with_hallucinated(const std::vector<Vec>& pending) const;
 
   /// Installs a non-owning trace sink (nullptr = off, the default).

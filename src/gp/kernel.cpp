@@ -80,12 +80,6 @@ Matrix Kernel::gram(const std::vector<Vec>& xs) const {
   return k;
 }
 
-Vec Kernel::cross(const Vec& x, const std::vector<Vec>& xs) const {
-  Vec out(xs.size());
-  row(x, PointBlock(xs, dim()), 0, xs.size(), out.data());
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // SquaredExponentialArd
 // ---------------------------------------------------------------------------

@@ -86,9 +86,6 @@ class Kernel {
   /// Gram matrix K(X, X) for the points \p xs, one row per point.
   Matrix gram(const std::vector<Vec>& xs) const;
 
-  /// Cross-covariance vector k(x*, X).
-  Vec cross(const Vec& x, const std::vector<Vec>& xs) const;
-
   /// Deep copy (regressors own their kernel).
   virtual std::unique_ptr<Kernel> clone() const = 0;
 

@@ -3,12 +3,12 @@
 /// \brief The read-only posterior surface the acquisition layer consumes.
 ///
 /// Regressor is what an acquisition function needs from a model —
-/// predict(), the mean-only and paired posterior queries, joint posterior
-/// sampling, and its dimension and size — and nothing the BO
-/// core uses to feed, fit or train it. Two implementations exist, both in
-/// gp/gp.cpp: GpRegressor (the exact jittered-Cholesky GP the core owns
-/// and trains) and the hallucinated penalization overlay
-/// GpRegressor::hallucinate() returns (an immutable view, never refit).
+/// predict(), the mean-only and paired posterior queries, and its
+/// dimension and size — and nothing the BO core uses to feed, fit or
+/// train it. Two implementations exist, both in gp/gp.cpp: GpRegressor
+/// (the exact jittered-Cholesky GP the core owns and trains) and the
+/// hallucinated penalization overlay GpRegressor::hallucinate() returns
+/// (an immutable view, never refit, whose mean is its base model's).
 ///
 /// The paired query serves Eq. 9's (mu from the observed-data model,
 /// sigma-hat from this one) from one kernel cross and one forward solve
@@ -24,10 +24,8 @@
 #include <cmath>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "common/error.h"
-#include "common/rng.h"
 #include "linalg/vec.h"
 
 namespace easybo::gp {
@@ -98,12 +96,6 @@ class Regressor {
     }
     return xs.size();
   }
-
-  /// One joint sample of the posterior over \p candidates (Thompson
-  /// sampling). Returns the sampled latent values, one per candidate, and
-  /// draws exactly one normal from \p rng per candidate.
-  virtual Vec sample_posterior(const std::vector<Vec>& candidates,
-                               Rng& rng) const = 0;
 };
 
 }  // namespace easybo::gp

@@ -385,33 +385,4 @@ void CholeskyExt::solve_lower_inplace(std::span<double> b, std::size_t m,
                std::max(begin, n0), end, b.data(), m);
 }
 
-Vec CholeskyExt::solve(const Vec& b) const {
-  const std::size_t n0 = base_->size();
-  const std::size_t n = size();
-  EASYBO_REQUIRE(b.size() == n, "CholeskyExt::solve size mismatch");
-  Vec z = solve_lower(b);
-  // Back substitution L^T x = z over the combined factor. For i >= n0
-  // every sub-diagonal entry in column i lives in an appended row; for
-  // i < n0 the column crosses from the base triangle into the appended
-  // rows — accumulate base entries first, appended entries after, which
-  // is exactly ascending-k order in the monolithic loop.
-  const Matrix& l = base_->factor();
-  Vec x(n);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double acc = z[i];
-    if (i >= n0) {
-      for (std::size_t k = i + 1; k < n; ++k) acc -= rows_[k - n0][i] * x[k];
-      x[i] = acc / rows_[i - n0][i];
-    } else {
-      for (std::size_t k = i + 1; k < n0; ++k) acc -= l(k, i) * x[k];
-      for (std::size_t j = 0; j < rows_.size(); ++j) {
-        acc -= rows_[j][i] * x[n0 + j];
-      }
-      x[i] = acc / l(i, i);
-    }
-  }
-  return x;
-}
-
 }  // namespace easybo::linalg

@@ -143,9 +143,6 @@ class CholeskyExt {
   /// definite; the caller should fall back to a full factorization.
   bool extend(const Vec& new_column);
 
-  /// Solves (combined A) x = b through forward/back substitution.
-  Vec solve(const Vec& b) const;
-
   /// Solves (combined L) z = b, forward substitution only — the base
   /// triangle's rows, then the appended rows, under Cholesky::solve_lower's
   /// contract.

@@ -38,10 +38,12 @@ AcqKind acq_from(const std::string& name) {
   if (name == "pHCBO") return AcqKind::Phcbo;
   if (name == "BUCB") return AcqKind::Bucb;
   if (name == "LP") return AcqKind::Lp;
-  if (name == "TS") return AcqKind::Ts;
-  if (name == "Hedge") return AcqKind::Hedge;
+  if (name == "TS" || name == "Hedge") {
+    throw Error("session config: acq \"" + name +
+                "\" was removed (expected EI|LCB|EasyBO|pBO|pHCBO|BUCB|LP)");
+  }
   throw Error("session config: unknown acq \"" + name +
-              "\" (expected EI|LCB|EasyBO|pBO|pHCBO|BUCB|LP|TS|Hedge)");
+              "\" (expected EI|LCB|EasyBO|pBO|pHCBO|BUCB|LP)");
 }
 
 EvalFailurePolicy failure_from(const std::string& name) {

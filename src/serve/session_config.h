@@ -34,8 +34,8 @@ struct SessionSpec {
 /// default to [0,1]^dim) or explicit "lower"/"upper" arrays. Optional
 /// keys (BoConfig defaults apply, except on_eval_failure which defaults
 /// to "discard" for sessions): "seed", "mode"
-/// (sequential|sync|async), "acq" (EI|LCB|EasyBO|pBO|pHCBO|BUCB|LP|TS|
-/// Hedge), "penalize", "batch", "init_points", "max_sims", "lambda",
+/// (sequential|sync|async), "acq" (EI|LCB|EasyBO|pBO|pHCBO|BUCB|LP),
+/// "penalize", "batch", "init_points", "max_sims", "lambda",
 /// "uniform_w", "lcb_kappa", "ei_xi", "hc_d", "hc_n", "kernel",
 /// "refit_every", "checkpoint_every", "on_eval_failure"
 /// (discard|penalize), "eval_failure_quantile", "sobol_candidates",
@@ -44,7 +44,8 @@ struct SessionSpec {
 /// of removed knobs are accepted only at the one value every persisted
 /// config carries them with: "gp_backend" ("exact"), "rff_features" (128),
 /// "rff_train_subset" (512), "pin_hallucinated_mean" and
-/// "async_slot_rotation" (false). An unknown key is an error (a typo
+/// "async_slot_rotation" (false); the removed acquisitions "TS" and
+/// "Hedge" are refused by name. An unknown key is an error (a typo
 /// would otherwise silently change the proposal stream). Throws
 /// easybo::Error on malformed input; the result is validate()d.
 SessionSpec parse_session_config(const std::string& json_text);

@@ -1,4 +1,4 @@
-// Tests for the acquisition functions: UCB/EI/PI values, the EasyBO
+// Tests for the acquisition functions: UCB/EI values, the EasyBO
 // weight distribution (Fig. 2), the pBO weight grid, the pHCBO high-
 // coverage penalty (Eq. 6), and the hallucination-penalized weighted UCB
 // (Eq. 9).
@@ -88,22 +88,6 @@ TEST(Ei, MatchesClosedFormOnHandValues) {
       (p.mean - best) * norm_cdf(z) + p.stddev() * norm_pdf(z);
   Ei ei(&gp, best);
   EXPECT_NEAR(ei(x), expected, 1e-12);
-}
-
-TEST(Pi, IsAProbability) {
-  const auto gp = make_model();
-  Pi pi(&gp, 0.5);
-  for (double x = -0.2; x <= 1.2; x += 0.01) {
-    const double v = pi({x});
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1.0);
-  }
-}
-
-TEST(Pi, HighWhereMeanBeatsIncumbent) {
-  const auto gp = make_model();
-  Pi pi(&gp, 0.0);
-  EXPECT_GT(pi({0.5}), 0.95);  // training point with y=1 > incumbent 0
 }
 
 TEST(WeightedUcb, EndpointsAreMeanAndSigma) {

@@ -17,6 +17,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -28,7 +30,9 @@
 #include "common/rng.h"
 #include "io/journal.h"
 #include "io/json.h"
+#include "serve/host.h"
 #include "serve/session.h"
+#include "serve/session_config.h"
 
 namespace easybo::bo {
 namespace {
@@ -67,6 +71,19 @@ std::string fresh_base(const std::string& name) {
   std::remove(journal_file(base).c_str());
   std::remove(snapshot_file(base).c_str());
   return base;
+}
+
+/// FNV-1a 64 over the bytes of the journal, then the snapshot, under
+/// checkpoint base \p base.
+std::uint64_t durable_bytes_hash(const std::string& base) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::string& path : {journal_file(base), snapshot_file(base)}) {
+    for (const char c : io::read_file(path)) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
 }
 
 /// The equivalence the subsystem promises: identical proposal sequence,
@@ -385,10 +402,6 @@ TEST(BoCheckpointJson, RoundTripsBitIdenticalAcross50Seeds) {
       snap.hc_histories.push_back({rvec(3), rvec(3)});
       snap.hc_histories.push_back({});
     }
-    if (seed % 5 == 0) {
-      snap.hedge_gains = rvec(3);
-      snap.hedge_nominees = {rvec(3), rvec(3), rvec(3)};
-    }
     snap.next_hyper_refit = seed + 10;
     snap.hyper_refits = seed / 3;
     snap.gp_log_hyperparams = seed % 2 == 0 ? rvec(4) : Vec{};
@@ -422,8 +435,6 @@ TEST(BoCheckpointJson, RoundTripsBitIdenticalAcross50Seeds) {
     EXPECT_EQ(back.prop_duration, snap.prop_duration);
     EXPECT_EQ(back.pending, snap.pending);
     EXPECT_EQ(back.hc_histories, snap.hc_histories);
-    EXPECT_EQ(back.hedge_gains, snap.hedge_gains);
-    EXPECT_EQ(back.hedge_nominees, snap.hedge_nominees);
     EXPECT_EQ(back.next_hyper_refit, snap.next_hyper_refit);
     EXPECT_EQ(back.hyper_refits, snap.hyper_refits);
     EXPECT_EQ(back.gp_log_hyperparams, snap.gp_log_hyperparams);
@@ -471,10 +482,10 @@ TEST(ConfigFingerprint, SeparatesStreamsIgnoresDurabilityKnobs) {
 // Every checkpoint and served session on disk is bound to its config by
 // this hash, so the canonical string must never drift. Pinned to the
 // value the fingerprint had while BoConfig still carried the RFF knobs
-// (gp_backend / rff_features / rff_train_subset) and the hedge_eta /
-// async_slot_rotation / pin_hallucinated_mean knobs, all now hashed as
-// frozen literals: dropping those lines fails here instead of orphaning
-// every existing checkpoint.
+// (gp_backend / rff_features / rff_train_subset) and the ts_candidates /
+// hedge_eta / async_slot_rotation / pin_hallucinated_mean knobs, all now
+// hashed as frozen literals: dropping those lines fails here instead of
+// orphaning every existing checkpoint.
 TEST(ConfigFingerprint, MatchesValuesFromBeforeTheBackendRemoval) {
   const auto tf = easybo::circuit::branin();
   const std::uint64_t plain = config_fingerprint(BoConfig{}, tf.bounds);
@@ -495,6 +506,59 @@ TEST(ConfigFingerprint, HashesTheConstraintCountOnlyWhenConstrained) {
 // ---------------------------------------------------------------------------
 // Run-level guarantees
 // ---------------------------------------------------------------------------
+
+// The files a run leaves behind are a durable format: older binaries
+// read what newer ones write. Every journal line and the final snapshot
+// of a journaled engine run and of a hosted session are pinned here,
+// including the frozen fields of retired knobs (docs/checkpoint-format.md),
+// so a change that moves one byte fails instead of passing unnoticed.
+TEST(Checkpointing, DurableBytesMatchPinnedHash) {
+  const auto tf = easybo::circuit::branin();
+  BoConfig cfg = quick(Mode::AsyncBatch, 4, 3);
+  cfg.max_sims = 40;
+  cfg.checkpoint_path = fresh_base("pinned_bytes");
+  BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
+  EXPECT_EQ(durable_bytes_hash(cfg.checkpoint_path), 8767164000482121552ull);
+
+  // A hosted session: the initial design observed, then 12 turns that
+  // each suggest with one point in flight and observe the oldest.
+  const std::string dir = ::testing::TempDir() + "easybo_ckpt_pinned_host";
+  std::filesystem::remove_all(dir);
+  BoConfig scfg = quick(Mode::AsyncBatch, 2, 5);
+  scfg.init_points = 4;
+  scfg.max_sims = 20;
+  scfg.on_eval_failure = EvalFailurePolicy::Discard;
+  serve::SessionHost host(dir, 4);
+  ASSERT_EQ(host.handle_line("NEW s " +
+                             serve::session_config_json(scfg, tf.bounds)),
+            "OK created s");
+  std::deque<std::pair<std::size_t, double>> fly;  // tag, objective value
+  const auto suggest = [&] {
+    const std::string reply = host.handle_line("SUGGEST s");
+    ASSERT_EQ(reply.rfind("OK ", 0), 0u) << reply;
+    const io::JsonValue j = io::parse_json(reply.substr(3));
+    Vec x;
+    for (const auto& v : j.at("x").as_array()) x.push_back(v.as_double());
+    fly.emplace_back(static_cast<std::size_t>(j.at("tag").as_double()),
+                     tf.fn(x));
+  };
+  const auto observe_oldest = [&] {
+    const auto [tag, y] = fly.front();
+    fly.pop_front();
+    const std::string reply = host.handle_line(
+        "OBSERVE s " + std::to_string(tag) + " " + io::json_number(y));
+    ASSERT_EQ(reply.rfind("OK ", 0), 0u) << reply;
+  };
+  for (std::size_t i = 0; i < scfg.init_points; ++i) suggest();
+  while (!fly.empty()) observe_oldest();
+  suggest();
+  for (int turn = 0; turn < 12; ++turn) {
+    suggest();
+    observe_oldest();
+  }
+  observe_oldest();
+  EXPECT_EQ(durable_bytes_hash(dir + "/s"), 8482957236187877284ull);
+}
 
 TEST(Checkpointing, JournalingItselfChangesNothing) {
   const auto tf = easybo::circuit::branin();
@@ -618,9 +682,14 @@ TEST(Checkpointing, KillAndResumeOnThreadExecutorSequential) {
   const auto tf = easybo::circuit::branin();
   const BoConfig cfg = quick(Mode::Sequential, 1, 51);
 
-  sched::ThreadExecutor ref_exec(1);
-  BoEngine ref_engine(cfg, tf.bounds, tf.fn, nullptr);
-  const BoResult ref = ref_engine.run(ref_exec);
+  // The reference executor's worker is joined before fork(): a child
+  // forked from a multi-threaded parent may not start threads (TSan
+  // refuses it outright).
+  const BoResult ref = [&] {
+    sched::ThreadExecutor ref_exec(1);
+    BoEngine ref_engine(cfg, tf.bounds, tf.fn, nullptr);
+    return ref_engine.run(ref_exec);
+  }();
 
   const std::string base = fresh_base("kill_threads");
   const pid_t pid = fork();

@@ -129,8 +129,7 @@ TEST(OptimizeParallel, RunsFullAcquisitionRoster) {
     bo::Mode mode;
     bo::AcqKind acq;
   };
-  for (const Case& c : {Case{bo::Mode::AsyncBatch, bo::AcqKind::Ts},
-                        Case{bo::Mode::AsyncBatch, bo::AcqKind::Bucb},
+  for (const Case& c : {Case{bo::Mode::AsyncBatch, bo::AcqKind::Bucb},
                         Case{bo::Mode::SyncBatch, bo::AcqKind::EasyBo}}) {
     auto cfg = quick_config();
     cfg.mode = c.mode;

@@ -3,8 +3,8 @@
 ///
 /// Short seeded default-config runs on Branin, one per acquisition path
 /// the penalized and batched machinery serves (the confidence-bound
-/// family's pruned screening among them: EasyBO, BUCB, pBO, LCB and
-/// Hedge's UCB member), plus a Matérn-5/2 Branin run, a 10-D op-amp run
+/// family's pruned screening among them: EasyBO, BUCB, pBO and LCB),
+/// plus a Matérn-5/2 Branin run, a 10-D op-amp run
 /// whose hyperparameter refits fall at n = 20, 30 and 45, and a
 /// constrained run, hashed with FNV-1a 64 over
 /// the IEEE-754 bytes of every proposed coordinate in proposal order —
@@ -100,11 +100,6 @@ TEST(GoldenStreams, PboSync) {
 TEST(GoldenStreams, LcbSequential) {
   const BoConfig cfg = golden_config(Mode::Sequential, AcqKind::Lcb);
   EXPECT_EQ(branin_stream_hash(cfg), 0xfce2671a73df5e13ull);
-}
-
-TEST(GoldenStreams, HedgeSequential) {
-  const BoConfig cfg = golden_config(Mode::Sequential, AcqKind::Hedge);
-  EXPECT_EQ(branin_stream_hash(cfg), 0x23e10d079a3f935full);
 }
 
 TEST(GoldenStreams, EasyBoAsyncMatern52) {

@@ -1,10 +1,10 @@
 /// \file test_hallucinate.cpp
 /// \brief The zero-copy hallucination overlay (gp::GpRegressor::
-/// hallucinate): bit-parity with the deep-copy reference
-/// (with_hallucinated) on healthy, jittered and degenerate bases, honest
-/// counters, and the same parity — plus the paired
-/// posterior queries' — on the model states and pending sets real batch
-/// runs hallucinate over.
+/// hallucinate): its variance bit-identical to the deep-copy reference
+/// (with_hallucinated) and its mean to the base model's, on healthy,
+/// jittered and degenerate bases, honest counters, and the same parity —
+/// plus the paired posterior queries' — on the model states and pending
+/// sets real batch runs hallucinate over.
 
 #include <gtest/gtest.h>
 
@@ -49,8 +49,8 @@ std::vector<Vec> make_pending(std::size_t k, Rng& rng) {
 }
 
 // The property everything else rests on: for every batch size the
-// overlay serves the EXACT posterior the deep copy serves — same bits, not
-// merely close.
+// overlay serves the EXACT variance the deep copy serves — same bits, not
+// merely close — and the base model's mean.
 TEST(HallucinateOverlay, BitIdenticalToDeepCopy) {
   for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
     Rng rng(41);
@@ -69,30 +69,10 @@ TEST(HallucinateOverlay, BitIdenticalToDeepCopy) {
       const Vec x = {probe.uniform(), probe.uniform()};
       const auto pd = deep.predict(x);
       const auto po = overlay->predict(x);
-      EXPECT_EQ(po.mean, pd.mean) << "k=" << k;
+      EXPECT_EQ(po.mean, gp.predict_mean(x)) << "k=" << k;
       EXPECT_EQ(po.var, pd.var) << "k=" << k;
     }
   }
-}
-
-// Thompson draws go through the same joint-sampling routine: identical
-// values from an identical number of rng consumptions.
-TEST(HallucinateOverlay, SamplePosteriorBitIdentical) {
-  Rng rng(43);
-  const GpRegressor gp = fitted_gp(12, 1e-6, rng);
-  const auto pending = make_pending(4, rng);
-  const auto candidates = make_pending(6, rng);
-
-  const GpRegressor deep = gp.with_hallucinated(pending);
-  const auto overlay = gp.hallucinate(pending);
-
-  Rng ra(99), rb(99);
-  const Vec fd = deep.sample_posterior(candidates, ra);
-  const Vec fo = overlay->sample_posterior(candidates, rb);
-  ASSERT_EQ(fd.size(), fo.size());
-  for (std::size_t i = 0; i < fd.size(); ++i) EXPECT_EQ(fo[i], fd[i]);
-  // Both consumed the same number of draws: the streams stay aligned.
-  EXPECT_EQ(ra.normal(), rb.normal());
 }
 
 // A base factor that needed escalated jitter: the overlay must bake the
@@ -119,7 +99,7 @@ TEST(HallucinateOverlay, BitIdenticalOnJitteredBase) {
   Rng probe(45);
   for (int i = 0; i < 20; ++i) {
     const Vec x = {probe.uniform(), probe.uniform()};
-    EXPECT_EQ(overlay->predict(x).mean, deep.predict(x).mean);
+    EXPECT_EQ(overlay->predict(x).mean, gp.predict_mean(x));
     EXPECT_EQ(overlay->predict(x).var, deep.predict(x).var);
   }
 }
@@ -148,7 +128,7 @@ TEST(HallucinateOverlay, FallbackBitIdenticalAndCounted) {
   Rng probe(47);
   for (int i = 0; i < 20; ++i) {
     const Vec x = {probe.uniform(), probe.uniform()};
-    EXPECT_EQ(overlay->predict(x).mean, deep.predict(x).mean);
+    EXPECT_EQ(overlay->predict(x).mean, gp.predict_mean(x));
     EXPECT_EQ(overlay->predict(x).var, deep.predict(x).var);
   }
 }
@@ -178,7 +158,7 @@ TEST(HallucinateOverlay, CountsRowsAndLeavesBaseUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine level: the overlay serves the deep copy's posterior on real runs
+// Engine level: the overlay serves the deep copy's variance on real runs
 // ---------------------------------------------------------------------------
 
 bo::BoConfig engine_cfg(bo::Mode mode, std::uint64_t seed) {
@@ -202,9 +182,9 @@ bo::BoConfig engine_cfg(bo::Mode mode, std::uint64_t seed) {
 /// oldest-first (all at once in SyncBatch mode). Before every proposal
 /// that hallucinates, rebuilds the core's model from its snapshot exactly
 /// as a resume does and checks that the overlay over the live pending set
-/// serves the deep copy's posterior bit for bit, and that its scalar and
-/// batched paired queries serve {model mean, deep-copy variance} bit for
-/// bit. Returns the number of pending sets checked.
+/// serves {model mean, deep-copy variance} bit for bit through predict()
+/// and its scalar and batched paired queries. Returns the number of
+/// pending sets checked.
 std::size_t overlay_checks_along_run(const bo::BoConfig& cfg) {
   const auto tf = circuit::branin();
   bo::AskTellCore core(cfg, tf.bounds);
@@ -236,7 +216,7 @@ std::size_t overlay_checks_along_run(const bo::BoConfig& cfg) {
     overlay->predict_paired_batch(model, xs, batch);
     for (std::size_t i = 0; i < xs.size(); ++i) {
       const Vec& x = xs[i];
-      EXPECT_EQ(overlay->predict(x).mean, deep.predict(x).mean)
+      EXPECT_EQ(overlay->predict(x).mean, model.predict_mean(x))
           << "proposal " << core.issued();
       EXPECT_EQ(overlay->predict(x).var, deep.predict(x).var)
           << "proposal " << core.issued();

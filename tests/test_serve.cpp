@@ -325,6 +325,62 @@ TEST(SessionHostTest, NewRefusesConfigsThatCanNeverPropose) {
   }
 }
 
+// Thompson sampling and GP-Hedge were measured and retired
+// (EXPERIMENTS.md): NEW refuses them by name and persists nothing.
+TEST(SessionHostTest, NewRefusesRemovedAcquisitionsByName) {
+  const std::string dir = fresh_dir("removed_acq");
+  SessionHost host(dir, 4);
+  for (const std::string acq : {"TS", "Hedge"}) {
+    const std::string name = "s" + acq;
+    const std::string reply = host.handle_line(
+        "NEW " + name + R"( {"dim":2,"acq":")" + acq + R"("})");
+    EXPECT_EQ(reply, "ERR session config: acq \"" + acq +
+                         "\" was removed (expected "
+                         "EI|LCB|EasyBO|pBO|pHCBO|BUCB|LP)");
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + name + ".config"));
+  }
+}
+
+// A session persisted while it ran Thompson sampling cannot continue: its
+// config fails to load with the same message on every command, and its
+// files stay as they were.
+TEST(SessionHostTest, PersistedRemovedAcquisitionFailsToLoad) {
+  const auto tf = circuit::sphere(2);
+  const std::string dir = fresh_dir("removed_acq_persisted");
+  const std::string config = quick_config_json(3);
+  {
+    SessionHost host(dir, 4);
+    ASSERT_EQ(host.handle_line("NEW run " + config), "OK created run");
+    for (int i = 0; i < 2; ++i) {
+      const WireSuggestion s =
+          parse_suggest_reply(host.handle_line("SUGGEST run"));
+      ASSERT_EQ(host.handle_line("OBSERVE run " + std::to_string(s.tag) +
+                                 " " + io::json_number(tf.fn(s.x)))
+                    .rfind("OK ", 0),
+                0u);
+    }
+  }
+  // The config as a Thompson-sampling session wrote it.
+  std::string ts_config = config;
+  const std::string easybo = R"("acq":"EasyBO")";
+  ASSERT_NE(ts_config.find(easybo), std::string::npos);
+  ts_config.replace(ts_config.find(easybo), easybo.size(), R"("acq":"TS")");
+  io::atomic_write_file(dir + "/run.config", ts_config);
+  const std::string journal = io::read_file(bo::journal_file(dir + "/run"));
+
+  SessionHost host(dir, 4);
+  for (const std::string& cmd : {std::string("SUGGEST run"),
+                                 std::string("STATUS run"),
+                                 std::string("OBSERVE run 2 1.0"),
+                                 "NEW run " + config}) {
+    EXPECT_EQ(host.handle_line(cmd),
+              "ERR session config: acq \"TS\" was removed (expected "
+              "EI|LCB|EasyBO|pBO|pHCBO|BUCB|LP)")
+        << cmd;
+  }
+  EXPECT_EQ(io::read_file(bo::journal_file(dir + "/run")), journal);
+}
+
 TEST(SessionHostTest, NewRefusesMalformedSeedsNamingTheKey) {
   const std::string dir = fresh_dir("bad_seed");
   SessionHost host(dir, 4);

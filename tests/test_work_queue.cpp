@@ -28,11 +28,12 @@ using namespace std::chrono_literals;
 /// finishes — no sleeps guessing at scheduler timing.
 class Gate {
  public:
+  /// Notifies under the lock: a waiter may return, and destroy the gate,
+  /// as soon as it sees open_, so open() must not touch cv_ after it
+  /// releases m_.
   void open() {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      open_ = true;
-    }
+    std::lock_guard<std::mutex> lk(m_);
+    open_ = true;
     cv_.notify_all();
   }
   void wait() {
