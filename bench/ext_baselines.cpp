@@ -71,10 +71,8 @@ int main() {
         result = opt::pso_maximize(circuit_bench.fom, circuit_bench.bounds,
                                    rng, o, observer);
       } else {
-        opt::SaOptions o;
-        o.max_evals = sims;
         result = opt::sa_maximize(circuit_bench.fom, circuit_bench.bounds,
-                                  rng, o, observer);
+                                  rng, sims, observer);
       }
       bests.push_back(result.best_y);
       time_sum += virtual_time;

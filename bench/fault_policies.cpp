@@ -37,7 +37,6 @@ int main() {
     c.batch = 5;
     c.init_points = circuit_bench.init_points;
     c.max_sims = sims;
-    c.collect_metrics = true;
     apply_bench_budgets(c);
     return c;
   };
@@ -79,10 +78,12 @@ int main() {
       const opt::Objective fn = kase.inject
                                     ? injector.wrap(circuit_bench.fom)
                                     : circuit_bench.fom;
+      obs::RecordingSink recorder;  // the failure and retry counters
       bo::BoEngine engine(config, circuit_bench.bounds, fn,
                           [&](const linalg::Vec& x) {
                             return circuit_bench.sim_time(x);
                           });
+      engine.set_trace(&recorder);
       const auto result = engine.run();
       best.push_back(result.best_y);
       makespan += result.makespan;

@@ -47,14 +47,17 @@ AlgoStats run_bo_repeated(const circuit::SizingBenchmark& bench,
   double util_sum = 0.0;
   const std::size_t workers =
       (config.mode == bo::Mode::Sequential) ? 1 : config.batch;
-  // Recording is behaviorally inert (same proposals either way) and cheap
-  // next to the runs themselves, so the bench always keeps the report.
-  config.collect_metrics = true;
   for (std::size_t r = 0; r < runs; ++r) {
     config.seed = base_seed + r;
-    auto result = bo::run_bo(
+    // Recording is behaviorally inert (same proposals either way) and
+    // cheap next to the runs themselves, so the bench always keeps the
+    // report.
+    obs::RecordingSink recorder;
+    bo::BoEngine engine(
         config, bench.bounds, bench.fom,
         [&bench](const linalg::Vec& x) { return bench.sim_time(x); });
+    engine.set_trace(&recorder);
+    auto result = engine.run();
     bests.push_back(result.best_y);
     makespan_sum += result.makespan;
     util_sum += result.utilization(workers);
@@ -101,10 +104,8 @@ AlgoStats run_de_repeated(const circuit::SizingBenchmark& bench,
   for (std::size_t r = 0; r < runs; ++r) {
     Rng rng(base_seed + r);
     double virtual_time = 0.0;
-    opt::DeOptions opt;
-    opt.max_evals = de_evals;
     const auto result = opt::de_maximize(
-        bench.fom, bench.bounds, rng, opt,
+        bench.fom, bench.bounds, rng, de_evals,
         [&](const linalg::Vec& x, double, std::size_t) {
           virtual_time += bench.sim_time(x);
         });

@@ -6,12 +6,12 @@
 /// reported times. Also measures the src/obs instrumentation itself
 /// (null-sink spans must be free, recording spans cheap).
 ///
-/// Unless the caller passes its own --benchmark_out, results additionally
-/// go to BENCH_micro_gp.json in google-benchmark's JSON format.
+/// Results go to stdout only. A JSON record such as the committed
+/// BENCH_micro_gp.json baseline is written only when the caller names a
+/// file: --benchmark_out=FILE --benchmark_out_format=json.
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -408,24 +408,4 @@ BENCHMARK(BM_GpFitRecorded)->Arg(150);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): default the output to
-// BENCH_micro_gp.json (JSON format) unless the caller chose a file.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
-  }
-  std::string out = "--benchmark_out=BENCH_micro_gp.json";
-  std::string fmt = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out.data());
-    args.push_back(fmt.data());
-  }
-  int count = static_cast<int>(args.size());
-  benchmark::Initialize(&count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

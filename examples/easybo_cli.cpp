@@ -258,17 +258,13 @@ int run_classic(const CliOptions& cli, const ProblemBundle& problem,
   Rng rng(cli.seed);
   easybo::opt::OptResult result;
   if (cli.algo == "de") {
-    easybo::opt::DeOptions o;
-    o.max_evals = sims;
-    result = easybo::opt::de_maximize(problem.fn, problem.bounds, rng, o);
+    result = easybo::opt::de_maximize(problem.fn, problem.bounds, rng, sims);
   } else if (cli.algo == "pso") {
     easybo::opt::PsoOptions o;
     o.max_evals = sims;
     result = easybo::opt::pso_maximize(problem.fn, problem.bounds, rng, o);
   } else if (cli.algo == "sa") {
-    easybo::opt::SaOptions o;
-    o.max_evals = sims;
-    result = easybo::opt::sa_maximize(problem.fn, problem.bounds, rng, o);
+    result = easybo::opt::sa_maximize(problem.fn, problem.bounds, rng, sims);
   } else {
     result = easybo::opt::random_search_maximize(problem.fn, problem.bounds,
                                                  rng, sims);
@@ -366,10 +362,9 @@ int main(int argc, char** argv) {
                          cli.faults.nan_every > 0 ||
                          cli.faults.slow_every > 0;
   // Fault studies always want the failure counters and per-eval log.
-  config.collect_metrics = !cli.metrics_json.empty() ||
-                           !cli.metrics_csv.empty() || injecting ||
-                           config.on_eval_failure !=
-                               bo::EvalFailurePolicy::Abort;
+  const bool record = !cli.metrics_json.empty() || !cli.metrics_csv.empty() ||
+                      injecting ||
+                      config.on_eval_failure != bo::EvalFailurePolicy::Abort;
 
   opt::Objective fn = problem.fn;
   std::function<double(const linalg::Vec&)> sim_time = problem.sim_time;
@@ -397,28 +392,30 @@ int main(int argc, char** argv) {
   bo::BoResult result;
   // Declared before the engine scope so frames can still flush while the
   // run is torn down; closed explicitly right after the run so the bye
-  // frame is on disk before the metrics files are written.
+  // frame is on disk before the metrics files are written. The recorder
+  // outlives the stream that forwards to it.
+  obs::RecordingSink recorder;
   std::unique_ptr<obs::StreamSink> stream;
   try {
     bo::BoEngine engine(config, problem.bounds, fn, sim_time);
     engine.set_stop_token(&g_stop);
+    obs::TraceSink* trace = record ? &recorder : nullptr;
     if (!cli.stream.empty()) {
       obs::StreamOptions sopts;
       sopts.source = "cli:" + cli.problem + ":" + config.label();
-      // Forward to whatever the engine installed for itself (the
-      // collect_metrics recorder, or nothing) so one run streams live
-      // AND assembles the post-hoc report.
+      // Forward to the recorder (or nothing) so one run streams live AND
+      // assembles the post-hoc report.
       try {
-        stream = std::make_unique<obs::StreamSink>(cli.stream, sopts,
-                                                   engine.trace());
+        stream = std::make_unique<obs::StreamSink>(cli.stream, sopts, trace);
       } catch (const std::exception& e) {
         // An unopenable stream file is an environment error, not an
         // aborted optimization.
         std::fprintf(stderr, "easybo_cli: %s\n", e.what());
         return 1;
       }
-      engine.set_trace(stream.get());
+      trace = stream.get();
     }
+    engine.set_trace(trace);
     result = cli.resume.empty() ? engine.run() : engine.resume(cli.resume);
     if (stream != nullptr) stream->close();
   } catch (const io::CheckpointError& e) {

@@ -70,31 +70,29 @@
 ///
 /// Exit codes:
 ///   0  clean shutdown (stdin EOF, or SIGINT/SIGTERM)
-///   1  runtime error (state directory unusable, socket failure)
+///   1  runtime error (state directory unusable, socket failure), or a
+///      stdin request line that ran past serve::kMaxLineBytes with no
+///      newline (after one "ERR request line exceeds ..." reply)
 ///   2  bad arguments (the offending flag is named on stderr)
 
+#include <poll.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "io/fs_fault.h"
 #include "io/json.h"
 #include "obs/stream.h"
 #include "serve/host.h"
 #include "serve/tcp_server.h"
-
-#ifdef __unix__
-#include <poll.h>
-#include <unistd.h>
-#else
-#include <iostream>
-#endif
-
-#include <chrono>
-#include <thread>
 
 namespace {
 
@@ -108,17 +106,12 @@ void on_signal(int) { g_stop = 1; }
 /// sigaction without SA_RESTART makes those calls fail with EINTR, and
 /// every blocking point here re-checks g_stop on EINTR.
 void install_signal_handlers() {
-#ifdef __unix__
   struct sigaction sa{};
   sa.sa_handler = on_signal;
   sigemptyset(&sa.sa_mask);
   sa.sa_flags = 0;  // deliberately not SA_RESTART
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
-#else
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
-#endif
 }
 
 struct ServeOptions {
@@ -300,12 +293,14 @@ bool parse_args(int argc, char** argv, ServeOptions& opt) {
   return true;
 }
 
-#ifdef __unix__
 /// stdin loop that stays interruptible: poll + read with a 200 ms tick,
 /// so SIGTERM (EINTR or the next tick) ends the loop promptly instead of
 /// waiting for the next complete line. std::getline would block in a
 /// restarted read with the signal flag set and no one checking it.
+/// Like TcpServer, it hangs up on a client that sends more than
+/// serve::kMaxLineBytes without a newline: one ERR line, then exit 1.
 int serve_stdio(easybo::serve::SessionHost& host) {
+  using easybo::serve::kMaxLineBytes;
   std::string buffer;
   char chunk[4096];
   while (!g_stop) {
@@ -332,20 +327,17 @@ int serve_stdio(easybo::serve::SessionHost& host) {
       std::fputs((host.handle_line(line) + "\n").c_str(), stdout);
       std::fflush(stdout);
     }
+    if (!g_stop && buffer.size() > kMaxLineBytes) {
+      // No newline in the buffer: the frame is lost, so there is no
+      // spot to resynchronize from.
+      std::printf("ERR request line exceeds %zu bytes, closing\n",
+                  kMaxLineBytes);
+      std::fflush(stdout);
+      return 1;
+    }
   }
   return 0;
 }
-#else
-int serve_stdio(easybo::serve::SessionHost& host) {
-  std::string line;
-  while (!g_stop && std::getline(std::cin, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    std::cout << host.handle_line(line) << "\n" << std::flush;
-  }
-  return 0;
-}
-#endif
 
 }  // namespace
 
@@ -409,7 +401,6 @@ int main(int argc, char** argv) {
     tcp.port = opt.port;
     tcp.max_clients = opt.max_clients;
     tcp.idle_timeout_s = opt.idle_timeout_s;
-    tcp.max_line_bytes = host.limits().max_line_bytes;
     easybo::serve::TcpServer server(host, tcp);
     server.start();
     std::fprintf(stderr, "easybo_serve: listening on 127.0.0.1:%d\n",

@@ -130,15 +130,12 @@ AcqOptResult maximize_acquisition(const AcquisitionFn& fn, std::size_t dim,
   // Local refinement.
   if (opt.refine_evals > dim + 2) {
     opt::Bounds unit{Vec(dim, 0.0), Vec(dim, 1.0)};
-    opt::NelderMeadOptions nm;
-    nm.max_evals = opt.refine_evals;
-    nm.initial_step = 0.05;
     const std::size_t starts = std::min(opt.refine_top_k, order.size());
     for (std::size_t i = 0; i < starts; ++i) {
       if (stop != nullptr) stop->check("acquisition refinement");
       const auto local = opt::nelder_mead_maximize(
           [&fn](const Vec& x) { return fn(x); }, unit, candidates[order[i]],
-          nm);
+          opt.refine_evals);
       result.num_evals += local.num_evals;
       if (local.best_y > result.best_value) {
         result.best_value = local.best_y;

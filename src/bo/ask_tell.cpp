@@ -74,6 +74,9 @@ void AskTellCore::set_trace(obs::TraceSink* sink) {
 
 namespace {
 
+/// κ of the BUCB extension baseline's upper confidence bound.
+constexpr double kBucbKappa = 2.0;
+
 /// Column \p i of \p rows: one constraint's values across observations.
 Vec column(const std::vector<Vec>& rows, std::size_t i) {
   Vec out(rows.size());
@@ -343,9 +346,9 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
       if (!pending.empty()) {
         hallucinated = model_.hallucinate(pending);
         fn = std::make_unique<acq::Bucb>(&model_, hallucinated.get(),
-                                         cfg_.bucb_kappa);
+                                         kBucbKappa);
       } else {
-        fn = std::make_unique<acq::Bucb>(&model_, &model_, cfg_.bucb_kappa);
+        fn = std::make_unique<acq::Bucb>(&model_, &model_, kBucbKappa);
       }
       break;
     }

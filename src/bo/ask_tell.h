@@ -135,11 +135,8 @@ class AskTellCore {
               std::size_t num_constraints = 0);
 
   /// Installs a non-owning trace sink (nullptr restores the zero-cost
-  /// null default). Unlike BoEngine, the core never owns a recorder —
-  /// BoConfig::collect_metrics is the engine's convenience, not the
-  /// core's.
+  /// null default).
   void set_trace(obs::TraceSink* sink);
-  obs::TraceSink* trace() const { return trace_; }
 
   // --- the two mutation points ------------------------------------------
 

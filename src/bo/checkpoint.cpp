@@ -330,13 +330,13 @@ std::uint64_t config_fingerprint(const BoConfig& config,
                                  const opt::Bounds& bounds,
                                  std::size_t num_constraints) {
   // Removed knobs stay in the string as literals frozen at the values
-  // every run hashed while they existed (ts_candidates, hedge_eta,
-  // async_slot_rotation, pin_hallucinated_mean, the RFF backend's three,
-  // the five eval_backoff_* / eval_retry_timeouts values and the eight
-  // trainer optimizer constants): checkpoints and sessions written with
-  // those values keep their fingerprint and resume, and one written with
-  // any other value refuses with "checkpoint config mismatch" instead of
-  // splicing two proposal streams.
+  // every run hashed while they existed (bucb_kappa, ts_candidates,
+  // hedge_eta, async_slot_rotation, pin_hallucinated_mean, the RFF
+  // backend's three, the five eval_backoff_* / eval_retry_timeouts values
+  // and the eight trainer optimizer constants): checkpoints and sessions
+  // written with those values keep their fingerprint and resume, and one
+  // written with any other value refuses with "checkpoint config
+  // mismatch" instead of splicing two proposal streams.
   // adapt_refit_cadence/adapt_refit_budget are absent: the adaptive
   // schedule is wall-clock driven — never reproducible across machines
   // anyway — and the schedule state itself rides in snapshots via
@@ -353,7 +353,7 @@ std::uint64_t config_fingerprint(const BoConfig& config,
   put(s, "lambda", config.lambda);
   put(s, "uniform_w", config.uniform_w ? "1" : "0");
   put(s, "lcb_kappa", config.lcb_kappa);
-  put(s, "bucb_kappa", config.bucb_kappa);
+  put(s, "bucb_kappa", 2.0);
   put_u(s, "ts_candidates", 192);
   put(s, "hedge_eta", 1.0);
   put(s, "ei_xi", config.ei_xi);

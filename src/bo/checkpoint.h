@@ -125,10 +125,11 @@ struct BoCheckpoint {
 };
 
 /// Canonical fingerprint of everything that shapes the proposal stream:
-/// all behavioural BoConfig knobs (checkpoint_path/checkpoint_every and
-/// collect_metrics excluded — they never change proposals), the trainer
-/// and acquisition-optimizer options, the design bounds, and the number
-/// of constraints (only when non-zero). A resume whose fingerprint
+/// all behavioural BoConfig knobs (checkpoint_path/checkpoint_every
+/// excluded — they never change proposals — and the wall-clock driven
+/// adapt_refit_cadence/adapt_refit_budget), the trainer and
+/// acquisition-optimizer options, the design bounds, and the number of
+/// constraints (only when non-zero). A resume whose fingerprint
 /// differs from the files' refuses to run.
 std::uint64_t config_fingerprint(const BoConfig& config,
                                  const opt::Bounds& bounds,

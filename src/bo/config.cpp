@@ -75,7 +75,6 @@ void BoConfig::validate() const {
                  "simulation budget must exceed the initial design");
   EASYBO_REQUIRE(lambda > 0.0, "lambda must be positive");
   EASYBO_REQUIRE(lcb_kappa >= 0.0, "lcb_kappa must be >= 0");
-  EASYBO_REQUIRE(bucb_kappa >= 0.0, "bucb_kappa must be >= 0");
   EASYBO_REQUIRE(refit_every >= 1, "refit_every must be >= 1");
   if (mode != Mode::Sequential) {
     EASYBO_REQUIRE(batch >= 2, "batch modes need batch >= 2");

@@ -14,7 +14,8 @@
 ///   EasyBO-A-B   AsyncBatch + AcqKind::EasyBo, penalize=false
 ///   EasyBO-B     AsyncBatch + AcqKind::EasyBo, penalize=true
 /// Extension baselines beyond the paper's roster:
-///   BUCB-B       Sync/AsyncBatch + AcqKind::Bucb (hallucinated UCB [32])
+///   BUCB-B       Sync/AsyncBatch + AcqKind::Bucb (hallucinated UCB [32],
+///                kappa = 2)
 ///   LP-B         Sync/AsyncBatch + AcqKind::Lp (local penalization [33])
 
 #include <cstdint>
@@ -91,19 +92,15 @@ struct BoConfig {
   /// Isolates the value of EasyBO's nonlinear weight map (Fig. 2).
   bool uniform_w = false;
   double lcb_kappa = 2.0;       ///< kappa for the LCB baseline
-  double bucb_kappa = 2.0;      ///< kappa for the BUCB extension baseline
   double ei_xi = 0.0;           ///< EI exploration offset
   double hc_d = 0.1;            ///< pHCBO penalization radius (normalized)
   double hc_n = 1.0;            ///< pHCBO penalty magnitude N_HC
-  std::size_t refit_every = 5;  ///< retrain hyperparameters every k obs
+  /// Minimum gap in true observations between hyperparameter retrains:
+  /// after a retrain at n observations the next waits for
+  /// max(n + refit_every, floor(1.5 n)), so the gap grows with the data.
+  std::size_t refit_every = 5;
   std::string kernel = "se";    ///< "se" (paper) or "matern52" (extension)
   std::uint64_t seed = 1;
-  /// Collect the observability report (src/obs) into BoResult::metrics:
-  /// per-phase timers, Cholesky refactor/extend + dedup + refit counters,
-  /// eval failure/retry/timeout counters + per-eval outcome log,
-  /// per-worker busy/idle. Off by default — the null sink costs nothing
-  /// and collection never changes the proposal sequence either way.
-  bool collect_metrics = false;
   /// Adapt the hyper-refit cadence to measured cost mid-run: corrected
   /// EMAs of refit time and objective-eval time pick the next refit point
   /// so refitting stays near adapt_refit_budget of eval spend (see

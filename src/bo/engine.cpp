@@ -23,10 +23,6 @@ BoEngine::BoEngine(BoConfig config, opt::Bounds bounds,
   for (const Constraint& c : *constraints_) {
     EASYBO_REQUIRE(static_cast<bool>(c.fn), "null constraint function");
   }
-  if (cfg().collect_metrics) {
-    owned_recorder_ = std::make_unique<obs::RecordingSink>();
-    set_trace(owned_recorder_.get());
-  }
 }
 
 void BoEngine::set_trace(obs::TraceSink* sink) {

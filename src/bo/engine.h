@@ -25,8 +25,9 @@
 /// observations are z-scored before GP fitting, so mu and sigma in the
 /// weighted acquisitions are commensurate regardless of the circuit's FOM
 /// scale. Hyperparameters are re-trained on a geometrically thinning
-/// schedule (every refit_every observations early on, stretching by 1.5x
-/// as the dataset grows), warm-started from the previous optimum.
+/// schedule (after a retrain at n observations the next waits for
+/// max(n + refit_every, floor(1.5 n))), warm-started from the previous
+/// optimum.
 
 #include <algorithm>
 #include <atomic>
@@ -120,18 +121,14 @@ class BoEngine {
   /// Installs a non-owning trace sink for the run (call before run();
   /// nullptr restores the zero-cost null default). When the sink is an
   /// obs::RecordingSink, run() additionally assembles its contents — plus
-  /// the executor's per-worker busy/idle — into BoResult::metrics.
-  /// BoConfig::collect_metrics is the self-contained variant: the engine
-  /// then owns a RecordingSink and installs it here itself. A decorator
-  /// whose recording_sink() chases its forward pointer (obs::StreamSink)
-  /// keeps the metrics assembly working through the chain.
-  void set_trace(obs::TraceSink* sink);
-
-  /// The currently installed sink (nullptr = the null default). Lets a
-  /// caller wrap whatever the engine installed for itself:
-  ///   obs::StreamSink stream(path, {}, engine.trace());
+  /// the executor's per-worker busy/idle — into BoResult::metrics. A
+  /// decorator whose recording_sink() chases its forward pointer
+  /// (obs::StreamSink) keeps the metrics assembly working through the
+  /// chain:
+  ///   obs::RecordingSink rec;
+  ///   obs::StreamSink stream(path, {}, &rec);
   ///   engine.set_trace(&stream);
-  obs::TraceSink* trace() const { return trace_; }
+  void set_trace(obs::TraceSink* sink);
 
   /// The ask/tell core the engine drives, e.g. for the final incumbent.
   const AskTellCore& core() const { return core_; }
@@ -273,10 +270,8 @@ class BoEngine {
   std::string resume_note_;
 
   // Observability (src/obs). trace_ is non-owning and nullptr by default
-  // (the zero-cost null sink); owned_recorder_ backs it only when
-  // cfg_.collect_metrics asked the engine to record itself.
+  // (the zero-cost null sink).
   obs::TraceSink* trace_ = nullptr;
-  std::unique_ptr<obs::RecordingSink> owned_recorder_;
   std::vector<obs::EvalLogEntry> eval_log_;  // built when trace_ != nullptr
 };
 

@@ -58,8 +58,8 @@ struct BoResult {
 
   /// Observability report: per-phase timers, engine-room counters and
   /// per-worker busy/idle. Populated only when the run recorded metrics
-  /// (BoConfig::collect_metrics, or a RecordingSink installed through
-  /// BoEngine::set_trace); metrics.empty() otherwise.
+  /// (an obs::RecordingSink installed through BoEngine::set_trace, alone
+  /// or behind a forwarding sink); metrics.empty() otherwise.
   obs::MetricsReport metrics;
 
   std::size_t num_evals() const { return evals.size(); }

@@ -152,7 +152,6 @@ class GpRegressor final : public Regressor {
   /// hallucinated posteriors — inherit the sink, so their Cholesky work
   /// is counted too.
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
-  obs::TraceSink* trace() const { return trace_; }
 
   /// The current factor (requires fitted()); read by the hallucination
   /// overlay and by tests asserting jitter behaviour.

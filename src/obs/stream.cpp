@@ -10,6 +10,9 @@ namespace easybo::obs {
 
 namespace {
 
+/// A "stats" frame goes out after every this-many drained events.
+constexpr std::size_t kStatsEvery = 256;
+
 std::string num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -53,7 +56,7 @@ StreamSink::StreamSink(const std::string& path, StreamOptions options,
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   ring_.resize(options_.queue_capacity);
   batch_.reserve(options_.queue_capacity);
-  next_stats_frame_ = options_.stats_every;
+  next_stats_frame_ = kStatsEvery;
   file_ = std::fopen(path_.c_str(), "w");
   if (file_ == nullptr) {
     throw Error("StreamSink: cannot open " + path_ + " for writing");
@@ -179,9 +182,9 @@ std::size_t StreamSink::drain_batch() {
       new_drops = dropped_total - reported_drops_;
       reported_drops_ = dropped_total;
     }
-    if (stats_.emitted >= next_stats_frame_ && options_.stats_every > 0) {
+    if (stats_.emitted >= next_stats_frame_) {
       emit_stats = true;
-      next_stats_frame_ = stats_.emitted + options_.stats_every;
+      next_stats_frame_ = stats_.emitted + kStatsEvery;
     }
   }
 

@@ -32,7 +32,7 @@
 /// (obs/online_stats.h): CEMA + streaming quantiles over `objective eval`
 /// latency, `acq.inner_evals` deltas and `eval.retries` — snapshotted by
 /// stats()/stats_json() for the serve STATUS health plane and emitted
-/// periodically as "stats" frames.
+/// as a "stats" frame after every 256 drained events.
 
 #include <condition_variable>
 #include <cstdint>
@@ -52,8 +52,6 @@ struct StreamOptions {
   /// Bounded queue capacity in events; the oldest event is dropped when
   /// a producer finds it full.
   std::size_t queue_capacity = 4096;
-  /// Emit a "stats" frame after every this-many drained events.
-  std::size_t stats_every = 256;
   /// Drainer poll period. The drainer also wakes immediately on close().
   double drain_interval_s = 0.05;
   /// "source" label in the hello frame — names this process/run when an

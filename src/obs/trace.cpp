@@ -16,9 +16,4 @@ const char* to_string(Phase phase) {
   return "unknown";
 }
 
-NullSink& NullSink::instance() {
-  static NullSink sink;
-  return sink;
-}
-
 }  // namespace easybo::obs

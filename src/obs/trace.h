@@ -107,15 +107,4 @@ class ScopedTimer {
   Clock::time_point start_;
 };
 
-/// A sink object that discards everything — for call sites that want a
-/// non-null sink reference. Functionally identical to wiring nullptr.
-class NullSink final : public TraceSink {
- public:
-  void add_time(Phase, double) override {}
-  void add_counter(std::string_view, std::uint64_t) override {}
-
-  /// Shared instance (the sink is stateless).
-  static NullSink& instance();
-};
-
 }  // namespace easybo::obs

@@ -6,15 +6,21 @@
 
 namespace easybo::opt {
 
+namespace {
+
+constexpr std::size_t kPopulation = 50;
+constexpr double kWeight = 0.6;     ///< differential weight F
+constexpr double kCrossover = 0.9;  ///< crossover probability CR
+
+}  // namespace
+
 OptResult de_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
-                      const DeOptions& opt, const EvalObserver& observer) {
+                      std::size_t max_evals, const EvalObserver& observer) {
   bounds.validate();
-  EASYBO_REQUIRE(opt.population >= 4,
-                 "DE needs a population of at least 4 for mutation");
-  EASYBO_REQUIRE(opt.max_evals >= opt.population,
+  EASYBO_REQUIRE(max_evals >= kPopulation,
                  "DE budget must cover the initial population");
   const std::size_t d = bounds.dim();
-  const std::size_t np = opt.population;
+  const std::size_t np = kPopulation;
 
   OptResult result;
   auto evaluate = [&](const Vec& x) {
@@ -40,9 +46,11 @@ OptResult de_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
   }
 
   std::size_t best_idx = linalg::argmax(fitness);
-  while (result.num_evals < opt.max_evals) {
-    for (std::size_t i = 0; i < np && result.num_evals < opt.max_evals; ++i) {
-      // Pick distinct donors, all different from i.
+  while (result.num_evals < max_evals) {
+    for (std::size_t i = 0; i < np && result.num_evals < max_evals; ++i) {
+      // Pick distinct donors, all different from i. best/1/bin reads only
+      // a and b; c is drawn all the same, because its draws are part of
+      // the RNG sequence every seeded DE result reproduces.
       std::size_t a, b, c;
       do { a = rng.index(np); } while (a == i);
       do { b = rng.index(np); } while (b == i || b == a);
@@ -51,16 +59,8 @@ OptResult de_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
       Vec trial = pop[i];
       const std::size_t forced = rng.index(d);  // at least one gene crosses
       for (std::size_t j = 0; j < d; ++j) {
-        if (j != forced && !rng.bernoulli(opt.crossover)) continue;
-        double v = 0.0;
-        switch (opt.strategy) {
-          case DeStrategy::Rand1Bin:
-            v = pop[a][j] + opt.weight * (pop[b][j] - pop[c][j]);
-            break;
-          case DeStrategy::Best1Bin:
-            v = pop[best_idx][j] + opt.weight * (pop[a][j] - pop[b][j]);
-            break;
-        }
+        if (j != forced && !rng.bernoulli(kCrossover)) continue;
+        const double v = pop[best_idx][j] + kWeight * (pop[a][j] - pop[b][j]);
         trial[j] = std::clamp(v, bounds.lower[j], bounds.upper[j]);
       }
 

@@ -8,13 +8,25 @@
 
 namespace easybo::opt {
 
+namespace {
+
+constexpr double kInitialStep = 0.05;  ///< simplex edge, fraction of width
+constexpr double kXTol = 1e-7;         ///< stop when the simplex collapses
+constexpr double kFTol = 1e-10;        ///< stop when f-spread collapses
+// Standard coefficients (reflection/expansion/contraction/shrink).
+constexpr double kAlpha = 1.0;
+constexpr double kGamma = 2.0;
+constexpr double kRho = 0.5;
+constexpr double kSigma = 0.5;
+
+}  // namespace
+
 OptResult nelder_mead_maximize(const Objective& fn, const Bounds& bounds,
-                               const Vec& start,
-                               const NelderMeadOptions& opt) {
+                               const Vec& start, std::size_t max_evals) {
   bounds.validate();
   const std::size_t d = bounds.dim();
   EASYBO_REQUIRE(start.size() == d, "nelder_mead: start dim mismatch");
-  EASYBO_REQUIRE(opt.max_evals >= d + 2,
+  EASYBO_REQUIRE(max_evals >= d + 2,
                  "nelder_mead: budget too small for the initial simplex");
 
   OptResult result;
@@ -47,7 +59,7 @@ OptResult nelder_mead_maximize(const Objective& fn, const Bounds& bounds,
   for (std::size_t i = 0; i < d; ++i) {
     Vec v = simplex.front();
     const double width = bounds.upper[i] - bounds.lower[i];
-    double step = opt.initial_step * width;
+    double step = kInitialStep * width;
     // Flip direction if the step would leave the box entirely.
     if (v[i] + step > bounds.upper[i]) step = -step;
     v[i] += step;
@@ -57,7 +69,7 @@ OptResult nelder_mead_maximize(const Objective& fn, const Bounds& bounds,
   for (std::size_t i = 0; i <= d; ++i) values[i] = evaluate(simplex[i]);
 
   std::vector<std::size_t> order(d + 1);
-  while (result.num_evals < opt.max_evals) {
+  while (result.num_evals < max_evals) {
     // Sort indices: order[0] = best (largest), order[d] = worst.
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(),
@@ -74,7 +86,7 @@ OptResult nelder_mead_maximize(const Objective& fn, const Bounds& bounds,
       }
       x_spread = std::max(x_spread, hi - lo);
     }
-    if (f_spread < opt.f_tol || x_spread < opt.x_tol) break;
+    if (f_spread < kFTol || x_spread < kXTol) break;
 
     // Centroid of all but the worst vertex.
     Vec centroid(d, 0.0);
@@ -91,13 +103,13 @@ OptResult nelder_mead_maximize(const Objective& fn, const Bounds& bounds,
       return clamp(std::move(x));
     };
 
-    const Vec reflected = affine(opt.alpha);
+    const Vec reflected = affine(kAlpha);
     const double fr = evaluate(reflected);
 
     if (fr > values[order[0]]) {
       // Try to expand further in the same direction.
-      if (result.num_evals >= opt.max_evals) break;
-      const Vec expanded = affine(opt.alpha * opt.gamma);
+      if (result.num_evals >= max_evals) break;
+      const Vec expanded = affine(kAlpha * kGamma);
       const double fe = evaluate(expanded);
       if (fe > fr) {
         simplex[worst] = expanded;
@@ -115,9 +127,9 @@ OptResult nelder_mead_maximize(const Objective& fn, const Bounds& bounds,
     }
 
     // Contraction (outside if reflection improved on worst, else inside).
-    if (result.num_evals >= opt.max_evals) break;
+    if (result.num_evals >= max_evals) break;
     const bool outside = fr > values[worst];
-    const Vec contracted = affine(outside ? opt.alpha * opt.rho : -opt.rho);
+    const Vec contracted = affine(outside ? kAlpha * kRho : -kRho);
     const double fc = evaluate(contracted);
     if (fc > (outside ? fr : values[worst])) {
       simplex[worst] = contracted;
@@ -131,9 +143,9 @@ OptResult nelder_mead_maximize(const Objective& fn, const Bounds& bounds,
       const std::size_t idx = order[v];
       for (std::size_t i = 0; i < d; ++i) {
         simplex[idx][i] =
-            best_vertex[i] + opt.sigma * (simplex[idx][i] - best_vertex[i]);
+            best_vertex[i] + kSigma * (simplex[idx][i] - best_vertex[i]);
       }
-      if (result.num_evals >= opt.max_evals) break;
+      if (result.num_evals >= max_evals) break;
       values[idx] = evaluate(simplex[idx]);
     }
   }

@@ -14,22 +14,13 @@
 
 namespace easybo::opt {
 
-struct NelderMeadOptions {
-  std::size_t max_evals = 200;
-  double initial_step = 0.1;  ///< simplex edge, as a fraction of box width
-  double x_tol = 1e-7;        ///< stop when the simplex collapses
-  double f_tol = 1e-10;       ///< stop when f-spread collapses
-  // Standard coefficients (reflection/expansion/contraction/shrink).
-  double alpha = 1.0;
-  double gamma = 2.0;
-  double rho = 0.5;
-  double sigma = 0.5;
-};
-
 /// Maximizes \p fn from \p start (must lie in the box; points are clamped
-/// to the box throughout).
+/// to the box throughout) with at most \p max_evals evaluations. The
+/// initial simplex steps 0.05 of the box width along each axis, the
+/// standard coefficients apply (reflection 1, expansion 2, contraction
+/// 0.5, shrink 0.5), and the search stops early when the simplex spans
+/// under 1e-7 or its values under 1e-10.
 OptResult nelder_mead_maximize(const Objective& fn, const Bounds& bounds,
-                               const Vec& start,
-                               const NelderMeadOptions& options = {});
+                               const Vec& start, std::size_t max_evals);
 
 }  // namespace easybo::opt

@@ -6,6 +6,16 @@
 
 namespace easybo::opt {
 
+namespace {
+
+// Clerc constriction coefficients.
+constexpr double kInertia = 0.729;
+constexpr double kCognitive = 1.49445;
+constexpr double kSocial = 1.49445;
+constexpr double kMaxVelocity = 0.2;  ///< per-dimension cap, box fraction
+
+}  // namespace
+
 OptResult pso_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
                        const PsoOptions& opt, const EvalObserver& observer) {
   bounds.validate();
@@ -34,7 +44,7 @@ OptResult pso_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
     for (std::size_t j = 0; j < d; ++j) {
       const double width = bounds.upper[j] - bounds.lower[j];
       pos[i][j] = rng.uniform(bounds.lower[j], bounds.upper[j]);
-      vel[i][j] = rng.uniform(-0.5, 0.5) * opt.max_velocity * width;
+      vel[i][j] = rng.uniform(-0.5, 0.5) * kMaxVelocity * width;
     }
     pbest[i] = pos[i];
     pbest_val[i] = evaluate(pos[i]);
@@ -45,12 +55,12 @@ OptResult pso_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
     for (std::size_t i = 0; i < n && result.num_evals < opt.max_evals; ++i) {
       for (std::size_t j = 0; j < d; ++j) {
         const double width = bounds.upper[j] - bounds.lower[j];
-        const double vmax = opt.max_velocity * width;
+        const double vmax = kMaxVelocity * width;
         const double r1 = rng.uniform();
         const double r2 = rng.uniform();
-        double v = opt.inertia * vel[i][j] +
-                   opt.cognitive * r1 * (pbest[i][j] - pos[i][j]) +
-                   opt.social * r2 * (pbest[gbest][j] - pos[i][j]);
+        double v = kInertia * vel[i][j] +
+                   kCognitive * r1 * (pbest[i][j] - pos[i][j]) +
+                   kSocial * r2 * (pbest[gbest][j] - pos[i][j]);
         v = std::clamp(v, -vmax, vmax);
         vel[i][j] = v;
         pos[i][j] = std::clamp(pos[i][j] + v, bounds.lower[j], bounds.upper[j]);

@@ -11,13 +11,12 @@ namespace easybo::opt {
 struct PsoOptions {
   std::size_t swarm = 40;
   std::size_t max_evals = 4000;
-  double inertia = 0.729;       ///< Clerc constriction defaults
-  double cognitive = 1.49445;
-  double social = 1.49445;
-  double max_velocity = 0.2;    ///< per-dimension cap, fraction of box width
 };
 
-/// Maximizes \p fn over the box with a global-best topology swarm.
+/// Maximizes \p fn over the box with a global-best topology swarm, moved
+/// with Clerc's constriction coefficients (inertia 0.729, cognitive and
+/// social weights 1.49445) and each velocity component capped at 0.2 of
+/// the box width.
 OptResult pso_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
                        const PsoOptions& options = {},
                        const EvalObserver& observer = nullptr);

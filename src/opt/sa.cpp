@@ -7,12 +7,19 @@
 
 namespace easybo::opt {
 
+namespace {
+
+constexpr double kInitialTemp = 1.0;   ///< in the objective's units
+constexpr double kCooling = 0.995;     ///< geometric cooling per evaluation
+constexpr double kInitialStep = 0.25;  ///< proposal stddev, box fraction
+constexpr double kFinalStep = 0.01;    ///< the step shrinks toward this
+
+}  // namespace
+
 OptResult sa_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
-                      const SaOptions& opt, const EvalObserver& observer) {
+                      std::size_t max_evals, const EvalObserver& observer) {
   bounds.validate();
-  EASYBO_REQUIRE(opt.max_evals >= 2, "SA needs at least two evaluations");
-  EASYBO_REQUIRE(opt.cooling > 0.0 && opt.cooling < 1.0,
-                 "SA cooling factor must be in (0,1)");
+  EASYBO_REQUIRE(max_evals >= 2, "SA needs at least two evaluations");
   const std::size_t d = bounds.dim();
 
   OptResult result;
@@ -34,14 +41,14 @@ OptResult sa_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
   }
   double current_y = evaluate(current);
 
-  double temp = opt.initial_temp;
+  double temp = kInitialTemp;
   // Geometric step-size schedule synced to the evaluation budget.
-  const double steps = static_cast<double>(opt.max_evals);
+  const double steps = static_cast<double>(max_evals);
   const double step_decay =
-      std::pow(opt.final_step / opt.initial_step, 1.0 / steps);
-  double step = opt.initial_step;
+      std::pow(kFinalStep / kInitialStep, 1.0 / steps);
+  double step = kInitialStep;
 
-  while (result.num_evals < opt.max_evals) {
+  while (result.num_evals < max_evals) {
     Vec proposal = current;
     for (std::size_t j = 0; j < d; ++j) {
       const double width = bounds.upper[j] - bounds.lower[j];
@@ -54,7 +61,7 @@ OptResult sa_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
       current = std::move(proposal);
       current_y = y;
     }
-    temp *= opt.cooling;
+    temp *= kCooling;
     step *= step_decay;
   }
   return result;

@@ -7,17 +7,13 @@
 
 namespace easybo::opt {
 
-struct SaOptions {
-  std::size_t max_evals = 4000;
-  double initial_temp = 1.0;    ///< in units of the objective's scale
-  double cooling = 0.995;       ///< geometric cooling per evaluation
-  double initial_step = 0.25;   ///< proposal stddev, fraction of box width
-  double final_step = 0.01;     ///< step shrinks geometrically toward this
-};
-
-/// Maximizes \p fn with Metropolis acceptance and geometric cooling.
+/// Maximizes \p fn with \p max_evals evaluations (at least 2), Metropolis
+/// acceptance and geometric cooling: the temperature starts at 1 (in units
+/// of the objective's scale) and cools by 0.995 per evaluation, and the
+/// Gaussian proposal step shrinks geometrically from 0.25 to 0.01 of the
+/// box width over the budget.
 OptResult sa_maximize(const Objective& fn, const Bounds& bounds, Rng& rng,
-                      const SaOptions& options = {},
+                      std::size_t max_evals,
                       const EvalObserver& observer = nullptr);
 
 }  // namespace easybo::opt

@@ -138,30 +138,19 @@ SupervisedCompletion EvalSupervisor::wait_next() {
         }
       }
       if (dl - exec_.now() <= 0.0) {
-        // Overdue: abandon the worker and report (or retry) now.
+        // Overdue: abandon the worker and report the timeout now.
         Flight& stuck = inflight_.at(dl_id);
         obs::count(trace_, "eval.timeouts");
-        Flight cont = stuck;  // salvage before orphaning
         stuck.orphaned = true;
         stuck.work = nullptr;  // the orphan only waits to be swallowed
         ++orphans_;
-        const bool can_retry = cfg_.retry_timeouts &&
-                               cont.attempt <= cfg_.max_retries &&
-                               exec_.has_idle_worker();
-        if (can_retry) {
-          obs::count(trace_, "eval.retries");
-          cont.attempt += 1;
-          launch(std::move(cont),
-                 backoff_delay(cfg_, cont.attempt - 1, rng_));
-          continue;
-        }
         SupervisedCompletion out;
-        out.completion.tag = cont.tag;
+        out.completion.tag = stuck.tag;
         out.completion.worker = exec_.num_workers();  // sentinel: unknown
-        out.completion.start = cont.first_start;
+        out.completion.start = stuck.first_start;
         out.completion.finish = exec_.now();
         out.status = EvalStatus::Timeout;
-        out.attempts = cont.attempt;
+        out.attempts = stuck.attempt;
         return out;
       }
       copt = exec_.try_wait_next(dl - exec_.now());
@@ -207,9 +196,7 @@ SupervisedCompletion EvalSupervisor::wait_next() {
         break;
       case EvalStatus::Ok: break;
     }
-    const bool retryable =
-        status != EvalStatus::Timeout || cfg_.retry_timeouts;
-    if (retryable && flight.attempt <= cfg_.max_retries) {
+    if (status != EvalStatus::Timeout && flight.attempt <= cfg_.max_retries) {
       obs::count(trace_, "eval.retries");
       flight.attempt += 1;
       launch(std::move(flight),

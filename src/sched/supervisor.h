@@ -68,17 +68,14 @@ struct SupervisorConfig {
   /// <= 0 disables deadlines.
   double timeout = 0.0;
   /// Retries after the first attempt, for transient failures
-  /// (exceptions and non-finite values; timeouts only when
-  /// retry_timeouts).
+  /// (exceptions and non-finite values). Timeouts are never retried: a
+  /// timeout already burned a full deadline, and a deterministic
+  /// over-long simulation will time out again.
   std::size_t max_retries = 0;
   double backoff_init = 0.5;    ///< delay before the first retry (seconds)
   double backoff_factor = 2.0;  ///< exponential growth per further retry
   double backoff_max = 30.0;    ///< delay cap (seconds)
   double backoff_jitter = 0.1;  ///< uniform +- fraction on each delay
-  /// Also retry timed-out attempts. Off by default: a timeout already
-  /// burned a full deadline, and a deterministic over-long simulation
-  /// will time out again.
-  bool retry_timeouts = false;
   std::uint64_t seed = 0x5AFEB0FFu;  ///< jitter stream seed
 
   /// Throws InvalidArgument when a knob is out of range.

@@ -509,9 +509,9 @@ void SessionHost::watchdog_quarantine(const std::string& name) {
 
 std::string SessionHost::handle_line(const std::string& line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  if (line.size() > limits_.max_line_bytes) {
-    return "ERR request line exceeds " +
-           std::to_string(limits_.max_line_bytes) + " bytes";
+  if (line.size() > kMaxLineBytes) {
+    return "ERR request line exceeds " + std::to_string(kMaxLineBytes) +
+           " bytes";
   }
   if (has_control_bytes(line)) {
     return "ERR request contains control bytes";

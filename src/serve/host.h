@@ -107,15 +107,18 @@ namespace easybo::serve {
 /// this set can never escape either role).
 bool valid_session_name(const std::string& name);
 
+/// Longest accepted request line. SessionHost::handle_line answers a
+/// longer line with one "ERR"; both transports (TcpServer and
+/// easybo_serve's stdio loop) cut a peer off once this many bytes arrive
+/// without a newline, since a lost frame has nothing to resynchronize on.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 /// Abuse/overload knobs. The defaults are generous enough that a
 /// well-behaved client never notices them.
 struct HostLimits {
   /// Commands allowed in flight at once before newcomers are shed with
   /// "ERR busy". The bare "STATUS" health probe is exempt.
   std::size_t max_inflight = 256;
-  /// Longest accepted request line; longer lines get one "ERR" reply.
-  /// Transports enforce the same cap on the wire (TcpOptions).
-  std::size_t max_line_bytes = 1u << 20;
   /// Worker threads executing SUGGEST/OBSERVE off the calling thread.
   /// 0 (the default) keeps the direct path: the calling thread runs the
   /// command itself, with no deadlines — exactly the pre-pool behavior.
@@ -236,7 +239,6 @@ class SessionHost {
 
   const std::string& state_dir() const { return state_dir_; }
   std::size_t max_live() const { return max_live_; }
-  const HostLimits& limits() const { return limits_; }
 
  private:
   /// One session name's place in the host. Slots outlive their Session

@@ -50,8 +50,6 @@ TcpServer::TcpServer(SessionHost& host, TcpOptions options)
     : host_(host), options_(options) {
   EASYBO_REQUIRE(options_.max_clients > 0,
                  "TcpServer: max_clients must be positive");
-  EASYBO_REQUIRE(options_.max_line_bytes > 0,
-                 "TcpServer: max_line_bytes must be positive");
 }
 
 TcpServer::~TcpServer() { stop(); }
@@ -233,13 +231,12 @@ void TcpServer::serve_connection(int fd) {
     }
     buf.erase(0, pos);
     if (drop) break;
-    if (buf.size() > options_.max_line_bytes) {
+    if (buf.size() > kMaxLineBytes) {
       // A newline may never come; once the frame is blown there is no
       // spot to resynchronize from, so refuse and hang up.
       oversized_.fetch_add(1, std::memory_order_relaxed);
       send_all(fd, "ERR request line exceeds " +
-                       std::to_string(options_.max_line_bytes) +
-                       " bytes, closing\n");
+                       std::to_string(kMaxLineBytes) + " bytes, closing\n");
       break;
     }
   }

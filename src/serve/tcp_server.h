@@ -14,8 +14,8 @@
 ///    "ERR idle timeout ..." line and is disconnected, so dead peers
 ///    cannot pin connection slots;
 ///  - a line-length cap on the wire: a peer that streams bytes without a
-///    newline is cut off at TcpOptions::max_line_bytes (once framing is
-///    lost there is nothing to resynchronize on);
+///    newline is cut off at kMaxLineBytes (once framing is lost there is
+///    nothing to resynchronize on);
 ///  - clean shutdown: stop() (or the stop flag polled every ~200 ms)
 ///    unblocks the accept loop and every connection thread promptly —
 ///    nothing sits in an uninterruptible read.
@@ -39,7 +39,6 @@ struct TcpOptions {
   int port = 0;                 ///< 0 = ephemeral (see TcpServer::port())
   std::size_t max_clients = 64; ///< concurrent connections before "ERR busy"
   double idle_timeout_s = 300.0;  ///< quiet-connection cutoff; 0 = never
-  std::size_t max_line_bytes = 1u << 20;  ///< wire cap per request line
 };
 
 class TcpServer {

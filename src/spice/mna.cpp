@@ -30,11 +30,6 @@ class Assembler {
         case PassiveKind::Capacitor:
           y = jw * p.value;
           break;
-        case PassiveKind::Inductor:
-          EASYBO_REQUIRE(omega > 0.0,
-                         "inductor admittance stamp needs freq > 0");
-          y = 1.0 / (jw * p.value);
-          break;
       }
       stamp_admittance(p.a, p.b, y);
     }
@@ -49,23 +44,6 @@ class Assembler {
       stamp_branch_voltage(branch, v.p, v.n);
       rhs_[branch] = v.value;
       ++branch;
-    }
-    for (const auto& e : c.vcvs()) {
-      stamp_branch_kcl(e.out_p, e.out_n, branch);
-      stamp_branch_voltage(branch, e.out_p, e.out_n);
-      // v(out) - gain * v(ctrl) = 0
-      if (e.ctrl_p != kGround) {
-        add(branch, node_row(e.ctrl_p), Complex(-e.gain, 0.0));
-      }
-      if (e.ctrl_n != kGround) {
-        add(branch, node_row(e.ctrl_n), Complex(e.gain, 0.0));
-      }
-      ++branch;
-    }
-
-    for (const auto& s : c.current_sources()) {
-      if (s.p != kGround) rhs_[node_row(s.p)] += s.value;
-      if (s.n != kGround) rhs_[node_row(s.n)] -= s.value;
     }
   }
 
@@ -112,7 +90,7 @@ class Assembler {
     if (n != kGround) add(node_row(n), branch, Complex(-1.0, 0.0));
   }
 
-  // Branch voltage equation row: +v(p) - v(n) [+ controlled terms] = rhs.
+  // Branch voltage equation row: +v(p) - v(n) = rhs.
   void stamp_branch_voltage(std::size_t branch, NodeId p, NodeId n) {
     if (p != kGround) add(branch, node_row(p), Complex(1.0, 0.0));
     if (n != kGround) add(branch, node_row(n), Complex(-1.0, 0.0));

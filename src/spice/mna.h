@@ -2,15 +2,13 @@
 /// \file mna.h
 /// \brief Modified nodal analysis: single-frequency solve and AC sweeps.
 ///
-/// For a circuit with N-1 non-ground nodes and M group-2 branches (voltage
-/// sources and VCVS), the MNA system at angular frequency w is the
+/// For a circuit with N-1 non-ground nodes and M group-2 branches (the
+/// voltage sources), the MNA system at angular frequency w is the
 /// (N-1+M) x (N-1+M) complex linear system
-///     [ G + jwC   B ] [ v ]   [ i_src ]
+///     [ G + jwC   B ] [ v ]   [   0   ]
 ///     [ D         0 ] [ i ] = [ v_src ]
 /// assembled by stamping each element, then solved by complex LU with
-/// partial pivoting (linalg/lu.h). Inductors are stamped as admittances
-/// 1/(jwL), so sweeps must use strictly positive frequencies when inductors
-/// are present.
+/// partial pivoting (linalg/lu.h).
 
 #include <complex>
 #include <vector>
@@ -22,7 +20,8 @@ namespace easybo::spice {
 using Complex = std::complex<double>;
 
 /// Solution of one frequency point: node voltages indexed by NodeId
-/// (entry [kGround] is always 0) and group-2 branch currents.
+/// (entry [kGround] is always 0) and the voltage sources' branch currents,
+/// in the order they were added.
 struct AcSolution {
   std::vector<Complex> node_voltage;
   std::vector<Complex> branch_current;

@@ -15,8 +15,6 @@ NodeId Circuit::node(const std::string& name) {
   return it->second;
 }
 
-NodeId Circuit::internal_node() { return num_nodes_++; }
-
 NodeId Circuit::check_node(NodeId n) const {
   EASYBO_REQUIRE(n < num_nodes_, "element references unknown node");
   return n;
@@ -34,27 +32,10 @@ void Circuit::add_capacitor(NodeId a, NodeId b, double farads) {
                        farads});
 }
 
-void Circuit::add_inductor(NodeId a, NodeId b, double henries) {
-  EASYBO_REQUIRE(henries > 0.0, "inductance must be positive");
-  passives_.push_back({PassiveKind::Inductor, check_node(a), check_node(b),
-                       henries});
-}
-
 void Circuit::add_vccs(NodeId out_p, NodeId out_n, NodeId ctrl_p,
                        NodeId ctrl_n, double gm) {
   vccs_.push_back({check_node(out_p), check_node(out_n), check_node(ctrl_p),
                    check_node(ctrl_n), gm});
-}
-
-void Circuit::add_vcvs(NodeId out_p, NodeId out_n, NodeId ctrl_p,
-                       NodeId ctrl_n, double gain) {
-  vcvs_.push_back({check_node(out_p), check_node(out_n), check_node(ctrl_p),
-                   check_node(ctrl_n), gain});
-}
-
-void Circuit::add_current_source(NodeId p, NodeId n,
-                                 std::complex<double> amps) {
-  isources_.push_back({check_node(p), check_node(n), amps});
 }
 
 void Circuit::add_voltage_source(NodeId p, NodeId n,

@@ -3,11 +3,12 @@
 /// \brief Small-signal netlist description for the MNA AC simulator.
 ///
 /// This is the substrate that stands in for HSPICE in the reproduction: a
-/// linear(ized) circuit made of resistors, capacitors, inductors, controlled
-/// sources and independent sources, analyzed in the frequency domain via
-/// modified nodal analysis (see mna.h). It is deliberately small-signal
-/// only — the op-amp benchmark linearizes its transistors around a DC
-/// operating point computed analytically in src/circuit.
+/// linear(ized) circuit made of resistors, capacitors, voltage-controlled
+/// current sources (transistor transconductance) and independent voltage
+/// sources, analyzed in the frequency domain via modified nodal analysis
+/// (see mna.h). It is deliberately small-signal only — the op-amp
+/// benchmark linearizes its transistors around a DC operating point
+/// computed analytically in src/circuit.
 
 #include <complex>
 #include <cstddef>
@@ -22,13 +23,13 @@ using NodeId = std::size_t;
 inline constexpr NodeId kGround = 0;
 
 /// Two-terminal passive element kinds.
-enum class PassiveKind { Resistor, Capacitor, Inductor };
+enum class PassiveKind { Resistor, Capacitor };
 
 struct Passive {
   PassiveKind kind;
   NodeId a;
   NodeId b;
-  double value;  ///< ohms / farads / henries
+  double value;  ///< ohms / farads
 };
 
 /// Voltage-controlled current source: i(out_p -> out_n) = gm * v(ctrl_p,
@@ -39,23 +40,6 @@ struct Vccs {
   NodeId ctrl_p;
   NodeId ctrl_n;
   double gm;  ///< siemens
-};
-
-/// Voltage-controlled voltage source (ideal gain block), group-2 element.
-struct Vcvs {
-  NodeId out_p;
-  NodeId out_n;
-  NodeId ctrl_p;
-  NodeId ctrl_n;
-  double gain;
-};
-
-/// Independent AC current source injecting `magnitude` amps into node p
-/// (and drawing from node n).
-struct CurrentSource {
-  NodeId p;
-  NodeId n;
-  std::complex<double> value;
 };
 
 /// Independent AC voltage source (group-2 element).
@@ -83,36 +67,23 @@ class Circuit {
   /// The name "0" (and "gnd") maps to the ground node.
   NodeId node(const std::string& name);
 
-  /// Creates a fresh anonymous internal node.
-  NodeId internal_node();
-
   /// Number of nodes including ground.
   std::size_t num_nodes() const { return num_nodes_; }
 
   void add_resistor(NodeId a, NodeId b, double ohms);
   void add_capacitor(NodeId a, NodeId b, double farads);
-  void add_inductor(NodeId a, NodeId b, double henries);
   void add_vccs(NodeId out_p, NodeId out_n, NodeId ctrl_p, NodeId ctrl_n,
                 double gm);
-  void add_vcvs(NodeId out_p, NodeId out_n, NodeId ctrl_p, NodeId ctrl_n,
-                double gain);
-  void add_current_source(NodeId p, NodeId n, std::complex<double> amps);
   void add_voltage_source(NodeId p, NodeId n, std::complex<double> volts);
 
   const std::vector<Passive>& passives() const { return passives_; }
   const std::vector<Vccs>& vccs() const { return vccs_; }
-  const std::vector<Vcvs>& vcvs() const { return vcvs_; }
-  const std::vector<CurrentSource>& current_sources() const {
-    return isources_;
-  }
   const std::vector<VoltageSource>& voltage_sources() const {
     return vsources_;
   }
 
-  /// Number of group-2 (branch-current) unknowns: V sources + VCVS.
-  std::size_t num_branch_unknowns() const {
-    return vsources_.size() + vcvs_.size();
-  }
+  /// Number of group-2 (branch-current) unknowns: one per V source.
+  std::size_t num_branch_unknowns() const { return vsources_.size(); }
 
  private:
   NodeId check_node(NodeId n) const;
@@ -121,8 +92,6 @@ class Circuit {
   std::unordered_map<std::string, NodeId> names_;
   std::vector<Passive> passives_;
   std::vector<Vccs> vccs_;
-  std::vector<Vcvs> vcvs_;
-  std::vector<CurrentSource> isources_;
   std::vector<VoltageSource> vsources_;
 };
 

@@ -139,8 +139,6 @@ TEST(BoConfig, RefusesValuesThatCanNeverPropose) {
       cases = {
           {"lcb_kappa", [](BoConfig& c) { c.lcb_kappa = -1.0; }},
           {"lcb_kappa", [nan](BoConfig& c) { c.lcb_kappa = nan; }},
-          {"bucb_kappa", [](BoConfig& c) { c.bucb_kappa = -0.5; }},
-          {"bucb_kappa", [nan](BoConfig& c) { c.bucb_kappa = nan; }},
           {"trainer.max_iters", [](BoConfig& c) { c.trainer.max_iters = 0; }},
           {"trainer.restarts", [](BoConfig& c) { c.trainer.restarts = -1; }},
           {"acq_opt.sobol_candidates",
@@ -170,7 +168,6 @@ TEST(BoConfig, RefusesValuesThatCanNeverPropose) {
   c = base();
   c.acq_opt.random_candidates = 0;
   c.lcb_kappa = 0.0;
-  c.bucb_kappa = 0.0;
   c.trainer.restarts = 0;
   EXPECT_NO_THROW(c.validate());
 }

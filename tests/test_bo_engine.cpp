@@ -38,6 +38,17 @@ BoConfig quick(Mode mode, AcqKind acq, bool penalize, std::size_t batch,
   return c;
 }
 
+/// Runs \p engine (on \p exec when given, else on its own virtual
+/// executor) with an obs::RecordingSink installed, so BoResult::metrics
+/// holds the run report.
+BoResult run_recorded(BoEngine& engine, sched::Executor* exec = nullptr) {
+  obs::RecordingSink sink;
+  engine.set_trace(&sink);
+  BoResult r = exec != nullptr ? engine.run(*exec) : engine.run();
+  engine.set_trace(nullptr);
+  return r;
+}
+
 TEST(BoEngine, SequentialEasyBoSolvesBranin) {
   const auto tf = easybo::circuit::branin();
   auto cfg = quick(Mode::Sequential, AcqKind::EasyBo, false, 1, 1);
@@ -238,8 +249,6 @@ TEST(BoEngine, RefusesConfigsThatCanNeverPropose) {
   const auto tf = easybo::circuit::sphere(2);
   BoConfig lcb = quick(Mode::Sequential, AcqKind::Lcb, false, 1, 1);
   lcb.lcb_kappa = -1.0;
-  BoConfig bucb = quick(Mode::AsyncBatch, AcqKind::Bucb, false, 4, 1);
-  bucb.bucb_kappa = -1.0;
   BoConfig iters = quick(Mode::AsyncBatch, AcqKind::EasyBo, true, 4, 1);
   iters.trainer.max_iters = 0;
   BoConfig restarts = iters;
@@ -249,7 +258,7 @@ TEST(BoEngine, RefusesConfigsThatCanNeverPropose) {
   screening.trainer.restarts = 1;
   screening.acq_opt.sobol_candidates = 0;
   screening.acq_opt.random_candidates = 0;
-  for (const BoConfig& cfg : {lcb, bucb, iters, restarts, screening}) {
+  for (const BoConfig& cfg : {lcb, iters, restarts, screening}) {
     EXPECT_THROW(BoEngine(cfg, tf.bounds, tf.fn), InvalidArgument);
   }
 }
@@ -341,14 +350,13 @@ TEST(DedupProposal, ChecksPendingPointsAndCountsNudges) {
 }
 
 TEST(BoEngine, MetricsCollectionIsBehaviorallyInert) {
-  // Flipping collect_metrics must not change a single proposal: the
+  // Recording metrics must not change a single proposal: the
   // instrumentation draws no RNG and takes no branch that depends on it.
   const auto tf = easybo::circuit::sphere(2);
-  auto cfg = quick(Mode::AsyncBatch, AcqKind::EasyBo, true, 4, 17);
-  cfg.collect_metrics = false;
+  const auto cfg = quick(Mode::AsyncBatch, AcqKind::EasyBo, true, 4, 17);
   const auto plain = run_bo(cfg, tf.bounds, tf.fn);
-  cfg.collect_metrics = true;
-  const auto traced = run_bo(cfg, tf.bounds, tf.fn);
+  BoEngine engine(cfg, tf.bounds, tf.fn);
+  const auto traced = run_recorded(engine);
 
   EXPECT_TRUE(plain.metrics.empty());
   EXPECT_FALSE(traced.metrics.empty());
@@ -368,8 +376,8 @@ TEST(BoEngine, MetricsReportAccountsTheRun) {
   const auto tf = easybo::circuit::sphere(2);
   auto cfg = quick(Mode::Sequential, AcqKind::EasyBo, false, 1, 23);
   cfg.refit_every = 1000;
-  cfg.collect_metrics = true;
-  const auto r = run_bo(cfg, tf.bounds, tf.fn);
+  BoEngine engine(cfg, tf.bounds, tf.fn);
+  const auto r = run_recorded(engine);
   const auto& m = r.metrics;
   const std::uint64_t proposals = cfg.max_sims - cfg.init_points;
 
@@ -403,8 +411,8 @@ TEST(BoEngine, MetricsReportAccountsTheRun) {
 }
 
 TEST(BoEngine, ExternalRecordingSinkPopulatesMetricsToo) {
-  // set_trace with a caller-owned RecordingSink is the composable variant
-  // of collect_metrics; the engine must fill BoResult::metrics from it.
+  // The caller keeps its RecordingSink: the engine fills BoResult::metrics
+  // from it and leaves the sink's own totals readable after the run.
   const auto tf = easybo::circuit::sphere(2);
   auto cfg = quick(Mode::Sequential, AcqKind::EasyBo, false, 1, 29);
   BoEngine engine(cfg, tf.bounds, tf.fn);
@@ -482,12 +490,12 @@ TEST(FaultPolicy, DiscardCompletesFullBudgetAndNeverReproposesFailures) {
   cfg.init_points = 8;
   cfg.max_sims = 30;
   cfg.on_eval_failure = EvalFailurePolicy::Discard;
-  cfg.collect_metrics = true;
 
   easybo::circuit::FaultPlan plan;
   plan.throw_every = 5;
   easybo::circuit::FaultInjector injector(plan);
-  const auto r = run_bo(cfg, tf.bounds, injector.wrap(tf.fn));
+  BoEngine engine(cfg, tf.bounds, injector.wrap(tf.fn));
+  const auto r = run_recorded(engine);
 
   // Full budget consumed despite the failures — one record per issued
   // evaluation, failed ones flagged with NaN y and their status.
@@ -536,9 +544,9 @@ TEST(FaultPolicy, PenalizeAbsorbsFailuresAsPseudoObservations) {
   cfg.max_sims = 30;
   cfg.on_eval_failure = EvalFailurePolicy::Penalize;
   cfg.eval_failure_quantile = 0.0;  // worst observed
-  cfg.collect_metrics = true;
 
-  const auto r = run_bo(cfg, tf.bounds, throw_on_calls(tf.fn, 6));
+  BoEngine engine(cfg, tf.bounds, throw_on_calls(tf.fn, 6));
+  const auto r = run_recorded(engine);
 
   ASSERT_EQ(r.num_evals(), cfg.max_sims);
   std::size_t penalized = 0;
@@ -571,12 +579,12 @@ TEST(FaultPolicy, RetriesRecoverTransientFailuresWithoutPolicyAction) {
   cfg.max_sims = 20;
   cfg.on_eval_failure = EvalFailurePolicy::Discard;
   cfg.eval_max_retries = 2;
-  cfg.collect_metrics = true;
 
   easybo::circuit::FaultPlan plan;
   plan.throw_every = 5;
   easybo::circuit::FaultInjector injector(plan);
-  const auto r = run_bo(cfg, tf.bounds, injector.wrap(tf.fn));
+  BoEngine engine(cfg, tf.bounds, injector.wrap(tf.fn));
+  const auto r = run_recorded(engine);
 
   ASSERT_EQ(r.num_evals(), cfg.max_sims);
   EXPECT_EQ(r.metrics.counter("eval.failures"), 0u);
@@ -597,12 +605,12 @@ TEST(FaultPolicy, NonFiniteValuesAreFailuresNotObservations) {
   cfg.init_points = 6;
   cfg.max_sims = 20;
   cfg.on_eval_failure = EvalFailurePolicy::Discard;
-  cfg.collect_metrics = true;
 
   easybo::circuit::FaultPlan plan;
   plan.nan_every = 6;
   easybo::circuit::FaultInjector injector(plan);
-  const auto r = run_bo(cfg, tf.bounds, injector.wrap(tf.fn));
+  BoEngine engine(cfg, tf.bounds, injector.wrap(tf.fn));
+  const auto r = run_recorded(engine);
 
   ASSERT_EQ(r.num_evals(), cfg.max_sims);
   EXPECT_GT(r.metrics.counter("eval.nonfinite"), 0u);
@@ -625,14 +633,13 @@ TEST(FaultPolicy, VirtualTimeoutsAreCutAtTheDeadline) {
   cfg.max_sims = 20;
   cfg.on_eval_failure = EvalFailurePolicy::Discard;
   cfg.eval_timeout = 2.0;
-  cfg.collect_metrics = true;
 
   easybo::circuit::FaultPlan plan;
   plan.slow_every = 4;
   easybo::circuit::FaultInjector injector(plan);
   BoEngine engine(cfg, tf.bounds, tf.fn,
                   injector.wrap_sim_time([](const Vec&) { return 1.0; }));
-  const auto r = engine.run();
+  const auto r = run_recorded(engine);
 
   ASSERT_EQ(r.num_evals(), cfg.max_sims);
   const std::size_t expected = cfg.max_sims / plan.slow_every;
@@ -670,14 +677,13 @@ TEST(FaultPolicy, FaultPipelineWorksOnRealThreadsToo) {
   cfg.init_points = 6;
   cfg.max_sims = 20;
   cfg.on_eval_failure = EvalFailurePolicy::Discard;
-  cfg.collect_metrics = true;
 
   easybo::circuit::FaultPlan plan;
   plan.throw_every = 5;
   easybo::circuit::FaultInjector injector(plan);
   BoEngine engine(cfg, tf.bounds, injector.wrap(tf.fn));
   sched::ThreadExecutor exec(2);
-  const auto r = engine.run(exec);
+  const auto r = run_recorded(engine, &exec);
 
   ASSERT_EQ(r.num_evals(), cfg.max_sims);
   EXPECT_EQ(r.metrics.counter("eval.failures"),

@@ -20,6 +20,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -471,12 +472,79 @@ TEST(ConfigFingerprint, SeparatesStreamsIgnoresDurabilityKnobs) {
   shifted.upper[0] += 1.0;
   EXPECT_NE(config_fingerprint(base_cfg, shifted), fp);
 
-  // Durability and observability knobs never shape proposals.
+  // Durability knobs never shape proposals.
   other = base_cfg;
   other.checkpoint_path = "/somewhere/else";
   other.checkpoint_every = 9;
-  other.collect_metrics = true;
   EXPECT_EQ(config_fingerprint(other, tf.bounds), fp);
+}
+
+// One row per field: changing any field the fingerprint hashes must move
+// it, and changing a field it leaves out must not. The two tables name
+// all 25 BoConfig fields (trainer and acq_opt by their members), so a
+// hashed field dropped from the canonical string, or a durability knob
+// added to it, fails here.
+TEST(ConfigFingerprint, MovesWithEveryHashedFieldAndNoOther) {
+  using Edit = std::function<void(BoConfig&)>;
+  const std::vector<std::pair<const char*, Edit>> hashed = {
+      {"mode", [](BoConfig& c) { c.mode = Mode::SyncBatch; }},
+      {"acq", [](BoConfig& c) { c.acq = AcqKind::Bucb; }},
+      {"penalize", [](BoConfig& c) { c.penalize = false; }},
+      {"batch", [](BoConfig& c) { c.batch = 6; }},
+      {"init_points", [](BoConfig& c) { c.init_points = 21; }},
+      {"max_sims", [](BoConfig& c) { c.max_sims = 151; }},
+      {"lambda", [](BoConfig& c) { c.lambda = 6.5; }},
+      {"uniform_w", [](BoConfig& c) { c.uniform_w = true; }},
+      {"lcb_kappa", [](BoConfig& c) { c.lcb_kappa = 2.5; }},
+      {"ei_xi", [](BoConfig& c) { c.ei_xi = 0.01; }},
+      {"hc_d", [](BoConfig& c) { c.hc_d = 0.2; }},
+      {"hc_n", [](BoConfig& c) { c.hc_n = 2.0; }},
+      {"refit_every", [](BoConfig& c) { c.refit_every = 6; }},
+      {"kernel", [](BoConfig& c) { c.kernel = "matern52"; }},
+      {"seed", [](BoConfig& c) { c.seed = 2; }},
+      {"on_eval_failure",
+       [](BoConfig& c) { c.on_eval_failure = EvalFailurePolicy::Discard; }},
+      {"eval_timeout", [](BoConfig& c) { c.eval_timeout = 1.0; }},
+      {"eval_max_retries", [](BoConfig& c) { c.eval_max_retries = 1; }},
+      {"eval_failure_quantile",
+       [](BoConfig& c) { c.eval_failure_quantile = 0.5; }},
+      {"trainer.max_iters", [](BoConfig& c) { c.trainer.max_iters += 1; }},
+      {"trainer.restarts", [](BoConfig& c) { c.trainer.restarts += 1; }},
+      {"acq_opt.sobol_candidates",
+       [](BoConfig& c) { c.acq_opt.sobol_candidates += 1; }},
+      {"acq_opt.random_candidates",
+       [](BoConfig& c) { c.acq_opt.random_candidates += 1; }},
+      {"acq_opt.anchor_jitter",
+       [](BoConfig& c) { c.acq_opt.anchor_jitter += 1; }},
+      {"acq_opt.jitter_scale",
+       [](BoConfig& c) { c.acq_opt.jitter_scale *= 2.0; }},
+      {"acq_opt.refine_top_k",
+       [](BoConfig& c) { c.acq_opt.refine_top_k += 1; }},
+      {"acq_opt.refine_evals",
+       [](BoConfig& c) { c.acq_opt.refine_evals += 1; }},
+  };
+  const std::vector<std::pair<const char*, Edit>> ignored = {
+      {"checkpoint_path", [](BoConfig& c) { c.checkpoint_path = "/x"; }},
+      {"checkpoint_every", [](BoConfig& c) { c.checkpoint_every = 9; }},
+      {"adapt_refit_cadence",
+       [](BoConfig& c) { c.adapt_refit_cadence = true; }},
+      {"adapt_refit_budget",
+       [](BoConfig& c) { c.adapt_refit_budget = 0.5; }},
+  };
+  ASSERT_EQ(hashed.size(), 19u + 2u + 6u);
+
+  const auto tf = easybo::circuit::branin();
+  const std::uint64_t fp = config_fingerprint(BoConfig{}, tf.bounds);
+  for (const auto& [field, edit] : hashed) {
+    BoConfig c;
+    edit(c);
+    EXPECT_NE(config_fingerprint(c, tf.bounds), fp) << field;
+  }
+  for (const auto& [field, edit] : ignored) {
+    BoConfig c;
+    edit(c);
+    EXPECT_EQ(config_fingerprint(c, tf.bounds), fp) << field;
+  }
 }
 
 // Every checkpoint and served session on disk is bound to its config by

@@ -273,9 +273,11 @@ TEST(HallucinateEngine, OverlayMatchesDeepCopyAlongABucbRun) {
 // engine's capacity planning reads.
 TEST(HallucinateEngine, MetricsReportHallucinations) {
   const auto tf = circuit::branin();
-  bo::BoConfig cfg = engine_cfg(bo::Mode::AsyncBatch, 13);
-  cfg.collect_metrics = true;
-  const auto r = bo::BoEngine(cfg, tf.bounds, tf.fn).run();
+  const bo::BoConfig cfg = engine_cfg(bo::Mode::AsyncBatch, 13);
+  obs::RecordingSink sink;
+  bo::BoEngine engine(cfg, tf.bounds, tf.fn);
+  engine.set_trace(&sink);
+  const auto r = engine.run();
   EXPECT_GT(r.metrics.counter("gp.hallucinate"), 0u);
 }
 

@@ -137,13 +137,14 @@ TEST(MetricsSchema, SeededRunExportIsStructurallySound) {
   cfg.init_points = 5;
   cfg.max_sims = 12;
   cfg.seed = 5;
-  cfg.collect_metrics = true;
   cfg.acq_opt.sobol_candidates = 32;
   cfg.acq_opt.random_candidates = 16;
   cfg.acq_opt.refine_evals = 10;
   cfg.trainer.max_iters = 5;
   cfg.trainer.restarts = 1;
+  obs::RecordingSink sink;
   bo::BoEngine engine(cfg, tf.bounds, tf.fn, nullptr);
+  engine.set_trace(&sink);
   const bo::BoResult result = engine.run();
   const std::string json = result.metrics.to_json();
 

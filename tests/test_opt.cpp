@@ -41,9 +41,7 @@ TEST(NelderMead, SolvesQuadraticBowl) {
   auto fn = [](const Vec& x) {
     return -((x[0] - 1.5) * (x[0] - 1.5) + (x[1] + 2.0) * (x[1] + 2.0));
   };
-  NelderMeadOptions opt;
-  opt.max_evals = 400;
-  const auto r = nelder_mead_maximize(fn, b, {0.0, 0.0}, opt);
+  const auto r = nelder_mead_maximize(fn, b, {0.0, 0.0}, 400);
   EXPECT_NEAR(r.best_x[0], 1.5, 1e-3);
   EXPECT_NEAR(r.best_x[1], -2.0, 1e-3);
 }
@@ -51,7 +49,7 @@ TEST(NelderMead, SolvesQuadraticBowl) {
 TEST(NelderMead, RespectsBoxWhenOptimumOutside) {
   const Bounds b{{0, 0}, {1, 1}};
   auto fn = [](const Vec& x) { return x[0] + x[1]; };  // optimum at corner
-  const auto r = nelder_mead_maximize(fn, b, {0.5, 0.5});
+  const auto r = nelder_mead_maximize(fn, b, {0.5, 0.5}, 200);
   EXPECT_LE(r.best_x[0], 1.0);
   EXPECT_LE(r.best_x[1], 1.0);
   EXPECT_GT(r.best_y, 1.9);
@@ -64,9 +62,7 @@ TEST(NelderMead, HonorsEvaluationBudget) {
     ++calls;
     return -x[0] * x[0];
   };
-  NelderMeadOptions opt;
-  opt.max_evals = 30;
-  const auto r = nelder_mead_maximize(fn, b, {0.9}, opt);
+  const auto r = nelder_mead_maximize(fn, b, {0.9}, 30);
   EXPECT_LE(calls, 31u);  // shrink step may finish one past the check
   EXPECT_EQ(r.num_evals, calls);
 }
@@ -74,48 +70,28 @@ TEST(NelderMead, HonorsEvaluationBudget) {
 TEST(NelderMead, RejectsTinyBudget) {
   const Bounds b{{-1, -1}, {1, 1}};
   auto fn = [](const Vec&) { return 0.0; };
-  NelderMeadOptions opt;
-  opt.max_evals = 2;
-  EXPECT_THROW(nelder_mead_maximize(fn, b, {0, 0}, opt), InvalidArgument);
+  EXPECT_THROW(nelder_mead_maximize(fn, b, {0, 0}, 2), InvalidArgument);
 }
 
 TEST(De, SolvesSphere5d) {
   Rng rng(1);
   const auto tf = circuit::sphere(5);
-  DeOptions opt;
-  opt.max_evals = 4000;
-  const auto r = de_maximize(tf.fn, tf.bounds, rng, opt);
+  const auto r = de_maximize(tf.fn, tf.bounds, rng, 4000);
   EXPECT_GT(r.best_y, -1e-3);
 }
 
 TEST(De, SolvesBranin) {
   Rng rng(2);
   const auto tf = circuit::branin();
-  DeOptions opt;
-  opt.max_evals = 3000;
-  const auto r = de_maximize(tf.fn, tf.bounds, rng, opt);
+  const auto r = de_maximize(tf.fn, tf.bounds, rng, 3000);
   EXPECT_NEAR(r.best_y, tf.max_value, 1e-2);
-}
-
-TEST(De, RandStrategyAlsoConverges) {
-  Rng rng(3);
-  const auto tf = circuit::sphere(3);
-  DeOptions opt;
-  opt.max_evals = 4000;
-  opt.strategy = DeStrategy::Rand1Bin;
-  const auto r = de_maximize(tf.fn, tf.bounds, rng, opt);
-  EXPECT_GT(r.best_y, -1e-2);
 }
 
 TEST(De, RejectsBadOptions) {
   Rng rng(1);
   const auto tf = circuit::sphere(2);
-  DeOptions opt;
-  opt.population = 3;
-  EXPECT_THROW(de_maximize(tf.fn, tf.bounds, rng, opt), InvalidArgument);
-  opt.population = 50;
-  opt.max_evals = 10;
-  EXPECT_THROW(de_maximize(tf.fn, tf.bounds, rng, opt), InvalidArgument);
+  // The budget must cover the initial population of 50.
+  EXPECT_THROW(de_maximize(tf.fn, tf.bounds, rng, 49), InvalidArgument);
 }
 
 TEST(Pso, SolvesSphere4d) {
@@ -130,9 +106,7 @@ TEST(Pso, SolvesSphere4d) {
 TEST(Sa, ImprovesOnSphere) {
   Rng rng(5);
   const auto tf = circuit::sphere(3);
-  SaOptions opt;
-  opt.max_evals = 4000;
-  const auto r = sa_maximize(tf.fn, tf.bounds, rng, opt);
+  const auto r = sa_maximize(tf.fn, tf.bounds, rng, 4000);
   EXPECT_GT(r.best_y, -0.5);
 }
 
@@ -201,10 +175,7 @@ INSTANTIATE_TEST_SUITE_P(
         NamedRunner{"de",
                     [](const Objective& f, const Bounds& b, Rng& rng,
                        std::size_t evals, const EvalObserver& obs) {
-                      DeOptions o;
-                      o.max_evals = evals;
-                      o.population = 20;
-                      return de_maximize(f, b, rng, o, obs);
+                      return de_maximize(f, b, rng, evals, obs);
                     }},
         NamedRunner{"pso",
                     [](const Objective& f, const Bounds& b, Rng& rng,
@@ -217,9 +188,7 @@ INSTANTIATE_TEST_SUITE_P(
         NamedRunner{"sa",
                     [](const Objective& f, const Bounds& b, Rng& rng,
                        std::size_t evals, const EvalObserver& obs) {
-                      SaOptions o;
-                      o.max_evals = evals;
-                      return sa_maximize(f, b, rng, o, obs);
+                      return sa_maximize(f, b, rng, evals, obs);
                     }},
         NamedRunner{"random",
                     [](const Objective& f, const Bounds& b, Rng& rng,

@@ -67,7 +67,7 @@ struct FuzzCase {
   std::string input;
 };
 
-std::vector<FuzzCase> fuzz_corpus(std::size_t max_line_bytes) {
+std::vector<FuzzCase> fuzz_corpus() {
   std::vector<FuzzCase> cases = {
       {"empty line", ""},
       {"whitespace only", "   "},
@@ -112,18 +112,16 @@ std::vector<FuzzCase> fuzz_corpus(std::size_t max_line_bytes) {
       {"control byte in name", "STATUS s\x01"},
       {"bell and backspace soup", "NEW \x07\x08 {}"},
       {"escape sequence injection", "STATUS \x1b[31mred\x1b[0m"},
-      {"oversized line", std::string(max_line_bytes + 1, 'A')},
+      {"oversized line", std::string(kMaxLineBytes + 1, 'A')},
       {"oversized observe",
-       "OBSERVE s 0 " + std::string(max_line_bytes, '9')},
+       "OBSERVE s 0 " + std::string(kMaxLineBytes, '9')},
   };
   return cases;
 }
 
 TEST(ServeFuzz, EveryMalformedInputGetsOneErrAndChangesNothing) {
   const std::string dir = fresh_dir("corpus");
-  HostLimits limits;
-  limits.max_line_bytes = 1u << 16;
-  SessionHost host(dir, 4, limits);
+  SessionHost host(dir, 4);
 
   // One live session with an in-flight suggestion and one observation,
   // so OBSERVE-shaped garbage has real state to threaten.
@@ -145,7 +143,7 @@ TEST(ServeFuzz, EveryMalformedInputGetsOneErrAndChangesNothing) {
   const std::string status_before = host.handle_line("STATUS s");
   ASSERT_EQ(status_before.rfind("OK ", 0), 0u);
 
-  for (const FuzzCase& c : fuzz_corpus(limits.max_line_bytes)) {
+  for (const FuzzCase& c : fuzz_corpus()) {
     SCOPED_TRACE(c.label);
     const std::string reply = host.handle_line(c.input);
     // Exactly one ERR line: correct prefix, no embedded newlines, and

@@ -248,22 +248,22 @@ TEST(EvalSupervisor, VirtualTimeoutCutsTheJobAtItsDeadline) {
   EXPECT_DOUBLE_EQ(exec.now(), 3.0);
 }
 
-TEST(EvalSupervisor, VirtualTimeoutCanRetryWhenAsked) {
+TEST(EvalSupervisor, VirtualTimeoutIsNeverRetried) {
   VirtualExecutor exec(1);
   SupervisorConfig cfg;
   cfg.timeout = 3.0;
-  cfg.retry_timeouts = true;
   cfg.max_retries = 1;
   cfg.backoff_init = 1.0;
   cfg.backoff_jitter = 0.0;
   EvalSupervisor sup(exec, cfg);
   sup.submit(0, [] { return 1.0; }, 10.0);  // deterministic straggler
   const auto out = sup.wait_next();
-  // Still too slow on the retry: cut again, reported after both attempts.
+  // The retry budget is for transient failures: the cut attempt is
+  // reported at once, with no backoff and no second attempt.
   EXPECT_EQ(out.status, EvalStatus::Timeout);
-  EXPECT_EQ(out.attempts, 2u);
-  // cut attempt (3s) + backoff (1s) + cut retry (3s)
-  EXPECT_DOUBLE_EQ(out.completion.finish, 7.0);
+  EXPECT_EQ(out.attempts, 1u);
+  EXPECT_DOUBLE_EQ(out.completion.finish, 3.0);
+  EXPECT_DOUBLE_EQ(exec.now(), 3.0);
 }
 
 TEST(EvalSupervisor, WallWatchdogAbandonsHungWorker) {

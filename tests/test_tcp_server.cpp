@@ -244,12 +244,12 @@ TEST(TcpServer, SlowInFlightRequestDoesNotEatTheIdleBudget) {
 TEST(TcpServer, UnframedFloodIsCutOffAtTheLineCap) {
   SessionHost host(fresh_dir("flood"), 4);
   TcpOptions options;
-  options.max_line_bytes = 1024;
   TcpServer server(host, options);
   server.start();
 
   LineClient client(server.port());
-  client.send_raw(std::string(8 * 1024, 'A'));  // no newline, ever
+  // One byte past the cap, no newline, ever.
+  client.send_raw(std::string(kMaxLineBytes + 1, 'A'));
   const std::string notice = client.recv_line();
   EXPECT_EQ(notice.rfind("ERR request line exceeds", 0), 0u) << notice;
   EXPECT_TRUE(client.peer_closed());
