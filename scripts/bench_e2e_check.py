@@ -1,19 +1,28 @@
 #!/usr/bin/env python3
 """End-to-end benchmark record gate.
 
-Reads BENCH_e2e.json: parent/change pairs of paper-budget perfbench runs,
-one row per workload, seed and speed-up, each side holding the numbers
-`python3 perfbench/run.py --workload <w> --seed <s> --seconds 0 --trace 1`
-printed (run_wall_s and turn_cpu_ms from its untraced run, the acq.* and
-gp.* layer numbers from its traced run, and the stream_hash). Every row
-declares the gain it claims in a `gate` object: `metric` (a lower-is-
-better number both sides hold) and `min_gain` (the least parent / change
-ratio). For every row it asserts the contract of a speed-up that must not
-change what the optimizer does:
+Reads BENCH_e2e.json: parent/change pairs of perfbench runs, one row per
+workload, seed and speed-up. Every row declares the gain it claims in a
+`gate` object: `metric` (a lower-is-better number both sides hold) and
+`min_gain` (the least parent / change ratio). For every row it asserts
+the contract of a speed-up that must not change what the program does,
+and parent[metric] / change[metric] >= min_gain.
 
-- equal stream_hash (the proposal streams are bit-identical);
-- equal acq.inner_evals (the same number of acquisition evaluations);
-- parent[metric] / change[metric] >= min_gain.
+- Paper-budget BO rows (every workload but serve_open_loop) hold the
+  numbers `python3 perfbench/run.py --workload <w> --seed <s> --seconds 0
+  --trace 1` printed: run_wall_s and turn_cpu_ms from its untraced run,
+  the acq.* and gp.* layer numbers from its traced run, and the
+  stream_hash. Both sides must have an equal stream_hash (the proposal
+  streams are bit-identical) and equal acq.inner_evals (the same number
+  of acquisition evaluations).
+- serve_open_loop rows hold the numbers `python3 perfbench/run.py
+  --workload serve_open_loop --seed <s> --seconds 30 --trace 1` printed:
+  turn_cpu_ms and setup_s from its untraced run, the acq.* and io.* layer
+  numbers from its traced run, and its stream check: `verified`, the
+  proposals compared with standalone runs, and `mismatched`, the session
+  streams that differ. Both sides must have mismatched 0 and equal
+  verified, acq.inner_evals, io.snapshots and io.journal_appends (the
+  same turns, the same acquisition work, the same durable writes).
 
 A row without a well-formed gate fails. It reads committed numbers only,
 so it needs no build and no benchmark run. Stdlib only, so the CI job
@@ -26,20 +35,44 @@ Usage:
 import json
 import sys
 
-FIELDS = ("run_wall_s", "turn_cpu_ms", "acq.maximize_s", "acq.inner_evals",
-          "acq.us_per_eval", "gp.hyper_refit_s", "stream_hash")
-INFORMATION = ("run_wall_s", "turn_cpu_ms", "acq.maximize_s",
-               "acq.us_per_eval", "gp.hyper_refit_s")
+# Per kind of row: every field a side must hold, the fields both sides
+# must share, the fields that must be 0 on both, and the numbers printed
+# for information only.
+BO = {
+    "fields": ("run_wall_s", "turn_cpu_ms", "acq.maximize_s",
+               "acq.inner_evals", "acq.us_per_eval", "gp.hyper_refit_s",
+               "stream_hash"),
+    "equal": ("stream_hash", "acq.inner_evals"),
+    "zero": (),
+    "information": ("run_wall_s", "turn_cpu_ms", "acq.maximize_s",
+                    "acq.us_per_eval", "gp.hyper_refit_s"),
+}
+SERVE = {
+    "fields": ("turn_cpu_ms", "setup_s", "acq.maximize_s", "acq.inner_evals",
+               "io.checkpoint_s", "io.ms_per_write", "io.share",
+               "io.snapshots", "io.journal_appends", "verified",
+               "mismatched"),
+    "equal": ("verified", "acq.inner_evals", "io.snapshots",
+              "io.journal_appends"),
+    "zero": ("mismatched",),
+    "information": ("turn_cpu_ms", "setup_s", "acq.maximize_s",
+                    "io.checkpoint_s", "io.ms_per_write", "io.share"),
+}
 
 
-def read_gate(label, row):
+def kind_of(row):
+    return SERVE if row.get("workload") == "serve_open_loop" else BO
+
+
+def read_gate(label, row, kind):
     """Returns (metric, min_gain), or a failure message."""
     gate = row.get("gate")
     if not isinstance(gate, dict):
         return f"{label}: no gate (need {{\"metric\", \"min_gain\"}})"
     metric, min_gain = gate.get("metric"), gate.get("min_gain")
-    if metric not in FIELDS or metric == "stream_hash":
-        return f"{label}: gate metric {metric!r} is not a recorded number"
+    if metric not in kind["information"]:
+        return (f"{label}: gate metric {metric!r} is not one of "
+                f"{list(kind['information'])}")
     if isinstance(min_gain, bool) or not isinstance(min_gain, (int, float)) \
             or not min_gain > 1.0:
         return f"{label}: gate min_gain {min_gain!r} must be a number > 1"
@@ -51,7 +84,8 @@ def check_row(row):
     label = f"{row.get('workload', '?')} seed {row.get('seed', '?')}"
     if "parent_commit" in row:
         label += f" vs {row['parent_commit']}"
-    gate = read_gate(label, row)
+    kind = kind_of(row)
+    gate = read_gate(label, row, kind)
     if isinstance(gate, str):
         return [gate]
     metric, min_gain = gate
@@ -61,7 +95,7 @@ def check_row(row):
         numbers = row.get(side)
         if not isinstance(numbers, dict):
             return [f"{label}: missing the {side} side"]
-        missing = [f for f in FIELDS if f not in numbers]
+        missing = [f for f in kind["fields"] if f not in numbers]
         if missing:
             failures.append(f"{label}: {side} lacks {missing}")
         sides[side] = numbers
@@ -69,24 +103,26 @@ def check_row(row):
         return failures
     parent, change = sides["parent"], sides["change"]
 
-    same_stream = parent["stream_hash"] == change["stream_hash"]
-    same_evals = parent["acq.inner_evals"] == change["acq.inner_evals"]
+    for field in kind["equal"]:
+        same = parent[field] == change[field]
+        print(f"{label}: {field} {parent[field]} -> {change[field]} "
+              f"[{'ok' if same else 'FAIL'}]")
+        if not same:
+            failures.append(f"{label}: {field} changed")
+    for field in kind["zero"]:
+        zero = parent[field] == 0 and change[field] == 0
+        print(f"{label}: {field} {parent[field]} -> {change[field]} "
+              f"(must be 0) [{'ok' if zero else 'FAIL'}]")
+        if not zero:
+            failures.append(f"{label}: {field} is not 0 on both sides")
     gain = parent[metric] / change[metric]
-    print(f"{label}: stream_hash {parent['stream_hash']} -> "
-          f"{change['stream_hash']} [{'ok' if same_stream else 'FAIL'}]")
-    print(f"{label}: acq.inner_evals {parent['acq.inner_evals']} -> "
-          f"{change['acq.inner_evals']} [{'ok' if same_evals else 'FAIL'}]")
     print(f"{label}: {metric} {parent[metric]:.4g} -> {change[metric]:.4g}"
           f" = {gain:.2f}x (need >= {min_gain:.2f}x) "
           f"[{'ok' if gain >= min_gain else 'FAIL'}]")
-    for field in INFORMATION:
+    for field in kind["information"]:
         if field != metric:
             print(f"{label}: {field} {parent[field]:.4g} -> "
                   f"{change[field]:.4g} (information)")
-    if not same_stream:
-        failures.append(f"{label}: the change proposed a different stream")
-    if not same_evals:
-        failures.append(f"{label}: acq.inner_evals changed")
     if gain < min_gain:
         failures.append(f"{label}: {metric} gain {gain:.2f}x < "
                         f"{min_gain:.2f}x")

@@ -1,10 +1,9 @@
 #include "io/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/error.h"
 
@@ -254,16 +253,68 @@ class Parser {
     }
   }
 
+  bool skip(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  std::size_t skip_digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ - from;
+  }
+
   JsonValue parse_number() {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) fail("expected a value");
-    // strtod accepts "nan"/"inf" and turns an overflowing literal such as
-    // 1e999 into +-inf; real JSON has no non-finite numbers, and the write
-    // side emits null for them, so reject every non-finite result on read.
-    if (!std::isfinite(v)) fail("non-finite number");
-    pos_ += static_cast<std::size_t>(end - begin);
+    // The RFC 8259 grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+    // is checked first: from_chars alone also takes "1.", ".5", "00012",
+    // "inf" and "nan".
+    const std::size_t begin = pos_;
+    skip('-');
+    if (!skip('0') && skip_digits() == 0) fail("expected a value");
+    const std::size_t point = pos_;
+    if (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      fail("a number may not have a leading zero");
+    }
+    if (skip('.') && skip_digits() == 0) fail("expected a digit after '.'");
+    long long exponent = 0;
+    if (skip('e') || skip('E')) {
+      const bool negative = skip('-');
+      if (!negative) skip('+');
+      const std::size_t digits = pos_;
+      if (skip_digits() == 0) fail("expected a digit in the exponent");
+      // Saturated far beyond any mantissa's length, which keeps the sign
+      // of the magnitude computed below.
+      constexpr long long kCap = 100'000'000'000'000'000;
+      for (std::size_t i = digits; i < pos_; ++i) {
+        exponent = std::min(exponent * 10 + (text_[i] - '0'), kCap);
+      }
+      if (negative) exponent = -exponent;
+    }
+    // from_chars rounds correctly and ignores LC_NUMERIC.
+    double v = 0.0;
+    const char* const first = text_.data() + begin;
+    const char* const last = text_.data() + pos_;
+    const auto [stop, ec] = std::from_chars(first, last, v);
+    if (ec == std::errc::result_out_of_range) {
+      // Out of range leaves v unset. An overflow would be +-inf, which
+      // JSON cannot hold (the write side emits null for it), so it is
+      // refused; an underflow reads as +-0. The decimal exponent of the
+      // leading nonzero digit tells the two apart.
+      const std::size_t lead = text_.find_first_not_of("0.-", begin);
+      const long long magnitude =
+          exponent + static_cast<long long>(point) -
+          static_cast<long long>(lead) - (lead < point ? 1 : 0);
+      if (magnitude >= 0) {
+        pos_ = begin;
+        fail("non-finite number");
+      }
+      v = text_[begin] == '-' ? -0.0 : 0.0;
+    } else if (ec != std::errc() || stop != last) {
+      fail("malformed number");
+    }
     return JsonValue::make_number(v);
   }
 
@@ -279,15 +330,27 @@ JsonValue parse_json(std::string_view text) {
 
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "null";
+  // The shortest %.{p}g that reads back to value. No p below the digit
+  // count of the shortest round-trip form can read back, and that p
+  // usually does; near a power of two the correctly rounded p digits can
+  // fall outside the narrower lower half of the rounding interval, so p
+  // steps up until one reads back (p = 17 always does).
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  // Trim to the shortest representation that round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[32];
-    std::snprintf(probe, sizeof probe, "%.*g", prec, value);
-    if (std::strtod(probe, nullptr) == value) return probe;
+  const auto shortest = std::to_chars(buf, buf + sizeof buf, value,
+                                      std::chars_format::scientific);
+  int p = 0;
+  for (const char* c = buf; c != shortest.ptr && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++p;
   }
-  return buf;
+  for (;; ++p) {
+    // to_chars with general format and a precision is printf's %.{p}g in
+    // the C locale.
+    const auto out = std::to_chars(buf, buf + sizeof buf, value,
+                                   std::chars_format::general, p);
+    double back = 0.0;
+    std::from_chars(buf, out.ptr, back);
+    if (back == value || p >= 17) return std::string(buf, out.ptr);
+  }
 }
 
 std::string json_quote(std::string_view s) {

@@ -10,8 +10,9 @@
 /// external dependency — the container images pin what is installed, and
 /// a ~200-line parser is cheaper to audit than a vendored library.
 ///
-/// Numbers are parsed with strtod, matching the %.17g round-trip
-/// formatting used on the write side, so a double survives
+/// A double is written as the shortest printf "%.{p}g", p = 1..17, that
+/// reads back to the same value, and numbers are read by the RFC 8259
+/// grammar with correct rounding in every locale, so a double survives
 /// write -> parse bit for bit. 64-bit integers that must not lose
 /// precision (RNG words, config hashes) are stored as decimal *strings*
 /// on the wire and converted with the u64 helpers below.
@@ -68,14 +69,16 @@ class JsonValue {
 };
 
 /// Parses one JSON document. Throws easybo::Error (with the byte offset)
-/// on malformed input or trailing garbage.
+/// on malformed input or trailing garbage. A number outside the RFC 8259
+/// grammar ("0x10", "00012", "1.", ".5", "+1") or too large for a double
+/// is malformed; one too small for a double reads as +-0.
 JsonValue parse_json(std::string_view text);
 
 // --- write-side helpers (shared formatting with easybo.metrics.v1) ------
 
-/// Round-trip double formatting: up to 17 significant digits, trailing
-/// noise trimmed (1.0 prints as "1"). Non-finite values print as "null"
-/// (JSON has no NaN/Inf literal).
+/// The shortest printf "%.{p}g", p = 1..17, that reads back to exactly
+/// \p value: 1.0 prints as "1", 10.0 as "1e+01", 0.1 as "0.1". Non-finite
+/// values print as "null" (JSON has no NaN/Inf literal).
 std::string json_number(double value);
 
 /// Quoted, escaped JSON string literal.

@@ -353,14 +353,17 @@ TEST(ServeDeadline, QueueWaitCapShedsStaleRequests) {
 
   std::string slow_reply;
   std::thread slow_client([&] { slow_reply = host.handle_line("SUGGEST a"); });
-  // Wait until the slow SUGGEST occupies the single worker.
-  for (int spin = 0; spin < 2000; ++spin) {
-    if (host.handle_line("STATUS").find("\"inflight\":1") !=
-        std::string::npos) {
-      break;
-    }
-    std::this_thread::sleep_for(1ms);
+  // Wait until the slow SUGGEST occupies the single worker: STATUS a
+  // answers "busy" only while the worker holds a's session lock. (Bare
+  // STATUS counts a request in flight before it reaches the queue, so b's
+  // SUGGEST could still get to the worker first.)
+  bool a_running = false;
+  for (int spin = 0; spin < 2000 && !a_running; ++spin) {
+    a_running = host.handle_line("STATUS a").find("\"busy\":true") !=
+                std::string::npos;
+    if (!a_running) std::this_thread::sleep_for(1ms);
   }
+  EXPECT_TRUE(a_running);
   // b's request sits queued behind a's 300ms sleep — far past the 50ms
   // cap — and is shed at dequeue without touching the session.
   const std::string shed = host.handle_line("SUGGEST b");
