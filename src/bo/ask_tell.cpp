@@ -581,8 +581,7 @@ void AskTellCore::journal_eval(std::size_t tag, const Outcome& o,
   obs::count(trace_, "ckpt.journal_appends");
 }
 
-BoCheckpoint AskTellCore::make_snapshot(double now, double busy,
-                                        const RngState& sup_rng) const {
+BoCheckpoint AskTellCore::make_snapshot(double now, double busy) const {
   BoCheckpoint snap;
   snap.config_hash = config_hash_;
   snap.journal_count = journal_lines_;
@@ -592,7 +591,7 @@ BoCheckpoint AskTellCore::make_snapshot(double now, double busy,
   snap.sync_dirty = sync_dirty_;
   snap.issued = issued_;
   snap.rng = rng_.save();
-  snap.sup_rng = sup_rng;
+  snap.sup_rng = Rng(cfg_.seed ^ 0x5AFEB0FFu).save();  // frozen, unused
   snap.obs_x = obs_x_;
   snap.obs_y = obs_y_;
   snap.obs_is_init = obs_is_init_;
@@ -621,10 +620,9 @@ BoCheckpoint AskTellCore::make_snapshot(double now, double busy,
   return snap;
 }
 
-void AskTellCore::write_snapshot(double now, double busy,
-                                 const RngState& sup_rng) {
+void AskTellCore::write_snapshot(double now, double busy) {
   obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
-  const BoCheckpoint snap = make_snapshot(now, busy, sup_rng);
+  const BoCheckpoint snap = make_snapshot(now, busy);
   io::atomic_write_file(snapshot_file(cfg_.checkpoint_path),
                         io::frame_line(snap.to_payload()) + "\n");
   lines_at_snapshot_ = journal_lines_;

@@ -256,17 +256,15 @@ class AskTellCore {
   std::size_t journal_lines() const { return journal_lines_; }
   std::size_t lines_at_snapshot() const { return lines_at_snapshot_; }
 
-  /// Assembles the full core state into a snapshot. The three execution-
-  /// side fields the core cannot know — the logical clock, the total busy
-  /// time, and the supervisor's jitter-stream state — are injected by the
-  /// caller (the engine reads them off its executor; a server session
-  /// passes its own bookkeeping).
-  BoCheckpoint make_snapshot(double now, double busy,
-                             const RngState& sup_rng) const;
+  /// Assembles the full core state into a snapshot. The two execution-
+  /// side fields the core cannot know — the logical clock and the total
+  /// busy time — are injected by the caller (the engine reads them off
+  /// its executor; a server session passes its own bookkeeping).
+  BoCheckpoint make_snapshot(double now, double busy) const;
 
   /// make_snapshot + atomic write to the snapshot file; re-bases the
   /// snapshot cadence.
-  void write_snapshot(double now, double busy, const RngState& sup_rng);
+  void write_snapshot(double now, double busy);
 
   /// Restores every core-owned field from \p snap (the complement of
   /// make_snapshot): RNG, observations, proposal table, pending tags,

@@ -92,7 +92,7 @@ struct BoCheckpoint {
   std::size_t issued = 0;
 
   RngState rng;      ///< proposal stream
-  RngState sup_rng;  ///< supervisor jitter stream
+  RngState sup_rng;  ///< frozen: Rng(seed ^ 0x5AFEB0FF).save(), unused
 
   std::vector<Vec> obs_x;  ///< unit space
   Vec obs_y;

@@ -41,12 +41,12 @@ BoResult BoEngine::run(sched::Executor& exec) {
   // Every evaluation goes through the supervisor. With the default config
   // (no timeout, no retries) it is a transparent pass-through, so the
   // Abort policy reproduces the pre-supervision runs bit for bit. Retries
-  // follow SupervisorConfig's default backoff schedule.
+  // follow the supervisor's fixed backoff schedule.
   sched::SupervisorConfig scfg;
   scfg.timeout = cfg().eval_timeout;
   scfg.max_retries = cfg().eval_max_retries;
-  // Decorrelated from the proposal stream's RNG so supervision never
-  // perturbs it; deterministic per seed so retried runs reproduce.
+  // Keys the backoff jitter: deterministic per seed so retried runs
+  // reproduce, and drawn from no stream the proposals use.
   scfg.seed = cfg().seed ^ 0x5AFEB0FFu;
   sched::EvalSupervisor sup(exec, scfg, trace_);
 
@@ -206,7 +206,7 @@ void BoEngine::submit(sched::EvalSupervisor& sup) {
     // its busy time — which the executor will never see — here.
     replay_awaiting_.insert(s.tag);
     if (!sup.executor().wall_clock()) {
-      busy_base_ += effective_duration(s.duration);
+      busy_base_ += sup.occupancy(s.duration);
     }
     return;
   }
@@ -279,13 +279,6 @@ sched::SupervisedCompletion BoEngine::timed_wait(sched::EvalSupervisor& sup) {
 // Durability: journal, snapshot, resume replay (docs/checkpoint-format.md)
 // ---------------------------------------------------------------------------
 
-double BoEngine::effective_duration(double duration) const {
-  if (cfg().eval_timeout > 0.0 && duration > cfg().eval_timeout) {
-    return cfg().eval_timeout;  // the supervisor cuts it there (virtual)
-  }
-  return duration;
-}
-
 void BoEngine::restore(sched::EvalSupervisor& sup) {
   const std::string jpath = journal_file(cfg().checkpoint_path);
   const std::string spath = snapshot_file(cfg().checkpoint_path);
@@ -344,32 +337,25 @@ void BoEngine::restore(sched::EvalSupervisor& sup) {
 
   std::size_t resubmitted = 0;
   if (have_snap) {
-    sup.set_rng_state(snap.sup_rng);
     core_.restore_snapshot(snap, spath);
     last_replay_finish_ = snap.now;
+    snapshot_clock_ = snap.now;
     sup.advance_clock(snap.now);  // continue on the original clock
     busy_base_ = snap.busy;
 
     // In-flight work at snapshot time: a tag whose outcome is in the
     // journal tail is delivered by replay; anything else was genuinely in
-    // flight at the kill and is re-submitted with its REMAINING duration,
-    // so it finishes when the uninterrupted run finished it.
+    // flight at the kill and is re-submitted for what was left of it (so
+    // it finishes when the uninterrupted run did), which the snapshot's
+    // busy total already holds.
     for (const std::size_t tag : snap.pending) {
       if (replay_tags_.count(tag) != 0) {
         replay_awaiting_.insert(tag);
         continue;
       }
-      double duration = core_.proposal_duration(tag);
-      if (!sup.executor().wall_clock()) {
-        double remaining = core_.proposal_submit_time(tag) +
-                           effective_duration(duration) - snap.now;
-        if (!(remaining > 0.0)) remaining = 1e-9;
-        busy_base_ -= remaining;  // the executor re-accounts exactly this
-        duration = remaining;
-      }
-      restored_real_.insert(tag);
-      sup.submit(tag, evaluation(tag, core_.to_design(core_.proposal(tag))),
-                 duration);
+      busy_base_ -= sup.resubmit(
+          tag, evaluation(tag, core_.to_design(core_.proposal(tag))),
+          core_.proposal_duration(tag), core_.proposal_submit_time(tag));
       ++resubmitted;
     }
   }
@@ -393,10 +379,12 @@ BoEngine::Arrived BoEngine::await_one(sched::EvalSupervisor& sup) {
     a.outcome = replayed_outcome(rec, core_);
     replay_awaiting_.erase(rec.tag);
     last_replay_finish_ = rec.finish;
-    // The original run drew one backoff jitter per relaunch from the
-    // supervisor's stream; consume the same draws so the stream position
-    // stays aligned.
-    sup.replay_retries(rec.attempts);
+    // Retries the executor never saw; the snapshot's busy total holds
+    // those launched by its clock.
+    busy_base_ += sup.retry_occupancy(rec.tag,
+                                      core_.proposal_duration(rec.tag),
+                                      rec.start, rec.attempts,
+                                      snapshot_clock_);
     obs::count(trace_, "ckpt.replayed");
     return a;
   }
@@ -412,13 +400,6 @@ BoEngine::Arrived BoEngine::await_one(sched::EvalSupervisor& sup) {
   o.finish = sc.completion.finish;
   o.error = sc.error;
   o.exception = sc.exception;
-  const auto it = restored_real_.find(a.tag);
-  if (it != restored_real_.end()) {
-    // Re-submitted in-flight work: the executor saw only its remainder;
-    // its true start is the original submission time.
-    o.start = core_.proposal_submit_time(a.tag);
-    restored_real_.erase(it);
-  }
   if (auto slot = constraint_slots_.extract(a.tag); slot && sc.ok()) {
     const std::lock_guard<std::mutex> lock(slot.mapped()->mu);
     o.g = std::move(slot.mapped()->g);
@@ -443,8 +424,7 @@ void BoEngine::maybe_checkpoint(sched::EvalSupervisor& sup) {
 
 void BoEngine::write_snapshot(sched::EvalSupervisor& sup) {
   core_.write_snapshot(logical_now(sup),
-                       busy_base_ + sup.executor().total_busy_time(),
-                       sup.rng_state());
+                       busy_base_ + sup.executor().total_busy_time());
 }
 
 void BoEngine::finalize_metrics(sched::Executor& exec, BoResult& result) {

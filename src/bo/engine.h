@@ -44,7 +44,6 @@
 #include "bo/config.h"
 #include "bo/constrained.h"
 #include "bo/result.h"
-#include "common/rng.h"
 #include "obs/recording.h"
 #include "opt/objective.h"
 #include "sched/executor.h"
@@ -97,7 +96,9 @@ class BoEngine {
   /// interrupted run — a config-fingerprint mismatch refuses to resume
   /// (io::CheckpointError). Restores the snapshot, replays the journal
   /// tail through the normal loop (journaled outcomes substituted for
-  /// re-evaluation), re-submits work that was in flight at the kill, and
+  /// re-evaluation), re-submits work that was in flight at the kill
+  /// through sched::EvalSupervisor::resubmit (retry timing is a pure
+  /// function of seed, tag and retry, so nothing of it is restored), and
   /// continues — producing the same remaining proposal sequence as the
   /// uninterrupted run. Journaling continues on the same files. Call once
   /// per engine instance, instead of run().
@@ -217,10 +218,6 @@ class BoEngine {
     return std::max(sup.now(), last_replay_finish_);
   }
 
-  /// Virtual-time occupancy of one evaluation: its duration, cut at the
-  /// per-attempt deadline exactly as the supervisor cuts it.
-  double effective_duration(double duration) const;
-
   /// Loads snapshot + journal, restores core state, stages the journal
   /// tail for replay and re-submits genuinely in-flight work.
   void restore(sched::EvalSupervisor& sup);
@@ -259,12 +256,9 @@ class BoEngine {
   std::deque<JournalRecord> replay_;
   std::unordered_set<std::size_t> replay_tags_;
   std::unordered_set<std::size_t> replay_awaiting_;  // covered AND issued
-  // In-flight-at-kill tags re-submitted with their remaining duration;
-  // their completion's start is the original submit time, not the
-  // re-submit time.
-  std::unordered_set<std::size_t> restored_real_;
   double busy_base_ = 0.0;          // restored busy the executor never saw
   double last_replay_finish_ = 0.0;
+  double snapshot_clock_ = 0.0;     // restored snapshot's clock
   bool resumed_ = false;
   common::StopToken stop_token_;  // default: never fires
   std::string resume_note_;

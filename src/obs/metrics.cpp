@@ -8,8 +8,8 @@ namespace easybo::obs {
 
 namespace {
 
-/// Shortest round-trippable decimal representation (JSON has no inf/nan;
-/// metrics values never are, they come from clocks and durations).
+/// "%.17g": reads back exactly but is not the shortest form (metrics_v1.json
+/// pins these bytes). JSON has no inf/nan; metrics values never are.
 std::string json_number(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);

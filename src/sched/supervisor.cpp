@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace easybo::sched {
 
@@ -21,65 +22,87 @@ const char* to_string(EvalStatus status) {
   return "?";
 }
 
-void SupervisorConfig::validate() const {
-  EASYBO_REQUIRE(backoff_init >= 0.0, "backoff_init must be >= 0");
-  EASYBO_REQUIRE(backoff_factor >= 1.0, "backoff_factor must be >= 1");
-  EASYBO_REQUIRE(backoff_max >= 0.0, "backoff_max must be >= 0");
-  EASYBO_REQUIRE(backoff_jitter >= 0.0 && backoff_jitter <= 1.0,
-                 "backoff_jitter must be in [0, 1]");
-}
+// The retry schedule, hashed as the frozen eval_backoff_* literals of
+// config_fingerprint: first delay (s), growth, cap (s), +- jitter.
+constexpr double kBackoffInit = 0.5;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffMax = 30.0;
+constexpr double kBackoffJitter = 0.1;
 
-double backoff_delay(const SupervisorConfig& config, std::size_t retry,
-                     Rng& rng) {
+double backoff_delay(std::size_t retry, std::uint64_t seed,
+                     std::size_t tag) {
   EASYBO_REQUIRE(retry >= 1, "backoff_delay: retries are 1-based");
-  double delay = config.backoff_init;
-  for (std::size_t i = 1; i < retry; ++i) {
-    delay *= config.backoff_factor;
-    if (delay >= config.backoff_max) break;  // saturated; stop compounding
-  }
-  delay = std::min(delay, config.backoff_max);
-  if (config.backoff_jitter > 0.0 && delay > 0.0) {
-    delay *= 1.0 + config.backoff_jitter * (2.0 * rng.uniform() - 1.0);
-  }
-  return delay;
+  const double delay = std::min(
+      kBackoffMax, kBackoffInit * std::pow(kBackoffFactor, double(retry - 1)));
+  std::uint64_t h = seed;
+  h = splitmix64(h) ^ tag;
+  h = splitmix64(h) ^ retry;
+  const double u = static_cast<double>(splitmix64(h) >> 11) * 0x1.0p-53;
+  return delay * (1.0 + kBackoffJitter * (2.0 * u - 1.0));
 }
 
 EvalSupervisor::EvalSupervisor(Executor& exec, SupervisorConfig config,
                                obs::TraceSink* trace)
-    : exec_(exec), cfg_(config), trace_(trace), rng_(config.seed) {
-  cfg_.validate();
-}
+    : exec_(exec), cfg_(config), trace_(trace) {}
 
 std::size_t EvalSupervisor::num_running() const {
-  return exec_.num_running() - orphans_;
+  return exec_.num_running() - orphans_ + ready_.size();
 }
 
 void EvalSupervisor::submit(std::size_t tag, std::function<double()> work,
                             double duration) {
-  Flight flight;
-  flight.tag = tag;
-  flight.work = std::move(work);
-  flight.duration = duration;
-  flight.first_start = exec_.now();
-  launch(std::move(flight), /*delay=*/0.0);
+  launch({.tag = tag, .work = std::move(work), .duration = duration,
+          .first_start = exec_.now()},
+         /*delay=*/0.0, occupancy(duration));
 }
 
-void EvalSupervisor::launch(Flight flight, double delay) {
-  const std::size_t id = next_id_++;
-  const bool deadline_on = cfg_.timeout > 0.0;
-  flight.cut_at_deadline = false;
-  flight.orphaned = false;
-  flight.slot = std::make_shared<AttemptSlot>();
-
-  double submitted = flight.duration;
-  if (deadline_on && !exec_.wall_clock() && submitted > cfg_.timeout) {
-    // Virtual time: the attempt would outlive its deadline, so cut it
-    // there — the worker is occupied until exactly the deadline, as if
-    // the simulator had been killed at its time limit.
-    submitted = cfg_.timeout;
-    flight.cut_at_deadline = true;
+double EvalSupervisor::resubmit(std::size_t tag,
+                                std::function<double()> work,
+                                double duration, double first_start) {
+  if (exec_.wall_clock()) {
+    submit(tag, std::move(work), duration);
+    return 0.0;
   }
-  submitted += delay;  // backoff occupies the worker as relaunch latency
+  double left = first_start + occupancy(duration) - exec_.now();
+  if (!(left > 0.0)) left = 1e-9;  // the executor refuses a zero duration
+  launch({.tag = tag, .work = std::move(work), .duration = duration,
+          .first_start = first_start},
+         /*delay=*/0.0, left);
+  return left;
+}
+
+double EvalSupervisor::occupancy(double duration) const {
+  // Virtual time: an attempt that would outlive its deadline is cut
+  // there — the worker is occupied until exactly the deadline, as if the
+  // simulator had been killed at its time limit.
+  if (cfg_.timeout > 0.0 && !exec_.wall_clock() && duration > cfg_.timeout) {
+    return cfg_.timeout;
+  }
+  return duration;
+}
+
+double EvalSupervisor::retry_occupancy(std::size_t tag, double duration,
+                                       double first_start,
+                                       std::uint32_t attempts,
+                                       double since) const {
+  if (exec_.wall_clock()) return 0.0;
+  // Each retry is launched where the attempt before it ended, for its
+  // duration plus its backoff: settle()'s arithmetic.
+  double booked = 0.0;
+  double launched = first_start + occupancy(duration);
+  for (std::uint32_t retry = 1; retry < attempts; ++retry) {
+    const double occupied =
+        occupancy(duration) + backoff_delay(retry, cfg_.seed, tag);
+    if (launched > since) booked += occupied;
+    launched += occupied;
+  }
+  return booked;
+}
+
+void EvalSupervisor::launch(Flight flight, double delay, double occupied) {
+  const std::size_t id = next_id_++;
+  flight.cut_at_deadline = occupancy(flight.duration) < flight.duration;
+  flight.slot = std::make_shared<AttemptSlot>();
   flight.deadline = exec_.now() + delay + cfg_.timeout;
 
   const double sleep_s = exec_.wall_clock() ? delay : 0.0;
@@ -103,7 +126,7 @@ void EvalSupervisor::launch(Flight flight, double delay) {
     }
     return 0.0;  // sentinel; never observed as a value
   };
-  exec_.submit(id, std::move(wrapped), submitted);
+  exec_.submit(id, std::move(wrapped), occupied);
   inflight_.emplace(id, std::move(flight));
 }
 
@@ -121,7 +144,23 @@ EvalStatus EvalSupervisor::classify(const Flight& flight,
   return EvalStatus::Ok;
 }
 
+void EvalSupervisor::advance_clock(double t) {
+  exec_.advance_to(t);
+  // advance_to stops at the earliest running finish. Short of t, that is
+  // an attempt the original run saw end before t: settle it there, so a
+  // failed one is retried at its own finish, not at t.
+  while (!exec_.wall_clock() && exec_.now() < t) {
+    if (auto out = settle(exec_.wait_next())) ready_.push_back(std::move(*out));
+    exec_.advance_to(t);
+  }
+}
+
 SupervisedCompletion EvalSupervisor::wait_next() {
+  if (!ready_.empty()) {
+    SupervisedCompletion out = std::move(ready_.front());
+    ready_.pop_front();
+    return out;
+  }
   EASYBO_REQUIRE(num_running() > 0,
                  "EvalSupervisor::wait_next with no supervised job");
   const bool watchdog = cfg_.timeout > 0.0 && exec_.wall_clock();
@@ -158,70 +197,59 @@ SupervisedCompletion EvalSupervisor::wait_next() {
     } else {
       copt = exec_.wait_next();
     }
-
-    const Completion c = *copt;
-    auto it = inflight_.find(c.tag);
-    EASYBO_REQUIRE(it != inflight_.end(),
-                   "completion for an unsupervised job");
-    if (it->second.orphaned) {
-      // The hung objective finally returned; its slot rejoins the pool
-      // and the stale result is dropped (its timeout was already
-      // reported).
-      inflight_.erase(it);
-      --orphans_;
-      continue;
-    }
-    Flight flight = std::move(it->second);
-    inflight_.erase(it);
-
-    const EvalStatus status = classify(flight, c);
-    if (status == EvalStatus::Ok) {
-      SupervisedCompletion out;
-      out.completion = c;
-      out.completion.tag = flight.tag;
-      out.completion.start = flight.first_start;
-      out.attempts = flight.attempt;
-      return out;
-    }
-
-    switch (status) {
-      case EvalStatus::Exception:
-        obs::count(trace_, "eval.exceptions");
-        break;
-      case EvalStatus::NonFinite:
-        obs::count(trace_, "eval.nonfinite");
-        break;
-      case EvalStatus::Timeout:
-        obs::count(trace_, "eval.timeouts");
-        break;
-      case EvalStatus::Ok: break;
-    }
-    if (status != EvalStatus::Timeout && flight.attempt <= cfg_.max_retries) {
-      obs::count(trace_, "eval.retries");
-      flight.attempt += 1;
-      launch(std::move(flight),
-             backoff_delay(cfg_, flight.attempt - 1, rng_));
-      continue;
-    }
-
-    SupervisedCompletion out;
-    out.completion = c;
-    out.completion.tag = flight.tag;
-    out.completion.start = flight.first_start;
-    out.status = status;
-    out.attempts = flight.attempt;
-    if (flight.slot->threw) {
-      out.error = flight.slot->what;
-      out.exception = flight.slot->error;
-    }
-    return out;
+    if (auto out = settle(*copt)) return std::move(*out);
   }
 }
 
-void EvalSupervisor::replay_retries(std::uint32_t attempts) {
-  for (std::uint32_t retry = 1; retry < attempts; ++retry) {
-    (void)backoff_delay(cfg_, retry, rng_);
+std::optional<SupervisedCompletion> EvalSupervisor::settle(
+    const Completion& c) {
+  auto it = inflight_.find(c.tag);
+  EASYBO_REQUIRE(it != inflight_.end(), "completion for an unsupervised job");
+  if (it->second.orphaned) {
+    // The hung objective finally returned; its slot rejoins the pool and
+    // the stale result is dropped (its timeout was already reported).
+    inflight_.erase(it);
+    --orphans_;
+    return std::nullopt;
   }
+  Flight flight = std::move(it->second);
+  inflight_.erase(it);
+
+  const EvalStatus status = classify(flight, c);
+  switch (status) {
+    case EvalStatus::Exception:
+      obs::count(trace_, "eval.exceptions");
+      break;
+    case EvalStatus::NonFinite:
+      obs::count(trace_, "eval.nonfinite");
+      break;
+    case EvalStatus::Timeout:
+      obs::count(trace_, "eval.timeouts");
+      break;
+    case EvalStatus::Ok: break;
+  }
+  if (status != EvalStatus::Ok && status != EvalStatus::Timeout &&
+      flight.attempt <= cfg_.max_retries) {
+    obs::count(trace_, "eval.retries");
+    // Backoff occupies the worker as relaunch latency.
+    const double delay = backoff_delay(flight.attempt, cfg_.seed, flight.tag);
+    const double occupied = occupancy(flight.duration) + delay;
+    flight.attempt += 1;
+    launch(std::move(flight), delay, occupied);
+    return std::nullopt;
+  }
+
+  SupervisedCompletion out;
+  out.completion = c;
+  out.completion.tag = flight.tag;
+  out.completion.start = flight.first_start;
+  out.status = status;
+  out.attempts = flight.attempt;
+  if (flight.slot->threw) {
+    out.error = flight.slot->what;
+    out.exception = flight.slot->error;
+  }
+  return out;
 }
 
 }  // namespace easybo::sched

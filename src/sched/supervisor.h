@@ -30,7 +30,7 @@
 /// policy, and lives in BoEngine (BoConfig::on_eval_failure). This layer
 /// only makes failures observable and survivable. With the default config
 /// (no timeout, no retries) the supervisor is a transparent pass-through:
-/// same schedule, same values, no RNG draws.
+/// same schedule, same values.
 ///
 /// Counters reported to the trace sink: "eval.exceptions",
 /// "eval.nonfinite", "eval.timeouts" (one per failed attempt) and
@@ -38,13 +38,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
-#include "common/rng.h"
 #include "obs/trace.h"
 #include "sched/executor.h"
 
@@ -72,21 +73,15 @@ struct SupervisorConfig {
   /// timeout already burned a full deadline, and a deterministic
   /// over-long simulation will time out again.
   std::size_t max_retries = 0;
-  double backoff_init = 0.5;    ///< delay before the first retry (seconds)
-  double backoff_factor = 2.0;  ///< exponential growth per further retry
-  double backoff_max = 30.0;    ///< delay cap (seconds)
-  double backoff_jitter = 0.1;  ///< uniform +- fraction on each delay
-  std::uint64_t seed = 0x5AFEB0FFu;  ///< jitter stream seed
-
-  /// Throws InvalidArgument when a knob is out of range.
-  void validate() const;
+  std::uint64_t seed = 0x5AFEB0FFu;  ///< backoff jitter key
 };
 
-/// Deterministic backoff schedule: the delay before 1-based retry
-/// \p retry, i.e. min(backoff_max, backoff_init * factor^(retry-1))
-/// jittered by +- backoff_jitter (one rng.uniform() draw when jitter > 0).
-double backoff_delay(const SupervisorConfig& config, std::size_t retry,
-                     Rng& rng);
+/// The delay before 1-based retry \p retry of evaluation \p tag:
+/// min(30 s, 0.5 s * 2^(retry-1)) scaled by 1 + 0.1 (2u - 1), u in [0, 1)
+/// a splitmix64 hash of (\p seed, \p tag, \p retry). A pure function, so
+/// no supervisor state needs checkpointing (docs/checkpoint-format.md).
+double backoff_delay(std::size_t retry, std::uint64_t seed,
+                     std::size_t tag);
 
 /// One supervised evaluation as seen by the algorithm: the final
 /// completion plus its classification. start is the FIRST attempt's start
@@ -137,6 +132,26 @@ class EvalSupervisor {
   void submit(std::size_t tag, std::function<double()> work,
               double duration);
 
+  /// Re-launches an evaluation in flight when a run was interrupted. On
+  /// virtual time it reports \p first_start as its start, its first
+  /// attempt runs for what was left of it at now() (at least 1e-9 s), cut
+  /// and classified as the original, and retries run the full \p duration;
+  /// returns the seconds it books a second time. On the wall clock, which
+  /// cannot be continued, it is submit() and returns 0.
+  double resubmit(std::size_t tag, std::function<double()> work,
+                  double duration, double first_start);
+
+  /// Executor seconds one attempt of \p duration occupies: on virtual
+  /// time \p duration cut at the deadline, on the wall clock \p duration.
+  double occupancy(double duration) const;
+
+  /// Virtual seconds booked by the retries launched after time \p since
+  /// of an evaluation of \p duration that started at \p first_start and
+  /// made \p attempts attempts (0 on the wall clock): what a resume books
+  /// for a journaled evaluation it replays instead of re-running.
+  double retry_occupancy(std::size_t tag, double duration, double first_start,
+                         std::uint32_t attempts, double since) const;
+
   /// Blocks until the next supervised evaluation reaches a terminal
   /// outcome (retries happen internally) and returns it. Never rethrows
   /// objective exceptions. Throws InvalidArgument when nothing is running.
@@ -151,24 +166,11 @@ class EvalSupervisor {
   /// outside this class.
   std::size_t orphans() const { return orphans_; }
 
-  /// Clock passthrough for checkpoint resume (Executor::advance_to).
-  void advance_clock(double t) { exec_.advance_to(t); }
-
-  // --- retry/backoff state (checkpoint/resume) --------------------------
-  // The jitter stream position is part of a run's durable state: replays
-  // must consume the same draws the original run consumed or every delay
-  // after the resume point would shift (docs/checkpoint-format.md).
-
-  /// Snapshot of the jitter stream.
-  RngState rng_state() const { return rng_.save(); }
-
-  /// Restores a jitter stream captured by rng_state().
-  void set_rng_state(const RngState& state) { rng_.load(state); }
-
-  /// Fast-forwards the jitter stream past the retries of one journaled
-  /// evaluation that made \p attempts attempts: draws (and discards)
-  /// exactly the backoff delays its attempts-1 relaunches drew.
-  void replay_retries(std::uint32_t attempts);
+  /// Moves the clock to \p t for checkpoint resume (Executor::advance_to),
+  /// first settling each attempt that ends before \p t at its own finish:
+  /// a failed one is retried where the original run retried it, a
+  /// terminal outcome is held for the next wait_next().
+  void advance_clock(double t);
 
  private:
   /// Written on the worker thread before its completion is enqueued,
@@ -190,21 +192,25 @@ class EvalSupervisor {
     std::uint32_t attempt = 1;
     bool cut_at_deadline = false;  ///< virtual: duration was capped
     bool orphaned = false;         ///< wall: reported, worker abandoned
-    std::shared_ptr<AttemptSlot> slot;
+    std::shared_ptr<AttemptSlot> slot = nullptr;
   };
 
-  /// Submits one attempt to the executor, delayed by \p delay seconds of
-  /// backoff (added to the virtual duration, or slept on the worker).
-  void launch(Flight flight, double delay);
+  /// Submits one attempt: \p occupied virtual seconds (backoff included),
+  /// or \p delay seconds of backoff slept on the worker on the wall clock.
+  void launch(Flight flight, double delay, double occupied);
 
   /// Classification of a finished, non-orphaned attempt.
   EvalStatus classify(const Flight& flight, const Completion& c) const;
 
+  /// Consumes one executor completion: its evaluation's terminal outcome,
+  /// or nothing when the attempt was relaunched or had been abandoned.
+  std::optional<SupervisedCompletion> settle(const Completion& c);
+
   Executor& exec_;
   SupervisorConfig cfg_;
   obs::TraceSink* trace_;
-  Rng rng_;
   std::unordered_map<std::size_t, Flight> inflight_;
+  std::deque<SupervisedCompletion> ready_;  ///< settled by advance_clock
   std::size_t next_id_ = 0;
   std::size_t orphans_ = 0;  ///< abandoned workers still physically busy
 };

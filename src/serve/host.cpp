@@ -1,10 +1,8 @@
 #include "serve/host.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -45,21 +43,22 @@ std::string one_line(std::string s) {
   return s;
 }
 
+/// An RFC 8259 number, the grammar NEW configs use, read in any locale.
+/// JSON has no inf or nan and an overflow is refused, so the value is
+/// finite (clients report failures via the fail form). A bare number
+/// starts with '-' or a digit and ends with a digit, which also keeps out
+/// the whitespace parse_json skips.
 double parse_double_token(const std::string& token, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(token.c_str(), &end);
-  if (token.empty() || end != token.c_str() + token.size()) {
-    throw Error(std::string("expected a number for ") + what + ", got \"" +
-                token + "\"");
+  const auto digit = [](char c) { return c >= '0' && c <= '9'; };
+  if (!token.empty() && (token.front() == '-' || digit(token.front())) &&
+      digit(token.back())) {
+    try {
+      return io::parse_json(token).as_double();
+    } catch (const Error&) {  // refused below, naming the token
+    }
   }
-  // strtod happily parses "inf" and "nan"; neither is an observation a
-  // model can absorb (clients report failures via the fail form).
-  if (!std::isfinite(v)) {
-    throw Error(std::string("expected a finite number for ") + what +
-                ", got \"" + token + "\"");
-  }
-  return v;
+  throw Error(std::string("expected a finite number for ") + what +
+              ", got \"" + token + "\"");
 }
 
 std::size_t parse_tag_token(const std::string& token) {

@@ -44,14 +44,7 @@ SnapLoad load_snapshot(const std::string& path, bo::BoCheckpoint& out) {
 
 Session::Session(std::string name, SessionSpec spec)
     : name_(std::move(name)),
-      core_(std::move(spec.config), std::move(spec.bounds)) {
-  // The session's snapshot files reuse the engine's schema, which carries
-  // the supervisor jitter stream. A hosted session never retries (the
-  // client reports one terminal outcome per tag), so the stream stays at
-  // the state the engine would have seeded it with.
-  Rng sup(core_.config().seed ^ 0x5AFEB0FFu);
-  sup_rng_ = sup.save();
-}
+      core_(std::move(spec.config), std::move(spec.bounds)) {}
 
 std::unique_ptr<Session> Session::create(std::string name, SessionSpec spec,
                                          const std::string& checkpoint_base) {
@@ -276,6 +269,8 @@ std::string Session::status_json() const {
 
 void Session::snapshot() {
   if (snapshot_valid_) {
+    // Its own span: write_snapshot below books the write in another.
+    obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
     const std::string spath =
         bo::snapshot_file(core_.config().checkpoint_path);
     try {
@@ -287,7 +282,7 @@ void Session::snapshot() {
     }
   }
   snapshot_valid_ = false;
-  core_.write_snapshot(now_, 0.0, sup_rng_);
+  core_.write_snapshot(now_, 0.0);
   snapshot_valid_ = true;
 }
 

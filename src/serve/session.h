@@ -19,9 +19,8 @@
 /// Durability shares PR 4's format (docs/checkpoint-format.md): the same
 /// CRC-framed journal, the same BoCheckpoint snapshot, the same config
 /// fingerprint refusal on mismatch. The executor-side snapshot fields a
-/// BoEngine run would fill (clock, busy time, supervisor RNG) are stood
-/// in by the session's logical clock (one tick per observation), zero
-/// busy time, and the supervisor stream's seed-derived initial state —
+/// BoEngine run would fill (clock and busy time) are stood in by the
+/// session's logical clock (one tick per observation) and zero busy time,
 /// so the files stay schema-complete.
 
 #include <chrono>
@@ -143,10 +142,6 @@ class Session {
 
   std::string name_;
   bo::AskTellCore core_;
-  /// Stand-in for the supervisor jitter stream a BoEngine run would
-  /// snapshot: the stream's initial state for this seed. The host never
-  /// retries evaluations, so the stream never advances.
-  RngState sup_rng_;
   /// Logical clock: one tick per absorbed observation. Recorded as each
   /// proposal's submit time and as the snapshot clock.
   double now_ = 0.0;

@@ -22,6 +22,10 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
+#include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -741,6 +745,150 @@ TEST(Checkpointing, KillAndResumeConstrainedMatchesUninterrupted) {
       expect_same_run(ref, engine.resume(base));
     }
   }
+}
+
+/// Branin whose FIRST call at a point throws wherever floor(1000 |x0|) is
+/// odd: a transient simulator crash that one retry recovers. The memory
+/// of which points crashed is per instance, as it is per process, so
+/// every run and every resume takes a fresh one.
+circuit::TestFunction flaky_branin() {
+  circuit::TestFunction tf = circuit::branin();
+  auto crashed = std::make_shared<std::set<double>>();
+  tf.fn = [branin = tf.fn, crashed](const Vec& x) {
+    if (static_cast<long>(std::floor(1000.0 * std::abs(x[0]))) % 2 == 1 &&
+        crashed->insert(x[0]).second) {
+      throw std::runtime_error("transient simulator crash");
+    }
+    return branin(x);
+  };
+  return tf;
+}
+
+/// How the kills of one resume sweep were classified.
+struct SweepCounts {
+  int exact = 0;            ///< resumed runs held to expect_same_run
+  int mid_retry = 0;        ///< an unfinished evaluation was retrying
+  int clamp = 0;            ///< an unfinished flight ended at the clock
+  int tail_retried = 0;     ///< exact kills replaying a pre-snapshot retry
+  int timeout_resumed = 0;  ///< exact kills re-launching a cut flight
+};
+
+/// Kills a flaky-Branin run (async B = 4, discard, \p cfg's retry and
+/// timeout settings) at each of the objective calls \p kills on each of
+/// the \p seeds, resumes each kill, and classifies it by rule from the
+/// snapshot and journal it left behind. Snapshots record no attempt
+/// counts, so a pending evaluation with no journaled outcome whose first
+/// attempt ended before the snapshot's clock was already retrying and
+/// re-runs from attempt 1 (mid-retry); one whose first attempt ends
+/// exactly at the clock is re-launched for 1e-9 s (clamp). Every other
+/// kill must reproduce the uninterrupted run, failure statuses included.
+void resume_sweep(BoConfig cfg, const std::string& name,
+                  const std::vector<std::uint64_t>& seeds,
+                  const std::vector<int>& kills, SweepCounts& n) {
+  for (const std::uint64_t seed : seeds) {
+    cfg.seed = seed;
+    const circuit::TestFunction ref_tf = flaky_branin();
+    const BoResult ref =
+        BoEngine(cfg, ref_tf.bounds, ref_tf.fn, varied_sim_time).run();
+    for (const int kill_at : kills) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", kill at call " +
+                   std::to_string(kill_at));
+      const std::string base = fresh_base(name + "_" + std::to_string(seed) +
+                                          "_" + std::to_string(kill_at));
+      run_and_kill(cfg, flaky_branin(), base, kill_at);
+
+      BoCheckpoint snap;
+      if (io::file_exists(snapshot_file(base))) {
+        snap = BoCheckpoint::parse(
+            io::read_journal(snapshot_file(base)).payloads.at(0));
+      }
+      const io::JournalReadResult jr = io::read_journal(journal_file(base));
+      std::map<std::size_t, std::uint32_t> tail_attempts;
+      for (std::size_t i = 1 + snap.journal_count; i < jr.payloads.size();
+           ++i) {
+        const JournalRecord rec = JournalRecord::parse(jr.payloads[i]);
+        tail_attempts[rec.tag] = rec.attempts;
+      }
+      bool mid_retry = false;
+      bool clamp = false;
+      bool tail_retried = false;
+      bool timeout_resumed = false;
+      for (const std::size_t tag : snap.pending) {
+        const double duration = snap.prop_duration.at(tag);
+        double first_end = snap.prop_submit.at(tag) + duration;
+        if (cfg.eval_timeout > 0.0 && duration > cfg.eval_timeout) {
+          first_end = snap.prop_submit.at(tag) + cfg.eval_timeout;
+        }
+        const auto done = tail_attempts.find(tag);
+        if (done != tail_attempts.end()) {
+          tail_retried |= done->second > 1 && first_end < snap.now;
+        } else if (first_end == snap.now) {
+          clamp = true;
+        } else if (first_end < snap.now) {
+          mid_retry = true;
+        } else {
+          timeout_resumed |= cfg.eval_timeout > 0.0 &&
+                             duration > cfg.eval_timeout;
+        }
+      }
+
+      const circuit::TestFunction tf = flaky_branin();
+      BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
+      const BoResult r = engine.resume(base);
+      if (mid_retry || clamp) {
+        n.mid_retry += mid_retry;
+        n.clamp += clamp && !mid_retry;
+        EXPECT_EQ(r.num_evals(), ref.num_evals());
+        continue;
+      }
+      ++n.exact;
+      n.tail_retried += tail_retried;
+      n.timeout_resumed += timeout_resumed;
+      expect_same_run(ref, r);
+      for (std::size_t i = 0; i < std::min(ref.num_evals(), r.num_evals());
+           ++i) {
+        EXPECT_EQ(ref.evals[i].failure, r.evals[i].failure) << "eval " << i;
+        EXPECT_EQ(ref.evals[i].attempts, r.evals[i].attempts) << "eval " << i;
+      }
+    }
+  }
+}
+
+TEST(Checkpointing, KillAndResumeWithRetriesMatchesUninterrupted) {
+  // Every retry's backoff is a pure function of (seed, tag, retry), so a
+  // resume re-draws nothing: replaying a journaled evaluation that
+  // retried, and retrying a re-submitted one, both land exactly where
+  // the uninterrupted run did.
+  BoConfig cfg = quick(Mode::AsyncBatch, 4, 11);
+  cfg.on_eval_failure = EvalFailurePolicy::Discard;
+  cfg.eval_max_retries = 2;
+  SweepCounts n;
+  resume_sweep(cfg, "kill_retries", {11, 12, 13, 14}, {5, 9, 13, 17, 21}, n);
+  // Two more exact kills: on seed 19 a re-submitted evaluation's first
+  // attempt fails before the replayed completion that frees the next
+  // worker, and on seed 21 a journaled evaluation retries after the
+  // snapshot, which the busy total must count.
+  resume_sweep(cfg, "kill_retries", {19}, {19}, n);
+  resume_sweep(cfg, "kill_retries", {21}, {13}, n);
+  EXPECT_GE(n.exact, 12);
+  EXPECT_GE(n.tail_retried, 1)
+      << "no exact kill replayed an evaluation that retried before its "
+         "snapshot";
+}
+
+TEST(Checkpointing, KillAndResumeWithTimeoutsMatchesUninterrupted) {
+  // A flight cut at its deadline in the original run is re-launched for
+  // what was left of it and still comes back as a timeout at its
+  // original finish time.
+  BoConfig cfg = quick(Mode::AsyncBatch, 4, 11);
+  cfg.on_eval_failure = EvalFailurePolicy::Discard;
+  cfg.eval_timeout = 0.66;
+  SweepCounts n;
+  resume_sweep(cfg, "kill_timeouts", {11, 12, 13, 14}, {5, 9, 13, 17, 21}, n);
+  EXPECT_EQ(n.mid_retry, 0);  // timeouts are never retried
+  EXPECT_GE(n.exact, 10);
+  EXPECT_GE(n.timeout_resumed, 1)
+      << "no exact kill re-launched a timeout-destined evaluation";
 }
 
 TEST(Checkpointing, KillAndResumeOnThreadExecutorSequential) {

@@ -67,7 +67,9 @@ struct FuzzCase {
   std::string input;
 };
 
-std::vector<FuzzCase> fuzz_corpus() {
+/// \p live is the tag of the session's in-flight suggestion, so a value
+/// the OBSERVE grammar should refuse would otherwise be observed.
+std::vector<FuzzCase> fuzz_corpus(const std::string& live) {
   std::vector<FuzzCase> cases = {
       {"empty line", ""},
       {"whitespace only", "   "},
@@ -102,6 +104,12 @@ std::vector<FuzzCase> fuzz_corpus() {
       {"OBSERVE negative infinity", "OBSERVE s 0 -inf"},
       {"OBSERVE nan", "OBSERVE s 0 nan"},
       {"OBSERVE overflowing literal", "OBSERVE s 0 1e999"},
+      // Outside the RFC 8259 number grammar, sent to the live tag.
+      {"OBSERVE hex literal", "OBSERVE s " + live + " 0x10"},
+      {"OBSERVE trailing dot", "OBSERVE s " + live + " 1."},
+      {"OBSERVE explicit plus", "OBSERVE s " + live + " +1"},
+      {"OBSERVE leading dot", "OBSERVE s " + live + " .5"},
+      {"OBSERVE leading zeros", "OBSERVE s " + live + " 00012"},
       {"OBSERVE trailing garbage", "OBSERVE s 0 1.0 extra"},
       {"OBSERVE unknown failure status", "OBSERVE s 0 fail bogus"},
       {"STATUS unknown session", "STATUS nosuch"},
@@ -138,12 +146,14 @@ TEST(ServeFuzz, EveryMalformedInputGetsOneErrAndChangesNothing) {
   }
   const std::string suggested = host.handle_line("SUGGEST s");
   ASSERT_EQ(suggested.rfind("OK ", 0), 0u);
+  const std::string live = std::to_string(static_cast<std::size_t>(
+      io::parse_json(suggested.substr(3)).at("tag").as_double()));
 
   const auto disk_before = dir_contents(dir);
   const std::string status_before = host.handle_line("STATUS s");
   ASSERT_EQ(status_before.rfind("OK ", 0), 0u);
 
-  for (const FuzzCase& c : fuzz_corpus()) {
+  for (const FuzzCase& c : fuzz_corpus(live)) {
     SCOPED_TRACE(c.label);
     const std::string reply = host.handle_line(c.input);
     // Exactly one ERR line: correct prefix, no embedded newlines, and
@@ -162,10 +172,7 @@ TEST(ServeFuzz, EveryMalformedInputGetsOneErrAndChangesNothing) {
 
   // The session is still fully operational: the pending suggestion can
   // be observed and the stream continues.
-  const io::JsonValue j = io::parse_json(suggested.substr(3));
-  const auto tag = static_cast<std::size_t>(j.at("tag").as_double());
-  EXPECT_EQ(host.handle_line("OBSERVE s " + std::to_string(tag) + " 0.5")
-                .rfind("OK ", 0),
+  EXPECT_EQ(host.handle_line("OBSERVE s " + live + " 0.5").rfind("OK ", 0),
             0u);
   EXPECT_EQ(host.handle_line("SUGGEST s").rfind("OK ", 0), 0u);
 }

@@ -1,8 +1,9 @@
 // Tests for the fault-tolerant evaluation supervisor: outcome
 // classification (ok / exception / timeout / non-finite), per-attempt
 // deadlines on both executor backends (virtual cut vs wall watchdog +
-// worker abandonment), capped exponential backoff with deterministic
-// jitter, and the pass-through guarantee of the default config.
+// worker abandonment), capped exponential backoff with jitter keyed on
+// (seed, tag, retry), resuming interrupted work, and the pass-through
+// guarantee of the default config.
 
 #include "sched/supervisor.h"
 
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -25,58 +27,46 @@ namespace {
 // backoff_delay
 // ---------------------------------------------------------------------------
 
-SupervisorConfig no_jitter() {
-  SupervisorConfig cfg;
-  cfg.backoff_init = 0.5;
-  cfg.backoff_factor = 2.0;
-  cfg.backoff_max = 3.0;
-  cfg.backoff_jitter = 0.0;
-  return cfg;
+/// The unjittered schedule: 0.5 s doubling per retry, capped at 30 s.
+double nominal(std::size_t retry) {
+  return std::min(30.0, 0.5 * std::pow(2.0, double(retry - 1)));
 }
 
 TEST(BackoffDelay, ExponentialThenCapped) {
-  const SupervisorConfig cfg = no_jitter();
-  Rng rng(1);
-  EXPECT_DOUBLE_EQ(backoff_delay(cfg, 1, rng), 0.5);
-  EXPECT_DOUBLE_EQ(backoff_delay(cfg, 2, rng), 1.0);
-  EXPECT_DOUBLE_EQ(backoff_delay(cfg, 3, rng), 2.0);
-  EXPECT_DOUBLE_EQ(backoff_delay(cfg, 4, rng), 3.0);  // capped
-  EXPECT_DOUBLE_EQ(backoff_delay(cfg, 50, rng), 3.0);
+  for (const std::size_t retry : {1u, 2u, 3u, 6u, 7u, 8u, 50u}) {
+    const double d = backoff_delay(retry, 1, 0);
+    EXPECT_GE(d, 0.9 * nominal(retry)) << "retry " << retry;
+    EXPECT_LE(d, 1.1 * nominal(retry)) << "retry " << retry;
+  }
+  EXPECT_DOUBLE_EQ(nominal(7), 30.0);  // 0.5 * 2^6 = 32 is capped
 }
 
 TEST(BackoffDelay, JitterStaysWithinFractionAndIsDeterministic) {
-  SupervisorConfig cfg = no_jitter();
-  cfg.backoff_jitter = 0.2;
-  Rng rng_a(7);
-  Rng rng_b(7);
-  for (std::size_t retry = 1; retry <= 6; ++retry) {
-    const double nominal =
-        std::min(cfg.backoff_max,
-                 cfg.backoff_init * std::pow(cfg.backoff_factor,
-                                             double(retry - 1)));
-    const double d = backoff_delay(cfg, retry, rng_a);
-    EXPECT_GE(d, nominal * 0.8);
-    EXPECT_LE(d, nominal * 1.2);
-    EXPECT_DOUBLE_EQ(d, backoff_delay(cfg, retry, rng_b));  // same stream
+  double lo = 1.0;
+  double hi = 1.0;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    for (std::size_t tag = 0; tag < 50; ++tag) {
+      for (std::size_t retry = 1; retry <= 6; ++retry) {
+        const double d = backoff_delay(retry, seed, tag);
+        EXPECT_EQ(d, backoff_delay(retry, seed, tag));  // a pure function
+        lo = std::min(lo, d / nominal(retry));
+        hi = std::max(hi, d / nominal(retry));
+      }
+    }
   }
+  EXPECT_GE(lo, 0.9);
+  EXPECT_LE(hi, 1.1);
+  // 1200 keys spread over the whole +-10% band.
+  EXPECT_LT(lo, 0.91);
+  EXPECT_GT(hi, 1.09);
+  // Each of seed, tag and retry moves the draw.
+  EXPECT_NE(backoff_delay(1, 1, 0), backoff_delay(1, 2, 0));
+  EXPECT_NE(backoff_delay(1, 1, 0), backoff_delay(1, 1, 1));
+  EXPECT_NE(backoff_delay(2, 1, 0) / 2.0, backoff_delay(1, 1, 0));
 }
 
 TEST(BackoffDelay, RetriesAreOneBased) {
-  const SupervisorConfig cfg = no_jitter();
-  Rng rng(1);
-  EXPECT_THROW(backoff_delay(cfg, 0, rng), InvalidArgument);
-}
-
-TEST(SupervisorConfigValidate, RejectsBadKnobs) {
-  SupervisorConfig cfg;
-  cfg.backoff_factor = 0.5;
-  EXPECT_THROW(cfg.validate(), InvalidArgument);
-  cfg = SupervisorConfig{};
-  cfg.backoff_jitter = 1.5;
-  EXPECT_THROW(cfg.validate(), InvalidArgument);
-  cfg = SupervisorConfig{};
-  cfg.backoff_init = -1.0;
-  EXPECT_THROW(cfg.validate(), InvalidArgument);
+  EXPECT_THROW(backoff_delay(0, 1, 0), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -163,7 +153,6 @@ TEST(EvalSupervisor, TransientFailureRecoversWithinRetryBudget) {
 
     SupervisorConfig cfg;
     cfg.max_retries = 3;
-    cfg.backoff_init = threads ? 1e-4 : 0.5;  // keep wall tests fast
     auto attempts = std::make_shared<std::atomic<int>>(0);
     EvalSupervisor sup(*exec, cfg);
     sup.submit(9,
@@ -205,8 +194,6 @@ TEST(EvalSupervisor, RetryBackoffOccupiesVirtualTime) {
   VirtualExecutor exec(1);
   SupervisorConfig cfg;
   cfg.max_retries = 1;
-  cfg.backoff_init = 0.5;
-  cfg.backoff_jitter = 0.0;
   EvalSupervisor sup(exec, cfg);
   auto attempts = std::make_shared<std::atomic<int>>(0);
   sup.submit(0,
@@ -219,9 +206,11 @@ TEST(EvalSupervisor, RetryBackoffOccupiesVirtualTime) {
              2.0);
   const auto out = sup.wait_next();
   EXPECT_TRUE(out.ok());
-  // attempt (2s) + backoff (0.5s) + retry (2s); start is the FIRST start.
+  // attempt (2s) + backoff (0.5s +- 10%) + retry (2s); start is the
+  // FIRST start.
   EXPECT_DOUBLE_EQ(out.completion.start, 0.0);
-  EXPECT_DOUBLE_EQ(out.completion.finish, 4.5);
+  EXPECT_DOUBLE_EQ(out.completion.finish,
+                   4.0 + backoff_delay(1, cfg.seed, 0));
 }
 
 // ---------------------------------------------------------------------------
@@ -253,8 +242,6 @@ TEST(EvalSupervisor, VirtualTimeoutIsNeverRetried) {
   SupervisorConfig cfg;
   cfg.timeout = 3.0;
   cfg.max_retries = 1;
-  cfg.backoff_init = 1.0;
-  cfg.backoff_jitter = 0.0;
   EvalSupervisor sup(exec, cfg);
   sup.submit(0, [] { return 1.0; }, 10.0);  // deterministic straggler
   const auto out = sup.wait_next();
@@ -321,6 +308,100 @@ TEST(EvalSupervisor, OrphansStartAtZeroOnVirtualTime) {
   (void)sup.wait_next();
   // Virtual-time timeouts cut the job, they never abandon a worker.
   EXPECT_EQ(sup.orphans(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Resuming interrupted work (checkpoint resume)
+// ---------------------------------------------------------------------------
+
+TEST(EvalSupervisor, ResubmitRunsWhatWasLeftOfTheFirstAttempt) {
+  VirtualExecutor exec(4);
+  SupervisorConfig cfg;
+  cfg.timeout = 3.0;
+  cfg.max_retries = 1;
+  EvalSupervisor sup(exec, cfg);
+  sup.advance_clock(2.0);  // the interrupted run's clock
+  auto calls = std::make_shared<int>(0);
+  const auto fails_once = [calls]() -> double {
+    if ((*calls)++ == 0) throw std::runtime_error("once");
+    return 3.0;
+  };
+  // Each call returns the seconds booked again: what was left at 2.0.
+  EXPECT_DOUBLE_EQ(sup.resubmit(0, [] { return 1.0; }, 2.0, 0.5), 0.5);
+  EXPECT_DOUBLE_EQ(sup.resubmit(1, [] { return 2.0; }, 10.0, 0.5), 1.5);
+  EXPECT_DOUBLE_EQ(sup.resubmit(2, fails_once, 1.0, 1.2), 1.2 + 1.0 - 2.0);
+  EXPECT_DOUBLE_EQ(sup.resubmit(3, [] { return 4.0; }, 1.0, 0.5), 1e-9);
+
+  const auto none_left = sup.wait_next();
+  EXPECT_EQ(none_left.completion.tag, 3u);
+  EXPECT_DOUBLE_EQ(none_left.completion.finish, 2.0 + 1e-9);
+  const auto plain = sup.wait_next();
+  EXPECT_EQ(plain.completion.tag, 0u);
+  EXPECT_TRUE(plain.ok());
+  EXPECT_DOUBLE_EQ(plain.completion.start, 0.5);  // the original start
+  EXPECT_DOUBLE_EQ(plain.completion.finish, 2.5);
+  // Cut exactly where the original deadline fell, and still a timeout.
+  const auto cut = sup.wait_next();
+  EXPECT_EQ(cut.completion.tag, 1u);
+  EXPECT_EQ(cut.status, EvalStatus::Timeout);
+  EXPECT_DOUBLE_EQ(cut.completion.finish, 3.5);
+  // The failed first attempt ends at 2.2; the retry runs the full 1 s.
+  const auto retried = sup.wait_next();
+  EXPECT_EQ(retried.completion.tag, 2u);
+  EXPECT_TRUE(retried.ok());
+  EXPECT_EQ(retried.attempts, 2u);
+  EXPECT_DOUBLE_EQ(retried.completion.start, 1.2);
+  EXPECT_DOUBLE_EQ(retried.completion.finish,
+                   (1.2 + 1.0 - 2.0) + 2.0 + backoff_delay(1, cfg.seed, 2) +
+                       1.0);
+}
+
+TEST(EvalSupervisor, AdvanceClockRetriesWhereTheFailedAttemptEnded) {
+  VirtualExecutor exec(2);
+  SupervisorConfig cfg;
+  cfg.max_retries = 1;
+  EvalSupervisor sup(exec, cfg);
+  auto calls = std::make_shared<int>(0);
+  sup.submit(0,
+             [calls]() -> double {
+               if ((*calls)++ == 0) throw std::runtime_error("once");
+               return 1.0;
+             },
+             1.0);
+  // The attempt failed at 1.0, so the retry starts there, not at 5.0; its
+  // outcome, settled on the way, is held for the next wait_next().
+  sup.advance_clock(5.0);
+  EXPECT_DOUBLE_EQ(exec.now(), 5.0);
+  EXPECT_EQ(sup.num_running(), 1u);
+  const auto out = sup.wait_next();
+  EXPECT_TRUE(out.ok());
+  EXPECT_EQ(out.attempts, 2u);
+  EXPECT_DOUBLE_EQ(out.completion.finish,
+                   1.0 + backoff_delay(1, cfg.seed, 0) + 1.0);
+  EXPECT_EQ(sup.num_running(), 0u);
+}
+
+TEST(EvalSupervisor, RetryOccupancyMatchesWhatTheExecutorBooked) {
+  VirtualExecutor exec(1);
+  SupervisorConfig cfg;
+  cfg.max_retries = 2;
+  EvalSupervisor sup(exec, cfg);
+  auto calls = std::make_shared<int>(0);
+  sup.submit(7,
+             [calls]() -> double {
+               if ((*calls)++ < 2) throw std::runtime_error("twice");
+               return 1.0;
+             },
+             1.5);
+  const auto out = sup.wait_next();
+  ASSERT_EQ(out.attempts, 3u);
+  // Everything after the first attempt, when no snapshot held any of it.
+  EXPECT_NEAR(sup.retry_occupancy(7, 1.5, 0.0, 3, 0.0),
+              exec.total_busy_time() - 1.5, 1e-12);
+  // A snapshot at the first retry's launch (1.5) already booked it.
+  EXPECT_DOUBLE_EQ(sup.retry_occupancy(7, 1.5, 0.0, 3, 1.5),
+                   1.5 + backoff_delay(2, cfg.seed, 7));
+  EXPECT_DOUBLE_EQ(sup.retry_occupancy(7, 1.5, 0.0, 1, 0.0), 0.0);
 }
 
 // ---------------------------------------------------------------------------
