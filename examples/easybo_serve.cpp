@@ -65,8 +65,11 @@
 ///
 /// Every session keeps its state under DIR (<name>.config, <name>.journal,
 /// <name>.snapshot and the rotated <name>.snapshot.old) and survives
-/// eviction, CLOSE and process death: any later command naming it
-/// resumes from those files, bit-identically.
+/// eviction, CLOSE and process death: each SUGGEST and OBSERVE appends
+/// one fsync'd journal record before its reply, a snapshot is written
+/// only right after a hyperparameter refit, and any later command naming
+/// the session restores that snapshot, re-applies the journal tail with
+/// no acquisition and continues bit-identically.
 ///
 /// Exit codes:
 ///   0  clean shutdown (stdin EOF, or SIGINT/SIGTERM)

@@ -23,6 +23,13 @@ and parent[metric] / change[metric] >= min_gain.
   streams that differ. Both sides must have mismatched 0 and equal
   verified, acq.inner_evals, io.snapshots and io.journal_appends (the
   same turns, the same acquisition work, the same durable writes).
+- A serve row whose change moves the durable writes on purpose declares
+  how in `writes`; no other value is accepted. Under
+  "journal_per_command" (every SUGGEST and OBSERVE journaled, snapshots
+  only right after a hyperparameter refit) both sides must also hold
+  gp.hyper_refits, equal on both, and instead of the write equalities
+  the change must have exactly twice the parent's io.journal_appends and
+  exactly as many io.snapshots as gp.hyper_refits.
 
 A row without a well-formed gate fails. It reads committed numbers only,
 so it needs no build and no benchmark run. Stdlib only, so the CI job
@@ -60,8 +67,46 @@ SERVE = {
 }
 
 
+# Declared write rules: serve rows that move the durable writes on
+# purpose (see the docstring).
+JOURNAL_PER_COMMAND = dict(
+    SERVE,
+    fields=SERVE["fields"] + ("gp.hyper_refits",),
+    equal=("verified", "acq.inner_evals", "gp.hyper_refits"))
+WRITE_RULES = {"journal_per_command": JOURNAL_PER_COMMAND}
+
+
 def kind_of(row):
-    return SERVE if row.get("workload") == "serve_open_loop" else BO
+    """The rules of a row, or a failure message naming its bad rule."""
+    if row.get("workload") != "serve_open_loop":
+        return "a write rule on a BO row" if "writes" in row else BO
+    if "writes" not in row:
+        return SERVE
+    rule = WRITE_RULES.get(row["writes"])
+    if rule is None:
+        return (f"unknown write rule {row['writes']!r} (known: "
+                f"{sorted(WRITE_RULES)})")
+    return rule
+
+
+def check_writes(label, kind, parent, change):
+    """The write relations of a declared rule; returns the failures."""
+    if kind is not JOURNAL_PER_COMMAND:
+        return []
+    failures = []
+    relations = (
+        ("io.journal_appends", change["io.journal_appends"],
+         2 * parent["io.journal_appends"], "2 x parent"),
+        ("io.snapshots", change["io.snapshots"], change["gp.hyper_refits"],
+         "change gp.hyper_refits"))
+    for field, got, want, what in relations:
+        held = got == want
+        print(f"{label}: change {field} {got} = {what} {want} "
+              f"[{'ok' if held else 'FAIL'}]")
+        if not held:
+            failures.append(f"{label}: change {field} {got} is not "
+                            f"{what} ({want})")
+    return failures
 
 
 def read_gate(label, row, kind):
@@ -85,6 +130,8 @@ def check_row(row):
     if "parent_commit" in row:
         label += f" vs {row['parent_commit']}"
     kind = kind_of(row)
+    if isinstance(kind, str):
+        return [f"{label}: {kind}"]
     gate = read_gate(label, row, kind)
     if isinstance(gate, str):
         return [gate]
@@ -109,6 +156,7 @@ def check_row(row):
               f"[{'ok' if same else 'FAIL'}]")
         if not same:
             failures.append(f"{label}: {field} changed")
+    failures += check_writes(label, kind, parent, change)
     for field in kind["zero"]:
         zero = parent[field] == 0 and change[field] == 0
         print(f"{label}: {field} {parent[field]} -> {change[field]} "

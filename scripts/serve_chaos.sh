@@ -167,14 +167,22 @@ while [ "$i" -lt "$nsessions" ]; do
     tag=$(printf '%s' "$out" | sed -n 's/^OK {"tag":\([0-9]*\),.*/\1/p')
     [ "$tag" = "$t" ] \
       || { echo "serve_chaos: s$i expected tag $t, got: $out" >&2; exit 1; }
-    out=$(req "OBSERVE s$i $tag 0.5")
-    case $out in
-      "OK "*) t=$((t + 1)) ;;
-      "ERR storage"*|"ERR quarantined"*|"ERR cannot"*)
-        storage_errs=$((storage_errs + 1))
-        req "CLOSE s$i" >/dev/null 2>&1 || true ;;
-      *) echo "serve_chaos: s$i OBSERVE $tag: $out" >&2; exit 1 ;;
-    esac
+    # A failed OBSERVE leaves its tag pending (the append rolled back,
+    # and the SUGGEST before it stays committed): CLOSE clears the
+    # quarantine and the same OBSERVE is sent again.
+    while :; do
+      attempts=$((attempts + 1))
+      [ "$attempts" -le 200 ] \
+        || { echo "serve_chaos: s$i wedged observing tag $t" >&2; exit 1; }
+      out=$(req "OBSERVE s$i $tag 0.5")
+      case $out in
+        "OK "*) t=$((t + 1)); break ;;
+        "ERR storage"*|"ERR quarantined"*|"ERR cannot"*)
+          storage_errs=$((storage_errs + 1))
+          req "CLOSE s$i" >/dev/null 2>&1 || true ;;
+        *) echo "serve_chaos: s$i OBSERVE $tag: $out" >&2; exit 1 ;;
+      esac
+    done
   done
   i=$((i + 1))
 done

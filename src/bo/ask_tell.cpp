@@ -538,10 +538,11 @@ void AskTellCore::set_checkpoint_path(const std::string& path) {
   cfg_.checkpoint_path = path;
 }
 
-void AskTellCore::start_fresh_journal() {
+void AskTellCore::start_fresh_journal(const char* schema) {
   obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
   journal_.open(journal_file(cfg_.checkpoint_path), /*truncate_to=*/0);
   JournalHeader header;
+  header.schema = schema;
   header.config_hash = config_hash_;
   header.seed = cfg_.seed;
   journal_.append(header.to_payload());
@@ -579,6 +580,64 @@ void AskTellCore::journal_eval(std::size_t tag, const Outcome& o,
   journal_.append(rec.to_payload());
   ++journal_lines_;
   obs::count(trace_, "ckpt.journal_appends");
+}
+
+void AskTellCore::journal_suggestion(const Suggestion& s) {
+  EASYBO_REQUIRE(journal_.is_open() && s.tag + 1 == prop_x_.size(),
+                 "journal_suggestion: not the latest proposal");
+  JournalRecord rec;
+  rec.index = journal_lines_;
+  rec.suggest = true;
+  rec.tag = s.tag;
+  rec.is_init = s.is_init;
+  rec.x = s.unit_x;
+  rec.submit = prop_submit_[s.tag];
+  rec.duration = s.duration;
+  rec.rng = rng_.save();
+  obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
+  journal_.append(rec.to_payload());
+  ++journal_lines_;
+  obs::count(trace_, "ckpt.journal_appends");
+}
+
+void AskTellCore::apply_suggestion(const JournalRecord& rec) {
+  const std::string record = "journal record " + std::to_string(rec.index);
+  if (rec.tag != prop_x_.size() || issued_ >= cfg_.max_sims ||
+      rec.x.size() != bounds_.dim()) {
+    throw io::CheckpointError(
+        record + " suggests evaluation " + std::to_string(rec.tag) +
+        " where the replay expects evaluation " +
+        std::to_string(prop_x_.size()) + " of a budget of " +
+        std::to_string(cfg_.max_sims) + " in " +
+        std::to_string(bounds_.dim()) + " dimensions");
+  }
+  // suggest() draws an init point exactly while the design has room, and
+  // proposes through the model only once every init point is observed.
+  const bool init_slot = !init_done_ && obs_x_.size() + pending_tags_.size() <
+                                            cfg_.init_points;
+  if (rec.is_init != init_slot ||
+      (!rec.is_init && !init_done_ && obs_x_.size() < cfg_.init_points)) {
+    throw io::CheckpointError(
+        record + " does not fit the replayed initial design (is_init " +
+        (rec.is_init ? "true" : "false") + " with " +
+        std::to_string(obs_x_.size()) + " observed and " +
+        std::to_string(pending_tags_.size()) + " pending)");
+  }
+  if (!rec.is_init) {
+    finish_init();  // the first model-based suggest trained the model
+    if (cfg_.acq == AcqKind::Phcbo) {
+      const std::size_t slot =
+          cfg_.mode == Mode::SyncBatch ? pending_tags_.size() : 0;
+      hc_penalties_[slot % hc_penalties_.size()].record(rec.x);
+    }
+  }
+  prop_x_.push_back(rec.x);
+  prop_init_.push_back(rec.is_init);
+  prop_submit_.push_back(rec.submit);
+  prop_duration_.push_back(rec.duration);
+  pending_tags_.insert(rec.tag);
+  ++issued_;
+  rng_.load(rec.rng);
 }
 
 BoCheckpoint AskTellCore::make_snapshot(double now, double busy) const {

@@ -243,15 +243,30 @@ class AskTellCore {
   /// valid before any journaling started.
   void set_checkpoint_path(const std::string& path);
 
-  /// Truncates/creates the journal and writes its header line.
-  void start_fresh_journal();
+  /// Truncates/creates the journal and writes its header line, naming
+  /// \p schema (kJournalSchemaV2 for a hosted session's journal).
+  void start_fresh_journal(const char* schema = kJournalSchemaV1);
 
   /// Re-opens an existing journal for appending, truncating a torn tail
-  /// to \p valid_bytes first. \p lines is the number of intact eval
-  /// records it already holds, \p absorbed how many of those the restored
+  /// to \p valid_bytes first. \p lines is the number of intact records
+  /// it already holds, \p absorbed how many of those the restored
   /// snapshot has absorbed (the snapshot cadence baseline).
   void reopen_journal(std::size_t valid_bytes, std::size_t lines,
                       std::size_t absorbed);
+
+  /// Appends the fsync'd "suggest" record of \p s, which must be the
+  /// proposal the last suggest() returned: its tag, unit-space x,
+  /// is_init, submit time, duration and the RNG words after it. A hosted
+  /// session's commit point for a SUGGEST (journal v2).
+  void journal_suggestion(const Suggestion& s);
+
+  /// Re-applies suggest record \p rec during resume, with no acquisition:
+  /// checks that it is the next tag and the kind of proposal the replayed
+  /// state would make, runs finish_init() where the original suggest did,
+  /// records a pHCBO proposal in its slot's history, pushes the proposal
+  /// and loads the recorded RNG words. Throws io::CheckpointError when
+  /// the record does not fit the replayed state.
+  void apply_suggestion(const JournalRecord& rec);
 
   std::size_t journal_lines() const { return journal_lines_; }
   std::size_t lines_at_snapshot() const { return lines_at_snapshot_; }

@@ -16,8 +16,8 @@ namespace {
 
 using io::JsonValue;
 
-constexpr const char* kJournalSchema = "easybo.journal.v1";
 constexpr const char* kSnapshotSchema = "easybo.checkpoint.v1";
+constexpr const char* kSuggestKind = "suggest";
 
 // --- JSON building blocks ------------------------------------------------
 
@@ -164,6 +164,20 @@ sched::EvalStatus status_of(const JournalRecord& rec) {
 
 std::string JournalRecord::to_payload() const {
   std::string out = "{\"index\":" + std::to_string(index);
+  if (suggest) {
+    out += ",\"kind\":";
+    out += io::json_quote(kSuggestKind);
+    out += ",\"tag\":" + std::to_string(tag);
+    out += ",\"is_init\":";
+    out += is_init ? "true" : "false";
+    out += ",\"x\":" + io::json_vec(x);
+    out += ",\"submit\":" + io::json_number(submit);
+    out += ",\"duration\":" + io::json_number(duration);
+    out += ",\"rng\":" + rng_json(rng);
+    out.push_back('}');
+    return out;
+  }
+  // Eval records carry no "kind": their bytes are the v1 format's.
   out += ",\"tag\":" + std::to_string(tag);
   out += ",\"status\":" + io::json_quote(status);
   out += ",\"action\":" + io::json_quote(action);
@@ -187,6 +201,20 @@ JournalRecord JournalRecord::parse(const std::string& payload) {
   JournalRecord r;
   r.index = size_at(j, kRecord, "index");
   r.tag = size_at(j, kRecord, "tag");
+  r.is_init = j.at("is_init").as_bool();
+  r.x = io::vec_from(j.at("x"));
+  if (const JsonValue* kind = j.find("kind")) {
+    if (kind->as_string() != kSuggestKind) {
+      throw io::CheckpointError("journal record " + std::to_string(r.index) +
+                                " has unknown kind \"" + kind->as_string() +
+                                "\"");
+    }
+    r.suggest = true;
+    r.submit = j.at("submit").as_double();
+    r.duration = j.at("duration").as_double();
+    r.rng = rng_from(j.at("rng"));
+    return r;
+  }
   r.status = j.at("status").as_string();
   r.action = j.at("action").as_string();
   r.attempts = static_cast<std::uint32_t>(
@@ -195,8 +223,6 @@ JournalRecord JournalRecord::parse(const std::string& payload) {
   r.worker = size_at(j, kRecord, "worker");
   r.start = j.at("start").as_double();
   r.finish = j.at("finish").as_double();
-  r.is_init = j.at("is_init").as_bool();
-  r.x = io::vec_from(j.at("x"));
   const JsonValue& y = j.at("y");
   r.y = y.is_null() ? std::numeric_limits<double>::quiet_NaN()
                     : y.as_double();
@@ -209,7 +235,7 @@ JournalRecord JournalRecord::parse(const std::string& payload) {
 
 std::string JournalHeader::to_payload() const {
   std::string out = "{\"schema\":";
-  out += io::json_quote(kJournalSchema);
+  out += io::json_quote(schema);
   out += ",\"config_hash\":" + io::json_quote(io::json_u64(config_hash));
   out += ",\"seed\":" + io::json_quote(io::json_u64(seed));
   out.push_back('}');
@@ -220,10 +246,11 @@ JournalHeader JournalHeader::parse(const std::string& payload) {
   const JsonValue j = io::parse_json(payload);
   JournalHeader h;
   h.schema = j.at("schema").as_string();
-  if (h.schema != kJournalSchema) {
+  if (h.schema != kJournalSchemaV1 && h.schema != kJournalSchemaV2) {
     throw io::CheckpointError("journal schema \"" + h.schema +
-                              "\" is not the supported \"" + kJournalSchema +
-                              "\"");
+                              "\" is not one of the supported \"" +
+                              kJournalSchemaV1 + "\" and \"" +
+                              kJournalSchemaV2 + "\"");
   }
   h.config_hash = io::parse_u64(j.at("config_hash").as_string());
   h.seed = io::parse_u64(j.at("seed").as_string());
@@ -433,6 +460,12 @@ std::vector<JournalRecord> checked_journal_records(
           "journal corrupted: line " + std::to_string(i + 1) + " of " +
           jpath + " carries record index " + std::to_string(rec.index) +
           " where " + std::to_string(records.size()) + " was expected");
+    }
+    if (rec.suggest && header.schema == kJournalSchemaV1) {
+      throw io::CheckpointError(
+          "journal corrupted: line " + std::to_string(i + 1) + " of " +
+          jpath + " is a \"" + kSuggestKind + "\" record, which a " +
+          kJournalSchemaV1 + " journal cannot hold");
     }
     records.push_back(std::move(rec));
   }

@@ -9,7 +9,9 @@
 ///   <path>.journal   append-only JSONL, one checksummed line per
 ///                    terminal evaluation outcome (schema
 ///                    "easybo.journal.v1"; the eval fields reuse the
-///                    easybo.metrics.v1 eval-record shape)
+///                    easybo.metrics.v1 eval-record shape). Hosted
+///                    sessions write "easybo.journal.v2", which adds one
+///                    "suggest" record per handed-out proposal
 ///   <path>.snapshot  one checksummed line holding the full engine state
 ///                    at a loop boundary (schema "easybo.checkpoint.v1"),
 ///                    rewritten atomically every checkpoint_every
@@ -41,10 +43,20 @@ struct Outcome;      // bo/ask_tell.h
 class AskTellCore;   // bo/ask_tell.h
 using linalg::Vec;
 
-/// One journal line: the terminal outcome of one evaluation, everything
-/// handle() needs to re-enact it during replay.
+/// Journal schemas. v1 holds eval records only and is what BoEngine
+/// writes; v2 is v1 plus the "suggest" record kind, written by hosted
+/// sessions (src/serve). Readers take both.
+inline constexpr const char* kJournalSchemaV1 = "easybo.journal.v1";
+inline constexpr const char* kJournalSchemaV2 = "easybo.journal.v2";
+
+/// One journal line. An eval record is the terminal outcome of one
+/// evaluation, everything handle() needs to re-enact it during replay. A
+/// suggest record (v2 only) is one proposal a hosted session handed out:
+/// with x and the tag it holds everything AskTellCore::suggest mutates,
+/// so resume re-applies it without running the acquisition.
 struct JournalRecord {
-  std::size_t index = 0;    ///< completion order (journal line order)
+  std::size_t index = 0;    ///< journal line order, records of both kinds
+  bool suggest = false;     ///< a "suggest" record, not an eval record
   std::size_t tag = 0;      ///< proposal index (BoEngine prop table)
   std::string status;       ///< sched::to_string(EvalStatus)
   std::string action;       ///< observed | discarded | penalized | abort
@@ -61,13 +73,19 @@ struct JournalRecord {
   Vec g;
   std::string error;        ///< what() of the failure, when any
 
+  // Suggest records only: the proposal's submit time on the session
+  // clock, its nominal duration and the proposal stream after it.
+  double submit = 0.0;
+  double duration = 1.0;
+  RngState rng;
+
   std::string to_payload() const;
   static JournalRecord parse(const std::string& payload);
 };
 
 /// The journal's first line, binding the file to one run configuration.
 struct JournalHeader {
-  std::string schema;        ///< "easybo.journal.v1"
+  std::string schema = kJournalSchemaV1;  ///< v1 or v2, see above
   std::uint64_t config_hash = 0;
   std::uint64_t seed = 0;
 
@@ -86,8 +104,9 @@ struct BoCheckpoint {
   bool init_done = false;         ///< post-init force-train already ran
   /// SyncBatch's deferred-model-refresh flag: an in-flight batch already
   /// produced observations the barrier update has not absorbed. Engine
-  /// snapshots always write false (they sit at batch barriers); session
-  /// snapshots (src/serve) are taken after every mutation and need it.
+  /// snapshots sit at batch barriers and session snapshots right after a
+  /// refit, so both write false; session snapshots from before journal v2
+  /// were taken after every mutation and may hold true.
   bool sync_dirty = false;
   std::size_t issued = 0;
 
@@ -142,8 +161,9 @@ std::string snapshot_file(const std::string& base);
 // --- resume checks shared by BoEngine and serve::Session: each refuses
 // with io::CheckpointError; \p owner ("engine" | "session") words it.
 
-/// The eval records of journal \p jpath (read into \p jr), checked for an
-/// intact header, the config fingerprint and consecutive indices.
+/// The records of journal \p jpath (read into \p jr), checked for an
+/// intact header, the config fingerprint, consecutive indices and no
+/// suggest record under a v1 header.
 std::vector<JournalRecord> checked_journal_records(
     const io::JournalReadResult& jr, const std::string& jpath,
     std::uint64_t config_hash, const char* owner);

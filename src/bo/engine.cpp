@@ -288,6 +288,14 @@ void BoEngine::restore(sched::EvalSupervisor& sup) {
   const io::JournalReadResult jr = io::read_journal(jpath);
   std::vector<JournalRecord> records =
       checked_journal_records(jr, jpath, core_.config_hash(), "engine");
+  for (const JournalRecord& rec : records) {
+    if (rec.suggest) {
+      throw io::CheckpointError(
+          "cannot resume: record " + std::to_string(rec.index) + " of " +
+          jpath + " is a \"suggest\" record, which only hosted sessions "
+          "write — resume this journal through the session host");
+    }
+  }
 
   BoCheckpoint snap;
   const bool have_snap = io::file_exists(spath);

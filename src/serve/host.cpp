@@ -762,6 +762,10 @@ std::string SessionHost::dispatch(const std::string& line,
       }
       const std::string reply =
           "OK " + suggestion_json(slot->session->suggest(stop));
+      // Journaled, so the suggest is committed and the reply stays OK; a
+      // failed refit snapshot only lengthens the tail the next resume
+      // re-applies.
+      if (!slot->session->snapshot_error().empty()) note_io_fault();
       cache_status_locked(*slot);
       return reply;
     } catch (const common::Cancelled& e) {
@@ -777,10 +781,10 @@ std::string SessionHost::dispatch(const std::string& line,
                       " (state rolled back; retry in " +
                       std::to_string(retry_hint_ms()) + "ms)");
     } catch (const io::CheckpointError& e) {
-      // The suggestion could not be made durable, and its tag must never
-      // reach a client it cannot survive for. Dropping the in-memory
-      // object rolls the suggest back (the files still hold the previous
-      // state); quarantine keeps later commands from churning the
+      // The suggest record could not be appended, and its tag must never
+      // reach a client it cannot survive for. The failed append left the
+      // journal as it was, so dropping the in-memory object rolls the
+      // suggest back; quarantine keeps later commands from churning the
       // damaged storage.
       note_io_fault();
       quarantine_locked(name, *slot, e.what());
@@ -817,11 +821,12 @@ std::string SessionHost::dispatch(const std::string& line,
     Entered entered = enter_session(name, stop);
     if (!entered.refusal.empty()) return entered.refusal;
     const std::shared_ptr<Slot>& slot = entered.slot;
-    SessionObserved ob;
+    const char* action = "";
     try {
-      ob = is_failure
-               ? slot->session->observe_failure(tag, fail_status, fail_detail)
-               : slot->session->observe_ok(tag, y);
+      action =
+          is_failure
+              ? slot->session->observe_failure(tag, fail_status, fail_detail)
+              : slot->session->observe_ok(tag, y);
     } catch (const io::CheckpointError& e) {
       // The journal append failed, so nothing of this observe is durable
       // — but the in-memory core consumed the pending tag before the
@@ -832,13 +837,13 @@ std::string SessionHost::dispatch(const std::string& line,
       return one_line("ERR storage " + name + ": " + std::string(e.what()) +
                       " (session quarantined; CLOSE to reopen after repair)");
     }
-    if (ob.snapshot_failed) {
+    if (!slot->session->snapshot_error().empty()) {
       // Journaled, so the observe is committed and the reply stays OK;
       // the stale snapshot only widens the tail the next resume replays.
       note_io_fault();
     }
     cache_status_locked(*slot);
-    return std::string("OK {\"action\":\"") + ob.action + "\"}";
+    return std::string("OK {\"action\":\"") + action + "\"}";
   }
 
   if (cmd == "STATUS") {

@@ -16,11 +16,12 @@
 ///
 /// Every reply is a single line: "OK[ <payload>]" or "ERR <message>".
 ///
-/// Sessions are durable by construction (Session snapshots after every
-/// mutation), which makes the live set a pure cache: when it exceeds
-/// max_live the least-recently-used session is simply dropped — nothing
-/// to flush — and any command naming a non-live session whose state files
-/// exist transparently resumes it first. CLOSE is the same drop,
+/// Sessions are durable by construction (every SUGGEST and OBSERVE
+/// appends its fsync'd journal record before replying; see session.h),
+/// which makes the live set a pure cache: when it exceeds max_live the
+/// least-recently-used session is simply dropped — nothing to flush —
+/// and any command naming a non-live session whose state files exist
+/// transparently resumes it first, bit-identically. CLOSE is the same drop,
 /// requested explicitly. A session is gone for good only when its files
 /// are deleted from the state directory, which the host never does.
 ///
@@ -77,11 +78,11 @@
 /// whose journal append failed is rolled back by dropping the in-memory
 /// session and *quarantining* the name — subsequent commands get
 /// "ERR quarantined ..." without touching the damaged files until CLOSE
-/// clears the quarantine; a snapshot failure after a successful append is
-/// already durable, so the request still replies OK and only the health
-/// plane records the fault. The bare "STATUS" health probe bypasses both
-/// shedding and all per-session locks, so it stays responsive while the
-/// host is saturated or degraded.
+/// clears the quarantine; a refit-snapshot failure after a successful
+/// append is already durable, so the request still replies OK and only
+/// the health plane records the fault. The bare "STATUS" health probe
+/// bypasses both shedding and all per-session locks, so it stays
+/// responsive while the host is saturated or degraded.
 
 #include <atomic>
 #include <chrono>

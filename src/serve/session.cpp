@@ -51,7 +51,7 @@ std::unique_ptr<Session> Session::create(std::string name, SessionSpec spec,
   auto s = std::unique_ptr<Session>(
       new Session(std::move(name), std::move(spec)));
   s->core_.set_checkpoint_path(checkpoint_base);
-  s->core_.start_fresh_journal();
+  s->core_.start_fresh_journal(bo::kJournalSchemaV2);
   // Durable before the first reply: a host crash between NEW and the
   // first SUGGEST must still resume to a pristine session.
   s->snapshot();
@@ -82,7 +82,7 @@ std::unique_ptr<Session> Session::resume(std::string name, SessionSpec spec,
     bo::BoCheckpoint ignored;
     if (load_snapshot(spath, ignored) == SnapLoad::Missing &&
         load_snapshot(spath + ".old", ignored) == SnapLoad::Missing) {
-      core.start_fresh_journal();
+      core.start_fresh_journal(bo::kJournalSchemaV2);
       s->snapshot();
       return s;
     }
@@ -91,17 +91,19 @@ std::unique_ptr<Session> Session::resume(std::string name, SessionSpec spec,
   }
   const std::vector<bo::JournalRecord> records = bo::checked_journal_records(
       jr, jpath, core.config_hash(), "session");
+  s->journal_v1_ = bo::JournalHeader::parse(jr.payloads.front()).schema ==
+                   bo::kJournalSchemaV1;
 
   // Sessions write a snapshot inside create(), so a resumable session
   // normally has one. A missing or torn "<base>.snapshot" is the
   // signature of a crash (or injected fault) mid-replace; the previous
-  // generation "<base>.snapshot.old" plus the journal tail resumes to
-  // the exact same state (see snapshot()), so a half-written snapshot is
-  // never accepted and never fatal on its own. Only when neither
+  // generation "<base>.snapshot.old" plus its longer journal tail resumes
+  // to the exact same state (see snapshot()), so a half-written snapshot
+  // is never accepted and never fatal on its own. Only when neither
   // generation is usable does resume give up — and if the journal holds
-  // no eval records, nothing beyond the pristine state was ever
-  // observable (a crash inside create()), so the session is recreated
-  // fresh rather than refused.
+  // no records, nothing beyond the pristine state was ever published (a
+  // crash inside create()), so the session is recreated fresh rather
+  // than refused.
   const std::string old_path = spath + ".old";
   bo::BoCheckpoint snap;
   const SnapLoad primary = load_snapshot(spath, snap);
@@ -129,17 +131,19 @@ std::unique_ptr<Session> Session::resume(std::string name, SessionSpec spec,
   core.reopen_journal(jr.valid_bytes, records.size(), snap.journal_count);
   core.restore_snapshot(snap, used);
   s->now_ = snap.now;
-  // A resume off the fallback must not rotate the damaged primary over
-  // the very generation it just restored from.
+  // A damaged primary must not be rotated over the generation this
+  // resume restored from; the next refit snapshot replaces it instead.
   s->snapshot_valid_ = !from_fallback;
 
-  // Because the session snapshots after every mutation, the tail is at
-  // most the one record of a crash between journal append and snapshot
-  // rename — but re-applying a longer tail is the same loop, so handle
-  // the general case. Replayed outcomes are already durable: observe()
-  // must not journal them again.
+  // Re-apply the tail with no acquisition: suggest records as recorded,
+  // eval records through the model update they ran live. Replayed
+  // outcomes are already durable: observe() must not journal them again.
   for (std::size_t i = snap.journal_count; i < records.size(); ++i) {
     const bo::JournalRecord& rec = records[i];
+    if (rec.suggest) {
+      core.apply_suggestion(rec);
+      continue;
+    }
     const bo::Observed ob =
         core.observe(rec.tag, bo::replayed_outcome(rec, core));
     if (rec.action != ob.action) {
@@ -151,9 +155,6 @@ std::unique_ptr<Session> Session::resume(std::string name, SessionSpec spec,
     }
     s->now_ = rec.finish;  // live observes tick the clock to their finish
   }
-  // Re-snapshot when the tail advanced the state, and after a fallback
-  // resume (so the next resume finds an intact primary again).
-  if (records.size() > snap.journal_count || from_fallback) s->snapshot();
   return s;
 }
 
@@ -164,16 +165,20 @@ void Session::set_trace(obs::TraceSink* sink) {
 }
 
 bo::Suggestion Session::suggest(const common::StopToken* stop) {
+  snapshot_error_.clear();
+  const std::size_t refits = core_.hyper_refits();
   bo::Suggestion s = core_.suggest(now_, stop);
   // The pre-commit gate: a suggest whose deadline passed while it
   // computed must not become durable, even when the computation ignored
   // every cooperative poll on the way (the watchdog path). Before the
-  // snapshot below, nothing of this suggest has been published.
+  // journal append below, nothing of this suggest has been published.
   if (stop != nullptr) stop->check("suggest commit");
   // Durable before the reply leaves the process: the tag in this
   // suggestion must survive eviction and crash — the client holds it and
   // will OBSERVE it against whatever object resumes from these files.
-  snapshot();
+  if (journal_v1_) upgrade_journal();
+  core_.journal_suggestion(s);
+  snapshot_after_refit(refits);
   if (trace_ != nullptr) {
     inflight_wall_[s.tag] = std::chrono::steady_clock::now();
   }
@@ -190,15 +195,15 @@ void Session::record_turnaround(std::size_t tag) {
                    std::chrono::duration<double>(elapsed).count());
 }
 
-SessionObserved Session::observe_ok(std::size_t tag, double y) {
+const char* Session::observe_ok(std::size_t tag, double y) {
   bo::Outcome o;
   o.value = y;
   return observe(tag, std::move(o));
 }
 
-SessionObserved Session::observe_failure(std::size_t tag,
-                                         const std::string& status,
-                                         const std::string& error) {
+const char* Session::observe_failure(std::size_t tag,
+                                     const std::string& status,
+                                     const std::string& error) {
   bo::Outcome o;
   o.status = failure_status_from(status);
   o.value = std::numeric_limits<double>::quiet_NaN();
@@ -206,27 +211,45 @@ SessionObserved Session::observe_failure(std::size_t tag,
   return observe(tag, std::move(o));
 }
 
-SessionObserved Session::observe(std::size_t tag, bo::Outcome o) {
+const char* Session::observe(std::size_t tag, bo::Outcome o) {
+  snapshot_error_.clear();
+  const std::size_t refits = core_.hyper_refits();
   o.start = tag < core_.num_proposals() ? core_.proposal_submit_time(tag)
                                         : 0.0;
   o.finish = now_ + 1.0;
+  // Durable the moment core_.observe returns: its journal append fsyncs
+  // before the model applies the outcome.
   const bo::Observed ob = core_.observe(tag, o);
   now_ += 1.0;
   record_turnaround(tag);
-  SessionObserved out;
-  out.action = ob.action;
-  // The observe is durable the moment core_.observe returns (its journal
-  // append fsyncs before the model applies it); a snapshot failure here
-  // only widens the journal tail the next resume replays. The request is
-  // committed, so the reply stays OK — but the fault is surfaced for the
-  // host's health plane.
+  snapshot_after_refit(refits);
+  return ob.action;
+}
+
+void Session::snapshot_after_refit(std::size_t refits_before) {
+  if (core_.hyper_refits() == refits_before) return;
   try {
     snapshot();
   } catch (const io::CheckpointError& e) {
-    out.snapshot_failed = true;
-    out.storage_error = e.what();
+    // The command is committed through its journal record; a failed
+    // snapshot only lengthens the tail the next resume re-applies.
+    snapshot_error_ = e.what();
   }
-  return out;
+}
+
+void Session::upgrade_journal() {
+  const std::string jpath = bo::journal_file(core_.config().checkpoint_path);
+  const std::string content = io::read_file(jpath);
+  bo::JournalHeader header;
+  header.schema = bo::kJournalSchemaV2;
+  header.config_hash = core_.config_hash();
+  header.seed = core_.config().seed;
+  const std::string upgraded = io::frame_line(header.to_payload()) + "\n" +
+                               content.substr(content.find('\n') + 1);
+  io::atomic_write_file(jpath, upgraded);
+  core_.reopen_journal(upgraded.size(), core_.journal_lines(),
+                       core_.lines_at_snapshot());
+  journal_v1_ = false;
 }
 
 std::string Session::status_json() const {

@@ -4,19 +4,25 @@
 ///
 /// A Session is an AskTellCore plus the persistence discipline a
 /// multi-tenant host needs: every mutation (suggest AND observe) is made
-/// durable before its reply leaves the process — observes append to the
-/// session's journal inside the core, and a snapshot is rewritten
-/// atomically after each mutation. That cadence is deliberately tighter
-/// than BoEngine's (which snapshots on a journal-line cadence): a hosted
-/// session can be evicted between any two protocol commands, and a
-/// suggestion whose tag has been handed to a remote client MUST survive
-/// eviction — the client will come back with `OBSERVE <tag>` long after
-/// the in-memory object is gone. With a snapshot per mutation, resume is
-/// exactly restore-the-snapshot; the only journal tail that can exist is
-/// the single observe record of a crash between journal append and
-/// snapshot rename, and that record is re-applied on resume.
+/// durable by one fsync'd journal append before its reply leaves the
+/// process. A suggestion whose tag has been handed to a remote client
+/// MUST survive eviction and crash — the client will come back with
+/// `OBSERVE <tag>` long after the in-memory object is gone — so SUGGEST
+/// appends a "suggest" record (journal v2) holding everything the
+/// proposal changed, and OBSERVE appends its eval record before the
+/// model absorbs it.
 ///
-/// Durability shares PR 4's format (docs/checkpoint-format.md): the same
+/// Snapshots are written only where the live model is a full refactor:
+/// in create() and after a command that ran a hyperparameter refit
+/// (including the first model-based SUGGEST, which trains the first
+/// model). Resume restores the latest snapshot and re-applies the
+/// journal tail with no acquisition — suggest records are applied as
+/// recorded, eval records re-run the model update — so the extended
+/// Cholesky factor it builds is the live one bit for bit and an evicted
+/// or crashed session continues its stream exactly. Resume, eviction and
+/// CLOSE write nothing.
+///
+/// Durability shares BoEngine's format (docs/checkpoint-format.md): the same
 /// CRC-framed journal, the same BoCheckpoint snapshot, the same config
 /// fingerprint refusal on mismatch. The executor-side snapshot fields a
 /// BoEngine run would fill (clock and busy time) are stood in by the
@@ -34,23 +40,12 @@
 
 namespace easybo::serve {
 
-/// What one observe did, as reported on the wire.
-struct SessionObserved {
-  const char* action = "";  ///< "observed" | "penalized" | "discarded"
-  /// The observe was journaled (committed — the reply is OK) but the
-  /// snapshot rewrite after it failed. The previous snapshot generation
-  /// plus the journal tail still resume to exactly the current state, so
-  /// nothing is lost; the host reports the fault on its health plane.
-  bool snapshot_failed = false;
-  std::string storage_error;  ///< what() of the snapshot failure, if any
-};
-
 /// A durable, named AskTellCore. Construct through create() or resume();
 /// both take the checkpoint base path ("<base>.journal"/"<base>.snapshot")
 /// the host chose for this session.
 class Session {
  public:
-  /// Starts a fresh session: truncates the journal, writes the header
+  /// Starts a fresh session: truncates the journal, writes the v2 header
   /// line and the pristine snapshot (so the session is resumable before
   /// its first command completes).
   static std::unique_ptr<Session> create(std::string name, SessionSpec spec,
@@ -59,34 +54,42 @@ class Session {
   /// Rebuilds a session from its checkpoint files. \p spec must parse to
   /// the same configuration the files were written with — the config
   /// fingerprint is checked exactly as BoEngine::resume checks it
-  /// (io::CheckpointError on mismatch). Re-applies whatever journal tail
-  /// the restored snapshot has not absorbed. A missing or torn
-  /// "<base>.snapshot" falls back to the previous generation
+  /// (io::CheckpointError on mismatch). Re-applies the journal tail the
+  /// restored snapshot has not absorbed, and writes nothing unless it
+  /// repairs a crash inside create() (below). A missing or
+  /// torn "<base>.snapshot" falls back to the previous generation
   /// "<base>.snapshot.old" (see snapshot() below) — a half-written
   /// snapshot is never accepted, and only when neither generation is
-  /// usable does resume refuse. A journal holding no eval records with
-  /// no usable snapshot is the signature of a crash inside create();
-  /// that resumes to the pristine session.
+  /// usable does resume refuse. A journal holding no records with no
+  /// usable snapshot is the signature of a crash inside create(); that
+  /// resumes to the pristine session. A v1 journal (written before
+  /// suggest records existed) resumes as is and is rewritten as v2 before
+  /// its first suggest record.
   static std::unique_ptr<Session> resume(std::string name, SessionSpec spec,
                                          const std::string& checkpoint_base);
 
-  /// suggest + snapshot. Throws easybo::Error when the budget is
-  /// exhausted or the initial design is fully in flight.
+  /// suggest + its journal record (+ a snapshot when it refit). Throws
+  /// easybo::Error when the budget is exhausted or the initial design is
+  /// fully in flight.
   ///
   /// \p stop is the request's cancellation token (null = none). It is
   /// polled at the core's safe checkpoints AND re-checked after the core
-  /// returns, immediately before the snapshot — so even a computation
-  /// that ignored every cooperative poll cannot commit a proposal past
-  /// its deadline. On common::Cancelled the caller MUST discard this
-  /// Session object: the in-memory core is mid-mutation dirty, while the
-  /// files still hold the exact pre-suggest state (the snapshot below is
-  /// the only thing that publishes a suggest). Resuming from them and
-  /// retrying reproduces the identical proposal — a cancelled suggest
-  /// consumed nothing (tests/test_serve_deadline.cpp pins this).
+  /// returns, immediately before the journal append — so even a
+  /// computation that ignored every cooperative poll cannot commit a
+  /// proposal past its deadline. On common::Cancelled the caller MUST
+  /// discard this Session object: the in-memory core is mid-mutation
+  /// dirty, while the files still hold the exact pre-suggest state (the
+  /// suggest record is the only thing that publishes a suggest). Resuming
+  /// from them and retrying reproduces the identical proposal — a
+  /// cancelled suggest consumed nothing (tests/test_serve_deadline.cpp
+  /// pins this). A failed append throws io::CheckpointError with the
+  /// journal as it was; the object must be dropped the same way.
   bo::Suggestion suggest(const common::StopToken* stop = nullptr);
 
-  /// Successful evaluation result for \p tag: observe + snapshot.
-  SessionObserved observe_ok(std::size_t tag, double y);
+  /// Successful evaluation result for \p tag: observe (journal first) +
+  /// a snapshot when it refit. Returns the journal action applied:
+  /// "observed" | "penalized" | "discarded".
+  const char* observe_ok(std::size_t tag, double y);
 
   /// Failed evaluation for \p tag; \p status names the failure
   /// ("exception" | "timeout" | "non_finite"). The session's failure
@@ -94,16 +97,21 @@ class Session {
   /// over the protocol. \p error is an optional human-readable detail
   /// recorded in the journal.
   ///
-  /// Storage faults during observe_ok/observe_failure split two ways:
-  /// a failed *journal append* throws io::CheckpointError with nothing
+  /// A failed *journal append* throws io::CheckpointError with nothing
   /// durable (at worst a torn tail the next resume truncates) — the
   /// request had no effect, but this in-memory object is no longer
   /// trustworthy (the pending tag was already consumed) and must be
-  /// dropped by the caller. A failed *snapshot* after a successful
-  /// append is reported via SessionObserved::snapshot_failed with an OK
-  /// result: the mutation is durable through the journal.
-  SessionObserved observe_failure(std::size_t tag, const std::string& status,
-                                  const std::string& error = "");
+  /// dropped by the caller. A failed *snapshot* after a successful append
+  /// leaves the command committed: see snapshot_error().
+  const char* observe_failure(std::size_t tag, const std::string& status,
+                              const std::string& error = "");
+
+  /// what() of the snapshot failure of the last suggest or observe, empty
+  /// when it wrote none or wrote it. The command is durable through its
+  /// journal record either way — the previous snapshot generation plus
+  /// the longer journal tail resume to exactly the current state — so
+  /// its reply stays OK; the host reports the fault on its health plane.
+  const std::string& snapshot_error() const { return snapshot_error_; }
 
   /// One-line JSON status object (docs/service-protocol.md).
   std::string status_json() const;
@@ -125,17 +133,25 @@ class Session {
   /// Rewrites "<base>.snapshot" atomically, first rotating the current
   /// (known-good) snapshot to "<base>.snapshot.old" so that a torn
   /// replace — a non-atomic filesystem, injected via io/fs_fault.h —
-  /// still leaves one intact generation on disk. Because every mutation
-  /// snapshots, each generation absorbs all but at most one journal
-  /// record, so resuming from the previous generation plus the journal
-  /// tail is exact. Rotation is skipped while the on-disk snapshot is
-  /// not known good (a damaged generation must never clobber the intact
-  /// fallback); rotation failures are themselves non-fatal.
+  /// still leaves one intact generation on disk. Both generations sit at
+  /// refit points, and the journal keeps every record after either, so
+  /// resuming from the previous generation plus its longer tail is exact.
+  /// Rotation is skipped while the on-disk snapshot is not known good (a
+  /// damaged generation must never clobber the intact fallback); rotation
+  /// failures are themselves non-fatal.
   void snapshot();
 
+  /// snapshot() when the command that began with \p refits_before
+  /// hyperparameter refits ran one; a failure lands in snapshot_error_.
+  void snapshot_after_refit(std::size_t refits_before);
+
+  /// Rewrites a v1 journal as v2 (new header line, every record byte
+  /// kept) before its first suggest record.
+  void upgrade_journal();
+
   /// Stamps \p o on the session clock, applies it to the core, then
-  /// snapshots (observe_ok / observe_failure).
-  SessionObserved observe(std::size_t tag, bo::Outcome o);
+  /// snapshots when it refit (observe_ok / observe_failure).
+  const char* observe(std::size_t tag, bo::Outcome o);
 
   /// Closes the turnaround span for \p tag, when one is open.
   void record_turnaround(std::size_t tag);
@@ -148,6 +164,9 @@ class Session {
   /// True while "<base>.snapshot" is known to hold an intact generation
   /// — the precondition for rotating it to ".old" (see snapshot()).
   bool snapshot_valid_ = false;
+  /// The journal still carries a v1 header (see upgrade_journal()).
+  bool journal_v1_ = false;
+  std::string snapshot_error_;  ///< see snapshot_error()
   obs::TraceSink* trace_ = nullptr;
   /// Wall-clock SUGGEST times of in-flight tags, kept only while a trace
   /// sink is installed — the basis of the turnaround spans above. Entries

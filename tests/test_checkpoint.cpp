@@ -249,6 +249,46 @@ TEST(JournalRecordJson, RoundTripsEveryField) {
   EXPECT_TRUE(ok.error.empty());
 }
 
+TEST(JournalRecordJson, SuggestRecordRoundTripsAndUnknownKindsAreRefused) {
+  JournalRecord rec;
+  rec.index = 9;
+  rec.suggest = true;
+  rec.tag = 4;
+  rec.is_init = false;
+  rec.x = {0.1, 0.30000000000000004};
+  rec.submit = 3.0;
+  rec.duration = 1.2500000000000004;
+  Rng rng(77);
+  (void)rng.normal(0.0, 1.0);  // leaves a cached normal behind
+  rec.rng = rng.save();
+
+  const std::string payload = rec.to_payload();
+  EXPECT_EQ(payload.rfind("{\"index\":9,\"kind\":\"suggest\",", 0), 0u)
+      << payload;
+  const JournalRecord back = JournalRecord::parse(payload);
+  EXPECT_TRUE(back.suggest);
+  EXPECT_EQ(back.index, rec.index);
+  EXPECT_EQ(back.tag, rec.tag);
+  EXPECT_EQ(back.is_init, rec.is_init);
+  EXPECT_EQ(back.x, rec.x);
+  EXPECT_EQ(back.submit, rec.submit);
+  EXPECT_EQ(back.duration, rec.duration);
+  Rng restored(1);
+  restored.load(back.rng);
+  EXPECT_EQ(restored.normal(0.0, 1.0), rng.normal(0.0, 1.0));
+  EXPECT_EQ(restored.uniform(), rng.uniform());
+
+  // Eval records carry no kind, so their bytes stay the v1 format's.
+  EXPECT_FALSE(JournalRecord::parse(R"({"index":0,"tag":0,"status":"ok",)"
+                                    R"("action":"observed","attempts":1,)"
+                                    R"("worker":0,"start":0,"finish":1,)"
+                                    R"("is_init":true,"x":[0.5],"y":1})")
+                   .suggest);
+  std::string foreign = payload;
+  foreign.replace(foreign.find("suggest"), 7, "observe");
+  EXPECT_THROW(JournalRecord::parse(foreign), io::CheckpointError);
+}
+
 /// The easybo::Error message \p parse throws on \p payload; empty when it
 /// parses.
 template <class Parse>
@@ -349,6 +389,16 @@ TEST(ParseU64, AcceptsOnlyPlainDecimalDigits) {
           << e.what();
     }
   }
+}
+
+TEST(JournalHeaderJson, ReadsBothVersionsAndWritesTheOneItNames) {
+  JournalHeader h;
+  EXPECT_EQ(h.schema, std::string(kJournalSchemaV1));  // what engines write
+  h.schema = kJournalSchemaV2;
+  h.config_hash = 42;
+  EXPECT_NE(h.to_payload().find("\"easybo.journal.v2\""), std::string::npos);
+  EXPECT_EQ(JournalHeader::parse(h.to_payload()).schema,
+            std::string(kJournalSchemaV2));
 }
 
 TEST(JournalHeaderJson, RoundTripsAndRejectsForeignSchemas) {
@@ -629,7 +679,7 @@ TEST(Checkpointing, DurableBytesMatchPinnedHash) {
     observe_oldest();
   }
   observe_oldest();
-  EXPECT_EQ(durable_bytes_hash(dir + "/s"), 8482957236187877284ull);
+  EXPECT_EQ(durable_bytes_hash(dir + "/s"), 1896373974308966847ull);
 }
 
 TEST(Checkpointing, JournalingItselfChangesNothing) {
@@ -1048,6 +1098,20 @@ void expect_resume_error(const BoConfig& cfg,
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "message: " << e.what();
   }
+}
+
+// Suggest records belong to hosted sessions: the engine's replay has no
+// use for them and refuses such a journal, naming the record kind.
+TEST(ResumeRefusal, SessionJournalWithSuggestRecords) {
+  const auto tf = easybo::circuit::branin();
+  const BoConfig cfg = quick(Mode::AsyncBatch, 4, 93);
+  const std::string base = fresh_base("session_suggest");
+  {
+    auto session = serve::Session::create(
+        "s", serve::SessionSpec{cfg, tf.bounds}, base);
+    (void)session->suggest();
+  }
+  expect_resume_error(cfg, tf, base, "is a \"suggest\" record");
 }
 
 TEST(ResumeRefusal, MissingJournal) {

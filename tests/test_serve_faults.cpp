@@ -53,6 +53,14 @@ std::string quick_config_json(std::uint64_t seed) {
   return session_config_json(cfg, bounds);
 }
 
+/// quick_config_json with refit_every = 1, so the observe that brings the
+/// data to 4 points refits and writes a snapshot after its journal record.
+std::string refitting_config_json(std::uint64_t seed) {
+  SessionSpec spec = parse_session_config(quick_config_json(seed));
+  spec.config.refit_every = 1;
+  return session_config_json(spec.config, spec.bounds);
+}
+
 double objective_of(const Vec& x) {
   double s = 0.0;
   for (const double v : x) s += std::sin(3.0 * v) + v * v;
@@ -260,17 +268,111 @@ TEST(ServeFaults, ObserveJournalFaultQuarantinesWithStateRolledBack) {
             std::string::npos);
 }
 
+/// Takes session \p name through its 3-point initial design: three
+/// SUGGEST + OBSERVE turns. The next SUGGEST trains the first model.
+void observe_initial_design(SessionHost& host, const std::string& name) {
+  for (int i = 0; i < 3; ++i) {
+    const Suggested s =
+        parse_suggest_reply(host.handle_line("SUGGEST " + name));
+    ASSERT_EQ(host.handle_line("OBSERVE " + name + " " +
+                               std::to_string(s.tag) + " " +
+                               io::json_number(objective_of(s.x)))
+                  .rfind("OK ", 0),
+              0u);
+  }
+}
+
+TEST(ServeFaults, SuggestJournalFaultQuarantinesWithStateRolledBack) {
+  const std::string config = quick_config_json(13);
+  // The control: the first model-based suggest of an unfaulted session.
+  Suggested want;
+  {
+    SessionHost control(fresh_dir("suggest_quarantine_ctl"), 4);
+    ASSERT_EQ(control.handle_line("NEW q " + config).rfind("OK ", 0), 0u);
+    observe_initial_design(control, "q");
+    want = parse_suggest_reply(control.handle_line("SUGGEST q"));
+  }
+  const std::string dir = fresh_dir("suggest_quarantine");
+  SessionHost host(dir, 4);
+  ASSERT_EQ(host.handle_line("NEW q " + config).rfind("OK ", 0), 0u);
+  observe_initial_design(host, "q");
+  const std::string journal_before = io::read_file(dir + "/q.journal");
+
+  std::string reply;
+  {
+    // The suggest computes without storage; its first storage operation
+    // is the suggest record's write.
+    io::FsFaultPlan plan;
+    plan.eio_every = 1;
+    plan.max_faults = 1;
+    io::ScopedFsFaults faults(plan);
+    reply = host.handle_line("SUGGEST q");
+  }
+  EXPECT_EQ(reply.rfind("ERR storage q:", 0), 0u) << reply;
+  EXPECT_NE(reply.find("quarantined"), std::string::npos) << reply;
+  EXPECT_TRUE(host.is_quarantined("q"));
+  EXPECT_FALSE(host.is_live("q"));
+  EXPECT_GE(host.io_fault_count(), 1u);
+  // The failed append rolled the journal back byte for byte.
+  EXPECT_EQ(io::read_file(dir + "/q.journal"), journal_before);
+
+  // CLOSE clears the quarantine; the retried suggest resumes from the
+  // files and hands out the identical tag and point.
+  EXPECT_EQ(host.handle_line("CLOSE q").rfind("OK ", 0), 0u);
+  const Suggested got = parse_suggest_reply(host.handle_line("SUGGEST q"));
+  EXPECT_EQ(got.tag, want.tag);
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_NE(host.handle_line("STATUS").find("\"storage\":\"ok\""),
+            std::string::npos);
+}
+
+TEST(ServeFaults, SuggestSnapshotFaultIsCommittedAndRepliesOk) {
+  const std::string dir = fresh_dir("suggest_committed");
+  SessionHost host(dir, 4);
+  const std::string config = quick_config_json(14);
+  ASSERT_EQ(host.handle_line("NEW c " + config).rfind("OK ", 0), 0u);
+  observe_initial_design(host, "c");
+
+  std::string reply;
+  {
+    // This suggest trains the first model. Fsync #1 is its journal
+    // record (succeeds), fsync #2 the refit snapshot's tmp file — the
+    // fault lands there.
+    io::FsFaultPlan plan;
+    plan.enospc_every = 2;
+    plan.max_faults = 1;
+    io::ScopedFsFaults faults(plan);
+    reply = host.handle_line("SUGGEST c");
+  }
+  // Journal-first: the suggest is durable, so the reply is OK and the
+  // session is NOT quarantined — only the health counter moves.
+  const Suggested s = parse_suggest_reply(reply);
+  EXPECT_FALSE(host.is_quarantined("c"));
+  EXPECT_EQ(host.io_fault_count(), 1u);
+  const std::string live_status = host.handle_line("STATUS c");
+
+  // A restart resumes from the previous snapshot generation plus the
+  // journal tail to the exact post-suggest state, and takes the tag.
+  SessionHost reopened(dir, 4);
+  EXPECT_EQ(reopened.handle_line("STATUS c"), live_status);
+  EXPECT_EQ(reopened.handle_line("OBSERVE c " + std::to_string(s.tag) +
+                                 " 2.0"),
+            "OK {\"action\":\"observed\"}");
+}
+
 TEST(ServeFaults, ObserveSnapshotFaultIsCommittedAndRepliesOk) {
   const std::string dir = fresh_dir("observe_committed");
   SessionHost host(dir, 4);
-  const std::string config = quick_config_json(8);
+  const std::string config = refitting_config_json(8);
   ASSERT_EQ(host.handle_line("NEW c " + config).rfind("OK ", 0), 0u);
+  observe_initial_design(host, "c");
   const Suggested s = parse_suggest_reply(host.handle_line("SUGGEST c"));
 
   std::string reply;
   {
-    // Fsync #1 of OBSERVE is the journal append (succeeds), fsync #2 is
-    // the snapshot tmp file — the fault lands there.
+    // This observe refits (refit_every = 1). Fsync #1 of OBSERVE is the
+    // journal append (succeeds), fsync #2 is the refit snapshot's tmp
+    // file — the fault lands there.
     io::FsFaultPlan plan;
     plan.enospc_every = 2;
     plan.max_faults = 1;
@@ -289,7 +391,7 @@ TEST(ServeFaults, ObserveSnapshotFaultIsCommittedAndRepliesOk) {
   const std::string st = reopened.handle_line("STATUS c");
   ASSERT_EQ(st.rfind("OK ", 0), 0u) << st;
   const io::JsonValue j = io::parse_json(st.substr(3));
-  EXPECT_EQ(j.at("observed").as_double(), 1.0) << st;
+  EXPECT_EQ(j.at("observed").as_double(), 4.0) << st;
   EXPECT_EQ(j.at("pending").as_array().size(), 0u) << st;
 }
 
@@ -299,11 +401,9 @@ TEST(ServeFaults, BothSnapshotGenerationsDamagedRefusesLoudly) {
   {
     SessionHost host(dir, 4);
     ASSERT_EQ(host.handle_line("NEW d " + config).rfind("OK ", 0), 0u);
-    const Suggested s = parse_suggest_reply(host.handle_line("SUGGEST d"));
-    ASSERT_EQ(host.handle_line("OBSERVE d " + std::to_string(s.tag) + " 1.0")
-                  .rfind("OK ", 0),
-              0u);
-    // A second mutation so the rotated .old generation exists.
+    observe_initial_design(host, "d");
+    // The first model-based suggest refits, and its snapshot rotates the
+    // pristine generation to .old.
     parse_suggest_reply(host.handle_line("SUGGEST d"));
   }
   // Vandalize both generations down to a torn half-line.
@@ -327,10 +427,15 @@ TEST(ServeFaults, MissingSnapshotsWithEmptyJournalRecreatePristine) {
   const std::string config = quick_config_json(10);
   Suggested first;
   {
+    SessionHost ref(fresh_dir("create_crash_ref"), 4);
+    ASSERT_EQ(ref.handle_line("NEW p " + config).rfind("OK ", 0), 0u);
+    first = parse_suggest_reply(ref.handle_line("SUGGEST p"));
+  }
+  {
     SessionHost host(dir, 4);
+    // A suggest appends a journal record, so the journal stays
+    // header-only only while no command has run.
     ASSERT_EQ(host.handle_line("NEW p " + config).rfind("OK ", 0), 0u);
-    // Suggests journal nothing, so the journal stays header-only.
-    first = parse_suggest_reply(host.handle_line("SUGGEST p"));
   }
   std::filesystem::remove(dir + "/p.snapshot");
   std::filesystem::remove(dir + "/p.snapshot.old");
