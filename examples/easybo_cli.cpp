@@ -13,8 +13,7 @@
 ///              [--eval-retries N] [--fail-quantile Q]
 ///              [--inject-throw-every N] [--inject-nan-every N]
 ///              [--inject-slow-every N] [--inject-sleep-ms MS]
-///              [--checkpoint PATH] [--checkpoint-every N]
-///              [--resume PATH] [--stream FILE]
+///              [--checkpoint PATH] [--resume PATH] [--stream FILE]
 ///              [--adapt-refit-cadence] [--adapt-refit-budget R]
 ///
 /// Prints the best result, virtual wall-clock and (with --csv) the
@@ -25,17 +24,18 @@
 /// The --on-failure / --eval-* flags configure the fault-tolerant
 /// evaluation pipeline and the --inject-* flags add deterministic faults
 /// for studying it (docs/failure-model.md; EXPERIMENTS.md "fault
-/// injection" recipe). --checkpoint journals every evaluation to
-/// PATH.journal and snapshots engine state to PATH.snapshot; --resume
-/// continues a killed run from those files (docs/checkpoint-format.md).
+/// injection" recipe). --checkpoint journals every suggestion and every
+/// evaluation to PATH.journal and snapshots engine state to PATH.snapshot
+/// at the start and after each hyperparameter refit; --resume continues
+/// a killed run from those files (docs/checkpoint-format.md).
 /// --stream FILE emits live "easybo.stream.v1" JSONL telemetry frames to
 /// FILE while the run is in flight (docs/telemetry.md; tail it with
 /// scripts/obs_tail.py). --adapt-refit-cadence lets measured refit/eval
 /// cost stretch the hyper-refit schedule mid-run (proposals are then
 /// machine-dependent; see docs/boconfig-reference.md).
-/// SIGINT/SIGTERM stop the run gracefully: in-flight evaluations drain,
-/// a final snapshot is written, and the process exits 5. A second signal
-/// kills immediately (the journal keeps completed work safe either way).
+/// SIGINT/SIGTERM stop the run gracefully: in-flight evaluations drain
+/// into the journal and the process exits 5. A second signal kills
+/// immediately (the journal keeps completed work safe either way).
 /// BO algorithms only.
 ///
 /// Exit codes (see README.md):
@@ -44,7 +44,7 @@
 ///   2  bad arguments
 ///   3  an evaluation failure aborted the run (--on-failure abort)
 ///   4  checkpoint/journal corrupt or mismatched on --resume
-///   5  interrupted by SIGINT/SIGTERM (checkpoint saved when journaling)
+///   5  interrupted by SIGINT/SIGTERM (journal complete when journaling)
 
 #include <atomic>
 #include <csignal>
@@ -83,7 +83,6 @@ struct CliOptions {
   double fail_quantile = 0.0;
   circuit::FaultPlan faults;  // --inject-*: all channels off by default
   std::string checkpoint;     // empty: no journaling
-  std::size_t checkpoint_every = 1;
   std::string resume;         // empty: fresh run
   std::string stream;         // empty: no live telemetry stream
   bool adapt_refit_cadence = false;
@@ -132,9 +131,8 @@ bool write_text(const std::string& path, const std::string& text) {
       "                  [--fail-quantile Q] [--inject-throw-every N]\n"
       "                  [--inject-nan-every N] [--inject-slow-every N]\n"
       "                  [--inject-sleep-ms MS] [--checkpoint PATH]\n"
-      "                  [--checkpoint-every N] [--resume PATH]\n"
-      "                  [--stream FILE] [--adapt-refit-cadence]\n"
-      "                  [--adapt-refit-budget R]\n");
+      "                  [--resume PATH] [--stream FILE]\n"
+      "                  [--adapt-refit-cadence] [--adapt-refit-budget R]\n");
   std::exit(2);
 }
 
@@ -198,8 +196,6 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--inject-sleep-ms")
       opt.faults.sleep_seconds = next_double() / 1000.0;
     else if (arg == "--checkpoint") opt.checkpoint = next();
-    else if (arg == "--checkpoint-every")
-      opt.checkpoint_every = next_size();
     else if (arg == "--resume") opt.resume = next();
     else if (arg == "--stream") opt.stream = next();
     else if (arg == "--adapt-refit-cadence") opt.adapt_refit_cadence = true;
@@ -354,7 +350,6 @@ int main(int argc, char** argv) {
   config.eval_failure_quantile = cli.fail_quantile;
 
   config.checkpoint_path = cli.resume.empty() ? cli.checkpoint : cli.resume;
-  config.checkpoint_every = cli.checkpoint_every;
   config.adapt_refit_cadence = cli.adapt_refit_cadence;
   config.adapt_refit_budget = cli.adapt_refit_budget;
 

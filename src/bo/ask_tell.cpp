@@ -538,25 +538,155 @@ void AskTellCore::set_checkpoint_path(const std::string& path) {
   cfg_.checkpoint_path = path;
 }
 
-void AskTellCore::start_fresh_journal(const char* schema) {
-  obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
-  journal_.open(journal_file(cfg_.checkpoint_path), /*truncate_to=*/0);
-  JournalHeader header;
-  header.schema = schema;
-  header.config_hash = config_hash_;
-  header.seed = cfg_.seed;
-  journal_.append(header.to_payload());
+void AskTellCore::start_fresh_journal() {
+  {
+    obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
+    journal_.open(journal_file(cfg_.checkpoint_path), /*truncate_to=*/0);
+    JournalHeader header;
+    header.config_hash = config_hash_;
+    header.seed = cfg_.seed;
+    journal_.append(header.to_payload());
+  }
+  write_snapshot(0.0, 0.0);
 }
 
-void AskTellCore::reopen_journal(std::size_t valid_bytes, std::size_t lines,
-                                 std::size_t absorbed) {
+namespace {
+
+enum class SnapLoad { Missing, Damaged, Ok };
+
+/// Loads one snapshot generation. Missing and framing-level damage (torn
+/// or unreadable — everything a crashed replace can leave behind) are
+/// reported for the caller to fall back on; a frame whose checksum holds
+/// but whose JSON does not is corruption no torn write produces, and that
+/// parse error propagates as the hard refusal it deserves.
+SnapLoad load_snapshot(const std::string& path, BoCheckpoint& out) {
+  if (!io::file_exists(path)) return SnapLoad::Missing;
+  io::JournalReadResult sr;
+  try {
+    sr = io::read_journal(path);
+  } catch (const io::CheckpointError&) {
+    return SnapLoad::Damaged;
+  }
+  if (sr.payloads.size() != 1 || sr.torn_tail) return SnapLoad::Damaged;
+  out = BoCheckpoint::parse(sr.payloads.front());
+  return SnapLoad::Ok;
+}
+
+}  // namespace
+
+Resumed AskTellCore::resume(const char* owner) {
+  EASYBO_REQUIRE(journaling() && !journal_.is_open() && prop_x_.empty(),
+                 "AskTellCore::resume needs a fresh core with a checkpoint "
+                 "path");
+  const std::string jpath = journal_file(cfg_.checkpoint_path);
+  const std::string spath = snapshot_file(cfg_.checkpoint_path);
+  const std::string old_path = spath + ".old";
+  if (!io::file_exists(jpath)) {
+    throw io::CheckpointError("cannot resume: no journal at " + jpath);
+  }
+  const io::JournalReadResult jr = io::read_journal(jpath);
+  Resumed r;
+  r.torn_tail = jr.torn_tail;
+  if (jr.payloads.empty() && !io::file_exists(spath) &&
+      !io::file_exists(old_path)) {
+    // No intact header and no snapshot: appends are sequential, a failed
+    // append rolls the file back and the pristine snapshot follows the
+    // header, so this is the wreckage of a crashed start_fresh_journal.
+    // Nothing was ever observable; starting fresh is exact.
+    start_fresh_journal();
+    return r;
+  }
+  r.records = checked_journal_records(jr, jpath, config_hash_, owner);
+  journal_v1_ =
+      JournalHeader::parse(jr.payloads.front()).schema == kJournalSchemaV1;
+
+  // A missing or torn "<path>.snapshot" is the signature of a crash (or
+  // injected fault) mid-replace; the previous generation plus its longer
+  // journal tail resumes to the same state (write_snapshot). A
+  // half-written snapshot is never accepted, and only when neither
+  // generation is usable does resume refuse — unless the journal holds no
+  // record, where nothing beyond the pristine state was ever published.
+  BoCheckpoint snap;
+  std::string used = spath;
+  const SnapLoad primary = load_snapshot(spath, snap);
+  if (primary != SnapLoad::Ok) {
+    used = old_path;
+    if (load_snapshot(old_path, snap) != SnapLoad::Ok) {
+      if (!r.records.empty()) {
+        throw io::CheckpointError(
+            std::string("cannot resume ") + owner + ": snapshot " + spath +
+            " is " + (primary == SnapLoad::Missing ? "missing" : "damaged") +
+            " and no usable fallback snapshot exists at " + old_path);
+      }
+      journal_.open(jpath, static_cast<long>(jr.valid_bytes));
+      // snapshot_valid_ is still false, so this first write does not
+      // rotate whatever damaged file sits at spath into the fallback.
+      write_snapshot(0.0, 0.0);
+      return r;
+    }
+  }
+  check_snapshot(snap, used, jpath, r.records.size(), config_hash_, owner);
+
   // Truncating to valid_bytes drops a torn tail: a record that never
-  // became durable and will be rewritten when the caller's replay reaches
-  // that evaluation again.
-  journal_.open(journal_file(cfg_.checkpoint_path),
-                static_cast<long>(valid_bytes));
-  journal_lines_ = lines;
-  lines_at_snapshot_ = absorbed;
+  // became durable, made again when its command or evaluation is.
+  journal_.open(jpath, static_cast<long>(jr.valid_bytes));
+  journal_lines_ = r.records.size();
+  restore_snapshot(snap, used);
+  // A damaged primary must not be rotated over the generation this
+  // resume restored from; the next snapshot replaces it instead.
+  snapshot_valid_ = used == spath;
+  r.absorbed = snap.journal_count;
+  r.snapshot_refits = snap.hyper_refits;
+  r.now = snap.now;
+
+  // The eval records the snapshot absorbed; the tail's re-enter through
+  // observe().
+  for (std::size_t i = 0; i < r.absorbed; ++i) {
+    const JournalRecord& jrec = r.records[i];
+    if (jrec.suggest || jrec.action == "abort") continue;
+    EvalRecord rec;
+    rec.x = to_design(jrec.x);
+    rec.y = jrec.y;
+    rec.g = jrec.g;
+    rec.start = jrec.start;
+    rec.finish = jrec.finish;
+    rec.worker = jrec.worker;
+    rec.is_init = jrec.is_init;
+    rec.attempts = jrec.attempts;
+    rec.failed = jrec.action != "observed";
+    if (rec.failed) rec.failure = jrec.status;
+    evals_.push_back(std::move(rec));
+  }
+
+  // Re-apply the tail with no acquisition: suggest records as recorded,
+  // eval records through the model update they ran live.
+  for (std::size_t i = r.absorbed; i < r.records.size(); ++i) {
+    const JournalRecord& rec = r.records[i];
+    obs::count(trace_, "ckpt.replayed");
+    if (rec.suggest) {
+      apply_suggestion(rec);
+      r.now = rec.submit;
+      continue;
+    }
+    if (journal_v1_ && pending_tags_.count(rec.tag) == 0) {
+      throw io::CheckpointError(
+          "cannot resume: record " + std::to_string(rec.index) + " of " +
+          jpath + " completes evaluation " + std::to_string(rec.tag) +
+          ", which no record suggested; an " + kJournalSchemaV1 +
+          " journal holds no suggest records, so its tail may only complete "
+          "evaluations its snapshot holds in flight");
+    }
+    const Observed ob = observe(rec.tag, replayed_outcome(rec, *this));
+    if (rec.action != ob.action) {
+      throw io::CheckpointError(
+          "journal record " + std::to_string(rec.index) +
+          " was applied as \"" + rec.action + "\" by the original " + owner +
+          " but replays as \"" + ob.action +
+          "\" — the files and this build disagree on failure policy");
+    }
+    r.now = rec.finish;
+  }
+  return r;
 }
 
 void AskTellCore::journal_eval(std::size_t tag, const Outcome& o,
@@ -585,6 +715,7 @@ void AskTellCore::journal_eval(std::size_t tag, const Outcome& o,
 void AskTellCore::journal_suggestion(const Suggestion& s) {
   EASYBO_REQUIRE(journal_.is_open() && s.tag + 1 == prop_x_.size(),
                  "journal_suggestion: not the latest proposal");
+  if (journal_v1_) upgrade_journal();
   JournalRecord rec;
   rec.index = journal_lines_;
   rec.suggest = true;
@@ -679,12 +810,35 @@ BoCheckpoint AskTellCore::make_snapshot(double now, double busy) const {
   return snap;
 }
 
+void AskTellCore::upgrade_journal() {
+  const std::string jpath = journal_file(cfg_.checkpoint_path);
+  const std::string content = io::read_file(jpath);
+  JournalHeader header;
+  header.config_hash = config_hash_;
+  header.seed = cfg_.seed;
+  const std::string upgraded = io::frame_line(header.to_payload()) + "\n" +
+                               content.substr(content.find('\n') + 1);
+  io::atomic_write_file(jpath, upgraded);
+  journal_.open(jpath, static_cast<long>(upgraded.size()));
+  journal_v1_ = false;
+}
+
 void AskTellCore::write_snapshot(double now, double busy) {
   obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
+  const std::string spath = snapshot_file(cfg_.checkpoint_path);
+  if (snapshot_valid_) {
+    try {
+      io::try_rename_file(spath, spath + ".old");
+    } catch (const io::CheckpointError&) {
+      // Rotation is defense in depth: a failed rotation leaves the
+      // fallback one generation stale, which is still a valid resume
+      // point — it never blocks the snapshot itself.
+    }
+  }
+  snapshot_valid_ = false;
   const BoCheckpoint snap = make_snapshot(now, busy);
-  io::atomic_write_file(snapshot_file(cfg_.checkpoint_path),
-                        io::frame_line(snap.to_payload()) + "\n");
-  lines_at_snapshot_ = journal_lines_;
+  io::atomic_write_file(spath, io::frame_line(snap.to_payload()) + "\n");
+  snapshot_valid_ = true;
   obs::count(trace_, "ckpt.snapshots");
 }
 

@@ -6,8 +6,8 @@
 /// BoEngine: it owns everything that shapes the proposal stream — the GP
 /// model, normalizers, the proposal RNG stream, the dedup blocklists, the
 /// pHCBO penalty slots, the hyper-refit schedule, the failure policies
-/// and the durability hooks (journal + snapshot) —
-/// and exposes exactly two mutation points:
+/// and the durability hooks (journal, snapshot, and the one resume
+/// routine both drivers call) — and exposes exactly two mutation points:
 ///
 ///   suggest()            -> {tag, x}   the next point to evaluate
 ///   observe(tag, outcome)              the terminal result of one tag
@@ -89,8 +89,8 @@ struct Outcome {
   Vec g;
   std::string error;             ///< what() of the failure, when any
   std::exception_ptr exception;  ///< original exception (Abort rethrow)
-  /// A journaled outcome re-enacted during resume replay: already durable,
-  /// so observe() must not journal it again nor count it in live metrics.
+  /// A journaled outcome re-applied by resume(): already durable, so
+  /// observe() must not journal it again nor count it in live metrics.
   bool replayed = false;
 };
 
@@ -99,6 +99,18 @@ struct Observed {
   bool changed = false;  ///< the model's dataset gained a (pseudo) point
   /// "observed" | "penalized" | "discarded" — the journal action applied.
   const char* action = "";
+};
+
+/// What AskTellCore::resume() restored and re-applied.
+struct Resumed {
+  std::vector<JournalRecord> records;  ///< every intact journal record
+  std::size_t absorbed = 0;  ///< how many of them the snapshot holds
+  std::size_t snapshot_refits = 0;  ///< hyper_refits the snapshot holds
+  /// When the last record was written — an eval record's finish, a
+  /// suggest record's submit time — or the snapshot's clock without a
+  /// tail.
+  double now = 0.0;
+  bool torn_tail = false;  ///< a torn final journal line was dropped
 };
 
 /// The adaptive hyper-refit schedule (BoConfig::adapt_refit_cadence): how
@@ -227,9 +239,9 @@ class AskTellCore {
   Vec best_x() const;     ///< incumbent point, design space
   Vec best_g() const;     ///< incumbent constraint values (empty if none)
 
-  /// Completed/failed evaluation records in observation order. Mutable so
-  /// the engine's resume path can prepend the snapshot-absorbed prefix
-  /// and the run driver can move them into BoResult at the end.
+  /// Completed/failed evaluation records in observation order (resume()
+  /// rebuilds them from the journal). Mutable so the run driver can move
+  /// them into BoResult at the end.
   std::vector<EvalRecord>& evals() { return evals_; }
   const std::vector<EvalRecord>& evals() const { return evals_; }
 
@@ -243,33 +255,36 @@ class AskTellCore {
   /// valid before any journaling started.
   void set_checkpoint_path(const std::string& path);
 
-  /// Truncates/creates the journal and writes its header line, naming
-  /// \p schema (kJournalSchemaV2 for a hosted session's journal).
-  void start_fresh_journal(const char* schema = kJournalSchemaV1);
+  /// Starts the durable state of a fresh run or session: truncates or
+  /// creates the journal, writes its easybo.journal.v2 header line, then
+  /// the pristine snapshot, so the files resume before the first
+  /// suggestion.
+  void start_fresh_journal();
 
-  /// Re-opens an existing journal for appending, truncating a torn tail
-  /// to \p valid_bytes first. \p lines is the number of intact records
-  /// it already holds, \p absorbed how many of those the restored
-  /// snapshot has absorbed (the snapshot cadence baseline).
-  void reopen_journal(std::size_t valid_bytes, std::size_t lines,
-                      std::size_t absorbed);
+  /// The one resume routine of both drivers (docs/checkpoint-format.md).
+  /// On a freshly constructed core with its checkpoint path set: picks
+  /// the snapshot generation ("<path>.snapshot", else
+  /// "<path>.snapshot.old"), checks it and the journal against this
+  /// configuration, re-opens the journal (truncating a torn tail), restores
+  /// the snapshot and applies the journal tail with no acquisition —
+  /// suggest records through apply_suggestion, eval records through
+  /// observe() as replayed outcomes. The result is the live core's state
+  /// after the last record, eval records included; the suggestions still
+  /// pending are the caller's to re-run or await. A headerless journal
+  /// beside no snapshot, or a journal without records beside no usable
+  /// snapshot, is a crash inside start_fresh_journal and resumes pristine.
+  /// A v1 journal resumes as is and is rewritten as v2 before its first
+  /// suggest record; a v1 tail record may only complete an evaluation
+  /// the snapshot holds in flight. Throws io::CheckpointError naming the
+  /// file and record when the files refuse; \p owner ("engine" |
+  /// "session") words the messages.
+  Resumed resume(const char* owner);
 
   /// Appends the fsync'd "suggest" record of \p s, which must be the
   /// proposal the last suggest() returned: its tag, unit-space x,
-  /// is_init, submit time, duration and the RNG words after it. A hosted
-  /// session's commit point for a SUGGEST (journal v2).
+  /// is_init, submit time, duration and the RNG words after it. The
+  /// commit point of a suggestion on both drivers (journal v2).
   void journal_suggestion(const Suggestion& s);
-
-  /// Re-applies suggest record \p rec during resume, with no acquisition:
-  /// checks that it is the next tag and the kind of proposal the replayed
-  /// state would make, runs finish_init() where the original suggest did,
-  /// records a pHCBO proposal in its slot's history, pushes the proposal
-  /// and loads the recorded RNG words. Throws io::CheckpointError when
-  /// the record does not fit the replayed state.
-  void apply_suggestion(const JournalRecord& rec);
-
-  std::size_t journal_lines() const { return journal_lines_; }
-  std::size_t lines_at_snapshot() const { return lines_at_snapshot_; }
 
   /// Assembles the full core state into a snapshot. The two execution-
   /// side fields the core cannot know — the logical clock and the total
@@ -277,8 +292,15 @@ class AskTellCore {
   /// its executor; a server session passes its own bookkeeping).
   BoCheckpoint make_snapshot(double now, double busy) const;
 
-  /// make_snapshot + atomic write to the snapshot file; re-bases the
-  /// snapshot cadence.
+  /// make_snapshot + atomic write to the snapshot file, first rotating
+  /// the current known-good snapshot to "<path>.snapshot.old" so that a
+  /// torn replace (a non-atomic filesystem, injected via io/fs_fault.h)
+  /// still leaves one intact generation. Both generations sit at refit
+  /// points and the journal keeps every record after either, so resuming
+  /// from the older one and its longer tail is exact. Rotation is skipped
+  /// while the on-disk snapshot is not known good (a damaged generation
+  /// must never clobber the intact fallback), and a failed rotation is
+  /// not fatal.
   void write_snapshot(double now, double busy);
 
   /// Restores every core-owned field from \p snap (the complement of
@@ -290,6 +312,18 @@ class AskTellCore {
   void restore_snapshot(const BoCheckpoint& snap, const std::string& origin);
 
  private:
+  /// Re-applies suggest record \p rec during resume, with no acquisition:
+  /// checks that it is the next tag and the kind of proposal the replayed
+  /// state would make, runs finish_init() where the original suggest did,
+  /// records a pHCBO proposal in its slot's history, pushes the proposal
+  /// and loads the recorded RNG words. Throws io::CheckpointError when
+  /// the record does not fit the replayed state.
+  void apply_suggestion(const JournalRecord& rec);
+
+  /// Rewrites a v1 journal as v2 (new header line, every record byte
+  /// kept) before its first suggest record.
+  void upgrade_journal();
+
   // --- proposal (the pre-refactor BoEngine internals, verbatim) ---------
   Vec propose(const std::vector<Vec>& pending, std::size_t slot);
   Vec dedup(Vec x, const std::vector<Vec>& pending);
@@ -373,8 +407,11 @@ class AskTellCore {
   // Durability.
   io::JournalWriter journal_;
   std::uint64_t config_hash_ = 0;
-  std::size_t journal_lines_ = 0;      // eval records written (no header)
-  std::size_t lines_at_snapshot_ = 0;  // journal_lines_ at last snapshot
+  std::size_t journal_lines_ = 0;  // records written (no header)
+  bool journal_v1_ = false;        // header still v1 (upgrade_journal)
+  // "<path>.snapshot" is known to hold an intact generation: the
+  // precondition for rotating it to ".old" (write_snapshot).
+  bool snapshot_valid_ = false;
 
   obs::TraceSink* trace_ = nullptr;
   std::string proposal_counter_;  // "bo.proposals.<acq>", built once

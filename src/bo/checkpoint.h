@@ -3,26 +3,26 @@
 /// \brief Durable run state: journal records and engine snapshots.
 ///
 /// Serialization for the crash-safe run subsystem
-/// (docs/checkpoint-format.md). A run with BoConfig::checkpoint_path set
-/// produces two files under that base path:
+/// (docs/checkpoint-format.md). A journaled BoEngine run and a hosted
+/// session both keep these files under their base path:
 ///
-///   <path>.journal   append-only JSONL, one checksummed line per
-///                    terminal evaluation outcome (schema
-///                    "easybo.journal.v1"; the eval fields reuse the
-///                    easybo.metrics.v1 eval-record shape). Hosted
-///                    sessions write "easybo.journal.v2", which adds one
-///                    "suggest" record per handed-out proposal
-///   <path>.snapshot  one checksummed line holding the full engine state
-///                    at a loop boundary (schema "easybo.checkpoint.v1"),
-///                    rewritten atomically every checkpoint_every
-///                    completions
+///   <path>.journal       append-only JSONL (schema "easybo.journal.v2"),
+///                        one checksummed line per handed-out proposal
+///                        (a "suggest" record) and per terminal
+///                        evaluation outcome (the eval fields reuse the
+///                        easybo.metrics.v1 eval-record shape)
+///   <path>.snapshot      one checksummed line holding the full core
+///                        state (schema "easybo.checkpoint.v1"), rewritten
+///                        atomically at the start and at the first loop
+///                        boundary after each hyperparameter refit
+///   <path>.snapshot.old  the previous snapshot generation
 ///
-/// Resume = restore the snapshot, then *replay* the journal tail through
-/// the normal engine loop with journaled completions substituted for real
-/// evaluations. Because the replay runs the very same propose/update
-/// code, the RNG streams, GP refit schedule and hallucination set end up
-/// bit-identical to the uninterrupted run — that is the headline
-/// guarantee, enforced by tests/test_checkpoint.cpp.
+/// Resume (AskTellCore::resume) = restore the snapshot, then apply the
+/// journal tail: suggest records as recorded, with no acquisition, eval
+/// records through observe(). The snapshot sits where the GP factor is a
+/// full refactor, so the factor extended over the tail is the live one
+/// bit for bit — the headline guarantee, enforced by
+/// tests/test_checkpoint.cpp and tests/test_serve_resume.cpp.
 ///
 /// This header is engine-internal plumbing (BoEngine is the public
 /// surface); it is exposed for tests and tooling.
@@ -43,17 +43,16 @@ struct Outcome;      // bo/ask_tell.h
 class AskTellCore;   // bo/ask_tell.h
 using linalg::Vec;
 
-/// Journal schemas. v1 holds eval records only and is what BoEngine
-/// writes; v2 is v1 plus the "suggest" record kind, written by hosted
-/// sessions (src/serve). Readers take both.
+/// Journal schemas. v1 holds eval records only; v2, which both drivers
+/// write, is v1 plus the "suggest" record kind. Readers take both.
 inline constexpr const char* kJournalSchemaV1 = "easybo.journal.v1";
 inline constexpr const char* kJournalSchemaV2 = "easybo.journal.v2";
 
 /// One journal line. An eval record is the terminal outcome of one
-/// evaluation, everything handle() needs to re-enact it during replay. A
-/// suggest record (v2 only) is one proposal a hosted session handed out:
-/// with x and the tag it holds everything AskTellCore::suggest mutates,
-/// so resume re-applies it without running the acquisition.
+/// evaluation, everything observe() needs to re-apply it on resume. A
+/// suggest record (v2 only) is one proposal handed out: with x and the
+/// tag it holds everything AskTellCore::suggest mutates, so resume
+/// re-applies it without running the acquisition.
 struct JournalRecord {
   std::size_t index = 0;    ///< journal line order, records of both kinds
   bool suggest = false;     ///< a "suggest" record, not an eval record
@@ -65,7 +64,7 @@ struct JournalRecord {
   double start = 0.0;       ///< executor seconds, original run's clock
   double finish = 0.0;
   bool is_init = false;
-  Vec x;                    ///< unit-space proposal (replay cross-check)
+  Vec x;                    ///< unit-space proposal (resume cross-check)
   /// Observed value for ok evals; NaN otherwise (emitted as JSON null).
   double y = 0.0;
   /// Constraint values absorbed with y (observed or penalty values);
@@ -73,7 +72,7 @@ struct JournalRecord {
   Vec g;
   std::string error;        ///< what() of the failure, when any
 
-  // Suggest records only: the proposal's submit time on the session
+  // Suggest records only: the proposal's submit time on the driver's
   // clock, its nominal duration and the proposal stream after it.
   double submit = 0.0;
   double duration = 1.0;
@@ -85,7 +84,7 @@ struct JournalRecord {
 
 /// The journal's first line, binding the file to one run configuration.
 struct JournalHeader {
-  std::string schema = kJournalSchemaV1;  ///< v1 or v2, see above
+  std::string schema = kJournalSchemaV2;  ///< v1 or v2, see above
   std::uint64_t config_hash = 0;
   std::uint64_t seed = 0;
 
@@ -93,14 +92,14 @@ struct JournalHeader {
   static JournalHeader parse(const std::string& payload);
 };
 
-/// Full engine state at one loop boundary. Field-by-field mirror of
-/// BoEngine's private state — see the member comments in engine.h for
-/// semantics.
+/// Full core state at a snapshot point (the start, or the first loop
+/// boundary after a refit). Field-by-field mirror of AskTellCore's
+/// private state — see the member comments in ask_tell.h for semantics.
 struct BoCheckpoint {
   std::uint64_t config_hash = 0;
   std::size_t journal_count = 0;  ///< journal lines absorbed in this state
-  double now = 0.0;               ///< executor clock (original run)
-  double busy = 0.0;              ///< executor total busy time (original)
+  double now = 0.0;   ///< driver clock; resume reads it without a tail
+  double busy = 0.0;  ///< executor total busy time; written, not read
   bool init_done = false;         ///< post-init force-train already ran
   /// SyncBatch's deferred-model-refresh flag: an in-flight batch already
   /// produced observations the barrier update has not absorbed. Engine
@@ -119,8 +118,7 @@ struct BoCheckpoint {
   std::vector<Vec> failed_x;
 
   // Proposal table by tag, including per-tag submit time and nominal
-  // duration (needed to re-submit in-flight work with its remaining
-  // duration).
+  // duration (what a resumed engine re-runs pending work with).
   std::vector<Vec> prop_x;
   std::vector<bool> prop_init;
   std::vector<double> prop_submit;
@@ -144,8 +142,8 @@ struct BoCheckpoint {
 };
 
 /// Canonical fingerprint of everything that shapes the proposal stream:
-/// all behavioural BoConfig knobs (checkpoint_path/checkpoint_every
-/// excluded — they never change proposals — and the wall-clock driven
+/// all behavioural BoConfig knobs (checkpoint_path excluded — it never
+/// changes proposals — and the wall-clock driven
 /// adapt_refit_cadence/adapt_refit_budget), the trainer and
 /// acquisition-optimizer options, the design bounds, and the number of
 /// constraints (only when non-zero). A resume whose fingerprint
@@ -158,8 +156,9 @@ std::uint64_t config_fingerprint(const BoConfig& config,
 std::string journal_file(const std::string& base);
 std::string snapshot_file(const std::string& base);
 
-// --- resume checks shared by BoEngine and serve::Session: each refuses
-// with io::CheckpointError; \p owner ("engine" | "session") words it.
+// --- resume checks of AskTellCore::resume, the routine of both drivers:
+// each refuses with io::CheckpointError; \p owner ("engine" |
+// "session") words it.
 
 /// The records of journal \p jpath (read into \p jr), checked for an
 /// intact header, the config fingerprint, consecutive indices and no
@@ -174,7 +173,7 @@ void check_snapshot(const BoCheckpoint& snap, const std::string& spath,
                     const std::string& jpath, std::size_t journal_records,
                     std::uint64_t config_hash, const char* owner);
 
-/// The replayed outcome record \p rec re-enacts on \p core, checked for
+/// The outcome eval record \p rec re-applies on \p core, checked for
 /// completing a pending tag at the same point, with a known status and
 /// the core's number of constraint values.
 Outcome replayed_outcome(const JournalRecord& rec, const AskTellCore& core);

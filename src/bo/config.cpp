@@ -99,7 +99,6 @@ void BoConfig::validate() const {
       "eval_failure_quantile must be in [0, 1]");
   EASYBO_REQUIRE(adapt_refit_budget > 0.0,
                  "adapt_refit_budget must be > 0");
-  EASYBO_REQUIRE(checkpoint_every >= 1, "checkpoint_every must be >= 1");
   EASYBO_REQUIRE(trainer.max_iters >= 1, "trainer.max_iters must be >= 1");
   EASYBO_REQUIRE(trainer.restarts >= 0, "trainer.restarts must be >= 0");
   EASYBO_REQUIRE(acq_opt.sobol_candidates + acq_opt.random_candidates > 0,

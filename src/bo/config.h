@@ -134,17 +134,14 @@ struct BoConfig {
 
   // --- durability (checkpoint/resume; docs/checkpoint-format.md) --------
   /// Base path for crash-safe run state. Empty (the default) disables
-  /// durability entirely and keeps every run bit-identical to earlier
-  /// releases. Non-empty: the engine appends one fsync'd, checksummed
-  /// line per completed/failed evaluation to "<path>.journal" and
-  /// periodically rewrites "<path>.snapshot" atomically; a run killed at
-  /// any point can then continue via BoEngine::resume(path) with the
-  /// identical remaining proposal sequence.
+  /// durability entirely; journaling never changes a proposal either way.
+  /// Non-empty: the engine appends one fsync'd, checksummed line per
+  /// suggestion and per completed/failed evaluation to "<path>.journal",
+  /// and rewrites "<path>.snapshot" atomically at the start and after each
+  /// hyperparameter refit; a run killed at any point can then continue
+  /// via BoEngine::resume(path) with the identical remaining proposal
+  /// sequence.
   std::string checkpoint_path;
-  /// Snapshot cadence: atomically rewrite the snapshot after this many
-  /// journaled evaluations. The journal alone already makes resume exact
-  /// (the snapshot only bounds replay cost), so large values are safe.
-  std::size_t checkpoint_every = 1;
 
   gp::TrainerOptions trainer;   ///< hyperparameter MLE options
   acq::AcqOptOptions acq_opt;   ///< acquisition maximizer options

@@ -50,9 +50,10 @@ BoResult BoEngine::run(sched::Executor& exec) {
   scfg.seed = cfg().seed ^ 0x5AFEB0FFu;
   sched::EvalSupervisor sup(exec, scfg, trace_);
 
+  bool in_drain = false;
   if (core_.journaling()) {
     if (resumed_) {
-      restore(sup);
+      in_drain = restore(sup);
     } else {
       core_.start_fresh_journal();
     }
@@ -70,18 +71,17 @@ BoResult BoEngine::run(sched::Executor& exec) {
   if (!stop_requested()) {
     switch (cfg().mode) {
       case Mode::Sequential: run_sequential(sup); break;
-      case Mode::SyncBatch: run_sync_batch(sup); break;
+      case Mode::SyncBatch: run_sync_batch(sup, in_drain); break;
       case Mode::AsyncBatch: run_async_batch(sup); break;
     }
   }
   // A stop at a phase boundary can leave init evaluations in flight:
-  // drain them so the journal is complete and the final snapshot carries
-  // no pending work it does not have to.
+  // drain them so the journal is complete.
   if (stop_requested()) drain_all(sup);
 
   BoResult result;
   result.evals = std::move(core_.evals());
-  result.makespan = std::max(exec.now(), last_replay_finish_);
+  result.makespan = exec.now();
   result.total_sim_time = busy_base_ + exec.total_busy_time();
   result.hyper_refits = core_.hyper_refits();
   result.interrupted = stop_requested();
@@ -94,7 +94,6 @@ BoResult BoEngine::run(sched::Executor& exec) {
     result.best_x = core_.best_x();
     result.best_y = core_.best_y();
   }
-  if (core_.journaling()) write_snapshot(sup);
   finalize_metrics(exec, result);
   return result;
 }
@@ -123,56 +122,67 @@ void BoEngine::run_init_phase(sched::EvalSupervisor& sup) {
   // fair. The InitDesign span covers the whole phase, waits included.
   // Failed evaluations are topped up (the model needs its init_points
   // anchors) until the whole simulation budget would be burned on them.
+  // No refit runs before finish_init(), so the phase has no snapshot.
   obs::ScopedTimer span(trace_, obs::Phase::InitDesign);
   while (core_.num_observations() < cfg().init_points && !stop_requested()) {
-    maybe_checkpoint(sup);
-    while (can_submit(sup) && core_.issued() < cfg().max_sims &&
-           core_.num_observations() + num_outstanding(sup) <
+    while (sup.has_idle_worker() && core_.issued() < cfg().max_sims &&
+           core_.num_observations() + sup.num_running() <
                cfg().init_points &&
            !stop_requested()) {
       submit(sup);
     }
-    if (num_outstanding(sup) == 0) break;  // budget exhausted by failures
+    if (sup.num_running() == 0) break;  // budget exhausted by failures
     observe_arrival(await_one(sup));
   }
 }
 
 void BoEngine::run_sequential(sched::EvalSupervisor& sup) {
-  while (core_.issued() < cfg().max_sims && !stop_requested()) {
-    maybe_checkpoint(sup);
-    if (!can_submit(sup)) break;  // the only worker is hung
-    submit(sup);
+  // A resumed run may hold its one evaluation in flight: it is awaited
+  // before the next proposal.
+  while (sup.num_running() > 0 ||
+         (core_.issued() < cfg().max_sims && !stop_requested())) {
+    checkpoint_after_refit(sup);
+    if (sup.num_running() == 0) {
+      if (!sup.has_idle_worker()) break;  // the only worker is hung
+      submit(sup);
+    }
     observe_arrival(await_one(sup));
   }
 }
 
-void BoEngine::run_sync_batch(sched::EvalSupervisor& sup) {
-  while (core_.issued() < cfg().max_sims && !stop_requested()) {
-    maybe_checkpoint(sup);
-    const std::size_t remaining = cfg().max_sims - core_.issued();
-    // A real executor may expose fewer workers than cfg().batch; a batch
-    // larger than the pool could never be issued at once.
-    // idle_for_submit (not num_workers): a wall-clock timeout can leave a
-    // slot occupied by an abandoned hung objective. Identical when no
-    // worker is abandoned — the barrier below drained the pool.
-    const std::size_t k =
-        std::min({cfg().batch, remaining, idle_for_submit(sup)});
-    if (k == 0) break;  // every worker is hung; cannot make progress
-    // The core selects each batch point against the pre-batch model,
-    // hallucinating the slots selected so far (its pending set grows with
-    // every suggestion), and defers the model refresh to the barrier.
-    for (std::size_t slot = 0; slot < k; ++slot) submit(sup);
-    while (num_outstanding(sup) > 0) {
-      observe_arrival(await_one(sup));
+void BoEngine::run_sync_batch(sched::EvalSupervisor& sup, bool draining) {
+  // A resumed run may hold part of a batch in flight: the head of one it
+  // was issuing, which the first pass completes, or the rest of one it
+  // was draining, which the first pass only drains.
+  while (sup.num_running() > 0 ||
+         (core_.issued() < cfg().max_sims && !stop_requested())) {
+    checkpoint_after_refit(sup);
+    if (!draining && !stop_requested()) {
+      const std::size_t head = sup.num_running();
+      // A real executor may expose fewer workers than cfg().batch; a
+      // batch larger than the pool could never be issued at once.
+      // num_idle_workers (not num_workers): a wall-clock timeout can
+      // leave a slot occupied by an abandoned hung objective. Identical
+      // when no worker is abandoned — the drain below emptied the pool.
+      const std::size_t k =
+          std::min({cfg().batch - head, cfg().max_sims - core_.issued(),
+                    sup.num_idle_workers()});
+      if (k + head == 0) break;  // every worker is hung
+      // The core selects each batch point against the pre-batch model,
+      // hallucinating the slots selected so far (its pending set grows
+      // with every suggestion), and defers the model refresh to the
+      // drain.
+      for (std::size_t slot = 0; slot < k; ++slot) submit(sup);
     }
+    draining = false;
+    while (sup.num_running() > 0) observe_arrival(await_one(sup));
   }
 }
 
 void BoEngine::run_async_batch(sched::EvalSupervisor& sup) {
-  // Fill the pool (Algorithm 1 bootstraps with B in-flight points). On
-  // resume the in-flight set restored from the snapshot already occupies
-  // its logical worker slots.
-  while (can_submit(sup) && core_.issued() < cfg().max_sims &&
+  // Fill the pool (Algorithm 1 bootstraps with B in-flight points); a
+  // resumed run's re-run evaluations already occupy their workers.
+  while (sup.has_idle_worker() && core_.issued() < cfg().max_sims &&
          !stop_requested()) {
     submit(sup);
   }
@@ -180,13 +190,13 @@ void BoEngine::run_async_batch(sched::EvalSupervisor& sup) {
   // Main loop (Algorithm 1): wait for a worker, absorb its observation
   // (the core refines the model inside observe), propose for the idle
   // worker with the still-running points as pseudo-observations.
-  while (num_outstanding(sup) > 0) {
-    maybe_checkpoint(sup);
+  while (sup.num_running() > 0) {
+    checkpoint_after_refit(sup);
     observe_arrival(await_one(sup));
-    // can_submit: a wall-clock timeout frees no slot (the hung objective
-    // still occupies it), so its replacement waits for the next genuinely
-    // idle worker. Always true when nothing timed out.
-    if (core_.issued() < cfg().max_sims && can_submit(sup) &&
+    // has_idle_worker: a wall-clock timeout frees no slot (the hung
+    // objective still occupies it), so its replacement waits for the
+    // next genuinely idle worker. Always true when nothing timed out.
+    if (core_.issued() < cfg().max_sims && sup.has_idle_worker() &&
         !stop_requested()) {
       submit(sup);
     }
@@ -198,24 +208,10 @@ void BoEngine::run_async_batch(sched::EvalSupervisor& sup) {
 // ---------------------------------------------------------------------------
 
 void BoEngine::submit(sched::EvalSupervisor& sup) {
-  Suggestion s = core_.suggest(logical_now(sup));
-  if (replay_tags_.count(s.tag) != 0) {
-    // The outcome of this evaluation is already durable in the journal:
-    // the replay queue will deliver it. The worker slot it occupied in
-    // the original timeline is accounted logically (num_outstanding), and
-    // its busy time — which the executor will never see — here.
-    replay_awaiting_.insert(s.tag);
-    if (!sup.executor().wall_clock()) {
-      busy_base_ += sup.occupancy(s.duration);
-    }
-    return;
-  }
-  if (resumed_) {
-    // Mid-/post-replay real submission: line the virtual clock up with
-    // the original timeline first, so this work starts — and therefore
-    // finishes — at exactly the times the uninterrupted run produced.
-    sup.advance_clock(last_replay_finish_);
-  }
+  Suggestion s = core_.suggest(sup.now());
+  // Durable before the evaluation starts: a resume applies the record
+  // and re-runs the evaluation instead of proposing again.
+  if (core_.journaling()) core_.journal_suggestion(s);
   // The executor decides where and when the objective runs (eagerly for
   // virtual time, on a worker thread for real threads); the engine only
   // sees the outcome at observe time.
@@ -242,18 +238,16 @@ std::function<double()> BoEngine::evaluation(std::size_t tag, Vec x) {
 }
 
 void BoEngine::observe_arrival(const Arrived& a, bool draining) {
-  const bool replayed = a.outcome.replayed;
-  if (trace_ != nullptr && !replayed) {
+  if (trace_ != nullptr) {
     // Executor-clock duration: virtual seconds on a VirtualExecutor, wall
     // seconds on real threads; spans retries and backoff. Not a
     // ScopedTimer — the evaluation already happened inside the executor;
-    // this books its reported span. Replayed completions book nothing:
-    // this process never ran them (metrics cover the current process).
+    // this books its reported span.
     const sched::Completion& c = a.sc.completion;
     trace_->add_time(obs::Phase::ObjectiveEval, c.finish - c.start);
   }
   const Observed ob = core_.observe(a.tag, a.outcome, draining);
-  if (!replayed) log_eval(a.sc, ob.action);
+  log_eval(a.sc, ob.action);
 }
 
 void BoEngine::log_eval(const sched::SupervisedCompletion& sc,
@@ -270,133 +264,53 @@ void BoEngine::log_eval(const sched::SupervisedCompletion& sc,
   eval_log_.push_back(std::move(e));
 }
 
-sched::SupervisedCompletion BoEngine::timed_wait(sched::EvalSupervisor& sup) {
-  obs::ScopedTimer span(trace_, obs::Phase::ExecutorWait);
-  return sup.wait_next();
-}
-
 // ---------------------------------------------------------------------------
-// Durability: journal, snapshot, resume replay (docs/checkpoint-format.md)
+// Durability: journal, snapshot, resume (docs/checkpoint-format.md)
 // ---------------------------------------------------------------------------
 
-void BoEngine::restore(sched::EvalSupervisor& sup) {
-  const std::string jpath = journal_file(cfg().checkpoint_path);
-  const std::string spath = snapshot_file(cfg().checkpoint_path);
-  if (!io::file_exists(jpath)) {
-    throw io::CheckpointError("cannot resume: no journal at " + jpath);
+bool BoEngine::restore(sched::EvalSupervisor& sup) {
+  const Resumed r = core_.resume("engine");
+  refits_at_snapshot_ = r.snapshot_refits;
+  // The journaled outcomes' busy time, which this process never runs: on
+  // virtual time each attempt chain's occupancy, a pure function of tag,
+  // duration and attempts; on the wall clock what each one measured.
+  const bool wall = sup.executor().wall_clock();
+  for (const JournalRecord& rec : r.records) {
+    if (rec.suggest) continue;
+    busy_base_ += wall ? rec.finish - rec.start
+                       : sup.chain_occupancy(rec.tag,
+                                             core_.proposal_duration(rec.tag),
+                                             rec.attempts);
   }
-  const io::JournalReadResult jr = io::read_journal(jpath);
-  std::vector<JournalRecord> records =
-      checked_journal_records(jr, jpath, core_.config_hash(), "engine");
-  for (const JournalRecord& rec : records) {
-    if (rec.suggest) {
-      throw io::CheckpointError(
-          "cannot resume: record " + std::to_string(rec.index) + " of " +
-          jpath + " is a \"suggest\" record, which only hosted sessions "
-          "write — resume this journal through the session host");
-    }
+  // Re-run what is still pending from its own submit time, in tag
+  // (= submission) order: moving the clock settles earlier attempts at
+  // their own finish, so every attempt fails, retries and finishes where
+  // the uninterrupted run's did. On the wall clock it restarts now.
+  for (const std::size_t tag : core_.pending_tags()) {
+    sup.advance_clock(core_.proposal_submit_time(tag));
+    sup.submit(tag, evaluation(tag, core_.to_design(core_.proposal(tag))),
+               core_.proposal_duration(tag));
   }
+  sup.advance_clock(r.now);
 
-  BoCheckpoint snap;
-  const bool have_snap = io::file_exists(spath);
-  if (have_snap) {
-    const io::JournalReadResult sr = io::read_journal(spath);
-    if (sr.payloads.size() != 1 || sr.torn_tail) {
-      throw io::CheckpointError(
-          "snapshot " + spath +
-          " is damaged (expected exactly one intact framed line)");
-    }
-    snap = BoCheckpoint::parse(sr.payloads.front());
-    check_snapshot(snap, spath, jpath, records.size(), core_.config_hash(),
-                   "engine");
-  }
-
-  // Re-open for appending, truncating any torn tail first: those bytes
-  // are a record that never became durable and will be rewritten by the
-  // replay when it reaches that evaluation again.
-  core_.reopen_journal(jr.valid_bytes, records.size(),
-                       have_snap ? snap.journal_count : 0);
-
-  // Stage the journal tail — everything the snapshot has not absorbed —
-  // for replay through the normal loop.
-  for (std::size_t i = snap.journal_count; i < records.size(); ++i) {
-    replay_tags_.insert(records[i].tag);
-    replay_.push_back(std::move(records[i]));
-  }
-
-  // Rebuild the eval-record prefix for the absorbed records (the replayed
-  // tail re-enters the core's records through observe).
-  for (std::size_t i = 0; i < snap.journal_count; ++i) {
-    const JournalRecord& jrec = records[i];
-    if (jrec.action == "abort") continue;  // aborts never made an EvalRecord
-    EvalRecord rec;
-    rec.x = core_.to_design(jrec.x);
-    rec.y = jrec.y;
-    rec.g = jrec.g;
-    rec.start = jrec.start;
-    rec.finish = jrec.finish;
-    rec.worker = jrec.worker;
-    rec.is_init = jrec.is_init;
-    rec.attempts = jrec.attempts;
-    rec.failed = jrec.action != "observed";
-    if (rec.failed) rec.failure = jrec.status;
-    core_.evals().push_back(std::move(rec));
-  }
-
-  std::size_t resubmitted = 0;
-  if (have_snap) {
-    core_.restore_snapshot(snap, spath);
-    last_replay_finish_ = snap.now;
-    snapshot_clock_ = snap.now;
-    sup.advance_clock(snap.now);  // continue on the original clock
-    busy_base_ = snap.busy;
-
-    // In-flight work at snapshot time: a tag whose outcome is in the
-    // journal tail is delivered by replay; anything else was genuinely in
-    // flight at the kill and is re-submitted for what was left of it (so
-    // it finishes when the uninterrupted run did), which the snapshot's
-    // busy total already holds.
-    for (const std::size_t tag : snap.pending) {
-      if (replay_tags_.count(tag) != 0) {
-        replay_awaiting_.insert(tag);
-        continue;
-      }
-      busy_base_ -= sup.resubmit(
-          tag, evaluation(tag, core_.to_design(core_.proposal(tag))),
-          core_.proposal_duration(tag), core_.proposal_submit_time(tag));
-      ++resubmitted;
-    }
-  }
-
-  resume_note_ =
-      "resumed from " + cfg().checkpoint_path + ": " +
-      std::to_string(snap.journal_count) + " evaluations restored, " +
-      std::to_string(replay_.size()) + " replayed from the journal, " +
-      std::to_string(resubmitted) + " re-submitted" +
-      (jr.torn_tail ? "; dropped a torn final journal line" : "");
+  resume_note_ = "resumed from " + cfg().checkpoint_path + ": " +
+                 std::to_string(r.absorbed) +
+                 " journal records restored from the snapshot, " +
+                 std::to_string(r.records.size() - r.absorbed) +
+                 " applied from the journal, " +
+                 std::to_string(core_.pending_tags().size()) + " re-run" +
+                 (r.torn_tail ? "; dropped a torn final journal line" : "");
   obs::count(trace_, "ckpt.resumes");
+  return !r.records.empty() && !r.records.back().suggest &&
+         !core_.pending_tags().empty();
 }
 
 BoEngine::Arrived BoEngine::await_one(sched::EvalSupervisor& sup) {
   Arrived a;
-  if (!replay_.empty()) {
-    const JournalRecord rec = std::move(replay_.front());
-    replay_.pop_front();
-    replay_tags_.erase(rec.tag);
-    a.tag = rec.tag;
-    a.outcome = replayed_outcome(rec, core_);
-    replay_awaiting_.erase(rec.tag);
-    last_replay_finish_ = rec.finish;
-    // Retries the executor never saw; the snapshot's busy total holds
-    // those launched by its clock.
-    busy_base_ += sup.retry_occupancy(rec.tag,
-                                      core_.proposal_duration(rec.tag),
-                                      rec.start, rec.attempts,
-                                      snapshot_clock_);
-    obs::count(trace_, "ckpt.replayed");
-    return a;
+  {
+    obs::ScopedTimer span(trace_, obs::Phase::ExecutorWait);
+    a.sc = sup.wait_next();
   }
-  a.sc = timed_wait(sup);
   const sched::SupervisedCompletion& sc = a.sc;
   a.tag = sc.completion.tag;
   Outcome& o = a.outcome;
@@ -416,23 +330,18 @@ BoEngine::Arrived BoEngine::await_one(sched::EvalSupervisor& sup) {
 }
 
 void BoEngine::drain_all(sched::EvalSupervisor& sup) {
-  while (num_outstanding(sup) > 0) {
+  while (sup.num_running() > 0) {
     observe_arrival(await_one(sup), /*draining=*/true);
   }
 }
 
-void BoEngine::maybe_checkpoint(sched::EvalSupervisor& sup) {
-  if (!core_.journaling() || !replay_.empty()) return;
-  if (core_.journal_lines() - core_.lines_at_snapshot() <
-      cfg().checkpoint_every) {
+void BoEngine::checkpoint_after_refit(sched::EvalSupervisor& sup) {
+  if (!core_.journaling() || core_.hyper_refits() == refits_at_snapshot_) {
     return;
   }
-  write_snapshot(sup);
-}
-
-void BoEngine::write_snapshot(sched::EvalSupervisor& sup) {
-  core_.write_snapshot(logical_now(sup),
+  core_.write_snapshot(sup.now(),
                        busy_base_ + sup.executor().total_busy_time());
+  refits_at_snapshot_ = core_.hyper_refits();
 }
 
 void BoEngine::finalize_metrics(sched::Executor& exec, BoResult& result) {

@@ -29,15 +29,12 @@
 /// max(n + refit_every, floor(1.5 n))), warm-started from the previous
 /// optimum.
 
-#include <algorithm>
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "bo/ask_tell.h"
 #include "bo/checkpoint.h"
@@ -94,22 +91,25 @@ class BoEngine {
   /// "<path>.snapshot", docs/checkpoint-format.md). The engine must be
   /// freshly constructed with the SAME configuration and bounds as the
   /// interrupted run — a config-fingerprint mismatch refuses to resume
-  /// (io::CheckpointError). Restores the snapshot, replays the journal
-  /// tail through the normal loop (journaled outcomes substituted for
-  /// re-evaluation), re-submits work that was in flight at the kill
-  /// through sched::EvalSupervisor::resubmit (retry timing is a pure
-  /// function of seed, tag and retry, so nothing of it is restored), and
-  /// continues — producing the same remaining proposal sequence as the
-  /// uninterrupted run. Journaling continues on the same files. Call once
-  /// per engine instance, instead of run().
+  /// (io::CheckpointError). Restores the snapshot and applies the journal
+  /// tail through AskTellCore::resume, the routine a hosted session
+  /// resumes with, so no acquisition runs for journaled suggestions. On
+  /// virtual time every evaluation still pending re-runs from its own
+  /// submit time (retry timing is a pure function of seed, tag and
+  /// retry), so it fails, retries and finishes where the uninterrupted
+  /// run did; on the wall clock it restarts now. The run then continues,
+  /// producing the same remaining proposal sequence as the uninterrupted
+  /// run, and journaling continues on the same files. Call once per
+  /// engine instance, instead of run().
   BoResult resume(const std::string& path);
   BoResult resume(const std::string& path, sched::Executor& exec);
 
   /// Installs a cooperative stop flag (e.g. set from a SIGINT handler).
   /// Checked at loop boundaries: once true, the engine stops proposing,
-  /// drains the evaluations already in flight, writes a final snapshot
-  /// (when journaling) and returns with BoResult::interrupted set. The
-  /// pointee must outlive the run; nullptr (the default) disables it.
+  /// drains the evaluations already in flight (each journaled as it
+  /// completes; no final snapshot is written) and returns with
+  /// BoResult::interrupted set. The pointee must outlive the run;
+  /// nullptr (the default) disables it.
   /// Internally this is the flag source of common::StopToken — the same
   /// machinery the serve layer's request deadlines ride
   /// (common/stop_token.h) — but the engine only ever polls it at loop
@@ -135,15 +135,11 @@ class BoEngine {
   const AskTellCore& core() const { return core_; }
 
  private:
-  /// One terminal evaluation outcome as delivered to observe_arrival():
-  /// either a real supervised completion or a journaled one re-enacted
-  /// during resume replay. outcome.start/finish are on the run's logical
-  /// clock — for replayed records the exact original times from the
-  /// journal, so no floating-point round trip can perturb them.
+  /// One terminal evaluation outcome as delivered to observe_arrival().
   struct Arrived {
     std::size_t tag = 0;
     Outcome outcome;
-    sched::SupervisedCompletion sc;  ///< live arrivals: trace and eval log
+    sched::SupervisedCompletion sc;  ///< trace and eval log
   };
 
   /// Constraint values of one in-flight evaluation, written by its worker;
@@ -158,13 +154,12 @@ class BoEngine {
   // --- run phases ---------------------------------------------------------
   void run_init_phase(sched::EvalSupervisor& sup);
   void run_sequential(sched::EvalSupervisor& sup);
-  void run_sync_batch(sched::EvalSupervisor& sup);
+  /// \p draining: resumed inside a batch's drain (restore()).
+  void run_sync_batch(sched::EvalSupervisor& sup, bool draining);
   void run_async_batch(sched::EvalSupervisor& sup);
 
-  /// Pulls the next suggestion out of the core and hands it to the
-  /// supervisor — unless its tag is covered by resume replay, in which
-  /// case the already-durable outcome will be delivered by await_one()
-  /// and only the logical worker-slot accounting happens here.
+  /// Pulls the next suggestion out of the core, journals it (when
+  /// journaling) and hands it to the supervisor.
   void submit(sched::EvalSupervisor& sup);
 
   /// The supervised work of evaluation \p tag at design point \p x: the
@@ -180,62 +175,27 @@ class BoEngine {
   /// Appends one entry to the per-eval outcome log (metrics "evals").
   void log_eval(const sched::SupervisedCompletion& sc, const char* action);
 
-  /// wait_next() wrapped in a Phase::ExecutorWait span.
-  sched::SupervisedCompletion timed_wait(sched::EvalSupervisor& sup);
-
   // --- durability (checkpoint/resume; docs/checkpoint-format.md) --------
   bool stop_requested() const { return stop_token_.stop_requested(); }
 
-  /// Evaluations logically in flight: really running on the executor plus
-  /// those whose journaled outcome is still queued for replay. Equals
-  /// sup.num_running() outside resume replay — and always equals the
-  /// core's pending-tag count.
-  std::size_t num_outstanding(const sched::EvalSupervisor& sup) const {
-    return sup.num_running() + replay_awaiting_.size();
-  }
+  /// Resumes the core from its files (AskTellCore::resume), books the
+  /// journaled outcomes' busy time and re-runs every pending evaluation.
+  /// Returns whether a SyncBatch run stopped inside a batch's drain: its
+  /// last record is an outcome while work is still pending.
+  bool restore(sched::EvalSupervisor& sup);
 
-  /// Whether a new evaluation may be issued right now: a physically idle
-  /// worker AND a logically free slot (replay-covered flights occupy
-  /// their workers in the original timeline even though the executor
-  /// never sees them). Equals sup.has_idle_worker() outside replay.
-  bool can_submit(const sched::EvalSupervisor& sup) const {
-    return sup.has_idle_worker() &&
-           sup.num_workers() > num_outstanding(sup);
-  }
-
-  /// Logically idle workers (the sync-batch sizing rule under replay).
-  std::size_t idle_for_submit(const sched::EvalSupervisor& sup) const {
-    const std::size_t outstanding = num_outstanding(sup);
-    const std::size_t logical = sup.num_workers() > outstanding
-                                    ? sup.num_workers() - outstanding
-                                    : 0;
-    return std::min(sup.num_idle_workers(), logical);
-  }
-
-  /// The run's logical clock: the executor clock, never behind the last
-  /// replayed completion.
-  double logical_now(const sched::EvalSupervisor& sup) const {
-    return std::max(sup.now(), last_replay_finish_);
-  }
-
-  /// Loads snapshot + journal, restores core state, stages the journal
-  /// tail for replay and re-submits genuinely in-flight work.
-  void restore(sched::EvalSupervisor& sup);
-
-  /// Next terminal outcome: the front of the replay queue while resume
-  /// replay is in progress, a real supervised wait otherwise.
+  /// The next supervised outcome (a wait_next() in a Phase::ExecutorWait
+  /// span).
   Arrived await_one(sched::EvalSupervisor& sup);
 
   /// Drains every outstanding evaluation without model updates (the init
   /// phase / graceful-stop semantics).
   void drain_all(sched::EvalSupervisor& sup);
 
-  /// Writes a snapshot when the cadence says so (checkpoint_every new
-  /// journal lines since the last one; never during replay).
-  void maybe_checkpoint(sched::EvalSupervisor& sup);
-
-  /// Unconditionally writes the snapshot atomically.
-  void write_snapshot(sched::EvalSupervisor& sup);
+  /// Writes a snapshot at a loop boundary when a hyperparameter refit ran
+  /// since the last one, where the model is a full refactor as a restore
+  /// rebuilds it.
+  void checkpoint_after_refit(sched::EvalSupervisor& sup);
 
   /// Copies the recording sink (when one is installed) into
   /// result.metrics, grafting on the executor's worker stats.
@@ -249,16 +209,9 @@ class BoEngine {
   std::unordered_map<std::size_t, std::shared_ptr<ConstraintSlot>>
       constraint_slots_;
 
-  // --- resume replay (engine-side: it shadows the EXECUTION timeline) ---
-  // Journal tail to re-enact on resume, in original completion order,
-  // plus the tags it covers. A tag in replay_tags_ is never handed to the
-  // executor — its outcome is already durable.
-  std::deque<JournalRecord> replay_;
-  std::unordered_set<std::size_t> replay_tags_;
-  std::unordered_set<std::size_t> replay_awaiting_;  // covered AND issued
-  double busy_base_ = 0.0;          // restored busy the executor never saw
-  double last_replay_finish_ = 0.0;
-  double snapshot_clock_ = 0.0;     // restored snapshot's clock
+  // --- durability -----------------------------------------------------
+  double busy_base_ = 0.0;  // busy time of journaled outcomes (resume)
+  std::size_t refits_at_snapshot_ = 0;  // hyper_refits the snapshot holds
   bool resumed_ = false;
   common::StopToken stop_token_;  // default: never fires
   std::string resume_note_;

@@ -47,8 +47,8 @@ struct BoResult {
   /// best_x/best_y are empty/0 when no evaluation had completed yet.
   bool interrupted = false;
 
-  /// Human-readable note when the run was a resume (what was restored and
-  /// replayed); empty for ordinary runs.
+  /// Human-readable note when the run was a resume (what was restored,
+  /// applied and re-run); empty for ordinary runs.
   std::string resume_note;
 
   /// Workers abandoned after a wall-clock timeout and never reclaimed —

@@ -8,10 +8,12 @@ namespace {
 
 // Joe–Kuo D6 direction-number table for dimensions 2..21 (dimension 1 is the
 // van der Corput sequence in base 2 and needs no table entry).
+constexpr unsigned kMaxDegree = 7;  // of the table's polynomials
+
 struct JoeKuoEntry {
   unsigned s;                 // degree of the primitive polynomial
   unsigned a;                 // polynomial coefficients (encoded)
-  std::uint32_t m[7];         // initial direction numbers m_1..m_s
+  std::uint32_t m[kMaxDegree];  // initial direction numbers m_1..m_s
 };
 
 constexpr JoeKuoEntry kJoeKuo[] = {
@@ -37,6 +39,14 @@ constexpr JoeKuoEntry kJoeKuo[] = {
     {7, 4, {1, 3, 7, 13, 13, 15, 69}},    // d = 21
 };
 
+constexpr bool degrees_fit() {
+  for (const JoeKuoEntry& e : kJoeKuo) {
+    if (e.s < 1 || e.s > kMaxDegree) return false;
+  }
+  return true;
+}
+static_assert(degrees_fit(), "every degree indexes inside JoeKuoEntry::m");
+
 constexpr unsigned kBits = 32;
 
 }  // namespace
@@ -53,7 +63,9 @@ SobolSequence::SobolSequence(std::size_t dim, std::uint32_t skip) : dim_(dim) {
   for (std::size_t j = 1; j < dim_; ++j) {
     const JoeKuoEntry& e = kJoeKuo[j - 1];
     const unsigned s = e.s;
-    for (unsigned k = 0; k < s; ++k) {
+    // k < kMaxDegree always holds (degrees_fit); spelled out so the
+    // compiler can bound the index too.
+    for (unsigned k = 0; k < s && k < kMaxDegree; ++k) {
       v_[j][k] = e.m[k] << (kBits - 1 - k);
     }
     for (unsigned k = s; k < kBits; ++k) {

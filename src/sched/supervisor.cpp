@@ -56,21 +56,6 @@ void EvalSupervisor::submit(std::size_t tag, std::function<double()> work,
          /*delay=*/0.0, occupancy(duration));
 }
 
-double EvalSupervisor::resubmit(std::size_t tag,
-                                std::function<double()> work,
-                                double duration, double first_start) {
-  if (exec_.wall_clock()) {
-    submit(tag, std::move(work), duration);
-    return 0.0;
-  }
-  double left = first_start + occupancy(duration) - exec_.now();
-  if (!(left > 0.0)) left = 1e-9;  // the executor refuses a zero duration
-  launch({.tag = tag, .work = std::move(work), .duration = duration,
-          .first_start = first_start},
-         /*delay=*/0.0, left);
-  return left;
-}
-
 double EvalSupervisor::occupancy(double duration) const {
   // Virtual time: an attempt that would outlive its deadline is cut
   // there — the worker is occupied until exactly the deadline, as if the
@@ -81,20 +66,13 @@ double EvalSupervisor::occupancy(double duration) const {
   return duration;
 }
 
-double EvalSupervisor::retry_occupancy(std::size_t tag, double duration,
-                                       double first_start,
-                                       std::uint32_t attempts,
-                                       double since) const {
-  if (exec_.wall_clock()) return 0.0;
+double EvalSupervisor::chain_occupancy(std::size_t tag, double duration,
+                                       std::uint32_t attempts) const {
   // Each retry is launched where the attempt before it ended, for its
   // duration plus its backoff: settle()'s arithmetic.
-  double booked = 0.0;
-  double launched = first_start + occupancy(duration);
+  double booked = occupancy(duration);
   for (std::uint32_t retry = 1; retry < attempts; ++retry) {
-    const double occupied =
-        occupancy(duration) + backoff_delay(retry, cfg_.seed, tag);
-    if (launched > since) booked += occupied;
-    launched += occupied;
+    booked += occupancy(duration) + backoff_delay(retry, cfg_.seed, tag);
   }
   return booked;
 }
@@ -107,7 +85,7 @@ void EvalSupervisor::launch(Flight flight, double delay, double occupied) {
 
   const double sleep_s = exec_.wall_clock() ? delay : 0.0;
   auto slot = flight.slot;
-  auto inner = flight.work;  // retries resubmit it; keep the original
+  auto inner = flight.work;  // retries relaunch it; keep the original
   auto wrapped = [inner = std::move(inner), slot,
                   sleep_s]() -> double {
     if (sleep_s > 0.0) {

@@ -132,25 +132,13 @@ class EvalSupervisor {
   void submit(std::size_t tag, std::function<double()> work,
               double duration);
 
-  /// Re-launches an evaluation in flight when a run was interrupted. On
-  /// virtual time it reports \p first_start as its start, its first
-  /// attempt runs for what was left of it at now() (at least 1e-9 s), cut
-  /// and classified as the original, and retries run the full \p duration;
-  /// returns the seconds it books a second time. On the wall clock, which
-  /// cannot be continued, it is submit() and returns 0.
-  double resubmit(std::size_t tag, std::function<double()> work,
-                  double duration, double first_start);
-
-  /// Executor seconds one attempt of \p duration occupies: on virtual
-  /// time \p duration cut at the deadline, on the wall clock \p duration.
-  double occupancy(double duration) const;
-
-  /// Virtual seconds booked by the retries launched after time \p since
-  /// of an evaluation of \p duration that started at \p first_start and
-  /// made \p attempts attempts (0 on the wall clock): what a resume books
-  /// for a journaled evaluation it replays instead of re-running.
-  double retry_occupancy(std::size_t tag, double duration, double first_start,
-                         std::uint32_t attempts, double since) const;
+  /// Virtual seconds an evaluation of \p duration that made \p attempts
+  /// attempts occupied: each attempt cut at the deadline, plus the
+  /// backoff before each retry — a pure function of tag, duration and
+  /// attempts, as backoff_delay is. What a resume books for a journaled
+  /// outcome it does not re-run.
+  double chain_occupancy(std::size_t tag, double duration,
+                         std::uint32_t attempts) const;
 
   /// Blocks until the next supervised evaluation reaches a terminal
   /// outcome (retries happen internally) and returns it. Never rethrows
@@ -169,7 +157,8 @@ class EvalSupervisor {
   /// Moves the clock to \p t for checkpoint resume (Executor::advance_to),
   /// first settling each attempt that ends before \p t at its own finish:
   /// a failed one is retried where the original run retried it, a
-  /// terminal outcome is held for the next wait_next().
+  /// terminal outcome is held for the next wait_next(). A no-op on the
+  /// wall clock.
   void advance_clock(double t);
 
  private:
@@ -194,6 +183,10 @@ class EvalSupervisor {
     bool orphaned = false;         ///< wall: reported, worker abandoned
     std::shared_ptr<AttemptSlot> slot = nullptr;
   };
+
+  /// Executor seconds one attempt of \p duration occupies: on virtual
+  /// time \p duration cut at the deadline, on the wall clock \p duration.
+  double occupancy(double duration) const;
 
   /// Submits one attempt: \p occupied virtual seconds (backoff included),
   /// or \p delay seconds of backoff slept on the worker on the wall clock.

@@ -20,26 +20,6 @@ sched::EvalStatus failure_status_from(const std::string& name) {
               "\" (expected exception|timeout|non_finite)");
 }
 
-enum class SnapLoad { Missing, Damaged, Ok };
-
-/// Loads one snapshot generation. Missing and framing-level damage (torn
-/// or unreadable — everything a crashed replace can leave behind) are
-/// reported for the caller to fall back on; a frame whose checksum holds
-/// but whose JSON does not is corruption no torn write produces, and that
-/// parse error propagates as the hard refusal it deserves.
-SnapLoad load_snapshot(const std::string& path, bo::BoCheckpoint& out) {
-  if (!io::file_exists(path)) return SnapLoad::Missing;
-  io::JournalReadResult sr;
-  try {
-    sr = io::read_journal(path);
-  } catch (const io::CheckpointError&) {
-    return SnapLoad::Damaged;
-  }
-  if (sr.payloads.size() != 1 || sr.torn_tail) return SnapLoad::Damaged;
-  out = bo::BoCheckpoint::parse(sr.payloads.front());
-  return SnapLoad::Ok;
-}
-
 }  // namespace
 
 Session::Session(std::string name, SessionSpec spec)
@@ -51,10 +31,9 @@ std::unique_ptr<Session> Session::create(std::string name, SessionSpec spec,
   auto s = std::unique_ptr<Session>(
       new Session(std::move(name), std::move(spec)));
   s->core_.set_checkpoint_path(checkpoint_base);
-  s->core_.start_fresh_journal(bo::kJournalSchemaV2);
   // Durable before the first reply: a host crash between NEW and the
   // first SUGGEST must still resume to a pristine session.
-  s->snapshot();
+  s->core_.start_fresh_journal();
   return s;
 }
 
@@ -62,99 +41,10 @@ std::unique_ptr<Session> Session::resume(std::string name, SessionSpec spec,
                                          const std::string& checkpoint_base) {
   auto s = std::unique_ptr<Session>(
       new Session(std::move(name), std::move(spec)));
-  bo::AskTellCore& core = s->core_;
-  core.set_checkpoint_path(checkpoint_base);
-
-  const std::string jpath = bo::journal_file(checkpoint_base);
-  const std::string spath = bo::snapshot_file(checkpoint_base);
-  if (!io::file_exists(jpath)) {
-    throw io::CheckpointError("cannot resume: no journal at " + jpath);
-  }
-  const io::JournalReadResult jr = io::read_journal(jpath);
-  if (jr.payloads.empty()) {
-    // No intact header. Appends are sequential and a failed append rolls
-    // the file back, so nothing can ever have been journaled — and the
-    // first snapshot is written only after the header. If no snapshot
-    // generation exists either, this is the wreckage of a crashed (or
-    // storage-faulted) NEW: nothing was ever observable, so re-creating
-    // fresh is exact. Any surviving snapshot alongside a headerless
-    // journal is real corruption and keeps the hard refusal.
-    bo::BoCheckpoint ignored;
-    if (load_snapshot(spath, ignored) == SnapLoad::Missing &&
-        load_snapshot(spath + ".old", ignored) == SnapLoad::Missing) {
-      core.start_fresh_journal(bo::kJournalSchemaV2);
-      s->snapshot();
-      return s;
-    }
-    throw io::CheckpointError("cannot resume: journal at " + jpath +
-                              " holds no intact header line");
-  }
-  const std::vector<bo::JournalRecord> records = bo::checked_journal_records(
-      jr, jpath, core.config_hash(), "session");
-  s->journal_v1_ = bo::JournalHeader::parse(jr.payloads.front()).schema ==
-                   bo::kJournalSchemaV1;
-
-  // Sessions write a snapshot inside create(), so a resumable session
-  // normally has one. A missing or torn "<base>.snapshot" is the
-  // signature of a crash (or injected fault) mid-replace; the previous
-  // generation "<base>.snapshot.old" plus its longer journal tail resumes
-  // to the exact same state (see snapshot()), so a half-written snapshot
-  // is never accepted and never fatal on its own. Only when neither
-  // generation is usable does resume give up — and if the journal holds
-  // no records, nothing beyond the pristine state was ever published (a
-  // crash inside create()), so the session is recreated fresh rather
-  // than refused.
-  const std::string old_path = spath + ".old";
-  bo::BoCheckpoint snap;
-  const SnapLoad primary = load_snapshot(spath, snap);
-  bool from_fallback = false;
-  if (primary != SnapLoad::Ok) {
-    if (load_snapshot(old_path, snap) == SnapLoad::Ok) {
-      from_fallback = true;
-    } else if (records.empty()) {
-      core.reopen_journal(jr.valid_bytes, 0, 0);
-      // snapshot_valid_ is still false, so this first write does not
-      // rotate whatever damaged file sits at spath into the fallback.
-      s->snapshot();
-      return s;
-    } else {
-      throw io::CheckpointError(
-          "cannot resume session: snapshot " + spath + " is " +
-          (primary == SnapLoad::Missing ? "missing" : "damaged") +
-          " and no usable fallback snapshot exists at " + old_path);
-    }
-  }
-  const std::string used = from_fallback ? old_path : spath;
-  bo::check_snapshot(snap, used, jpath, records.size(), core.config_hash(),
-                     "session");
-
-  core.reopen_journal(jr.valid_bytes, records.size(), snap.journal_count);
-  core.restore_snapshot(snap, used);
-  s->now_ = snap.now;
-  // A damaged primary must not be rotated over the generation this
-  // resume restored from; the next refit snapshot replaces it instead.
-  s->snapshot_valid_ = !from_fallback;
-
-  // Re-apply the tail with no acquisition: suggest records as recorded,
-  // eval records through the model update they ran live. Replayed
-  // outcomes are already durable: observe() must not journal them again.
-  for (std::size_t i = snap.journal_count; i < records.size(); ++i) {
-    const bo::JournalRecord& rec = records[i];
-    if (rec.suggest) {
-      core.apply_suggestion(rec);
-      continue;
-    }
-    const bo::Observed ob =
-        core.observe(rec.tag, bo::replayed_outcome(rec, core));
-    if (rec.action != ob.action) {
-      throw io::CheckpointError(
-          "journal record " + std::to_string(rec.index) +
-          " was applied as \"" + rec.action + "\" by the original session "
-          "but replays as \"" + ob.action +
-          "\" — the files and this build disagree on failure policy");
-    }
-    s->now_ = rec.finish;  // live observes tick the clock to their finish
-  }
+  s->core_.set_checkpoint_path(checkpoint_base);
+  // Live observes tick the clock to their finish; suggest records carry
+  // it as their submit time.
+  s->now_ = s->core_.resume("session").now;
   return s;
 }
 
@@ -176,7 +66,6 @@ bo::Suggestion Session::suggest(const common::StopToken* stop) {
   // Durable before the reply leaves the process: the tag in this
   // suggestion must survive eviction and crash — the client holds it and
   // will OBSERVE it against whatever object resumes from these files.
-  if (journal_v1_) upgrade_journal();
   core_.journal_suggestion(s);
   snapshot_after_refit(refits);
   if (trace_ != nullptr) {
@@ -229,27 +118,12 @@ const char* Session::observe(std::size_t tag, bo::Outcome o) {
 void Session::snapshot_after_refit(std::size_t refits_before) {
   if (core_.hyper_refits() == refits_before) return;
   try {
-    snapshot();
+    core_.write_snapshot(now_, 0.0);
   } catch (const io::CheckpointError& e) {
     // The command is committed through its journal record; a failed
     // snapshot only lengthens the tail the next resume re-applies.
     snapshot_error_ = e.what();
   }
-}
-
-void Session::upgrade_journal() {
-  const std::string jpath = bo::journal_file(core_.config().checkpoint_path);
-  const std::string content = io::read_file(jpath);
-  bo::JournalHeader header;
-  header.schema = bo::kJournalSchemaV2;
-  header.config_hash = core_.config_hash();
-  header.seed = core_.config().seed;
-  const std::string upgraded = io::frame_line(header.to_payload()) + "\n" +
-                               content.substr(content.find('\n') + 1);
-  io::atomic_write_file(jpath, upgraded);
-  core_.reopen_journal(upgraded.size(), core_.journal_lines(),
-                       core_.lines_at_snapshot());
-  journal_v1_ = false;
 }
 
 std::string Session::status_json() const {
@@ -288,25 +162,6 @@ std::string Session::status_json() const {
     put("best_x", "null");
   }
   return s + "}";
-}
-
-void Session::snapshot() {
-  if (snapshot_valid_) {
-    // Its own span: write_snapshot below books the write in another.
-    obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
-    const std::string spath =
-        bo::snapshot_file(core_.config().checkpoint_path);
-    try {
-      io::try_rename_file(spath, spath + ".old");
-    } catch (const io::CheckpointError&) {
-      // Rotation is defense in depth: a failed rotation leaves the
-      // fallback one generation stale, which is still a valid resume
-      // point — it never blocks the snapshot itself.
-    }
-  }
-  snapshot_valid_ = false;
-  core_.write_snapshot(now_, 0.0);
-  snapshot_valid_ = true;
 }
 
 }  // namespace easybo::serve

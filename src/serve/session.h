@@ -22,12 +22,13 @@
 /// or crashed session continues its stream exactly. Resume, eviction and
 /// CLOSE write nothing.
 ///
-/// Durability shares BoEngine's format (docs/checkpoint-format.md): the same
-/// CRC-framed journal, the same BoCheckpoint snapshot, the same config
-/// fingerprint refusal on mismatch. The executor-side snapshot fields a
-/// BoEngine run would fill (clock and busy time) are stood in by the
-/// session's logical clock (one tick per observation) and zero busy time,
-/// so the files stay schema-complete.
+/// Durability is BoEngine's protocol (docs/checkpoint-format.md): the same
+/// CRC-framed v2 journal, the same BoCheckpoint snapshots at refit points,
+/// the same resume routine (AskTellCore::resume) and config fingerprint
+/// refusal on mismatch. The executor-side snapshot fields a BoEngine run
+/// fills (clock and busy time) are stood in by the session's logical
+/// clock (one tick per observation) and zero busy time, so the files stay
+/// schema-complete.
 
 #include <chrono>
 #include <cstddef>
@@ -51,20 +52,19 @@ class Session {
   static std::unique_ptr<Session> create(std::string name, SessionSpec spec,
                                          const std::string& checkpoint_base);
 
-  /// Rebuilds a session from its checkpoint files. \p spec must parse to
-  /// the same configuration the files were written with — the config
-  /// fingerprint is checked exactly as BoEngine::resume checks it
-  /// (io::CheckpointError on mismatch). Re-applies the journal tail the
-  /// restored snapshot has not absorbed, and writes nothing unless it
-  /// repairs a crash inside create() (below). A missing or
-  /// torn "<base>.snapshot" falls back to the previous generation
-  /// "<base>.snapshot.old" (see snapshot() below) — a half-written
-  /// snapshot is never accepted, and only when neither generation is
-  /// usable does resume refuse. A journal holding no records with no
-  /// usable snapshot is the signature of a crash inside create(); that
-  /// resumes to the pristine session. A v1 journal (written before
-  /// suggest records existed) resumes as is and is rewritten as v2 before
-  /// its first suggest record.
+  /// Rebuilds a session from its checkpoint files through
+  /// AskTellCore::resume, the routine BoEngine::resume calls. \p spec
+  /// must parse to the same configuration the files were written with
+  /// (io::CheckpointError on a fingerprint mismatch). Re-applies the
+  /// journal tail the restored snapshot has not absorbed, and writes
+  /// nothing unless it repairs a crash inside create(). A missing or torn
+  /// "<base>.snapshot" falls back to the previous generation
+  /// "<base>.snapshot.old" — a half-written snapshot is never accepted,
+  /// and only when neither generation is usable does resume refuse. A
+  /// journal holding no records with no usable snapshot is the signature
+  /// of a crash inside create(); that resumes to the pristine session. A
+  /// v1 journal (written before suggest records existed) resumes as is
+  /// and is rewritten as v2 before its first suggest record.
   static std::unique_ptr<Session> resume(std::string name, SessionSpec spec,
                                          const std::string& checkpoint_base);
 
@@ -130,24 +130,10 @@ class Session {
  private:
   Session(std::string name, SessionSpec spec);
 
-  /// Rewrites "<base>.snapshot" atomically, first rotating the current
-  /// (known-good) snapshot to "<base>.snapshot.old" so that a torn
-  /// replace — a non-atomic filesystem, injected via io/fs_fault.h —
-  /// still leaves one intact generation on disk. Both generations sit at
-  /// refit points, and the journal keeps every record after either, so
-  /// resuming from the previous generation plus its longer tail is exact.
-  /// Rotation is skipped while the on-disk snapshot is not known good (a
-  /// damaged generation must never clobber the intact fallback); rotation
-  /// failures are themselves non-fatal.
-  void snapshot();
-
-  /// snapshot() when the command that began with \p refits_before
-  /// hyperparameter refits ran one; a failure lands in snapshot_error_.
+  /// Writes the snapshot at the session clock when the command that
+  /// began with \p refits_before hyperparameter refits ran one; a failure
+  /// lands in snapshot_error_.
   void snapshot_after_refit(std::size_t refits_before);
-
-  /// Rewrites a v1 journal as v2 (new header line, every record byte
-  /// kept) before its first suggest record.
-  void upgrade_journal();
 
   /// Stamps \p o on the session clock, applies it to the core, then
   /// snapshots when it refit (observe_ok / observe_failure).
@@ -161,11 +147,6 @@ class Session {
   /// Logical clock: one tick per absorbed observation. Recorded as each
   /// proposal's submit time and as the snapshot clock.
   double now_ = 0.0;
-  /// True while "<base>.snapshot" is known to hold an intact generation
-  /// — the precondition for rotating it to ".old" (see snapshot()).
-  bool snapshot_valid_ = false;
-  /// The journal still carries a v1 header (see upgrade_journal()).
-  bool journal_v1_ = false;
   std::string snapshot_error_;  ///< see snapshot_error()
   obs::TraceSink* trace_ = nullptr;
   /// Wall-clock SUGGEST times of in-flight tags, kept only while a trace

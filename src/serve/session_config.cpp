@@ -209,8 +209,10 @@ SessionSpec parse_session_config(const std::string& json_text) {
   if (const JsonValue* v = j.find("refit_every")) {
     spec.config.refit_every = size_from(*v, "refit_every");
   }
+  // The engine's retired snapshot cadence: configs that carry it keep
+  // parsing, and no session ever read it.
   if (const JsonValue* v = j.find("checkpoint_every")) {
-    spec.config.checkpoint_every = size_from(*v, "checkpoint_every");
+    (void)size_from(*v, "checkpoint_every");
   }
   if (const JsonValue* v = j.find("on_eval_failure")) {
     spec.config.on_eval_failure = failure_from(v->as_string());
@@ -285,8 +287,6 @@ std::string session_config_json(const bo::BoConfig& config,
   put("kernel", io::json_quote(config.kernel));
   put("refit_every",
       io::json_number(static_cast<double>(config.refit_every)));
-  put("checkpoint_every",
-      io::json_number(static_cast<double>(config.checkpoint_every)));
   put("on_eval_failure", io::json_quote(to_string(config.on_eval_failure)));
   put("eval_failure_quantile",
       io::json_number(config.eval_failure_quantile));

@@ -37,14 +37,15 @@ struct SessionSpec {
 /// (sequential|sync|async), "acq" (EI|LCB|EasyBO|pBO|pHCBO|BUCB|LP),
 /// "penalize", "batch", "init_points", "max_sims", "lambda",
 /// "uniform_w", "lcb_kappa", "ei_xi", "hc_d", "hc_n", "kernel",
-/// "refit_every", "checkpoint_every", "on_eval_failure"
-/// (discard|penalize), "eval_failure_quantile", "sobol_candidates",
-/// "random_candidates", "refine_evals", "trainer_max_iters",
-/// "trainer_restarts", "adapt_refit_cadence", "adapt_refit_budget". Keys
-/// of removed knobs are accepted only at the one value every persisted
-/// config carries them with: "gp_backend" ("exact"), "rff_features" (128),
+/// "refit_every", "on_eval_failure" (discard|penalize),
+/// "eval_failure_quantile", "sobol_candidates", "random_candidates",
+/// "refine_evals", "trainer_max_iters", "trainer_restarts",
+/// "adapt_refit_cadence", "adapt_refit_budget". Keys of removed knobs
+/// are accepted only at the one value every persisted config carries
+/// them with: "gp_backend" ("exact"), "rff_features" (128),
 /// "rff_train_subset" (512), "pin_hallucinated_mean" and
-/// "async_slot_rotation" (false); the removed acquisitions "TS" and
+/// "async_slot_rotation" (false); "checkpoint_every" is accepted as a
+/// non-negative integer and ignored; the removed acquisitions "TS" and
 /// "Hedge" are refused by name. An unknown key is an error (a typo
 /// would otherwise silently change the proposal stream). Throws
 /// easybo::Error on malformed input; the result is validate()d.

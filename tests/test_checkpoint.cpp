@@ -75,6 +75,7 @@ std::string fresh_base(const std::string& name) {
   const std::string base = ::testing::TempDir() + "easybo_ckpt_" + name;
   std::remove(journal_file(base).c_str());
   std::remove(snapshot_file(base).c_str());
+  std::remove((snapshot_file(base) + ".old").c_str());
   return base;
 }
 
@@ -393,12 +394,13 @@ TEST(ParseU64, AcceptsOnlyPlainDecimalDigits) {
 
 TEST(JournalHeaderJson, ReadsBothVersionsAndWritesTheOneItNames) {
   JournalHeader h;
-  EXPECT_EQ(h.schema, std::string(kJournalSchemaV1));  // what engines write
-  h.schema = kJournalSchemaV2;
+  EXPECT_EQ(h.schema, std::string(kJournalSchemaV2));  // what both write
   h.config_hash = 42;
   EXPECT_NE(h.to_payload().find("\"easybo.journal.v2\""), std::string::npos);
+  h.schema = kJournalSchemaV1;
+  EXPECT_NE(h.to_payload().find("\"easybo.journal.v1\""), std::string::npos);
   EXPECT_EQ(JournalHeader::parse(h.to_payload()).schema,
-            std::string(kJournalSchemaV2));
+            std::string(kJournalSchemaV1));
 }
 
 TEST(JournalHeaderJson, RoundTripsAndRejectsForeignSchemas) {
@@ -526,16 +528,15 @@ TEST(ConfigFingerprint, SeparatesStreamsIgnoresDurabilityKnobs) {
   shifted.upper[0] += 1.0;
   EXPECT_NE(config_fingerprint(base_cfg, shifted), fp);
 
-  // Durability knobs never shape proposals.
+  // The durability knob never shapes proposals.
   other = base_cfg;
   other.checkpoint_path = "/somewhere/else";
-  other.checkpoint_every = 9;
   EXPECT_EQ(config_fingerprint(other, tf.bounds), fp);
 }
 
 // One row per field: changing any field the fingerprint hashes must move
 // it, and changing a field it leaves out must not. The two tables name
-// all 25 BoConfig fields (trainer and acq_opt by their members), so a
+// all 24 BoConfig fields (trainer and acq_opt by their members), so a
 // hashed field dropped from the canonical string, or a durability knob
 // added to it, fails here.
 TEST(ConfigFingerprint, MovesWithEveryHashedFieldAndNoOther) {
@@ -579,7 +580,6 @@ TEST(ConfigFingerprint, MovesWithEveryHashedFieldAndNoOther) {
   };
   const std::vector<std::pair<const char*, Edit>> ignored = {
       {"checkpoint_path", [](BoConfig& c) { c.checkpoint_path = "/x"; }},
-      {"checkpoint_every", [](BoConfig& c) { c.checkpoint_every = 9; }},
       {"adapt_refit_cadence",
        [](BoConfig& c) { c.adapt_refit_cadence = true; }},
       {"adapt_refit_budget",
@@ -630,7 +630,7 @@ TEST(ConfigFingerprint, HashesTheConstraintCountOnlyWhenConstrained) {
 // ---------------------------------------------------------------------------
 
 // The files a run leaves behind are a durable format: older binaries
-// read what newer ones write. Every journal line and the final snapshot
+// read what newer ones write. Every journal line and the last snapshot
 // of a journaled engine run and of a hosted session are pinned here,
 // including the frozen fields of retired knobs (docs/checkpoint-format.md),
 // so a change that moves one byte fails instead of passing unnoticed.
@@ -640,7 +640,7 @@ TEST(Checkpointing, DurableBytesMatchPinnedHash) {
   cfg.max_sims = 40;
   cfg.checkpoint_path = fresh_base("pinned_bytes");
   BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
-  EXPECT_EQ(durable_bytes_hash(cfg.checkpoint_path), 8767164000482121552ull);
+  EXPECT_EQ(durable_bytes_hash(cfg.checkpoint_path), 4223370597054454820ull);
 
   // A hosted session: the initial design observed, then 12 turns that
   // each suggest with one point in flight and observe the oldest.
@@ -740,11 +740,10 @@ TEST(Checkpointing, KillAndResumeMatchesUninterruptedSyncAndSequential) {
 }
 
 TEST(Checkpointing, KillAndResumeWithSparseSnapshots) {
-  // checkpoint_every > 1: the kill lands several journal lines past the
-  // last snapshot, so resume must replay a real tail through the loop.
+  // Snapshots sit only at refit points, so the kill lands many journal
+  // lines past the last one and resume applies a real tail.
   const auto tf = easybo::circuit::branin();
-  BoConfig cfg = quick(Mode::AsyncBatch, 4, 41);
-  cfg.checkpoint_every = 5;
+  const BoConfig cfg = quick(Mode::AsyncBatch, 4, 41);
   const BoResult ref =
       BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
   const std::string base = fresh_base("kill_sparse");
@@ -769,18 +768,16 @@ TEST(Checkpointing, KillAndResumeConstrainedMatchesUninterrupted) {
     Mode mode;
     std::size_t batch;
     EvalFailurePolicy policy;
-    std::size_t checkpoint_every;
     std::vector<int> kills;
   };
   const Case cases[] = {
-      {Mode::AsyncBatch, 4, EvalFailurePolicy::Penalize, 1, {3, 9, 17}},
-      {Mode::AsyncBatch, 4, EvalFailurePolicy::Discard, 5, {14}},
-      {Mode::Sequential, 1, EvalFailurePolicy::Penalize, 1, {12}},
+      {Mode::AsyncBatch, 4, EvalFailurePolicy::Penalize, {3, 9, 17}},
+      {Mode::AsyncBatch, 4, EvalFailurePolicy::Discard, {14}},
+      {Mode::Sequential, 1, EvalFailurePolicy::Penalize, {12}},
   };
   for (const Case& c : cases) {
     BoConfig cfg = quick(c.mode, c.batch, 61);
     cfg.on_eval_failure = c.policy;
-    cfg.checkpoint_every = c.checkpoint_every;
     const BoResult ref =
         BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time, cons).run();
     ASSERT_TRUE(std::any_of(ref.evals.begin(), ref.evals.end(),
@@ -792,6 +789,52 @@ TEST(Checkpointing, KillAndResumeConstrainedMatchesUninterrupted) {
                      "_" + std::to_string(kill_at));
       run_and_kill(cfg, tf, base, kill_at, cons);
       BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time, cons);
+      expect_same_run(ref, engine.resume(base));
+    }
+  }
+}
+
+// A kill at any objective call resumes exactly, in every issue mode: the
+// journal holds each suggestion before its evaluation starts, and resume
+// re-runs what was in flight from its own submit time.
+TEST(Checkpointing, KillAtEveryCallResumesExactly) {
+  const auto tf = easybo::circuit::branin();
+  const std::vector<Constraint> cons = {
+      {"x0+x1<=8", [](const Vec& x) {
+         return x[1] > 12.0 ? std::numeric_limits<double>::quiet_NaN()
+                            : 8.0 - x[0] - x[1];
+       }}};
+  struct Case {
+    const char* name;
+    BoConfig cfg;
+    std::vector<Constraint> constraints;
+  };
+  std::vector<Case> cases = {
+      {"async", quick(Mode::AsyncBatch, 4, 13), {}},
+      {"sync", quick(Mode::SyncBatch, 4, 14), {}},
+      {"sequential", quick(Mode::Sequential, 1, 15), {}},
+      {"constrained", quick(Mode::AsyncBatch, 4, 16), cons},
+      {"phcbo", quick(Mode::SyncBatch, 4, 17), {}},
+  };
+  cases[3].cfg.on_eval_failure = EvalFailurePolicy::Penalize;
+  cases[4].cfg.acq = AcqKind::Phcbo;
+  for (const Case& c : cases) {
+    const BoResult ref = BoEngine(c.cfg, tf.bounds, tf.fn, varied_sim_time,
+                                  c.constraints)
+                             .run();
+    if (!c.constraints.empty()) {
+      ASSERT_TRUE(std::any_of(ref.evals.begin(), ref.evals.end(),
+                              [](const EvalRecord& e) { return e.failed; }))
+          << "the failing region must be visited";
+    }
+    for (int kill_at = 1; kill_at <= static_cast<int>(c.cfg.max_sims);
+         ++kill_at) {
+      SCOPED_TRACE(std::string(c.name) + ", kill at call " +
+                   std::to_string(kill_at));
+      const std::string base = fresh_base(std::string("every_") + c.name);
+      run_and_kill(c.cfg, tf, base, kill_at, c.constraints);
+      BoEngine engine(c.cfg, tf.bounds, tf.fn, varied_sim_time,
+                      c.constraints);
       expect_same_run(ref, engine.resume(base));
     }
   }
@@ -814,24 +857,24 @@ circuit::TestFunction flaky_branin() {
   return tf;
 }
 
-/// How the kills of one resume sweep were classified.
+/// What the kills of one resume sweep covered.
 struct SweepCounts {
-  int exact = 0;            ///< resumed runs held to expect_same_run
-  int mid_retry = 0;        ///< an unfinished evaluation was retrying
-  int clamp = 0;            ///< an unfinished flight ended at the clock
-  int tail_retried = 0;     ///< exact kills replaying a pre-snapshot retry
-  int timeout_resumed = 0;  ///< exact kills re-launching a cut flight
+  int kills = 0;            ///< resumed runs, each held to expect_same_run
+  int tail_retried = 0;     ///< kills re-running an evaluation mid-retry
+  int timeout_resumed = 0;  ///< kills re-running a timeout-destined one
+  int drain_resumed = 0;    ///< SyncBatch kills inside a batch's drain
 };
 
-/// Kills a flaky-Branin run (async B = 4, discard, \p cfg's retry and
+/// Kills a flaky-Branin run (\p cfg: B = 4, discard, its mode, retry and
 /// timeout settings) at each of the objective calls \p kills on each of
-/// the \p seeds, resumes each kill, and classifies it by rule from the
-/// snapshot and journal it left behind. Snapshots record no attempt
-/// counts, so a pending evaluation with no journaled outcome whose first
-/// attempt ended before the snapshot's clock was already retrying and
-/// re-runs from attempt 1 (mid-retry); one whose first attempt ends
-/// exactly at the clock is re-launched for 1e-9 s (clamp). Every other
-/// kill must reproduce the uninterrupted run, failure statuses included.
+/// the \p seeds, resumes each kill and requires the uninterrupted run,
+/// failure statuses and attempt counts included. It also reads the files
+/// each kill left behind: the evaluations still pending once the journal
+/// tail is applied are the ones the resume re-runs from their submit
+/// times. One whose first attempt ended before the last record was
+/// retrying at the kill; one longer than the deadline re-runs as a
+/// timeout; a last record that is an outcome with work still pending is
+/// a SyncBatch run inside a batch's drain.
 void resume_sweep(BoConfig cfg, const std::string& name,
                   const std::vector<std::uint64_t>& seeds,
                   const std::vector<int>& kills, SweepCounts& n) {
@@ -847,53 +890,44 @@ void resume_sweep(BoConfig cfg, const std::string& name,
                                           "_" + std::to_string(kill_at));
       run_and_kill(cfg, flaky_branin(), base, kill_at);
 
-      BoCheckpoint snap;
-      if (io::file_exists(snapshot_file(base))) {
-        snap = BoCheckpoint::parse(
-            io::read_journal(snapshot_file(base)).payloads.at(0));
+      const BoCheckpoint snap = BoCheckpoint::parse(
+          io::read_journal(snapshot_file(base)).payloads.at(0));
+      std::map<std::size_t, std::pair<double, double>> pending;  // submit,
+      for (const std::size_t tag : snap.pending) {              // duration
+        pending[tag] = {snap.prop_submit.at(tag), snap.prop_duration.at(tag)};
       }
+      double last = snap.now;
+      bool last_outcome = false;
       const io::JournalReadResult jr = io::read_journal(journal_file(base));
-      std::map<std::size_t, std::uint32_t> tail_attempts;
       for (std::size_t i = 1 + snap.journal_count; i < jr.payloads.size();
            ++i) {
         const JournalRecord rec = JournalRecord::parse(jr.payloads[i]);
-        tail_attempts[rec.tag] = rec.attempts;
-      }
-      bool mid_retry = false;
-      bool clamp = false;
-      bool tail_retried = false;
-      bool timeout_resumed = false;
-      for (const std::size_t tag : snap.pending) {
-        const double duration = snap.prop_duration.at(tag);
-        double first_end = snap.prop_submit.at(tag) + duration;
-        if (cfg.eval_timeout > 0.0 && duration > cfg.eval_timeout) {
-          first_end = snap.prop_submit.at(tag) + cfg.eval_timeout;
-        }
-        const auto done = tail_attempts.find(tag);
-        if (done != tail_attempts.end()) {
-          tail_retried |= done->second > 1 && first_end < snap.now;
-        } else if (first_end == snap.now) {
-          clamp = true;
-        } else if (first_end < snap.now) {
-          mid_retry = true;
+        if (rec.suggest) {
+          pending[rec.tag] = {rec.submit, rec.duration};
+          last = rec.submit;
         } else {
-          timeout_resumed |= cfg.eval_timeout > 0.0 &&
-                             duration > cfg.eval_timeout;
+          pending.erase(rec.tag);
+          last = rec.finish;
         }
+        last_outcome = !rec.suggest;
+      }
+      bool retrying = false;
+      bool timeout = false;
+      for (const auto& [tag, flight] : pending) {
+        const auto [submit, duration] = flight;
+        const bool cut = cfg.eval_timeout > 0.0 && duration > cfg.eval_timeout;
+        retrying |= submit + (cut ? cfg.eval_timeout : duration) < last;
+        timeout |= cut;
       }
 
       const circuit::TestFunction tf = flaky_branin();
       BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
       const BoResult r = engine.resume(base);
-      if (mid_retry || clamp) {
-        n.mid_retry += mid_retry;
-        n.clamp += clamp && !mid_retry;
-        EXPECT_EQ(r.num_evals(), ref.num_evals());
-        continue;
-      }
-      ++n.exact;
-      n.tail_retried += tail_retried;
-      n.timeout_resumed += timeout_resumed;
+      ++n.kills;
+      n.tail_retried += retrying;
+      n.timeout_resumed += timeout;
+      n.drain_resumed += cfg.mode == Mode::SyncBatch && last_outcome &&
+                         !pending.empty();
       expect_same_run(ref, r);
       for (std::size_t i = 0; i < std::min(ref.num_evals(), r.num_evals());
            ++i) {
@@ -906,39 +940,46 @@ void resume_sweep(BoConfig cfg, const std::string& name,
 
 TEST(Checkpointing, KillAndResumeWithRetriesMatchesUninterrupted) {
   // Every retry's backoff is a pure function of (seed, tag, retry), so a
-  // resume re-draws nothing: replaying a journaled evaluation that
-  // retried, and retrying a re-submitted one, both land exactly where
-  // the uninterrupted run did.
+  // resume re-draws nothing: an evaluation re-run from its submit time
+  // fails, retries and finishes exactly where the uninterrupted run's
+  // did, and the busy total of a journaled one is its attempt chain.
   BoConfig cfg = quick(Mode::AsyncBatch, 4, 11);
   cfg.on_eval_failure = EvalFailurePolicy::Discard;
   cfg.eval_max_retries = 2;
   SweepCounts n;
   resume_sweep(cfg, "kill_retries", {11, 12, 13, 14}, {5, 9, 13, 17, 21}, n);
-  // Two more exact kills: on seed 19 a re-submitted evaluation's first
-  // attempt fails before the replayed completion that frees the next
-  // worker, and on seed 21 a journaled evaluation retries after the
-  // snapshot, which the busy total must count.
+  // On seed 19 a pending evaluation's first attempt fails before the
+  // completion that frees the next worker; on seed 21 a journaled
+  // evaluation retried after its snapshot. Seed 35 call 21, seed 53 call
+  // 17 and seed 54 call 23 diverged while resume refactored a model the
+  // live run had extended.
   resume_sweep(cfg, "kill_retries", {19}, {19}, n);
   resume_sweep(cfg, "kill_retries", {21}, {13}, n);
-  EXPECT_GE(n.exact, 12);
+  resume_sweep(cfg, "kill_retries", {35}, {21}, n);
+  resume_sweep(cfg, "kill_retries", {53}, {17}, n);
+  resume_sweep(cfg, "kill_retries", {54}, {23}, n);
+  // A SyncBatch run killed at a retry inside a batch's drain finishes
+  // that drain before it issues the next batch.
+  BoConfig sync = cfg;
+  sync.mode = Mode::SyncBatch;
+  resume_sweep(sync, "kill_retries_sync", {11}, {11, 21}, n);
+  EXPECT_EQ(n.kills, 27);
   EXPECT_GE(n.tail_retried, 1)
-      << "no exact kill replayed an evaluation that retried before its "
-         "snapshot";
+      << "no kill re-ran an evaluation that was retrying";
+  EXPECT_EQ(n.drain_resumed, 2);
 }
 
 TEST(Checkpointing, KillAndResumeWithTimeoutsMatchesUninterrupted) {
-  // A flight cut at its deadline in the original run is re-launched for
-  // what was left of it and still comes back as a timeout at its
-  // original finish time.
+  // A flight cut at its deadline in the original run re-runs from its
+  // submit time and still comes back as a timeout at its original finish.
   BoConfig cfg = quick(Mode::AsyncBatch, 4, 11);
   cfg.on_eval_failure = EvalFailurePolicy::Discard;
   cfg.eval_timeout = 0.66;
   SweepCounts n;
   resume_sweep(cfg, "kill_timeouts", {11, 12, 13, 14}, {5, 9, 13, 17, 21}, n);
-  EXPECT_EQ(n.mid_retry, 0);  // timeouts are never retried
-  EXPECT_GE(n.exact, 10);
+  EXPECT_EQ(n.kills, 20);
   EXPECT_GE(n.timeout_resumed, 1)
-      << "no exact kill re-launched a timeout-destined evaluation";
+      << "no kill re-ran a timeout-destined evaluation";
 }
 
 TEST(Checkpointing, KillAndResumeOnThreadExecutorSequential) {
@@ -1077,7 +1118,67 @@ TEST(Checkpointing, ResumeToleratesATornJournalTail) {
   // The reopened journal was truncated back to intact lines.
   const auto journal = io::read_journal(journal_file(cfg.checkpoint_path));
   EXPECT_FALSE(journal.torn_tail);
-  EXPECT_EQ(journal.payloads.size(), 1 + cfg.max_sims);  // header + evals
+  // The header, then a suggest and an eval record per evaluation.
+  EXPECT_EQ(journal.payloads.size(), 1 + 2 * cfg.max_sims);
+}
+
+/// Copies tests/golden/engine_v1/<name>.{journal,snapshot} under a fresh
+/// checkpoint base. The files were written by the BoEngine of the commit
+/// before engine journals became v2: quick(...) runs on Branin with
+/// varied_sim_time, killed at an objective call.
+std::string v1_engine_files(const std::string& name) {
+  const std::string base = fresh_base("v1_" + name);
+  const std::string from = std::string(EASYBO_TESTS_GOLDEN_DIR) +
+                           "/engine_v1/" + name;
+  for (const char* ext : {".journal", ".snapshot"}) {
+    std::filesystem::copy_file(
+        from + ext, base + ext,
+        std::filesystem::copy_options::overwrite_existing);
+  }
+  return base;
+}
+
+// golden/engine_v1/async: AsyncBatch B = 4, seed 7, killed at call 14
+// with tags 8, 10, 11 and 12 in flight in its snapshot and one tail
+// record, which completes tag 8. The files continue under this build's
+// arithmetic — not as a replica of the binary that wrote them — and every
+// record they hold is kept.
+TEST(Checkpointing, V1EngineJournalContinuesAsV2) {
+  const auto tf = easybo::circuit::branin();
+  const BoConfig cfg = quick(Mode::AsyncBatch, 4, 7);
+  const std::string base = v1_engine_files("async");
+  const std::string v1_journal = io::read_file(journal_file(base));
+  std::vector<JournalRecord> v1_records;
+  const io::JournalReadResult v1 = io::read_journal(journal_file(base));
+  for (std::size_t i = 1; i < v1.payloads.size(); ++i) {
+    v1_records.push_back(JournalRecord::parse(v1.payloads[i]));
+  }
+  ASSERT_EQ(v1_records.size(), 10u);
+
+  BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
+  const BoResult r = engine.resume(base);
+  EXPECT_FALSE(r.interrupted);
+  ASSERT_EQ(r.num_evals(), cfg.max_sims);
+  for (std::size_t i = 0; i < v1_records.size(); ++i) {
+    EXPECT_EQ(r.evals[i].x, engine.core().to_design(v1_records[i].x)) << i;
+    EXPECT_EQ(r.evals[i].y, v1_records[i].y) << i;
+    EXPECT_EQ(r.evals[i].finish, v1_records[i].finish) << i;
+  }
+
+  // The header became v2 before the first suggest record, and the v1
+  // record lines follow it byte for byte.
+  const std::string journal = io::read_file(journal_file(base));
+  const std::string header = journal.substr(0, journal.find('\n'));
+  std::string payload;
+  ASSERT_TRUE(io::unframe_line(header, payload));
+  EXPECT_EQ(JournalHeader::parse(payload).schema,
+            std::string(kJournalSchemaV2));
+  const std::string records = v1_journal.substr(v1_journal.find('\n') + 1);
+  EXPECT_EQ(journal.substr(header.size() + 1, records.size()), records);
+  const io::JournalReadResult v2 = io::read_journal(journal_file(base));
+  // An eval record per evaluation, and a suggest record for each of the
+  // 11 issued after the 13 the v1 run issued.
+  EXPECT_EQ(v2.payloads.size(), 1 + cfg.max_sims + (cfg.max_sims - 13));
 }
 
 // ---------------------------------------------------------------------------
@@ -1100,18 +1201,15 @@ void expect_resume_error(const BoConfig& cfg,
   }
 }
 
-// Suggest records belong to hosted sessions: the engine's replay has no
-// use for them and refuses such a journal, naming the record kind.
-TEST(ResumeRefusal, SessionJournalWithSuggestRecords) {
+// golden/engine_v1/sequential: Sequential, seed 8, snapshotted every
+// four records and killed at call 11. Its tail completes tag 8, which a
+// v1 journal never suggested: there is no record to apply it from.
+TEST(ResumeRefusal, V1TailCompletingAnUnsuggestedEvaluation) {
   const auto tf = easybo::circuit::branin();
-  const BoConfig cfg = quick(Mode::AsyncBatch, 4, 93);
-  const std::string base = fresh_base("session_suggest");
-  {
-    auto session = serve::Session::create(
-        "s", serve::SessionSpec{cfg, tf.bounds}, base);
-    (void)session->suggest();
-  }
-  expect_resume_error(cfg, tf, base, "is a \"suggest\" record");
+  const BoConfig cfg = quick(Mode::Sequential, 1, 8);
+  const std::string base = v1_engine_files("sequential");
+  expect_resume_error(cfg, tf, base, "record 8 of ");
+  expect_resume_error(cfg, tf, base, kJournalSchemaV1);
 }
 
 TEST(ResumeRefusal, MissingJournal) {

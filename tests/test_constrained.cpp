@@ -190,6 +190,7 @@ std::string fresh_base(const std::string& name) {
   const std::string base = ::testing::TempDir() + "easybo_constrained_" + name;
   std::remove(journal_file(base).c_str());
   std::remove(snapshot_file(base).c_str());
+  std::remove((snapshot_file(base) + ".old").c_str());
   return base;
 }
 
@@ -262,9 +263,18 @@ TEST(ConstrainedEngine, NonFiniteConstraintIsAFailedEvaluation) {
   EXPECT_TRUE(r.found_feasible);
   EXPECT_LE(r.best_x[0], 0.8);
 
+  // The last snapshot sits at the last refit: every evaluation it
+  // absorbed is a finite observation or a discarded failure.
   const BoCheckpoint snap = read_snapshot(cfg.checkpoint_path);
+  const io::JournalReadResult jr =
+      io::read_journal(journal_file(cfg.checkpoint_path));
+  std::size_t absorbed = 0;
+  for (std::size_t i = 1; i <= snap.journal_count; ++i) {
+    absorbed += !JournalRecord::parse(jr.payloads.at(i)).suggest;
+  }
   ASSERT_EQ(snap.obs_g.size(), snap.obs_x.size());
-  EXPECT_EQ(snap.obs_x.size() + failed, r.num_evals());
+  EXPECT_EQ(snap.obs_x.size() + snap.failed_x.size(), absorbed);
+  EXPECT_GT(snap.failed_x.size(), 0u);
   for (std::size_t k = 0; k < snap.obs_x.size(); ++k) {
     EXPECT_TRUE(std::isfinite(snap.obs_y[k])) << "observation " << k;
     EXPECT_TRUE(std::isfinite(snap.obs_g[k][0])) << "observation " << k;

@@ -436,7 +436,10 @@ TEST(SessionHostTest, LruEvictionPreservesEveryInterleavedStream) {
   while (progressed) {
     progressed = false;
     for (std::size_t i = 0; i < kSessions; ++i) {
-      const std::string name = "s" + std::to_string(i);
+      // Appended, not "s" + std::to_string(i): GCC 12 reads the insert
+      // of a literal into a temporary as an overlapping copy
+      // (-Wrestrict at -O3).
+      const std::string name = std::string("s").append(std::to_string(i));
       const std::string reply = host.handle_line("SUGGEST " + name);
       if (reply.rfind("ERR ", 0) == 0) continue;
       progressed = true;

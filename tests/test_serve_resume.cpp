@@ -271,7 +271,9 @@ TEST(ServeResume, EvictionAtScaleKeepsEveryStandaloneStream) {
     cfg.acq_opt.refine_evals = 30;
     cfg.trainer.max_iters = 10;
     configs.push_back(session_config_json(cfg, tf.bounds));
-    const std::string name = "e" + std::to_string(i);
+    // Appended, not "e" + std::to_string(i): GCC 12 reads the insert of
+    // a literal into a temporary as an overlapping copy (-Wrestrict).
+    const std::string name = std::string("e").append(std::to_string(i));
     ASSERT_EQ(host.handle_line("NEW " + name + " " + configs[i]),
               "OK created " + name);
   }

@@ -314,48 +314,6 @@ TEST(EvalSupervisor, OrphansStartAtZeroOnVirtualTime) {
 // Resuming interrupted work (checkpoint resume)
 // ---------------------------------------------------------------------------
 
-TEST(EvalSupervisor, ResubmitRunsWhatWasLeftOfTheFirstAttempt) {
-  VirtualExecutor exec(4);
-  SupervisorConfig cfg;
-  cfg.timeout = 3.0;
-  cfg.max_retries = 1;
-  EvalSupervisor sup(exec, cfg);
-  sup.advance_clock(2.0);  // the interrupted run's clock
-  auto calls = std::make_shared<int>(0);
-  const auto fails_once = [calls]() -> double {
-    if ((*calls)++ == 0) throw std::runtime_error("once");
-    return 3.0;
-  };
-  // Each call returns the seconds booked again: what was left at 2.0.
-  EXPECT_DOUBLE_EQ(sup.resubmit(0, [] { return 1.0; }, 2.0, 0.5), 0.5);
-  EXPECT_DOUBLE_EQ(sup.resubmit(1, [] { return 2.0; }, 10.0, 0.5), 1.5);
-  EXPECT_DOUBLE_EQ(sup.resubmit(2, fails_once, 1.0, 1.2), 1.2 + 1.0 - 2.0);
-  EXPECT_DOUBLE_EQ(sup.resubmit(3, [] { return 4.0; }, 1.0, 0.5), 1e-9);
-
-  const auto none_left = sup.wait_next();
-  EXPECT_EQ(none_left.completion.tag, 3u);
-  EXPECT_DOUBLE_EQ(none_left.completion.finish, 2.0 + 1e-9);
-  const auto plain = sup.wait_next();
-  EXPECT_EQ(plain.completion.tag, 0u);
-  EXPECT_TRUE(plain.ok());
-  EXPECT_DOUBLE_EQ(plain.completion.start, 0.5);  // the original start
-  EXPECT_DOUBLE_EQ(plain.completion.finish, 2.5);
-  // Cut exactly where the original deadline fell, and still a timeout.
-  const auto cut = sup.wait_next();
-  EXPECT_EQ(cut.completion.tag, 1u);
-  EXPECT_EQ(cut.status, EvalStatus::Timeout);
-  EXPECT_DOUBLE_EQ(cut.completion.finish, 3.5);
-  // The failed first attempt ends at 2.2; the retry runs the full 1 s.
-  const auto retried = sup.wait_next();
-  EXPECT_EQ(retried.completion.tag, 2u);
-  EXPECT_TRUE(retried.ok());
-  EXPECT_EQ(retried.attempts, 2u);
-  EXPECT_DOUBLE_EQ(retried.completion.start, 1.2);
-  EXPECT_DOUBLE_EQ(retried.completion.finish,
-                   (1.2 + 1.0 - 2.0) + 2.0 + backoff_delay(1, cfg.seed, 2) +
-                       1.0);
-}
-
 TEST(EvalSupervisor, AdvanceClockRetriesWhereTheFailedAttemptEnded) {
   VirtualExecutor exec(2);
   SupervisorConfig cfg;
@@ -395,13 +353,25 @@ TEST(EvalSupervisor, RetryOccupancyMatchesWhatTheExecutorBooked) {
              1.5);
   const auto out = sup.wait_next();
   ASSERT_EQ(out.attempts, 3u);
-  // Everything after the first attempt, when no snapshot held any of it.
-  EXPECT_NEAR(sup.retry_occupancy(7, 1.5, 0.0, 3, 0.0),
-              exec.total_busy_time() - 1.5, 1e-12);
-  // A snapshot at the first retry's launch (1.5) already booked it.
-  EXPECT_DOUBLE_EQ(sup.retry_occupancy(7, 1.5, 0.0, 3, 1.5),
-                   1.5 + backoff_delay(2, cfg.seed, 7));
-  EXPECT_DOUBLE_EQ(sup.retry_occupancy(7, 1.5, 0.0, 1, 0.0), 0.0);
+  // Every attempt and the backoff before each retry.
+  EXPECT_NEAR(sup.chain_occupancy(7, 1.5, 3), exec.total_busy_time(),
+              1e-12);
+  EXPECT_DOUBLE_EQ(sup.chain_occupancy(7, 1.5, 2),
+                   3.0 + backoff_delay(1, cfg.seed, 7));
+  EXPECT_DOUBLE_EQ(sup.chain_occupancy(7, 1.5, 1), 1.5);
+}
+
+TEST(EvalSupervisor, ChainOccupancyCutsEachAttemptAtTheDeadline) {
+  VirtualExecutor exec(1);
+  SupervisorConfig cfg;
+  cfg.timeout = 1.0;
+  cfg.max_retries = 1;
+  EvalSupervisor sup(exec, cfg);
+  sup.submit(3, []() -> double { throw std::runtime_error("always"); }, 0.5);
+  ASSERT_EQ(sup.wait_next().attempts, 2u);
+  EXPECT_NEAR(sup.chain_occupancy(3, 0.5, 2), exec.total_busy_time(), 1e-12);
+  // A timeout is never retried: one attempt, cut at the deadline.
+  EXPECT_DOUBLE_EQ(sup.chain_occupancy(4, 7.0, 1), 1.0);
 }
 
 // ---------------------------------------------------------------------------
