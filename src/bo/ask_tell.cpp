@@ -636,7 +636,6 @@ Resumed AskTellCore::resume(const char* owner) {
   // resume restored from; the next snapshot replaces it instead.
   snapshot_valid_ = used == spath;
   r.absorbed = snap.journal_count;
-  r.snapshot_refits = snap.hyper_refits;
   r.now = snap.now;
 
   // The eval records the snapshot absorbed; the tail's re-enter through

@@ -105,7 +105,6 @@ struct Observed {
 struct Resumed {
   std::vector<JournalRecord> records;  ///< every intact journal record
   std::size_t absorbed = 0;  ///< how many of them the snapshot holds
-  std::size_t snapshot_refits = 0;  ///< hyper_refits the snapshot holds
   /// When the last record was written — an eval record's finish, a
   /// suggest record's submit time — or the snapshot's clock without a
   /// tail.

@@ -270,7 +270,10 @@ void BoEngine::log_eval(const sched::SupervisedCompletion& sc,
 
 bool BoEngine::restore(sched::EvalSupervisor& sup) {
   const Resumed r = core_.resume("engine");
-  refits_at_snapshot_ = r.snapshot_refits;
+  // No snapshot on resume, as for a session: the restored snapshot and
+  // the longer tail resume exactly, and the next live refit writes one
+  // at a refactor point.
+  refits_at_snapshot_ = core_.hyper_refits();
   // The journaled outcomes' busy time, which this process never runs: on
   // virtual time each attempt chain's occupancy, a pure function of tag,
   // duration and attempts; on the wall clock what each one measured.

@@ -99,8 +99,9 @@ class BoEngine {
   /// retry), so it fails, retries and finishes where the uninterrupted
   /// run did; on the wall clock it restarts now. The run then continues,
   /// producing the same remaining proposal sequence as the uninterrupted
-  /// run, and journaling continues on the same files. Call once per
-  /// engine instance, instead of run().
+  /// run, and journaling continues on the same files; as with a session,
+  /// resume writes no snapshot, and the next live refit writes one. Call
+  /// once per engine instance, instead of run().
   BoResult resume(const std::string& path);
   BoResult resume(const std::string& path, sched::Executor& exec);
 
@@ -193,8 +194,8 @@ class BoEngine {
   void drain_all(sched::EvalSupervisor& sup);
 
   /// Writes a snapshot at a loop boundary when a hyperparameter refit ran
-  /// since the last one, where the model is a full refactor as a restore
-  /// rebuilds it.
+  /// since the last snapshot or the resume, where the model is a full
+  /// refactor as a restore rebuilds it.
   void checkpoint_after_refit(sched::EvalSupervisor& sup);
 
   /// Copies the recording sink (when one is installed) into
@@ -211,7 +212,8 @@ class BoEngine {
 
   // --- durability -----------------------------------------------------
   double busy_base_ = 0.0;  // busy time of journaled outcomes (resume)
-  std::size_t refits_at_snapshot_ = 0;  // hyper_refits the snapshot holds
+  // hyper_refits at the last snapshot, or at the resume
+  std::size_t refits_at_snapshot_ = 0;
   bool resumed_ = false;
   common::StopToken stop_token_;  // default: never fires
   std::string resume_note_;

@@ -1122,6 +1122,37 @@ TEST(Checkpointing, ResumeToleratesATornJournalTail) {
   EXPECT_EQ(journal.payloads.size(), 1 + 2 * cfg.max_sims);
 }
 
+// A torn "<path>.snapshot" falls back to "<path>.snapshot.old", whose
+// longer tail crosses the refit the torn generation was written at. A
+// resume writes no snapshot of its own (the files it restored from and
+// the longer tail resume exactly; only a live refit snapshots, at a
+// refactor point), so a kill after the run's last snapshotted refit
+// leaves both files as the kill left them, and resuming again is exact.
+TEST(Checkpointing, ResumeFromTheOlderSnapshotWritesNoSnapshot) {
+  const auto tf = easybo::circuit::branin();
+  const BoConfig cfg = quick(Mode::AsyncBatch, 4, 11);
+  const BoResult ref =
+      BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
+  const std::string base = fresh_base("torn_snapshot");
+  run_and_kill(cfg, tf, base, 24);
+  const std::string spath = snapshot_file(base);
+  ASSERT_TRUE(io::file_exists(spath + ".old"));
+  const std::string primary = io::read_file(spath);
+  {
+    std::ofstream out(spath, std::ios::binary | std::ios::trunc);
+    out << primary.substr(0, primary.size() / 2);
+  }
+  const std::string torn = io::read_file(spath);
+  const std::string older = io::read_file(spath + ".old");
+
+  BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
+  expect_same_run(ref, engine.resume(base));
+  EXPECT_TRUE(io::read_file(spath) == torn) << "resume wrote a snapshot";
+  EXPECT_TRUE(io::read_file(spath + ".old") == older) << "resume rotated";
+  BoEngine again(cfg, tf.bounds, tf.fn, varied_sim_time);
+  expect_same_run(ref, again.resume(base));
+}
+
 /// Copies tests/golden/engine_v1/<name>.{journal,snapshot} under a fresh
 /// checkpoint base. The files were written by the BoEngine of the commit
 /// before engine journals became v2: quick(...) runs on Branin with
@@ -1201,15 +1232,36 @@ void expect_resume_error(const BoConfig& cfg,
   }
 }
 
-// golden/engine_v1/sequential: Sequential, seed 8, snapshotted every
-// four records and killed at call 11. Its tail completes tag 8, which a
-// v1 journal never suggested: there is no record to apply it from.
+// A v1 journal holds no suggest records, so a tail record completing an
+// evaluation its snapshot does not hold in flight has no record to apply
+// it from. golden/engine_v1/sequential: Sequential, seed 8, snapshotted
+// every four records and killed at call 11; its tail completes tag 8.
+// golden/engine_v1/sync_drain: SyncBatch B = 4, seed 9, killed right
+// after the second journal append of its second batch's drain. The v1
+// engine snapshotted only at the top of each batch, so every v1 SyncBatch
+// run killed inside a drain after its first completion is refused too:
+// its tail's first record (index 12) completes tag 15.
 TEST(ResumeRefusal, V1TailCompletingAnUnsuggestedEvaluation) {
   const auto tf = easybo::circuit::branin();
-  const BoConfig cfg = quick(Mode::Sequential, 1, 8);
-  const std::string base = v1_engine_files("sequential");
-  expect_resume_error(cfg, tf, base, "record 8 of ");
-  expect_resume_error(cfg, tf, base, kJournalSchemaV1);
+  struct Case {
+    const char* name;
+    BoConfig cfg;
+    int record;  // the refused record's index
+    int tag;     // the evaluation it completes
+  };
+  const Case cases[] = {
+      {"sequential", quick(Mode::Sequential, 1, 8), 8, 8},
+      {"sync_drain", quick(Mode::SyncBatch, 4, 9), 12, 15},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string base = v1_engine_files(c.name);
+    expect_resume_error(c.cfg, tf, base,
+                        "record " + std::to_string(c.record) + " of " +
+                            journal_file(base) + " completes evaluation " +
+                            std::to_string(c.tag) + ",");
+    expect_resume_error(c.cfg, tf, base, kJournalSchemaV1);
+  }
 }
 
 TEST(ResumeRefusal, MissingJournal) {
