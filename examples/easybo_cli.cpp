@@ -40,7 +40,8 @@
 ///
 /// Exit codes (see README.md):
 ///   0  success
-///   1  runtime or I/O error (metrics file unwritable, internal error)
+///   1  runtime or I/O error (metrics file unwritable, a journal or
+///      snapshot that cannot be written, internal error)
 ///   2  bad arguments
 ///   3  an evaluation failure aborted the run (--on-failure abort)
 ///   4  checkpoint/journal corrupt or mismatched on --resume
@@ -413,6 +414,12 @@ int main(int argc, char** argv) {
     engine.set_trace(trace);
     result = cli.resume.empty() ? engine.run() : engine.resume(cli.resume);
     if (stream != nullptr) stream->close();
+  } catch (const io::StorageError& e) {
+    // The storage failed, not the files' content: an I/O error, never a
+    // refused resume.
+    std::fprintf(stderr, "easybo_cli: checkpoint I/O failed: %s\n",
+                 e.what());
+    return 1;
   } catch (const io::CheckpointError& e) {
     std::fprintf(stderr, "resume failed: %s\n", e.what());
     return 4;

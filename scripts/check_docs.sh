@@ -9,8 +9,13 @@
 # struct still has. Every session-config key parse_session_config
 # accepts (the quoted keys of known_keys() in
 # src/serve/session_config.cpp) must be named, in backquotes, in
-# docs/service-protocol.md. Adding a knob or a wire key
-# without documenting it, or removing a knob without dropping its row,
+# docs/service-protocol.md. Every trace counter the code emits under a
+# literal name (obs::count(sink, "x.y", ...), add_counter("x.y", ...)
+# under src/) must be named, in backquotes, in docs/metrics-schema.md, and
+# every counter row there must name one the code still emits; a row with
+# a <placeholder> (`bo.proposals.<acq>`, built at run time) names the
+# literal prefix before it. Adding a knob, a wire key or a counter
+# without documenting it, or removing one without dropping its row,
 # fails CI. Run from anywhere; resolves paths relative to the repo root.
 set -eu
 
@@ -97,7 +102,35 @@ for key in $keys; do
   fi
 done
 
+# Trace counters: the first string literal of each count()/add_counter()
+# call that holds a dotted name.
+metrics="$root/docs/metrics-schema.md"
+counters=$(grep -rhoE '(count|add_counter)\([^"]*"[a-z_]+\.[a-z_.]+"' "$root/src" \
+  | sed -E 's/.*"([^"]+)"$/\1/' | sort -u)
+
+[ -n "$counters" ] || { echo "check_docs: failed to extract counter names from src/" >&2; exit 1; }
+
+uncounted=0
+for name in $counters; do
+  if ! grep -qF -- "\`$name\`" "$metrics"; then
+    echo "UNDOCUMENTED: counter \"$name\" is not named in docs/metrics-schema.md" >&2
+    uncounted=$((uncounted + 1))
+  fi
+done
+# Counter rows look like "| `gp.chol_refactor` | emitter | meaning |".
+for row in $(sed -n -E 's/^\| `([a-z_]+\.[a-z_.<>]+)` \|.*/\1/p' "$metrics"); do
+  case "$row" in
+    *'<'*) emitted=$(grep -rlF -- "\"${row%%<*}\"" "$root/src" || true) ;;
+    *) emitted=$(printf '%s\n' $counters | grep -x -- "$row" || true) ;;
+  esac
+  if [ -z "$emitted" ]; then
+    echo "STALE: docs/metrics-schema.md documents counter $row, which no code under src/ emits" >&2
+    stale=$((stale + 1))
+  fi
+done
+
 count=$(printf '%s\n' $fields | wc -l | tr -d ' ')
+counter_count=$(printf '%s\n' $counters | wc -l | tr -d ' ')
 key_count=$(printf '%s\n' $keys | wc -l | tr -d ' ')
 if [ "$missing" -gt 0 ]; then
   echo "check_docs: $missing of $count BoConfig fields undocumented" >&2
@@ -106,11 +139,14 @@ if [ "$nested_missing" -gt 0 ]; then
   echo "check_docs: $nested_missing of $nested_count nested fields have no docs/boconfig-reference.md row" >&2
 fi
 if [ "$stale" -gt 0 ]; then
-  echo "check_docs: $stale docs/boconfig-reference.md rows name no existing field" >&2
+  echo "check_docs: $stale documented rows name no existing field or counter" >&2
+fi
+if [ "$uncounted" -gt 0 ]; then
+  echo "check_docs: $uncounted of $counter_count counters missing from docs/metrics-schema.md" >&2
 fi
 if [ "$unnamed" -gt 0 ]; then
   echo "check_docs: $unnamed of $key_count session-config keys missing from docs/service-protocol.md" >&2
 fi
 [ "$missing" -eq 0 ] && [ "$nested_missing" -eq 0 ] && [ "$stale" -eq 0 ] \
-  && [ "$unnamed" -eq 0 ] || exit 1
-echo "check_docs: all $count BoConfig fields, $nested_count nested, and all $key_count session-config keys are documented"
+  && [ "$unnamed" -eq 0 ] && [ "$uncounted" -eq 0 ] || exit 1
+echo "check_docs: all $count BoConfig fields, $nested_count nested, all $key_count session-config keys and all $counter_count counters are documented"

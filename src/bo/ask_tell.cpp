@@ -110,6 +110,7 @@ Suggestion AskTellCore::suggest(double now, const common::StopToken* stop) {
     throw Error("suggest: simulation budget exhausted (" +
                 std::to_string(cfg_.max_sims) + " evaluations issued)");
   }
+  const std::size_t refits = hyper_refits_;
   Suggestion s;
   s.tag = prop_x_.size();
   if (!init_done_ &&
@@ -126,7 +127,7 @@ Suggestion AskTellCore::suggest(double now, const common::StopToken* stop) {
             "suggest: the initial design is still in flight; observe it "
             "before requesting a model-based proposal");
       }
-      finish_init();  // just-in-time at the init/BO boundary
+      train_first_model();  // just-in-time at the init/BO boundary
     }
     // Hallucinate everything in flight. Ascending tag order is suggestion
     // order — the same order the engine's loops historically grew their
@@ -151,6 +152,13 @@ Suggestion AskTellCore::suggest(double now, const common::StopToken* stop) {
   prop_duration_.push_back(s.duration);
   pending_tags_.insert(s.tag);
   ++issued_;
+  if (journal_.is_open()) {
+    // The pre-commit gate: even a computation that ignored every poll
+    // must not commit past its deadline.
+    if (stop_ != nullptr) stop_->check("suggest commit");
+    journal_suggestion(s);
+  }
+  snapshot_if_refit(refits);
   return s;
 }
 
@@ -172,6 +180,7 @@ Observed AskTellCore::observe(std::size_t tag, const Outcome& o,
   }
   pending_tags_.erase(it);
   const bool was_init_done = init_done_;
+  const std::size_t refits = hyper_refits_;
   const Vec& unit_x = prop_x_[tag];
 
   EvalRecord rec;
@@ -274,10 +283,17 @@ Observed AskTellCore::observe(std::size_t tag, const Outcome& o,
       update_model(/*force_train=*/false);
     }
   }
+  if (!o.replayed) snapshot_if_refit(refits);
   return ob;
 }
 
 void AskTellCore::finish_init() {
+  const std::size_t refits = hyper_refits_;
+  train_first_model();
+  snapshot_if_refit(refits);
+}
+
+void AskTellCore::train_first_model() {
   if (init_done_) return;
   if (obs_x_.empty()) {
     throw Error(
@@ -547,7 +563,7 @@ void AskTellCore::start_fresh_journal() {
     header.seed = cfg_.seed;
     journal_.append(header.to_payload());
   }
-  write_snapshot(0.0, 0.0);
+  write_snapshot();
 }
 
 namespace {
@@ -621,7 +637,7 @@ Resumed AskTellCore::resume(const char* owner) {
       journal_.open(jpath, static_cast<long>(jr.valid_bytes));
       // snapshot_valid_ is still false, so this first write does not
       // rotate whatever damaged file sits at spath into the fallback.
-      write_snapshot(0.0, 0.0);
+      write_snapshot();
       return r;
     }
   }
@@ -636,7 +652,7 @@ Resumed AskTellCore::resume(const char* owner) {
   // resume restored from; the next snapshot replaces it instead.
   snapshot_valid_ = used == spath;
   r.absorbed = snap.journal_count;
-  r.now = snap.now;
+  last_record_time_ = snap.now;
 
   // The eval records the snapshot absorbed; the tail's re-enter through
   // observe().
@@ -664,7 +680,7 @@ Resumed AskTellCore::resume(const char* owner) {
     obs::count(trace_, "ckpt.replayed");
     if (rec.suggest) {
       apply_suggestion(rec);
-      r.now = rec.submit;
+      last_record_time_ = rec.submit;
       continue;
     }
     if (journal_v1_ && pending_tags_.count(rec.tag) == 0) {
@@ -683,8 +699,9 @@ Resumed AskTellCore::resume(const char* owner) {
           " but replays as \"" + ob.action +
           "\" — the files and this build disagree on failure policy");
     }
-    r.now = rec.finish;
+    last_record_time_ = rec.finish;
   }
+  r.now = last_record_time_;
   return r;
 }
 
@@ -708,12 +725,11 @@ void AskTellCore::journal_eval(std::size_t tag, const Outcome& o,
   obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
   journal_.append(rec.to_payload());
   ++journal_lines_;
+  last_record_time_ = o.finish;
   obs::count(trace_, "ckpt.journal_appends");
 }
 
 void AskTellCore::journal_suggestion(const Suggestion& s) {
-  EASYBO_REQUIRE(journal_.is_open() && s.tag + 1 == prop_x_.size(),
-                 "journal_suggestion: not the latest proposal");
   if (journal_v1_) upgrade_journal();
   JournalRecord rec;
   rec.index = journal_lines_;
@@ -727,6 +743,7 @@ void AskTellCore::journal_suggestion(const Suggestion& s) {
   obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
   journal_.append(rec.to_payload());
   ++journal_lines_;
+  last_record_time_ = rec.submit;
   obs::count(trace_, "ckpt.journal_appends");
 }
 
@@ -754,7 +771,7 @@ void AskTellCore::apply_suggestion(const JournalRecord& rec) {
         std::to_string(pending_tags_.size()) + " pending)");
   }
   if (!rec.is_init) {
-    finish_init();  // the first model-based suggest trained the model
+    train_first_model();  // the first model-based suggest trained it
     if (cfg_.acq == AcqKind::Phcbo) {
       const std::size_t slot =
           cfg_.mode == Mode::SyncBatch ? pending_tags_.size() : 0;
@@ -770,12 +787,12 @@ void AskTellCore::apply_suggestion(const JournalRecord& rec) {
   rng_.load(rec.rng);
 }
 
-BoCheckpoint AskTellCore::make_snapshot(double now, double busy) const {
+BoCheckpoint AskTellCore::make_snapshot() const {
   BoCheckpoint snap;
   snap.config_hash = config_hash_;
   snap.journal_count = journal_lines_;
-  snap.now = now;
-  snap.busy = busy;
+  snap.now = last_record_time_;
+  snap.busy = 0.0;  // frozen, unused
   snap.init_done = init_done_;
   snap.sync_dirty = sync_dirty_;
   snap.issued = issued_;
@@ -822,7 +839,7 @@ void AskTellCore::upgrade_journal() {
   journal_v1_ = false;
 }
 
-void AskTellCore::write_snapshot(double now, double busy) {
+void AskTellCore::write_snapshot() {
   obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
   const std::string spath = snapshot_file(cfg_.checkpoint_path);
   if (snapshot_valid_) {
@@ -835,10 +852,23 @@ void AskTellCore::write_snapshot(double now, double busy) {
     }
   }
   snapshot_valid_ = false;
-  const BoCheckpoint snap = make_snapshot(now, busy);
+  const BoCheckpoint snap = make_snapshot();
   io::atomic_write_file(spath, io::frame_line(snap.to_payload()) + "\n");
   snapshot_valid_ = true;
   obs::count(trace_, "ckpt.snapshots");
+}
+
+void AskTellCore::snapshot_if_refit(std::size_t refits_before) {
+  snapshot_error_.clear();
+  if (!journal_.is_open() || hyper_refits_ == refits_before) return;
+  try {
+    write_snapshot();
+  } catch (const io::CheckpointError& e) {
+    // The command is committed through its journal record; a failed
+    // snapshot only lengthens the tail the next resume re-applies.
+    snapshot_error_ = e.what();
+    obs::count(trace_, "ckpt.snapshot_failures");
+  }
 }
 
 void AskTellCore::restore_snapshot(const BoCheckpoint& snap,

@@ -6,11 +6,15 @@
 /// BoEngine: it owns everything that shapes the proposal stream — the GP
 /// model, normalizers, the proposal RNG stream, the dedup blocklists, the
 /// pHCBO penalty slots, the hyper-refit schedule, the failure policies
-/// and the durability hooks (journal, snapshot, and the one resume
-/// routine both drivers call) — and exposes exactly two mutation points:
+/// and durability (journal, snapshot, and the one resume routine both
+/// drivers call) — and exposes exactly two mutation points:
 ///
 ///   suggest()            -> {tag, x}   the next point to evaluate
 ///   observe(tag, outcome)              the terminal result of one tag
+///
+/// When journaling they (and finish_init) are the only commit points of
+/// both drivers: each appends its journal record, and one that refit
+/// writes the snapshot (docs/checkpoint-format.md).
 ///
 /// Nothing about *execution* lives here: no executor, no supervisor, no
 /// clock, no objective. The core never evaluates anything — it hands out
@@ -159,20 +163,25 @@ class AskTellCore {
   /// and slot 0 otherwise. The first post-init call trains the model
   /// (finish_init()) if the caller has not already.
   ///
+  /// When journaling, one fsync'd "suggest" record commits the proposal
+  /// before this returns (a failed append throws io::CheckpointError, and
+  /// the uncommitted core must be discarded).
+  ///
   /// \param now  the caller's logical clock, recorded as the proposal's
   ///             submit time (snapshot re-anchoring); pass 0 when there
   ///             is no meaningful clock.
   /// \param stop optional cancellation token, polled at the safe
   ///             checkpoints inside model training and acquisition
-  ///             maximization. When it fires, common::Cancelled unwinds
-  ///             out of this call BEFORE the proposal is committed —
-  ///             nothing was issued, no tag exists — but the in-memory
-  ///             model/normalizer/RNG may have been touched mid-flight,
-  ///             so a cancelled core must be discarded and rebuilt from
-  ///             its snapshot (the serve layer drops the Session; the
-  ///             disk still holds the pre-suggest state). Polls consume
-  ///             no RNG: a call that survives its token returns the
-  ///             bit-identical suggestion of a call without one.
+  ///             maximization, and right before the suggest record.
+  ///             When it fires, common::Cancelled unwinds out of this
+  ///             call BEFORE the proposal is committed — nothing was
+  ///             journaled — but the in-memory model/normalizer/RNG may
+  ///             have been touched mid-flight, so a cancelled core must be
+  ///             discarded and rebuilt from its files (the serve layer
+  ///             drops the Session; the disk still holds the pre-suggest
+  ///             state). Polls consume no RNG: a call that survives its
+  ///             token returns the bit-identical suggestion of a call
+  ///             without one.
   /// Throws easybo::Error when the simulation budget is exhausted, or
   /// when the initial design is fully in flight but not yet observed
   /// (a BO proposal needs a trained model; observe first).
@@ -276,31 +285,18 @@ class AskTellCore {
   /// suggest record; a v1 tail record may only complete an evaluation
   /// the snapshot holds in flight. Throws io::CheckpointError naming the
   /// file and record when the files refuse; \p owner ("engine" |
-  /// "session") words the messages.
+  /// "session") words the messages. Writes no snapshot unless it repairs
+  /// a crash inside start_fresh_journal.
   Resumed resume(const char* owner);
 
-  /// Appends the fsync'd "suggest" record of \p s, which must be the
-  /// proposal the last suggest() returned: its tag, unit-space x,
-  /// is_init, submit time, duration and the RNG words after it. The
-  /// commit point of a suggestion on both drivers (journal v2).
-  void journal_suggestion(const Suggestion& s);
+  /// what() of the refit snapshot the last live command failed to write
+  /// (counted as ckpt.snapshot_failures), else empty. The command stays
+  /// committed by its journal record, and the older snapshot plus the
+  /// longer tail still resume exactly, so drivers only report it.
+  const std::string& snapshot_error() const { return snapshot_error_; }
 
-  /// Assembles the full core state into a snapshot. The two execution-
-  /// side fields the core cannot know — the logical clock and the total
-  /// busy time — are injected by the caller (the engine reads them off
-  /// its executor; a server session passes its own bookkeeping).
-  BoCheckpoint make_snapshot(double now, double busy) const;
-
-  /// make_snapshot + atomic write to the snapshot file, first rotating
-  /// the current known-good snapshot to "<path>.snapshot.old" so that a
-  /// torn replace (a non-atomic filesystem, injected via io/fs_fault.h)
-  /// still leaves one intact generation. Both generations sit at refit
-  /// points and the journal keeps every record after either, so resuming
-  /// from the older one and its longer tail is exact. Rotation is skipped
-  /// while the on-disk snapshot is not known good (a damaged generation
-  /// must never clobber the intact fallback), and a failed rotation is
-  /// not fatal.
-  void write_snapshot(double now, double busy);
+  /// The full core state, clocked at the last journal record's time.
+  BoCheckpoint make_snapshot() const;
 
   /// Restores every core-owned field from \p snap (the complement of
   /// make_snapshot): RNG, observations, proposal table, pending tags,
@@ -313,7 +309,7 @@ class AskTellCore {
  private:
   /// Re-applies suggest record \p rec during resume, with no acquisition:
   /// checks that it is the next tag and the kind of proposal the replayed
-  /// state would make, runs finish_init() where the original suggest did,
+  /// state would make, trains the first model where the original did,
   /// records a pHCBO proposal in its slot's history, pushes the proposal
   /// and loads the recorded RNG words. Throws io::CheckpointError when
   /// the record does not fit the replayed state.
@@ -322,6 +318,29 @@ class AskTellCore {
   /// Rewrites a v1 journal as v2 (new header line, every record byte
   /// kept) before its first suggest record.
   void upgrade_journal();
+
+  /// Appends the fsync'd "suggest" record of \p s, just pushed.
+  void journal_suggestion(const Suggestion& s);
+
+  /// make_snapshot + atomic write to the snapshot file, first rotating
+  /// the current known-good snapshot to "<path>.snapshot.old" so that a
+  /// torn replace (a non-atomic filesystem, injected via io/fs_fault.h)
+  /// still leaves one intact generation. Both generations sit at refit
+  /// points and the journal keeps every record after either, so resuming
+  /// from the older one and its longer tail is exact. Rotation is skipped
+  /// while the on-disk snapshot is not known good (a damaged generation
+  /// must never clobber the intact fallback), and a failed rotation is
+  /// not fatal.
+  void write_snapshot();
+
+  /// Ends a live command that began with \p refits_before refits: when
+  /// journaling and it refit, writes the snapshot (the model is a full
+  /// refactor here, as a restore rebuilds it); a failure lands in
+  /// snapshot_error_.
+  void snapshot_if_refit(std::size_t refits_before);
+
+  /// finish_init() without its snapshot, for use mid-command.
+  void train_first_model();
 
   // --- proposal (the pre-refactor BoEngine internals, verbatim) ---------
   Vec propose(const std::vector<Vec>& pending, std::size_t slot);
@@ -408,9 +427,12 @@ class AskTellCore {
   std::uint64_t config_hash_ = 0;
   std::size_t journal_lines_ = 0;  // records written (no header)
   bool journal_v1_ = false;        // header still v1 (upgrade_journal)
+  // An eval record's finish or a suggest record's submit time.
+  double last_record_time_ = 0.0;
   // "<path>.snapshot" is known to hold an intact generation: the
   // precondition for rotating it to ".old" (write_snapshot).
   bool snapshot_valid_ = false;
+  std::string snapshot_error_;  // see snapshot_error()
 
   obs::TraceSink* trace_ = nullptr;
   std::string proposal_counter_;  // "bo.proposals.<acq>", built once

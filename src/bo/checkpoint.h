@@ -13,10 +13,11 @@
 ///                        easybo.metrics.v1 eval-record shape)
 ///   <path>.snapshot      one checksummed line holding the full core
 ///                        state (schema "easybo.checkpoint.v1"), rewritten
-///                        atomically at the start and at the first loop
-///                        boundary after each hyperparameter refit
+///                        atomically at the start and at the end of each
+///                        live command that ran a hyperparameter refit
 ///   <path>.snapshot.old  the previous snapshot generation
 ///
+/// AskTellCore alone writes these files, for both drivers.
 /// Resume (AskTellCore::resume) = restore the snapshot, then apply the
 /// journal tail: suggest records as recorded, with no acquisition, eval
 /// records through observe(). The snapshot sits where the GP factor is a
@@ -92,20 +93,19 @@ struct JournalHeader {
   static JournalHeader parse(const std::string& payload);
 };
 
-/// Full core state at a snapshot point (the start, or the first loop
-/// boundary after a refit). Field-by-field mirror of AskTellCore's
-/// private state — see the member comments in ask_tell.h for semantics.
+/// Full core state at a snapshot point (the start, or the end of a live
+/// command that refit). Field-by-field mirror of AskTellCore's private
+/// state — see the member comments in ask_tell.h for semantics.
 struct BoCheckpoint {
   std::uint64_t config_hash = 0;
   std::size_t journal_count = 0;  ///< journal lines absorbed in this state
-  double now = 0.0;   ///< driver clock; resume reads it without a tail
-  double busy = 0.0;  ///< executor total busy time; written, not read
+  double now = 0.0;   ///< last record's time; resume reads it without a tail
+  double busy = 0.0;  ///< frozen 0, written for older readers, not read
   bool init_done = false;         ///< post-init force-train already ran
   /// SyncBatch's deferred-model-refresh flag: an in-flight batch already
-  /// produced observations the barrier update has not absorbed. Engine
-  /// snapshots sit at batch barriers and session snapshots right after a
-  /// refit, so both write false; session snapshots from before journal v2
-  /// were taken after every mutation and may hold true.
+  /// produced observations the barrier update has not absorbed. Snapshots
+  /// sit right after a refit, so they write false; session snapshots from
+  /// before journal v2 were taken after every mutation and may hold true.
   bool sync_dirty = false;
   std::size_t issued = 0;
 

@@ -141,7 +141,6 @@ void BoEngine::run_sequential(sched::EvalSupervisor& sup) {
   // before the next proposal.
   while (sup.num_running() > 0 ||
          (core_.issued() < cfg().max_sims && !stop_requested())) {
-    checkpoint_after_refit(sup);
     if (sup.num_running() == 0) {
       if (!sup.has_idle_worker()) break;  // the only worker is hung
       submit(sup);
@@ -156,7 +155,6 @@ void BoEngine::run_sync_batch(sched::EvalSupervisor& sup, bool draining) {
   // was draining, which the first pass only drains.
   while (sup.num_running() > 0 ||
          (core_.issued() < cfg().max_sims && !stop_requested())) {
-    checkpoint_after_refit(sup);
     if (!draining && !stop_requested()) {
       const std::size_t head = sup.num_running();
       // A real executor may expose fewer workers than cfg().batch; a
@@ -191,7 +189,6 @@ void BoEngine::run_async_batch(sched::EvalSupervisor& sup) {
   // (the core refines the model inside observe), propose for the idle
   // worker with the still-running points as pseudo-observations.
   while (sup.num_running() > 0) {
-    checkpoint_after_refit(sup);
     observe_arrival(await_one(sup));
     // has_idle_worker: a wall-clock timeout frees no slot (the hung
     // objective still occupies it), so its replacement waits for the
@@ -208,10 +205,10 @@ void BoEngine::run_async_batch(sched::EvalSupervisor& sup) {
 // ---------------------------------------------------------------------------
 
 void BoEngine::submit(sched::EvalSupervisor& sup) {
+  // When journaling, the core's suggest record makes the suggestion
+  // durable before its evaluation starts: a resume applies the record and
+  // re-runs the evaluation instead of proposing again.
   Suggestion s = core_.suggest(sup.now());
-  // Durable before the evaluation starts: a resume applies the record
-  // and re-runs the evaluation instead of proposing again.
-  if (core_.journaling()) core_.journal_suggestion(s);
   // The executor decides where and when the objective runs (eagerly for
   // virtual time, on a worker thread for real threads); the engine only
   // sees the outcome at observe time.
@@ -270,10 +267,6 @@ void BoEngine::log_eval(const sched::SupervisedCompletion& sc,
 
 bool BoEngine::restore(sched::EvalSupervisor& sup) {
   const Resumed r = core_.resume("engine");
-  // No snapshot on resume, as for a session: the restored snapshot and
-  // the longer tail resume exactly, and the next live refit writes one
-  // at a refactor point.
-  refits_at_snapshot_ = core_.hyper_refits();
   // The journaled outcomes' busy time, which this process never runs: on
   // virtual time each attempt chain's occupancy, a pure function of tag,
   // duration and attempts; on the wall clock what each one measured.
@@ -336,15 +329,6 @@ void BoEngine::drain_all(sched::EvalSupervisor& sup) {
   while (sup.num_running() > 0) {
     observe_arrival(await_one(sup), /*draining=*/true);
   }
-}
-
-void BoEngine::checkpoint_after_refit(sched::EvalSupervisor& sup) {
-  if (!core_.journaling() || core_.hyper_refits() == refits_at_snapshot_) {
-    return;
-  }
-  core_.write_snapshot(sup.now(),
-                       busy_base_ + sup.executor().total_busy_time());
-  refits_at_snapshot_ = core_.hyper_refits();
 }
 
 void BoEngine::finalize_metrics(sched::Executor& exec, BoResult& result) {

@@ -5,14 +5,15 @@
 ///
 /// This implements the paper's Algorithm 1 (EasyBO) plus every comparison
 /// algorithm of §IV. The algorithm itself — model state, pending-point
-/// bookkeeping, proposal RNG, dedup, failure policies, checkpoint hooks —
-/// lives in AskTellCore (bo/ask_tell.h) behind its suggest()/observe()
-/// interface; BoEngine is the loop driver that pumps the core against an
-/// executor through sched::EvalSupervisor. Each issue policy (sequential /
-/// sync batch / async batch) is one pump schedule, and the same schedules
-/// drive sched::VirtualExecutor (experiments) and sched::ThreadExecutor
-/// (real objectives) — see sched/executor.h — so measured differences come
-/// from the algorithm design, not from implementation asymmetries.
+/// bookkeeping, proposal RNG, dedup, failure policies, and every journal
+/// record and snapshot — lives in AskTellCore (bo/ask_tell.h) behind its
+/// suggest()/observe() interface; BoEngine is the loop driver that pumps
+/// the core against an executor through sched::EvalSupervisor. Each issue
+/// policy (sequential / sync batch / async batch) is one pump schedule,
+/// and the same schedules drive sched::VirtualExecutor (experiments) and
+/// sched::ThreadExecutor (real objectives) — see sched/executor.h — so
+/// measured differences come from the algorithm design, not from
+/// implementation asymmetries.
 ///
 ///   // Virtual time (deterministic; every paper experiment):
 ///   BoResult r = run_bo(config, bounds, fom, sim_time);
@@ -83,7 +84,8 @@ class BoEngine {
   /// eval_* knobs); what happens when one ultimately fails is
   /// BoConfig::on_eval_failure — under the default Abort policy worker
   /// exceptions propagate out of this call with the run aborted, exactly
-  /// the pre-supervision behavior.
+  /// the pre-supervision behavior. A failed journal write throws
+  /// io::CheckpointError; a failed refit snapshot does not stop the run.
   BoResult run(sched::Executor& exec);
 
   /// Continues a run whose durable state lives under checkpoint base
@@ -159,7 +161,7 @@ class BoEngine {
   void run_sync_batch(sched::EvalSupervisor& sup, bool draining);
   void run_async_batch(sched::EvalSupervisor& sup);
 
-  /// Pulls the next suggestion out of the core, journals it (when
+  /// Pulls the next suggestion out of the core (which journals it when
   /// journaling) and hands it to the supervisor.
   void submit(sched::EvalSupervisor& sup);
 
@@ -193,11 +195,6 @@ class BoEngine {
   /// phase / graceful-stop semantics).
   void drain_all(sched::EvalSupervisor& sup);
 
-  /// Writes a snapshot at a loop boundary when a hyperparameter refit ran
-  /// since the last snapshot or the resume, where the model is a full
-  /// refactor as a restore rebuilds it.
-  void checkpoint_after_refit(sched::EvalSupervisor& sup);
-
   /// Copies the recording sink (when one is installed) into
   /// result.metrics, grafting on the executor's worker stats.
   void finalize_metrics(sched::Executor& exec, BoResult& result);
@@ -212,8 +209,6 @@ class BoEngine {
 
   // --- durability -----------------------------------------------------
   double busy_base_ = 0.0;  // busy time of journaled outcomes (resume)
-  // hyper_refits at the last snapshot, or at the resume
-  std::size_t refits_at_snapshot_ = 0;
   bool resumed_ = false;
   common::StopToken stop_token_;  // default: never fires
   std::string resume_note_;

@@ -29,7 +29,7 @@ std::array<std::uint32_t, 256> make_crc_table() {
 }
 
 [[noreturn]] void io_fail(const std::string& what, const std::string& path) {
-  throw CheckpointError(what + " " + path + ": " + std::strerror(errno));
+  throw StorageError(what + " " + path + ": " + std::strerror(errno));
 }
 
 /// Consults the fault seam (io/fs_fault.h) for \p op on \p path. Applies

@@ -37,6 +37,13 @@ class CheckpointError : public Error {
   using Error::Error;
 };
 
+/// A checkpoint file the operating system failed to open, read, write,
+/// sync or rename: the storage failed, not the files' content.
+class StorageError : public CheckpointError {
+ public:
+  using CheckpointError::CheckpointError;
+};
+
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of \p data.
 std::uint32_t crc32(std::string_view data);
 
@@ -59,7 +66,7 @@ struct JournalReadResult {
 /// Reads every framed line of \p path. A final line that is unterminated
 /// or fails its checksum is dropped and reported via torn_tail (the
 /// SIGKILL-mid-write case); a bad line anywhere *before* the last throws
-/// CheckpointError naming the line. Throws CheckpointError when the file
+/// CheckpointError naming the line. Throws StorageError when the file
 /// cannot be opened.
 JournalReadResult read_journal(const std::string& path);
 
@@ -76,10 +83,11 @@ class JournalWriter {
   /// Opens \p path for appending. When \p truncate_to is nonnegative the
   /// file is first truncated to that many bytes — how resume drops a torn
   /// tail before writing new records after it. Creates the file when
-  /// absent. Throws CheckpointError on I/O failure.
+  /// absent. Throws StorageError on I/O failure.
   void open(const std::string& path, long truncate_to = -1);
 
-  /// Frames, writes, flushes and fsyncs one record line.
+  /// Frames, writes, flushes and fsyncs one record line. Throws
+  /// StorageError with the file as it was before the call.
   void append(std::string_view payload);
 
   bool is_open() const { return file_ != nullptr; }
@@ -92,7 +100,7 @@ class JournalWriter {
   std::string path_;
 };
 
-/// Reads a whole file into a string. Throws CheckpointError when the file
+/// Reads a whole file into a string. Throws StorageError when the file
 /// cannot be opened or read.
 std::string read_file(const std::string& path);
 
@@ -101,13 +109,13 @@ bool file_exists(const std::string& path);
 
 /// Atomically replaces \p path with \p content: writes "<path>.tmp",
 /// fflush + fsync, rename over \p path, then fsyncs the directory so the
-/// rename itself is durable. Throws CheckpointError on I/O failure.
+/// rename itself is durable. Throws StorageError on I/O failure.
 void atomic_write_file(const std::string& path, std::string_view content);
 
 /// rename(2) \p from over \p to (+ directory fsync). Returns false when
 /// \p from does not exist — the "nothing to rotate yet" case — and
-/// throws CheckpointError on any other failure. Used by the session
-/// host's snapshot rotation (docs/service-protocol.md § Durability).
+/// throws StorageError on any other failure. Used by the snapshot
+/// rotation of AskTellCore (docs/checkpoint-format.md).
 bool try_rename_file(const std::string& from, const std::string& to);
 
 }  // namespace easybo::io

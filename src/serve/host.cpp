@@ -765,7 +765,7 @@ std::string SessionHost::dispatch(const std::string& line,
       // Journaled, so the suggest is committed and the reply stays OK; a
       // failed refit snapshot only lengthens the tail the next resume
       // re-applies.
-      if (!slot->session->snapshot_error().empty()) note_io_fault();
+      if (!slot->session->core().snapshot_error().empty()) note_io_fault();
       cache_status_locked(*slot);
       return reply;
     } catch (const common::Cancelled& e) {
@@ -837,7 +837,7 @@ std::string SessionHost::dispatch(const std::string& line,
       return one_line("ERR storage " + name + ": " + std::string(e.what()) +
                       " (session quarantined; CLOSE to reopen after repair)");
     }
-    if (!slot->session->snapshot_error().empty()) {
+    if (!slot->session->core().snapshot_error().empty()) {
       // Journaled, so the observe is committed and the reply stays OK;
       // the stale snapshot only widens the tail the next resume replays.
       note_io_fault();

@@ -42,9 +42,7 @@ std::unique_ptr<Session> Session::resume(std::string name, SessionSpec spec,
   auto s = std::unique_ptr<Session>(
       new Session(std::move(name), std::move(spec)));
   s->core_.set_checkpoint_path(checkpoint_base);
-  // Live observes tick the clock to their finish; suggest records carry
-  // it as their submit time.
-  s->now_ = s->core_.resume("session").now;
+  s->core_.resume("session");
   return s;
 }
 
@@ -55,19 +53,10 @@ void Session::set_trace(obs::TraceSink* sink) {
 }
 
 bo::Suggestion Session::suggest(const common::StopToken* stop) {
-  snapshot_error_.clear();
-  const std::size_t refits = core_.hyper_refits();
-  bo::Suggestion s = core_.suggest(now_, stop);
-  // The pre-commit gate: a suggest whose deadline passed while it
-  // computed must not become durable, even when the computation ignored
-  // every cooperative poll on the way (the watchdog path). Before the
-  // journal append below, nothing of this suggest has been published.
-  if (stop != nullptr) stop->check("suggest commit");
-  // Durable before the reply leaves the process: the tag in this
-  // suggestion must survive eviction and crash — the client holds it and
-  // will OBSERVE it against whatever object resumes from these files.
-  core_.journal_suggestion(s);
-  snapshot_after_refit(refits);
+  // Durable when the core returns: the tag in this suggestion must
+  // survive eviction and crash — the client holds it and will OBSERVE it
+  // against whatever object resumes from these files.
+  bo::Suggestion s = core_.suggest(now(), stop);
   if (trace_ != nullptr) {
     inflight_wall_[s.tag] = std::chrono::steady_clock::now();
   }
@@ -101,29 +90,14 @@ const char* Session::observe_failure(std::size_t tag,
 }
 
 const char* Session::observe(std::size_t tag, bo::Outcome o) {
-  snapshot_error_.clear();
-  const std::size_t refits = core_.hyper_refits();
   o.start = tag < core_.num_proposals() ? core_.proposal_submit_time(tag)
                                         : 0.0;
-  o.finish = now_ + 1.0;
+  o.finish = now() + 1.0;
   // Durable the moment core_.observe returns: its journal append fsyncs
   // before the model applies the outcome.
   const bo::Observed ob = core_.observe(tag, o);
-  now_ += 1.0;
   record_turnaround(tag);
-  snapshot_after_refit(refits);
   return ob.action;
-}
-
-void Session::snapshot_after_refit(std::size_t refits_before) {
-  if (core_.hyper_refits() == refits_before) return;
-  try {
-    core_.write_snapshot(now_, 0.0);
-  } catch (const io::CheckpointError& e) {
-    // The command is committed through its journal record; a failed
-    // snapshot only lengthens the tail the next resume re-applies.
-    snapshot_error_ = e.what();
-  }
 }
 
 std::string Session::status_json() const {

@@ -2,33 +2,31 @@
 /// \file session.h
 /// \brief One named, durable ask/tell session hosted by the server.
 ///
-/// A Session is an AskTellCore plus the persistence discipline a
-/// multi-tenant host needs: every mutation (suggest AND observe) is made
-/// durable by one fsync'd journal append before its reply leaves the
-/// process. A suggestion whose tag has been handed to a remote client
-/// MUST survive eviction and crash — the client will come back with
-/// `OBSERVE <tag>` long after the in-memory object is gone — so SUGGEST
-/// appends a "suggest" record (journal v2) holding everything the
-/// proposal changed, and OBSERVE appends its eval record before the
-/// model absorbs it.
+/// A Session is a named AskTellCore on its own checkpoint files. The core
+/// commits every mutation (suggest AND observe) by one fsync'd journal
+/// append before its reply leaves the process. A suggestion whose tag
+/// has been handed to a remote client MUST survive eviction and crash —
+/// the client will come back with `OBSERVE <tag>` long after the
+/// in-memory object is gone — so SUGGEST appends a "suggest" record
+/// (journal v2) holding everything the proposal changed, and OBSERVE
+/// appends its eval record before the model absorbs it.
 ///
-/// Snapshots are written only where the live model is a full refactor:
-/// in create() and after a command that ran a hyperparameter refit
-/// (including the first model-based SUGGEST, which trains the first
-/// model). Resume restores the latest snapshot and re-applies the
-/// journal tail with no acquisition — suggest records are applied as
-/// recorded, eval records re-run the model update — so the extended
-/// Cholesky factor it builds is the live one bit for bit and an evicted
-/// or crashed session continues its stream exactly. Resume, eviction and
-/// CLOSE write nothing.
+/// The core writes snapshots only where the live model is a full
+/// refactor: in create() and at the end of a command that ran a
+/// hyperparameter refit (including the first model-based SUGGEST, which
+/// trains the first model). Resume restores the latest snapshot and
+/// re-applies the journal tail with no acquisition — suggest records are
+/// applied as recorded, eval records re-run the model update — so the
+/// extended Cholesky factor it builds is the live one bit for bit and an
+/// evicted or crashed session continues its stream exactly. Resume,
+/// eviction and CLOSE write nothing.
 ///
-/// Durability is BoEngine's protocol (docs/checkpoint-format.md): the same
-/// CRC-framed v2 journal, the same BoCheckpoint snapshots at refit points,
-/// the same resume routine (AskTellCore::resume) and config fingerprint
-/// refusal on mismatch. The executor-side snapshot fields a BoEngine run
-/// fills (clock and busy time) are stood in by the session's logical
-/// clock (one tick per observation) and zero busy time, so the files stay
-/// schema-complete.
+/// Durability is BoEngine's protocol, committed by the same core
+/// (docs/checkpoint-format.md): the same CRC-framed v2 journal, the same
+/// BoCheckpoint snapshots at refit points, the same resume routine and
+/// config fingerprint refusal on mismatch. A session's clock is the
+/// number of outcomes its core has absorbed: a proposal's submit time is
+/// that count, an outcome's finish the count it completes.
 
 #include <chrono>
 #include <cstddef>
@@ -68,22 +66,22 @@ class Session {
   static std::unique_ptr<Session> resume(std::string name, SessionSpec spec,
                                          const std::string& checkpoint_base);
 
-  /// suggest + its journal record (+ a snapshot when it refit). Throws
-  /// easybo::Error when the budget is exhausted or the initial design is
-  /// fully in flight.
+  /// The core's suggest: its journal record (+ a snapshot when it refit).
+  /// Throws easybo::Error when the budget is exhausted or the initial
+  /// design is fully in flight.
   ///
-  /// \p stop is the request's cancellation token (null = none). It is
-  /// polled at the core's safe checkpoints AND re-checked after the core
-  /// returns, immediately before the journal append — so even a
-  /// computation that ignored every cooperative poll cannot commit a
-  /// proposal past its deadline. On common::Cancelled the caller MUST
-  /// discard this Session object: the in-memory core is mid-mutation
-  /// dirty, while the files still hold the exact pre-suggest state (the
-  /// suggest record is the only thing that publishes a suggest). Resuming
-  /// from them and retrying reproduces the identical proposal — a
-  /// cancelled suggest consumed nothing (tests/test_serve_deadline.cpp
-  /// pins this). A failed append throws io::CheckpointError with the
-  /// journal as it was; the object must be dropped the same way.
+  /// \p stop is the request's cancellation token (null = none). The core
+  /// polls it at its safe checkpoints AND re-checks it immediately before
+  /// the journal append — so even a computation that ignored every
+  /// cooperative poll cannot commit a proposal past its deadline. On
+  /// common::Cancelled the caller MUST discard this Session object: the
+  /// in-memory core is mid-mutation dirty, while the files still hold the
+  /// exact pre-suggest state (the suggest record is the only thing that
+  /// publishes a suggest). Resuming from them and retrying reproduces the
+  /// identical proposal — a cancelled suggest consumed nothing
+  /// (tests/test_serve_deadline.cpp pins this). A failed append throws
+  /// io::CheckpointError with the journal as it was; the object must be
+  /// dropped the same way.
   bo::Suggestion suggest(const common::StopToken* stop = nullptr);
 
   /// Successful evaluation result for \p tag: observe (journal first) +
@@ -102,16 +100,9 @@ class Session {
   /// request had no effect, but this in-memory object is no longer
   /// trustworthy (the pending tag was already consumed) and must be
   /// dropped by the caller. A failed *snapshot* after a successful append
-  /// leaves the command committed: see snapshot_error().
+  /// leaves the command committed: see AskTellCore::snapshot_error().
   const char* observe_failure(std::size_t tag, const std::string& status,
                               const std::string& error = "");
-
-  /// what() of the snapshot failure of the last suggest or observe, empty
-  /// when it wrote none or wrote it. The command is durable through its
-  /// journal record either way — the previous snapshot generation plus
-  /// the longer journal tail resume to exactly the current state — so
-  /// its reply stays OK; the host reports the fault on its health plane.
-  const std::string& snapshot_error() const { return snapshot_error_; }
 
   /// One-line JSON status object (docs/service-protocol.md).
   std::string status_json() const;
@@ -130,13 +121,11 @@ class Session {
  private:
   Session(std::string name, SessionSpec spec);
 
-  /// Writes the snapshot at the session clock when the command that
-  /// began with \p refits_before hyperparameter refits ran one; a failure
-  /// lands in snapshot_error_.
-  void snapshot_after_refit(std::size_t refits_before);
+  /// The session clock: outcomes the core has absorbed.
+  double now() const { return static_cast<double>(core_.evals().size()); }
 
-  /// Stamps \p o on the session clock, applies it to the core, then
-  /// snapshots when it refit (observe_ok / observe_failure).
+  /// Stamps \p o on the session clock and applies it to the core
+  /// (observe_ok / observe_failure).
   const char* observe(std::size_t tag, bo::Outcome o);
 
   /// Closes the turnaround span for \p tag, when one is open.
@@ -144,10 +133,6 @@ class Session {
 
   std::string name_;
   bo::AskTellCore core_;
-  /// Logical clock: one tick per absorbed observation. Recorded as each
-  /// proposal's submit time and as the snapshot clock.
-  double now_ = 0.0;
-  std::string snapshot_error_;  ///< see snapshot_error()
   obs::TraceSink* trace_ = nullptr;
   /// Wall-clock SUGGEST times of in-flight tags, kept only while a trace
   /// sink is installed — the basis of the turnaround spans above. Entries

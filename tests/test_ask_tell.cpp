@@ -319,7 +319,7 @@ TEST(AskTellCoreTest, CoincidentallyEqualPendingPointsStayDistinct) {
 
   // Forge the situation the old Vec-equality erase got wrong: two
   // pending proposals at the exact same point.
-  BoCheckpoint snap = seed_core.make_snapshot(0.0, 0.0);
+  BoCheckpoint snap = seed_core.make_snapshot();
   ASSERT_EQ(snap.prop_x.size(), 2u);
   snap.prop_x[1] = snap.prop_x[0];
 
@@ -363,7 +363,7 @@ TEST(AskTellCoreTest, MidBatchSnapshotRestoreContinuesIdentically) {
 
   // Cut mid-batch: two observations absorbed (sync's deferred-update
   // flag is set), two still pending.
-  const BoCheckpoint snap = a.make_snapshot(0.0, 0.0);
+  const BoCheckpoint snap = a.make_snapshot();
   EXPECT_TRUE(snap.sync_dirty);
   ASSERT_EQ(snap.pending.size(), 2u);
 
@@ -417,7 +417,7 @@ TEST(AsyncSlots, PhcboFillsSlotZeroOnly) {
   HandDriver hand(cfg, tf.bounds, tf.fn, cfg.batch);
   hand.run();
   const BoCheckpoint snap =
-      hand.core().make_snapshot(0.0, 0.0);
+      hand.core().make_snapshot();
   ASSERT_EQ(snap.hc_histories.size(), 3u);
   EXPECT_GT(snap.hc_histories[0].size(), 0u);
   EXPECT_EQ(snap.hc_histories[1].size(), 0u);

@@ -256,7 +256,7 @@ TEST(ConstrainedEngine, NonFiniteConstraintIsAFailedEvaluation) {
   EXPECT_LE(r.best_x[0], 0.8);
 
   // The final model state, as a snapshot would hold it.
-  const BoCheckpoint snap = engine.core().make_snapshot(0.0, 0.0);
+  const BoCheckpoint snap = engine.core().make_snapshot();
   ASSERT_EQ(snap.obs_g.size(), snap.obs_x.size());
   EXPECT_EQ(snap.obs_x.size() + failed, r.num_evals());
   EXPECT_EQ(snap.failed_x.size(), failed);
@@ -287,7 +287,7 @@ TEST(ConstrainedEngine, PenalizeGivesEachConstraintModelItsQuantile) {
 
   BoEngine engine(cfg, bounds, objective, nullptr, sum_le_1_nan_above(0.6));
   const BoResult r = engine.run();
-  const BoCheckpoint snap = engine.core().make_snapshot(0.0, 0.0);
+  const BoCheckpoint snap = engine.core().make_snapshot();
   ASSERT_EQ(snap.obs_g.size(), snap.obs_x.size());
   ASSERT_EQ(snap.obs_penalized.size(), snap.obs_x.size());
   std::size_t penalized = 0;

@@ -193,7 +193,7 @@ std::size_t overlay_checks_along_run(const bo::BoConfig& cfg) {
   std::size_t checks = 0;
 
   const auto check_pending = [&] {
-    const bo::BoCheckpoint snap = core.make_snapshot(0.0, 0.0);
+    const bo::BoCheckpoint snap = core.make_snapshot();
     gp::ZScore zscore;
     zscore.refit(snap.obs_y);
     GpRegressor model(bo::make_kernel(cfg, tf.bounds.dim()), 1e-6);

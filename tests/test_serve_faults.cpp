@@ -7,6 +7,12 @@
 // CLOSE clears the quarantine) or is absorbed (committed observe with a
 // stale snapshot, swallowed rotation fault) — never a half-written
 // snapshot accepted on resume, never a divergent stream.
+//
+// The same channels against a journaled BoEngine run (EngineFaultMatrix):
+// a fault in a refit snapshot or its rotation is absorbed and the run
+// finishes as if unfaulted; a fault in a journal append or in the
+// pristine files fails run() with io::CheckpointError, and the files
+// resume to the uninterrupted run.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "bo/engine.h"
+#include "circuit/testfunc.h"
 #include "io/fs_fault.h"
 #include "io/journal.h"
 #include "io/json.h"
@@ -212,6 +220,151 @@ TEST(ServeFaultMatrix, ShortWriteSweep) {
 
 TEST(ServeFaultMatrix, TornRenameSweep) {
   sweep_channel("torn_rename", [](io::FsFaultPlan& p, std::size_t every) {
+    p.torn_rename_every = every;
+  });
+}
+
+// ---------------------------------------------------------------------------
+// The engine's storage-fault matrix
+// ---------------------------------------------------------------------------
+
+bo::BoConfig engine_config(bo::Mode mode) {
+  bo::BoConfig c;
+  c.mode = mode;
+  c.acq = bo::AcqKind::EasyBo;
+  c.penalize = true;
+  c.batch = 4;
+  c.init_points = 8;
+  c.max_sims = 24;
+  c.seed = 19;
+  c.acq_opt.sobol_candidates = 64;
+  c.acq_opt.random_candidates = 32;
+  c.acq_opt.refine_evals = 30;
+  c.trainer.max_iters = 10;
+  c.trainer.restarts = 1;
+  return c;
+}
+
+/// Varying virtual durations so async completions genuinely interleave.
+double varied_sim_time(const Vec& x) {
+  return 0.6 + 0.05 * std::abs(x[0]);
+}
+
+/// The same proposals, outcomes and virtual times, and the same result.
+void expect_same_run(const bo::BoResult& a, const bo::BoResult& b) {
+  ASSERT_EQ(a.num_evals(), b.num_evals());
+  for (std::size_t i = 0; i < a.num_evals(); ++i) {
+    EXPECT_EQ(a.evals[i].x, b.evals[i].x) << "eval " << i;
+    EXPECT_EQ(a.evals[i].y, b.evals[i].y) << "eval " << i;
+    EXPECT_EQ(a.evals[i].start, b.evals[i].start) << "eval " << i;
+    EXPECT_EQ(a.evals[i].finish, b.evals[i].finish) << "eval " << i;
+  }
+  EXPECT_EQ(a.best_x, b.best_x);
+  EXPECT_EQ(a.best_y, b.best_y);
+  EXPECT_EQ(a.makespan, b.makespan);
+}
+
+/// One fault per run (max_faults = 1) on the operations whose path
+/// contains \p target (".journal" or ".snapshot"), swept over operation
+/// indices, in a journaled AsyncBatch and SyncBatch run on Branin. Only
+/// a journal append or the pristine files (the journal holds no record
+/// yet) may fail run(); every other fault is a refit snapshot or its
+/// rotation and is absorbed. Either way the files resume to the
+/// uninterrupted run.
+void sweep_engine(const char* channel_name,
+                  void (*arm)(io::FsFaultPlan&, std::size_t),
+                  const std::string& target,
+                  const std::vector<std::size_t>& indices) {
+  const auto tf = circuit::branin();
+  for (const bo::Mode mode : {bo::Mode::AsyncBatch, bo::Mode::SyncBatch}) {
+    const bo::BoConfig plain = engine_config(mode);
+    const bo::BoResult ref =
+        bo::BoEngine(plain, tf.bounds, tf.fn, varied_sim_time).run();
+    std::size_t absorbed = 0;
+    for (const std::size_t every : indices) {
+      SCOPED_TRACE(std::string(bo::to_string(mode)) + " " + channel_name +
+                   " on " + target + " every=" + std::to_string(every));
+      // One directory per sweep, emptied for each case.
+      const std::string dir =
+          fresh_dir(std::string("engine_") + channel_name + "_" +
+                    target.substr(1) + "_" + bo::to_string(mode));
+      std::filesystem::create_directories(dir);
+      bo::BoConfig cfg = plain;
+      cfg.checkpoint_path = dir + "/run";
+      io::FsFaultPlan plan;
+      arm(plan, every);
+      plan.max_faults = 1;
+      plan.path_contains = target;
+      bo::BoResult r;
+      std::string error;
+      std::size_t faults = 0;
+      {
+        io::ScopedFsFaults injected(plan);
+        try {
+          r = bo::BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
+        } catch (const io::CheckpointError& e) {
+          error = e.what();
+        }
+        faults = injected.injector().faults();
+      }
+      if (faults == 0) {  // the index lies past the run's last operation
+        EXPECT_EQ(error, "");
+        expect_same_run(ref, r);
+        continue;
+      }
+      const std::string journal = bo::journal_file(cfg.checkpoint_path);
+      if (!io::file_exists(journal)) {
+        // Struck before the journal existed: nothing durable started.
+        EXPECT_NE(error.find("journal"), std::string::npos) << error;
+        continue;
+      }
+      const bool pristine = io::read_journal(journal).payloads.size() <= 1;
+      EXPECT_EQ(!error.empty(), target == ".journal" || pristine) << error;
+      if (error.empty()) {
+        expect_same_run(ref, r);
+        ++absorbed;
+      }
+      bo::BoEngine resumed(plain, tf.bounds, tf.fn, varied_sim_time);
+      expect_same_run(ref, resumed.resume(cfg.checkpoint_path));
+    }
+    if (target == ".snapshot") {
+      EXPECT_GT(absorbed, 0u) << "no refit snapshot fault was injected";
+    }
+  }
+}
+
+/// Every snapshot operation of a 24-sim run (the pristine snapshot, and
+/// three refit snapshots with their rotations), and journal operations
+/// from the pristine header to the last record.
+void sweep_engine_files(const char* channel_name,
+                        void (*arm)(io::FsFaultPlan&, std::size_t)) {
+  std::vector<std::size_t> every_snapshot_op;
+  for (std::size_t i = 1; i <= 20; ++i) every_snapshot_op.push_back(i);
+  sweep_engine(channel_name, arm, ".snapshot", every_snapshot_op);
+  sweep_engine(channel_name, arm, ".journal",
+               {1, 2, 3, 4, 5, 8, 13, 21, 34, 55, 89});
+}
+
+TEST(EngineFaultMatrix, EnospcSweep) {
+  sweep_engine_files("enospc", [](io::FsFaultPlan& p, std::size_t every) {
+    p.enospc_every = every;
+  });
+}
+
+TEST(EngineFaultMatrix, EioSweep) {
+  sweep_engine_files("eio", [](io::FsFaultPlan& p, std::size_t every) {
+    p.eio_every = every;
+  });
+}
+
+TEST(EngineFaultMatrix, ShortWriteSweep) {
+  sweep_engine_files("short_write", [](io::FsFaultPlan& p, std::size_t every) {
+    p.short_write_every = every;
+  });
+}
+
+TEST(EngineFaultMatrix, TornRenameSweep) {
+  sweep_engine_files("torn_rename", [](io::FsFaultPlan& p, std::size_t every) {
     p.torn_rename_every = every;
   });
 }

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -253,8 +254,64 @@ TEST(EvalSupervisor, VirtualTimeoutIsNeverRetried) {
   EXPECT_DOUBLE_EQ(exec.now(), 3.0);
 }
 
+/// A ThreadExecutor whose clock moves only when the test sets it: real
+/// worker threads, but a deadline passes exactly when the test says so.
+/// Every completion is stamped at the current setting; taken() counts the
+/// completions the supervisor has pulled.
+class SteppedClockExecutor final : public Executor {
+ public:
+  explicit SteppedClockExecutor(std::size_t workers) : threads_(workers) {}
+  void set_now(double t) { now_ = t; }
+  std::size_t taken() const { return taken_.load(); }
+
+  std::size_t num_workers() const override { return threads_.num_workers(); }
+  std::size_t num_running() const override { return threads_.num_running(); }
+  void submit(std::size_t tag, std::function<double()> work,
+              double duration) override {
+    threads_.submit(tag, std::move(work), duration);
+  }
+  Completion wait_next() override {
+    Completion c = threads_.wait_next();
+    c.start = c.finish = now_;
+    ++taken_;
+    return c;
+  }
+  /// No time passes while waiting, so a bounded wait is a wait for the
+  /// next completion.
+  std::optional<Completion> try_wait_next(double) override {
+    return wait_next();
+  }
+  bool wall_clock() const override { return true; }
+  double now() const override { return now_; }
+  double total_busy_time() const override {
+    return threads_.total_busy_time();
+  }
+  std::vector<double> per_worker_busy() const override {
+    return threads_.per_worker_busy();
+  }
+
+ private:
+  ThreadExecutor threads_;
+  double now_ = 0.0;
+  std::atomic<std::size_t> taken_{0};
+};
+
+/// Polls \p done every millisecond until it holds. Gives up after 10 s,
+/// so a broken supervisor fails the assertions instead of hanging.
+template <typename Done>
+void wait_until(Done done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// The clock moves only when the test moves it and the jobs wait on flags,
+// so neither the trivial job's deadline nor the order of the last two
+// completions depends on how the worker threads are scheduled.
 TEST(EvalSupervisor, WallWatchdogAbandonsHungWorker) {
-  ThreadExecutor exec(2);
+  SteppedClockExecutor exec(2);
   SupervisorConfig cfg;
   cfg.timeout = 0.05;
   EvalSupervisor sup(exec, cfg);
@@ -262,21 +319,17 @@ TEST(EvalSupervisor, WallWatchdogAbandonsHungWorker) {
   std::atomic<bool> release{false};
   sup.submit(0,
              [&release]() -> double {
-               while (!release.load()) {
-                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
-               }
+               wait_until([&release] { return release.load(); });
                return 1.0;
              },
              1.0);
   sup.submit(1, [] { return 2.0; }, 1.0);
 
-  SupervisedCompletion timed_out;
-  SupervisedCompletion good;
-  for (int i = 0; i < 2; ++i) {
-    auto out = sup.wait_next();
-    if (out.status == EvalStatus::Timeout) timed_out = out;
-    else good = out;
-  }
+  // Before any deadline passes, the trivial job completes.
+  const SupervisedCompletion good = sup.wait_next();
+  // Past job 0's deadline the watchdog abandons its hung worker.
+  exec.set_now(1.0);
+  const SupervisedCompletion timed_out = sup.wait_next();
   EXPECT_EQ(timed_out.status, EvalStatus::Timeout);
   EXPECT_EQ(timed_out.completion.tag, 0u);
   // The worker id is unknown for an abandoned job: sentinel num_workers().
@@ -289,10 +342,15 @@ TEST(EvalSupervisor, WallWatchdogAbandonsHungWorker) {
   EXPECT_EQ(sup.orphans(), 1u);
 
   // Unhang the objective; the stale completion must be swallowed, the
-  // slot rejoining the pool without a visible completion.
+  // slot rejoining the pool without a visible completion. Job 2 finishes
+  // only once the supervisor has pulled that stale completion.
   release.store(true);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  sup.submit(2, [] { return 3.0; }, 1.0);
+  sup.submit(2,
+             [&exec] {
+               wait_until([&exec] { return exec.taken() >= 2; });
+               return 3.0;
+             },
+             1.0);
   const auto after = sup.wait_next();
   EXPECT_TRUE(after.ok());
   EXPECT_EQ(after.completion.tag, 2u);
