@@ -6,8 +6,8 @@
 /// Drives EASYBO_SESSIONS (default 100) sequential-mode sessions with
 /// distinct seeds round-robin through a host whose live-object cache is
 /// deliberately too small (EASYBO_MAX_LIVE, default 32), so most turns
-/// hit a session that was LRU-evicted and must resume from its journal +
-/// snapshot. One session is additionally CLOSEd explicitly mid-run and
+/// hit a session that was LRU-evicted and must resume from its journal
+/// (and its snapshot, once it has refit). One session is additionally CLOSEd explicitly mid-run and
 /// driven on afterwards. When every session has exhausted its budget,
 /// each proposal stream is compared element-for-element against a
 /// standalone seeded BoEngine::run of the identical (wire-round-tripped)

@@ -26,8 +26,8 @@
 /// for studying it (docs/failure-model.md; EXPERIMENTS.md "fault
 /// injection" recipe). --checkpoint journals every suggestion and every
 /// evaluation to PATH.journal and snapshots engine state to PATH.snapshot
-/// at the start and after each hyperparameter refit; --resume continues
-/// a killed run from those files (docs/checkpoint-format.md).
+/// after each hyperparameter refit; --resume continues a killed run from
+/// those files, or from the journal alone (docs/checkpoint-format.md).
 /// --stream FILE emits live "easybo.stream.v1" JSONL telemetry frames to
 /// FILE while the run is in flight (docs/telemetry.md; tail it with
 /// scripts/obs_tail.py). --adapt-refit-cadence lets measured refit/eval

@@ -63,13 +63,13 @@
 /// checkpoint layer fails with the named fault. They exist for testing;
 /// see docs/failure-model.md for what each failure does to a session.
 ///
-/// Every session keeps its state under DIR (<name>.config, <name>.journal,
-/// <name>.snapshot and the rotated <name>.snapshot.old) and survives
-/// eviction, CLOSE and process death: each SUGGEST and OBSERVE appends
-/// one fsync'd journal record before its reply, a snapshot is written
-/// only right after a hyperparameter refit, and any later command naming
-/// the session restores that snapshot, re-applies the journal tail with
-/// no acquisition and continues bit-identically.
+/// Every session keeps its state under DIR (<name>.config, <name>.journal
+/// and, once it has refit, <name>.snapshot) and survives eviction, CLOSE
+/// and process death: each SUGGEST and OBSERVE appends one fsync'd
+/// journal record before its reply, a snapshot is written only right
+/// after a hyperparameter refit, and any later command naming the session
+/// restores that snapshot, when intact, re-applies the journal after it
+/// with no acquisition and continues bit-identically.
 ///
 /// Exit codes:
 ///   0  clean shutdown (stdin EOF, or SIGINT/SIGTERM)

@@ -5,7 +5,9 @@
 # real wall footprint, SIGKILLs it mid-run, resumes with --resume, and
 # asserts that the resumed run completes with the same final best as an
 # uninterrupted reference run (bit-identical proposal stream =>
-# bit-identical best). Run by CI on the plain build; usable locally as:
+# bit-identical best). A copy of the killed files without their snapshot
+# must resume to the same best from the journal alone. Run by CI on the
+# plain build; usable locally as:
 #
 #   sh scripts/kill_resume_smoke.sh [path/to/easybo_cli]
 #
@@ -52,19 +54,25 @@ cycle() {
     exit 1
   fi
 
-  # Resume must finish the run and land on the reference best exactly.
-  # shellcheck disable=SC2086
-  "$cli" $args --resume "$dir/run" > "$dir/resumed.out" 2> "$dir/resumed.err"
-  grep -q "resumed from" "$dir/resumed.err" || { echo "kill_resume_smoke[$name]: no resume note" >&2; exit 1; }
-  res_best=$(sed -n 's/.*best = \([^,]*\),.*/\1/p' "$dir/resumed.out")
-  res_sims=$(sed -n 's/.* \([0-9]*\) sims.*/\1/p' "$dir/resumed.out")
+  # The journal alone: a copy of the killed files without the snapshot.
+  cp "$dir/run.journal" "$dir/bare.journal"
 
-  [ "$res_sims" = "40" ] || { echo "kill_resume_smoke[$name]: resumed run completed $res_sims/40 sims" >&2; exit 1; }
-  if [ "$res_best" != "$ref_best" ]; then
-    echo "kill_resume_smoke[$name]: resumed best $res_best != reference best $ref_best" >&2
-    exit 1
-  fi
-  echo "kill_resume_smoke[$name]: resume completed 40/40 sims, best = $res_best (matches reference)"
+  # Resume must finish the run and land on the reference best exactly,
+  # from the killed files and from the journal alone.
+  for files in run bare; do
+    # shellcheck disable=SC2086
+    "$cli" $args --resume "$dir/$files" > "$dir/$files.out" 2> "$dir/$files.err"
+    grep -q "resumed from" "$dir/$files.err" || { echo "kill_resume_smoke[$name]: no resume note ($files)" >&2; exit 1; }
+    res_best=$(sed -n 's/.*best = \([^,]*\),.*/\1/p' "$dir/$files.out")
+    res_sims=$(sed -n 's/.* \([0-9]*\) sims.*/\1/p' "$dir/$files.out")
+
+    [ "$res_sims" = "40" ] || { echo "kill_resume_smoke[$name]: resumed run ($files) completed $res_sims/40 sims" >&2; exit 1; }
+    if [ "$res_best" != "$ref_best" ]; then
+      echo "kill_resume_smoke[$name]: resumed best ($files) $res_best != reference best $ref_best" >&2
+      exit 1
+    fi
+  done
+  echo "kill_resume_smoke[$name]: both resumes completed 40/40 sims, best = $res_best (matches reference; journal alone too)"
 }
 
 cycle async "--algo easybo --batch 4"

@@ -73,13 +73,17 @@ for t in 0 1 2; do
 done
 
 # SIGKILL mid-conversation: no shutdown handler runs, only the on-disk
-# journal + snapshot survive.
+# files survive. Still inside their 4-point initial designs, neither
+# session has refit, so each has a journal and no snapshot: both resume
+# from their journals alone.
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 echo "serve_smoke: killed server after 3 interleaved turns per session"
 
-[ -s "$workdir/state/a.journal" ] || { echo "serve_smoke: no journal for session a" >&2; exit 1; }
-[ -s "$workdir/state/b.snapshot" ] || { echo "serve_smoke: no snapshot for session b" >&2; exit 1; }
+for s in a b; do
+  [ -s "$workdir/state/$s.journal" ] || { echo "serve_smoke: no journal for session $s" >&2; exit 1; }
+  [ ! -e "$workdir/state/$s.snapshot" ] || { echo "serve_smoke: session $s has a snapshot before its first refit" >&2; exit 1; }
+done
 
 "$serve" --state-dir "$workdir/state" --port "$port" \
   --stream "$workdir/stream2.jsonl" \
@@ -87,19 +91,23 @@ echo "serve_smoke: killed server after 3 interleaved turns per session"
 pid=$!
 wait_up
 
-# Resume session a from checkpoint and finish its budget: tags must
-# continue exactly where the killed process stopped (3..11).
-status=$(req "STATUS a")
-printf '%s' "$status" | grep -q '"observed":3' \
-  || { echo "serve_smoke: resumed status wrong: $status" >&2; exit 1; }
+# Resume both sessions from their journals, then finish a's budget: tags
+# must continue exactly where the killed process stopped (3..11).
+for s in a b; do
+  status=$(req "STATUS $s")
+  printf '%s' "$status" | grep -q '"observed":3' \
+    || { echo "serve_smoke: resumed status of $s wrong: $status" >&2; exit 1; }
+done
 for t in 3 4 5 6 7 8 9 10 11; do
   turn a "$t"
 done
 out=$(req "SUGGEST a")
 printf '%s' "$out" | grep -q "budget exhausted" \
   || { echo "serve_smoke: expected exhausted budget, got: $out" >&2; exit 1; }
+# Its model-based suggestions refit, and each refit wrote the snapshot.
+[ -s "$workdir/state/a.snapshot" ] || { echo "serve_smoke: no snapshot for session a after its refits" >&2; exit 1; }
 
-echo "serve_smoke: session a resumed at tag 3 and completed 12/12 sims"
+echo "serve_smoke: sessions a and b resumed from their journals; a completed 12/12 sims"
 
 # Tear the server down cleanly (TERM runs the bye frame) and make the
 # telemetry streams account for the run: both generations must have

@@ -555,37 +555,37 @@ void AskTellCore::set_checkpoint_path(const std::string& path) {
 }
 
 void AskTellCore::start_fresh_journal() {
-  {
-    obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
-    journal_.open(journal_file(cfg_.checkpoint_path), /*truncate_to=*/0);
-    JournalHeader header;
-    header.config_hash = config_hash_;
-    header.seed = cfg_.seed;
-    journal_.append(header.to_payload());
-  }
-  write_snapshot();
+  obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
+  // Snapshots left under this path by an earlier run would be restored
+  // beside the new journal, so they go before it is truncated.
+  const std::string spath = snapshot_file(cfg_.checkpoint_path);
+  io::remove_file(spath);
+  io::remove_file(spath + ".old");
+  journal_.open(journal_file(cfg_.checkpoint_path), /*truncate_to=*/0);
+  JournalHeader header;
+  header.config_hash = config_hash_;
+  header.seed = cfg_.seed;
+  journal_.append(header.to_payload());
 }
 
 namespace {
 
-enum class SnapLoad { Missing, Damaged, Ok };
-
-/// Loads one snapshot generation. Missing and framing-level damage (torn
-/// or unreadable — everything a crashed replace can leave behind) are
-/// reported for the caller to fall back on; a frame whose checksum holds
-/// but whose JSON does not is corruption no torn write produces, and that
+/// Loads snapshot \p path into \p out. A missing file or framing-level
+/// damage (torn or unreadable — everything a crashed replace can leave
+/// behind) returns why it was not used; a frame whose checksum holds but
+/// whose JSON does not is corruption no torn write produces, and that
 /// parse error propagates as the hard refusal it deserves.
-SnapLoad load_snapshot(const std::string& path, BoCheckpoint& out) {
-  if (!io::file_exists(path)) return SnapLoad::Missing;
+std::string load_snapshot(const std::string& path, BoCheckpoint& out) {
+  if (!io::file_exists(path)) return path + " is missing";
   io::JournalReadResult sr;
   try {
     sr = io::read_journal(path);
   } catch (const io::CheckpointError&) {
-    return SnapLoad::Damaged;
+    return path + " is damaged";
   }
-  if (sr.payloads.size() != 1 || sr.torn_tail) return SnapLoad::Damaged;
+  if (sr.payloads.size() != 1 || sr.torn_tail) return path + " is damaged";
   out = BoCheckpoint::parse(sr.payloads.front());
-  return SnapLoad::Ok;
+  return "";
 }
 
 }  // namespace
@@ -596,7 +596,6 @@ Resumed AskTellCore::resume(const char* owner) {
                  "path");
   const std::string jpath = journal_file(cfg_.checkpoint_path);
   const std::string spath = snapshot_file(cfg_.checkpoint_path);
-  const std::string old_path = spath + ".old";
   if (!io::file_exists(jpath)) {
     throw io::CheckpointError("cannot resume: no journal at " + jpath);
   }
@@ -604,11 +603,11 @@ Resumed AskTellCore::resume(const char* owner) {
   Resumed r;
   r.torn_tail = jr.torn_tail;
   if (jr.payloads.empty() && !io::file_exists(spath) &&
-      !io::file_exists(old_path)) {
+      !io::file_exists(spath + ".old")) {
     // No intact header and no snapshot: appends are sequential, a failed
-    // append rolls the file back and the pristine snapshot follows the
-    // header, so this is the wreckage of a crashed start_fresh_journal.
-    // Nothing was ever observable; starting fresh is exact.
+    // append rolls the file back and start_fresh_journal removes the
+    // snapshots before it truncates, so this is the wreckage of a crash
+    // inside it. Nothing was ever observable; starting fresh is exact.
     start_fresh_journal();
     return r;
   }
@@ -616,43 +615,27 @@ Resumed AskTellCore::resume(const char* owner) {
   journal_v1_ =
       JournalHeader::parse(jr.payloads.front()).schema == kJournalSchemaV1;
 
-  // A missing or torn "<path>.snapshot" is the signature of a crash (or
-  // injected fault) mid-replace; the previous generation plus its longer
-  // journal tail resumes to the same state (write_snapshot). A
-  // half-written snapshot is never accepted, and only when neither
-  // generation is usable does resume refuse — unless the journal holds no
-  // record, where nothing beyond the pristine state was ever published.
+  // A snapshot is a shortcut: the fresh core applying the journal from
+  // its first record reaches the same state, refits included. An intact
+  // "<path>.snapshot" is restored, else a ".snapshot.old" that an older
+  // binary rotated aside; a torn one is never accepted.
   BoCheckpoint snap;
-  std::string used = spath;
-  const SnapLoad primary = load_snapshot(spath, snap);
-  if (primary != SnapLoad::Ok) {
-    used = old_path;
-    if (load_snapshot(old_path, snap) != SnapLoad::Ok) {
-      if (!r.records.empty()) {
-        throw io::CheckpointError(
-            std::string("cannot resume ") + owner + ": snapshot " + spath +
-            " is " + (primary == SnapLoad::Missing ? "missing" : "damaged") +
-            " and no usable fallback snapshot exists at " + old_path);
-      }
-      journal_.open(jpath, static_cast<long>(jr.valid_bytes));
-      // snapshot_valid_ is still false, so this first write does not
-      // rotate whatever damaged file sits at spath into the fallback.
-      write_snapshot();
-      return r;
+  std::string used;
+  std::string unusable;  // why no snapshot was restored
+  for (const std::string& path : {spath, spath + ".old"}) {
+    const std::string why = load_snapshot(path, snap);
+    if (why.empty()) {
+      used = path;
+      break;
     }
+    unusable += (unusable.empty() ? "" : ", ") + why;
   }
-  check_snapshot(snap, used, jpath, r.records.size(), config_hash_, owner);
-
-  // Truncating to valid_bytes drops a torn tail: a record that never
-  // became durable, made again when its command or evaluation is.
-  journal_.open(jpath, static_cast<long>(jr.valid_bytes));
-  journal_lines_ = r.records.size();
-  restore_snapshot(snap, used);
-  // A damaged primary must not be rotated over the generation this
-  // resume restored from; the next snapshot replaces it instead.
-  snapshot_valid_ = used == spath;
-  r.absorbed = snap.journal_count;
-  last_record_time_ = snap.now;
+  if (!used.empty()) {
+    check_snapshot(snap, used, jpath, r.records.size(), config_hash_, owner);
+    restore_snapshot(snap, used);
+    r.absorbed = snap.journal_count;
+    last_record_time_ = snap.now;
+  }
 
   // The eval records the snapshot absorbed; the tail's re-enter through
   // observe().
@@ -683,13 +666,18 @@ Resumed AskTellCore::resume(const char* owner) {
       last_record_time_ = rec.submit;
       continue;
     }
-    if (journal_v1_ && pending_tags_.count(rec.tag) == 0) {
+    if (pending_tags_.count(rec.tag) == 0) {
+      // The one record only a snapshot can precede: an eval record of a
+      // v1 journal, which holds no suggest records.
       throw io::CheckpointError(
-          "cannot resume: record " + std::to_string(rec.index) + " of " +
-          jpath + " completes evaluation " + std::to_string(rec.tag) +
-          ", which no record suggested; an " + kJournalSchemaV1 +
-          " journal holds no suggest records, so its tail may only complete "
-          "evaluations its snapshot holds in flight");
+          std::string("cannot resume ") + owner + ": record " +
+          std::to_string(rec.index) + " of " + jpath +
+          " completes evaluation " + std::to_string(rec.tag) +
+          ", which the replay never had in flight (" +
+          (used.empty() ? "no snapshot was usable: " + unusable
+                        : "restored from snapshot " + used) +
+          "); a journal begun as " + kJournalSchemaV1 +
+          " holds no suggest records and resumes only from a snapshot");
     }
     const Observed ob = observe(rec.tag, replayed_outcome(rec, *this));
     if (rec.action != ob.action) {
@@ -702,6 +690,10 @@ Resumed AskTellCore::resume(const char* owner) {
     last_record_time_ = rec.finish;
   }
   r.now = last_record_time_;
+  // Truncating to valid_bytes drops a torn tail: a record that never
+  // became durable, made again when its command or evaluation is.
+  journal_.open(jpath, static_cast<long>(jr.valid_bytes));
+  journal_lines_ = r.records.size();
   return r;
 }
 
@@ -841,20 +833,9 @@ void AskTellCore::upgrade_journal() {
 
 void AskTellCore::write_snapshot() {
   obs::ScopedTimer span(trace_, obs::Phase::Checkpoint);
-  const std::string spath = snapshot_file(cfg_.checkpoint_path);
-  if (snapshot_valid_) {
-    try {
-      io::try_rename_file(spath, spath + ".old");
-    } catch (const io::CheckpointError&) {
-      // Rotation is defense in depth: a failed rotation leaves the
-      // fallback one generation stale, which is still a valid resume
-      // point — it never blocks the snapshot itself.
-    }
-  }
-  snapshot_valid_ = false;
   const BoCheckpoint snap = make_snapshot();
-  io::atomic_write_file(spath, io::frame_line(snap.to_payload()) + "\n");
-  snapshot_valid_ = true;
+  io::atomic_write_file(snapshot_file(cfg_.checkpoint_path),
+                        io::frame_line(snap.to_payload()) + "\n");
   obs::count(trace_, "ckpt.snapshots");
 }
 

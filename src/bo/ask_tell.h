@@ -14,7 +14,8 @@
 ///
 /// When journaling they (and finish_init) are the only commit points of
 /// both drivers: each appends its journal record, and one that refit
-/// writes the snapshot (docs/checkpoint-format.md).
+/// writes the snapshot, a shortcut the journal alone can stand in for
+/// (docs/checkpoint-format.md).
 ///
 /// Nothing about *execution* lives here: no executor, no supervisor, no
 /// clock, no objective. The core never evaluates anything — it hands out
@@ -108,7 +109,7 @@ struct Observed {
 /// What AskTellCore::resume() restored and re-applied.
 struct Resumed {
   std::vector<JournalRecord> records;  ///< every intact journal record
-  std::size_t absorbed = 0;  ///< how many of them the snapshot holds
+  std::size_t absorbed = 0;  ///< how many the restored snapshot holds
   /// When the last record was written — an eval record's finish, a
   /// suggest record's submit time — or the snapshot's clock without a
   /// tail.
@@ -263,36 +264,36 @@ class AskTellCore {
   /// valid before any journaling started.
   void set_checkpoint_path(const std::string& path);
 
-  /// Starts the durable state of a fresh run or session: truncates or
-  /// creates the journal, writes its easybo.journal.v2 header line, then
-  /// the pristine snapshot, so the files resume before the first
-  /// suggestion.
+  /// Starts the durable state of a fresh run or session: removes any
+  /// snapshot an earlier run left under the path, then truncates or
+  /// creates the journal and writes its easybo.journal.v2 header line,
+  /// which alone resumes to the fresh core.
   void start_fresh_journal();
 
   /// The one resume routine of both drivers (docs/checkpoint-format.md).
-  /// On a freshly constructed core with its checkpoint path set: picks
-  /// the snapshot generation ("<path>.snapshot", else
-  /// "<path>.snapshot.old"), checks it and the journal against this
-  /// configuration, re-opens the journal (truncating a torn tail), restores
-  /// the snapshot and applies the journal tail with no acquisition —
-  /// suggest records through apply_suggestion, eval records through
-  /// observe() as replayed outcomes. The result is the live core's state
-  /// after the last record, eval records included; the suggestions still
-  /// pending are the caller's to re-run or await. A headerless journal
-  /// beside no snapshot, or a journal without records beside no usable
-  /// snapshot, is a crash inside start_fresh_journal and resumes pristine.
-  /// A v1 journal resumes as is and is rewritten as v2 before its first
-  /// suggest record; a v1 tail record may only complete an evaluation
-  /// the snapshot holds in flight. Throws io::CheckpointError naming the
-  /// file and record when the files refuse; \p owner ("engine" |
-  /// "session") words the messages. Writes no snapshot unless it repairs
-  /// a crash inside start_fresh_journal.
+  /// On a freshly constructed core with its checkpoint path set: checks
+  /// the journal against this configuration, restores "<path>.snapshot"
+  /// when it is intact, else a "<path>.snapshot.old" an older binary
+  /// rotated aside, else nothing, and applies the journal records after
+  /// it with no acquisition — suggest records through apply_suggestion,
+  /// eval records through observe() as replayed outcomes, refits re-run —
+  /// then re-opens the journal (truncating a torn tail). The result is the
+  /// live core's state after the last record, eval records included; the
+  /// suggestions still pending are the caller's to re-run or await. A
+  /// headerless journal beside no snapshot is a crash inside
+  /// start_fresh_journal and starts fresh. A v1 journal resumes as is and
+  /// is rewritten as v2 before its first suggest record; having no
+  /// suggest records, it resumes only from a snapshot. Throws
+  /// io::CheckpointError naming the file and record when the files
+  /// refuse; \p owner ("engine" | "session") words the messages. Writes
+  /// no snapshot.
   Resumed resume(const char* owner);
 
   /// what() of the refit snapshot the last live command failed to write
   /// (counted as ckpt.snapshot_failures), else empty. The command stays
-  /// committed by its journal record, and the older snapshot plus the
-  /// longer tail still resume exactly, so drivers only report it.
+  /// committed by its journal record, and the older snapshot (or none)
+  /// plus the longer tail still resume exactly, so drivers only report
+  /// it.
   const std::string& snapshot_error() const { return snapshot_error_; }
 
   /// The full core state, clocked at the last journal record's time.
@@ -322,15 +323,9 @@ class AskTellCore {
   /// Appends the fsync'd "suggest" record of \p s, just pushed.
   void journal_suggestion(const Suggestion& s);
 
-  /// make_snapshot + atomic write to the snapshot file, first rotating
-  /// the current known-good snapshot to "<path>.snapshot.old" so that a
-  /// torn replace (a non-atomic filesystem, injected via io/fs_fault.h)
-  /// still leaves one intact generation. Both generations sit at refit
-  /// points and the journal keeps every record after either, so resuming
-  /// from the older one and its longer tail is exact. Rotation is skipped
-  /// while the on-disk snapshot is not known good (a damaged generation
-  /// must never clobber the intact fallback), and a failed rotation is
-  /// not fatal.
+  /// make_snapshot + atomic write to "<path>.snapshot". A torn replace
+  /// (a non-atomic filesystem, injected via io/fs_fault.h) is never
+  /// restored: resume then applies the journal from its first record.
   void write_snapshot();
 
   /// Ends a live command that began with \p refits_before refits: when
@@ -429,9 +424,6 @@ class AskTellCore {
   bool journal_v1_ = false;        // header still v1 (upgrade_journal)
   // An eval record's finish or a suggest record's submit time.
   double last_record_time_ = 0.0;
-  // "<path>.snapshot" is known to hold an intact generation: the
-  // precondition for rotating it to ".old" (write_snapshot).
-  bool snapshot_valid_ = false;
   std::string snapshot_error_;  // see snapshot_error()
 
   obs::TraceSink* trace_ = nullptr;

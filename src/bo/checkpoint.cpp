@@ -493,12 +493,6 @@ void check_snapshot(const BoCheckpoint& snap, const std::string& spath,
 
 Outcome replayed_outcome(const JournalRecord& rec, const AskTellCore& core) {
   const std::string record = "record " + std::to_string(rec.index);
-  if (rec.tag >= core.num_proposals() ||
-      core.pending_tags().count(rec.tag) == 0) {
-    throw io::CheckpointError(
-        "journal corrupted: " + record + " completes evaluation " +
-        std::to_string(rec.tag) + " which the replay never had in flight");
-  }
   if (rec.x != core.proposal(rec.tag)) {
     throw io::CheckpointError(
         "journal " + record +

@@ -13,9 +13,8 @@
 ///                        easybo.metrics.v1 eval-record shape)
 ///   <path>.snapshot      one checksummed line holding the full core
 ///                        state (schema "easybo.checkpoint.v1"), rewritten
-///                        atomically at the start and at the end of each
-///                        live command that ran a hyperparameter refit
-///   <path>.snapshot.old  the previous snapshot generation
+///                        atomically at the end of each live command that
+///                        ran a hyperparameter refit
 ///
 /// AskTellCore alone writes these files, for both drivers.
 /// Resume (AskTellCore::resume) = restore the snapshot, then apply the
@@ -23,7 +22,10 @@
 /// records through observe(). The snapshot sits where the GP factor is a
 /// full refactor, so the factor extended over the tail is the live one
 /// bit for bit — the headline guarantee, enforced by
-/// tests/test_checkpoint.cpp and tests/test_serve_resume.cpp.
+/// tests/test_checkpoint.cpp and tests/test_serve_resume.cpp. The
+/// snapshot is only a shortcut: without an intact one (a
+/// "<path>.snapshot.old" an older binary rotated aside is read, never
+/// written) the fresh core applies the journal from its first record.
 ///
 /// This header is engine-internal plumbing (BoEngine is the public
 /// surface); it is exposed for tests and tooling.
@@ -93,8 +95,8 @@ struct JournalHeader {
   static JournalHeader parse(const std::string& payload);
 };
 
-/// Full core state at a snapshot point (the start, or the end of a live
-/// command that refit). Field-by-field mirror of AskTellCore's private
+/// Full core state at a snapshot point (the end of a live command that
+/// refit). Field-by-field mirror of AskTellCore's private
 /// state — see the member comments in ask_tell.h for semantics.
 struct BoCheckpoint {
   std::uint64_t config_hash = 0;
@@ -173,9 +175,9 @@ void check_snapshot(const BoCheckpoint& snap, const std::string& spath,
                     const std::string& jpath, std::size_t journal_records,
                     std::uint64_t config_hash, const char* owner);
 
-/// The outcome eval record \p rec re-applies on \p core, checked for
-/// completing a pending tag at the same point, with a known status and
-/// the core's number of constraint values.
+/// The outcome eval record \p rec, which completes a tag pending on
+/// \p core, re-applies there, checked for the same point, a known status
+/// and the core's number of constraint values.
 Outcome replayed_outcome(const JournalRecord& rec, const AskTellCore& core);
 
 }  // namespace easybo::bo

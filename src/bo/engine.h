@@ -93,8 +93,9 @@ class BoEngine {
   /// "<path>.snapshot", docs/checkpoint-format.md). The engine must be
   /// freshly constructed with the SAME configuration and bounds as the
   /// interrupted run — a config-fingerprint mismatch refuses to resume
-  /// (io::CheckpointError). Restores the snapshot and applies the journal
-  /// tail through AskTellCore::resume, the routine a hosted session
+  /// (io::CheckpointError). Restores the snapshot, when there is an
+  /// intact one, and applies the journal after it through
+  /// AskTellCore::resume, the routine a hosted session
   /// resumes with, so no acquisition runs for journaled suggestions. On
   /// virtual time every evaluation still pending re-runs from its own
   /// submit time (retry timing is a pure function of seed, tag and

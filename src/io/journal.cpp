@@ -285,37 +285,12 @@ void atomic_write_file(const std::string& path, std::string_view content) {
   fsync_parent_dir(path);
 }
 
-bool try_rename_file(const std::string& from, const std::string& to) {
-  const FsFaultAction fault = fault_gate(FsOp::Rename, to);
-  if (fault.err != 0) {
-    if (fault.torn_rename) {
-      // Plain stdio on purpose: going back through read_file would tick
-      // the fault counters a second time for one logical operation.
-      std::FILE* src = std::fopen(from.c_str(), "rb");
-      if (src != nullptr) {
-        std::string content;
-        char buf[1 << 12];
-        std::size_t n = 0;
-        while ((n = std::fread(buf, 1, sizeof buf, src)) > 0) {
-          content.append(buf, n);
-        }
-        std::fclose(src);
-        std::FILE* torn = std::fopen(to.c_str(), "wb");
-        if (torn != nullptr) {
-          std::fwrite(content.data(), 1, content.size() / 2, torn);
-          std::fclose(torn);
-        }
-      }
-    }
-    errno = fault.err;
-    io_fail("cannot rename (injected fault)", to);
+void remove_file(const std::string& path) {
+  if (std::remove(path.c_str()) == 0) {
+    fsync_parent_dir(path);
+  } else if (errno != ENOENT) {
+    io_fail("cannot remove", path);
   }
-  if (std::rename(from.c_str(), to.c_str()) != 0) {
-    if (errno == ENOENT) return false;
-    io_fail("cannot rename " + from + " over", to);
-  }
-  fsync_parent_dir(to);
-  return true;
 }
 
 }  // namespace easybo::io

@@ -112,10 +112,8 @@ bool file_exists(const std::string& path);
 /// rename itself is durable. Throws StorageError on I/O failure.
 void atomic_write_file(const std::string& path, std::string_view content);
 
-/// rename(2) \p from over \p to (+ directory fsync). Returns false when
-/// \p from does not exist — the "nothing to rotate yet" case — and
-/// throws StorageError on any other failure. Used by the snapshot
-/// rotation of AskTellCore (docs/checkpoint-format.md).
-bool try_rename_file(const std::string& from, const std::string& to);
+/// Removes \p path (+ directory fsync, so the removal is durable); an
+/// absent file is not an error. Throws StorageError on any other failure.
+void remove_file(const std::string& path);
 
 }  // namespace easybo::io

@@ -142,8 +142,8 @@ class SessionHost {
  public:
   /// \param state_dir  directory for per-session state files (created if
   ///                   absent): "<name>.config" (the NEW command's JSON),
-  ///                   "<name>.journal", "<name>.snapshot" and the
-  ///                   rotated "<name>.snapshot.old"
+  ///                   "<name>.journal" and, once the session has
+  ///                   refit, "<name>.snapshot"
   /// \param max_live   cap on concurrently live Session objects; the
   ///                   least-recently-used beyond it is dropped (its
   ///                   files stay resumable)

@@ -32,7 +32,7 @@ std::unique_ptr<Session> Session::create(std::string name, SessionSpec spec,
       new Session(std::move(name), std::move(spec)));
   s->core_.set_checkpoint_path(checkpoint_base);
   // Durable before the first reply: a host crash between NEW and the
-  // first SUGGEST must still resume to a pristine session.
+  // first SUGGEST must still resume to the fresh session.
   s->core_.start_fresh_journal();
   return s;
 }

@@ -11,12 +11,12 @@
 /// (journal v2) holding everything the proposal changed, and OBSERVE
 /// appends its eval record before the model absorbs it.
 ///
-/// The core writes snapshots only where the live model is a full
-/// refactor: in create() and at the end of a command that ran a
-/// hyperparameter refit (including the first model-based SUGGEST, which
-/// trains the first model). Resume restores the latest snapshot and
-/// re-applies the journal tail with no acquisition — suggest records are
-/// applied as recorded, eval records re-run the model update — so the
+/// The core writes a snapshot only where the live model is a full
+/// refactor: at the end of a command that ran a hyperparameter refit
+/// (including the first model-based SUGGEST, which trains the first
+/// model). Resume restores the snapshot, when there is an intact one, and
+/// re-applies the journal after it with no acquisition — suggest records
+/// are applied as recorded, eval records re-run the model update — so the
 /// extended Cholesky factor it builds is the live one bit for bit and an
 /// evicted or crashed session continues its stream exactly. Resume,
 /// eviction and CLOSE write nothing.
@@ -44,9 +44,8 @@ namespace easybo::serve {
 /// the host chose for this session.
 class Session {
  public:
-  /// Starts a fresh session: truncates the journal, writes the v2 header
-  /// line and the pristine snapshot (so the session is resumable before
-  /// its first command completes).
+  /// Starts a fresh session: truncates the journal and writes the v2
+  /// header line, which alone resumes to the fresh session.
   static std::unique_ptr<Session> create(std::string name, SessionSpec spec,
                                          const std::string& checkpoint_base);
 
@@ -54,14 +53,12 @@ class Session {
   /// AskTellCore::resume, the routine BoEngine::resume calls. \p spec
   /// must parse to the same configuration the files were written with
   /// (io::CheckpointError on a fingerprint mismatch). Re-applies the
-  /// journal tail the restored snapshot has not absorbed, and writes
-  /// nothing unless it repairs a crash inside create(). A missing or torn
-  /// "<base>.snapshot" falls back to the previous generation
-  /// "<base>.snapshot.old" — a half-written snapshot is never accepted,
-  /// and only when neither generation is usable does resume refuse. A
-  /// journal holding no records with no usable snapshot is the signature
-  /// of a crash inside create(); that resumes to the pristine session. A
-  /// v1 journal (written before suggest records existed) resumes as is
+  /// journal the restored snapshot has not absorbed — all of it when
+  /// "<base>.snapshot" is missing or torn (a "<base>.snapshot.old" an
+  /// older binary rotated aside is restored instead, when intact) — and
+  /// writes nothing unless it repairs a crash inside create(). A
+  /// half-written snapshot is never accepted. A v1 journal (written
+  /// before suggest records existed) resumes as is, only from a snapshot,
   /// and is rewritten as v2 before its first suggest record.
   static std::unique_ptr<Session> resume(std::string name, SessionSpec spec,
                                          const std::string& checkpoint_base);

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
@@ -35,12 +34,16 @@
 #include "common/rng.h"
 #include "io/journal.h"
 #include "io/json.h"
+#include "obs/recording.h"
 #include "serve/host.h"
 #include "serve/session.h"
 #include "serve/session_config.h"
+#include "temp_dir.h"
 
 namespace easybo::bo {
 namespace {
+
+using tests::temp_dir;
 
 // ---------------------------------------------------------------------------
 // Helpers
@@ -69,14 +72,19 @@ double varied_sim_time(const Vec& x) {
   return 0.6 + 0.05 * std::abs(x[0]);
 }
 
-/// Checkpoint base under the test temp dir, with any files from a
-/// previous run of the same test removed.
+/// Checkpoint base "<dir>/run" in a fresh temp_dir(\p name).
 std::string fresh_base(const std::string& name) {
-  const std::string base = ::testing::TempDir() + "easybo_ckpt_" + name;
-  std::remove(journal_file(base).c_str());
-  std::remove(snapshot_file(base).c_str());
-  std::remove((snapshot_file(base) + ".old").c_str());
-  return base;
+  return temp_dir(name) + "/run";
+}
+
+/// A copy of the journal under checkpoint base \p base with no snapshot
+/// beside it, under fresh_base(\p name): resume must reach the same
+/// state from the journal alone.
+std::string journal_only_copy(const std::string& base,
+                              const std::string& name) {
+  const std::string bare = fresh_base(name);
+  std::filesystem::copy_file(journal_file(base), journal_file(bare));
+  return bare;
 }
 
 /// FNV-1a 64 over the bytes of the journal, then the snapshot, under
@@ -174,7 +182,7 @@ TEST(JournalFraming, RoundTripAndCorruptionDetection) {
 }
 
 TEST(JournalFraming, TornTailIsToleratedInteriorDamageIsNot) {
-  const std::string path = ::testing::TempDir() + "easybo_torn.journal";
+  const std::string path = temp_dir("torn") + "/torn.journal";
   const std::string a = io::frame_line("alpha") + "\n";
   const std::string b = io::frame_line("beta") + "\n";
   {
@@ -201,7 +209,6 @@ TEST(JournalFraming, TornTailIsToleratedInteriorDamageIsNot) {
               std::string::npos)
         << e.what();
   }
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -648,8 +655,7 @@ TEST(Checkpointing, DurableBytesMatchPinnedHash) {
 
   // A hosted session: the initial design observed, then 12 turns that
   // each suggest with one point in flight and observe the oldest.
-  const std::string dir = ::testing::TempDir() + "easybo_ckpt_pinned_host";
-  std::filesystem::remove_all(dir);
+  const std::string dir = temp_dir("pinned_host");
   BoConfig scfg = quick(Mode::AsyncBatch, 2, 5);
   scfg.init_points = 4;
   scfg.max_sims = 20;
@@ -694,9 +700,13 @@ TEST(Checkpointing, JournalingItselfChangesNothing) {
 
   BoConfig journaled = plain;
   journaled.checkpoint_path = fresh_base("noop");
-  const BoResult r =
-      BoEngine(journaled, tf.bounds, tf.fn, varied_sim_time).run();
+  obs::RecordingSink sink;
+  BoEngine engine(journaled, tf.bounds, tf.fn, varied_sim_time);
+  engine.set_trace(&sink);
+  const BoResult r = engine.run();
   expect_same_run(ref, r);
+  // One snapshot per refit and no other: none when the files are made.
+  EXPECT_EQ(sink.counter("ckpt.snapshots"), r.hyper_refits);
   // Here even worker ids must match: nothing was re-submitted.
   for (std::size_t i = 0; i < ref.num_evals(); ++i) {
     EXPECT_EQ(ref.evals[i].worker, r.evals[i].worker);
@@ -798,9 +808,10 @@ TEST(Checkpointing, KillAndResumeConstrainedMatchesUninterrupted) {
   }
 }
 
-// A kill at any objective call resumes exactly, in every issue mode: the
-// journal holds each suggestion before its evaluation starts, and resume
-// re-runs what was in flight from its own submit time.
+// A kill at any objective call resumes exactly, in every issue mode, from
+// the files the kill left and from their journal alone: the journal holds
+// each suggestion before its evaluation starts, and resume re-runs what
+// was in flight from its own submit time.
 TEST(Checkpointing, KillAtEveryCallResumesExactly) {
   const auto tf = easybo::circuit::branin();
   const std::vector<Constraint> cons = {
@@ -837,11 +848,80 @@ TEST(Checkpointing, KillAtEveryCallResumesExactly) {
                    std::to_string(kill_at));
       const std::string base = fresh_base(std::string("every_") + c.name);
       run_and_kill(c.cfg, tf, base, kill_at, c.constraints);
-      BoEngine engine(c.cfg, tf.bounds, tf.fn, varied_sim_time,
-                      c.constraints);
-      expect_same_run(ref, engine.resume(base));
+      const std::string bare =
+          journal_only_copy(base, std::string("bare_") + c.name);
+      for (const std::string& files : {base, bare}) {
+        BoEngine engine(c.cfg, tf.bounds, tf.fn, varied_sim_time,
+                        c.constraints);
+        expect_same_run(ref, engine.resume(files));
+      }
     }
   }
+}
+
+// A snapshot is only a shortcut. For every acquisition in each mode it
+// runs in, unconstrained and (EasyBO, Sequential and AsyncBatch) with one
+// constraint, a finished journaled run's journal resumes to the live
+// core's final state from its last refit snapshot, from the journal
+// alone, and beside the pristine snapshot earlier binaries wrote when
+// they created the files (a fresh core's make_snapshot()): directories
+// they created continue unchanged.
+TEST(Checkpointing, JournalAloneResumesToTheLiveStateForEveryKind) {
+  const auto tf = easybo::circuit::branin();
+  const std::vector<Constraint> cons = {
+      {"x0+x1<=8", [](const Vec& x) { return 8.0 - x[0] - x[1]; }}};
+  const std::pair<AcqKind, std::vector<Mode>> kinds[] = {
+      {AcqKind::Ei, {Mode::Sequential}},
+      {AcqKind::Lcb, {Mode::Sequential}},
+      {AcqKind::EasyBo, {Mode::Sequential, Mode::SyncBatch, Mode::AsyncBatch}},
+      {AcqKind::Pbo, {Mode::SyncBatch, Mode::AsyncBatch}},
+      {AcqKind::Phcbo, {Mode::SyncBatch, Mode::AsyncBatch}},
+      {AcqKind::Bucb, {Mode::SyncBatch, Mode::AsyncBatch}},
+      {AcqKind::Lp, {Mode::SyncBatch, Mode::AsyncBatch}},
+  };
+  int cases = 0;
+  for (const auto& [acq, modes] : kinds) {
+    for (const Mode mode : modes) {
+      for (const std::size_t c : {0u, 1u}) {
+        if (c > 0 && (acq != AcqKind::EasyBo || mode == Mode::SyncBatch)) {
+          continue;
+        }
+        const std::string name = std::string(to_string(acq)) + "_" +
+                                 to_string(mode) + "_" + std::to_string(c);
+        SCOPED_TRACE(name);
+        BoConfig cfg = quick(mode, mode == Mode::Sequential ? 1 : 4, 23);
+        cfg.acq = acq;
+        cfg.max_sims = 16;
+        cfg.checkpoint_path = fresh_base(name);
+        const std::vector<Constraint> constraints(cons.begin(),
+                                                  cons.begin() + c);
+        BoEngine live(cfg, tf.bounds, tf.fn, varied_sim_time, constraints);
+        live.run();
+        ASSERT_TRUE(io::file_exists(snapshot_file(cfg.checkpoint_path)));
+        const std::string want = live.core().make_snapshot().to_payload();
+
+        const std::string bare =
+            journal_only_copy(cfg.checkpoint_path, name + "_bare");
+        const std::string pristine =
+            journal_only_copy(cfg.checkpoint_path, name + "_pristine");
+        io::atomic_write_file(
+            snapshot_file(pristine),
+            io::frame_line(AskTellCore(cfg, tf.bounds, nullptr, c)
+                               .make_snapshot()
+                               .to_payload()) +
+                "\n");
+        for (const std::string& files : {cfg.checkpoint_path, bare, pristine}) {
+          AskTellCore core(cfg, tf.bounds, nullptr, c);
+          core.set_checkpoint_path(files);
+          const Resumed r = core.resume("engine");
+          EXPECT_EQ(r.absorbed > 0, files == cfg.checkpoint_path) << files;
+          EXPECT_EQ(core.make_snapshot().to_payload(), want) << files;
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 15);
 }
 
 /// Branin whose FIRST call at a point throws wherever floor(1000 |x0|) is
@@ -871,11 +951,12 @@ struct SweepCounts {
 
 /// Kills a flaky-Branin run (\p cfg: B = 4, discard, its mode, retry and
 /// timeout settings) at each of the objective calls \p kills on each of
-/// the \p seeds, resumes each kill and requires the uninterrupted run,
-/// failure statuses and attempt counts included. It also reads the files
-/// each kill left behind: the evaluations still pending once the journal
-/// tail is applied are the ones the resume re-runs from their submit
-/// times. One whose first attempt ended before the last record was
+/// the \p seeds, resumes each kill from its files and from its journal
+/// alone, and requires the uninterrupted run, failure statuses and attempt
+/// counts included. It also reads the files each kill left behind (no
+/// snapshot yet is the fresh state): the evaluations still pending once
+/// the journal tail is applied are the ones the resume re-runs from their
+/// submit times. One whose first attempt ended before the last record was
 /// retrying at the kill; one longer than the deadline re-runs as a
 /// timeout; a last record that is an outcome with work still pending is
 /// a SyncBatch run inside a batch's drain.
@@ -893,9 +974,13 @@ void resume_sweep(BoConfig cfg, const std::string& name,
       const std::string base = fresh_base(name + "_" + std::to_string(seed) +
                                           "_" + std::to_string(kill_at));
       run_and_kill(cfg, flaky_branin(), base, kill_at);
+      const std::string bare = journal_only_copy(base, name + "_bare");
 
-      const BoCheckpoint snap = BoCheckpoint::parse(
-          io::read_journal(snapshot_file(base)).payloads.at(0));
+      BoCheckpoint snap;  // before the first refit: the fresh state
+      if (io::file_exists(snapshot_file(base))) {
+        snap = BoCheckpoint::parse(
+            io::read_journal(snapshot_file(base)).payloads.at(0));
+      }
       std::map<std::size_t, std::pair<double, double>> pending;  // submit,
       for (const std::size_t tag : snap.pending) {              // duration
         pending[tag] = {snap.prop_submit.at(tag), snap.prop_duration.at(tag)};
@@ -924,19 +1009,23 @@ void resume_sweep(BoConfig cfg, const std::string& name,
         timeout |= cut;
       }
 
-      const circuit::TestFunction tf = flaky_branin();
-      BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
-      const BoResult r = engine.resume(base);
       ++n.kills;
       n.tail_retried += retrying;
       n.timeout_resumed += timeout;
       n.drain_resumed += cfg.mode == Mode::SyncBatch && last_outcome &&
                          !pending.empty();
-      expect_same_run(ref, r);
-      for (std::size_t i = 0; i < std::min(ref.num_evals(), r.num_evals());
-           ++i) {
-        EXPECT_EQ(ref.evals[i].failure, r.evals[i].failure) << "eval " << i;
-        EXPECT_EQ(ref.evals[i].attempts, r.evals[i].attempts) << "eval " << i;
+      for (const std::string& files : {base, bare}) {
+        SCOPED_TRACE(files);
+        const circuit::TestFunction tf = flaky_branin();
+        BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
+        const BoResult r = engine.resume(files);
+        expect_same_run(ref, r);
+        for (std::size_t i = 0;
+             i < std::min(ref.num_evals(), r.num_evals()); ++i) {
+          EXPECT_EQ(ref.evals[i].failure, r.evals[i].failure) << "eval " << i;
+          EXPECT_EQ(ref.evals[i].attempts, r.evals[i].attempts)
+              << "eval " << i;
+        }
       }
     }
   }
@@ -1102,6 +1191,28 @@ TEST(Checkpointing, ResumeOfCompletedRunIsIdempotent) {
   EXPECT_FALSE(r.interrupted);
 }
 
+// A fresh journaled run removes the snapshot files an earlier run left
+// under its path, so neither is restored beside the new journal: killed
+// before its first refit, the new run resumes from its journal alone.
+TEST(Checkpointing, FreshRunRemovesAnEarlierRunsSnapshots) {
+  const auto tf = easybo::circuit::branin();
+  const std::string base = fresh_base("reused");
+  BoConfig earlier = quick(Mode::AsyncBatch, 4, 12);
+  earlier.checkpoint_path = base;
+  BoEngine(earlier, tf.bounds, tf.fn, varied_sim_time).run();
+  const std::string spath = snapshot_file(base);
+  io::atomic_write_file(spath + ".old", io::read_file(spath));
+
+  const BoConfig cfg = quick(Mode::AsyncBatch, 4, 11);
+  const BoResult ref =
+      BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
+  run_and_kill(cfg, tf, base, 3);  // inside the initial design
+  EXPECT_FALSE(io::file_exists(spath));
+  EXPECT_FALSE(io::file_exists(spath + ".old"));
+  BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
+  expect_same_run(ref, engine.resume(base));
+}
+
 TEST(Checkpointing, ResumeToleratesATornJournalTail) {
   const auto tf = easybo::circuit::branin();
   BoConfig cfg = quick(Mode::AsyncBatch, 4, 81);
@@ -1126,35 +1237,46 @@ TEST(Checkpointing, ResumeToleratesATornJournalTail) {
   EXPECT_EQ(journal.payloads.size(), 1 + 2 * cfg.max_sims);
 }
 
-// A torn "<path>.snapshot" falls back to "<path>.snapshot.old", whose
-// longer tail crosses the refit the torn generation was written at. A
-// resume writes no snapshot of its own (the files it restored from and
-// the longer tail resume exactly; only a live refit snapshots, at a
-// refactor point), so a kill after the run's last snapshotted refit
-// leaves both files as the kill left them, and resuming again is exact.
+// Binaries before this one rotated each refit snapshot to
+// "<path>.snapshot.old" first. Such a legacy generation beside a torn
+// "<path>.snapshot" is still restored, with the longer tail after it; a
+// resume writes no snapshot of its own and removes nothing, so resuming
+// again is exact too. The legacy file here is the refit snapshot a kill
+// of the same run at call 14 left, an earlier refit point of the run
+// killed at call 24.
 TEST(Checkpointing, ResumeFromTheOlderSnapshotWritesNoSnapshot) {
   const auto tf = easybo::circuit::branin();
   const BoConfig cfg = quick(Mode::AsyncBatch, 4, 11);
   const BoResult ref =
       BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
+  const std::string earlier = fresh_base("torn_snapshot_earlier");
+  run_and_kill(cfg, tf, earlier, 14);
   const std::string base = fresh_base("torn_snapshot");
   run_and_kill(cfg, tf, base, 24);
   const std::string spath = snapshot_file(base);
-  ASSERT_TRUE(io::file_exists(spath + ".old"));
+  ASSERT_FALSE(io::file_exists(spath + ".old"));
+  const std::string older = io::read_file(snapshot_file(earlier));
   const std::string primary = io::read_file(spath);
-  {
-    std::ofstream out(spath, std::ios::binary | std::ios::trunc);
-    out << primary.substr(0, primary.size() / 2);
-  }
+  ASSERT_NE(older, primary);
+  io::atomic_write_file(spath + ".old", older);
+  io::atomic_write_file(spath, primary.substr(0, primary.size() / 2));
   const std::string torn = io::read_file(spath);
-  const std::string older = io::read_file(spath + ".old");
+  const std::size_t absorbed =
+      BoCheckpoint::parse(io::read_journal(spath + ".old").payloads.at(0))
+          .journal_count;
+  ASSERT_GT(absorbed, 0u);
 
-  BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
-  expect_same_run(ref, engine.resume(base));
-  EXPECT_TRUE(io::read_file(spath) == torn) << "resume wrote a snapshot";
-  EXPECT_TRUE(io::read_file(spath + ".old") == older) << "resume rotated";
-  BoEngine again(cfg, tf.bounds, tf.fn, varied_sim_time);
-  expect_same_run(ref, again.resume(base));
+  for (int pass = 0; pass < 2; ++pass) {
+    BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
+    const BoResult r = engine.resume(base);
+    expect_same_run(ref, r);
+    EXPECT_EQ(r.resume_note.find(std::to_string(absorbed) +
+                                 " journal records restored from the"),
+              r.resume_note.find(": ") + 2)
+        << r.resume_note;
+    EXPECT_TRUE(io::read_file(spath) == torn) << "resume wrote a snapshot";
+    EXPECT_TRUE(io::read_file(spath + ".old") == older) << "resume rotated";
+  }
 }
 
 /// Copies tests/golden/engine_v1/<name>.{journal,snapshot} under a fresh

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <string>
 
@@ -16,9 +15,12 @@
 #include "circuit/testfunc.h"
 #include "common/error.h"
 #include "common/stats.h"
+#include "temp_dir.h"
 
 namespace easybo::bo {
 namespace {
+
+using tests::temp_dir;
 
 BoConfig quick_config(std::uint64_t seed) {
   BoConfig c;
@@ -178,14 +180,6 @@ std::vector<Constraint> sum_le_1_nan_above(double x_max) {
            }}};
 }
 
-std::string fresh_base(const std::string& name) {
-  const std::string base = ::testing::TempDir() + "easybo_constrained_" + name;
-  std::remove(journal_file(base).c_str());
-  std::remove(snapshot_file(base).c_str());
-  std::remove((snapshot_file(base) + ".old").c_str());
-  return base;
-}
-
 TEST(ConstrainedEngine, SequentialOnThreadsProposesTheVirtualStream) {
   opt::Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
   auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };
@@ -235,7 +229,7 @@ TEST(ConstrainedEngine, NonFiniteConstraintIsAFailedEvaluation) {
   auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };
   auto cfg = quick_config(1);
   cfg.on_eval_failure = EvalFailurePolicy::Discard;
-  cfg.checkpoint_path = fresh_base("nan_discard");
+  cfg.checkpoint_path = temp_dir("nan_discard") + "/run";
 
   BoEngine engine(cfg, bounds, objective, nullptr, sum_le_1_nan_above(0.8));
   const BoResult r = engine.run();
@@ -283,7 +277,7 @@ TEST(ConstrainedEngine, PenalizeGivesEachConstraintModelItsQuantile) {
   auto cfg = quick_config(3);
   cfg.on_eval_failure = EvalFailurePolicy::Penalize;
   cfg.eval_failure_quantile = 0.75;
-  cfg.checkpoint_path = fresh_base("nan_penalize");
+  cfg.checkpoint_path = temp_dir("nan_penalize") + "/run";
 
   BoEngine engine(cfg, bounds, objective, nullptr, sum_le_1_nan_above(0.6));
   const BoResult r = engine.run();

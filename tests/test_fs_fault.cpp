@@ -9,20 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
-#include <filesystem>
 #include <string>
 
 #include "io/journal.h"
+#include "temp_dir.h"
 
 namespace easybo::io {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_fsfault_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using tests::temp_dir;
 
 TEST(FsFault, NoInjectorMeansNoAction) {
   ASSERT_EQ(installed_fs_faults(), nullptr);
@@ -100,7 +95,7 @@ TEST(FsFault, ScopedInstallRestoresThePreviousInjector) {
 }
 
 TEST(FsFault, FailedAppendLeavesTheJournalBitIdentical) {
-  const std::string dir = fresh_dir("append_rollback");
+  const std::string dir = temp_dir("append_rollback");
   const std::string path = dir + "/j.journal";
   JournalWriter w;
   w.open(path);
@@ -142,7 +137,7 @@ TEST(FsFault, FailedAppendLeavesTheJournalBitIdentical) {
 }
 
 TEST(FsFault, TornRenameLeavesAHalfWrittenDestinationAndThrows) {
-  const std::string dir = fresh_dir("torn_rename");
+  const std::string dir = temp_dir("torn_rename");
   const std::string path = dir + "/file.snapshot";
   atomic_write_file(path, frame_line("the old complete content") + "\n");
   const std::string next = frame_line(std::string(200, 'x')) + "\n";
@@ -153,7 +148,7 @@ TEST(FsFault, TornRenameLeavesAHalfWrittenDestinationAndThrows) {
     EXPECT_THROW(atomic_write_file(path, next), CheckpointError);
   }
   // The destination is a truncated prefix of the NEW content — the
-  // non-atomic-replace disaster the snapshot fallback exists for.
+  // non-atomic-replace disaster resume never restores a snapshot from.
   const std::string after = read_file(path);
   EXPECT_EQ(after, next.substr(0, next.size() / 2));
   const JournalReadResult r = read_journal(path);
@@ -162,7 +157,7 @@ TEST(FsFault, TornRenameLeavesAHalfWrittenDestinationAndThrows) {
 }
 
 TEST(FsFault, EnospcOnSnapshotWriteLeavesTheOldSnapshotInPlace) {
-  const std::string dir = fresh_dir("enospc_snapshot");
+  const std::string dir = temp_dir("enospc_snapshot");
   const std::string path = dir + "/file.snapshot";
   const std::string old_content = frame_line("old") + "\n";
   atomic_write_file(path, old_content);
@@ -176,17 +171,6 @@ TEST(FsFault, EnospcOnSnapshotWriteLeavesTheOldSnapshotInPlace) {
   // The fsync of the tmp file failed before any rename: the destination
   // still holds the old complete version.
   EXPECT_EQ(read_file(path), old_content);
-}
-
-TEST(FsFault, TryRenameRotatesAndReportsMissingSource) {
-  const std::string dir = fresh_dir("try_rename");
-  const std::string a = dir + "/a";
-  const std::string b = dir + "/b";
-  EXPECT_FALSE(try_rename_file(a, b));  // nothing to rotate yet
-  atomic_write_file(a, "payload");
-  EXPECT_TRUE(try_rename_file(a, b));
-  EXPECT_FALSE(file_exists(a));
-  EXPECT_EQ(read_file(b), "payload");
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "io/journal.h"
 #include "io/json.h"
 #include "serve/session_config.h"
+#include "temp_dir.h"
 
 namespace easybo::serve {
 namespace {
@@ -27,11 +28,7 @@ namespace {
 using linalg::Vec;
 
 /// Fresh per-test state directory under the gtest temp dir.
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_serve_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using tests::temp_dir;
 
 /// Small sequential session config as its wire JSON. Sequential keeps the
 /// observe order trivially identical between a protocol client and a
@@ -244,7 +241,7 @@ TEST(SessionConfig, RejectsNonFiniteAndOversizedNumbers) {
 // ---------------------------------------------------------------------------
 
 TEST(SessionHostTest, ProtocolHappyPathAndErrorReplies) {
-  SessionHost host(fresh_dir("protocol"), 4);
+  SessionHost host(temp_dir("protocol"), 4);
 
   EXPECT_EQ(host.handle_line("NEW s1 " + quick_config_json(5)),
             "OK created s1");
@@ -303,7 +300,7 @@ TEST(SessionHostTest, ProtocolHappyPathAndErrorReplies) {
 // A config whose first model proposal could only fail is refused at NEW,
 // naming the key, and nothing is persisted for it.
 TEST(SessionHostTest, NewRefusesConfigsThatCanNeverPropose) {
-  const std::string dir = fresh_dir("never_propose");
+  const std::string dir = temp_dir("never_propose");
   SessionHost host(dir, 4);
   const std::string base = R"("dim":2,"init_points":2,"max_sims":10)";
   const std::pair<std::string, std::string> cases[] = {
@@ -328,7 +325,7 @@ TEST(SessionHostTest, NewRefusesConfigsThatCanNeverPropose) {
 // Thompson sampling and GP-Hedge were measured and retired
 // (EXPERIMENTS.md): NEW refuses them by name and persists nothing.
 TEST(SessionHostTest, NewRefusesRemovedAcquisitionsByName) {
-  const std::string dir = fresh_dir("removed_acq");
+  const std::string dir = temp_dir("removed_acq");
   SessionHost host(dir, 4);
   for (const std::string acq : {"TS", "Hedge"}) {
     const std::string name = "s" + acq;
@@ -346,7 +343,7 @@ TEST(SessionHostTest, NewRefusesRemovedAcquisitionsByName) {
 // files stay as they were.
 TEST(SessionHostTest, PersistedRemovedAcquisitionFailsToLoad) {
   const auto tf = circuit::sphere(2);
-  const std::string dir = fresh_dir("removed_acq_persisted");
+  const std::string dir = temp_dir("removed_acq_persisted");
   const std::string config = quick_config_json(3);
   {
     SessionHost host(dir, 4);
@@ -382,7 +379,7 @@ TEST(SessionHostTest, PersistedRemovedAcquisitionFailsToLoad) {
 }
 
 TEST(SessionHostTest, NewRefusesMalformedSeedsNamingTheKey) {
-  const std::string dir = fresh_dir("bad_seed");
+  const std::string dir = temp_dir("bad_seed");
   SessionHost host(dir, 4);
   const std::string base = R"("dim":2,"init_points":2,"max_sims":10)";
   int i = 0;
@@ -408,7 +405,7 @@ TEST(SessionHostTest, NewRefusesMalformedSeedsNamingTheKey) {
 TEST(SessionHostTest, SessionReproducesStandaloneEngineBitForBit) {
   const auto tf = circuit::sphere(2);
   const std::string config = quick_config_json(42);
-  SessionHost host(fresh_dir("parity"), 4);
+  SessionHost host(temp_dir("parity"), 4);
   ASSERT_EQ(host.handle_line("NEW run " + config), "OK created run");
 
   expect_same_proposals(drive_to_exhaustion(host, "run", tf.fn),
@@ -421,7 +418,7 @@ TEST(SessionHostTest, LruEvictionPreservesEveryInterleavedStream) {
   // max_live=2 with 4 round-robin sessions: every single turn of every
   // session beyond the first two runs against an evicted-and-resumed
   // object.
-  SessionHost host(fresh_dir("evict"), 2);
+  SessionHost host(temp_dir("evict"), 2);
 
   std::vector<std::string> configs;
   for (std::size_t i = 0; i < kSessions; ++i) {
@@ -460,7 +457,7 @@ TEST(SessionHostTest, LruEvictionPreservesEveryInterleavedStream) {
 
 TEST(SessionHostTest, HostRestartResumesMidRunBitForBit) {
   const auto tf = circuit::sphere(2);
-  const std::string dir = fresh_dir("restart");
+  const std::string dir = temp_dir("restart");
   const std::string config = quick_config_json(77);
 
   std::vector<Vec> xs;
@@ -487,7 +484,7 @@ TEST(SessionHostTest, HostRestartResumesMidRunBitForBit) {
 
 TEST(SessionHostTest, ResumeRefusesASwappedConfig) {
   const auto tf = circuit::sphere(2);
-  const std::string dir = fresh_dir("swapped");
+  const std::string dir = temp_dir("swapped");
   {
     SessionHost host(dir, 4);
     ASSERT_EQ(host.handle_line("NEW run " + quick_config_json(1)),
@@ -509,7 +506,7 @@ TEST(SessionHostTest, ResumeRefusesASwappedConfig) {
 
 TEST(SessionHostTest, NewIsIdempotentAndNeverRestartsAStream) {
   const auto tf = circuit::sphere(2);
-  SessionHost host(fresh_dir("idempotent"), 4);
+  SessionHost host(temp_dir("idempotent"), 4);
   const std::string config = quick_config_json(9);
   ASSERT_EQ(host.handle_line("NEW run " + config), "OK created run");
   const WireSuggestion first =

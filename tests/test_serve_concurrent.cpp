@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,17 +18,14 @@
 #include "obs/recording.h"
 #include "serve/host.h"
 #include "serve/session_config.h"
+#include "temp_dir.h"
 
 namespace easybo::serve {
 namespace {
 
 using linalg::Vec;
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_conc_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using tests::temp_dir;
 
 std::string quick_config_json(std::uint64_t seed) {
   bo::BoConfig cfg;
@@ -99,7 +95,7 @@ TEST(ServeConcurrent, DisjointSessionsInParallelMatchSerialStreams) {
   std::vector<std::string> configs;
   std::vector<std::vector<Vec>> expected;
   {
-    const std::string dir = fresh_dir("serial_ref");
+    const std::string dir = temp_dir("serial_ref");
     SessionHost host(dir, 4);
     for (int i = 0; i < kThreads * kPerThread; ++i) {
       names.push_back("sess" + std::to_string(i));
@@ -114,7 +110,7 @@ TEST(ServeConcurrent, DisjointSessionsInParallelMatchSerialStreams) {
 
   // Same sessions, driven from kThreads threads at once, with max_live
   // far below the session count so eviction/resume churns concurrently.
-  const std::string dir = fresh_dir("parallel");
+  const std::string dir = temp_dir("parallel");
   SessionHost host(dir, 4);
   std::vector<std::vector<std::vector<Vec>>> got(kThreads);
   std::vector<std::thread> threads;
@@ -149,7 +145,7 @@ TEST(ServeConcurrent, DisjointSessionsInParallelMatchSerialStreams) {
 }
 
 TEST(ServeConcurrent, OneSessionHammeredFromManyThreadsStaysCoherent) {
-  const std::string dir = fresh_dir("hammer");
+  const std::string dir = temp_dir("hammer");
   SessionHost host(dir, 4);
   const std::string config = quick_config_json(55);
   ASSERT_EQ(host.handle_line("NEW h " + config).rfind("OK ", 0), 0u);
@@ -194,7 +190,7 @@ TEST(ServeConcurrent, OneSessionHammeredFromManyThreadsStaysCoherent) {
 }
 
 TEST(ServeConcurrent, InflightCapShedsWhileHealthProbeStillAnswers) {
-  const std::string dir = fresh_dir("shed");
+  const std::string dir = temp_dir("shed");
   HostLimits limits;
   limits.max_inflight = 1;
   SessionHost host(dir, 4, limits);
@@ -235,7 +231,7 @@ TEST(ServeConcurrent, InflightCapShedsWhileHealthProbeStillAnswers) {
 }
 
 TEST(ServeConcurrent, CountersMirrorToTheTraceSink) {
-  const std::string dir = fresh_dir("trace");
+  const std::string dir = temp_dir("trace");
   HostLimits limits;
   limits.max_inflight = 1;
   SessionHost host(dir, 4, limits);

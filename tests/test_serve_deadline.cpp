@@ -25,6 +25,7 @@
 #include "serve/host.h"
 #include "serve/session.h"
 #include "serve/session_config.h"
+#include "temp_dir.h"
 
 namespace easybo::serve {
 namespace {
@@ -32,12 +33,7 @@ namespace {
 using linalg::Vec;
 using namespace std::chrono_literals;
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_deadline_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using tests::temp_dir;
 
 std::string config_json(std::uint64_t seed, bo::Mode mode,
                         std::size_t batch) {
@@ -173,7 +169,7 @@ void expect_same_stream(const std::vector<Vec>& got,
 }
 
 TEST(ServeDeadline, CutSuggestsConsumeNothingSequentialMode) {
-  const std::string dir = fresh_dir("parity_seq");
+  const std::string dir = temp_dir("parity_seq");
   const std::string cfg = config_json(4242, bo::Mode::Sequential, 1);
   const std::vector<Vec> want = reference_stream(cfg, dir);
   ASSERT_GE(want.size(), 5u);
@@ -186,7 +182,7 @@ TEST(ServeDeadline, CutSuggestsConsumeNothingSequentialMode) {
 }
 
 TEST(ServeDeadline, CutSuggestsConsumeNothingAsyncBatchMode) {
-  const std::string dir = fresh_dir("parity_async");
+  const std::string dir = temp_dir("parity_async");
   const std::string cfg = config_json(777, bo::Mode::AsyncBatch, 2);
   const std::vector<Vec> want = reference_stream(cfg, dir);
   ASSERT_GE(want.size(), 5u);
@@ -203,7 +199,7 @@ TEST(ServeDeadline, PooledHostReproducesDirectHostStreams) {
   const std::string cfg = config_json(99, bo::Mode::Sequential, 1);
   std::vector<Vec> direct;
   {
-    SessionHost host(fresh_dir("pool_direct"), 4);
+    SessionHost host(temp_dir("pool_direct"), 4);
     ASSERT_EQ(host.handle_line("NEW a " + cfg).rfind("OK ", 0), 0u);
     direct = drive_to_exhaustion(host, "a");
     ASSERT_FALSE(direct.empty());
@@ -212,7 +208,7 @@ TEST(ServeDeadline, PooledHostReproducesDirectHostStreams) {
   limits.serve_workers = 2;
   limits.request_deadline_s = 60.0;  // generous: sanitizers are slow
   limits.queue_wait_s = 0.0;         // never shed in this test
-  SessionHost pooled(fresh_dir("pool_pooled"), 4, limits);
+  SessionHost pooled(temp_dir("pool_pooled"), 4, limits);
   ASSERT_EQ(pooled.handle_line("NEW a " + cfg).rfind("OK ", 0), 0u);
   expect_same_stream(drive_to_exhaustion(pooled, "a"), direct);
   EXPECT_EQ(pooled.deadline_cut_count(), 0u);
@@ -225,12 +221,12 @@ TEST(ServeDeadline, DeadlineCutRollsBackAndSurvivesRestart) {
   // Reference: the first proposal of an undisturbed host.
   Vec first_x;
   {
-    SessionHost ref(fresh_dir("cutref"), 4);
+    SessionHost ref(temp_dir("cutref"), 4);
     ASSERT_EQ(ref.handle_line("NEW s " + cfg).rfind("OK ", 0), 0u);
     first_x = parse_suggest_reply(ref.handle_line("SUGGEST s")).x;
   }
 
-  const std::string dir = fresh_dir("cut");
+  const std::string dir = temp_dir("cut");
   HostLimits limits;
   limits.serve_workers = 2;
   limits.request_deadline_s = 0.15;
@@ -286,7 +282,7 @@ TEST(ServeDeadline, WatchdogQuarantinesOnlyTheRunawaySession) {
   limits.watchdog_grace_s = 0.1;
   limits.queue_wait_s = 0.0;
   obs::RecordingSink sink;
-  SessionHost host(fresh_dir("watchdog"), 4, limits);
+  SessionHost host(temp_dir("watchdog"), 4, limits);
   host.set_trace(&sink);
   ASSERT_EQ(host.handle_line("NEW stuck " + cfg).rfind("OK ", 0), 0u);
   ASSERT_EQ(host.handle_line("NEW fine " + config_json(32, bo::Mode::Sequential, 1))
@@ -342,7 +338,7 @@ TEST(ServeDeadline, QueueWaitCapShedsStaleRequests) {
   limits.serve_workers = 1;  // one worker serializes the two sessions
   limits.request_deadline_s = 0.0;  // no deadline: isolate the wait cap
   limits.queue_wait_s = 0.05;
-  SessionHost host(fresh_dir("waitcap"), 4, limits);
+  SessionHost host(temp_dir("waitcap"), 4, limits);
   ASSERT_EQ(host.handle_line("NEW a " + cfg_a).rfind("OK ", 0), 0u);
   ASSERT_EQ(host.handle_line("NEW b " + cfg_b).rfind("OK ", 0), 0u);
 
@@ -380,7 +376,7 @@ TEST(ServeDeadline, QueueWaitCapShedsStaleRequests) {
 
 TEST(ServeDeadline, StatusBusyFastPathServesCachedSummary) {
   const std::string cfg = config_json(71, bo::Mode::Sequential, 1);
-  SessionHost host(fresh_dir("statusbusy"), 4);  // direct mode
+  SessionHost host(temp_dir("statusbusy"), 4);  // direct mode
   ASSERT_EQ(host.handle_line("NEW s " + cfg).rfind("OK ", 0), 0u);
   // Populate the cache with one completed command.
   ASSERT_EQ(host.handle_line("STATUS s").rfind("OK ", 0), 0u);
@@ -423,7 +419,7 @@ TEST(ServeDeadline, HealthPlaneCarriesPoolGaugesAndCounters) {
   limits.serve_workers = 2;
   limits.request_deadline_s = 0.1;
   limits.watchdog_grace_s = 10.0;
-  SessionHost host(fresh_dir("health"), 4, limits);
+  SessionHost host(temp_dir("health"), 4, limits);
   ASSERT_EQ(host.handle_line("NEW s " + cfg).rfind("OK ", 0), 0u);
   SessionHost::DebugSlowdown slow;
   slow.session = "s";
@@ -452,7 +448,7 @@ TEST(ServeDeadline, HealthPlaneCarriesPoolGaugesAndCounters) {
 }
 
 TEST(ServeDeadline, DirectModeHealthOmitsPoolStatsButKeepsCounters) {
-  SessionHost host(fresh_dir("health_direct"), 4);
+  SessionHost host(temp_dir("health_direct"), 4);
   const std::string health = host.handle_line("STATUS");
   ASSERT_EQ(health.rfind("OK ", 0), 0u);
   const io::JsonValue j = io::parse_json(health.substr(3));

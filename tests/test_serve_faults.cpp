@@ -4,15 +4,14 @@
 // to budget exhaustion must end with the bit-identical proposal stream
 // of an unfaulted control host: each injected fault either fails the
 // request cleanly (ERR, on-disk state intact — the command retries after
-// CLOSE clears the quarantine) or is absorbed (committed observe with a
-// stale snapshot, swallowed rotation fault) — never a half-written
+// CLOSE clears the quarantine) or is absorbed (a command committed by its
+// journal record with a stale or missing snapshot) — never a half-written
 // snapshot accepted on resume, never a divergent stream.
 //
 // The same channels against a journaled BoEngine run (EngineFaultMatrix):
-// a fault in a refit snapshot or its rotation is absorbed and the run
-// finishes as if unfaulted; a fault in a journal append or in the
-// pristine files fails run() with io::CheckpointError, and the files
-// resume to the uninterrupted run.
+// a fault in a refit snapshot is absorbed and the run finishes as if
+// unfaulted; only a fault in a journal operation fails run() with
+// io::CheckpointError, and the files resume to the uninterrupted run.
 
 #include <gtest/gtest.h>
 
@@ -28,17 +27,14 @@
 #include "io/json.h"
 #include "serve/host.h"
 #include "serve/session_config.h"
+#include "temp_dir.h"
 
 namespace easybo::serve {
 namespace {
 
 using linalg::Vec;
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_faults_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using tests::temp_dir;
 
 std::string quick_config_json(std::uint64_t seed) {
   bo::BoConfig cfg;
@@ -159,7 +155,7 @@ std::vector<Vec> control_stream(const std::string& channel_name,
                                 const std::string& config_json) {
   // Unique per channel: ctest runs the sweep tests as separate parallel
   // processes, which must not share a control directory.
-  const std::string dir = fresh_dir("control_" + channel_name);
+  const std::string dir = temp_dir("control_" + channel_name);
   SessionHost host(dir, 4);
   return drive_recovering(host, "ctl", config_json);
 }
@@ -178,7 +174,7 @@ void sweep_channel(const char* channel_name,
     SCOPED_TRACE(std::string(channel_name) + " every=" +
                  std::to_string(every));
     const std::string dir =
-        fresh_dir(std::string(channel_name) + "_" + std::to_string(every));
+        temp_dir(std::string(channel_name) + "_" + std::to_string(every));
     SessionHost host(dir, 4);
     io::FsFaultPlan plan;
     arm(plan, every);
@@ -267,9 +263,8 @@ void expect_same_run(const bo::BoResult& a, const bo::BoResult& b) {
 /// One fault per run (max_faults = 1) on the operations whose path
 /// contains \p target (".journal" or ".snapshot"), swept over operation
 /// indices, in a journaled AsyncBatch and SyncBatch run on Branin. Only
-/// a journal append or the pristine files (the journal holds no record
-/// yet) may fail run(); every other fault is a refit snapshot or its
-/// rotation and is absorbed. Either way the files resume to the
+/// a journal operation may fail run(); every other fault is a refit
+/// snapshot's and is absorbed. Either way the files resume to the
 /// uninterrupted run.
 void sweep_engine(const char* channel_name,
                   void (*arm)(io::FsFaultPlan&, std::size_t),
@@ -286,7 +281,7 @@ void sweep_engine(const char* channel_name,
                    " on " + target + " every=" + std::to_string(every));
       // One directory per sweep, emptied for each case.
       const std::string dir =
-          fresh_dir(std::string("engine_") + channel_name + "_" +
+          temp_dir(std::string("engine_") + channel_name + "_" +
                     target.substr(1) + "_" + bo::to_string(mode));
       std::filesystem::create_directories(dir);
       bo::BoConfig cfg = plain;
@@ -318,8 +313,7 @@ void sweep_engine(const char* channel_name,
         EXPECT_NE(error.find("journal"), std::string::npos) << error;
         continue;
       }
-      const bool pristine = io::read_journal(journal).payloads.size() <= 1;
-      EXPECT_EQ(!error.empty(), target == ".journal" || pristine) << error;
+      EXPECT_EQ(!error.empty(), target == ".journal") << error;
       if (error.empty()) {
         expect_same_run(ref, r);
         ++absorbed;
@@ -333,9 +327,8 @@ void sweep_engine(const char* channel_name,
   }
 }
 
-/// Every snapshot operation of a 24-sim run (the pristine snapshot, and
-/// three refit snapshots with their rotations), and journal operations
-/// from the pristine header to the last record.
+/// Every snapshot operation of a 24-sim run (its refit snapshots), and
+/// journal operations from the header to the last record.
 void sweep_engine_files(const char* channel_name,
                         void (*arm)(io::FsFaultPlan&, std::size_t)) {
   std::vector<std::size_t> every_snapshot_op;
@@ -374,7 +367,7 @@ TEST(EngineFaultMatrix, TornRenameSweep) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeFaults, ObserveJournalFaultQuarantinesWithStateRolledBack) {
-  const std::string dir = fresh_dir("observe_quarantine");
+  const std::string dir = temp_dir("observe_quarantine");
   SessionHost host(dir, 4);
   const std::string config = quick_config_json(7);
   ASSERT_EQ(host.handle_line("NEW q " + config).rfind("OK ", 0), 0u);
@@ -440,12 +433,12 @@ TEST(ServeFaults, SuggestJournalFaultQuarantinesWithStateRolledBack) {
   // The control: the first model-based suggest of an unfaulted session.
   Suggested want;
   {
-    SessionHost control(fresh_dir("suggest_quarantine_ctl"), 4);
+    SessionHost control(temp_dir("suggest_quarantine_ctl"), 4);
     ASSERT_EQ(control.handle_line("NEW q " + config).rfind("OK ", 0), 0u);
     observe_initial_design(control, "q");
     want = parse_suggest_reply(control.handle_line("SUGGEST q"));
   }
-  const std::string dir = fresh_dir("suggest_quarantine");
+  const std::string dir = temp_dir("suggest_quarantine");
   SessionHost host(dir, 4);
   ASSERT_EQ(host.handle_line("NEW q " + config).rfind("OK ", 0), 0u);
   observe_initial_design(host, "q");
@@ -480,7 +473,7 @@ TEST(ServeFaults, SuggestJournalFaultQuarantinesWithStateRolledBack) {
 }
 
 TEST(ServeFaults, SuggestSnapshotFaultIsCommittedAndRepliesOk) {
-  const std::string dir = fresh_dir("suggest_committed");
+  const std::string dir = temp_dir("suggest_committed");
   SessionHost host(dir, 4);
   const std::string config = quick_config_json(14);
   ASSERT_EQ(host.handle_line("NEW c " + config).rfind("OK ", 0), 0u);
@@ -514,7 +507,7 @@ TEST(ServeFaults, SuggestSnapshotFaultIsCommittedAndRepliesOk) {
 }
 
 TEST(ServeFaults, ObserveSnapshotFaultIsCommittedAndRepliesOk) {
-  const std::string dir = fresh_dir("observe_committed");
+  const std::string dir = temp_dir("observe_committed");
   SessionHost host(dir, 4);
   const std::string config = refitting_config_json(8);
   ASSERT_EQ(host.handle_line("NEW c " + config).rfind("OK ", 0), 0u);
@@ -548,54 +541,64 @@ TEST(ServeFaults, ObserveSnapshotFaultIsCommittedAndRepliesOk) {
   EXPECT_EQ(j.at("pending").as_array().size(), 0u) << st;
 }
 
-TEST(ServeFaults, BothSnapshotGenerationsDamagedRefusesLoudly) {
-  const std::string dir = fresh_dir("both_damaged");
+// A snapshot is a shortcut, so damage to it loses nothing: with a torn
+// "<name>.snapshot" and a torn legacy "<name>.snapshot.old" (which
+// binaries before this one rotated aside), the session resumes from its
+// journal alone and continues exactly as the undamaged one does.
+TEST(ServeFaults, BothSnapshotGenerationsDamagedResumeFromTheJournal) {
   const std::string config = quick_config_json(9);
+  // Through the initial design, then the first model-based suggest,
+  // which refits and writes the snapshot.
+  const auto start = [&](SessionHost& host) {
+    EXPECT_EQ(host.handle_line("NEW d " + config).rfind("OK ", 0), 0u);
+    observe_initial_design(host, "d");
+    return parse_suggest_reply(host.handle_line("SUGGEST d"));
+  };
+  const auto observe = [](SessionHost& host, const Suggested& s) {
+    return host.handle_line("OBSERVE d " + std::to_string(s.tag) + " " +
+                            io::json_number(objective_of(s.x)));
+  };
+  SessionHost control(temp_dir("both_damaged_ctl"), 4);
+  const Suggested pending = start(control);
+  const std::string live_status = control.handle_line("STATUS d");
+  ASSERT_EQ(observe(control, pending), "OK {\"action\":\"observed\"}");
+  const std::string next = control.handle_line("SUGGEST d");
+
+  const std::string dir = temp_dir("both_damaged");
   {
     SessionHost host(dir, 4);
-    ASSERT_EQ(host.handle_line("NEW d " + config).rfind("OK ", 0), 0u);
-    observe_initial_design(host, "d");
-    // The first model-based suggest refits, and its snapshot rotates the
-    // pristine generation to .old.
-    parse_suggest_reply(host.handle_line("SUGGEST d"));
+    start(host);
   }
-  // Vandalize both generations down to a torn half-line.
-  for (const char* suffix : {".snapshot", ".snapshot.old"}) {
-    const std::string path = dir + "/d" + suffix;
-    ASSERT_TRUE(io::file_exists(path)) << path;
-    const std::string content = io::read_file(path);
-    io::atomic_write_file(path, content.substr(0, content.size() / 2));
-  }
+  const std::string snapshot = io::read_file(dir + "/d.snapshot");
+  const std::string torn = snapshot.substr(0, snapshot.size() / 2);
+  io::atomic_write_file(dir + "/d.snapshot", torn);
+  io::atomic_write_file(dir + "/d.snapshot.old", torn);
   SessionHost host(dir, 4);
-  const std::string reply = host.handle_line("SUGGEST d");
-  EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
-  EXPECT_NE(reply.find("cannot resume session"), std::string::npos) << reply;
-  // The journal held real records, so the host must NOT silently
-  // recreate a fresh session over them.
-  EXPECT_FALSE(host.is_live("d"));
+  EXPECT_EQ(host.handle_line("STATUS d"), live_status);
+  EXPECT_TRUE(host.is_live("d"));
+  EXPECT_EQ(observe(host, pending), "OK {\"action\":\"observed\"}");
+  EXPECT_EQ(host.handle_line("SUGGEST d"), next);
 }
 
 TEST(ServeFaults, MissingSnapshotsWithEmptyJournalRecreatePristine) {
-  const std::string dir = fresh_dir("create_crash");
+  const std::string dir = temp_dir("create_crash");
   const std::string config = quick_config_json(10);
   Suggested first;
   {
-    SessionHost ref(fresh_dir("create_crash_ref"), 4);
+    SessionHost ref(temp_dir("create_crash_ref"), 4);
     ASSERT_EQ(ref.handle_line("NEW p " + config).rfind("OK ", 0), 0u);
     first = parse_suggest_reply(ref.handle_line("SUGGEST p"));
   }
   {
     SessionHost host(dir, 4);
-    // A suggest appends a journal record, so the journal stays
-    // header-only only while no command has run.
+    // NEW writes the journal header and no snapshot; a suggest appends a
+    // record, so the journal stays header-only while no command has run.
     ASSERT_EQ(host.handle_line("NEW p " + config).rfind("OK ", 0), 0u);
   }
-  std::filesystem::remove(dir + "/p.snapshot");
-  std::filesystem::remove(dir + "/p.snapshot.old");
+  ASSERT_FALSE(io::file_exists(dir + "/p.snapshot"));
   SessionHost host(dir, 4);
-  // Nothing observable was lost (no observe was ever journaled): the
-  // host resumes to the pristine session whose first suggest is
-  // bit-identical to the original.
+  // The header alone resumes to the fresh session, whose first suggest
+  // is bit-identical to the original.
   const std::string reply = host.handle_line("SUGGEST p");
   ASSERT_EQ(reply.rfind("OK ", 0), 0u) << reply;
   const Suggested again = parse_suggest_reply(reply);
@@ -604,7 +607,7 @@ TEST(ServeFaults, MissingSnapshotsWithEmptyJournalRecreatePristine) {
 }
 
 TEST(ServeFaults, ConfigWithoutJournalRecreatesOnNextCommand) {
-  const std::string dir = fresh_dir("config_only");
+  const std::string dir = temp_dir("config_only");
   const std::string config = quick_config_json(11);
   std::filesystem::create_directories(dir);
   // The on-disk signature of a NEW that crashed right after persisting
@@ -619,7 +622,7 @@ TEST(ServeFaults, ConfigWithoutJournalRecreatesOnNextCommand) {
 }
 
 TEST(ServeFaults, FaultDuringNewIsRetryableWithoutQuarantine) {
-  const std::string dir = fresh_dir("new_retry");
+  const std::string dir = temp_dir("new_retry");
   SessionHost host(dir, 4);
   const std::string config = quick_config_json(12);
   std::string reply;

@@ -16,17 +16,14 @@
 #include "io/json.h"
 #include "serve/host.h"
 #include "serve/session_config.h"
+#include "temp_dir.h"
 
 namespace easybo::serve {
 namespace {
 
 using linalg::Vec;
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_fuzz_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using tests::temp_dir;
 
 std::string quick_config_json(std::uint64_t seed) {
   bo::BoConfig cfg;
@@ -128,7 +125,7 @@ std::vector<FuzzCase> fuzz_corpus(const std::string& live) {
 }
 
 TEST(ServeFuzz, EveryMalformedInputGetsOneErrAndChangesNothing) {
-  const std::string dir = fresh_dir("corpus");
+  const std::string dir = temp_dir("corpus");
   SessionHost host(dir, 4);
 
   // One live session with an in-flight suggestion and one observation,
@@ -178,7 +175,7 @@ TEST(ServeFuzz, EveryMalformedInputGetsOneErrAndChangesNothing) {
 }
 
 TEST(ServeFuzz, MalformedNewNeverCreatesStateOnDisk) {
-  const std::string dir = fresh_dir("no_side_effects");
+  const std::string dir = temp_dir("no_side_effects");
   SessionHost host(dir, 4);
   // The state dir is created lazily; garbage NEWs must not populate it.
   for (const char* line : {"NEW", "NEW bad/name {}", "NEW x", "NEW x nope",
@@ -193,7 +190,7 @@ TEST(ServeFuzz, MalformedNewNeverCreatesStateOnDisk) {
 }
 
 TEST(ServeFuzz, RepeatedAbuseDoesNotGrowTheSessionTable) {
-  const std::string dir = fresh_dir("table_bound");
+  const std::string dir = temp_dir("table_bound");
   SessionHost host(dir, 4);
   for (int i = 0; i < 200; ++i) {
     const std::string name = "ghost" + std::to_string(i);

@@ -1,6 +1,6 @@
 // Exact resume of hosted sessions (journal v2): a session's files after
 // any command — intact, with a torn final record, or without their
-// primary snapshot — boot a host that reports the live STATUS and then
+// snapshot — boot a host that reports the live STATUS and then
 // answers the rest of the live command sequence byte for byte; sessions
 // evicted before nearly every command keep their standalone streams; and
 // a state directory written before suggest records existed resumes,
@@ -21,6 +21,7 @@
 #include "io/json.h"
 #include "serve/host.h"
 #include "serve/session_config.h"
+#include "temp_dir.h"
 
 namespace easybo::serve {
 namespace {
@@ -28,11 +29,7 @@ namespace {
 namespace fs = std::filesystem;
 using linalg::Vec;
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_resume_" + name;
-  fs::remove_all(dir);
-  return dir;
-}
+using tests::temp_dir;
 
 /// Copies state directory \p from to \p to (replacing it).
 void copy_dir(const std::string& from, const std::string& to) {
@@ -133,15 +130,14 @@ void expect_continues(const std::string& dir, const std::string& status,
 /// copies its state directory after every command. Then boots a fresh
 /// host on three copies per command: as written, with the journal's
 /// final record torn in half (the files of a crash mid-append), and
-/// without "s.snapshot" (the ".old" fallback plus a longer tail). Each
-/// must report the live STATUS and answer the rest of the live commands
-/// with the live replies. \p refits receives the number of refits the
-/// run took.
+/// with no snapshot (the journal alone). Each must report the live
+/// STATUS and answer the rest of the live commands with the live
+/// replies. \p refits receives the number of refits the run took.
 void crash_after_every_record(const std::string& tag,
                               const std::string& config_json,
                               std::size_t in_flight, std::size_t* refits) {
   const SessionSpec spec = parse_session_config(config_json);
-  const std::string live_dir = fresh_dir(tag + "_live");
+  const std::string live_dir = temp_dir(tag + "_live");
   SessionHost live(live_dir, 4);
   std::vector<LiveStep> steps;
   std::vector<std::string> copies;
@@ -150,12 +146,19 @@ void crash_after_every_record(const std::string& tag,
     step.line = line;
     step.reply = live.handle_line(line);
     step.status = live.handle_line("STATUS s");
-    copies.push_back(fresh_dir(tag + "_after" + std::to_string(steps.size())));
+    copies.push_back(temp_dir(tag + "_after" + std::to_string(steps.size())));
     copy_dir(live_dir, copies.back());
     steps.push_back(step);
     return step.reply;
   };
   EXPECT_EQ(run("NEW s " + config_json), "OK created s");
+  // NEW writes the config and the journal header, and nothing else.
+  std::vector<std::string> created;
+  for (const auto& entry : fs::directory_iterator(copies.back())) {
+    created.push_back(entry.path().filename().string());
+  }
+  std::sort(created.begin(), created.end());
+  EXPECT_EQ(created, (std::vector<std::string>{"s.config", "s.journal"}));
   std::deque<Suggested> fly;
   std::size_t issued = 0;
   const std::size_t batch = spec.config.mode == bo::Mode::SyncBatch
@@ -186,9 +189,8 @@ void crash_after_every_record(const std::string& tag,
   EXPECT_EQ(most_in_flight, batch);
 
   // Each boot works on its own copy: continuing mutates the files.
-  const std::string work = fresh_dir(tag + "_work");
+  const std::string work = temp_dir(tag + "_work");
   std::size_t torn_boots = 0;
-  std::size_t fallback_boots = 0;
   for (std::size_t k = 0; k < steps.size(); ++k) {
     SCOPED_TRACE(tag + " after command " + std::to_string(k));
     copy_dir(copies[k], work);
@@ -209,16 +211,12 @@ void crash_after_every_record(const std::string& tag,
         ++torn_boots;
       }
     }
-    if (io::file_exists(copies[k] + "/s.snapshot.old")) {
-      copy_dir(copies[k], work);
-      fs::remove(work + "/s.snapshot");
-      expect_continues(work, steps[k].status, steps, k + 1);
-      ++fallback_boots;
-    }
+    copy_dir(copies[k], work);
+    fs::remove(work + "/s.snapshot");
+    expect_continues(work, steps[k].status, steps, k + 1);
   }
   EXPECT_EQ(torn_boots, steps.size() - 2);  // every command but NEW and
                                             // the refused last SUGGEST
-  EXPECT_GT(fallback_boots, steps.size() / 2);
   SessionHost reopened(copies.back(), 4);
   EXPECT_EQ(reopened.handle_line("STATUS s"), steps.back().status);
   const io::JournalReadResult last =
@@ -260,7 +258,7 @@ TEST(ServeResume, CrashAfterAnyRecordResumesExactlyPhcboSync) {
 TEST(ServeResume, EvictionAtScaleKeepsEveryStandaloneStream) {
   constexpr std::size_t kSessions = 12;
   const auto tf = circuit::sphere(2);
-  SessionHost host(fresh_dir("evict_scale"), 2);
+  SessionHost host(temp_dir("evict_scale"), 2);
   std::vector<std::string> configs;
   for (std::size_t i = 0; i < kSessions; ++i) {
     bo::BoConfig cfg = small_config(bo::Mode::Sequential, bo::AcqKind::EasyBo,
@@ -305,10 +303,10 @@ TEST(ServeResume, EvictionAtScaleKeepsEveryStandaloneStream) {
 /// tests/golden/serve_v1 was written by the host of the commit before
 /// journal v2: session "u" (sequential EasyBO, seed 2718, 8 sims) past
 /// its 3-point initial design with model-based tag 3 pending — an
-/// easybo.journal.v1 journal with 6 eval records, the snapshot taken
+/// easybo.journal.v1 journal with 3 eval records, the snapshot taken
 /// after that SUGGEST and the rotated one before it.
 TEST(ServeResume, V1StateDirectoryUpgradesAndContinuesItsStream) {
-  const std::string dir = fresh_dir("v1");
+  const std::string dir = temp_dir("v1");
   copy_dir(std::string(EASYBO_TESTS_GOLDEN_DIR) + "/serve_v1", dir);
   const std::string v1_journal = io::read_file(dir + "/u.journal");
   const std::string v1_snapshot = io::read_file(dir + "/u.snapshot");
@@ -359,6 +357,74 @@ TEST(ServeResume, V1StateDirectoryUpgradesAndContinuesItsStream) {
   EXPECT_EQ(xs, std::vector<Vec>(want.begin() + 4, want.end()));
   SessionHost reopened(dir, 4);
   EXPECT_EQ(reopened.handle_line("STATUS u"), host.handle_line("STATUS u"));
+}
+
+// A journal begun as easybo.journal.v1 holds no suggest records, so it
+// resumes only from a snapshot. With u.snapshot removed, the legacy
+// u.snapshot.old (taken before tag 3 was suggested) resumes and the
+// session re-proposes tag 3 on, its standalone stream. With both files
+// removed — as written, or after the SUGGEST that upgraded its header to
+// v2 — resume is refused by one message naming the record, the tag, why
+// no snapshot was usable and that the journal began as v1.
+TEST(ServeResume, V1StateDirectoryResumesOnlyFromASnapshot) {
+  const std::string golden = std::string(EASYBO_TESTS_GOLDEN_DIR) +
+                             "/serve_v1";
+  const std::vector<Vec> want =
+      standalone_stream(io::read_file(golden + "/u.config"), objective_of);
+  ASSERT_EQ(want.size(), 8u);
+
+  const std::string old_only = temp_dir("old_only");
+  copy_dir(golden, old_only);
+  fs::remove(old_only + "/u.snapshot");
+  {
+    SessionHost host(old_only, 4);
+    std::vector<Vec> xs;
+    for (;;) {
+      const std::string reply = host.handle_line("SUGGEST u");
+      if (reply.rfind("ERR ", 0) == 0) break;
+      const Suggested s = parse_suggest_reply(reply);
+      xs.push_back(s.x);
+      ASSERT_EQ(host.handle_line(observe_line("u", s)).rfind("OK ", 0), 0u);
+    }
+    EXPECT_EQ(xs, std::vector<Vec>(want.begin() + 3, want.end()));
+  }
+
+  const auto expect_refused = [](const std::string& dir) {
+    SessionHost host(dir, 4);
+    const std::string reply = host.handle_line("SUGGEST u");
+    EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
+    for (const std::string& part :
+         {"cannot resume session: record 0 of " + dir +
+              "/u.journal completes evaluation 0, which the replay never "
+              "had in flight",
+          "(no snapshot was usable: " + dir + "/u.snapshot is missing, " +
+              dir + "/u.snapshot.old is missing)",
+          std::string("a journal begun as ") + bo::kJournalSchemaV1 +
+              " holds no suggest records and resumes only from a snapshot"}) {
+      EXPECT_NE(reply.find(part), std::string::npos) << reply;
+    }
+  };
+  const std::string bare = temp_dir("bare");
+  copy_dir(golden, bare);
+  fs::remove(bare + "/u.snapshot");
+  fs::remove(bare + "/u.snapshot.old");
+  expect_refused(bare);
+
+  const std::string upgraded = temp_dir("upgraded");
+  copy_dir(golden, upgraded);
+  {
+    SessionHost host(upgraded, 4);
+    ASSERT_EQ(host.handle_line("OBSERVE u 3 " +
+                               io::json_number(objective_of(want[3]))),
+              "OK {\"action\":\"observed\"}");
+    ASSERT_EQ(parse_suggest_reply(host.handle_line("SUGGEST u")).x, want[4]);
+  }
+  const io::JournalReadResult jr = io::read_journal(upgraded + "/u.journal");
+  ASSERT_EQ(bo::JournalHeader::parse(jr.payloads.front()).schema,
+            std::string(bo::kJournalSchemaV2));
+  fs::remove(upgraded + "/u.snapshot");
+  fs::remove(upgraded + "/u.snapshot.old");
+  expect_refused(upgraded);
 }
 
 }  // namespace

@@ -17,21 +17,17 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/session_config.h"
+#include "temp_dir.h"
 
 namespace easybo::serve {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_tcp_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using tests::temp_dir;
 
 std::string quick_config_json(std::uint64_t seed) {
   bo::BoConfig cfg;
@@ -137,7 +133,7 @@ class LineClient {
 };
 
 TEST(TcpServer, ServesRequestsAndResolvesAnEphemeralPort) {
-  SessionHost host(fresh_dir("basic"), 4);
+  SessionHost host(temp_dir("basic"), 4);
   TcpServer server(host, TcpOptions{});
   server.start();
   ASSERT_TRUE(server.running());
@@ -159,7 +155,7 @@ TEST(TcpServer, ServesRequestsAndResolvesAnEphemeralPort) {
 }
 
 TEST(TcpServer, ConcurrentConnectionsEachGetTheirOwnReplies) {
-  SessionHost host(fresh_dir("concurrent"), 8);
+  SessionHost host(temp_dir("concurrent"), 8);
   TcpServer server(host, TcpOptions{});
   server.start();
 
@@ -195,7 +191,7 @@ TEST(TcpServer, ConcurrentConnectionsEachGetTheirOwnReplies) {
 }
 
 TEST(TcpServer, IdleConnectionsAreToldAndDisconnected) {
-  SessionHost host(fresh_dir("idle"), 4);
+  SessionHost host(temp_dir("idle"), 4);
   TcpOptions options;
   options.idle_timeout_s = 0.3;
   TcpServer server(host, options);
@@ -216,7 +212,7 @@ TEST(TcpServer, SlowInFlightRequestDoesNotEatTheIdleBudget) {
   // longer than the idle timeout must not get the connection cut right
   // after its reply: the clock restarts when the reply is written, not
   // when the request arrived.
-  SessionHost host(fresh_dir("slow_inflight"), 4);
+  SessionHost host(temp_dir("slow_inflight"), 4);
   TcpOptions options;
   options.idle_timeout_s = 0.4;
   TcpServer server(host, options);
@@ -242,7 +238,7 @@ TEST(TcpServer, SlowInFlightRequestDoesNotEatTheIdleBudget) {
 }
 
 TEST(TcpServer, UnframedFloodIsCutOffAtTheLineCap) {
-  SessionHost host(fresh_dir("flood"), 4);
+  SessionHost host(temp_dir("flood"), 4);
   TcpOptions options;
   TcpServer server(host, options);
   server.start();
@@ -265,7 +261,7 @@ TEST(TcpServer, UnframedFloodIsCutOffAtTheLineCap) {
 }
 
 TEST(TcpServer, ConnectionsBeyondTheCapAreRejectedAtTheDoor) {
-  SessionHost host(fresh_dir("cap"), 4);
+  SessionHost host(temp_dir("cap"), 4);
   TcpOptions options;
   options.max_clients = 1;
   TcpServer server(host, options);
@@ -297,7 +293,7 @@ TEST(TcpServer, ConnectionsBeyondTheCapAreRejectedAtTheDoor) {
 }
 
 TEST(TcpServer, StopIsPromptAndIdempotentWithAClientConnected) {
-  SessionHost host(fresh_dir("stop"), 4);
+  SessionHost host(temp_dir("stop"), 4);
   TcpServer server(host, TcpOptions{});
   server.start();
   LineClient client(server.port());
@@ -317,7 +313,7 @@ TEST(TcpServer, StopIsPromptAndIdempotentWithAClientConnected) {
 }
 
 TEST(TcpServer, ClientDisconnectLeavesTheServerServing) {
-  SessionHost host(fresh_dir("disconnect"), 4);
+  SessionHost host(temp_dir("disconnect"), 4);
   TcpServer server(host, TcpOptions{});
   server.start();
   {
